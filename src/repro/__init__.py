@@ -10,8 +10,6 @@ The package provides:
 * the static backfill baseline and FCFS (:mod:`repro.schedulers`);
 * SD-Policy itself — malleable backfill, mate selection, slowdown penalties
   and runtime models (:mod:`repro.core`);
-* a DROM-like node manager with socket-aware CPU distribution
-  (:mod:`repro.nodemanager`);
 * workload infrastructure: SWF parsing, the Cirne model, RICC/CEA-Curie-like
   synthetic generators (:mod:`repro.workloads`);
 * metrics, analysis, and figure/table regeneration helpers

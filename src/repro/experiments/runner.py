@@ -8,8 +8,8 @@ from typing import Callable, Dict, List, Optional, Union
 
 from repro.analytics.records import JobRecordSink, RunRecords
 from repro.core.policy import make_policy, policy_accepts_profiles
-from repro.core.runtime_model import RuntimeModel, WorstCaseRuntimeModel
-from repro.metrics.aggregates import WorkloadMetrics, compute_metrics
+from repro.core.runtime_model import RuntimeModel
+from repro.metrics.aggregates import WorkloadMetrics
 from repro.metrics.energy import LinearPowerModel
 from repro.schedulers.base import Scheduler
 from repro.simulator.cluster import Cluster
@@ -51,12 +51,6 @@ def make_scheduler(policy: Union[str, Scheduler, Callable[[], Scheduler]], **kwa
     return make_policy(policy, **kwargs)
 
 
-#: Sentinel distinguishing "use the default power model" from an explicit
-#: ``None`` (which disables energy accounting).  The model itself is built
-#: per call so no mutable default instance is shared across runs.
-_DEFAULT_POWER_MODEL = object()
-
-
 @dataclass
 class PolicyRun:
     """The outcome of running one workload under one policy."""
@@ -92,7 +86,7 @@ def run_workload(
     runtime_model: Optional[Union[str, RuntimeModel]] = None,
     malleable_fraction: float = 1.0,
     tasks_per_node: int = 1,
-    power_model: Optional[LinearPowerModel] = _DEFAULT_POWER_MODEL,
+    power_model: Optional[LinearPowerModel] = Simulation._DEFAULT_POWER_MODEL,
     use_requested_time_for_predictions: bool = True,
     contention_coefficient: Optional[float] = None,
     profiles: Optional[str] = None,
@@ -118,10 +112,10 @@ def run_workload(
 
     With ``retain_jobs=False`` the run streams: jobs are materialised
     lazily, folded into aggregates at completion and discarded, so memory
-    stays near-constant in the job count.  ``PolicyRun.metrics`` carries the
-    same values either way (bit-identical summation order), but
-    ``PolicyRun.jobs`` is empty, so per-job reports (heatmaps, daily
-    series, real-run tables) need the default retained mode.
+    stays near-constant in the job count.  ``PolicyRun.metrics`` comes from
+    the same streaming fold either way, but ``PolicyRun.jobs`` is empty, so
+    per-job reports (heatmaps, daily series, real-run tables) need the
+    default retained mode.
 
     With ``analytics=True`` a :class:`repro.analytics.JobRecordSink` rides
     the completion dispatch and ``PolicyRun.records`` carries one columnar
@@ -142,8 +136,6 @@ def run_workload(
     ):
         policy_kwargs.setdefault("profiles", profiles)
     scheduler = make_scheduler(policy, **policy_kwargs)
-    if power_model is _DEFAULT_POWER_MODEL:
-        power_model = LinearPowerModel()
     if isinstance(runtime_model, str):
         if runtime_model == "application_aware":
             from repro.core.contention import (
@@ -172,7 +164,7 @@ def run_workload(
     sim = Simulation(
         cluster,
         scheduler,
-        runtime_model=runtime_model or WorstCaseRuntimeModel(),
+        runtime_model=runtime_model,
         power_model=power_model,
         use_requested_time_for_predictions=use_requested_time_for_predictions,
         retain_jobs=retain_jobs,
@@ -195,17 +187,10 @@ def run_workload(
     result = sim.run()
     elapsed = time.perf_counter() - started
     metrics_started = time.perf_counter()
-    if retain_jobs:
-        metrics = compute_metrics(
-            result.jobs,
-            energy_joules=result.energy_joules,
-            first_submit=result.first_submit,
-        )
-    else:
-        metrics = sim.streaming.workload_metrics(
-            energy_joules=result.energy_joules,
-            first_submit=result.first_submit,
-        )
+    metrics = sim.streaming.workload_metrics(
+        energy_joules=result.energy_joules,
+        first_submit=result.first_submit,
+    )
     phases = {
         "simulate": elapsed,
         "metrics": time.perf_counter() - metrics_started,

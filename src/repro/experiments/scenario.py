@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
     Any,
@@ -833,12 +833,10 @@ def realrun_improvements(
     """Figure 9 statistics of a real-run scenario (energy recomputed).
 
     The real-run pair simulates with the application-aware runtime model
-    and no in-simulation power integration; energy is recomputed here with
-    the MareNostrum4-style model of :mod:`repro.realrun.energy`, exactly as
-    the emulator does.
+    and no in-simulation power integration; each run's metrics are kept and
+    only the energy is recomputed, with the application-weighted model of
+    :mod:`repro.realrun.energy`, exactly as the emulator does.
     """
-    from repro.metrics.aggregates import compute_metrics
-    from repro.metrics.energy import LinearPowerModel
     from repro.realrun.emulator import RealRunEmulator
     from repro.realrun.energy import real_run_energy
 
@@ -849,15 +847,14 @@ def realrun_improvements(
         return outcome._cache["realrun"]
     static, sd = _static_sd_pair(outcome)
     workload = outcome.workload
-    power_model = power_model or LinearPowerModel()
     static_energy = real_run_energy(
         static.jobs, workload.system_nodes, workload.cpus_per_node, power_model
     )
     sd_energy = real_run_energy(
         sd.jobs, workload.system_nodes, workload.cpus_per_node, power_model
     )
-    static_metrics = compute_metrics(static.jobs, energy_joules=static_energy)
-    sd_metrics = compute_metrics(sd.jobs, energy_joules=sd_energy)
+    static_metrics = replace(static.metrics, energy_joules=static_energy)
+    sd_metrics = replace(sd.metrics, energy_joules=sd_energy)
     stats = {
         "improvements": improvement_percent(sd_metrics, static_metrics),
         "static_metrics": static_metrics,

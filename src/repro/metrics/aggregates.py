@@ -7,9 +7,10 @@ The paper evaluates every experiment with four metrics:
 * **Average slowdown** — mean of (response time / static execution time).
 * **Energy consumption** — handled by :mod:`repro.metrics.energy`.
 
-All functions work on plain sequences of completed
-:class:`repro.simulator.job.Job` objects so they can be applied both to
-simulation results and to the real-run emulation.
+A simulation folds these online (:mod:`repro.metrics.streaming`);
+:func:`compute_metrics` recomputes them from a plain sequence of completed
+:class:`repro.simulator.job.Job` objects and is the batch oracle the
+streaming fold is tested against.
 """
 
 from __future__ import annotations
@@ -21,61 +22,6 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.simulator.job import Job
-
-
-def _completed(jobs: Iterable[Job]) -> List[Job]:
-    done = [j for j in jobs if j.end_time is not None]
-    return done
-
-
-def makespan(jobs: Iterable[Job], first_submit: Optional[float] = None) -> float:
-    """Last end time minus the run's first arrival time (0 for an empty set).
-
-    ``first_submit`` anchors the origin at the *run-level* first submission.
-    Without it the origin falls back to the earliest submit among the
-    completed jobs — which silently drifts late whenever the
-    earliest-submitted job was dropped or never finished, disagreeing with
-    :meth:`repro.simulator.simulation.Simulation.result`.  Pass the
-    simulation's recorded first submit whenever it is available.
-    """
-    done = _completed(jobs)
-    if not done:
-        return 0.0
-    origin = min(j.submit_time for j in done) if first_submit is None else first_submit
-    last_end = max(j.end_time for j in done)
-    return max(0.0, last_end - origin)
-
-
-def average_response_time(jobs: Iterable[Job]) -> float:
-    """Mean of end − submit over the completed jobs."""
-    done = _completed(jobs)
-    if not done:
-        return 0.0
-    return float(np.mean([j.response_time for j in done]))
-
-
-def average_wait_time(jobs: Iterable[Job]) -> float:
-    """Mean queue wait over the completed jobs."""
-    done = _completed(jobs)
-    if not done:
-        return 0.0
-    return float(np.mean([j.wait_time for j in done]))
-
-
-def average_slowdown(jobs: Iterable[Job]) -> float:
-    """Mean of response / static runtime over the completed jobs."""
-    done = _completed(jobs)
-    if not done:
-        return 0.0
-    return float(np.mean([j.slowdown for j in done]))
-
-
-def average_bounded_slowdown(jobs: Iterable[Job], tau: float = 10.0) -> float:
-    """Mean bounded slowdown (threshold ``tau``), for completeness."""
-    done = _completed(jobs)
-    if not done:
-        return 0.0
-    return float(np.mean([j.bounded_slowdown(tau) for j in done]))
 
 
 @dataclass
@@ -126,8 +72,9 @@ def compute_metrics(
     One pass over the jobs collects every per-metric series and counter;
     the NumPy reductions then see the same values in the same order as the
     previous per-metric passes, so the outputs are bit-identical.
-    ``first_submit`` anchors the makespan at the run-level first submission
-    (see :func:`makespan`).
+    ``first_submit`` anchors the makespan at the run-level first submission.
+    Without it the origin is the earliest submit among the completed jobs,
+    which drifts late whenever the earliest-submitted job never finished.
     """
     responses: List[float] = []
     waits: List[float] = []

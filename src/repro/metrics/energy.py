@@ -9,9 +9,12 @@ default is the standard linear model
 
     P_node(u) = P_idle + (P_peak − P_idle) · u
 
-with ``u`` the fraction of the node's CPUs doing useful work.  The real-run
-emulation refines ``u`` with per-application CPU-utilisation factors
-(:mod:`repro.realrun.apps`); the plain simulator uses assigned CPUs.
+with ``u`` the fraction of the node's CPUs doing useful work.  The
+simulator integrates it online from assigned CPUs
+(:meth:`repro.metrics.streaming.StreamingMetrics.energy_joules`);
+:func:`workload_energy` recomputes it post hoc for the real-run emulation,
+weighting ``u`` by each application's CPU utilisation
+(:mod:`repro.core.profiles`).
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.simulator.cluster import Cluster
 from repro.simulator.job import Job
 
 
@@ -42,16 +44,6 @@ class LinearPowerModel:
         if self.idle_watts < 0:
             raise ValueError("idle_watts must be non-negative")
 
-    def node_power(self, utilization: float) -> float:
-        """Power of one node at the given utilisation (clamped to [0, 1])."""
-        u = min(1.0, max(0.0, utilization))
-        return self.idle_watts + (self.peak_watts - self.idle_watts) * u
-
-    def power(self, cluster: Cluster) -> float:
-        """Cluster-wide power used by the simulation driver's integrator."""
-        util = cluster.used_cpus / cluster.total_cpus if cluster.total_cpus else 0.0
-        return cluster.num_nodes * self.node_power(util)
-
 
 def workload_energy(
     jobs: Iterable[Job],
@@ -62,11 +54,10 @@ def workload_energy(
 ) -> float:
     """Recompute a run's energy from the completed jobs' resource histories.
 
-    This is an independent (post-hoc) estimate used to cross-check the
-    driver's online integration and to compute energy for the real-run
-    emulation, where a job's *effective* CPU utilisation depends on its
-    application model (pass ``utilization_of(job) -> float`` to scale the
-    assigned CPUs accordingly).
+    Used for the real-run emulation, where a job's *effective* CPU
+    utilisation depends on its application model (pass
+    ``utilization_of(job) -> float`` to scale the assigned CPUs
+    accordingly).
 
     Energy = idle power of all nodes over the makespan + the dynamic part
     integrated from every job's per-slot CPU assignment.

@@ -137,8 +137,7 @@ class StreamingMetrics:
         self.max_end = 0.0
         self.malleable_scheduled = 0
         self.mate_jobs = 0
-        # CPU-second integral of the resource histories, accumulated in the
-        # same (job, slot) order as ``simulation._workload_energy``.
+        # CPU-second integral of the resource histories, in (job, slot) order.
         self.dynamic_cpu_seconds = 0.0
         self._response = ChunkedFloatBuffer()
         self._wait = ChunkedFloatBuffer()
@@ -195,7 +194,8 @@ class StreamingMetrics:
         first_submit: float,
         last_end: float,
     ) -> float:
-        """Workload energy, mirroring ``simulation._workload_energy``."""
+        """Workload energy: idle power of every node over the run window
+        plus the dynamic power of every folded CPU-second."""
         if not self.count or last_end <= first_submit:
             return 0.0
         idle_energy = num_nodes * idle_watts * (last_end - first_submit)

@@ -98,7 +98,7 @@ class RealRunEmulator:
     def scenario_spec(self):
         """The declarative scenario describing this emulation's run pair."""
         from repro.experiments.scenario import builtin_scenario
-        from repro.realrun.interference import DEFAULT_CONTENTION_COEFFICIENT
+        from repro.core.contention import DEFAULT_CONTENTION_COEFFICIENT
 
         spec = builtin_scenario(
             "figure9",

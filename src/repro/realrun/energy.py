@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from repro.core.profiles import get_application
 from repro.metrics.energy import LinearPowerModel, workload_energy
-from repro.realrun.apps import get_application
 from repro.simulator.job import Job
 
 
@@ -29,6 +29,6 @@ def real_run_energy(
         jobs,
         num_nodes=num_nodes,
         cpus_per_node=cpus_per_node,
-        power_model=power_model or LinearPowerModel(),
+        power_model=power_model,
         utilization_of=lambda job: get_application(job.application).cpu_utilization,
     )

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.metrics.energy import LinearPowerModel
 from repro.metrics.streaming import StreamingMetrics
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import EventQueue, EventType
@@ -63,81 +64,14 @@ class RetainedJobsSink:
         self.completed.append(job)
 
 
-class _FullAllocationSpeedModel:
-    """Default runtime model: speed scales with the worst (most shrunk) node.
-
-    Matches the paper's *worst case* model (Eq. 6): a statically balanced
-    job progresses at the pace of the node on which it holds the fewest
-    CPUs relative to the per-node width of its static allocation.  With a
-    full static allocation the speed is exactly 1.0, so static-only
-    simulations behave as a classic rigid-job simulator.
-    """
-
-    name = "worst_case"
-
-    def speed(self, job: Job, cpus_per_node: Dict[int, int]) -> float:
-        if not cpus_per_node:
-            return 0.0
-        per_node_request = job.requested_cpus / max(1, job.requested_nodes)
-        if per_node_request <= 0:
-            return 1.0
-        ideal_cap = sum(cpus_per_node.values()) / job.requested_cpus
-        worst = min(cpus_per_node.values()) / per_node_request
-        return min(1.0, worst, ideal_cap)
-
-
-class _DefaultPowerModel:
-    """Linear node power model: idle + (peak - idle) * utilisation."""
-
-    def __init__(self, idle_watts: float = 120.0, peak_watts: float = 400.0) -> None:
-        self.idle_watts = idle_watts
-        self.peak_watts = peak_watts
-
-    def power(self, cluster: Cluster) -> float:
-        util = cluster.used_cpus / cluster.total_cpus if cluster.total_cpus else 0.0
-        return cluster.num_nodes * (
-            self.idle_watts + (self.peak_watts - self.idle_watts) * util
-        )
-
-
-def _workload_energy(
-    jobs: List[Job],
-    num_nodes: int,
-    cpus_per_node: int,
-    idle_watts: float,
-    peak_watts: float,
-    first_submit: float,
-    last_end: float,
-) -> float:
-    """Energy to run the workload: idle power of every node over the
-    makespan window plus the dynamic power of every assigned CPU-second.
-
-    Computed post-hoc from the completed jobs' resource histories so the
-    figure is independent of how simulation events happened to be ordered
-    (in particular it is unaffected by stale end events left in the heap
-    after reconfigurations).
-    """
-    if not jobs or last_end <= first_submit:
-        return 0.0
-    idle_energy = num_nodes * idle_watts * (last_end - first_submit)
-    per_cpu = (peak_watts - idle_watts) / cpus_per_node
-    dynamic = 0.0
-    for job in jobs:
-        for slot in job.resource_history:
-            duration = slot.duration
-            if duration > 0 and math.isfinite(duration):
-                dynamic += slot.total_cpus * duration
-    return idle_energy + per_cpu * dynamic
-
-
 @dataclass
 class SimulationResult:
     """Summary of one simulation run.
 
-    The per-job detail lives in :attr:`jobs`; the aggregate metrics the
-    paper reports (makespan, average response time, average slowdown,
-    energy) are computed lazily by :mod:`repro.metrics` from these records,
-    but the most common ones are also precomputed here for convenience.
+    The headline aggregates the paper reports (makespan, average response
+    time, average slowdown, energy) come from the simulation's
+    :class:`~repro.metrics.streaming.StreamingMetrics` fold, so they are
+    the same whether or not the per-job detail in :attr:`jobs` was retained.
     """
 
     jobs: List[Job]
@@ -185,8 +119,10 @@ class Simulation:
         :class:`repro.core.runtime_model.IdealRuntimeModel` for the ideal
         model of Eq. 5.
     power_model:
-        Object with ``power(cluster) -> watts``; energy is integrated over
-        the run.  Pass ``None`` to disable energy accounting.
+        Object with ``idle_watts`` and ``peak_watts`` attributes (default
+        :class:`repro.metrics.energy.LinearPowerModel`); energy is idle
+        power over the makespan plus dynamic power per assigned CPU-second.
+        Pass ``None`` to disable energy accounting.
     use_requested_time_for_predictions:
         If True (default, like SLURM) the availability profile used for wait
         time estimation predicts running jobs to end at
@@ -234,9 +170,14 @@ class Simulation:
         self.cluster = cluster
         self.scheduler = scheduler
         self.trace = trace
-        self.runtime_model = runtime_model or _FullAllocationSpeedModel()
+        if runtime_model is None:
+            # Imported here: repro.core imports this module via repro/__init__.
+            from repro.core.runtime_model import WorstCaseRuntimeModel
+
+            runtime_model = WorstCaseRuntimeModel()
+        self.runtime_model = runtime_model
         if power_model is Simulation._DEFAULT_POWER_MODEL:
-            power_model = _DefaultPowerModel()
+            power_model = LinearPowerModel()
         self.power_model = power_model
         self.use_requested_time_for_predictions = use_requested_time_for_predictions
         self.retain_jobs = retain_jobs
@@ -605,31 +546,22 @@ class Simulation:
     # ------------------------------------------------------------------ #
     @property
     def energy_joules(self) -> float:
-        """Energy of the workload executed so far (0 without a power model)."""
+        """Energy of the workload executed so far (0 without a power model).
+
+        Idle power of every node over the makespan window plus the dynamic
+        power of every assigned CPU-second, integrated by :attr:`streaming`
+        from the completed jobs' resource histories.  It is therefore
+        unaffected by stale end events left in the heap after
+        reconfigurations, and identical with and without ``retain_jobs``.
+        """
         if self.power_model is None:
             return 0.0
-        idle = getattr(self.power_model, "idle_watts", 0.0)
-        peak = getattr(self.power_model, "peak_watts", idle)
-        first_submit = self._first_submit if self._first_submit is not None else 0.0
-        if not self.retain_jobs:
-            # Same integral, accumulated online in fold order.
-            return self.streaming.energy_joules(
-                num_nodes=self.cluster.num_nodes,
-                cpus_per_node=self.cluster.cpus_per_node,
-                idle_watts=idle,
-                peak_watts=peak,
-                first_submit=first_submit,
-                last_end=self._last_end,
-            )
-        if not self.completed:
-            return 0.0
-        return _workload_energy(
-            self.completed,
+        return self.streaming.energy_joules(
             num_nodes=self.cluster.num_nodes,
             cpus_per_node=self.cluster.cpus_per_node,
-            idle_watts=idle,
-            peak_watts=peak,
-            first_submit=first_submit,
+            idle_watts=self.power_model.idle_watts,
+            peak_watts=self.power_model.peak_watts,
+            first_submit=self._first_submit if self._first_submit is not None else 0.0,
             last_end=self._last_end,
         )
 

@@ -2,8 +2,8 @@
 
 Four pieces, one import surface:
 
-* :mod:`repro.telemetry.core` — the :class:`Telemetry` registry with a
-  shared no-op (:data:`NULL`) so disabled instrumentation costs nothing.
+* :mod:`repro.telemetry.core` — the :class:`Telemetry` counter/gauge/timer
+  registry behind :class:`InstrumentedStore`.
 * :mod:`repro.telemetry.trace` — byte-deterministic scheduler decision
   traces stored under ``<cache_key>-trace`` with integrity envelopes.
 * :mod:`repro.telemetry.instrument` — per-request counting/timing
@@ -16,7 +16,7 @@ is deliberately *not* re-exported here (it imports the store layer's
 public API and is a CLI concern).
 """
 
-from repro.telemetry.core import NULL, NullTelemetry, Telemetry
+from repro.telemetry.core import Telemetry
 from repro.telemetry.instrument import InstrumentedStore
 from repro.telemetry.logs import LOG_LEVELS, setup_logging
 from repro.telemetry.trace import (
@@ -33,8 +33,6 @@ from repro.telemetry.trace import (
 
 __all__ = [
     "LOG_LEVELS",
-    "NULL",
-    "NullTelemetry",
     "PHASE_FIELDS",
     "TRACE_FORMAT_VERSION",
     "InstrumentedStore",

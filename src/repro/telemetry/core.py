@@ -1,12 +1,4 @@
-"""Counter/gauge/timer registry with a zero-cost disabled path.
-
-The hot loops this repo cares about (the million-job event loop, the
-sweep runner's cache probe) must not pay for instrumentation they are not
-using.  The pattern mirrors ``Simulation._sink_folds``: call sites hold a
-reference that is either a live :class:`Telemetry` or the shared
-:data:`NULL` no-op, so the disabled path is one attribute lookup and a
-method call that immediately returns — no dict hashing, no string
-formatting, no branching on configuration objects.
+"""Counter/gauge/timer registry.
 
 Timers keep raw observations (seconds) so :meth:`Telemetry.snapshot` can
 report latency percentiles; the snapshot layout is fingerprinted into
@@ -20,8 +12,6 @@ import time
 from typing import Dict, List
 
 __all__ = [
-    "NULL",
-    "NullTelemetry",
     "TELEMETRY_FORMAT_VERSION",
     "TELEMETRY_SNAPSHOT_FIELDS",
     "TIMER_STAT_FIELDS",
@@ -67,8 +57,6 @@ class _Timer:
 class Telemetry:
     """In-process registry of named counters, gauges, and timers."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, float] = {}
@@ -105,41 +93,3 @@ class Telemetry:
             "gauges": dict(sorted(self.gauges.items())),
             "timers": timers,
         }
-
-
-class _NullTimer:
-    """Shared do-nothing context manager (no per-call allocation)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_TIMER = _NullTimer()
-
-
-class NullTelemetry(Telemetry):
-    """Disabled registry: every operation is an immediate no-op."""
-
-    enabled = False
-
-    def count(self, name: str, delta: int = 1) -> None:
-        return None
-
-    def gauge(self, name: str, value: float) -> None:
-        return None
-
-    def observe(self, name: str, seconds: float) -> None:
-        return None
-
-    def time(self, name: str) -> _NullTimer:  # type: ignore[override]
-        return _NULL_TIMER
-
-
-#: Shared no-op instance — hold this instead of ``None`` checks in code
-#: that always wants a telemetry object to call into.
-NULL = NullTelemetry()

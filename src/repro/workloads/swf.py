@@ -29,6 +29,7 @@ module implements.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Dict, Iterator, Optional, Sequence, TextIO, Union
 
@@ -44,13 +45,46 @@ class SWFFormatError(ValueError):
     """Raised when a line cannot be parsed as an SWF record."""
 
 
+#: Canonical SWF field names, in line order (used in error messages).
+_FIELD_NAMES = (
+    "job number",
+    "submit time",
+    "wait time",
+    "run time",
+    "allocated processors",
+    "average cpu time",
+    "used memory",
+    "requested processors",
+    "requested time",
+    "requested memory",
+    "status",
+    "user id",
+    "group id",
+    "executable number",
+    "queue number",
+    "partition number",
+    "preceding job",
+    "think time",
+)
+
+
 def _parse_line(line: str, lineno: int) -> Optional[JobRecord]:
     parts = line.split()
     if len(parts) < SWF_FIELDS:
         raise SWFFormatError(
             f"line {lineno}: expected {SWF_FIELDS} fields, found {len(parts)}"
         )
-    values = [float(p) for p in parts[:SWF_FIELDS]]
+    values = []
+    for name, text in zip(_FIELD_NAMES, parts):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise SWFFormatError(
+                f"line {lineno}: field {name!r} is {text!r}, not a finite number"
+            )
+        values.append(value)
     (
         job_id,
         submit,

@@ -2,7 +2,7 @@
 
 import repro.realrun
 import repro.realrun.emulator
-from repro.realrun.apps import APPLICATIONS
+from repro.realrun.energy import real_run_energy
 from repro import realrun
 
 
@@ -14,6 +14,6 @@ def promoted_import_is_clean():
 
 def suppressed_import():
     # repro: allow[arch-realrun-import] fixture: demonstrates suppression
-    from repro.realrun.interference import co_run_slowdown
+    from repro.realrun.emulator import RealRunEmulator
 
-    return co_run_slowdown
+    return RealRunEmulator

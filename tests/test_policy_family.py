@@ -1,7 +1,6 @@
 """Tests for the pluggable co-scheduling policy family.
 
-Covers the promoted profile/contention layer (and its parity with the
-historical ``realrun`` import path), the policy registry, the
+Covers the promoted profile/contention layer, the policy registry, the
 contention-aware UB-Policy — including the pinned regression that it
 refuses bandwidth-oversubscribed pairings, visible through the decision
 trace — and the ``policy_faceoff`` built-in scenario's determinism across
@@ -13,15 +12,12 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.core.contention import (
     DEFAULT_CONTENTION_COEFFICIENT,
     DEFAULT_NODE_BANDWIDTH_CAPACITY,
     ApplicationAwareRuntimeModel,
     ContentionModel,
-    co_run_slowdown,
 )
 from repro.core.policy import (
     CoSchedulingPolicy,
@@ -58,51 +54,9 @@ from repro.workloads.presets import build_workload
 
 
 # --------------------------------------------------------------------- #
-# Parity: the realrun import path IS the promoted core layer
+# The emulator's runtime model is the promoted core layer
 # --------------------------------------------------------------------- #
 class TestRealrunParity:
-    def test_apps_shim_reexports_core_objects(self):
-        from repro.realrun import apps
-
-        assert apps.APPLICATIONS is APPLICATIONS
-        assert apps.DEFAULT_APPLICATION is DEFAULT_APPLICATION
-        from repro.core.profiles import ApplicationModel, get_application
-
-        assert apps.ApplicationModel is ApplicationModel
-        assert apps.get_application is get_application
-
-    def test_interference_shim_reexports_core_objects(self):
-        from repro.realrun import interference
-
-        assert interference.co_run_slowdown is co_run_slowdown
-        assert interference.ContentionModel is ContentionModel
-        assert (
-            interference.ApplicationAwareRuntimeModel is ApplicationAwareRuntimeModel
-        )
-        assert (
-            interference.DEFAULT_CONTENTION_COEFFICIENT
-            is DEFAULT_CONTENTION_COEFFICIENT
-        )
-
-    @given(
-        name=st.sampled_from(sorted(APPLICATIONS) + ["generic", "unknown"]),
-        intensities=st.lists(
-            st.floats(min_value=0.0, max_value=1.0, allow_nan=False), max_size=6
-        ),
-        coeff=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    )
-    def test_dilation_parity_bit_identical(self, name, intensities, coeff):
-        """Emulator-path and core-path dilations agree bit-for-bit."""
-        from repro.realrun.apps import get_application as emulator_lookup
-        from repro.realrun.interference import co_run_slowdown as emulator_slowdown
-
-        app = emulator_lookup(name)
-        emulated = emulator_slowdown(app, intensities, coeff)
-        promoted = ContentionModel(contention_coefficient=coeff).slowdown(
-            lookup_application(name), intensities
-        )
-        assert emulated == promoted  # bit-identical, not approx
-
     def test_emulator_model_is_core_model(self):
         # The emulator's runtime model consults the same ContentionModel
         # class the schedulers do; defaults agree with the realrun-era ones.

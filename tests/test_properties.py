@@ -12,53 +12,12 @@ from hypothesis import strategies as st
 from repro.core.runtime_model import IdealRuntimeModel, WorstCaseRuntimeModel
 from repro.core.sharing import plan_node_sharing
 from repro.metrics.heatmap import category_heatmap
-from repro.nodemanager.affinity import distribute_cpus, isolation_score
 from repro.simulator.node import Node
 from repro.simulator.reservation import ReservationMap
 from repro.workloads.job_record import JobRecord, Workload
 from repro.workloads.swf import read_swf, write_swf
 from tests.conftest import make_job
 from tests.test_metrics import finished_job
-
-# --------------------------------------------------------------------- #
-# Affinity distribution
-# --------------------------------------------------------------------- #
-cpu_requests = st.dictionaries(
-    keys=st.integers(min_value=1, max_value=20),
-    values=st.integers(min_value=1, max_value=16),
-    min_size=1,
-    max_size=6,
-)
-
-
-@given(requests=cpu_requests, sockets=st.integers(1, 4), cores=st.integers(4, 16))
-@settings(max_examples=80, suppress_health_check=[HealthCheck.filter_too_much])
-def test_distribute_cpus_exact_and_disjoint(requests, sockets, cores):
-    total = sockets * cores
-    if sum(requests.values()) > total:
-        return  # infeasible request: covered by the explicit error test
-    assignments = distribute_cpus(requests, sockets=sockets, cores_per_socket=cores)
-    seen = set()
-    for job_id, cpus in requests.items():
-        assignment = assignments[job_id]
-        assert assignment.num_cores == cpus
-        assert seen.isdisjoint(assignment.cores)
-        assert all(0 <= c < total for c in assignment.cores)
-        seen.update(assignment.cores)
-    assert 0.0 <= isolation_score(assignments, cores) <= 1.0
-
-
-@given(sockets=st.integers(1, 4), cores=st.integers(2, 32))
-@settings(max_examples=40)
-def test_two_half_node_jobs_are_socket_isolated(sockets, cores):
-    half = sockets * cores // 2
-    if half == 0:
-        return
-    assignments = distribute_cpus({1: half, 2: sockets * cores - half},
-                                  sockets=sockets, cores_per_socket=cores)
-    overlap = set(assignments[1].cores) & set(assignments[2].cores)
-    assert not overlap
-
 
 # --------------------------------------------------------------------- #
 # Runtime models

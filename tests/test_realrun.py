@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.realrun.apps import APPLICATIONS, DEFAULT_APPLICATION, get_application
+from repro.core.contention import ApplicationAwareRuntimeModel, co_run_slowdown
+from repro.core.profiles import APPLICATIONS, DEFAULT_APPLICATION, get_application
 from repro.realrun.emulator import RealRunEmulator
 from repro.realrun.energy import real_run_energy
-from repro.realrun.interference import ApplicationAwareRuntimeModel, co_run_slowdown
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.simulator.cluster import Cluster
 from repro.simulator.simulation import Simulation

@@ -11,6 +11,7 @@ from repro.experiments.runner import run_workload
 from repro.metrics.aggregates import WorkloadMetrics, compute_metrics
 from repro.metrics.streaming import ChunkedFloatBuffer, StreamingMetrics
 from repro.simulator.cluster import Cluster
+from repro.simulator.job import JobState
 from repro.simulator.simulation import Simulation
 from repro.workloads.presets import build_workload
 from tests.conftest import make_job
@@ -200,7 +201,13 @@ class TestStreamingSimulationParity:
         cluster = Cluster(num_nodes=16, sockets=2, cores_per_socket=4)
         sim = Simulation(cluster, sd_scheduler, retain_jobs=False)
         sim.submit_stream(tiny_workload.iter_jobs(cpus_per_node=8))
-        result = sim.run()
+        steps = 0
+        while sim.step():
+            steps += 1
+            # A streamed run drops each job the moment it completes.
+            assert not any(job.state is JobState.COMPLETED for job in sim.jobs.values())
+        assert steps > 0
+        result = sim.result()
         assert result.jobs == []
         assert result.num_jobs == len(tiny_workload)
         assert sim.completed == []

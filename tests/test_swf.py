@@ -47,6 +47,21 @@ class TestReadSWF:
         with pytest.raises(SWFFormatError):
             read_swf(io.StringIO("1 2 3\n"))
 
+    @pytest.mark.parametrize(
+        "index, text, field",
+        [
+            (1, "x", "submit time"),  # non-numeric
+            (3, "inf", "run time"),  # would crash later as a non-finite end
+            (1, "nan", "submit time"),  # used to become 0.0 silently
+        ],
+    )
+    def test_bad_field_names_line_and_field(self, index, text, field):
+        fields = "1 0 5 100 8 -1 -1 8 200 -1 1 10 2 3 1 1 -1 -1".split()
+        fields[index] = text
+        log = "; Version: 2.2\n" + " ".join(fields) + "\n"
+        with pytest.raises(SWFFormatError, match=f"line 2: field '{field}' is '{text}'"):
+            read_swf(io.StringIO(log))
+
     def test_system_size_inferred_from_jobs_without_header(self):
         text = "1 0 5 100 32 -1 -1 32 200 -1 1 1 1 1 1 1 -1 -1\n"
         wl = read_swf(io.StringIO(text), cpus_per_node=8)

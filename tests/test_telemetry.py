@@ -27,9 +27,7 @@ from repro.experiments.sweep import (
 from repro.store import MemoryStore, StoreError, gc, open_store, unwrap_blob
 from repro.store.http_store import HTTPObjectStore
 from repro.telemetry import (
-    NULL,
     InstrumentedStore,
-    NullTelemetry,
     Telemetry,
     TraceError,
     TraceRecorder,
@@ -80,19 +78,6 @@ class TestTelemetryRegistry:
         assert percentile([1.0], 99) == 1.0
         with pytest.raises(ValueError):
             percentile([], 50)
-
-    def test_null_telemetry_records_nothing(self):
-        assert isinstance(NULL, NullTelemetry)
-        assert not NULL.enabled
-        NULL.count("requests")
-        NULL.gauge("depth", 1.0)
-        NULL.observe("read", 1.0)
-        with NULL.time("read"):
-            pass
-        snap = NULL.snapshot()
-        assert snap == {"counters": {}, "gauges": {}, "timers": {}}
-        # the disabled timer is one shared instance — no per-call allocation
-        assert NULL.time("a") is NULL.time("b")
 
 
 # --------------------------------------------------------------------- #
