@@ -13,18 +13,31 @@ The scheduler needs two forward-looking quantities:
 
 Both are answered by :class:`ReservationMap`, a step-function profile of
 free-node counts over future time built from the running jobs plus any
-explicit reservations added during a backfill pass.  The profile arithmetic
-is vectorised with NumPy because ``earliest_start`` sits on the simulator's
-hottest path (it runs once per examined job per scheduling pass).
+explicit reservations added during a backfill pass.
+
+The step function is two parallel Python lists: ``_times``, the distinct
+change points in increasing order (the first is always :attr:`now`), and
+``_free``, the free-node count from each point up to the next.  A release or
+reservation splits the profile at its start (and end) with a bisect and adds
+its delta over that index range in place, so a backfill pass that alternates
+``earliest_start`` probes with ``add_reservation`` calls never rebuilds the
+profile.
+
+``_free`` holds *unclipped* counts: over-reservation may drive them below 0
+and releases may push them above ``total_nodes``.  Keeping the raw sums makes
+every update a plain addition that later updates can undo exactly.  Only the
+readers that report a count (:meth:`free_nodes_at`, :meth:`profile`) clip it
+to ``[0, total_nodes]``.  :meth:`earliest_start` compares the raw counts,
+which gives the same answer: it only compares against a ``nodes_needed`` in
+``1..total_nodes``, and for such a threshold ``clip(x) >= nodes_needed``
+holds exactly when ``x >= nodes_needed``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, bisect_right
 from typing import Iterable, List, Optional, Tuple
-
-import numpy as np
 
 from repro.simulator.job import Job, JobState
 
@@ -45,6 +58,8 @@ class ReservationMap:
         expected to become free (a running job's predicted end).
     """
 
+    __slots__ = ("total_nodes", "now", "_times", "_free")
+
     def __init__(
         self,
         total_nodes: int,
@@ -56,12 +71,20 @@ class ReservationMap:
             raise ValueError(f"free_now={free_now} out of range 0..{total_nodes}")
         self.total_nodes = total_nodes
         self.now = now
-        # Sorted list of (time, delta_free_nodes) change points.
-        self._changes: List[Tuple[float, int]] = []
-        self._free_now = free_now
-        self._cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        for time, nodes in releases:
-            self.add_release(time, nodes)
+        # Build both lists in one pass over the sorted releases; releases at
+        # the same instant collapse into one change point.
+        times: List[float] = [now]
+        free: List[int] = [free_now]
+        level = free_now
+        for time, nodes in sorted((max(t, now), n) for t, n in releases if n > 0):
+            level += nodes
+            if time == times[-1]:
+                free[-1] = level
+            else:
+                times.append(time)
+                free.append(level)
+        self._times = times
+        self._free = free
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -91,77 +114,65 @@ class ReservationMap:
                 end = job.predicted_end_time(now)
             if not math.isfinite(end):
                 end = job.start_time + job.requested_time
-            end = max(end, now)
             releases.append((end, len(job.allocated_nodes)))
         return cls(total_nodes, now, free_now, releases)
 
     # ------------------------------------------------------------------ #
     def copy(self) -> "ReservationMap":
-        """Cheap copy sharing the (immutable) step-function arrays.
-
-        The simulation driver caches the base profile built from the running
-        jobs and hands each scheduling pass a copy, so the pass can add its
-        own reservations without corrupting the cache.  Mutators rebind
-        ``_cache`` rather than mutating the arrays, so sharing is safe.
-        """
+        """Independent copy: the simulation driver caches the base profile
+        built from the running jobs and hands each scheduling pass a copy to
+        add its own reservations to."""
         clone = ReservationMap.__new__(ReservationMap)
         clone.total_nodes = self.total_nodes
         clone.now = self.now
-        clone._changes = list(self._changes)
-        clone._free_now = self._free_now
-        clone._cache = self._cache
+        clone._times = self._times[:]
+        clone._free = self._free[:]
         return clone
+
+    def _split(self, time: float) -> int:
+        """Index of the change point at ``time`` (``>= now``), inserting one
+        that carries the count in force there if it is not yet present."""
+        times = self._times
+        idx = bisect_left(times, time)
+        if idx == len(times) or times[idx] != time:
+            times.insert(idx, time)
+            self._free.insert(idx, self._free[idx - 1])
+        return idx
 
     def add_release(self, time: float, nodes: int) -> None:
         """Record that ``nodes`` nodes become free at ``time``."""
         if nodes <= 0:
             return
-        insort(self._changes, (max(time, self.now), nodes))
-        self._cache = None
+        free = self._free
+        idx = self._split(max(time, self.now))
+        free[idx:] = [f + nodes for f in free[idx:]]
 
     def add_reservation(self, start: float, duration: float, nodes: int) -> None:
         """Reserve ``nodes`` nodes in ``[start, start+duration)``.
 
         Used during a backfill pass to account for jobs the current pass has
         already decided to start (or reserved a future slot for), so later
-        candidates in the same pass see a consistent picture.
+        candidates in the same pass see a consistent picture.  A non-finite
+        ``duration`` reserves the nodes for good.
         """
         if nodes <= 0:
             return
+        if duration < 0:
+            raise ValueError(f"negative reservation duration {duration}")
+        free = self._free
         start = max(start, self.now)
-        insort(self._changes, (start, -nodes))
-        if math.isfinite(duration):
-            insort(self._changes, (start + duration, nodes))
-        self._cache = None
+        lo = self._split(start)
+        hi = self._split(start + duration) if math.isfinite(duration) else len(free)
+        free[lo:hi] = [f - nodes for f in free[lo:hi]]
 
     # ------------------------------------------------------------------ #
-    def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(times, free_nodes) arrays of the step function, first point = now."""
-        if self._cache is None:
-            if self._changes:
-                times = np.fromiter((t for t, _ in self._changes), dtype=float,
-                                    count=len(self._changes))
-                deltas = np.fromiter((d for _, d in self._changes), dtype=float,
-                                     count=len(self._changes))
-                free = np.clip(self._free_now + np.cumsum(deltas), 0, self.total_nodes)
-                times = np.concatenate(([self.now], times))
-                free = np.concatenate(([float(self._free_now)], free))
-                # Collapse duplicate timestamps (keep the last value at a time).
-                keep = np.ones(len(times), dtype=bool)
-                keep[:-1] = times[1:] != times[:-1]
-                times, free = times[keep], free[keep]
-            else:
-                times = np.array([self.now])
-                free = np.array([float(self._free_now)])
-            self._cache = (times, free)
-        return self._cache
+    def _clip(self, free: int) -> int:
+        return int(min(max(free, 0), self.total_nodes))
 
     def free_nodes_at(self, time: float) -> int:
         """Free-node count at a given future time (according to the profile)."""
-        times, free = self._arrays()
-        idx = int(np.searchsorted(times, time, side="right")) - 1
-        idx = max(0, idx)
-        return int(free[idx])
+        idx = max(0, bisect_right(self._times, time) - 1)
+        return self._clip(self._free[idx])
 
     def profile(self) -> List[Tuple[float, int]]:
         """The availability step function as ``[(time, free_nodes), ...]``.
@@ -169,8 +180,7 @@ class ReservationMap:
         The first entry is at :attr:`now`; subsequent entries are change
         points in increasing time order.
         """
-        times, free = self._arrays()
-        return [(float(t), int(f)) for t, f in zip(times, free)]
+        return [(float(t), self._clip(f)) for t, f in zip(self._times, self._free)]
 
     def earliest_start(self, nodes_needed: int, duration: Optional[float] = None) -> float:
         """Earliest time at which ``nodes_needed`` nodes are simultaneously free.
@@ -185,24 +195,28 @@ class ReservationMap:
             return math.inf
         if nodes_needed <= 0:
             return self.now
-        times, free = self._arrays()
+        times, free = self._times, self._free
         n = len(times)
-        ok = free >= nodes_needed
         if duration is None or not math.isfinite(duration):
-            hits = np.flatnonzero(ok)
-            return float(times[hits[0]]) if hits.size else math.inf
+            for idx in range(n):
+                if free[idx] >= nodes_needed:
+                    return float(times[idx])
+            return math.inf
         idx = 0
         while idx < n:
-            if not ok[idx]:
+            if free[idx] < nodes_needed:
                 idx += 1
                 continue
             end = times[idx] + duration
-            j = int(np.searchsorted(times, end, side="left"))
-            bad = np.flatnonzero(~ok[idx:j])
-            if bad.size == 0:
+            probe = idx + 1
+            while probe < n and times[probe] < end:
+                if free[probe] < nodes_needed:
+                    break
+                probe += 1
+            else:
                 return float(times[idx])
-            # Every start up to the last violation also fails; jump past it.
-            idx = idx + int(bad[-1]) + 1
+            # Every start up to the violation also fails; jump past it.
+            idx = probe + 1
         return math.inf
 
     def estimate_wait(self, job: Job, duration: Optional[float] = None) -> float:

@@ -303,24 +303,15 @@ class Simulation:
     # ------------------------------------------------------------------ #
     # Primitives used by schedulers
     # ------------------------------------------------------------------ #
-    def availability_profile(self, extra_running: Iterable[Job] = ()) -> ReservationMap:
+    def availability_profile(self) -> ReservationMap:
         """Build the future free-node profile from the running jobs.
 
-        The profile of the plain running set is cached and invalidated when a
-        job starts, ends or is reconfigured (or when time advances), so the
-        many profile requests issued within one instant — one per submit hook
+        The profile of the running set is cached and invalidated when a job
+        starts, ends or is reconfigured (or when time advances), so the many
+        profile requests issued within one instant — one per submit hook
         plus one per scheduling pass — rebuild it only once.  Callers always
         receive a private copy they may add reservations to.
         """
-        extra = list(extra_running)
-        if extra:
-            return ReservationMap.from_running_jobs(
-                total_nodes=self.cluster.num_nodes,
-                now=self.now,
-                free_now=self.cluster.num_free_nodes,
-                running_jobs=list(self.running.values()) + extra,
-                use_requested_time=self.use_requested_time_for_predictions,
-            )
         cached = self._profile_cache
         if (
             cached is not None
@@ -336,9 +327,6 @@ class Simulation:
             running_jobs=self.running.values(),
             use_requested_time=self.use_requested_time_for_predictions,
         )
-        # Materialise the step-function arrays on the cached instance so
-        # every copy shares them instead of each recomputing from scratch.
-        base._arrays()
         self._profile_cache = (self.now, self.cluster.num_free_nodes, self._avail_version, base)
         return base.copy()
 

@@ -218,3 +218,41 @@ class TestResultSummary:
         assert result.mate_jobs == 0
         assert result.scheduler_name == "fcfs"
         assert result.total_events >= 2  # submit + end
+
+
+class TestAvailabilityProfileIsolation:
+    def _busy_sim(self):
+        sim = _sim()
+        sim.submit_jobs([
+            make_job(job_id=1, nodes=2, runtime=100.0, req_time=300.0),
+            make_job(job_id=2, nodes=1, runtime=100.0, req_time=600.0),
+        ])
+        sim.step()  # submit + start both at t=0
+        assert len(sim.running) == 2
+        return sim
+
+    def test_reservations_on_a_profile_leave_the_cache_untouched(self):
+        sim = self._busy_sim()
+        first = sim.availability_profile()
+        base = sim._profile_cache[3]
+        expected = [(0.0, 1), (300.0, 3), (600.0, 4)]
+        assert first.profile() == expected
+        first.add_reservation(0.0, 1000.0, 1)
+        first.add_reservation(300.0, 100.0, 2)
+        first.add_release(50.0, 1)
+        assert first.profile() != expected
+        second = sim.availability_profile()
+        assert sim._profile_cache[3] is base  # served from the cache
+        assert second.profile() == expected
+        assert base.profile() == expected
+
+    def test_mutated_copy_leaves_its_source_unchanged(self):
+        sim = self._busy_sim()
+        source = sim.availability_profile()
+        expected = source.profile()
+        clone = source.copy()
+        clone.add_reservation(100.0, 250.0, 3)
+        clone.add_release(700.0, 2)
+        assert clone.profile() != expected
+        assert source.profile() == expected
+        assert source.earliest_start(4, 10.0) == 600.0
