@@ -1,41 +1,32 @@
 """Job-level analytics: persist per-job records, query them across sweeps.
 
 ``records`` defines the columnar schema, the :class:`JobRecordSink` that
-captures rows at job completion, and the bit-identical
-:func:`metrics_from_records` rebuild; ``store`` publishes/loads record
-blobs behind any :class:`repro.store.ResultStore`; ``query`` (imported
-explicitly — it pulls in the experiments layer) implements the
-``repro-sdpolicy query`` filter/group-by/report engine.
+captures rows at job completion, the bit-identical
+:func:`metrics_from_records` rebuild, and the :data:`RECORDS` run
+attachment through which record blobs are published to and loaded from
+any :class:`repro.store.ResultStore`; ``query`` (imported explicitly — it
+pulls in the experiments layer) implements the ``repro-sdpolicy query``
+filter/group-by/report engine.
 """
 
 from repro.analytics.records import (
     JOB_RECORD_DTYPE,
     RECORD_SCHEMA_VERSION,
+    RECORDS,
     JobRecordSink,
     RunRecords,
-    metrics_from_records,
-)
-from repro.analytics.store import (
-    ANALYTICS_MANIFEST_PREFIX,
-    AnalyticsError,
-    analytics_manifest_name,
-    iter_analytics_manifests,
     load_run_records,
+    metrics_from_records,
     publish_run_records,
-    records_key,
 )
 
 __all__ = [
-    "ANALYTICS_MANIFEST_PREFIX",
-    "AnalyticsError",
     "JOB_RECORD_DTYPE",
     "JobRecordSink",
+    "RECORDS",
     "RECORD_SCHEMA_VERSION",
     "RunRecords",
-    "analytics_manifest_name",
-    "iter_analytics_manifests",
     "load_run_records",
     "metrics_from_records",
     "publish_run_records",
-    "records_key",
 ]

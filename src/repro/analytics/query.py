@@ -31,13 +31,10 @@ from repro.analysis.figures import render_bar_chart
 from repro.analysis.tables import format_table
 from repro.analytics.records import (
     JOB_RECORD_DTYPE,
+    RECORDS,
     RunRecords,
-    metrics_from_records,
-)
-from repro.analytics.store import (
-    AnalyticsError,
-    iter_analytics_manifests,
     load_run_records,
+    metrics_from_records,
 )
 from repro.experiments.runner import PolicyRun
 from repro.experiments.scenario import (
@@ -53,6 +50,7 @@ from repro.experiments.scenario import (
 from repro.experiments.sweep import task_cache_key
 from repro.simulator.simulation import SimulationResult
 from repro.store import ResultStore
+from repro.store.attachments import AttachmentError, iter_attachments
 from repro.workloads.job_record import Workload
 
 __all__ = [
@@ -108,7 +106,7 @@ def _load_slices(
                 f"{', '.join(JOB_RECORD_DTYPE.names)}"
             )
     slices: List[_RunSlice] = []
-    for _name, manifest in sorted(iter_analytics_manifests(store)):
+    for _name, manifest in sorted(iter_attachments(store, RECORDS)):
         meta = dict(manifest.get("meta") or {})
         if any(str(meta.get(f)) != v for f, v in run_filters):
             continue
@@ -167,7 +165,7 @@ def parse_metrics(spec: str) -> List[Tuple[str, str]]:
 def list_runs(store: ResultStore) -> str:
     """Table of every analytics run in the store (the ``--list`` mode)."""
     rows: List[List[object]] = []
-    for _name, manifest in sorted(iter_analytics_manifests(store)):
+    for _name, manifest in sorted(iter_attachments(store, RECORDS)):
         meta = manifest.get("meta") or {}
         rows.append(
             [
@@ -352,7 +350,7 @@ def outcome_from_records(
         task = task_by_key[task_key]
         try:
             records = load_run_records(store, task_cache_key(task))
-        except AnalyticsError:
+        except AttachmentError:
             missing.append(task_key)
             return None
         return _stub_run(label, workload_name, records, with_jobs)
@@ -424,7 +422,7 @@ def render_stored_report(
         for (wid, _wl), task in zip(workloads.items(), table_1_tasks(workloads)):
             try:
                 records = load_run_records(store, task_cache_key(task))
-            except AnalyticsError:
+            except AttachmentError:
                 missing.append(task.resolved_key())
                 continue
             metrics[wid] = metrics_from_records(records)

@@ -1,4 +1,4 @@
-"""Columnar per-job records: the sink, the schema, and (de)serialization.
+"""Columnar per-job records: the sink, the schema, (de)serialization, storage.
 
 The analytics layer keeps what :func:`repro.metrics.aggregates
 .compute_metrics` throws away: one fixed-width row per completed job, in
@@ -30,6 +30,8 @@ run's first submit and energy (needed to rebuild
 sweep coordinates (workload, policy, task key/label, seed, canonical
 kwargs) so a store-wide query can filter and group without touching the
 cached run blobs.
+
+Each blob is stored as the :data:`RECORDS` run attachment.
 """
 
 from __future__ import annotations
@@ -45,17 +47,38 @@ import numpy as np
 
 from repro.metrics.aggregates import WorkloadMetrics
 from repro.simulator.job import Job
+from repro.store.attachments import (
+    AttachmentError,
+    AttachmentKind,
+    load_attachment,
+    publish_attachment,
+)
+from repro.store.base import ResultStore
 
 __all__ = [
+    "ANALYTICS_MANIFEST_FIELDS",
     "JOB_RECORD_DTYPE",
+    "RECORDS",
     "RECORD_SCHEMA_VERSION",
     "JobRecordSink",
     "RunRecords",
+    "load_run_records",
     "metrics_from_records",
+    "publish_run_records",
 ]
 
 #: Bump when the row layout changes; readers reject unknown schemas.
 RECORD_SCHEMA_VERSION = 1
+
+#: Per-job records are a run attachment: ``<cache_key>-records`` blobs
+#: discovered through ``analytics-*`` manifests (:mod:`repro.store.attachments`).
+RECORDS = AttachmentKind("analytics", "records", RECORD_SCHEMA_VERSION, "--analytics")
+
+#: Declared key layout of an analytics manifest (:func:`publish_run_records`).
+#: ``repro.devtools.formats`` fingerprints this into ``formats.lock``:
+#: changing the manifest shape without bumping ``RECORD_SCHEMA_VERSION``
+#: fails CI.
+ANALYTICS_MANIFEST_FIELDS = RECORDS.manifest_fields("rows", "meta")
 
 #: One row per completed job.  Derived metric columns hold the exact
 #: ``float64`` values ``StreamingMetrics.fold`` computes (see module doc).
@@ -237,52 +260,59 @@ class RunRecords:
         return metrics_from_records(self)
 
 
+def publish_run_records(
+    store: ResultStore,
+    cache_key: str,
+    records: RunRecords,
+    run_digest: Optional[str] = None,
+) -> str:
+    """Publish one run's records blob + analytics manifest; returns digest."""
+    return publish_attachment(
+        store, RECORDS, cache_key, records.to_bytes(), run_digest,
+        rows=len(records), meta=records.meta,
+    )
+
+
+def load_run_records(store: ResultStore, cache_key: str) -> RunRecords:
+    """Load the records of one cached run; :class:`AttachmentError` if absent."""
+    payload = load_attachment(store, RECORDS, cache_key)
+    try:
+        return RunRecords.from_bytes(payload)
+    except ValueError as exc:
+        raise AttachmentError(
+            f"records blob for cache key {cache_key[:24]}… is unreadable: {exc}"
+        ) from exc
+
+
 def metrics_from_records(records: RunRecords) -> WorkloadMetrics:
     """Rebuild the run's :class:`WorkloadMetrics` from persisted records.
 
     Bit-identical to ``StreamingMetrics.workload_metrics`` (and hence to
     batch ``compute_metrics``) for the same run: the derived columns hold
-    the exact folded values in completion order, and the reductions below
-    are the same NumPy calls over contiguous ``float64`` copies.  The
-    run-level makespan origin and energy come from ``records.meta``
-    (``first_submit``, ``energy_joules``) because they are not derivable
-    from completed-job rows alone.
+    the exact folded values in completion order, and
+    :meth:`WorkloadMetrics.reduce` sees them as contiguous ``float64``
+    copies.  The run-level makespan origin and energy come from
+    ``records.meta`` (``first_submit``, ``energy_joules``) because they
+    are not derivable from completed-job rows alone.
     """
     arr = records.array
-    energy = float(records.meta.get("energy_joules", 0.0))
-    if not len(arr):
-        return WorkloadMetrics(
-            num_jobs=0,
-            makespan=0.0,
-            avg_response_time=0.0,
-            avg_wait_time=0.0,
-            avg_slowdown=0.0,
-            avg_bounded_slowdown=0.0,
-            median_slowdown=0.0,
-            p95_slowdown=0.0,
-            avg_runtime=0.0,
-            malleable_scheduled=0,
-            mate_jobs=0,
-            energy_joules=energy,
-        )
-    first_submit = records.meta.get("first_submit")
-    origin = (
-        float(np.min(arr["submit"])) if first_submit is None else float(first_submit)
-    )
-    slowdowns = np.ascontiguousarray(arr["slowdown"])
-    return WorkloadMetrics(
-        num_jobs=len(arr),
-        makespan=max(0.0, float(np.max(arr["end"])) - origin),
-        avg_response_time=float(np.mean(np.ascontiguousarray(arr["response"]))),
-        avg_wait_time=float(np.mean(np.ascontiguousarray(arr["wait"]))),
-        avg_slowdown=float(np.mean(slowdowns)),
-        avg_bounded_slowdown=float(
-            np.mean(np.ascontiguousarray(arr["bounded_slowdown"]))
-        ),
-        median_slowdown=float(np.median(slowdowns)),
-        p95_slowdown=float(np.percentile(slowdowns, 95)),
-        avg_runtime=float(np.mean(np.ascontiguousarray(arr["runtime"]))),
-        malleable_scheduled=int(np.count_nonzero(arr["scheduled_malleable"])),
-        mate_jobs=int(np.count_nonzero(arr["was_mate"])),
-        energy_joules=energy,
+    makespan = 0.0
+    if len(arr):
+        first_submit = records.meta.get("first_submit")
+        origin = float(np.min(arr["submit"])) if first_submit is None else float(first_submit)
+        makespan = max(0.0, float(np.max(arr["end"])) - origin)
+
+    def column(name: str) -> np.ndarray:
+        return np.ascontiguousarray(arr[name])
+
+    return WorkloadMetrics.reduce(
+        makespan,
+        column("response"),
+        column("wait"),
+        column("slowdown"),
+        column("bounded_slowdown"),
+        column("runtime"),
+        int(np.count_nonzero(arr["scheduled_malleable"])),
+        int(np.count_nonzero(arr["was_mate"])),
+        float(records.meta.get("energy_joules", 0.0)),
     )

@@ -79,12 +79,14 @@ from repro.experiments.scenario import (
     render_report,
 )
 from repro.experiments.sweep import (
+    ATTACHMENT_FLAGS,
     ExecutorError,
     MergeExecutor,
     ShardedExecutor,
     SweepRunner,
 )
 from repro.store import (
+    ResultStore,
     StoreError,
     gc,
     mirror,
@@ -92,9 +94,11 @@ from repro.store import (
     parse_age,
     prune,
     repair,
+    resolve_store,
     verify,
 )
-from repro.telemetry import LOG_LEVELS, TraceError, setup_logging
+from repro.store.attachments import AttachmentError
+from repro.telemetry import LOG_LEVELS, setup_logging
 from repro.workloads.presets import build_workload
 from repro.workloads.swf import read_swf, summarize_swf
 
@@ -210,22 +214,15 @@ def _make_runner(
         )
         raise SystemExit(2)
     has_store = bool(store or cache_dir or os.environ.get("REPRO_STORE_URL"))
-    analytics = bool(getattr(args, "analytics", False))
-    if analytics and not has_store:
-        print(
-            "error: --analytics needs a result store to publish per-job "
-            "records (--cache-dir or --store)",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    trace = bool(getattr(args, "trace", False))
-    if trace and not has_store:
-        print(
-            "error: --trace needs a result store to publish decision traces "
-            "(--cache-dir or --store)",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+    flags = {flag: bool(getattr(args, flag, False)) for flag, _kind in ATTACHMENT_FLAGS}
+    for flag, kind in ATTACHMENT_FLAGS:
+        if flags[flag] and not has_store:
+            print(
+                f"error: {kind.flag} needs a result store to publish "
+                f"{kind.noun} (--cache-dir or --store)",
+                file=sys.stderr,
+            )
+            raise SystemExit(2)
     executor = None
     if merge:
         if shard is not None:
@@ -257,8 +254,7 @@ def _make_runner(
         store=store,
         progress=callback,
         executor=executor,
-        analytics=analytics,
-        trace=trace,
+        **flags,
     )
 
 
@@ -630,6 +626,26 @@ def _cmd_store_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _attachment_store(args: argparse.Namespace, command: str) -> Optional[ResultStore]:
+    """The store ``query``/``trace`` read run attachments from; ``None``
+    after printing why there is none."""
+    if args.store and args.cache_dir:
+        print(
+            "error: --store and --cache-dir are mutually exclusive "
+            "(--cache-dir PATH is shorthand for --store file://PATH)",
+            file=sys.stderr,
+        )
+        return None
+    store = resolve_store(args.store, args.cache_dir)
+    if store is None:
+        print(
+            f"error: {command} reads a result store; give --cache-dir or --store "
+            "(or set REPRO_STORE_URL)",
+            file=sys.stderr,
+        )
+    return store
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.analytics.query import (
         QueryError,
@@ -639,23 +655,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         render_stored_report,
         run_query,
     )
-    from repro.analytics.store import AnalyticsError
-    from repro.store import resolve_store
 
-    if args.store and args.cache_dir:
-        print(
-            "error: --store and --cache-dir are mutually exclusive "
-            "(--cache-dir PATH is shorthand for --store file://PATH)",
-            file=sys.stderr,
-        )
-        return 2
-    store = resolve_store(args.store, args.cache_dir)
+    store = _attachment_store(args, "query")
     if store is None:
-        print(
-            "error: query reads a result store; give --cache-dir or --store "
-            "(or set REPRO_STORE_URL)",
-            file=sys.stderr,
-        )
         return 2
     try:
         if args.phases:
@@ -692,29 +694,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    except (QueryError, AnalyticsError) as exc:
+    except QueryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.store import resolve_store
     from repro.telemetry.report import trace_grep, trace_summary, trace_timeline
 
-    if args.store and args.cache_dir:
-        print(
-            "error: --store and --cache-dir are mutually exclusive "
-            "(--cache-dir PATH is shorthand for --store file://PATH)",
-            file=sys.stderr,
-        )
-        return 2
-    store = resolve_store(args.store, args.cache_dir)
+    store = _attachment_store(args, "trace")
     if store is None:
-        print(
-            "error: trace reads a result store; give --cache-dir or --store "
-            "(or set REPRO_STORE_URL)",
-            file=sys.stderr,
-        )
         return 2
     if args.trace_command == "summary":
         print(trace_summary(store, key_prefix=args.key))
@@ -1094,10 +1083,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # flush does not raise a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ExecutorError, StoreError, TraceError) as exc:
-        # Sharded-execution / result-store / stored-trace problems (missing
+    except (ExecutorError, StoreError, AttachmentError) as exc:
+        # Sharded-execution / result-store / run-attachment problems (missing
         # cache dir, bad store URL, unreachable endpoint, incomplete shard
-        # manifests, no traces recorded) are user-fixable: no traceback.
+        # manifests, no records or traces recorded) are user-fixable: no
+        # traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -119,7 +119,7 @@ SCHEMAS: Tuple[SchemaSpec, ...] = (
         version="repro.experiments.executors:MANIFEST_FORMAT_VERSION",
     ),
     # The analytics records blob and its discovery manifest
-    # (repro/analytics/records.py, repro/analytics/store.py).
+    # (repro/analytics/records.py).
     SchemaSpec(
         name="records/JOB_RECORD_DTYPE",
         kind="dtype",
@@ -129,7 +129,7 @@ SCHEMAS: Tuple[SchemaSpec, ...] = (
     SchemaSpec(
         name="records/analytics-manifest-fields",
         kind="fields",
-        target="repro.analytics.store:ANALYTICS_MANIFEST_FIELDS",
+        target="repro.analytics.records:ANALYTICS_MANIFEST_FIELDS",
         version="repro.analytics.records:RECORD_SCHEMA_VERSION",
     ),
     # Decision-trace JSONL events and their discovery manifest

@@ -49,6 +49,7 @@ from typing import (
     Union,
 )
 
+from repro.analytics.records import RECORDS, publish_run_records
 from repro.experiments.executors import (
     ExecutionPlan,
     Executor,
@@ -72,11 +73,13 @@ from repro.store import (
     unwrap_blob,
     wrap_blob,
 )
+from repro.telemetry.trace import TRACE, publish_trace
 from repro.workloads.job_record import Workload
 
 _log = logging.getLogger(__name__)
 
 __all__ = [
+    "ATTACHMENT_FLAGS",
     "CACHE_FORMAT_VERSION",
     "CACHE_KEY_VERSION",
     "COMPATIBLE_CACHE_FORMATS",
@@ -138,6 +141,12 @@ CACHE_PAYLOAD_FIELDS = (
 )
 
 
+#: The run attachments a sweep can publish, keyed by the flag that turns
+#: each on: the ``SweepTask`` field, the ``SweepRunner`` parameter and the
+#: CLI option share the name.
+ATTACHMENT_FLAGS = (("analytics", RECORDS), ("trace", TRACE))
+
+
 @dataclass
 class SweepTask:
     """One point of a sweep: a workload simulated under one configuration.
@@ -155,14 +164,13 @@ class SweepTask:
     label: Optional[str] = None
     seed: Optional[int] = None
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: Capture per-job records for this task (set by the runner's
-    #: ``analytics`` flag).  Deliberately *not* part of the cache key: the
-    #: simulated run is identical either way, so an analytics sweep reuses
-    #: plain cached runs (records are only published for executed tasks).
+    #: Publish this task's per-job records as a run attachment (set by the
+    #: runner's ``analytics`` flag).  Deliberately *not* part of the cache
+    #: key: the simulated run is identical either way, and a cached run
+    #: whose store lacks the records is re-executed to publish them.
     analytics: bool = False
-    #: Record a scheduler decision trace for this task (set by the runner's
-    #: ``trace`` flag).  Like ``analytics``, *not* part of the cache key:
-    #: traces are published for executed tasks only.
+    #: Publish this task's scheduler decision trace as a run attachment
+    #: (set by the runner's ``trace`` flag); otherwise as ``analytics``.
     trace: bool = False
 
     def resolved_key(self) -> str:
@@ -370,15 +378,14 @@ class SweepRunner:
         ``REPRO_STORE_URL`` environment variable applies, and with nothing
         configured caching is disabled.
     analytics:
-        Capture per-job records for every *executed* task and publish them
-        to the store next to the cached run (see :mod:`repro.analytics`).
-        Requires a store; cache hits are served as usual without
-        re-publishing records.
+        Publish every task's per-job records as a run attachment (see
+        :mod:`repro.analytics`).  Requires a store.  A cached run whose
+        records are missing (never published, or quarantined since) is a
+        miss and re-executes, except under a ``MergeExecutor``, which
+        executes nothing.
     trace:
-        Record a scheduler decision trace for every *executed* task and
-        publish it to the store under ``<cache_key>-trace`` (see
-        :mod:`repro.telemetry.trace`).  Requires a store; cache hits are
-        served as usual without re-publishing traces.
+        Publish every task's decision trace as a run attachment (see
+        :mod:`repro.telemetry.trace`); otherwise as ``analytics``.
     """
 
     def __init__(
@@ -395,18 +402,14 @@ class SweepRunner:
         self.store = resolve_store(store, cache_dir)
         self.progress = progress
         self.executor = executor
-        if analytics and self.store is None:
-            raise ValueError(
-                "analytics=True needs a result store to publish records "
-                "(pass store=… or cache_dir=…)"
-            )
         self.analytics = analytics
-        if trace and self.store is None:
-            raise ValueError(
-                "trace=True needs a result store to publish decision traces "
-                "(pass store=… or cache_dir=…)"
-            )
         self.trace = trace
+        for flag, kind in ATTACHMENT_FLAGS:
+            if getattr(self, flag) and self.store is None:
+                raise ValueError(
+                    f"{flag}=True needs a result store to publish {kind.noun} "
+                    "(pass store=… or cache_dir=…)"
+                )
 
     @property
     def cache_dir(self) -> Optional[Path]:
@@ -520,14 +523,10 @@ class SweepRunner:
         self.store.put(key, enveloped)
         phases["store_put"] = time.perf_counter() - put_started
         if records is not None:
-            from repro.analytics.store import publish_run_records
-
             records.meta.setdefault("task_key", task.resolved_key())
             records.meta.setdefault("kwargs", _canonical_kwargs(task.kwargs))
             publish_run_records(self.store, key, records, run_digest=digest)
         if recorder is not None:
-            from repro.telemetry.trace import publish_trace
-
             publish_trace(
                 self.store,
                 key,
@@ -536,6 +535,13 @@ class SweepRunner:
                 phases={**(getattr(run, "phases", None) or {}), **phases},
             )
         return digest, phases
+
+    def _lacks_attachment(self, task: SweepTask, key: str) -> bool:
+        """Whether the store lacks an attachment ``task`` asks for."""
+        return any(
+            getattr(task, flag) and not self.store.exists(kind.key(key))
+            for flag, kind in ATTACHMENT_FLAGS
+        )
 
     # ------------------------------------------------------------------ #
     def run(self, tasks: Sequence[SweepTask]) -> SweepResult:
@@ -546,16 +552,9 @@ class SweepRunner:
         executor must finish the whole plan.
         """
         tasks = list(tasks)
-        if self.analytics:
-            tasks = [
-                task if task.analytics else replace(task, analytics=True)
-                for task in tasks
-            ]
-        if self.trace:
-            tasks = [
-                task if getattr(task, "trace", False) else replace(task, trace=True)
-                for task in tasks
-            ]
+        flags = {flag: True for flag, _kind in ATTACHMENT_FLAGS if getattr(self, flag)}
+        if flags:
+            tasks = [replace(task, **flags) for task in tasks]
         keys = [task.resolved_key() for task in tasks]
         if len(set(keys)) != len(keys):
             dupes = sorted({k for k in keys if keys.count(k) > 1})
@@ -571,10 +570,19 @@ class SweepRunner:
         cache_keys = [self._cache_key(task) for task in tasks]
         digests: Dict[int, Optional[str]] = {}
 
+        # A merge executes nothing, so a run lacking an attachment stays a hit.
+        probe_attachments = not isinstance(self.executor, MergeExecutor)
         for index, task in enumerate(tasks):
             cached, was_corrupt, digest = self._cache_load(cache_keys[index])
             if was_corrupt:
                 corrupt_indices.append(index)
+            if (
+                cached is not None
+                and probe_attachments
+                and self._lacks_attachment(task, cache_keys[index])
+            ):
+                _log.debug("task %s lacks a requested attachment; re-running", keys[index])
+                cached = None
             if cached is not None:
                 _log.debug("cache hit for task %s", keys[index])
                 digests[index] = digest

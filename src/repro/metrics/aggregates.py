@@ -61,6 +61,42 @@ class WorkloadMetrics:
         out.update(self.extra)
         return out
 
+    @classmethod
+    def reduce(
+        cls,
+        makespan: float,
+        response: np.ndarray,
+        wait: np.ndarray,
+        slowdown: np.ndarray,
+        bounded_slowdown: np.ndarray,
+        runtime: np.ndarray,
+        malleable_scheduled: int,
+        mate_jobs: int,
+        energy_joules: float,
+    ) -> "WorkloadMetrics":
+        """Reduce per-job ``float64`` series, in completion order.
+
+        The one reduction behind the streaming fold and the persisted
+        records: the same NumPy calls over the same values in the same
+        order, so both are bit-identical to :func:`compute_metrics`.
+        """
+        if not len(response):
+            return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, energy_joules)
+        return cls(
+            num_jobs=len(response),
+            makespan=makespan,
+            avg_response_time=float(np.mean(response)),
+            avg_wait_time=float(np.mean(wait)),
+            avg_slowdown=float(np.mean(slowdown)),
+            avg_bounded_slowdown=float(np.mean(bounded_slowdown)),
+            median_slowdown=float(np.median(slowdown)),
+            p95_slowdown=float(np.percentile(slowdown, 95)),
+            avg_runtime=float(np.mean(runtime)),
+            malleable_scheduled=malleable_scheduled,
+            mate_jobs=mate_jobs,
+            energy_joules=energy_joules,
+        )
+
 
 def compute_metrics(
     jobs: Iterable[Job],

@@ -208,35 +208,16 @@ class StreamingMetrics:
         """The full :class:`WorkloadMetrics`, bit-identical to
         :func:`repro.metrics.aggregates.compute_metrics` over the same jobs
         in the same order."""
-        if not self.count:
-            return WorkloadMetrics(
-                num_jobs=0,
-                makespan=0.0,
-                avg_response_time=0.0,
-                avg_wait_time=0.0,
-                avg_slowdown=0.0,
-                avg_bounded_slowdown=0.0,
-                median_slowdown=0.0,
-                p95_slowdown=0.0,
-                avg_runtime=0.0,
-                malleable_scheduled=0,
-                mate_jobs=0,
-                energy_joules=energy_joules,
-            )
-        slowdowns = self._slowdown.as_array()
-        return WorkloadMetrics(
-            num_jobs=self.count,
-            makespan=self.makespan(first_submit),
-            avg_response_time=float(np.mean(self._response.as_array())),
-            avg_wait_time=float(np.mean(self._wait.as_array())),
-            avg_slowdown=float(np.mean(slowdowns)),
-            avg_bounded_slowdown=float(np.mean(self._bounded.as_array())),
-            median_slowdown=float(np.median(slowdowns)),
-            p95_slowdown=float(np.percentile(slowdowns, 95)),
-            avg_runtime=float(np.mean(self._runtime.as_array())),
-            malleable_scheduled=self.malleable_scheduled,
-            mate_jobs=self.mate_jobs,
-            energy_joules=energy_joules,
+        return WorkloadMetrics.reduce(
+            self.makespan(first_submit),
+            self._response.as_array(),
+            self._wait.as_array(),
+            self._slowdown.as_array(),
+            self._bounded.as_array(),
+            self._runtime.as_array(),
+            self.malleable_scheduled,
+            self.mate_jobs,
+            energy_joules,
         )
 
     @property

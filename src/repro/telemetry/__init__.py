@@ -1,13 +1,13 @@
-"""Telemetry: counters/timers, decision traces, and instrumented stores.
+"""Telemetry: decision traces, instrumented stores, and logging.
 
-Four pieces, one import surface:
+Three pieces, one import surface:
 
-* :mod:`repro.telemetry.core` — the :class:`Telemetry` counter/gauge/timer
-  registry behind :class:`InstrumentedStore`.
+* :mod:`repro.telemetry.core` — :class:`InstrumentedStore`, the
+  per-request counting/timing wrapper over any
+  :class:`~repro.store.ResultStore`, and its snapshot layout.
 * :mod:`repro.telemetry.trace` — byte-deterministic scheduler decision
-  traces stored under ``<cache_key>-trace`` with integrity envelopes.
-* :mod:`repro.telemetry.instrument` — per-request counting/timing
-  wrapper over any :class:`~repro.store.ResultStore`.
+  traces, stored as the :data:`TRACE` run attachment
+  (:mod:`repro.store.attachments`).
 * :mod:`repro.telemetry.logs` — stdlib-``logging`` wiring for the CLI
   (``--log-level`` / ``REPRO_LOG_LEVEL``).
 
@@ -16,33 +16,25 @@ is deliberately *not* re-exported here (it imports the store layer's
 public API and is a CLI concern).
 """
 
-from repro.telemetry.core import Telemetry
-from repro.telemetry.instrument import InstrumentedStore
+from repro.telemetry.core import InstrumentedStore
 from repro.telemetry.logs import LOG_LEVELS, setup_logging
 from repro.telemetry.trace import (
     PHASE_FIELDS,
+    TRACE,
     TRACE_FORMAT_VERSION,
-    TraceError,
     TraceRecorder,
-    iter_trace_manifests,
     load_trace,
     publish_trace,
-    trace_key,
-    trace_manifest_name,
 )
 
 __all__ = [
     "LOG_LEVELS",
     "PHASE_FIELDS",
+    "TRACE",
     "TRACE_FORMAT_VERSION",
     "InstrumentedStore",
-    "Telemetry",
-    "TraceError",
     "TraceRecorder",
-    "iter_trace_manifests",
     "load_trace",
     "publish_trace",
     "setup_logging",
-    "trace_key",
-    "trace_manifest_name",
 ]

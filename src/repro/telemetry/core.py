@@ -1,7 +1,13 @@
-"""Counter/gauge/timer registry.
+"""Request-level instrumentation for any :class:`ResultStore` backend.
 
-Timers keep raw observations (seconds) so :meth:`Telemetry.snapshot` can
-report latency percentiles; the snapshot layout is fingerprinted into
+:class:`InstrumentedStore` re-implements the five object-name primitives
+(plus the bulk ``_entries``) of a wrapped store as counted, timed
+delegations, so every operation of the inherited typed API is counted for
+free; on :class:`~repro.store.http_store.HTTPObjectStore` it hooks
+``on_retry`` to count transient-failure retries too.  It serves
+diagnostics (``store stats``, tests, benchmarks), never the sweep hot
+path.  Timers keep raw observations so :meth:`InstrumentedStore.snapshot`
+can report latency percentiles; the snapshot layout is fingerprinted into
 ``formats.lock`` via :data:`TELEMETRY_SNAPSHOT_FIELDS`, so drift without a
 :data:`TELEMETRY_FORMAT_VERSION` bump fails CI.
 """
@@ -9,20 +15,22 @@ report latency percentiles; the snapshot layout is fingerprinted into
 from __future__ import annotations
 
 import time
-from typing import Dict, List
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.store.base import ObjectStat, ResultStore
 
 __all__ = [
     "TELEMETRY_FORMAT_VERSION",
     "TELEMETRY_SNAPSHOT_FIELDS",
     "TIMER_STAT_FIELDS",
-    "Telemetry",
+    "InstrumentedStore",
     "percentile",
 ]
 
 #: Version of the telemetry snapshot layout (bump on field changes).
 TELEMETRY_FORMAT_VERSION = 1
 
-#: Top-level keys of :meth:`Telemetry.snapshot`.
+#: Top-level keys of :meth:`InstrumentedStore.snapshot`.
 TELEMETRY_SNAPSHOT_FIELDS = ("counters", "gauges", "timers")
 
 #: Per-timer summary keys inside a snapshot's ``"timers"`` mapping.
@@ -37,45 +45,59 @@ def percentile(values: List[float], q: float) -> float:
     return values[rank]
 
 
-class _Timer:
-    """Context manager appending one elapsed-seconds observation."""
+class InstrumentedStore(ResultStore):
+    """Counts requests, bytes, retries, and latency per store operation."""
 
-    __slots__ = ("_observations", "_started")
-
-    def __init__(self, observations: List[float]) -> None:
-        self._observations = observations
-        self._started = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._observations.append(time.perf_counter() - self._started)
-
-
-class Telemetry:
-    """In-process registry of named counters, gauges, and timers."""
-
-    def __init__(self) -> None:
+    def __init__(self, inner: ResultStore) -> None:
+        self.inner = inner
+        self.url = inner.url
         self.counters: Dict[str, int] = {}
-        self.gauges: Dict[str, float] = {}
         self.timers: Dict[str, List[float]] = {}
+        # HTTPObjectStore exposes a retry hook; other backends never retry.
+        if hasattr(inner, "on_retry"):
+            inner.on_retry = self._record_retry
 
-    def count(self, name: str, delta: int = 1) -> None:
+    def _count(self, name: str, delta: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + delta
 
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
+    def _timed(self, op: str, call: Callable[..., Any], *args: Any) -> Any:
+        """One counted request to the wrapped backend, timed under ``op``."""
+        self._count("requests")
+        started = time.perf_counter()
+        try:
+            return call(*args)
+        finally:
+            self.timers.setdefault(op, []).append(time.perf_counter() - started)
 
-    def observe(self, name: str, seconds: float) -> None:
-        self.timers.setdefault(name, []).append(seconds)
+    def _record_retry(self, method: str, url: str, attempt: int) -> None:
+        self._count("retries")
 
-    def time(self, name: str) -> _Timer:
-        return _Timer(self.timers.setdefault(name, []))
+    # ------------------------------------------------------------------ #
+    def _read(self, name: str) -> Optional[bytes]:
+        data = self._timed("read", self.inner._read, name)
+        if data is not None:
+            self._count("bytes_read", len(data))
+        return data
 
+    def _write(self, name: str, data: bytes) -> None:
+        self._count("bytes_written", len(data))
+        self._timed("write", self.inner._write, name, data)
+
+    def _delete(self, name: str) -> bool:
+        return self._timed("delete", self.inner._delete, name)
+
+    def _names(self, prefix: str = "") -> List[str]:
+        return self._timed("list", self.inner._names, prefix)
+
+    def _stat(self, name: str) -> Optional[ObjectStat]:
+        return self._timed("stat", self.inner._stat, name)
+
+    def _entries(self, prefix: str = "") -> List[Tuple[str, Optional[ObjectStat]]]:
+        return self._timed("list", self.inner._entries, prefix)
+
+    # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, Dict]:
-        """Summarize the registry (percentiles per timer) as plain dicts."""
+        """The wrapped traffic so far, with latency percentiles per timer."""
         timers: Dict[str, Dict[str, float]] = {}
         for name, observations in sorted(self.timers.items()):
             ordered = sorted(observations)
@@ -90,6 +112,6 @@ class Telemetry:
             }
         return {
             "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
+            "gauges": {},
             "timers": timers,
         }

@@ -21,12 +21,8 @@ import re
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.store import ResultStore
-from repro.telemetry.trace import (
-    PHASE_FIELDS,
-    TraceError,
-    iter_trace_manifests,
-    load_trace,
-)
+from repro.store.attachments import AttachmentError, iter_attachments
+from repro.telemetry.trace import PHASE_FIELDS, TRACE, load_trace
 
 __all__ = ["phase_report", "trace_grep", "trace_summary", "trace_timeline"]
 
@@ -36,12 +32,12 @@ def _select_manifests(
 ) -> List[Tuple[str, Dict[str, Any]]]:
     selected = [
         (name, manifest)
-        for name, manifest in iter_trace_manifests(store)
+        for name, manifest in iter_attachments(store, TRACE)
         if not key_prefix or str(manifest.get("cache_key", "")).startswith(key_prefix)
     ]
     if not selected:
         detail = f" matching key prefix {key_prefix!r}" if key_prefix else ""
-        raise TraceError(
+        raise AttachmentError(
             f"no decision traces{detail} in {store.url} — run the sweep "
             "with --trace to record them"
         )

@@ -8,51 +8,43 @@ facts go into the blob** (wall-clock phase timings live in the trace
 manifest) makes a trace byte-deterministic: the same spec and seed yield
 the identical blob from serial, sharded, and ``retain_jobs=False`` runs.
 
-Storage mirrors :mod:`repro.analytics.store`: the blob rides the run's
-store under ``<cache_key>-trace`` inside the standard integrity envelope,
-and a small ``trace-<cache_key[:24]>`` manifest provides discovery for the
-``repro-sdpolicy trace`` CLI plus gc pinning — its ``"tasks"`` list names
-both the run blob and the trace blob so
-:func:`repro.store.lifecycle.collect_references` keeps them alive.  The
-cached run blob stays byte-identical with or without ``--trace``; the
-trace pointer lives only in this manifest, so tracing never splits or
-invalidates the run cache.
+Storage is the :data:`TRACE` run attachment (:mod:`repro.store.attachments`),
+so tracing never splits or invalidates the run cache.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.store import ResultStore, unwrap_blob, wrap_blob
-from repro.store.lifecycle import BlobIntegrityError
+from repro.store.attachments import (
+    AttachmentError,
+    AttachmentKind,
+    load_attachment,
+    publish_attachment,
+)
+from repro.store.base import ResultStore
 
 __all__ = [
     "MATE_REJECTED_REASONS",
     "PHASE_FIELDS",
+    "TRACE",
     "TRACE_EVENT_FIELDS",
     "TRACE_FORMAT_VERSION",
     "TRACE_MANIFEST_FIELDS",
-    "TRACE_MANIFEST_PREFIX",
-    "TraceError",
     "TraceRecorder",
-    "iter_trace_manifests",
     "load_trace",
     "parse_trace",
     "publish_trace",
-    "trace_key",
-    "trace_manifest_name",
 ]
 
 #: Version of the trace blob + manifest layout (bump on shape changes).
 TRACE_FORMAT_VERSION = 1
 
-#: Manifest-name namespace of the trace layer.
-TRACE_MANIFEST_PREFIX = "trace-"
-
-#: Blob-key suffix of a run's serialized trace.
-_TRACE_KEY_SUFFIX = "-trace"
+#: Decision traces are a run attachment: ``<cache_key>-trace`` blobs
+#: discovered through ``trace-*`` manifests.
+TRACE = AttachmentKind("trace", "trace", TRACE_FORMAT_VERSION, "--trace")
 
 #: Declared event vocabulary, ``"<event>:<field,field,…>"`` per entry.
 #: ``repro.devtools.formats`` fingerprints this into ``formats.lock``:
@@ -79,36 +71,11 @@ TRACE_EVENT_FIELDS = (
 MATE_REJECTED_REASONS = ("estimate", "no_mates", "bandwidth")
 
 #: Declared key layout of a trace manifest (:func:`publish_trace`).
-TRACE_MANIFEST_FIELDS = (
-    "kind",
-    "schema",
-    "cache_key",
-    "trace_key",
-    "trace_digest",
-    "events",
-    "counts",
-    "meta",
-    "phases",
-    "tasks",
-)
+TRACE_MANIFEST_FIELDS = TRACE.manifest_fields("events", "counts", "meta", "phases")
 
 #: Phase-timer names surfaced in ``SweepEntry.phases`` / trace manifests,
 #: in pipeline order: simulate → metrics fold → cache serialize → store put.
 PHASE_FIELDS = ("simulate", "metrics", "serialize", "store_put")
-
-
-class TraceError(RuntimeError):
-    """A trace blob or trace manifest is missing or unreadable."""
-
-
-def trace_key(cache_key: str) -> str:
-    """Store key of the trace blob belonging to a cached run."""
-    return cache_key + _TRACE_KEY_SUFFIX
-
-
-def trace_manifest_name(cache_key: str) -> str:
-    """Deterministic manifest name for a run's trace entry."""
-    return TRACE_MANIFEST_PREFIX + cache_key[:24]
 
 
 def _json_safe(value: Any) -> Any:
@@ -173,16 +140,16 @@ def parse_trace(payload: bytes) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     """Split a trace blob into its header meta and decoded event records."""
     lines = payload.decode("utf-8").splitlines()
     if not lines:
-        raise TraceError("trace blob is empty")
+        raise AttachmentError("trace blob is empty")
     try:
         header = json.loads(lines[0])
         events = [json.loads(line) for line in lines[1:] if line]
     except json.JSONDecodeError as exc:
-        raise TraceError(f"trace blob is not valid JSONL: {exc}") from exc
+        raise AttachmentError(f"trace blob is not valid JSONL: {exc}") from exc
     if header.get("event") != "trace_header":
-        raise TraceError("trace blob does not start with a trace_header line")
+        raise AttachmentError("trace blob does not start with a trace_header line")
     if header.get("format") != TRACE_FORMAT_VERSION:
-        raise TraceError(
+        raise AttachmentError(
             f"trace format {header.get('format')!r} is not supported "
             f"(expected {TRACE_FORMAT_VERSION})"
         )
@@ -197,30 +164,15 @@ def publish_trace(
     phases: Optional[Dict[str, float]] = None,
 ) -> str:
     """Publish one run's trace blob + trace manifest; returns the digest."""
-    key = trace_key(cache_key)
-    enveloped, digest = wrap_blob(recorder.to_bytes())
-    store.put(key, enveloped)
-    run_ref: Dict[str, Any] = {"cache_key": cache_key}
-    if run_digest:
-        run_ref["digest"] = run_digest
-    manifest = {
-        "kind": "trace",
-        "schema": TRACE_FORMAT_VERSION,
-        "cache_key": cache_key,
-        "trace_key": key,
-        "trace_digest": digest,
-        "events": len(recorder),
-        "counts": dict(sorted(recorder.counts.items())),
-        "meta": dict(recorder.meta),
-        # Wall-clock phase timings stay out of the blob so the blob is
-        # byte-deterministic; the manifest is the nondeterministic side.
-        "phases": dict(phases or {}),
-        # gc pinning: collect_references keeps every "cache_key" listed
-        # under "tasks", covering both the run blob and the trace blob.
-        "tasks": [run_ref, {"cache_key": key, "digest": digest}],
-    }
-    store.write_manifest(trace_manifest_name(cache_key), manifest)
-    return digest
+    # Wall-clock phase timings stay out of the blob so the blob is
+    # byte-deterministic; the manifest is the nondeterministic side.
+    return publish_attachment(
+        store, TRACE, cache_key, recorder.to_bytes(), run_digest,
+        events=len(recorder),
+        counts=dict(sorted(recorder.counts.items())),
+        meta=dict(recorder.meta),
+        phases=dict(phases or {}),
+    )
 
 
 def load_trace(
@@ -228,35 +180,7 @@ def load_trace(
 ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     """Load + verify one run's trace; ``(meta, events)``.
 
-    :class:`TraceError` if absent, unreadable, or failing its integrity
-    envelope (``store verify`` quarantines the corrupt blob).
+    :class:`~repro.store.attachments.AttachmentError` if absent,
+    quarantined, unreadable, or failing its integrity envelope.
     """
-    data = store.get(trace_key(cache_key))
-    if data is None:
-        raise TraceError(
-            f"no decision trace for cache key {cache_key[:24]}… — the run was "
-            "executed without --trace (or served from a pre-trace cache "
-            "entry); re-run the sweep with --trace to record one"
-        )
-    try:
-        payload, _digest = unwrap_blob(data)
-    except BlobIntegrityError as exc:
-        raise TraceError(
-            f"decision trace for cache key {cache_key[:24]}… fails its "
-            f"integrity envelope ({exc}); run 'store verify' to quarantine it, "
-            "then re-run the sweep with --trace"
-        ) from exc
-    return parse_trace(payload)
-
-
-def iter_trace_manifests(
-    store: ResultStore,
-) -> Iterator[Tuple[str, Dict[str, Any]]]:
-    """Yield ``(manifest_name, payload)`` for every trace manifest."""
-    for name in store.list_manifests(TRACE_MANIFEST_PREFIX):
-        manifest = store.read_manifest(name)
-        if manifest is None or manifest.get("kind") != "trace":
-            continue
-        if manifest.get("schema") != TRACE_FORMAT_VERSION:
-            continue
-        yield name, manifest
+    return parse_trace(load_attachment(store, TRACE, cache_key))

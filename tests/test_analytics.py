@@ -25,15 +25,12 @@ from repro.analytics.query import (
 from repro.analytics.records import (
     JOB_RECORD_DTYPE,
     RECORD_SCHEMA_VERSION,
+    RECORDS,
     JobRecordSink,
     RunRecords,
-    metrics_from_records,
-)
-from repro.analytics.store import (
-    AnalyticsError,
     load_run_records,
+    metrics_from_records,
     publish_run_records,
-    records_key,
 )
 from repro.experiments.executors import (
     MANIFEST_FORMAT_VERSION,
@@ -55,7 +52,8 @@ from repro.experiments.sweep import (
     _canonical_kwargs,
     task_cache_key,
 )
-from repro.store import MemoryStore, gc, wrap_blob
+from repro.store import MemoryStore, wrap_blob
+from repro.store.attachments import AttachmentError
 from repro.workloads.cirne import CirneWorkloadModel
 from repro.workloads.presets import build_workload
 
@@ -137,7 +135,7 @@ class TestAnalyticsStore:
         assert np.array_equal(back.array, run.records.array)
 
     def test_missing_records_error_suggests_analytics(self):
-        with pytest.raises(AnalyticsError, match="--analytics"):
+        with pytest.raises(AttachmentError, match="--analytics"):
             load_run_records(MemoryStore(), "b" * 16)
 
     def test_sweep_publishes_records_and_run_blob_stays_plain(self, workload):
@@ -155,23 +153,11 @@ class TestAnalyticsStore:
             payload = pickle.loads(unwrap_blob(store.get(key))[0])
             assert payload["format"] == CACHE_FORMAT_VERSION
             assert getattr(payload["run"], "records", None) is None
-        assert analytics_store.get(records_key(key)) is not None
-        assert plain_store.get(records_key(key)) is None
+        assert analytics_store.get(RECORDS.key(key)) is not None
+        assert plain_store.get(RECORDS.key(key)) is None
         # A plain runner consumes the analytics runner's entry as a hit.
         rerun = SweepRunner(max_workers=1, store=analytics_store).run([task])
         assert rerun.cache_hits == 1
-
-    def test_gc_keeps_analytics_pinned_blobs(self, workload):
-        """The analytics manifest references both the run and records blobs,
-        so a manifest-aware gc never collects an analytics sweep."""
-        store = MemoryStore()
-        task = SweepTask(workload=workload, policy="static_backfill",
-                         key="pinned", seed=0)
-        SweepRunner(max_workers=1, store=store, analytics=True).run([task])
-        key = task_cache_key(task)
-        gc(store, grace_seconds=0.0)
-        assert store.get(key) is not None
-        assert store.get(records_key(key)) is not None
 
     def test_analytics_requires_store(self):
         with pytest.raises(ValueError, match="result store"):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analytics.store import ANALYTICS_MANIFEST_FIELDS
+from repro.analytics.records import ANALYTICS_MANIFEST_FIELDS
 from repro.devtools import formats
 from repro.experiments.executors import (
     MANIFEST_DIR_NAME,

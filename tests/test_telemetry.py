@@ -1,12 +1,14 @@
 """Tests for the telemetry subsystem.
 
-Covers the counter/gauge/timer registry and its no-op twin, the decision
-trace recorder and its canonical JSONL encoding, the acceptance property
-that traces are byte-deterministic across serial, sharded, and streaming
-executions, trace publication/loading through the integrity envelope and
-gc pinning, the instrumented store wrapper (request counts, byte totals,
-latency percentiles, retry observation), the ``--log-level`` logging
-wiring, and the ``repro-sdpolicy trace`` CLI surface.
+Covers the nearest-rank percentile, the decision trace recorder and its
+canonical JSONL encoding, the acceptance property that traces are
+byte-deterministic across serial, sharded, and streaming executions,
+trace publication/loading through the integrity envelope, the
+instrumented store wrapper (request counts, byte totals, latency
+percentiles, snapshot layout, retry observation), the ``--log-level``
+logging wiring, and the ``repro-sdpolicy trace`` CLI surface.  The
+storage mechanism shared with analytics records is covered in
+``tests/test_attachments.py``.
 """
 
 from __future__ import annotations
@@ -24,20 +26,18 @@ from repro.experiments.sweep import (
     SweepTask,
     task_cache_key,
 )
-from repro.store import MemoryStore, StoreError, gc, open_store, unwrap_blob
+from repro.store import MemoryStore, StoreError, open_store, unwrap_blob
+from repro.store.attachments import AttachmentError, iter_attachments
 from repro.store.http_store import HTTPObjectStore
 from repro.telemetry import (
+    TRACE,
     InstrumentedStore,
-    Telemetry,
-    TraceError,
     TraceRecorder,
     load_trace,
     publish_trace,
     setup_logging,
-    trace_key,
-    trace_manifest_name,
 )
-from repro.telemetry.core import TIMER_STAT_FIELDS, percentile
+from repro.telemetry.core import TELEMETRY_SNAPSHOT_FIELDS, TIMER_STAT_FIELDS, percentile
 from repro.telemetry.logs import ENV_LOG_LEVEL
 from repro.telemetry.trace import PHASE_FIELDS, parse_trace
 from repro.workloads.cirne import CirneWorkloadModel
@@ -52,24 +52,9 @@ def workload():
 
 
 # --------------------------------------------------------------------- #
-# Registry core
+# Snapshot percentiles
 # --------------------------------------------------------------------- #
 class TestTelemetryRegistry:
-    def test_counters_gauges_timers(self):
-        telemetry = Telemetry()
-        telemetry.count("requests")
-        telemetry.count("requests", 2)
-        telemetry.gauge("depth", 4.0)
-        telemetry.observe("read", 0.25)
-        with telemetry.time("read"):
-            pass
-        snap = telemetry.snapshot()
-        assert snap["counters"] == {"requests": 3}
-        assert snap["gauges"] == {"depth": 4.0}
-        assert set(snap["timers"]["read"]) == set(TIMER_STAT_FIELDS)
-        assert snap["timers"]["read"]["count"] == 2
-        assert snap["timers"]["read"]["max"] >= snap["timers"]["read"]["p50"]
-
     def test_percentile_nearest_rank(self):
         values = sorted(float(v) for v in range(1, 101))
         assert percentile(values, 50) == 50.0
@@ -115,13 +100,13 @@ class TestTraceRecorder:
         assert events == [{"event": "job_end", "t": 2.0, "job": 1, "wait": None}]
 
     def test_parse_rejects_bad_blobs(self):
-        with pytest.raises(TraceError, match="empty"):
+        with pytest.raises(AttachmentError, match="empty"):
             parse_trace(b"")
-        with pytest.raises(TraceError, match="trace_header"):
+        with pytest.raises(AttachmentError, match="trace_header"):
             parse_trace(b'{"event":"job_end"}\n')
-        with pytest.raises(TraceError, match="not supported"):
+        with pytest.raises(AttachmentError, match="not supported"):
             parse_trace(b'{"event":"trace_header","format":99}\n')
-        with pytest.raises(TraceError, match="JSONL"):
+        with pytest.raises(AttachmentError, match="JSONL"):
             parse_trace(b"not json\n")
 
     def test_recorder_survives_pickle(self):
@@ -198,8 +183,8 @@ class TestTraceDeterminism:
         )
         for task in tasks:
             key = task_cache_key(task)
-            serial = unwrap_blob(serial_store.get(trace_key(key)))[0]
-            sharded = unwrap_blob(sharded_store.get(trace_key(key)))[0]
+            serial = unwrap_blob(serial_store.get(TRACE.key(key)))[0]
+            sharded = unwrap_blob(sharded_store.get(TRACE.key(key)))[0]
             assert serial == sharded
         # retain_jobs changes the cache key but must not change the trace
         # bytes: compare via each store's single manifest per policy label.
@@ -226,17 +211,15 @@ class TestTraceDeterminism:
 
 
 def _traces_by_label(store):
-    from repro.telemetry import iter_trace_manifests
-
     out = {}
-    for _name, manifest in iter_trace_manifests(store):
-        payload = unwrap_blob(store.get(manifest["trace_key"]))[0]
+    for _name, manifest in iter_attachments(store, TRACE):
+        payload = unwrap_blob(store.get(TRACE.key(manifest["cache_key"])))[0]
         out[manifest["meta"]["label"]] = payload
     return out
 
 
 # --------------------------------------------------------------------- #
-# Storage: envelopes, discovery, gc pinning, phases
+# Storage: envelopes, discovery, phases
 # --------------------------------------------------------------------- #
 class TestTraceStorage:
     def test_publish_and_load_round_trip(self):
@@ -249,14 +232,14 @@ class TestTraceStorage:
         meta, events = load_trace(store, "k" * 16)
         assert meta == {"label": "x"}
         assert len(events) == 1
-        manifest = store.read_manifest(trace_manifest_name("k" * 16))
+        manifest = store.read_manifest(TRACE.manifest_name("k" * 16))
         assert manifest["kind"] == "trace"
         assert manifest["events"] == 1
         assert manifest["trace_digest"] == digest
         assert manifest["phases"] == {"simulate": 0.5}
 
     def test_missing_trace_error_suggests_flag(self):
-        with pytest.raises(TraceError, match="--trace"):
+        with pytest.raises(AttachmentError, match="--trace"):
             load_trace(MemoryStore(), "m" * 16)
 
     def test_corrupt_trace_blob_is_a_trace_error(self):
@@ -264,21 +247,11 @@ class TestTraceStorage:
         recorder = TraceRecorder()
         recorder.emit("job_end", 1.0, job=1, wait=0.0)
         publish_trace(store, "c" * 16, recorder)
-        blob = bytearray(store.get(trace_key("c" * 16)))
+        blob = bytearray(store.get(TRACE.key("c" * 16)))
         blob[-1] ^= 0xFF
-        store.put(trace_key("c" * 16), bytes(blob))
-        with pytest.raises(TraceError, match="integrity envelope"):
+        store.put(TRACE.key("c" * 16), bytes(blob))
+        with pytest.raises(AttachmentError, match="integrity envelope"):
             load_trace(store, "c" * 16)
-
-    def test_gc_keeps_trace_pinned_blobs(self, workload):
-        store = MemoryStore()
-        task = SweepTask(workload=workload, policy="static_backfill",
-                         key="pinned", seed=0)
-        SweepRunner(max_workers=1, store=store, trace=True).run([task])
-        key = task_cache_key(task)
-        gc(store, grace_seconds=0.0)
-        assert store.get(key) is not None
-        assert store.get(trace_key(key)) is not None
 
     def test_sweep_entries_carry_phase_timers(self, workload):
         store = MemoryStore()
@@ -304,13 +277,19 @@ class TestInstrumentedStore:
         store = InstrumentedStore(MemoryStore())
         store.put("k" * 16, b"payload")
         store.get("k" * 16)
+        store.get("k" * 16)
         store.list()
         snap = store.snapshot()
-        assert snap["counters"]["requests"] == 3
+        assert tuple(snap) == TELEMETRY_SNAPSHOT_FIELDS
+        assert snap["counters"]["requests"] == 4
         assert snap["counters"]["bytes_written"] == len(b"payload")
-        assert snap["counters"]["bytes_read"] == len(b"payload")
+        assert snap["counters"]["bytes_read"] == 2 * len(b"payload")
+        assert snap["gauges"] == {}
         assert {"read", "write", "list"} <= set(snap["timers"])
-        assert snap["timers"]["read"]["count"] == 1
+        for stats in snap["timers"].values():
+            assert tuple(stats) == TIMER_STAT_FIELDS
+        assert snap["timers"]["read"]["count"] == 2
+        assert snap["timers"]["read"]["max"] >= snap["timers"]["read"]["p50"]
 
     def test_wrapper_preserves_store_semantics(self):
         inner = MemoryStore()
