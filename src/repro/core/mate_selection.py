@@ -24,12 +24,25 @@ Options supported by the paper's implementation and reproduced here:
 including free nodes in the guest's allocation to reduce fragmentation, and
 allowing a single larger mate to be used partially (``allow_partial_mates``,
 off by default because it violates constraint 3's balance argument).
+
+Eligibility is checked in two parts.  The *structural* part — the job is
+malleable, is not itself a guest and holds no shared node — changes only
+when a job starts, ends or is reconfigured, so the selector caches the
+running jobs that pass it (:meth:`MateSelector.mate_pool`) and rebuilds the
+list only when :attr:`Simulation.allocation_version` moves.  Everything
+that depends on the guest or on the clock runs on every scan: the time
+window (a mate's ``requested_time`` is extended after its reconfiguration,
+so its end is never cached), the contention pairing, the penalty against
+the cut-off and the ``mate_candidate`` trace events, emitted in pool order,
+which is ``sim.running``'s insertion order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -146,6 +159,21 @@ class MateSelector:
         #: most recent :meth:`candidate_mates` call (0 on the default path);
         #: schedulers read it to type their ``mate_rejected`` trace events.
         self.bandwidth_rejections = 0
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget the cached mate pool and zero the work counter (new run)."""
+        #: Pool jobs examined by :meth:`candidate_mates`, summed over the run
+        #: (a deterministic work counter).
+        self.mates_scanned = 0
+        self._pool: List[Job] = []
+        # The simulation the pool was built from, compared by identity.  Held
+        # weakly: a strong reference would close the cycle simulation ->
+        # scheduler -> selector -> simulation and keep every finished run
+        # alive until the cyclic garbage collector runs.  Never dereferenced
+        # while the version is -1, which no simulation reports.
+        self._pool_sim: Optional["weakref.ReferenceType[Simulation]"] = None
+        self._pool_version = -1
 
     # ------------------------------------------------------------------ #
     # Guest-side estimates
@@ -159,34 +187,38 @@ class MateSelector:
         """
         return self.estimation_model.dilated_runtime(guest.requested_time, self.sharing_factor)
 
-    def estimated_guest_increase(self, guest: Job) -> float:
-        """Runtime increase of the guest versus a static start (Listing 1)."""
-        return self.estimated_guest_runtime(guest) - guest.requested_time
-
     # ------------------------------------------------------------------ #
     # Candidate construction
     # ------------------------------------------------------------------ #
-    def _is_eligible(self, sim: "Simulation", mate: Job, guest: Job, guest_runtime: float) -> bool:
-        if mate.state is not JobState.RUNNING or mate.start_time is None:
-            return False
-        if not mate.malleable:
-            return False
-        if mate.job_id == guest.job_id:
-            return False
-        # A job that was itself co-scheduled as a guest, or that already
-        # hosts a guest, is not shrunk further (one guest per node set).
-        if mate.guest_of:
-            return False
-        for nid in mate.allocated_nodes:
-            if sim.cluster.node(nid).is_shared:
-                return False
-        # The guest must finish (by its worst-case estimate) inside the
-        # mate's remaining requested allocation.
-        ref_time = mate.requested_time if self.use_requested_time else mate.static_runtime
-        mate_end = mate.start_time + ref_time
-        if mate_end < sim.now + guest_runtime:
-            return False
-        return True
+    def mate_pool(self, sim: "Simulation") -> List[Job]:
+        """Running jobs structurally able to host a guest, in ``sim.running`` order.
+
+        A job qualifies when it is malleable, was not itself co-scheduled as
+        a guest and holds no node shared with another job (one guest per
+        node set).  None of that changes between allocation changes, so the
+        list is rebuilt only when the simulation or its allocation version
+        differs from the last call.
+        """
+        version = sim.allocation_version
+        if self._pool_version == version and self._pool_sim() is sim:
+            return self._pool
+        nodes = sim.cluster.nodes
+        pool: List[Job] = []
+        for job in sim.running.values():
+            if (
+                not job.malleable
+                or job.guest_of
+                or job.state is not JobState.RUNNING
+                or job.start_time is None
+            ):
+                continue
+            for nid in job.allocated_nodes:
+                if nodes[nid].is_shared:
+                    break
+            else:
+                pool.append(job)
+        self._pool, self._pool_sim, self._pool_version = pool, weakref.ref(sim), version
+        return pool
 
     def candidate_mates(
         self,
@@ -196,22 +228,28 @@ class MateSelector:
     ) -> List[MateCandidate]:
         """Build, filter and sort the list of candidate mates for a guest."""
         guest_runtime = self.estimated_guest_runtime(guest)
-        kept_fraction = 1.0 - self.sharing_factor
+        increase = self.estimation_model.mate_increase(guest_runtime, 1.0 - self.sharing_factor)
+        guest_end = sim.now + guest_runtime
+        guest_id = guest.job_id
+        use_requested_time = self.use_requested_time
+        contention = self.contention
         candidates: List[MateCandidate] = []
         trace = getattr(sim, "trace", None)
         self.bandwidth_rejections = 0
-        for mate in sim.running.values():
-            if not self._is_eligible(sim, mate, guest, guest_runtime):
+        pool = self.mate_pool(sim)
+        self.mates_scanned += len(pool)
+        for mate in pool:
+            # The guest must finish (by its worst-case estimate) inside the
+            # mate's remaining requested allocation.
+            ref_time = mate.requested_time if use_requested_time else mate.static_runtime
+            if mate.start_time + ref_time < guest_end or mate.job_id == guest_id:
                 continue
-            if self.contention is not None and not self.contention.allows_pairing(
-                mate, guest
-            ):
+            if contention is not None and not contention.allows_pairing(mate, guest):
                 # Profile-driven rejection: the pair would oversubscribe the
                 # node's memory bandwidth regardless of the CPU split.
                 self.bandwidth_rejections += 1
                 continue
-            increase = self.estimation_model.mate_increase(guest_runtime, kept_fraction)
-            penalty = mate_penalty(mate, increase, self.use_requested_time)
+            penalty = mate_penalty(mate, increase, use_requested_time)
             admitted = cutoff.admits(penalty)
             if trace is not None:
                 # Eligibility failures stay silent (noise); every slowdown
@@ -230,12 +268,11 @@ class MateSelector:
             if weight <= 0:
                 continue
             candidates.append(MateCandidate(job=mate, penalty=penalty, weight=weight))
-        if self.contention is None:
+        if contention is None:
             candidates.sort(key=lambda c: (c.penalty, c.job.job_id))
         else:
             # Profile-driven ordering: prefer complementary (low bandwidth
             # demand) mates, breaking ties by the paper's penalty order.
-            contention = self.contention
             candidates.sort(
                 key=lambda c: (
                     contention.bandwidth_demand(
@@ -263,23 +300,38 @@ class MateSelector:
         """
         best: Optional[Tuple[List[MateCandidate], int]] = None
         best_pi = math.inf
-        n = len(candidates)
-        max_r = min(self.max_mates, n)
-        for r in range(1, max_r + 1):
-            for combo in itertools.combinations(range(n), r):
-                picks = [candidates[i] for i in combo]
-                total_nodes = sum(c.weight for c in picks)
-                pi = sum(c.penalty for c in picks)
-                if pi >= best_pi:
+        # Sizes are tried in increasing order and, within a size, in
+        # lexicographic index order; only a strictly lower PI replaces the
+        # best so far.  r = 1 is the only size that may use a mate partially.
+        for c in candidates:
+            pi = c.penalty
+            if pi >= best_pi:
+                continue
+            if c.weight == nodes_needed:
+                best, best_pi = ([c], 0), pi
+            elif self.allow_partial_mates and c.weight > nodes_needed:
+                best, best_pi = ([c], c.weight - nodes_needed), pi
+        if self.max_mates >= 2:
+            # r = 2: pair each i only with the later indices j holding the
+            # complementary weight, instead of enumerating every pair.
+            by_weight: Dict[int, List[int]] = {}
+            for j, c in enumerate(candidates):
+                by_weight.setdefault(c.weight, []).append(j)
+            for i, first in enumerate(candidates):
+                partners = by_weight.get(nodes_needed - first.weight)
+                if partners is None:
                     continue
-                if total_nodes == nodes_needed:
-                    best, best_pi = (picks, 0), pi
-                elif (
-                    self.allow_partial_mates
-                    and r == 1
-                    and total_nodes > nodes_needed
-                ):
-                    best, best_pi = (picks, total_nodes - nodes_needed), pi
+                for j in partners[bisect_right(partners, i):]:
+                    second = candidates[j]
+                    pi = first.penalty + second.penalty
+                    if pi < best_pi:
+                        best, best_pi = ([first, second], 0), pi
+        # r >= 3 (beyond the paper's bound; ablations only): enumerate.
+        for r in range(3, min(self.max_mates, len(candidates)) + 1):
+            for combo in itertools.combinations(candidates, r):
+                pi = sum(c.penalty for c in combo)
+                if pi < best_pi and sum(c.weight for c in combo) == nodes_needed:
+                    best, best_pi = (list(combo), 0), pi
         return best
 
     def _build_plan(

@@ -131,6 +131,7 @@ class SDPolicyScheduler(BackfillScheduler):
         self.malleable_starts = 0
         self.rejected_by_estimate = 0
         self.rejected_no_mates = 0
+        self.selector.reset()
         # Rebuild the cut-off so dynamic state never leaks across runs.
         self.cutoff = self.config.build_cutoff()
 

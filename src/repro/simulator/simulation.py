@@ -211,10 +211,15 @@ class Simulation:
         self._next_stream_job: Optional[Job] = None
         self._last_stream_submit: float = -math.inf
 
+        #: Bumped on every job start, end and reconfiguration: the running
+        #: set, node sharing and guest links change only with it.  Caches
+        #: derived from the allocation state (the availability profile
+        #: below, the mate pool of :class:`repro.core.mate_selection.MateSelector`)
+        #: compare it to know when to rebuild.
+        self.allocation_version: int = 0
         # Availability-profile cache: the base profile derived from the
-        # running set is rebuilt only when the allocation state changes
-        # (version bump) or time advances; schedulers receive copies.
-        self._avail_version: int = 0
+        # running set is rebuilt only when the allocation version changes
+        # or time advances; schedulers receive copies.
         self._profile_cache: Optional[Tuple[float, int, int, ReservationMap]] = None
 
         if hasattr(self.scheduler, "bind"):
@@ -317,7 +322,7 @@ class Simulation:
             cached is not None
             and cached[0] == self.now
             and cached[1] == self.cluster.num_free_nodes
-            and cached[2] == self._avail_version
+            and cached[2] == self.allocation_version
         ):
             return cached[3].copy()
         base = ReservationMap.from_running_jobs(
@@ -327,12 +332,14 @@ class Simulation:
             running_jobs=self.running.values(),
             use_requested_time=self.use_requested_time_for_predictions,
         )
-        self._profile_cache = (self.now, self.cluster.num_free_nodes, self._avail_version, base)
+        self._profile_cache = (
+            self.now, self.cluster.num_free_nodes, self.allocation_version, base
+        )
         return base.copy()
 
     def _invalidate_profile(self) -> None:
-        """Invalidate the cached availability profile (allocation changed)."""
-        self._avail_version += 1
+        """Record an allocation change (bumps :attr:`allocation_version`)."""
+        self.allocation_version += 1
 
     def start_job_static(self, job: Job, node_ids: Optional[Sequence[int]] = None) -> List[int]:
         """Start a job on an exclusive whole-node allocation."""

@@ -1,0 +1,312 @@
+"""The mate-selection index checked against slow references that are obviously right.
+
+``MateSelector`` caches the structurally eligible running jobs (its mate
+pool) and finds the best pair of mates by a weight lookup.  These tests hold
+both against the code they replaced: a full eligibility predicate applied to
+every running job on every scan, and an ``itertools`` enumeration of every
+combination.  Pinned trace bytes and a pinned scan counter catch changes in
+scan order and in the amount of work the index saves.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import math
+from datetime import timedelta
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.mate_selection import MateCandidate, MateSelector
+from repro.core.penalties import StaticMaxSlowdown, mate_penalty
+from repro.core.policy import make_policy
+from repro.core.sd_policy import SDPolicyConfig, SDPolicyScheduler
+from repro.core.ub_policy import UBPolicyConfig, UBPolicyScheduler
+from repro.experiments import runner
+from repro.schedulers.fcfs import FCFSScheduler
+from repro.simulator.cluster import Cluster
+from repro.simulator.job import JobState
+from repro.simulator.simulation import Simulation
+from repro.workloads.applications import assign_applications
+from repro.workloads.presets import build_workload
+from tests.conftest import make_job
+
+# --------------------------------------------------------------------- #
+# Reference implementations
+# --------------------------------------------------------------------- #
+
+
+def oracle_best_combination(candidates, nodes_needed, max_mates, allow_partial_mates):
+    """Minimum-PI combination by enumerating every combination of ≤ max_mates."""
+    best = None
+    best_pi = math.inf
+    n = len(candidates)
+    for r in range(1, min(max_mates, n) + 1):
+        for combo in itertools.combinations(range(n), r):
+            picks = [candidates[i] for i in combo]
+            total_nodes = sum(c.weight for c in picks)
+            pi = sum(c.penalty for c in picks)
+            if pi >= best_pi:
+                continue
+            if total_nodes == nodes_needed:
+                best, best_pi = (picks, 0), pi
+            elif allow_partial_mates and r == 1 and total_nodes > nodes_needed:
+                best, best_pi = (picks, total_nodes - nodes_needed), pi
+    return best
+
+
+def structurally_eligible(sim, job):
+    """The guest-independent part of mate eligibility, checked from scratch."""
+    return (
+        job.state is JobState.RUNNING
+        and job.start_time is not None
+        and job.malleable
+        and not job.guest_of
+        and not any(sim.cluster.node(nid).is_shared for nid in job.allocated_nodes)
+    )
+
+
+def oracle_is_eligible(selector, sim, mate, guest, guest_runtime):
+    """The full eligibility predicate: structure, identity and time window."""
+    if not structurally_eligible(sim, mate) or mate.job_id == guest.job_id:
+        return False
+    ref_time = mate.requested_time if selector.use_requested_time else mate.static_runtime
+    return mate.start_time + ref_time >= sim.now + guest_runtime
+
+
+def oracle_candidate_mates(selector, sim, guest, cutoff):
+    """Candidates and bandwidth rejections from a scan of every running job."""
+    guest_runtime = selector.estimated_guest_runtime(guest)
+    kept_fraction = 1.0 - selector.sharing_factor
+    contention = selector.contention
+    candidates = []
+    rejections = 0
+    for mate in sim.running.values():
+        if not oracle_is_eligible(selector, sim, mate, guest, guest_runtime):
+            continue
+        if contention is not None and not contention.allows_pairing(mate, guest):
+            rejections += 1
+            continue
+        increase = selector.estimation_model.mate_increase(guest_runtime, kept_fraction)
+        penalty = mate_penalty(mate, increase, selector.use_requested_time)
+        if cutoff.admits(penalty) and mate.allocated_nodes:
+            candidates.append(MateCandidate(mate, penalty, len(mate.allocated_nodes)))
+    if contention is None:
+        candidates.sort(key=lambda c: (c.penalty, c.job.job_id))
+    else:
+        candidates.sort(
+            key=lambda c: (
+                contention.bandwidth_demand(contention.application(c.job.application)),
+                c.penalty,
+                c.job.job_id,
+            )
+        )
+    return candidates[: selector.max_candidates], rejections
+
+
+def check_every_scan(selector):
+    """Wrap ``selector.candidate_mates`` to hold each call against the oracle.
+
+    Returns the list the wrapper appends one entry to per checked call.
+    """
+    production = selector.candidate_mates
+    calls = []
+
+    def candidate_mates(sim, guest, cutoff):
+        expected, rejections = oracle_candidate_mates(selector, sim, guest, cutoff)
+        got = production(sim, guest, cutoff)
+        assert selector.mate_pool(sim) == [
+            job for job in sim.running.values() if structurally_eligible(sim, job)
+        ]
+        assert got == expected
+        assert selector.bandwidth_rejections == rejections
+        calls.append(guest.job_id)
+        return got
+
+    selector.candidate_mates = candidate_mates
+    return calls
+
+
+# --------------------------------------------------------------------- #
+# Combination search
+# --------------------------------------------------------------------- #
+
+#: Penalties chosen to tie exactly or to make different pairs round to the
+#: same sum (0.1 + 0.2 vs 0.3 vs 0.30000000000000004; 1e16 + 1 == 1e16).
+TRICKY_PENALTIES = (0.0, 0.1, 0.2, 0.3, 0.30000000000000004, 0.5, 1.0, 1.5, 2.0, 1e16, 1e16 + 2)
+
+penalties = st.one_of(
+    st.sampled_from(TRICKY_PENALTIES),
+    st.floats(min_value=0.0, max_value=50.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=600, deadline=timedelta(milliseconds=500))
+@given(
+    pairs=st.lists(st.tuples(st.integers(1, 5), penalties), max_size=12),
+    nodes_needed=st.integers(1, 10),
+    max_mates=st.sampled_from((1, 2, 3)),
+    allow_partial_mates=st.booleans(),
+)
+def test_best_combination_matches_enumeration(pairs, nodes_needed, max_mates, allow_partial_mates):
+    # Each candidate's job is its index, so equal results mean the same picks.
+    candidates = [MateCandidate(job=i, penalty=p, weight=w) for i, (w, p) in enumerate(pairs)]
+    selector = MateSelector(max_mates=max_mates, allow_partial_mates=allow_partial_mates)
+    assert selector._best_combination(candidates, nodes_needed) == oracle_best_combination(
+        candidates, nodes_needed, max_mates, allow_partial_mates
+    )
+
+
+def test_pair_tie_break_prefers_the_single_and_the_first_pair():
+    def candidates(*pairs):
+        return [MateCandidate(job=i, penalty=p, weight=w) for i, (w, p) in enumerate(pairs)]
+
+    selector = MateSelector()
+    # 0.1 + 0.2 rounds above 0.3: the single mate keeps the win.
+    c = candidates((2, 0.3), (1, 0.1), (1, 0.2))
+    assert selector._best_combination(c, 2) == ([c[0]], 0)
+    # 1e16 + 1.0 rounds to 1e16 + 0.0: the pairs tie and the first one wins,
+    # although the second pairs the big mate with the cheaper partner.
+    c = candidates((1, 1.0), (1, 0.0), (3, 1e16))
+    assert selector._best_combination(c, 4) == ([c[0], c[2]], 0)
+
+
+# --------------------------------------------------------------------- #
+# Mate pool
+# --------------------------------------------------------------------- #
+
+APPLICATIONS = (None, "PILS", "STREAM", "CoreNeuron", "NEST", "Alya")
+
+
+@st.composite
+def small_runs(draw):
+    num_nodes = draw(st.integers(1, 16))
+    jobs = []
+    for job_id in range(1, draw(st.integers(1, 50)) + 1):
+        req_time = draw(st.integers(1, 40)) * 100.0
+        jobs.append(make_job(
+            job_id=job_id,
+            submit=draw(st.integers(0, 15)) * 200.0,  # coarse grid: tied submits
+            nodes=draw(st.integers(1, min(4, num_nodes))),
+            req_time=req_time,
+            runtime=req_time * draw(st.sampled_from((0.3, 0.7, 1.0))),
+            malleable=draw(st.booleans()),
+            application=draw(st.sampled_from(APPLICATIONS)),
+        ))
+    max_slowdown = draw(st.sampled_from((math.inf, 2.0, 10.0, "dynamic")))
+    if draw(st.booleans()):
+        scheduler = UBPolicyScheduler(UBPolicyConfig(max_slowdown=max_slowdown))
+    else:
+        scheduler = SDPolicyScheduler(SDPolicyConfig(max_slowdown=max_slowdown))
+    return num_nodes, jobs, scheduler
+
+
+def simulate(scheduler, num_nodes, jobs):
+    cluster = Cluster(num_nodes=num_nodes, sockets=2, cores_per_socket=4)
+    sim = Simulation(cluster, scheduler)
+    sim.submit_jobs(jobs)
+    return sim.run()
+
+
+@settings(
+    max_examples=80,
+    deadline=timedelta(seconds=5),
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(run=small_runs())
+def test_pool_matches_naive_scan_at_every_selection(run):
+    num_nodes, jobs, scheduler = run
+    check_every_scan(scheduler.selector)
+    simulate(scheduler, num_nodes, jobs)
+
+
+def congested_jobs(offset=0):
+    """Long 1-node jobs fill 3 nodes, then short guests keep arriving."""
+    jobs = [make_job(job_id=offset + i, submit=0.0, nodes=1, req_time=20000.0,
+                     runtime=15000.0) for i in range(1, 4)]
+    jobs += [make_job(job_id=offset + i, submit=10.0 * i, nodes=1 + i % 2,
+                      req_time=600.0, runtime=500.0) for i in range(4, 14)]
+    return jobs
+
+
+def test_scheduler_reused_across_simulations_never_sees_a_stale_pool():
+    scheduler = SDPolicyScheduler(SDPolicyConfig(max_slowdown=math.inf))
+    calls = check_every_scan(scheduler.selector)
+    simulate(scheduler, 3, congested_jobs())
+    first_calls, first_scanned = len(calls), scheduler.selector.mates_scanned
+    assert first_calls > 0 and first_scanned > 0
+    # Same shapes, different ids: the second run must not reuse the first's jobs.
+    second = simulate(scheduler, 3, congested_jobs(offset=100))
+    assert len(calls) == 2 * first_calls
+    assert scheduler.selector.mates_scanned == first_scanned  # reset by bind
+    fresh = simulate(SDPolicyScheduler(SDPolicyConfig(max_slowdown=math.inf)), 3,
+                     congested_jobs(offset=100))
+    assert [(j.job_id, j.start_time, j.end_time) for j in second.jobs] == [
+        (j.job_id, j.start_time, j.end_time) for j in fresh.jobs
+    ]
+
+
+def test_pool_keyed_on_the_simulation_not_only_its_version():
+    selector = MateSelector()
+    admit_all = StaticMaxSlowdown(math.inf)
+    sims = []
+    for mate_id in (1, 2):
+        sim = Simulation(Cluster(num_nodes=2, sockets=2, cores_per_socket=4), FCFSScheduler())
+        mate = make_job(job_id=mate_id, nodes=1, req_time=10000.0)
+        guest = make_job(job_id=100, nodes=1, req_time=500.0)
+        for job in (mate, guest):
+            sim.jobs[job.job_id] = job
+            sim.pending.add(job)
+        sim.start_job_static(mate)
+        sims.append((sim, guest))
+    assert sims[0][0].allocation_version == sims[1][0].allocation_version
+    for expected, (sim, guest) in zip((1, 2), sims):
+        candidates = selector.candidate_mates(sim, guest, admit_all)
+        assert [c.job.job_id for c in candidates] == [expected]
+
+
+# --------------------------------------------------------------------- #
+# Pinned scan order and scan work
+# --------------------------------------------------------------------- #
+
+#: SHA-256 of the decision traces of paper workload 4 at scale 0.005 (all
+#: malleable, MAXSD 10), recorded before the mate pool existed.  They pin
+#: the order of ``mate_candidate`` events, which no aggregate golden sees.
+TRACE_DIGESTS = {
+    "sd_policy": "25b9620596064fe03d1f7dcd3f14f8cb5174170e6310e03ea50f9ac703b3c7de",
+    "ub_policy": "3046f8011a929970c858217a90d3944bec6cecff1eaf945a380e759cd178b02a",
+}
+
+
+def test_traced_runs_are_byte_identical_to_the_pinned_digests():
+    workload = build_workload(4, scale=0.005)
+    runs = {
+        # Worst-case model, penalty-only ordering.
+        "sd_policy": (workload, {"runtime_model": "worst_case"}),
+        # Table 2 applications: the contention ordering and bandwidth refusals.
+        "ub_policy": (
+            assign_applications(workload),
+            {"runtime_model": "application_aware", "profiles": "table2"},
+        ),
+    }
+    for policy, (jobs, kwargs) in runs.items():
+        run = runner.run_workload(
+            jobs, policy=policy, malleable_fraction=1.0, max_slowdown=10.0, trace=True,
+            **kwargs,
+        )
+        payload = run.trace.to_bytes()
+        assert b'"event":"mate_candidate"' in payload
+        assert hashlib.sha256(payload).hexdigest() == TRACE_DIGESTS[policy], policy
+
+
+def test_mates_scanned_pinned_on_the_guard_curie_input():
+    # The benchmark's guard-size curie_sd input.  Scanning all of
+    # ``sim.running`` per selection examined 359,452 jobs here.
+    scheduler = make_policy("sd_policy", max_slowdown=10.0)
+    run = runner.run_workload(
+        build_workload(4, scale=0.005), policy=scheduler, runtime_model="worst_case",
+        malleable_fraction=1.0,
+    )
+    assert run.scheduler_stats["rejected_no_mates"] == 10751
+    assert scheduler.selector.mates_scanned == 44739
