@@ -1,17 +1,18 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper (see DESIGN.md
-for the experiment index).  The paper-scale workloads are far too large for
-a benchmark budget, so each experiment runs on a proportionally scaled
-workload; the scales below were chosen so the full suite completes in
-roughly ten minutes while preserving the qualitative shape of every result.
+Every benchmark regenerates one table or figure of the paper by running its
+built-in scenario (``repro-sdpolicy scenario --list`` is the experiment
+index).  The paper-scale workloads are far too large for a benchmark
+budget, so each experiment runs on a proportionally scaled workload; the
+scales (``repro.experiments.scenario.BENCH_SCALES``, also the built-ins'
+default scales) were chosen so the full suite completes in roughly ten
+minutes while preserving the qualitative shape of every result.
 Set the environment variable ``REPRO_BENCH_SCALE_FACTOR`` (e.g. ``2.0`` or
 ``10.0``) to enlarge all workloads towards paper scale.
 
 Each benchmark also writes the rendered text of its figure/table to
 ``benchmarks/output/`` so the regenerated artefacts can be inspected and
-compared against the paper (EXPERIMENTS.md records that comparison).
-``tests/test_regression_golden.py`` pins the Table 1 and Figures 1-3 values
+compared against the paper.  ``tests/test_regression_golden.py`` pins the Table 1 and Figures 1-3 values
 against the committed artefacts, so regenerate them deliberately.
 
 The sweep-shaped benchmarks (Table 1, Figures 1-3, Figure 8) fan their
@@ -28,8 +29,7 @@ from pathlib import Path
 
 import pytest
 
-#: Baseline scales per paper workload id (fraction of the Table 1 size).
-BENCH_SCALES = {1: 0.04, 2: 0.04, 3: 0.02, 4: 0.01, 5: 0.35}
+from repro.experiments.scenario import BENCH_SCALES
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 

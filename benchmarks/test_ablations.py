@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for SD-Policy's main design choices.
 
 These go beyond the paper's figures: they vary the maximum number of mates
 (the paper fixes m = 2), the SharingFactor (the paper uses 0.5 = one
@@ -13,8 +13,6 @@ process pool instead of running in a serial loop.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from benchmarks.conftest import run_once, save_artifact
 from repro.analysis.tables import metrics_table

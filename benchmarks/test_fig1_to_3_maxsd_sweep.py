@@ -15,22 +15,19 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import bench_scale, run_once, save_artifact
-from repro.experiments.paper import figure_1_to_3_maxsd_sweep
-from repro.workloads.presets import build_workload
+from repro.experiments.scenario import builtin_scenario, render_report, run_scenario
 
 WORKLOAD_IDS = (1, 2, 3, 4)
 
 
 @pytest.mark.parametrize("workload_id", WORKLOAD_IDS)
 def test_fig1_to_3_maxsd_sweep(benchmark, workload_id):
-    workload = build_workload(workload_id, scale=bench_scale(workload_id))
-
-    def experiment():
-        return figure_1_to_3_maxsd_sweep(workload)
-
-    result = run_once(benchmark, experiment)
-    save_artifact(f"fig1-3_maxsd_sweep_workload{workload_id}", result.text)
-    normalized = result.data["normalized"]
+    spec = builtin_scenario(
+        "figure1-3", workload_id=workload_id, scale=bench_scale(workload_id)
+    )
+    outcome = run_once(benchmark, lambda: run_scenario(spec))
+    save_artifact(f"fig1-3_maxsd_sweep_workload{workload_id}", render_report(outcome))
+    normalized = outcome.normalized()
     assert set(normalized) == {"MAXSD 5", "MAXSD 10", "MAXSD 50", "MAXSD inf", "DynAVGSD"}
 
     slowdowns = {label: vals["avg_slowdown"] for label, vals in normalized.items()}
@@ -48,6 +45,6 @@ def test_fig1_to_3_maxsd_sweep(benchmark, workload_id):
     assert min(responses.values()) < 1.0
     # Figure 1 shape: makespan stays roughly constant.  At benchmark scale
     # the tail of the last few (possibly dilated) jobs weighs much more than
-    # at paper scale, so the band is ±25%; EXPERIMENTS.md discusses the
-    # tighter behaviour observed at larger scales.
+    # at paper scale, so the band is ±25%; larger scales stay much closer
+    # to 1.
     assert all(0.75 <= value <= 1.25 for value in makespans.values()), makespans

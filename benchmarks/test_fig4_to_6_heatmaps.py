@@ -17,19 +17,19 @@ import math
 import numpy as np
 
 from benchmarks.conftest import bench_scale, run_once, save_artifact
-from repro.experiments.paper import figure_4_to_6_heatmaps
-from repro.workloads.presets import build_workload
+from repro.experiments.scenario import (
+    builtin_scenario,
+    render_report,
+    run_scenario,
+    scenario_heatmaps,
+)
 
 
 def test_fig4_to_6_category_heatmaps(benchmark):
-    workload = build_workload(4, scale=bench_scale(4))
-
-    def experiment():
-        return figure_4_to_6_heatmaps(workload, max_slowdown=10.0)
-
-    result = run_once(benchmark, experiment)
-    save_artifact("fig4-6_heatmaps_workload4", result.text)
-    grids = result.data["grids"]
+    spec = builtin_scenario("figure4-6", scale=bench_scale(4), max_slowdown=10.0)
+    outcome = run_once(benchmark, lambda: run_scenario(spec))
+    save_artifact("fig4-6_heatmaps_workload4", render_report(outcome))
+    grids = scenario_heatmaps(outcome)
 
     slowdown_grid = grids["slowdown"]
     populated = slowdown_grid.values[np.isfinite(slowdown_grid.values)]
@@ -41,8 +41,8 @@ def test_fig4_to_6_category_heatmaps(benchmark):
     assert small_short > 1.2
 
     # Aggregate slowdown improves (the weighted effect the paper reports).
-    sd = result.data["sd_metrics"]["avg_slowdown"]
-    static = result.data["static_metrics"]["avg_slowdown"]
+    sd = outcome.cells[0].run.metrics.avg_slowdown
+    static = outcome.baseline_run.metrics.avg_slowdown
     assert sd < static
 
     # Figure 5 shape: runtime ratios never exceed 1 by construction (SD can

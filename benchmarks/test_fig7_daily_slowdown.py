@@ -16,19 +16,19 @@ import math
 import numpy as np
 
 from benchmarks.conftest import bench_scale, run_once, save_artifact
-from repro.experiments.paper import figure_7_daily_series
-from repro.workloads.presets import build_workload
+from repro.experiments.scenario import (
+    builtin_scenario,
+    render_report,
+    run_scenario,
+    scenario_daily_rows,
+)
 
 
 def test_fig7_daily_slowdown_series(benchmark):
-    workload = build_workload(4, scale=bench_scale(4))
-
-    def experiment():
-        return figure_7_daily_series(workload, max_slowdown=10.0)
-
-    result = run_once(benchmark, experiment)
-    save_artifact("fig7_daily_slowdown_workload4", result.text)
-    rows = result.data["rows"]
+    spec = builtin_scenario("figure7", scale=bench_scale(4), max_slowdown=10.0)
+    outcome = run_once(benchmark, lambda: run_scenario(spec))
+    save_artifact("fig7_daily_slowdown_workload4", render_report(outcome))
+    rows = scenario_daily_rows(outcome)
     assert len(rows) >= 3, "expected a multi-day workload"
 
     static = np.array([r["static_slowdown"] for r in rows if math.isfinite(r["static_slowdown"])])
@@ -40,7 +40,10 @@ def test_fig7_daily_slowdown_series(benchmark):
     assert sd.mean() < static.mean()
     # Malleability is actually exercised, day after day.
     assert sum(r["malleable_jobs"] for r in rows) > 0
-    assert result.data["malleable_fraction"] > 0.02
+    sd_run = outcome.cells[0].run
+    malleable_fraction = sd_run.metrics.malleable_scheduled / max(1, len(sd_run.jobs))
+    mate_fraction = sd_run.metrics.mate_jobs / max(1, len(sd_run.jobs))
+    assert malleable_fraction > 0.02
     # Mates are never more numerous than malleable-scheduled guests by much
     # (the paper reports 10.3% guests vs 8.6% mates).
-    assert result.data["mate_fraction"] <= result.data["malleable_fraction"] * 1.5
+    assert mate_fraction <= malleable_fraction * 1.5

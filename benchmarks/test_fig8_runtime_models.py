@@ -12,27 +12,24 @@ affected by the model choice.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import bench_scale, run_once, save_artifact
-from repro.experiments.paper import figure_8_runtime_models
-from repro.workloads.presets import build_workload
+from repro.experiments.scenario import (
+    WorkloadRef,
+    builtin_scenario,
+    render_report,
+    run_scenario,
+)
 
 
 def test_fig8_runtime_model_comparison(benchmark):
-    workloads = {
-        f"workload{wid}": build_workload(wid, scale=bench_scale(wid)) for wid in (1, 2, 3, 4)
-    }
+    spec = builtin_scenario("figure8", max_slowdown="dynamic")
+    spec.workloads = [WorkloadRef(preset=wid, scale=bench_scale(wid)) for wid in (1, 2, 3, 4)]
+    outcome = run_once(benchmark, lambda: run_scenario(spec))
+    save_artifact("fig8_runtime_models", render_report(outcome))
+    assert set(outcome.workloads) == {f"workload{wid}" for wid in (1, 2, 3, 4)}
 
-    def experiment():
-        return figure_8_runtime_models(workloads, max_slowdown="dynamic")
-
-    result = run_once(benchmark, experiment)
-    save_artifact("fig8_runtime_models", result.text)
-    per_workload = result.data["per_workload"]
-    assert set(per_workload) == set(workloads)
-
-    for name, entry in per_workload.items():
+    for name in outcome.workloads:
+        entry = outcome.normalized(name)
         ideal = entry["ideal"]
         worst = entry["worst_case"]
         # Both models outperform (or at least match) static backfill on slowdown.

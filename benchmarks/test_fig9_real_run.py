@@ -14,16 +14,20 @@ their static execution.
 from __future__ import annotations
 
 from benchmarks.conftest import bench_scale, run_once, save_artifact
-from repro.experiments.paper import figure_9_real_run
+from repro.experiments.scenario import (
+    builtin_scenario,
+    realrun_improvements,
+    render_report,
+    run_scenario,
+)
 
 
 def test_fig9_real_run_improvements(benchmark):
-    def experiment():
-        return figure_9_real_run(scale=bench_scale(5), max_slowdown="dynamic")
-
-    result = run_once(benchmark, experiment)
-    save_artifact("fig9_real_run", result.text)
-    improvements = result.data["improvements"]
+    spec = builtin_scenario("figure9", scale=bench_scale(5), max_slowdown="dynamic")
+    outcome = run_once(benchmark, lambda: run_scenario(spec))
+    save_artifact("fig9_real_run", render_report(outcome))
+    stats = realrun_improvements(outcome)
+    improvements = stats["improvements"]
 
     # Response time and slowdown improve by double digits.
     assert improvements["avg_response_time"] > 10.0
@@ -34,5 +38,5 @@ def test_fig9_real_run_improvements(benchmark):
     assert improvements["makespan"] > -8.0
     # Most malleable-scheduled jobs used resources more efficiently than the
     # static execution (paper: 449 of 539).
-    assert result.data["malleable_scheduled"] > 0
-    assert result.data["better_runtime_jobs"] >= 0.6 * result.data["malleable_scheduled"]
+    assert stats["malleable_scheduled"] > 0
+    assert stats["better_runtime_jobs"] >= 0.6 * stats["malleable_scheduled"]

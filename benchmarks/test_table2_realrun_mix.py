@@ -9,15 +9,15 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once, save_artifact
-from repro.experiments.paper import table_2_application_mix
-from repro.workloads.applications import APPLICATION_MIX
+from repro.experiments.scenario import builtin_scenario, render_report, run_scenario
+from repro.workloads.applications import APPLICATION_MIX, application_shares
 
 
 def test_table2_application_mix(benchmark):
-    result = run_once(benchmark, lambda: table_2_application_mix(scale=1.0))
-    save_artifact("table2_application_mix", result.text)
-    shares = result.data["shares"]
+    outcome = run_once(benchmark, lambda: run_scenario(builtin_scenario("table2", scale=1.0)))
+    save_artifact("table2_application_mix", render_report(outcome))
+    shares = application_shares(outcome.workload)
     expected = {m.name: m.share for m in APPLICATION_MIX}
     for app, share in expected.items():
         assert shares.get(app, 0.0) == pytest.approx(share, abs=0.06), app
-    assert result.data["num_jobs"] == 2000
+    assert len(outcome.workload) == 2000

@@ -18,8 +18,12 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments.paper import figure_4_to_6_heatmaps, figure_7_daily_series
-from repro.workloads.presets import build_workload
+from repro.experiments.scenario import (
+    WorkloadRef,
+    builtin_scenario,
+    render_report,
+    run_scenario,
+)
 
 
 def main() -> None:
@@ -30,24 +34,28 @@ def main() -> None:
     parser.add_argument("--workload", type=int, default=4, choices=[1, 2, 3, 4, 5])
     args = parser.parse_args()
 
-    workload = build_workload(args.workload, scale=args.scale)
+    def scenario(name):
+        spec = builtin_scenario(name, max_slowdown=args.maxsd)
+        spec.workloads = [WorkloadRef(preset=args.workload, scale=args.scale)]
+        return run_scenario(spec)
+
+    heatmaps = scenario("figure4-6")
+    workload = heatmaps.workload
     print(f"Workload {args.workload} at scale {args.scale:g}: {len(workload)} jobs on "
           f"{workload.system_nodes} nodes\n")
-
-    heatmaps = figure_4_to_6_heatmaps(workload, max_slowdown=args.maxsd)
-    print(heatmaps.text)
+    print(render_report(heatmaps))
     print()
-    static_sd = heatmaps.data["static_metrics"]["avg_slowdown"]
-    sd_sd = heatmaps.data["sd_metrics"]["avg_slowdown"]
-    print(f"Average slowdown: static {static_sd:.1f} -> SD-Policy {sd_sd:.1f} "
-          f"({(1 - sd_sd / static_sd) * 100:.1f}% reduction)\n")
+    static, sd = heatmaps.baseline_run.metrics, heatmaps.cells[0].run.metrics
+    print(f"Average slowdown: static {static.avg_slowdown:.1f} -> SD-Policy "
+          f"{sd.avg_slowdown:.1f} ({(1 - sd.avg_slowdown / static.avg_slowdown) * 100:.1f}% "
+          "reduction)\n")
 
-    daily = figure_7_daily_series(workload, max_slowdown=args.maxsd)
-    print(daily.text)
+    print(render_report(scenario("figure7")))
     print()
-    print(f"Jobs scheduled with malleability: {daily.data['malleable_scheduled']} "
-          f"({daily.data['malleable_fraction'] * 100:.1f}% of the workload), "
-          f"mates: {daily.data['mate_jobs']} ({daily.data['mate_fraction'] * 100:.1f}%)")
+    jobs = max(1, len(workload))
+    print(f"Jobs scheduled with malleability: {sd.malleable_scheduled} "
+          f"({sd.malleable_scheduled / jobs * 100:.1f}% of the workload), "
+          f"mates: {sd.mate_jobs} ({sd.mate_jobs / jobs * 100:.1f}%)")
 
 
 if __name__ == "__main__":

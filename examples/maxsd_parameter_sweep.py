@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments.paper import figure_1_to_3_maxsd_sweep
-from repro.workloads.presets import build_workload
+from repro.experiments.scenario import builtin_scenario, render_report, run_scenario
 
 
 def main() -> None:
@@ -27,15 +26,16 @@ def main() -> None:
     parser.add_argument("--sharing-factor", type=float, default=0.5)
     args = parser.parse_args()
 
-    workload = build_workload(args.workload, scale=args.scale)
+    spec = builtin_scenario("figure1-3", workload_id=args.workload, scale=args.scale,
+                            sharing_factor=args.sharing_factor)
+    outcome = run_scenario(spec)
+    workload = outcome.workload
     print(f"Workload {args.workload} at scale {args.scale:g}: {len(workload)} jobs on "
           f"{workload.system_nodes} nodes (offered load {workload.offered_load():.2f})\n")
-
-    result = figure_1_to_3_maxsd_sweep(workload, sharing_factor=args.sharing_factor)
-    print(result.text)
+    print(render_report(outcome))
     print()
 
-    best = min(result.data["normalized"].items(), key=lambda kv: kv[1]["avg_slowdown"])
+    best = min(outcome.normalized().items(), key=lambda kv: kv[1]["avg_slowdown"])
     print(f"Best setting for average slowdown: {best[0]} "
           f"({(1 - best[1]['avg_slowdown']) * 100:.1f}% reduction vs static backfill)")
 

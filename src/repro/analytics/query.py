@@ -9,11 +9,12 @@ Two modes, both reading *only* the store (no simulation):
 * **Reports** — :func:`render_stored_report` regenerates Figure 1-3,
   Figure 7 and Table 1 *byte-identically* to their sweep-rendered
   versions.  The trick is shared machinery, not parallel reimplementation:
-  the same spec builders (:func:`repro.experiments.paper.maxsd_sweep_spec`,
-  :func:`~repro.experiments.paper.table_1_tasks`) produce the same tasks,
-  :func:`repro.experiments.sweep.task_cache_key` locates each run's
+  the same built-in scenarios
+  (:func:`repro.experiments.scenario.builtin_scenario`) expand to the same
+  tasks, :func:`repro.experiments.sweep.task_cache_key` locates each run's
   records, :func:`repro.analytics.metrics_from_records` rebuilds the
-  aggregates bit-for-bit, and the stock renderers produce the text.
+  aggregates bit-for-bit, and :func:`~repro.experiments.scenario.render_report`
+  produces the text.
 
 This module imports the experiments layer, so it is *not* re-exported from
 ``repro.analytics`` (which the sweep layer imports) — import it directly.
@@ -21,13 +22,12 @@ This module imports the experiments layer, so it is *not* re-exported from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.analysis.comparison import normalize_to_baseline
-from repro.analysis.figures import render_bar_chart
 from repro.analysis.tables import format_table
 from repro.analytics.records import (
     JOB_RECORD_DTYPE,
@@ -259,12 +259,6 @@ def run_query(
 # --------------------------------------------------------------------- #
 REPORT_CHOICES = ("fig1", "fig2", "fig3", "fig1-3", "fig7", "table1")
 
-_FIGURE_METRICS = {
-    "fig1": ("makespan", "Figure 1 - makespan"),
-    "fig2": ("avg_response_time", "Figure 2 - average response time"),
-    "fig3": ("avg_slowdown", "Figure 3 - average slowdown"),
-}
-
 
 class _RecordJob:
     """Per-job shim over one record row for job-based report machinery.
@@ -386,8 +380,8 @@ def outcome_from_records(
     if missing:
         raise QueryError(
             f"no stored records for task(s) {missing} of scenario "
-            f"{spec.name!r} — run the sweep with --analytics first "
-            "(query renders from records alone; it never simulates)"
+            f"{spec.name!r} — run that scenario with --analytics into this "
+            "store first (query renders from records alone; it never simulates)"
         )
     return ScenarioOutcome(
         spec=spec, workloads=resolved, baselines=baselines, cells=cells, sweep=None
@@ -405,61 +399,35 @@ def render_stored_report(
     max_slowdown: float = 10.0,
     workload_ids: Sequence[int] = (1, 2, 3, 4, 5),
 ) -> str:
-    """Regenerate one paper report from stored records (no simulation)."""
-    from repro.experiments.paper import (
-        maxsd_sweep_spec,
-        render_table_1,
-        table_1_tasks,
-    )
-    from repro.workloads.presets import build_workload
+    """Regenerate one paper report from stored records (no simulation).
 
+    ``seed`` follows the built-in rule: it seeds both the workload and the
+    simulation, as ``--seed`` does on the commands that wrote the records.
+    """
     if report == "table1":
-        workloads = {
-            wid: build_workload(wid, scale=scale, seed=seed) for wid in workload_ids
-        }
-        metrics = {}
-        missing: List[str] = []
-        for (wid, _wl), task in zip(workloads.items(), table_1_tasks(workloads)):
-            try:
-                records = load_run_records(store, task_cache_key(task))
-            except AttachmentError:
-                missing.append(task.resolved_key())
-                continue
-            metrics[wid] = metrics_from_records(records)
-        if missing:
-            raise QueryError(
-                f"no stored records for task(s) {missing} of Table 1 — run "
-                "'repro-sdpolicy table --table 1' through a sweep with "
-                "--analytics first"
-            )
-        return render_table_1(scale, tuple(workload_ids), workloads, metrics).text
+        spec = builtin_scenario(
+            "table1", scale=scale, seed=seed, workload_ids=tuple(workload_ids)
+        )
+        return render_report(outcome_from_records(spec, None, store))
     if workload is None:
         raise QueryError(f"report {report!r} needs a workload (--workload/--swf)")
-    if report in _FIGURE_METRICS or report == "fig1-3":
-        spec = maxsd_sweep_spec(
-            workload.name,
+    if report in ("fig1", "fig2", "fig3", "fig1-3"):
+        spec = builtin_scenario(
+            "figure1-3",
+            seed=seed,
             sharing_factor=sharing_factor,
             runtime_model=runtime_model,
         )
-        outcome = outcome_from_records(spec, workload, store)
-        if report == "fig1-3":
-            return report_figures_1_to_3(outcome)
-        metric, figure_name = _FIGURE_METRICS[report]
-        normalized = outcome.normalized()
-        return render_bar_chart(
-            {label: vals[metric] for label, vals in normalized.items()},
-            title=(
-                f"{figure_name} ({outcome.workload.name}, "
-                "normalised to static backfill)"
-            ),
-        )
-    if report == "fig7":
+    elif report == "fig7":
         spec = builtin_scenario(
-            "figure7", max_slowdown=max_slowdown, runtime_model=runtime_model
+            "figure7", seed=seed, max_slowdown=max_slowdown, runtime_model=runtime_model
         )
-        spec.workloads = [WorkloadRef(name=workload.name)]
-        outcome = outcome_from_records(spec, workload, store, with_jobs=True)
-        return render_report(outcome)
-    raise QueryError(
-        f"unknown report {report!r}; choices: {', '.join(REPORT_CHOICES)}"
-    )
+    else:
+        raise QueryError(
+            f"unknown report {report!r}; choices: {', '.join(REPORT_CHOICES)}"
+        )
+    spec.workloads = [WorkloadRef(name=workload.name)]
+    outcome = outcome_from_records(spec, workload, store)
+    if report in ("fig1", "fig2", "fig3"):
+        return report_figures_1_to_3(outcome, figures=(int(report[-1]),))
+    return render_report(outcome)

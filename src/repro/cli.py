@@ -13,10 +13,11 @@ shell (installed as ``repro-sdpolicy`` or via ``python -m repro``):
   bit-identical result once every shard has run;
 * ``scenario`` — run a declarative scenario spec (a JSON file, or a named
   built-in such as ``figure4-6``) through the sweep runner;
-* ``table1`` / ``table2`` — regenerate the paper's tables;
+* ``table 1|2`` — regenerate a paper table (the ``table1``/``table2``
+  built-in scenarios);
 * ``figure`` — regenerate a figure by number (1–9; 1/2/3 and 4/5/6 are
-  grouped as in the paper); every figure honours ``--workers`` and
-  ``--cache-dir``/``--store``;
+  grouped as in the paper) through its built-in scenario; figures 1-7 run
+  on the workload ``--workload``/``--swf`` select;
 * ``store`` — inspect and manage result stores (``stats``, ``prune``,
   manifest-aware ``gc``, integrity ``verify``/``repair``,
   ``push``/``pull`` mirroring, and ``serve`` — an in-process
@@ -61,19 +62,11 @@ from repro.core.policy import available_policies
 from repro.core.profiles import PROFILE_SET_NAMES
 from repro.devtools.lint import cli as lint_cli
 from repro.experiments.executors import parse_shard
-from repro.experiments.paper import (
-    figure_1_to_3_maxsd_sweep,
-    figure_4_to_6_heatmaps,
-    figure_7_daily_series,
-    figure_8_runtime_models,
-    figure_9_real_run,
-    table_1_workloads,
-    table_2_application_mix,
-)
 from repro.experiments.runner import run_workload
 from repro.experiments.scenario import (
     BUILTIN_SCENARIOS,
     ScenarioError,
+    WorkloadRef,
     builtin_scenario,
     load_spec,
     render_report,
@@ -303,78 +296,96 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _on_cli_workload(spec, args: argparse.Namespace):
+    """Point a single-workload built-in at the workload ``--workload``/``--swf``
+    select; returns that workload, the prebuilt override to run it on."""
     workload = _load_workload(args)
-    merge = args.mode == "merge"
-    runner = _make_runner(args, progress=not merge, merge=merge)
-    result = figure_1_to_3_maxsd_sweep(
-        workload,
-        sharing_factor=args.sharing_factor,
-        runtime_model=args.runtime_model,
-        runner=runner,
-    )
-    print(result.text)
-    if not result.complete:
-        return 0
-    sweep_seconds = result.data.get("sweep_wall_clock_seconds")
-    cache_hits = result.data.get("sweep_cache_hits", 0)
-    workers = result.data.get("sweep_workers", 1)
-    if sweep_seconds is not None:
+    spec.workloads = [WorkloadRef(name=workload.name)]
+    return workload
+
+
+def _run_and_print(args: argparse.Namespace, spec, workloads=None, merge: bool = False) -> int:
+    """Run a scenario through the sweep runner and print its report.
+
+    A shard run that leaves tasks unfinished prints its progress instead;
+    the run summary goes to stderr.
+    """
+    try:
+        outcome = spec.execute(
+            runner=_make_runner(args, progress=not merge, merge=merge),
+            workloads=workloads,
+        )
+        report = render_report(outcome) if outcome.complete else None
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if report is None:
+        sweep = outcome.sweep
         print(
-            f"\nsweep wall-clock: {sweep_seconds:.1f}s  workers: {workers}  "
-            f"cache hits: {cache_hits}",
+            f"scenario {spec.name}: shard run finished — {len(sweep)}/"
+            f"{sweep.total_tasks} sweep tasks complete."
+        )
+        print(
+            "run the remaining shards with the same --cache-dir, then re-run "
+            "without --shard to render the report",
+            file=sys.stderr,
+        )
+        return 0
+    print(report)
+    if outcome.sweep is not None:
+        print(
+            f"\nscenario {spec.name}: {len(outcome.sweep)} runs  "
+            f"wall-clock: {outcome.sweep_wall_clock_seconds:.1f}s  "
+            f"workers: {outcome.sweep_workers}  "
+            f"cache hits: {outcome.sweep_cache_hits}",
             file=sys.stderr,
         )
     return 0
 
 
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    spec = builtin_scenario(
+        "figure1-3",
+        workload_id=args.workload,
+        seed=args.seed,
+        sharing_factor=args.sharing_factor,
+        runtime_model=args.runtime_model,
+    )
+    workload = _on_cli_workload(spec, args)
+    return _run_and_print(args, spec, workloads=workload, merge=args.mode == "merge")
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.table == 1:
-        print(table_1_workloads(scale=args.scale, runner=_make_runner(args)).text)
-    else:
-        print(table_2_application_mix(scale=args.scale, runner=_make_runner(args)).text)
-    return 0
+    return _run_and_print(args, builtin_scenario(f"table{args.table}", scale=args.scale))
+
+
+#: The built-in scenario behind each figure number.
+_FIGURE_SCENARIOS = {
+    1: "figure1-3", 2: "figure1-3", 3: "figure1-3",
+    4: "figure4-6", 5: "figure4-6", 6: "figure4-6",
+    7: "figure7", 8: "figure8", 9: "figure9",
+}
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    figure = args.figure
-    runner = _make_runner(args)
-    if figure in (1, 2, 3):
-        workload = _load_workload(args)
-        result = figure_1_to_3_maxsd_sweep(workload, runner=runner)
-    elif figure in (4, 5, 6):
-        workload = _load_workload(args)
-        result = figure_4_to_6_heatmaps(
-            workload, max_slowdown=_parse_maxsd(args.maxsd), runner=runner
+    name = _FIGURE_SCENARIOS[args.figure]
+    if args.figure <= 7:
+        # Figures 1-7 run on the workload --workload/--swf select.
+        if args.figure <= 3:
+            spec = builtin_scenario(name, workload_id=args.workload, seed=args.seed)
+        else:
+            spec = builtin_scenario(name, seed=args.seed, max_slowdown=_parse_maxsd(args.maxsd))
+        return _run_and_print(args, spec, workloads=_on_cli_workload(spec, args))
+    if args.figure == 9 and (args.swf or args.workload != 1):
+        print(
+            "warning: figure 9 always replays the real-run workload 5; "
+            "--workload/--swf are ignored (use --scale/--seed to vary it)",
+            file=sys.stderr,
         )
-    elif figure == 7:
-        workload = _load_workload(args)
-        result = figure_7_daily_series(
-            workload, max_slowdown=_parse_maxsd(args.maxsd), runner=runner
-        )
-    elif figure == 8:
-        workloads = {
-            f"workload{wid}": build_workload(wid, scale=args.scale, seed=args.seed)
-            for wid in (1, 2, 3, 4)
-        }
-        result = figure_8_runtime_models(workloads, runner=runner)
-    elif figure == 9:
-        if args.swf or args.workload != 1:
-            print(
-                "warning: figure 9 always replays the real-run workload 5; "
-                "--workload/--swf are ignored (use --scale/--seed to vary it)",
-                file=sys.stderr,
-            )
-        result = figure_9_real_run(
-            scale=args.scale,
-            seed=args.seed if args.seed is not None else 5005,
-            runner=runner,
-        )
-    else:
-        print(f"unknown figure {figure}", file=sys.stderr)
-        return 2
-    print(result.text)
-    return 0
+    overrides = {"scale": args.scale}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    return _run_and_print(args, builtin_scenario(name, **overrides))
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -414,34 +425,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         # ValueError covers malformed JSON / wrong-typed scalar fields.
         print(f"error: invalid scenario spec {args.spec!r}: {exc}", file=sys.stderr)
         return 2
-    try:
-        outcome = spec.execute(runner=_make_runner(args, progress=True))
-        report = render_report(outcome) if outcome.complete else None
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if report is None:
-        sweep = outcome.sweep
-        print(
-            f"scenario {spec.name}: shard run finished — {len(sweep)}/"
-            f"{sweep.total_tasks} sweep tasks complete."
-        )
-        print(
-            "run the remaining shards with the same --cache-dir, then re-run "
-            "without --shard to render the report",
-            file=sys.stderr,
-        )
-        return 0
-    print(report)
-    if outcome.sweep is not None:
-        print(
-            f"\nscenario {spec.name}: {len(outcome.sweep)} runs  "
-            f"wall-clock: {outcome.sweep_wall_clock_seconds:.1f}s  "
-            f"workers: {outcome.sweep_workers}  "
-            f"cache hits: {outcome.sweep_cache_hits}",
-            file=sys.stderr,
-        )
-    return 0
+    return _run_and_print(args, spec)
 
 
 def _human_bytes(count: int) -> str:

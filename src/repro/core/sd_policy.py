@@ -166,7 +166,7 @@ class SDPolicyScheduler(BackfillScheduler):
         backfill depth) with an aggregate work-ahead bound, which keeps the
         estimate meaningful for jobs far beyond the reservation depth —
         the paper's implementation builds the full reservation map; the
-        aggregate bound is the scalable stand-in documented in DESIGN.md.
+        aggregate bound is the scalable stand-in.
         """
         total_cpus = sim.cluster.total_cpus
         work_bound = sim.now

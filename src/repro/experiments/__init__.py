@@ -6,11 +6,10 @@ out over a process pool with a result cache in a pluggable
 :mod:`repro.store` backend (local directory, memory, or remote object
 store);
 :mod:`repro.experiments.scenario` turns a declarative spec (workload ref ×
-policy × parameter grid, JSON round-trippable) into sweep tasks and reports;
-:mod:`repro.experiments.paper` wraps the built-in scenarios behind every
-table and figure of the paper's evaluation (see the experiment index in
-DESIGN.md).  The benchmarks and the CLI are thin wrappers around this
-package.
+policy × parameter grid, JSON round-trippable) into sweep tasks and reports,
+and holds one built-in scenario per table and figure of the paper's
+evaluation (:data:`~repro.experiments.scenario.BUILTIN_SCENARIOS`).  The
+benchmarks and the CLI are thin wrappers around this package.
 """
 
 from repro.experiments.executors import (
@@ -21,16 +20,6 @@ from repro.experiments.executors import (
     SerialExecutor,
     ShardedExecutor,
     parse_shard,
-)
-from repro.experiments.paper import (
-    FigureResult,
-    figure_1_to_3_maxsd_sweep,
-    figure_4_to_6_heatmaps,
-    figure_7_daily_series,
-    figure_8_runtime_models,
-    figure_9_real_run,
-    table_1_workloads,
-    table_2_application_mix,
 )
 from repro.experiments.runner import PolicyRun, cluster_for, run_workload
 from repro.experiments.scenario import (
@@ -60,7 +49,6 @@ __all__ = [
     "BUILTIN_SCENARIOS",
     "Executor",
     "ExecutorError",
-    "FigureResult",
     "MergeExecutor",
     "PolicyRun",
     "ProcessPoolExecutor",
@@ -79,18 +67,11 @@ __all__ = [
     "WorkloadRef",
     "builtin_scenario",
     "cluster_for",
-    "figure_1_to_3_maxsd_sweep",
-    "figure_4_to_6_heatmaps",
-    "figure_7_daily_series",
-    "figure_8_runtime_models",
-    "figure_9_real_run",
     "fingerprint_workload",
     "load_spec",
     "render_report",
     "run_scenario",
     "run_workload",
     "save_spec",
-    "table_1_workloads",
-    "table_2_application_mix",
     "task_cache_key",
 ]

@@ -15,11 +15,12 @@ or a real SWF log), *which policy*, and *which parameter grid*
 * normalises every cell to the scenario's baseline run (the paper's
   "normalised to static backfill" convention).
 
-Every figure/table function in :mod:`repro.experiments.paper` and every
-ablation benchmark is a thin wrapper around :func:`run_scenario` plus one of
-the report renderers below; ``repro-sdpolicy scenario`` runs a user-written
-JSON spec (or a named built-in) from the shell.  Writing a new experiment
-means writing a spec, not a loop.
+Every paper table and figure is a built-in scenario
+(:data:`BUILTIN_SCENARIOS`) rendered by one of the report renderers below;
+the CLI's ``table``/``figure``/``sweep``/``scenario`` commands, the
+benchmarks and the ablations all go through :func:`run_scenario`, and
+``repro-sdpolicy scenario`` also runs a user-written JSON spec.  Writing a
+new experiment means writing a spec, not a loop.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ class ScenarioSpec:
         Simulation seed forwarded to every task (the paper runs use 0).
     report:
         Name of the report renderer used by :func:`render_report` — one of
-        ``table``, ``figures1-3``, ``heatmaps``, ``daily``,
+        ``table``, ``workloads``, ``figures1-3``, ``heatmaps``, ``daily``,
         ``runtime_models``, ``realrun``, ``mix``, ``faceoff``.
     analytics:
         If true, every executed task publishes per-job records to the
@@ -716,16 +717,56 @@ def report_table(outcome: ScenarioOutcome) -> str:
     return "\n\n".join(blocks)
 
 
-def report_figures_1_to_3(outcome: ScenarioOutcome) -> str:
-    """The Figures 1-3 bar charts (normalised makespan/response/slowdown)."""
+def report_workloads(outcome: ScenarioOutcome) -> str:
+    """The Table 1 workload table: each workload's size and baseline metrics."""
+    from repro.workloads.presets import PAPER_WORKLOADS
+
+    rows: List[List[Any]] = []
+    for ref in outcome.spec.workloads:
+        wkey = ref.key()
+        workload = outcome.workloads[wkey]
+        baseline = outcome.baselines.get(wkey)
+        if baseline is None:
+            raise ScenarioError(
+                f"report 'workloads' needs a baseline run of {wkey!r}"
+            )
+        metrics = baseline.metrics
+        preset = ref.preset
+        rows.append([
+            wkey if preset is None else preset,
+            workload.name if preset is None else PAPER_WORKLOADS[preset].label,
+            len(workload),
+            workload.system_nodes,
+            workload.system_cpus,
+            workload.max_job_nodes,
+            metrics.avg_response_time,
+            metrics.avg_slowdown,
+            metrics.makespan,
+        ])
+    headers = [
+        "ID", "Log/model", "#jobs", "nodes", "cores", "max job nodes",
+        "avg resp (s)", "avg slowdown", "makespan (s)",
+    ]
+    scale = outcome.spec.workloads[0].scale
+    return format_table(headers, rows, precision=1, title=f"Table 1 (scale={scale:g})")
+
+
+#: The metric and title of Figures 1, 2 and 3, in figure order.
+_FIGURES_1_TO_3 = (
+    ("makespan", "Figure 1 - makespan"),
+    ("avg_response_time", "Figure 2 - average response time"),
+    ("avg_slowdown", "Figure 3 - average slowdown"),
+)
+
+
+def report_figures_1_to_3(outcome: ScenarioOutcome, figures: Sequence[int] = (1, 2, 3)) -> str:
+    """The Figures 1-3 bar charts (normalised makespan/response/slowdown);
+    ``figures`` selects which of the three to draw."""
     workload = outcome.workload
     normalized = outcome.normalized()
     charts = []
-    for metric, figure_name in (
-        ("makespan", "Figure 1 - makespan"),
-        ("avg_response_time", "Figure 2 - average response time"),
-        ("avg_slowdown", "Figure 3 - average slowdown"),
-    ):
+    for number in figures:
+        metric, figure_name = _FIGURES_1_TO_3[number - 1]
         charts.append(
             render_bar_chart(
                 {label: vals[metric] for label, vals in normalized.items()},
@@ -971,6 +1012,7 @@ def report_faceoff(outcome: ScenarioOutcome) -> str:
 
 REPORTS = {
     "table": report_table,
+    "workloads": report_workloads,
     "figures1-3": report_figures_1_to_3,
     "heatmaps": report_heatmaps,
     "daily": report_daily,
@@ -998,8 +1040,9 @@ MAXSD_GRID: List[Dict[str, Any]] = [
     {"label": "DynAVGSD", "value": "dynamic"},
 ]
 
-#: Benchmark scales per preset (kept in sync with benchmarks/conftest.py).
-_BENCH_SCALES = {1: 0.04, 2: 0.04, 3: 0.02, 4: 0.01, 5: 0.35}
+#: Benchmark scales per preset: the default scale of the built-ins and the
+#: base of ``benchmarks/conftest.bench_scale``.
+BENCH_SCALES = {1: 0.04, 2: 0.04, 3: 0.02, 4: 0.01, 5: 0.35}
 
 
 def _sim_seed(seed: Optional[int], default: int = 0) -> int:
@@ -1013,20 +1056,35 @@ def _sim_seed(seed: Optional[int], default: int = 0) -> int:
     return default if seed is None else int(seed)
 
 
+def _spec_table_1(scale: float = 0.05, seed: Optional[int] = None,
+                  workload_ids: Sequence[int] = (1, 2, 3, 4, 5)) -> ScenarioSpec:
+    return ScenarioSpec(
+        name="table1",
+        description="Table 1: workload descriptions under static backfill",
+        workloads=[WorkloadRef(preset=wid, scale=scale, seed=seed) for wid in workload_ids],
+        policy=None,
+        seed=_sim_seed(seed),
+        baseline={"policy": "static_backfill", "kwargs": {}},
+        report="workloads",
+    )
+
+
 def _spec_figure_1_to_3(workload_id: int = 1, scale: Optional[float] = None,
-                        seed: Optional[int] = None) -> ScenarioSpec:
+                        seed: Optional[int] = None, sharing_factor: float = 0.5,
+                        runtime_model: str = "ideal") -> ScenarioSpec:
     return ScenarioSpec(
         name=f"figure1-3-workload{workload_id}",
         description="Figures 1-3: MAX_SLOWDOWN sweep, normalised to static backfill",
         workloads=[WorkloadRef(preset=workload_id,
-                               scale=_BENCH_SCALES[workload_id] if scale is None else scale,
+                               scale=BENCH_SCALES[workload_id] if scale is None else scale,
                                seed=seed)],
         policy="sd_policy",
         seed=_sim_seed(seed),
         grid={"max_slowdown": MAXSD_GRID},
-        base={"runtime_model": "ideal", "malleable_fraction": 1.0, "sharing_factor": 0.5},
+        base={"runtime_model": runtime_model, "malleable_fraction": 1.0,
+              "sharing_factor": sharing_factor},
         baseline={"policy": "static_backfill",
-                  "kwargs": {"runtime_model": "ideal", "malleable_fraction": 1.0}},
+                  "kwargs": {"runtime_model": runtime_model, "malleable_fraction": 1.0}},
         report="figures1-3",
     )
 
@@ -1039,7 +1097,7 @@ def _spec_static_sd_pair(name: str, report: str, description: str,
     return ScenarioSpec(
         name=name,
         description=description,
-        workloads=[WorkloadRef(preset=4, scale=_BENCH_SCALES[4] if scale is None else scale,
+        workloads=[WorkloadRef(preset=4, scale=BENCH_SCALES[4] if scale is None else scale,
                                seed=seed)],
         policy="sd_policy",
         seed=_sim_seed(seed),
@@ -1057,7 +1115,7 @@ def _spec_figure_8(scale: Optional[float] = None, seed: Optional[int] = None,
         name="figure8",
         description="Figure 8: ideal vs worst-case runtime model on workloads 1-4",
         workloads=[
-            WorkloadRef(preset=wid, scale=_BENCH_SCALES[wid] if scale is None else scale,
+            WorkloadRef(preset=wid, scale=BENCH_SCALES[wid] if scale is None else scale,
                         seed=seed)
             for wid in (1, 2, 3, 4)
         ],
@@ -1073,7 +1131,7 @@ def _spec_figure_8(scale: Optional[float] = None, seed: Optional[int] = None,
     )
 
 
-def _spec_figure_9(scale: float = _BENCH_SCALES[5], seed: int = 5005,
+def _spec_figure_9(scale: float = BENCH_SCALES[5], seed: int = 5005,
                    sharing_factor: float = 0.5,
                    max_slowdown: Any = "dynamic") -> ScenarioSpec:
     return ScenarioSpec(
@@ -1168,7 +1226,7 @@ def _spec_policy_faceoff(
         workloads=[
             WorkloadRef(
                 preset=wid,
-                scale=_BENCH_SCALES[wid] if scale is None else scale,
+                scale=BENCH_SCALES[wid] if scale is None else scale,
                 seed=seed,
                 applications="table2",
             )
@@ -1215,6 +1273,7 @@ def _spec_table_2(scale: float = 1.0, seed: int = 5005) -> ScenarioSpec:
 
 
 BUILTIN_SCENARIOS: Dict[str, Any] = {
+    "table1": _spec_table_1,
     "figure1-3": _spec_figure_1_to_3,
     "figure4-6": lambda **kw: _spec_static_sd_pair(
         "figure4-6", "heatmaps",

@@ -20,9 +20,8 @@ fans those calls out through a pluggable execution backend
 * worker failures that surface the *original* traceback in the parent.
 
 The scenario layer (:mod:`repro.experiments.scenario`) expands declarative
-specs into task lists for this runner; the per-figure experiment functions
-in :mod:`repro.experiments.paper` and the ``sweep``/``scenario`` CLI
-subcommands all run through it.
+specs into task lists for this runner; every paper table and figure, and
+every sweep-backed CLI subcommand, runs through it.
 """
 
 from __future__ import annotations

@@ -37,12 +37,13 @@ from repro.experiments.executors import (
     MergeExecutor,
     ShardedExecutor,
 )
-from repro.experiments.paper import (
-    figure_1_to_3_maxsd_sweep,
-    figure_7_daily_series,
-    maxsd_sweep_spec,
-)
 from repro.experiments.runner import run_workload
+from repro.experiments.scenario import (
+    WorkloadRef,
+    builtin_scenario,
+    render_report,
+    run_scenario,
+)
 from repro.experiments.sweep import (
     CACHE_FORMAT_VERSION,
     CACHE_KEY_VERSION,
@@ -64,6 +65,13 @@ def workload():
         num_jobs=80, system_nodes=16, cpus_per_node=8, max_job_nodes=8,
         target_load=1.0, median_runtime_s=1800.0, seed=13, name="analytics_test",
     ).generate()
+
+
+def _run_on(workload, name, runner, **overrides):
+    """Run built-in ``name`` on a prebuilt workload, as the CLI does."""
+    spec = builtin_scenario(name, **overrides)
+    spec.workloads = [WorkloadRef(name=workload.name)]
+    return run_scenario(spec, runner=runner, workloads=workload)
 
 
 # --------------------------------------------------------------------- #
@@ -211,7 +219,7 @@ class TestQuery:
     def populated(self, workload):
         store = MemoryStore()
         runner = SweepRunner(max_workers=1, store=store, analytics=True)
-        result = figure_1_to_3_maxsd_sweep(workload, runner=runner)
+        result = _run_on(workload, "figure1-3", runner)
         return store, result
 
     def test_list_runs(self, populated):
@@ -241,17 +249,18 @@ class TestQuery:
 
     def test_fig1_to_3_report_is_byte_identical(self, populated, workload):
         store, result = populated
-        assert render_stored_report(store, "fig1-3", workload=workload) == result.text
+        assert render_stored_report(store, "fig1-3", workload=workload) == render_report(result)
 
     def test_single_figure_is_a_chart_of_the_full_report(self, populated, workload):
         store, result = populated
         fig2 = render_stored_report(store, "fig2", workload=workload)
-        assert fig2 in result.text
+        assert fig2 in render_report(result)
         assert fig2.startswith("Figure 2")
 
     def test_outcome_from_records_normalises_like_the_sweep(self, populated, workload):
         store, _ = populated
-        spec = maxsd_sweep_spec(workload.name)
+        spec = builtin_scenario("figure1-3")
+        spec.workloads = [WorkloadRef(name=workload.name)]
         outcome = outcome_from_records(spec, workload, store)
         normalized = outcome.normalized()
         assert set(normalized) == {
@@ -267,28 +276,30 @@ class TestQuery:
     def test_fig7_report_is_byte_identical(self, workload):
         store = MemoryStore()
         runner = SweepRunner(max_workers=1, store=store, analytics=True)
-        result = figure_7_daily_series(workload, max_slowdown=10.0, runner=runner)
+        result = _run_on(workload, "figure7", runner, max_slowdown=10.0)
         regenerated = render_stored_report(
             store, "fig7", workload=workload, max_slowdown=10.0
         )
-        assert regenerated == result.text
+        assert regenerated == render_report(result)
 
     def test_sharded_merge_then_query_is_byte_identical(self, workload):
         """Acceptance: two analytics shards through one shared store, merged,
         then regenerated from records alone — same bytes."""
         store = MemoryStore()
         for index in range(2):
-            figure_1_to_3_maxsd_sweep(
+            _run_on(
                 workload,
-                runner=SweepRunner(
+                "figure1-3",
+                SweepRunner(
                     max_workers=1, store=store, analytics=True,
                     executor=ShardedExecutor(index, 2),
                 ),
             )
-        merged = figure_1_to_3_maxsd_sweep(
+        merged = _run_on(
             workload,
-            runner=SweepRunner(max_workers=1, store=store,
-                               executor=MergeExecutor()),
+            "figure1-3",
+            SweepRunner(max_workers=1, store=store, executor=MergeExecutor()),
         )
         assert merged.complete
-        assert render_stored_report(store, "fig1-3", workload=workload) == merged.text
+        assert (render_stored_report(store, "fig1-3", workload=workload)
+                == render_report(merged))

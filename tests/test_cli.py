@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
 
 import pytest
 
@@ -108,6 +110,56 @@ class TestCommands:
         assert main(["figure", "9", "--scale", "0.02"]) == 0
         captured = capsys.readouterr()
         assert "ignored" not in captured.err
+
+
+class TestPaperArtifactCommands:
+    """``table``/``figure``/``sweep`` run the built-in scenarios, and
+    ``query --report`` rebuilds the same outcome from stored records."""
+
+    def test_table1_query_is_byte_identical(self, tmp_path, capsys):
+        cache = str(tmp_path / "cache")
+        assert main(["table", "1", "--scale", "0.01", "--analytics",
+                     "--cache-dir", cache]) == 0
+        table = capsys.readouterr().out
+        assert table.startswith("Table 1 (scale=0.01)")
+        assert main(["query", "--report", "table1", "--scale", "0.01",
+                     "--cache-dir", cache]) == 0
+        assert capsys.readouterr().out == table
+
+    def test_table1_query_on_empty_store_names_real_commands(self, tmp_path, capsys):
+        assert main(["query", "--report", "table1", "--scale", "0.01",
+                     "--cache-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "--analytics" in err
+        # Every command the message suggests must parse.
+        for command in re.findall(r"repro-sdpolicy ([^'\"`]+)", err):
+            build_parser().parse_args(shlex.split(command))
+
+    def test_table_command_matches_builtin_scenario(self, capsys):
+        assert main(["table", "1", "--scale", "0.01", "--workers", "1"]) == 0
+        table = capsys.readouterr().out
+        assert main(["scenario", "table1", "--scale", "0.01", "--workers", "1"]) == 0
+        assert capsys.readouterr().out == table
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--workload", "3", "--scale", "0.01", "--seed", "7"],
+        ["figure", "3", "--workload", "3", "--scale", "0.01", "--seed", "7"],
+        ["figure", "7", "--workload", "3", "--scale", "0.01", "--seed", "7"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_explicit_seed_reaches_the_simulation(self, monkeypatch, capsys, argv):
+        import repro.cli as cli_mod
+
+        seeds = set()
+        real_run = cli_mod.SweepRunner.run
+
+        def recording_run(self, tasks):
+            seeds.update(task.resolved_seed() for task in tasks)
+            return real_run(self, tasks)
+
+        monkeypatch.setattr(cli_mod.SweepRunner, "run", recording_run)
+        assert main(argv + ["--workers", "1"]) == 0
+        capsys.readouterr()
+        assert seeds == {7}
 
 
 class TestWorkersPrecedence:

@@ -11,16 +11,16 @@ import math
 import pytest
 
 from repro.core.sd_policy import SDPolicyScheduler
-from repro.experiments.paper import (
-    MAXSD_SETTINGS,
-    figure_1_to_3_maxsd_sweep,
-    figure_4_to_6_heatmaps,
-    figure_7_daily_series,
-    figure_8_runtime_models,
-    table_1_workloads,
-    table_2_application_mix,
-)
 from repro.experiments.runner import cluster_for, make_scheduler, run_workload
+from repro.experiments.scenario import (
+    MAXSD_GRID,
+    WorkloadRef,
+    builtin_scenario,
+    render_report,
+    run_scenario,
+    scenario_daily_rows,
+    scenario_heatmaps,
+)
 from repro.schedulers.backfill import BackfillScheduler
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.workloads.cirne import CirneWorkloadModel
@@ -83,47 +83,62 @@ class TestRunner:
         assert run.metrics.malleable_scheduled == 0
 
 
+def _run_on(workload, name, **overrides):
+    """Run built-in ``name`` on a prebuilt workload."""
+    spec = builtin_scenario(name, **overrides)
+    spec.workloads = [WorkloadRef(name=workload.name)]
+    return run_scenario(spec, workloads=workload)
+
+
 class TestFigureExperiments:
     def test_maxsd_sweep_structure(self, workload):
-        result = figure_1_to_3_maxsd_sweep(
-            workload, maxsd_settings={"MAXSD 10": 10.0, "DynAVGSD": "dynamic"}
-        )
-        assert set(result.data["normalized"]) == {"MAXSD 10", "DynAVGSD"}
-        for values in result.data["normalized"].values():
+        spec = builtin_scenario("figure1-3")
+        spec.grid = {"max_slowdown": [
+            p for p in spec.grid["max_slowdown"] if p.label in ("MAXSD 10", "DynAVGSD")
+        ]}
+        outcome = run_scenario(spec, workloads=workload)
+        assert set(outcome.normalized()) == {"MAXSD 10", "DynAVGSD"}
+        for values in outcome.normalized().values():
             assert set(values) == {"makespan", "avg_response_time", "avg_slowdown"}
             assert values["avg_slowdown"] <= 1.05  # SD-Policy should not lose badly
-        assert "Figure 3" in result.text
+        assert "Figure 3" in render_report(outcome)
 
     def test_heatmap_experiment(self, workload):
-        result = figure_4_to_6_heatmaps(workload, max_slowdown=10.0)
-        grids = result.data["grids"]
+        outcome = _run_on(workload, "figure4-6", max_slowdown=10.0)
+        grids = scenario_heatmaps(outcome)
         assert set(grids) == {"slowdown", "runtime", "wait"}
-        assert "Figure 4" in result.text
+        assert "Figure 4" in render_report(outcome)
 
     def test_daily_series_experiment(self, workload):
-        result = figure_7_daily_series(workload, max_slowdown=10.0)
-        rows = result.data["rows"]
+        outcome = _run_on(workload, "figure7", max_slowdown=10.0)
+        rows = scenario_daily_rows(outcome)
         assert rows, "expected at least one day of data"
         assert {"day", "static_slowdown", "sd_slowdown", "malleable_jobs"} <= set(rows[0])
-        assert 0.0 <= result.data["malleable_fraction"] <= 1.0
+        sd = outcome.cells[0].run
+        assert 0.0 <= sd.metrics.malleable_scheduled / max(1, len(sd.jobs)) <= 1.0
 
     def test_runtime_model_experiment(self, workload):
-        result = figure_8_runtime_models({"wl": workload}, max_slowdown="dynamic")
-        entry = result.data["per_workload"]["wl"]
+        spec = builtin_scenario("figure8", max_slowdown="dynamic")
+        spec.workloads = [WorkloadRef(name="wl")]
+        entry = run_scenario(spec, workloads={"wl": workload}).normalized("wl")
         assert set(entry) == {"ideal", "worst_case"}
         # The worst-case model can only be slower or equal for each metric.
         assert entry["worst_case"]["avg_slowdown"] >= entry["ideal"]["avg_slowdown"] - 0.15
 
     def test_table_1(self):
-        result = table_1_workloads(scale=0.01, workload_ids=(3,))
-        assert 3 in result.data["rows"]
-        assert "Table 1" in result.text
+        outcome = run_scenario(builtin_scenario("table1", scale=0.01, workload_ids=(3,)))
+        assert "workload3" in outcome.baselines
+        assert "Table 1" in render_report(outcome)
 
     def test_table_2(self):
-        result = table_2_application_mix(scale=0.2)
-        shares = result.data["shares"]
+        from repro.workloads.applications import application_shares
+
+        outcome = run_scenario(builtin_scenario("table2", scale=0.2))
+        shares = application_shares(outcome.workload)
         assert abs(sum(shares.values()) - 1.0) < 1e-6
         assert "PILS" in shares
 
     def test_maxsd_settings_match_paper_labels(self):
-        assert set(MAXSD_SETTINGS) == {"MAXSD 5", "MAXSD 10", "MAXSD 50", "MAXSD inf", "DynAVGSD"}
+        assert {p["label"] for p in MAXSD_GRID} == {
+            "MAXSD 5", "MAXSD 10", "MAXSD 50", "MAXSD inf", "DynAVGSD"
+        }

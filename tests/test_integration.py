@@ -4,6 +4,10 @@ checking cross-module invariants rather than individual units."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +153,26 @@ class TestMixedWorkload:
             j for j in run.jobs if j.scheduled_malleable and not j.malleable
         ]
         assert non_malleable_scheduled == []
+
+
+EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+
+
+@pytest.mark.parametrize("argv", [
+    ["heatmap_analysis.py", "--scale", "0.005"],
+    ["maxsd_parameter_sweep.py", "--workload", "3", "--scale", "0.01"],
+    ["real_run_emulation.py", "--scale", "0.1"],
+    ["swf_replay.py", "--max-jobs", "200"],
+    ["quickstart.py"],
+    ["mixed_workload_cluster.py"],
+], ids=lambda argv: argv[0])
+def test_example_script_runs(argv):
+    """Every example runs end to end at a small size."""
+    src = str(EXAMPLES_DIR.parent / "src")
+    env = dict(os.environ, REPRO_SWEEP_WORKERS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / argv[0]), *argv[1:]],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stderr

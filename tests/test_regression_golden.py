@@ -18,22 +18,26 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.paper import figure_1_to_3_maxsd_sweep, table_1_workloads
-from repro.experiments.scenario import load_spec, render_report, run_scenario
+from repro.experiments.scenario import (
+    MAXSD_GRID,
+    builtin_scenario,
+    load_spec,
+    render_report,
+    run_scenario,
+)
 from repro.experiments.sweep import SweepRunner
-from repro.workloads.presets import build_workload
 
 OUTPUT_DIR = Path(__file__).parent.parent / "benchmarks" / "output"
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 
-#: Benchmark scales the committed artifacts were generated at — keep in sync
-#: with ``benchmarks/conftest.BENCH_SCALES`` (raw values, deliberately not
-#: honouring REPRO_BENCH_SCALE_FACTOR: the goldens are pinned).
+#: Benchmark scales the committed artifacts were generated at: raw values
+#: of ``repro.experiments.scenario.BENCH_SCALES``, deliberately not honouring
+#: REPRO_BENCH_SCALE_FACTOR (the goldens are pinned).
 TABLE1_SCALE = 0.02
 FIG13_WORKLOAD_ID = 1
 FIG13_SCALE = 0.04
 
-MAXSD_LABELS = ("MAXSD 5", "MAXSD 10", "MAXSD 50", "MAXSD inf", "DynAVGSD")
+MAXSD_LABELS = tuple(point["label"] for point in MAXSD_GRID)
 
 
 def _require(path: Path) -> str:
@@ -98,22 +102,26 @@ class TestTable1Golden:
 
     @pytest.fixture(scope="class")
     def regenerated(self):
-        return table_1_workloads(scale=TABLE1_SCALE, workload_ids=(1, 2, 3, 5)).data["rows"]
+        return run_scenario(
+            builtin_scenario("table1", scale=TABLE1_SCALE, workload_ids=(1, 2, 3, 5))
+        )
 
     def test_artifact_parses(self, golden):
         assert set(golden) == {1, 2, 3, 5}
 
     @pytest.mark.parametrize("wid", (1, 2, 3, 5))
     def test_row_matches_golden(self, golden, regenerated, wid):
-        gold, new = golden[wid], regenerated[wid]
+        gold = golden[wid]
+        workload = regenerated.workloads[f"workload{wid}"]
+        metrics = regenerated.baselines[f"workload{wid}"].metrics
         # Exact integers: the workload composition itself must not drift.
-        assert new["jobs"] == gold["jobs"]
-        assert new["system_nodes"] == gold["system_nodes"]
-        assert new["system_cpus"] == gold["system_cpus"]
-        assert new["max_job_nodes"] == gold["max_job_nodes"]
+        assert len(workload) == gold["jobs"]
+        assert workload.system_nodes == gold["system_nodes"]
+        assert workload.system_cpus == gold["system_cpus"]
+        assert workload.max_job_nodes == gold["max_job_nodes"]
         # Aggregates within print-rounding tolerance (artifact: 1 decimal).
         for key in ("avg_response_time", "avg_slowdown", "makespan"):
-            assert_close(new[key], gold[key], rel=1e-2, abs_tol=0.06,
+            assert_close(getattr(metrics, key), gold[key], rel=1e-2, abs_tol=0.06,
                          what=f"table1 workload {wid} {key}")
 
 
@@ -125,8 +133,10 @@ class TestFig13Golden:
 
     @pytest.fixture(scope="class")
     def regenerated(self):
-        workload = build_workload(FIG13_WORKLOAD_ID, scale=FIG13_SCALE)
-        return figure_1_to_3_maxsd_sweep(workload).data["normalized"]
+        spec = builtin_scenario(
+            "figure1-3", workload_id=FIG13_WORKLOAD_ID, scale=FIG13_SCALE
+        )
+        return run_scenario(spec).normalized()
 
     def test_artifact_parses(self, golden):
         assert set(golden) == {"makespan", "avg_response_time", "avg_slowdown"}

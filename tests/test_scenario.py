@@ -19,8 +19,9 @@ from repro.experiments.scenario import (
     render_report,
     run_scenario,
     save_spec,
+    _resolve_workloads,
 )
-from repro.experiments.sweep import SweepRunner
+from repro.experiments.sweep import SweepRunner, task_cache_key
 from repro.workloads.cirne import CirneWorkloadModel
 
 
@@ -300,7 +301,7 @@ class TestBuiltinSeedConsistency:
     (``ScenarioSpec.seed``) — the two used to be set independently and could
     drift."""
 
-    SEEDED_BUILTINS = ("figure1-3", "figure4-6", "figure7", "figure8", "figure9")
+    SEEDED_BUILTINS = ("table1", "figure1-3", "figure4-6", "figure7", "figure8", "figure9")
 
     def test_seed_override_applies_to_workloads_and_simulation(self):
         for name in self.SEEDED_BUILTINS:
@@ -322,6 +323,43 @@ class TestBuiltinSeedConsistency:
     def test_scale_override_applies_to_every_ref(self):
         spec = builtin_scenario("figure8", scale=0.02, seed=9)
         assert all(ref.scale == 0.02 and ref.seed == 9 for ref in spec.workloads)
+
+
+class TestBuiltinCacheKeys:
+    """The Table 1 and Figures 1-3 built-ins expand to the exact cache keys
+    the tasks had before they became built-ins (workload 3 at scale 0.01,
+    default seed), so existing stores and ``--analytics`` records stay
+    reachable.  A release that bumps ``repro.__version__`` or
+    ``CACHE_KEY_VERSION`` changes every key on purpose: re-pin then."""
+
+    TABLE1 = {
+        "workload1::baseline": "9d698b6bd75f782a26329adcd826e47c6828231890c94e9af913c5e777b03643",
+        "workload3::baseline": "b0599c25ffed0fd04b40339cd9ecd324fe01505ffcb2c60aaac3b7d579bcca42",
+    }
+    FIGURE1_3 = {
+        "baseline": "a851a66b46b94d571abd28c534896e77230fe20dae15c8edb1788c6b12e45e45",
+        "MAXSD 5": "4f87b97831bc2020bd439ae9e12ce98f88f8fa8c1d7567866229cc9982c97f22",
+        "MAXSD 10": "82f7b326039f64d6280138df67c3f827d35c74bf32985386f07deb0e513aacd2",
+        "MAXSD 50": "a1ed38d59dcb642b55881e7daffdda2e5309940d83387ce006370e64360f68d8",
+        "MAXSD inf": "c9bfd72190a5725f26e35e7248fb69b38440ab853ff9015bce8992cb00687030",
+        "DynAVGSD": "8cbea4c42318649b08d38e4c9aadefa7c5309d82fb7e61dbbc91b62d1a15b8c4",
+    }
+
+    @staticmethod
+    def _keys(spec):
+        return {
+            task.resolved_key(): task_cache_key(task)
+            for task in spec.tasks(_resolve_workloads(spec, None))
+        }
+
+    def test_table1_keys_are_pinned(self):
+        spec = builtin_scenario("table1", scale=0.01, workload_ids=(1, 3))
+        assert self._keys(spec) == self.TABLE1
+
+    def test_figure1_3_keys_are_pinned(self):
+        spec = builtin_scenario("figure1-3", workload_id=3, scale=0.01)
+        keys = {k.split("::", 1)[1]: v for k, v in self._keys(spec).items()}
+        assert keys == self.FIGURE1_3
 
 
 class TestShardedScenario:

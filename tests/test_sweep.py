@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from repro.experiments.paper import figure_1_to_3_maxsd_sweep, table_1_workloads
+from repro.experiments.scenario import builtin_scenario, run_scenario
 from repro.experiments.sweep import (
     SweepError,
     SweepRunner,
@@ -274,19 +274,21 @@ class TestTaskDefaults:
 class TestPaperIntegration:
     def test_figure_1_to_3_accepts_runner(self, workload, tmp_path):
         runner = SweepRunner(max_workers=2, cache_dir=tmp_path)
-        first = figure_1_to_3_maxsd_sweep(
-            workload, maxsd_settings={"MAXSD 10": 10.0}, runner=runner
-        )
-        assert first.data["sweep_cache_hits"] == 0
-        second = figure_1_to_3_maxsd_sweep(
-            workload, maxsd_settings={"MAXSD 10": 10.0}, runner=runner
-        )
-        assert second.data["sweep_cache_hits"] == 2  # baseline + 1 setting
-        assert first.data["normalized"] == second.data["normalized"]
+        spec = builtin_scenario("figure1-3")
+        spec.grid = {"max_slowdown": [
+            p for p in spec.grid["max_slowdown"] if p.label == "MAXSD 10"
+        ]}
+        first = run_scenario(spec, runner=runner, workloads=workload)
+        assert first.sweep_cache_hits == 0
+        second = run_scenario(spec, runner=runner, workloads=workload)
+        assert second.sweep_cache_hits == 2  # baseline + 1 setting
+        assert first.normalized() == second.normalized()
 
     def test_table_1_accepts_runner(self, tmp_path):
         runner = SweepRunner(max_workers=2, cache_dir=tmp_path)
-        result = table_1_workloads(scale=0.01, workload_ids=(3,), runner=runner)
-        assert 3 in result.data["rows"]
-        again = table_1_workloads(scale=0.01, workload_ids=(3,), runner=runner)
-        assert again.data["rows"][3] == result.data["rows"][3]
+        spec = builtin_scenario("table1", scale=0.01, workload_ids=(3,))
+        result = run_scenario(spec, runner=runner)
+        assert "workload3" in result.baselines
+        again = run_scenario(spec, runner=runner)
+        assert (again.baselines["workload3"].metrics
+                == result.baselines["workload3"].metrics)
