@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis.figures import render_bar_chart
-from repro.realrun.emulator import RealRunEmulator
+from repro.experiments.scenario import builtin_scenario, realrun_improvements, run_scenario
 from repro.workloads.applications import application_shares
 
 
@@ -31,10 +31,11 @@ def main() -> None:
     args = parser.parse_args()
 
     maxsd = args.maxsd if args.maxsd == "dynamic" else float(args.maxsd)
-    emulator = RealRunEmulator(
-        scale=args.scale, sharing_factor=args.sharing_factor, max_slowdown=maxsd
+    spec = builtin_scenario(
+        "figure9", scale=args.scale, sharing_factor=args.sharing_factor, max_slowdown=maxsd
     )
-    workload = emulator.workload
+    outcome = run_scenario(spec)
+    workload = outcome.workload
     print(f"Real-run workload: {len(workload)} jobs on {workload.system_nodes} nodes "
           f"({workload.cpus_per_node} cores each)")
     print("Application mix (Table 2):")
@@ -42,20 +43,20 @@ def main() -> None:
         print(f"  {app:12s} {share * 100:5.1f}%")
     print()
 
-    outcome = emulator.compare()
+    stats = realrun_improvements(outcome)
     print(render_bar_chart(
-        outcome.improvements,
+        stats["improvements"],
         title="Figure 9 — improvement (%) of SD-Policy over static backfill",
         reference=0.0,
         fmt="{:.1f}%",
     ))
     print()
-    print(f"Jobs scheduled with malleability: {outcome.malleable_scheduled}")
+    print(f"Jobs scheduled with malleability: {stats['malleable_scheduled']}")
     print(f"Of those, using resources more efficiently than static execution: "
-          f"{outcome.better_runtime_jobs}")
-    print(f"Static energy: {outcome.static_metrics.energy_joules / 3.6e6:.1f} kWh, "
-          f"SD-Policy energy: {outcome.sd_metrics.energy_joules / 3.6e6:.1f} kWh")
-    print(f"(comparison took {outcome.wall_clock_seconds:.1f}s of wall-clock time)")
+          f"{stats['better_runtime_jobs']}")
+    print(f"Static energy: {stats['static_metrics'].energy_joules / 3.6e6:.1f} kWh, "
+          f"SD-Policy energy: {stats['sd_metrics'].energy_joules / 3.6e6:.1f} kWh")
+    print(f"(comparison took {outcome.sweep_wall_clock_seconds:.1f}s of wall-clock time)")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.comparison import normalize_to_baseline
 from repro.analysis.tables import format_table
 from repro.analytics.records import (
     JOB_RECORD_DTYPE,
@@ -38,10 +37,10 @@ from repro.analytics.records import (
 )
 from repro.experiments.runner import PolicyRun
 from repro.experiments.scenario import (
-    ScenarioCell,
     ScenarioOutcome,
     ScenarioSpec,
     WorkloadRef,
+    assemble_outcome,
     builtin_scenario,
     render_report,
     report_figures_1_to_3,
@@ -349,43 +348,14 @@ def outcome_from_records(
             return None
         return _stub_run(label, workload_name, records, with_jobs)
 
-    baselines: Dict[str, PolicyRun] = {}
-    cells: List[ScenarioCell] = []
-    for ref in spec.workloads:
-        wkey = ref.key()
-        workload_name = resolved[wkey].name
-        baseline = None
-        if spec.baseline is not None:
-            baseline = load(f"{wkey}::baseline", workload_name, "baseline")
-            if baseline is not None:
-                baselines[wkey] = baseline
-        for label, policy, params in spec.cells():
-            run = load(f"{wkey}::{label}", workload_name, label)
-            if run is None:
-                continue
-            cells.append(
-                ScenarioCell(
-                    label=label,
-                    workload_key=wkey,
-                    policy=policy,
-                    params=params,
-                    run=run,
-                    normalized=(
-                        normalize_to_baseline(run.metrics, baseline.metrics)
-                        if baseline is not None
-                        else None
-                    ),
-                )
-            )
+    outcome = assemble_outcome(spec, resolved, load)
     if missing:
         raise QueryError(
             f"no stored records for task(s) {missing} of scenario "
             f"{spec.name!r} — run that scenario with --analytics into this "
             "store first (query renders from records alone; it never simulates)"
         )
-    return ScenarioOutcome(
-        spec=spec, workloads=resolved, baselines=baselines, cells=cells, sweep=None
-    )
+    return outcome
 
 
 def render_stored_report(

@@ -58,6 +58,15 @@ import sys
 from typing import Optional, Sequence
 
 from repro.analysis.tables import metrics_table
+from repro.analytics.query import (
+    REPORT_CHOICES,
+    QueryError,
+    list_runs,
+    parse_metrics,
+    parse_where,
+    render_stored_report,
+    run_query,
+)
 from repro.core.policy import available_policies
 from repro.core.profiles import PROFILE_SET_NAMES
 from repro.devtools.lint import cli as lint_cli
@@ -70,6 +79,7 @@ from repro.experiments.scenario import (
     builtin_scenario,
     load_spec,
     render_report,
+    run_scenario,
 )
 from repro.experiments.sweep import (
     ATTACHMENT_FLAGS,
@@ -311,7 +321,8 @@ def _run_and_print(args: argparse.Namespace, spec, workloads=None, merge: bool =
     the run summary goes to stderr.
     """
     try:
-        outcome = spec.execute(
+        outcome = run_scenario(
+            spec,
             runner=_make_runner(args, progress=not merge, merge=merge),
             workloads=workloads,
         )
@@ -537,7 +548,6 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
         print(f"store:    {store.url}")
         print(f"checked:  {report.checked} blob(s)")
         print(f"ok:       {report.ok}")
-        print(f"legacy:   {report.legacy} (pre-envelope, no digest to verify)")
         print(f"corrupt:  {len(report.corrupt)}")
         for entry in report.corrupt:
             action = "would quarantine" if args.dry_run else "quarantined"
@@ -631,15 +641,6 @@ def _attachment_store(args: argparse.Namespace, command: str) -> Optional[Result
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.analytics.query import (
-        QueryError,
-        list_runs,
-        parse_metrics,
-        parse_where,
-        render_stored_report,
-        run_query,
-    )
-
     store = _attachment_store(args, "query")
     if store is None:
         return 2
@@ -1026,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_query.add_argument(
         "--report", type=str, default=None,
-        choices=["fig1", "fig2", "fig3", "fig1-3", "fig7", "table1"],
+        choices=REPORT_CHOICES,
         help="regenerate a paper figure/table from stored records alone "
              "(no simulation); output is byte-identical to the sweep-"
              "rendered version",

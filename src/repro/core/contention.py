@@ -123,8 +123,8 @@ class ApplicationAwareRuntimeModel(RuntimeModel):
     Implements the same ``speed(job, cpus_per_node)`` protocol as the
     ideal/worst-case models, so it can be plugged into the simulation driver
     directly.  It needs to see the cluster to know which jobs share nodes;
-    attach it with :meth:`bind_cluster` (the simulation driver and the
-    emulator do this for you).
+    attach it with :meth:`bind_cluster` (the simulation driver does this
+    for you).
     """
 
     name = "application_aware"

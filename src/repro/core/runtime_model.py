@@ -165,11 +165,6 @@ MODEL_ALIASES = {
 }
 
 
-def available_models() -> list:
-    """Sorted canonical names of the runtime models :func:`get_model` knows."""
-    return sorted(MODEL_ALIASES)
-
-
 def get_model(name: str) -> RuntimeModel:
     """Look up a runtime model by canonical name or alias.
 

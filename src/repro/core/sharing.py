@@ -85,10 +85,3 @@ def plan_node_sharing(
     if mate_cpus < mate.min_cpus_per_node:
         return None
     return SharingPlan(node_id=node.node_id, mate_cpus=mate_cpus, guest_cpus=guest_cpus)
-
-
-def guest_fraction_of_request(guest: Job, guest_cpus_total: int) -> float:
-    """Fraction of the guest's requested CPUs provided by a sharing plan."""
-    if guest.requested_cpus <= 0:
-        return 1.0
-    return min(1.0, guest_cpus_total / guest.requested_cpus)

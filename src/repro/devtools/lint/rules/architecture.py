@@ -2,7 +2,7 @@
 
 The shared simulation layers (``core/``, ``simulator/``) are the bottom of
 the dependency stack — the profile and contention models they need live in
-:mod:`repro.core.profiles` / :mod:`repro.core.contention`.  The emulator
+:mod:`repro.core.profiles` / :mod:`repro.core.contention`.  The real-run
 package ``realrun/`` sits *above* them (it builds on those models), so an
 import in the other direction is a layering inversion that would quietly
 re-grow the cycle the promotion removed.

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Dict,
     List,
     Mapping,
@@ -468,22 +469,6 @@ class ScenarioSpec:
             analytics=bool(data.get("analytics", False)),
         )
 
-    def execute(
-        self,
-        runner: Optional[SweepRunner] = None,
-        workloads: Optional[Union[Workload, Mapping[str, Workload]]] = None,
-        store: Optional[Any] = None,
-    ) -> "ScenarioOutcome":
-        """Run this scenario through the sweep runner.
-
-        Convenience wrapper around :func:`run_scenario`; a runner carrying a
-        sharded executor runs only its slice of the expanded tasks and
-        returns a partial outcome (``outcome.complete`` is ``False``).
-        ``store`` (a :class:`repro.store.ResultStore` or URL) configures the
-        result cache when no explicit runner is passed.
-        """
-        return run_scenario(self, runner=runner, workloads=workloads, store=store)
-
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
@@ -611,53 +596,36 @@ def _resolve_workloads(
     return resolved
 
 
-def run_scenario(
+def assemble_outcome(
     spec: ScenarioSpec,
-    runner: Optional[SweepRunner] = None,
-    workloads: Optional[Union[Workload, Mapping[str, Workload]]] = None,
-    store: Optional[Any] = None,
+    workloads: Dict[str, Workload],
+    load: Callable[[str, str, str], Optional[PolicyRun]],
+    sweep: Optional[SweepResult] = None,
 ) -> ScenarioOutcome:
-    """Execute a scenario through the parallel sweep runner.
+    """Assemble a scenario's baselines and cells from its runs.
 
-    ``workloads`` optionally overrides the spec's workload refs with
-    pre-built :class:`Workload` objects — a bare workload for
-    single-workload scenarios, or a mapping keyed like the refs.  Cells are
-    normalised to their workload's baseline run when the spec has one.
-    ``store`` selects the result-store backend (URL or
-    :class:`repro.store.ResultStore`) when no explicit ``runner`` is given;
-    with both passed the runner — which already carries a store — wins.
+    ``load(task_key, workload_name, label)`` returns the run of one sweep
+    task (``<workload key>::<cell label>``, ``::baseline`` for the
+    baseline) or ``None`` when it has none; a missing run is left out and
+    a missing baseline leaves its workload's cells unnormalised.  Live
+    sweeps (:func:`run_scenario`) and stored records
+    (:func:`repro.analytics.query.outcome_from_records`) both assemble
+    their outcomes here.
     """
-    resolved = _resolve_workloads(spec, workloads)
-    tasks = spec.tasks(resolved)
-    sweep = None
-    if tasks:
-        runner = runner or SweepRunner(store=store)
-        if spec.analytics and not runner.analytics:
-            if runner.store is None:
-                raise ScenarioError(
-                    f"scenario {spec.name!r} sets analytics=true, which needs "
-                    "a result store to publish records (pass --store or "
-                    "--cache-dir)"
-                )
-            runner.analytics = True
-        sweep = runner.run(tasks)
-    if sweep is not None and not sweep.complete:
-        # A sharded invocation: only this shard's slice ran, so cells and
-        # baselines cannot be assembled yet.  Callers check ``.complete``
-        # and render a shard progress summary instead of a report.
-        return ScenarioOutcome(
-            spec=spec, workloads=resolved, baselines={}, cells=[], sweep=sweep
-        )
     baselines: Dict[str, PolicyRun] = {}
     cells: List[ScenarioCell] = []
     for ref in spec.workloads:
         wkey = ref.key()
+        workload_name = workloads[wkey].name
         baseline = None
-        if spec.baseline is not None and sweep is not None:
-            baseline = sweep[f"{wkey}::baseline"]
-            baselines[wkey] = baseline
-        for label, policy, params in spec.cells() if tasks else []:
-            run = sweep[f"{wkey}::{label}"]
+        if spec.baseline is not None:
+            baseline = load(f"{wkey}::baseline", workload_name, "baseline")
+            if baseline is not None:
+                baselines[wkey] = baseline
+        for label, policy, params in spec.cells():
+            run = load(f"{wkey}::{label}", workload_name, label)
+            if run is None:
+                continue
             cells.append(
                 ScenarioCell(
                     label=label,
@@ -673,11 +641,47 @@ def run_scenario(
                 )
             )
     return ScenarioOutcome(
-        spec=spec,
-        workloads=resolved,
-        baselines=baselines,
-        cells=cells,
-        sweep=sweep,
+        spec=spec, workloads=workloads, baselines=baselines, cells=cells, sweep=sweep
+    )
+
+
+def run_scenario(
+    spec: ScenarioSpec,
+    runner: Optional[SweepRunner] = None,
+    workloads: Optional[Union[Workload, Mapping[str, Workload]]] = None,
+    store: Optional[Any] = None,
+) -> ScenarioOutcome:
+    """Execute a scenario through the parallel sweep runner.
+
+    ``workloads`` optionally overrides the spec's workload refs with
+    pre-built :class:`Workload` objects — a bare workload for
+    single-workload scenarios, or a mapping keyed like the refs.  Cells are
+    normalised to their workload's baseline run when the spec has one.
+    ``store`` selects the result-store backend (URL or
+    :class:`repro.store.ResultStore`) when no explicit ``runner`` is given;
+    with both passed the runner — which already carries a store — wins.
+    A runner carrying a sharded executor runs only its slice of the tasks
+    and returns a partial outcome (``outcome.complete`` is ``False``).
+    """
+    resolved = _resolve_workloads(spec, workloads)
+    tasks = spec.tasks(resolved)
+    sweep = None
+    if tasks:
+        runner = runner or SweepRunner(store=store)
+        if spec.analytics and not runner.analytics:
+            if runner.store is None:
+                raise ScenarioError(
+                    f"scenario {spec.name!r} sets analytics=true, which needs "
+                    "a result store to publish records (pass --store or "
+                    "--cache-dir)"
+                )
+            runner.analytics = True
+        sweep = runner.run(tasks)
+    # A sharded invocation ran only its slice, so it assembles no cells or
+    # baselines; callers check ``.complete`` before reading them.
+    runs = sweep.runs if sweep is not None and sweep.complete else {}
+    return assemble_outcome(
+        spec, resolved, lambda task_key, _name, _label: runs.get(task_key), sweep
     )
 
 
@@ -776,8 +780,21 @@ def report_figures_1_to_3(outcome: ScenarioOutcome, figures: Sequence[int] = (1,
     return "\n\n".join(charts)
 
 
+def _require_complete(outcome: ScenarioOutcome) -> None:
+    """Reject a partial (sharded) outcome, which has no cells to report."""
+    if not outcome.complete:
+        sweep = outcome.sweep
+        raise ScenarioError(
+            f"scenario {outcome.spec.name!r} is a shard's partial outcome: "
+            f"{len(sweep)}/{sweep.total_tasks} sweep tasks complete; run the "
+            "remaining shards against the same store, then run it again "
+            "unsharded (or merge) to get the full outcome"
+        )
+
+
 def _static_sd_pair(outcome: ScenarioOutcome) -> Tuple[PolicyRun, PolicyRun]:
     """The (baseline, single-cell) run pair of a two-run scenario."""
+    _require_complete(outcome)
     baseline = outcome.baseline_run
     if baseline is None or len(outcome.cells) != 1:
         raise ScenarioError(
@@ -868,46 +885,38 @@ def report_runtime_models(outcome: ScenarioOutcome) -> str:
     return "\n\n".join(charts)
 
 
-def realrun_improvements(
-    outcome: ScenarioOutcome, power_model: Optional[Any] = None
-) -> Dict[str, Any]:
+def realrun_improvements(outcome: ScenarioOutcome) -> Dict[str, Any]:
     """Figure 9 statistics of a real-run scenario (energy recomputed).
 
     The real-run pair simulates with the application-aware runtime model
     and no in-simulation power integration; each run's metrics are kept and
     only the energy is recomputed, with the application-weighted model of
-    :mod:`repro.realrun.energy`, exactly as the emulator does.
+    :mod:`repro.realrun.energy`.  Returns ``improvements`` (percent, SD-Policy
+    over static backfill), ``static_metrics``/``sd_metrics`` and the
+    ``better_runtime_jobs``/``malleable_scheduled`` counts.
     """
-    from repro.realrun.emulator import RealRunEmulator
-    from repro.realrun.energy import real_run_energy
+    from repro.realrun.energy import better_runtime_jobs, real_run_energy
 
-    # Only the default-power-model result is memoised; an explicit model
-    # (the emulator's) bypasses the cache.
-    cacheable = power_model is None
-    if cacheable and "realrun" in outcome._cache:
-        return outcome._cache["realrun"]
-    static, sd = _static_sd_pair(outcome)
-    workload = outcome.workload
-    static_energy = real_run_energy(
-        static.jobs, workload.system_nodes, workload.cpus_per_node, power_model
-    )
-    sd_energy = real_run_energy(
-        sd.jobs, workload.system_nodes, workload.cpus_per_node, power_model
-    )
-    static_metrics = replace(static.metrics, energy_joules=static_energy)
-    sd_metrics = replace(sd.metrics, energy_joules=sd_energy)
-    stats = {
-        "improvements": improvement_percent(sd_metrics, static_metrics),
-        "static_metrics": static_metrics,
-        "sd_metrics": sd_metrics,
-        "better_runtime_jobs": RealRunEmulator._better_runtime_jobs(sd.jobs),
-        "malleable_scheduled": sd_metrics.malleable_scheduled,
-        "static_jobs": static.jobs,
-        "sd_jobs": sd.jobs,
-    }
-    if cacheable:
-        outcome._cache["realrun"] = stats
-    return stats
+    if "realrun" not in outcome._cache:
+        static, sd = _static_sd_pair(outcome)
+        workload = outcome.workload
+        static_metrics, sd_metrics = (
+            replace(
+                run.metrics,
+                energy_joules=real_run_energy(
+                    run.jobs, workload.system_nodes, workload.cpus_per_node
+                ),
+            )
+            for run in (static, sd)
+        )
+        outcome._cache["realrun"] = {
+            "improvements": improvement_percent(sd_metrics, static_metrics),
+            "static_metrics": static_metrics,
+            "sd_metrics": sd_metrics,
+            "better_runtime_jobs": better_runtime_jobs(sd.jobs),
+            "malleable_scheduled": sd_metrics.malleable_scheduled,
+        }
+    return outcome._cache["realrun"]
 
 
 def report_realrun(outcome: ScenarioOutcome) -> str:
@@ -1024,7 +1033,12 @@ REPORTS = {
 
 
 def render_report(outcome: ScenarioOutcome) -> str:
-    """Render a scenario outcome with the report its spec selects."""
+    """Render a scenario outcome with the report its spec selects.
+
+    A shard's partial outcome raises :class:`ScenarioError` naming how
+    many sweep tasks are complete.
+    """
+    _require_complete(outcome)
     return REPORTS[outcome.spec.report](outcome)
 
 

@@ -66,7 +66,6 @@ from repro.store import (
     LocalFSStore,
     ResultStore,
     StoreError,
-    blob_digest,
     default_cache_dir,
     resolve_store,
     unwrap_blob,
@@ -81,7 +80,6 @@ __all__ = [
     "ATTACHMENT_FLAGS",
     "CACHE_FORMAT_VERSION",
     "CACHE_KEY_VERSION",
-    "COMPATIBLE_CACHE_FORMATS",
     "ExecutionPlan",
     "Executor",
     "ExecutorError",
@@ -112,12 +110,6 @@ __all__ = [
 #: their own blob, like records) and ``phases`` (populated whether or not
 #: tracing is on, so a cached blob is byte-identical either way).
 CACHE_FORMAT_VERSION = 5
-
-#: Payload versions `_cache_load` accepts.  v3/v4 runs predate the
-#: analytics/telemetry layers but deserialize into a current ``PolicyRun``
-#: unchanged (the new ``records``/``trace``/``phases`` fields are absent
-#: from old pickles and read back via ``getattr`` defaults).
-COMPATIBLE_CACHE_FORMATS = (3, 4, 5)
 
 #: Version folded into :func:`task_cache_key`.  Kept at 3 through the
 #: v4/v5 payload bumps *on purpose*: the key encoding did not change, so
@@ -423,12 +415,6 @@ class SweepRunner:
             return None
         return task_cache_key(task)
 
-    def _cache_path(self, task: SweepTask) -> Optional[Path]:
-        """Local blob path of a task (LocalFS stores only; tests/devtools)."""
-        if isinstance(self.store, LocalFSStore):
-            return self.store.blob_path(task_cache_key(task))
-        return None
-
     def _cache_load(
         self, key: Optional[str]
     ) -> Tuple[Optional[PolicyRun], bool, Optional[str]]:
@@ -436,12 +422,12 @@ class SweepRunner:
 
         Blobs written by this runner carry an integrity envelope
         (:func:`repro.store.wrap_blob`) whose SHA-256 content digest is
-        verified here on every read; pre-envelope blobs still load and
-        their digest is computed over the raw bytes.  A corrupt blob
-        (torn write, truncation, digest mismatch, unpicklable garbage) is
-        quarantined in the store so it is never retried — one bad entry
-        must not poison every subsequent (sharded) run — and reported
-        distinctly from an ordinary miss.  Transport failures
+        verified here on every read.  A payload of another format version
+        is an ordinary miss: it is re-executed and overwritten.  A corrupt
+        blob (torn write, truncation, digest mismatch, no envelope,
+        unpicklable garbage) is quarantined in the store so it is never
+        retried — one bad entry must not poison every subsequent (sharded)
+        run — and reported distinctly from an ordinary miss.  Transport failures
         (:class:`repro.store.StoreError`) propagate: an unreachable store
         is not a cache miss.
         """
@@ -452,14 +438,12 @@ class SweepRunner:
             return None, False, None
         try:
             payload_bytes, digest = unwrap_blob(data)
-            if digest is None:  # pre-envelope blob: digest of the raw bytes
-                digest = blob_digest(payload_bytes)
             # repro: allow[store-pickle] the cache codec itself — the bytes
             # only ever travel inside ResultStore integrity envelopes
             payload = pickle.loads(payload_bytes)
             if not isinstance(payload, dict):
                 raise TypeError(f"cache payload is {type(payload).__name__}, not dict")
-            if payload.get("format") not in COMPATIBLE_CACHE_FORMATS:
+            if payload.get("format") != CACHE_FORMAT_VERSION:
                 return None, False, None  # stale but well-formed: an ordinary miss
             return payload["run"], False, digest
         except StoreError:
@@ -487,8 +471,8 @@ class SweepRunner:
         """Publish one cache entry; ``(blob digest, store-phase timings)``."""
         if key is None or self.store is None:
             return None, {}
-        records = getattr(run, "records", None)
-        recorder = getattr(run, "trace", None)
+        records = run.records
+        recorder = run.trace
         if records is not None or recorder is not None:
             # Records and traces are published as their own blobs (below);
             # the run payload is pickled without them so a cached run blob
@@ -531,7 +515,7 @@ class SweepRunner:
                 key,
                 recorder,
                 run_digest=digest,
-                phases={**(getattr(run, "phases", None) or {}), **phases},
+                phases={**run.phases, **phases},
             )
         return digest, phases
 
@@ -602,7 +586,7 @@ class SweepRunner:
                 cache_keys[index], tasks[index], run
             )
             digests[index] = digest
-            phases = dict(getattr(run, "phases", None) or {})
+            phases = dict(run.phases)
             phases.update(store_phases)
             entry = SweepEntry(
                 key=keys[index],

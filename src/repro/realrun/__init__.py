@@ -12,21 +12,9 @@ code is driven by the simulator with
   reflecting socket-isolated co-scheduling, and
 * an application-aware energy model (:mod:`repro.realrun.energy`).
 
-:class:`repro.realrun.emulator.RealRunEmulator` reproduces Figure 9:
-the percentage improvement of makespan, average response time, average
-slowdown and energy of SD-Policy over static backfill.
+The built-in ``figure9`` scenario (:mod:`repro.experiments.scenario`) runs
+the static/SD pair, and :func:`repro.experiments.scenario.realrun_improvements`
+turns it into Figure 9: the percentage improvement of makespan, average
+response time, average slowdown and energy of SD-Policy over static
+backfill, with this package's per-job statistics.
 """
-
-from repro.core.contention import ApplicationAwareRuntimeModel, co_run_slowdown
-from repro.core.profiles import APPLICATIONS, ApplicationModel, get_application
-from repro.realrun.emulator import RealRunEmulator, RealRunOutcome
-
-__all__ = [
-    "APPLICATIONS",
-    "ApplicationAwareRuntimeModel",
-    "ApplicationModel",
-    "RealRunEmulator",
-    "RealRunOutcome",
-    "co_run_slowdown",
-    "get_application",
-]

@@ -193,23 +193,7 @@ class Cluster:
             if node.is_free:
                 self._free_nodes.add(nid)
 
-    def release_all(self) -> None:
-        """Free every allocation in the cluster (used by tests)."""
-        for node in self.nodes.values():
-            node.allocations.clear()
-            node.owner = None
-        self._free_nodes = set(self.nodes)
-        self._used_cpus = 0
-
     # ------------------------------------------------------------------ #
-    def jobs_on_node(self, node_id: int) -> List[int]:
-        """Ids of jobs with CPUs on the given node."""
-        return self.nodes[node_id].jobs
-
-    def nodes_of_job(self, job_id: int) -> List[int]:
-        """Ids of nodes on which the job currently holds CPUs."""
-        return [nid for nid, node in self.nodes.items() if job_id in node.allocations]
-
     def validate(self) -> None:
         """Internal-consistency check used by tests and property checks."""
         total_used = 0

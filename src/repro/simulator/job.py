@@ -34,7 +34,6 @@ class JobState(enum.Enum):
     PENDING = "pending"
     RUNNING = "running"
     COMPLETED = "completed"
-    CANCELLED = "cancelled"
 
 
 @dataclass(frozen=True, slots=True)
@@ -359,11 +358,6 @@ class Job:
                 cpus_per_node=last.cpus_per_node,
                 speed=last.speed,
             )
-
-    def mark_cancelled(self, now: float) -> None:
-        """Transition to CANCELLED (job withdrawn before completion)."""
-        self.state = JobState.CANCELLED
-        self.end_time = now
 
     # ------------------------------------------------------------------ #
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

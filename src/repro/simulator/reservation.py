@@ -218,11 +218,3 @@ class ReservationMap:
             # Every start up to the violation also fails; jump past it.
             idx = probe + 1
         return math.inf
-
-    def estimate_wait(self, job: Job, duration: Optional[float] = None) -> float:
-        """Estimated queue wait for the job (0 if it could start now)."""
-        dur = duration if duration is not None else job.requested_time
-        start = self.earliest_start(job.requested_nodes, dur)
-        if not math.isfinite(start):
-            return math.inf
-        return max(0.0, start - self.now)

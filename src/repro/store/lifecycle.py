@@ -9,9 +9,8 @@ depends on.  This module is the lifecycle layer on top of the
 * **Envelopes** — :func:`wrap_blob`/:func:`unwrap_blob` frame a cache
   payload with a versioned header carrying a SHA-256 content digest, so a
   truncated or bit-rotted blob is detected on every read instead of
-  silently skewing a reproduced figure.  Envelope-less blobs written
-  before the envelope existed still load (and verify reports them as
-  *legacy* — re-runnable but not checkable).
+  silently skewing a reproduced figure.  A blob without the envelope is
+  corrupt: reads quarantine and recompute it, and verify reports it.
 * **References** — :func:`collect_references` walks every shard manifest
   in a store (format v2 records already carry ``cache_key``; v3 adds the
   blob ``digest``) and returns the *live* blob set.
@@ -42,9 +41,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.store.base import BLOB_SUFFIX, TMP_SUFFIX, ResultStore
 
-#: Leading bytes of an enveloped blob.  Pickles start with ``\x80``, so an
-#: envelope can never be mistaken for a pre-envelope payload (or vice
-#: versa) and back-compat detection is a prefix check.
+#: Leading bytes of an enveloped blob.  Pickles start with ``\x80``, so a
+#: bare payload can never be mistaken for an envelope.
 ENVELOPE_MAGIC = b"repro-blob/"
 
 #: Bump when the envelope *header* layout changes.  The header is
@@ -82,17 +80,18 @@ def wrap_blob(payload: bytes) -> Tuple[bytes, str]:
     return header.encode("ascii") + payload, digest
 
 
-def unwrap_blob(data: bytes) -> Tuple[bytes, Optional[str]]:
+def unwrap_blob(data: bytes) -> Tuple[bytes, str]:
     """Unframe a blob; returns ``(payload, digest)`` — digest verified.
 
-    A blob without the envelope magic is a pre-envelope (legacy) payload:
-    returned verbatim with ``digest=None`` (nothing recorded to verify
-    against).  An enveloped blob is verified — recorded size and SHA-256
-    against the actual payload — and :class:`BlobIntegrityError` is raised
-    on any mismatch, truncation, or unparsable/future header.
+    The recorded size and SHA-256 are checked against the actual payload,
+    and :class:`BlobIntegrityError` is raised on any mismatch, truncation,
+    unparsable/future header, or a blob without the envelope at all.
     """
     if not data.startswith(ENVELOPE_MAGIC):
-        return data, None
+        raise BlobIntegrityError(
+            f"blob has no {ENVELOPE_MAGIC.decode()}{ENVELOPE_VERSION} integrity "
+            "envelope (written before envelopes existed, or not a cache blob)"
+        )
     newline = data.find(b"\n")
     if newline < 0:
         raise BlobIntegrityError("truncated blob envelope: no header terminator")
@@ -278,7 +277,6 @@ class VerifyReport:
     store: str
     checked: int = 0
     ok: int = 0
-    legacy: int = 0
     corrupt: List[Dict[str, str]] = field(default_factory=list)
     quarantined: List[str] = field(default_factory=list)
     drift: List[Dict[str, str]] = field(default_factory=list)
@@ -286,7 +284,7 @@ class VerifyReport:
 
     @property
     def clean(self) -> bool:
-        """No integrity failures (legacy blobs and drift do not count)."""
+        """No integrity failures (drift does not count)."""
         return not self.corrupt
 
     def as_dict(self) -> Dict[str, Any]:
@@ -294,7 +292,6 @@ class VerifyReport:
             "store": self.store,
             "checked": self.checked,
             "ok": self.ok,
-            "legacy": self.legacy,
             "corrupt": self.corrupt,
             "quarantined": self.quarantined,
             "drift": self.drift,
@@ -306,13 +303,13 @@ class VerifyReport:
 def verify(store: ResultStore, dry_run: bool = False) -> VerifyReport:
     """Re-hash every blob of ``store``; quarantine integrity failures.
 
-    Every enveloped blob is checked against its own recorded SHA-256 and
-    size; failures are quarantined (kept live under ``dry_run``) and
-    listed in the report.  Envelope-less (pre-envelope) blobs cannot be
-    verified and are counted as ``legacy``.  Digests recorded by v3 shard
-    manifests are cross-checked where available — mismatches are reported
-    as ``drift``, never quarantined, because a legitimately re-computed
-    blob differs byte-wise from what the manifest saw.
+    Every blob is checked against its envelope's recorded SHA-256 and
+    size; failures (an envelope-less blob among them) are quarantined
+    (kept live under ``dry_run``) and listed in the report.  Digests
+    recorded by v3 shard manifests are cross-checked where available —
+    mismatches are reported as ``drift``, never quarantined, because a
+    legitimately re-computed blob differs byte-wise from what the manifest
+    saw.
     """
     refs = collect_references(store)
     report = VerifyReport(store=store.url)
@@ -330,9 +327,6 @@ def verify(store: ResultStore, dry_run: bool = False) -> VerifyReport:
             if not dry_run:
                 store.quarantine(key)
                 report.quarantined.append(key)
-            continue
-        if digest is None:
-            report.legacy += 1
             continue
         report.ok += 1
         recorded = refs.digests.get(key)
@@ -365,9 +359,8 @@ def repair(
     """Re-fetch every quarantined blob of ``store`` from a mirror.
 
     For each quarantined key, the mirror's copy is fetched, its envelope
-    verified (a legacy envelope-less copy is accepted — there is nothing
-    recorded to check), republished under the live key, and the
-    quarantined entry dropped.  Keys the mirror lacks, or whose mirror
+    verified, republished under the live key, and the quarantined entry
+    dropped.  Keys the mirror lacks, or whose mirror
     copy fails its own integrity check, are left quarantined.
     """
     stats = RepairStats()

@@ -47,13 +47,12 @@ from repro.experiments.scenario import (
 from repro.experiments.sweep import (
     CACHE_FORMAT_VERSION,
     CACHE_KEY_VERSION,
-    COMPATIBLE_CACHE_FORMATS,
     SweepRunner,
     SweepTask,
     _canonical_kwargs,
     task_cache_key,
 )
-from repro.store import MemoryStore, wrap_blob
+from repro.store import MemoryStore, unwrap_blob, wrap_blob
 from repro.store.attachments import AttachmentError
 from repro.workloads.cirne import CirneWorkloadModel
 from repro.workloads.presets import build_workload
@@ -149,8 +148,6 @@ class TestAnalyticsStore:
     def test_sweep_publishes_records_and_run_blob_stays_plain(self, workload):
         """The cached run payload carries no records either way: they live
         in their own blob, so plain and analytics runners share entries."""
-        from repro.store import unwrap_blob
-
         task = SweepTask(workload=workload, policy="static_backfill",
                          key="plain", seed=0)
         plain_store, analytics_store = MemoryStore(), MemoryStore()
@@ -173,17 +170,18 @@ class TestAnalyticsStore:
 
 
 class TestFormatCompatibility:
-    """Satellite: format bump — v3 blobs written before the analytics layer
-    still load (and merge into new sweeps) as ordinary cache hits."""
+    """Only the current payload format is read: a v3 blob written before
+    the analytics layer resolves under the same cache key but is an
+    ordinary miss, re-executed and overwritten at the current format."""
 
     def test_version_constants(self):
         assert CACHE_FORMAT_VERSION == 5
         assert CACHE_KEY_VERSION == 3  # key encoding unchanged: old blobs resolve
-        assert 3 in COMPATIBLE_CACHE_FORMATS
-        assert CACHE_FORMAT_VERSION in COMPATIBLE_CACHE_FORMATS
         assert MANIFEST_FORMAT_VERSION == 5
 
     def test_pre_analytics_blob_still_hits(self, workload):
+        """No longer a hit: the format-3 blob is a miss (not a corruption)
+        and is rewritten at format 5."""
         task = SweepTask(workload=workload, policy="static_backfill",
                          key="legacy", seed=0)
         run = run_workload(workload, "static_backfill", seed=task.resolved_seed())
@@ -203,12 +201,14 @@ class TestFormatCompatibility:
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         )
         store = MemoryStore()
-        store.put(task_cache_key(task), enveloped)
+        key = task_cache_key(task)
+        store.put(key, enveloped)
         result = SweepRunner(max_workers=1, store=store).run([task])
-        assert result.cache_hits == 1
-        served = result["legacy"]
-        assert getattr(served, "records", None) is None
-        assert served.metrics.as_dict() == run.metrics.as_dict()
+        assert result.cache_hits == 0
+        assert result.cache_corruptions == 0
+        assert result["legacy"].metrics.as_dict() == run.metrics.as_dict()
+        rewritten = pickle.loads(unwrap_blob(store.get(key))[0])
+        assert rewritten["format"] == CACHE_FORMAT_VERSION == 5
 
 
 # --------------------------------------------------------------------- #

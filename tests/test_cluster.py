@@ -128,15 +128,3 @@ class TestReconfigureAndRelease:
         small_cluster.allocate_static(make_job(job_id=1, nodes=1))
         with pytest.raises(NodeAllocationError):
             small_cluster.reconfigure_allocation(1, {})
-
-    def test_release_all(self, small_cluster):
-        small_cluster.allocate_static(make_job(job_id=1, nodes=3))
-        small_cluster.release_all()
-        assert small_cluster.num_free_nodes == 4
-        assert small_cluster.used_cpus == 0
-        small_cluster.validate()
-
-    def test_nodes_of_job(self, small_cluster):
-        small_cluster.allocate_static(make_job(job_id=7, nodes=2))
-        assert small_cluster.nodes_of_job(7) == [0, 1]
-        assert small_cluster.jobs_on_node(0) == [7]

@@ -31,7 +31,7 @@ from repro.experiments.executors import (
     parse_shard,
     sweep_id,
 )
-from repro.experiments.sweep import SweepError, SweepRunner, SweepTask
+from repro.experiments.sweep import SweepError, SweepRunner, SweepTask, task_cache_key
 from repro.workloads.cirne import CirneWorkloadModel
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -221,7 +221,7 @@ class TestResume:
         lost = owned_keys[1]
         runner = SweepRunner(max_workers=1, cache_dir=cache)
         lost_index = [t.resolved_key() for t in tasks].index(lost)
-        runner._cache_path(tasks[lost_index]).unlink()
+        runner.store.blob_path(task_cache_key(tasks[lost_index])).unlink()
 
         resumed = run_shard()
         executed = [e.key for e in resumed if not e.from_cache]
@@ -359,14 +359,29 @@ class TestInterruptAndFailureCleanup:
 
 
 class TestPartialOutcomeConsumers:
-    def test_emulator_compare_rejects_sharded_runner(self, tmp_path):
-        from repro.realrun.emulator import RealRunEmulator
+    def test_partial_figure9_outcome_rejected_by_report_and_statistics(self, tmp_path):
+        """A shard's partial outcome has no cells: rendering it or reading
+        its Figure 9 statistics names the progress instead of drawing
+        empty figures."""
+        from repro.experiments.scenario import (
+            ScenarioError,
+            builtin_scenario,
+            realrun_improvements,
+            render_report,
+            run_scenario,
+        )
 
         runner = SweepRunner(
             max_workers=1, cache_dir=tmp_path, executor=ShardedExecutor(0, 2)
         )
-        with pytest.raises(ExecutorError, match="unsharded runner"):
-            RealRunEmulator(scale=0.05, seed=77).compare(runner=runner)
+        outcome = run_scenario(
+            builtin_scenario("figure9", scale=0.05, seed=77), runner=runner
+        )
+        assert not outcome.complete
+        for consume in (render_report, realrun_improvements):
+            with pytest.raises(ScenarioError, match=r"1/2 sweep tasks complete") as err:
+                consume(outcome)
+            assert "remaining shards" in str(err.value)
 
 
 class TestPoolExecutorDirect:

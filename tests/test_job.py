@@ -81,12 +81,6 @@ class TestJobLifecycle:
         assert job.actual_runtime == 100.0
         assert job.slowdown == pytest.approx(1.5)
 
-    def test_cancel(self):
-        job = make_job()
-        job.mark_cancelled(5.0)
-        assert job.state is JobState.CANCELLED
-        assert job.end_time == 5.0
-
     def test_slowdown_uses_static_runtime_denominator(self):
         # Even if the malleable execution dilates the runtime, the slowdown
         # denominator is the static execution time (paper Section 4).

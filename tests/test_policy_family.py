@@ -42,6 +42,7 @@ from repro.experiments.scenario import (
     WorkloadRef,
     builtin_scenario,
     render_report,
+    run_scenario,
 )
 from repro.experiments.sweep import (
     MergeExecutor,
@@ -54,12 +55,12 @@ from repro.workloads.presets import build_workload
 
 
 # --------------------------------------------------------------------- #
-# The emulator's runtime model is the promoted core layer
+# The real run's runtime model is the promoted core layer
 # --------------------------------------------------------------------- #
 class TestRealrunParity:
     def test_emulator_model_is_core_model(self):
-        # The emulator's runtime model consults the same ContentionModel
-        # class the schedulers do; defaults agree with the realrun-era ones.
+        # The real run's application-aware runtime model consults the same
+        # ContentionModel class the schedulers do, with the same defaults.
         model = ApplicationAwareRuntimeModel()
         assert isinstance(model.contention, ContentionModel)
         assert model.contention_coefficient == DEFAULT_CONTENTION_COEFFICIENT
@@ -260,7 +261,7 @@ class TestPolicyFaceoff:
     def test_serial_and_sharded_reports_byte_identical(self, tmp_path):
         spec = builtin_scenario("policy_faceoff", scale=0.005, workload_ids=(3,))
         store = f"file://{tmp_path / 'store'}"
-        serial = spec.execute(runner=SweepRunner(max_workers=1, store=store))
+        serial = run_scenario(spec, runner=SweepRunner(max_workers=1, store=store))
         assert serial.complete
         report = render_report(serial)
         assert "Who wins where" in report
@@ -269,15 +270,17 @@ class TestPolicyFaceoff:
 
         shard_store = f"file://{tmp_path / 'shards'}"
         for i in range(2):
-            spec.execute(
+            run_scenario(
+                spec,
                 runner=SweepRunner(
                     max_workers=1, store=shard_store, executor=ShardedExecutor(i, 2)
-                )
+                ),
             )
-        merged = spec.execute(
+        merged = run_scenario(
+            spec,
             runner=SweepRunner(
                 max_workers=1, store=shard_store, executor=MergeExecutor()
-            )
+            ),
         )
         assert merged.complete
         assert render_report(merged) == report

@@ -1,5 +1,5 @@
 """Tests for the real-run emulation: application models, interference,
-energy and the Figure 9 emulator."""
+energy and the Figure 9 statistics of the ``figure9`` built-in scenario."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.contention import ApplicationAwareRuntimeModel, co_run_slowdown
 from repro.core.profiles import APPLICATIONS, DEFAULT_APPLICATION, get_application
-from repro.realrun.emulator import RealRunEmulator
+from repro.experiments.scenario import builtin_scenario, realrun_improvements, run_scenario
 from repro.realrun.energy import real_run_energy
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.simulator.cluster import Cluster
@@ -97,31 +97,39 @@ class TestRealRunEnergy:
 
 
 class TestEmulator:
+    """The emulated real run: the ``figure9`` scenario's static/SD pair."""
+
     @pytest.fixture(scope="class")
     def outcome(self):
-        return RealRunEmulator(scale=0.15, seed=77).compare()
+        return run_scenario(builtin_scenario("figure9", scale=0.15, seed=77))
+
+    @pytest.fixture(scope="class")
+    def stats(self, outcome):
+        return realrun_improvements(outcome)
 
     def test_all_jobs_complete_in_both_runs(self, outcome):
-        assert len(outcome.static_jobs) == len(outcome.sd_jobs)
-        assert len(outcome.sd_jobs) > 0
+        static_jobs = outcome.baseline_run.jobs
+        sd_jobs = outcome.cells[0].run.jobs
+        assert len(static_jobs) == len(sd_jobs) == len(outcome.workload)
+        assert len(sd_jobs) > 0
 
-    def test_sd_improves_slowdown_and_response(self, outcome):
-        assert outcome.improvements["avg_slowdown"] > 0
-        assert outcome.improvements["avg_response_time"] > 0
+    def test_sd_improves_slowdown_and_response(self, stats):
+        assert stats["improvements"]["avg_slowdown"] > 0
+        assert stats["improvements"]["avg_response_time"] > 0
 
-    def test_energy_not_degraded_significantly(self, outcome):
+    def test_energy_not_degraded_significantly(self, stats):
         # The paper reports a ~6% energy saving; at reduced scale we only
         # require that SD-Policy does not increase energy by more than a few
         # percent.
-        assert outcome.improvements["energy_joules"] > -5.0
+        assert stats["improvements"]["energy_joules"] > -5.0
 
-    def test_malleable_jobs_mostly_better_proportional_runtime(self, outcome):
+    def test_malleable_jobs_mostly_better_proportional_runtime(self, stats):
         # Paper: 449 of 539 malleable-scheduled jobs used resources more
         # efficiently than the static execution.
-        assert outcome.malleable_scheduled > 0
-        assert outcome.better_runtime_jobs >= 0.6 * outcome.malleable_scheduled
+        assert stats["malleable_scheduled"] > 0
+        assert stats["better_runtime_jobs"] >= 0.6 * stats["malleable_scheduled"]
 
-    def test_improvement_keys(self, outcome):
-        assert set(outcome.improvements) >= {
+    def test_improvement_keys(self, stats):
+        assert set(stats["improvements"]) >= {
             "makespan", "avg_response_time", "avg_slowdown", "energy_joules"
         }

@@ -113,14 +113,6 @@ class TestFromRunningJobs:
         # Actual runtime is 50s (half the request).
         assert profile.earliest_start(4) == 50.0
 
-    def test_estimate_wait(self):
-        job = self._running_job(1, start=0.0, req_time=100.0, nodes=4)
-        profile = ReservationMap.from_running_jobs(
-            total_nodes=4, now=10.0, free_now=0, running_jobs=[job]
-        )
-        waiting = make_job(job_id=2, nodes=2, req_time=50.0)
-        assert profile.estimate_wait(waiting) == pytest.approx(90.0)
-
     def test_pending_job_ignored(self):
         pending = make_job(job_id=3, nodes=2)
         profile = ReservationMap.from_running_jobs(

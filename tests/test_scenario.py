@@ -369,17 +369,10 @@ class TestShardedScenario:
         runner = SweepRunner(
             max_workers=1, cache_dir=tmp_path / "c", executor=ShardedExecutor(0, 2)
         )
-        outcome = _spec().execute(runner=runner, workloads=workload)
+        outcome = run_scenario(_spec(), runner=runner, workloads=workload)
         assert not outcome.complete
         assert outcome.cells == [] and outcome.baselines == {}
         assert outcome.sweep is not None and not outcome.sweep.complete
-
-    def test_spec_execute_matches_run_scenario(self, workload):
-        direct = run_scenario(_spec(), workloads=workload)
-        via_method = _spec().execute(workloads=workload)
-        assert direct.complete and via_method.complete
-        for a, b in zip(direct.cells, via_method.cells):
-            assert a.run.metrics.as_dict() == b.run.metrics.as_dict()
 
 
 class TestWorkloadRef:
@@ -456,14 +449,15 @@ class TestMixedPaperScale:
         )
         store = f"file://{tmp_path / 'store'}"
         for i in range(2):
-            partial = spec.execute(
+            partial = run_scenario(
+                spec,
                 runner=SweepRunner(
                     max_workers=1, store=store, executor=ShardedExecutor(i, 2)
-                )
+                ),
             )
             assert not partial.complete or i == 1
-        merged = spec.execute(
-            runner=SweepRunner(max_workers=1, store=store, executor=MergeExecutor())
+        merged = run_scenario(
+            spec, runner=SweepRunner(max_workers=1, store=store, executor=MergeExecutor())
         )
         assert merged.complete
         assert {c.workload_key for c in merged.cells} == {"workload3", "swf_replay"}

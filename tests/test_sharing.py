@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.contention import ContentionModel
 from repro.core.sharing import (
-    guest_fraction_of_request,
     guest_share_of_node,
     plan_node_sharing,
 )
@@ -154,13 +153,3 @@ class TestBandwidthFeasibility:
             plan_node_sharing(node, mate, guest, 0.5, contention=ContentionModel())
             is not None
         )
-
-
-class TestGuestFraction:
-    def test_fraction_of_request(self):
-        guest = make_job(nodes=2, cpus_per_node=48)
-        assert guest_fraction_of_request(guest, 48) == pytest.approx(0.5)
-
-    def test_fraction_capped_at_one(self):
-        guest = make_job(nodes=1, cpus_per_node=48)
-        assert guest_fraction_of_request(guest, 96) == 1.0

@@ -528,8 +528,11 @@ class TestEnvelope:
         assert got == digest == hashlib.sha256(b"payload").hexdigest()
 
     def test_legacy_blob_passes_through(self):
+        """A blob without the envelope (the layout before envelopes) no
+        longer passes through: it fails, naming the missing envelope."""
         raw = pickle.dumps({"format": 2})
-        assert unwrap_blob(raw) == (raw, None)
+        with pytest.raises(BlobIntegrityError, match="no repro-blob/1 integrity envelope"):
+            unwrap_blob(raw)
 
     def test_flipped_payload_byte_rejected(self):
         enveloped, _ = wrap_blob(b"payload")
@@ -693,20 +696,24 @@ class TestLifecycle:
         assert _run_bytes(result) == _run_bytes(golden)
 
     def test_pre_envelope_blobs_still_load(self, store_url, tasks, golden):
-        """Back-compat: blobs written before the envelope existed are
-        ordinary cache hits, and verify counts them as legacy."""
+        """Blobs written before the envelope existed no longer load: verify
+        reports them as corrupt, and a sweep quarantines and recomputes
+        every one, byte-identical to the uncached golden run."""
         SweepRunner(max_workers=1, store=store_url).run(tasks)
         store = open_store(store_url)
-        for key in store.list():
+        keys = sorted(store.list())
+        for key in keys:
             payload, _ = unwrap_blob(store.get(key))
             store.put(key, payload)  # the pre-envelope on-disk layout
+        report = verify(store, dry_run=True)
+        assert not report.clean and report.ok == 0
+        assert sorted(entry["key"] for entry in report.corrupt) == keys
+        assert all("integrity envelope" in entry["error"] for entry in report.corrupt)
         result = SweepRunner(max_workers=1, store=store_url).run(tasks)
-        assert result.cache_hits == len(tasks)
-        assert result.cache_corruptions == 0
+        assert result.cache_hits == 0
+        assert result.cache_corruptions == len(tasks)
         assert _run_bytes(result) == _run_bytes(golden)
-        report = verify(store)
-        assert report.clean
-        assert report.legacy == len(tasks) and report.ok == 0
+        assert verify(store).clean
 
     def test_verify_reports_drift_against_manifest_digest(self, tmp_path):
         store = LocalFSStore(tmp_path)
