@@ -150,16 +150,11 @@ def _parse_shard_arg(value: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="sweep worker processes; an explicit value always beats "
-             "REPRO_SWEEP_WORKERS (default: the env var or the CPU count)",
-    )
+def _add_store_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", type=str, default=None,
-        help="on-disk sweep result cache; 'auto' selects the XDG cache dir "
-             "(default: caching disabled)",
+        help="result store as a local directory; 'auto' selects the XDG "
+             "cache dir (default: no store, so no caching)",
     )
     parser.add_argument(
         "--store", type=str, default=None, metavar="URL",
@@ -167,6 +162,27 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
              "s3+http(s)://host/prefix); REPRO_STORE_URL applies when "
              "neither --store nor --cache-dir is given",
     )
+
+
+def _cli_store(args: argparse.Namespace) -> Optional[ResultStore]:
+    """The store ``--store``/``--cache-dir`` select (else ``REPRO_STORE_URL``)."""
+    if args.store and args.cache_dir:
+        print(
+            "error: --store and --cache-dir are mutually exclusive "
+            "(--cache-dir PATH is shorthand for --store file://PATH)",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+    return resolve_store(args.store, args.cache_dir)
+
+
+def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers", type=_positive_int, default=None,
+        help="sweep worker processes; an explicit value always beats "
+             "REPRO_SWEEP_WORKERS (default: the env var or the CPU count)",
+    )
+    _add_store_args(parser)
     parser.add_argument(
         "--shard", type=_parse_shard_arg, default=None, metavar="I/N",
         help="run only shard I of N (1-based) of the expanded sweep tasks and "
@@ -205,21 +221,12 @@ def _make_runner(
                     f"{name} {seconds:.2f}s" for name, seconds in phases.items()
                 ) + "]"
             print(f"  [{done}/{total}] {entry.key} ({origin}){detail}", file=sys.stderr)
-    cache_dir = getattr(args, "cache_dir", None)
-    store = getattr(args, "store", None)
+    store = _cli_store(args)
     shard = getattr(args, "shard", None)
     manifest = getattr(args, "manifest", None)
-    if store and cache_dir:
-        print(
-            "error: --store and --cache-dir are mutually exclusive "
-            "(--cache-dir PATH is shorthand for --store file://PATH)",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    has_store = bool(store or cache_dir or os.environ.get("REPRO_STORE_URL"))
     flags = {flag: bool(getattr(args, flag, False)) for flag, _kind in ATTACHMENT_FLAGS}
     for flag, kind in ATTACHMENT_FLAGS:
-        if flags[flag] and not has_store:
+        if flags[flag] and store is None:
             print(
                 f"error: {kind.flag} needs a result store to publish "
                 f"{kind.noun} (--cache-dir or --store)",
@@ -231,29 +238,11 @@ def _make_runner(
         if shard is not None:
             print("error: --shard cannot be combined with merge", file=sys.stderr)
             raise SystemExit(2)
-        if not has_store:
-            print(
-                "error: merging a sharded sweep requires a result store "
-                "(--cache-dir or --store)",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
         executor = MergeExecutor(manifest_dir=manifest)
     elif shard is not None:
-        if not has_store:
-            print(
-                "error: --shard requires a result store (--cache-dir or --store; "
-                "the store carries results between shard invocations)",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-        executor = ShardedExecutor(
-            shard[0], shard[1], manifest_dir=manifest,
-            max_workers=getattr(args, "workers", None),
-        )
+        executor = ShardedExecutor(shard[0], shard[1], manifest_dir=manifest)
     return SweepRunner(
         max_workers=getattr(args, "workers", None),
-        cache_dir=cache_dir,
         store=store,
         progress=callback,
         executor=executor,
@@ -623,14 +612,7 @@ def _cmd_store_serve(args: argparse.Namespace) -> int:
 def _attachment_store(args: argparse.Namespace, command: str) -> Optional[ResultStore]:
     """The store ``query``/``trace`` read run attachments from; ``None``
     after printing why there is none."""
-    if args.store and args.cache_dir:
-        print(
-            "error: --store and --cache-dir are mutually exclusive "
-            "(--cache-dir PATH is shorthand for --store file://PATH)",
-            file=sys.stderr,
-        )
-        return None
-    store = resolve_store(args.store, args.cache_dir)
+    store = _cli_store(args)
     if store is None:
         print(
             f"error: {command} reads a result store; give --cache-dir or --store "
@@ -931,16 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
 
     def _add_trace_store_args(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument(
-            "--cache-dir", type=str, default=None,
-            help="result store to read, as a local cache dir ('auto' = XDG dir)",
-        )
-        sub_parser.add_argument(
-            "--store", type=str, default=None, metavar="URL",
-            help="result store to read, as a URL (file://…, memory://…, "
-                 "s3+http(s)://…); REPRO_STORE_URL applies when neither "
-                 "--store nor --cache-dir is given",
-        )
+        _add_store_args(sub_parser)
         sub_parser.add_argument(
             "--key", type=str, default=None, metavar="PREFIX",
             help="only traces whose cache key starts with PREFIX",
@@ -990,16 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
              "sweep in a store, or regenerate figures/tables from them",
     )
     _add_workload_args(p_query)
-    p_query.add_argument(
-        "--cache-dir", type=str, default=None,
-        help="result store to query, as a local cache dir ('auto' = XDG dir)",
-    )
-    p_query.add_argument(
-        "--store", type=str, default=None, metavar="URL",
-        help="result store to query, as a URL (file://…, memory://…, "
-             "s3+http(s)://…); REPRO_STORE_URL applies when neither "
-             "--store nor --cache-dir is given",
-    )
+    _add_store_args(p_query)
     p_query.add_argument(
         "--list", action="store_true",
         help="list every analytics run in the store and exit",

@@ -1,10 +1,12 @@
 """Experiment harness: the code paths that regenerate each paper table/figure.
 
 :mod:`repro.experiments.runner` runs one workload under one policy and
-returns the metrics; :mod:`repro.experiments.sweep` fans independent runs
-out over a process pool with a result cache in a pluggable
-:mod:`repro.store` backend (local directory, memory, or remote object
-store);
+returns the metrics; :mod:`repro.experiments.sweep` serves independent
+runs from a result cache in a pluggable :mod:`repro.store` backend (local
+directory, memory, or remote object store) and runs the misses in process
+or over a fork pool (:func:`~repro.experiments.executors.run_tasks`) — all
+of them, one shard's slice (:class:`ShardedExecutor`), or none, merging
+completed shards (:class:`MergeExecutor`);
 :mod:`repro.experiments.scenario` turns a declarative spec (workload ref ×
 policy × parameter grid, JSON round-trippable) into sweep tasks and reports,
 and holds one built-in scenario per table and figure of the paper's
@@ -13,11 +15,8 @@ benchmarks and the CLI are thin wrappers around this package.
 """
 
 from repro.experiments.executors import (
-    Executor,
     ExecutorError,
     MergeExecutor,
-    ProcessPoolExecutor,
-    SerialExecutor,
     ShardedExecutor,
     parse_shard,
 )
@@ -47,12 +46,9 @@ from repro.experiments.sweep import (
 
 __all__ = [
     "BUILTIN_SCENARIOS",
-    "Executor",
     "ExecutorError",
     "MergeExecutor",
     "PolicyRun",
-    "ProcessPoolExecutor",
-    "SerialExecutor",
     "ShardedExecutor",
     "parse_shard",
     "ScenarioCell",

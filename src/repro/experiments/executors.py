@@ -1,17 +1,15 @@
-"""Pluggable execution backends for the sweep runner.
+"""How a sweep's cache misses run, and how a sweep is split into shards.
 
-:class:`repro.experiments.sweep.SweepRunner` decides *what* to run (cache
-probing, task ordering, result assembly); the executors here decide *how*
-the cache misses are executed:
+:class:`repro.experiments.sweep.SweepRunner` probes the cache and decides
+which misses run; this module runs them:
 
-* :class:`SerialExecutor` — everything in-process, one task at a time;
-* :class:`ProcessPoolExecutor` — a multiprocessing fan-out (the former
-  ``SweepRunner._run_parallel`` path);
-* :class:`ShardedExecutor` — executes only a deterministic ``1/N`` slice of
-  the task list and records progress in a resumable JSON *shard manifest*
-  inside the result store, so one sweep can be split across machines
-  (or cron ticks) and resumed after a kill;
-* :class:`MergeExecutor` — executes nothing: it validates that every shard
+* :func:`run_tasks` — runs a list of tasks, in process with one worker or
+  over a fork pool with more, and reports every completion to the runner;
+* :class:`ShardedExecutor` — runs only a deterministic ``1/N`` slice of
+  the misses (through :func:`run_tasks`) and records progress in a
+  resumable JSON *shard manifest* inside the result store, so one sweep
+  can be split across machines (or cron ticks) and resumed after a kill;
+* :class:`MergeExecutor` — runs nothing: it validates that every shard
   manifest of the sweep is complete and lets the runner assemble the full
   result from the shared cache, bit-identical to a single-process run.
 
@@ -28,7 +26,6 @@ different machines need no shared filesystem at all.
 
 from __future__ import annotations
 
-import abc
 import hashlib
 import logging
 import multiprocessing
@@ -39,7 +36,6 @@ import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures import ProcessPoolExecutor as _FuturesProcessPool
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -180,143 +176,72 @@ def _worker(indexed_task: Tuple[int, "SweepTask"]) -> Tuple[int, str, Any]:
         return index, "error", (f"{type(exc).__name__}: {exc}", traceback.format_exc())
 
 
-# --------------------------------------------------------------------- #
-# The execution plan handed from the runner to an executor
-# --------------------------------------------------------------------- #
-@dataclass
-class ExecutionPlan:
-    """Everything an executor needs to run one sweep's cache misses.
+def run_tasks(
+    tasks: Sequence["SweepTask"],
+    keys: Sequence[str],
+    indices: Sequence[int],
+    max_workers: int,
+    complete: Callable[[int, "PolicyRun", float], None],
+) -> None:
+    """Run ``tasks[i]`` for every ``i`` in ``indices``.
 
-    ``tasks``/``keys``/``cache_keys`` cover the *full* sweep in task order;
-    ``pending`` are the indices whose results were not served from the
-    cache and ``corrupt`` the subset of those whose cache entry existed but
-    was quarantined as unreadable.  ``store`` is the runner's result store
-    (``None`` when caching is disabled) — the transport sharded executors
-    publish through.  Executors call ``complete(index, run, elapsed)`` for
-    every task they finish — the runner stores the cache entry, records the
-    result and fires the progress callback — and may call
-    ``note_corruptions(n)`` to add corruption counts discovered outside the
-    runner's own probe (a merge aggregating shard manifests does).
-    ``max_workers`` is the runner's resolved worker budget, which executors
-    that spawn their own inner backend must respect unless explicitly
-    configured otherwise.  ``digests`` is the runner's live map of task
-    index to the SHA-256 content digest of its cache blob — filled for
-    cache hits up front and for every completion after ``complete``
-    returns — which sharded executors record in their manifests.
-    """
-
-    tasks: Sequence["SweepTask"]
-    keys: Sequence[str]
-    cache_keys: Sequence[Optional[str]]
-    pending: List[int]
-    complete: Callable[[int, "PolicyRun", float], None]
-    store: Optional[ResultStore] = None
-    max_workers: int = 1
-    corrupt: Sequence[int] = ()
-    note_corruptions: Optional[Callable[[int], None]] = None
-    digests: Optional[Dict[int, Optional[str]]] = None
-
-
-class Executor(abc.ABC):
-    """Execution backend protocol for :class:`SweepRunner`.
-
-    ``partial`` declares whether the executor may legitimately leave plan
-    tasks unfinished (a shard does; everything else must finish the plan).
-    """
-
-    partial: bool = False
-
-    @abc.abstractmethod
-    def execute(self, plan: ExecutionPlan) -> None:
-        """Run (a subset of) ``plan.pending`` and report completions."""
-
-
-# --------------------------------------------------------------------- #
-# Serial and process-pool backends (extracted from SweepRunner)
-# --------------------------------------------------------------------- #
-class SerialExecutor(Executor):
-    """Run every pending task in-process, in plan order."""
-
-    def execute(self, plan: ExecutionPlan) -> None:
-        for index in plan.pending:
-            t0 = time.perf_counter()
-            try:
-                run = _execute_task(plan.tasks[index])
-            except Exception as exc:
-                raise SweepError(
-                    plan.keys[index],
-                    f"{type(exc).__name__}: {exc}",
-                    traceback.format_exc(),
-                ) from exc
-            plan.complete(index, run, time.perf_counter() - t0)
-
-
-class ProcessPoolExecutor(Executor):
-    """Fan pending tasks out over a multiprocessing pool.
-
+    ``complete(index, run, elapsed)`` is called in the parent for every
+    finished task.  With one worker (or at most one task) everything runs
+    in-process, in order; otherwise the tasks fan out over a process pool.
     Fork shares the already-built workload objects cheaply, but is only
     safe on Linux (macOS frameworks may abort in forked children); the
-    platform default start method is used everywhere else.
+    platform default start method is used everywhere else.  A failure
+    raises :class:`SweepError` with the original traceback and cancels
+    the queued remainder.
     """
-
-    def __init__(self, max_workers: int) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.max_workers = max_workers
-
-    def execute(self, plan: ExecutionPlan) -> None:
-        if not plan.pending:
-            return
-        workers = min(self.max_workers, len(plan.pending))
-        if sys.platform == "linux":
-            context = multiprocessing.get_context("fork")
-        else:
-            context = multiprocessing.get_context()
-        with _FuturesProcessPool(max_workers=workers, mp_context=context) as pool:
+    workers = min(max_workers, len(indices))
+    if workers <= 1:
+        for index in indices:
+            t0 = time.perf_counter()
             try:
-                futures = {
-                    pool.submit(_worker, (index, plan.tasks[index])): index
-                    for index in plan.pending
-                }
-                pending = set(futures)
-                while pending:
-                    # _worker never raises, so wait for completions one batch
-                    # at a time: progress streams and failures cancel the
-                    # remainder as soon as they are observed.
-                    finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        index = futures[future]
-                        exc = future.exception()
-                        if exc is not None:
-                            # Pool infrastructure failure (a killed worker…).
-                            raise SweepError(
-                                plan.keys[index], f"{type(exc).__name__}: {exc}"
-                            )
-                        got_index, status, payload = future.result()
-                        if status == "error":
-                            message, worker_tb = payload
-                            _log.error(
-                                "worker failed on task %s: %s",
-                                plan.keys[got_index],
-                                message,
-                            )
-                            raise SweepError(plan.keys[got_index], message, worker_tb)
-                        run, elapsed = payload
-                        plan.complete(got_index, run, elapsed)
-            except BaseException:
-                # Task failure or interrupt: drop everything still queued so
-                # the pool winds down promptly and no orphaned work keeps
-                # writing cache entries behind our back.
-                pool.shutdown(wait=True, cancel_futures=True)
-                raise
-
-
-def default_executor(max_workers: int, pending_count: int) -> Executor:
-    """The executor :class:`SweepRunner` uses absent an explicit override."""
-    workers = min(max_workers, max(1, pending_count))
-    if workers == 1:
-        return SerialExecutor()
-    return ProcessPoolExecutor(workers)
+                run = _execute_task(tasks[index])
+            except Exception as exc:
+                raise SweepError(
+                    keys[index], f"{type(exc).__name__}: {exc}", traceback.format_exc()
+                ) from exc
+            complete(index, run, time.perf_counter() - t0)
+        return
+    if sys.platform == "linux":
+        context = multiprocessing.get_context("fork")
+    else:
+        context = multiprocessing.get_context()
+    with _FuturesProcessPool(max_workers=workers, mp_context=context) as pool:
+        try:
+            futures = {
+                pool.submit(_worker, (index, tasks[index])): index for index in indices
+            }
+            pending = set(futures)
+            while pending:
+                # _worker never raises, so wait for completions one batch at
+                # a time: progress streams and failures cancel the remainder
+                # as soon as they are observed.
+                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    index = futures[future]
+                    exc = future.exception()
+                    if exc is not None:
+                        # Pool infrastructure failure (a killed worker…).
+                        raise SweepError(keys[index], f"{type(exc).__name__}: {exc}")
+                    got_index, status, payload = future.result()
+                    if status == "error":
+                        message, worker_tb = payload
+                        _log.error(
+                            "worker failed on task %s: %s", keys[got_index], message
+                        )
+                        raise SweepError(keys[got_index], message, worker_tb)
+                    run, elapsed = payload
+                    complete(got_index, run, elapsed)
+        except BaseException:
+            # Task failure or interrupt: drop everything still queued so the
+            # pool winds down promptly and no orphaned work keeps writing
+            # cache entries behind our back.
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise
 
 
 # --------------------------------------------------------------------- #
@@ -358,14 +283,14 @@ def manifest_name(sweep: str, shard_index: int, shard_count: int) -> str:
     return f"{sweep}.shard-{shard_index + 1}-of-{shard_count}"
 
 
-def _require_store(plan: ExecutionPlan, what: str) -> ResultStore:
-    if plan.store is None or any(k is None for k in plan.cache_keys):
+def _require_store(store: Optional[ResultStore], what: str) -> ResultStore:
+    if store is None:
         raise ExecutorError(
             f"{what} requires a result store (pass cache_dir/--cache-dir or a "
             "store/--store URL): the store is the transport between shard "
             "invocations"
         )
-    return plan.store
+    return store
 
 
 def _manifest_store(
@@ -382,7 +307,7 @@ def _manifest_store(
     return LocalFSStore(manifest_dir, manifest_dir=manifest_dir)
 
 
-class ShardedExecutor(Executor):
+class ShardedExecutor:
     """Execute one deterministic ``1/N`` slice of a sweep, resumably.
 
     Tasks are partitioned round-robin by task index (task ``i`` belongs to
@@ -392,20 +317,13 @@ class ShardedExecutor(Executor):
     the same store) records each owned task's key, cache key and status
     after every completion, so a killed shard can simply be re-invoked:
     finished tasks come back as cache hits and only unfinished ones re-run.
-
-    The actual execution of the owned slice is delegated to a
-    :class:`SerialExecutor` or :class:`ProcessPoolExecutor` picked from
-    ``max_workers`` exactly like an unsharded run.
     """
-
-    partial = True
 
     def __init__(
         self,
         shard_index: int,
         shard_count: int,
         manifest_dir: Optional[Union[str, Path]] = None,
-        max_workers: Optional[int] = None,
     ) -> None:
         if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
@@ -416,31 +334,48 @@ class ShardedExecutor(Executor):
         self.shard_index = shard_index
         self.shard_count = shard_count
         self.manifest_dir = Path(manifest_dir) if manifest_dir is not None else None
-        self.max_workers = max_workers
 
     def owns(self, index: int) -> bool:
         return index % self.shard_count == self.shard_index
 
     # ------------------------------------------------------------------ #
-    def execute(self, plan: ExecutionPlan) -> None:
-        if not plan.tasks:
+    def run(
+        self,
+        store: Optional[ResultStore],
+        tasks: Sequence["SweepTask"],
+        keys: Sequence[str],
+        cache_keys: Sequence[Optional[str]],
+        misses: Sequence[int],
+        corruptions: int,
+        digests: Dict[int, Optional[str]],
+        max_workers: int,
+        complete: Callable[[int, "PolicyRun", float], None],
+    ) -> None:
+        """Run the owned ``misses`` through :func:`run_tasks`.
+
+        ``tasks``/``keys``/``cache_keys`` cover the whole sweep in task
+        order; ``corruptions`` counts the entries this invocation's cache
+        probe quarantined.  ``digests`` is the runner's live map of task
+        index to cache-blob digest — filled for cache hits up front and by
+        ``complete`` for every finished task — recorded in the manifest.
+        """
+        if not tasks:
             return
-        store = _require_store(plan, "sharded execution")
+        store = _require_store(store, "sharded execution")
         manifest_store = _manifest_store(store, self.manifest_dir)
-        sweep = sweep_id(plan.cache_keys)
+        sweep = sweep_id(cache_keys)
         name = manifest_name(sweep, self.shard_index, self.shard_count)
 
-        owned = [i for i in range(len(plan.tasks)) if self.owns(i)]
-        pending = [i for i in plan.pending if self.owns(i)]
+        owned = [i for i in range(len(tasks)) if self.owns(i)]
+        pending = [i for i in misses if self.owns(i)]
         pending_set = set(pending)
         records: Dict[int, Dict[str, Any]] = {}
         blob_path = getattr(store, "blob_path", None)
-        digests = plan.digests if plan.digests is not None else {}
         for i in owned:
             records[i] = {
                 "index": i,
-                "key": plan.keys[i],
-                "cache_key": plan.cache_keys[i],
+                "key": keys[i],
+                "cache_key": cache_keys[i],
                 "status": "pending" if i in pending_set else "done",
                 "from_cache": i not in pending_set,
                 "wall_clock_seconds": 0.0,
@@ -449,7 +384,7 @@ class ShardedExecutor(Executor):
                 "digest": digests.get(i),
             }
             if blob_path is not None:  # local-FS convenience for humans
-                records[i]["cache_path"] = str(blob_path(plan.cache_keys[i]))
+                records[i]["cache_path"] = str(blob_path(cache_keys[i]))
 
         # Corruptions quarantined by earlier invocations of this shard
         # survive manifest rewrites, so a merge reports everything any
@@ -457,14 +392,12 @@ class ShardedExecutor(Executor):
         # removes the blob, so later probes don't re-observe it; the count
         # is best-effort under concurrency — two shards probing the same
         # corrupt blob in the same instant may both record it.
-        prior_corruptions = 0
         try:
             prior = manifest_store.read_manifest(name)
         except StoreError:
             prior = None
         if prior is not None and prior.get("sweep_id") == sweep:
-            prior_corruptions = int(prior.get("cache_corruptions", 0))
-        corruptions = prior_corruptions + len(plan.corrupt)
+            corruptions += int(prior.get("cache_corruptions", 0))
 
         def write_manifest() -> None:
             manifest_store.write_manifest(
@@ -474,19 +407,15 @@ class ShardedExecutor(Executor):
                     "sweep_id": sweep,
                     "shard_index": self.shard_index,
                     "shard_count": self.shard_count,
-                    "total_tasks": len(plan.tasks),
+                    "total_tasks": len(tasks),
                     "store": store.url,
                     "cache_corruptions": corruptions,
                     # v4: whether this shard captures per-job records
                     # (published as analytics-* manifests next to the cache).
-                    "analytics": any(
-                        getattr(t, "analytics", False) for t in plan.tasks
-                    ),
+                    "analytics": any(getattr(t, "analytics", False) for t in tasks),
                     # v5: whether this shard records decision traces
                     # (published as trace-* manifests next to the cache).
-                    "trace": any(
-                        getattr(t, "trace", False) for t in plan.tasks
-                    ),
+                    "trace": any(getattr(t, "trace", False) for t in tasks),
                     "tasks": [records[i] for i in owned],
                 },
             )
@@ -494,8 +423,8 @@ class ShardedExecutor(Executor):
 
         write_manifest()
 
-        def complete(index: int, run: "PolicyRun", elapsed: float) -> None:
-            plan.complete(index, run, elapsed)
+        def complete_owned(index: int, run: "PolicyRun", elapsed: float) -> None:
+            complete(index, run, elapsed)
             records[index].update(
                 status="done",
                 wall_clock_seconds=elapsed,
@@ -503,17 +432,8 @@ class ShardedExecutor(Executor):
             )
             write_manifest()
 
-        # An explicit max_workers on the executor wins; otherwise inherit
-        # the runner's resolved budget (a caller that asked for serial
-        # execution must not get a forked pool behind its back).
-        budget = (
-            plan.max_workers
-            if self.max_workers is None
-            else resolve_worker_count(self.max_workers)
-        )
-        inner = default_executor(budget, len(pending))
         try:
-            inner.execute(replace(plan, pending=pending, complete=complete))
+            run_tasks(tasks, keys, pending, max_workers, complete_owned)
         except SweepError as err:
             for record in records.values():
                 if record["key"] == err.key and record["status"] == "pending":
@@ -522,7 +442,7 @@ class ShardedExecutor(Executor):
             raise
 
 
-class MergeExecutor(Executor):
+class MergeExecutor:
     """Assemble a sharded sweep: validate every shard manifest, run nothing.
 
     A merge succeeds only when (a) the manifest directory holds one manifest
@@ -564,6 +484,7 @@ class MergeExecutor(Executor):
                 )
             if manifest.get("sweep_id") != sweep:
                 raise ExecutorError(f"shard manifest {name} is for another sweep")
+            _check_manifest_fields(name, manifest)
             manifests.append(manifest)
         if not manifests:
             raise ExecutorError(
@@ -571,12 +492,27 @@ class MergeExecutor(Executor):
             )
         return manifests
 
-    def execute(self, plan: ExecutionPlan) -> None:
-        if not plan.tasks:
-            return
-        store = _require_store(plan, "merging a sharded sweep")
+    def check(
+        self,
+        store: Optional[ResultStore],
+        keys: Sequence[str],
+        cache_keys: Sequence[Optional[str]],
+        misses: Sequence[int],
+        corrupt: Sequence[int],
+    ) -> int:
+        """Validate the shard manifests against the runner's cache probe.
+
+        ``misses`` are the task indices the cache did not serve and
+        ``corrupt`` those whose entry was quarantined as unreadable.
+        Returns the corruption count the shards reported, so the merged
+        result's ``cache_corruptions`` covers the whole fan-out, not just
+        this process's (clean) probe.
+        """
+        if not keys:
+            return 0
+        store = _require_store(store, "merging a sharded sweep")
         manifest_store = _manifest_store(store, self.manifest_dir)
-        sweep = sweep_id(plan.cache_keys)
+        sweep = sweep_id(cache_keys)
         manifests = self._load_manifests(manifest_store, sweep)
 
         counts = {m["shard_count"] for m in manifests}
@@ -605,30 +541,40 @@ class MergeExecutor(Executor):
             raise ExecutorError(
                 "cannot merge: unfinished shard tasks: " + "; ".join(sorted(unfinished))
             )
-        uncovered = sorted(set(plan.keys) - covered)
+        uncovered = sorted(set(keys) - covered)
         if uncovered:
             raise ExecutorError(
                 f"shard manifests do not cover task(s) {uncovered}; were the "
                 "shards run with a different task list?"
             )
-        if plan.pending:
-            corrupt = sorted(set(plan.pending) & set(plan.corrupt))
-            if corrupt:
-                quarantined = [plan.keys[i] for i in corrupt]
-                raise ExecutorError(
-                    f"{len(corrupt)} cache entr"
-                    f"{'y was' if len(corrupt) == 1 else 'ies were'} corrupt and "
-                    f"quarantined (*.pkl.corrupt): {quarantined}; re-run the "
-                    "owning shard(s) to regenerate them, then merge again"
-                )
-            missing = [plan.keys[i] for i in plan.pending]
+        if corrupt:
+            quarantined = [keys[i] for i in corrupt]
+            raise ExecutorError(
+                f"{len(corrupt)} cache entr"
+                f"{'y was' if len(corrupt) == 1 else 'ies were'} corrupt and "
+                f"quarantined (*.pkl.corrupt): {quarantined}; re-run the "
+                "owning shard(s) to regenerate them, then merge again"
+            )
+        if misses:
+            missing = [keys[i] for i in misses]
             raise ExecutorError(
                 f"manifests report every shard done but the cache is missing "
                 f"{missing}; was the store pruned or changed?"
             )
-        # Surface what the shards quarantined while they ran, so the merged
-        # result's ``cache_corruptions`` covers the whole fan-out, not just
-        # this process's (clean) probe.
-        shard_corruptions = sum(int(m.get("cache_corruptions", 0)) for m in manifests)
-        if plan.note_corruptions is not None and shard_corruptions:
-            plan.note_corruptions(shard_corruptions)
+        return sum(int(m.get("cache_corruptions", 0)) for m in manifests)
+
+
+def _check_manifest_fields(name: str, manifest: Dict[str, Any]) -> None:
+    """Reject a shard manifest lacking a field the merge reads."""
+    for field in ("shard_index", "shard_count", "tasks"):
+        if field not in manifest:
+            raise ExecutorError(f"shard manifest {name} lacks the {field!r} field")
+    if not isinstance(manifest["tasks"], list):
+        raise ExecutorError(f"shard manifest {name}: 'tasks' is not a list")
+    for position, record in enumerate(manifest["tasks"]):
+        for field in ("key", "status"):
+            if not isinstance(record, dict) or field not in record:
+                raise ExecutorError(
+                    f"shard manifest {name}: task record {position} lacks "
+                    f"the {field!r} field"
+                )

@@ -3,8 +3,9 @@
 Every figure and table of the paper is a sweep — MAX_SLOWDOWN values ×
 workloads × runtime models — and each point is one independent
 :func:`repro.experiments.runner.run_workload` call.  :class:`SweepRunner`
-fans those calls out through a pluggable execution backend
-(:mod:`repro.experiments.executors`) with
+probes the cache, decides which misses run and hands them to
+:func:`repro.experiments.executors.run_tasks` (in process or over a fork
+pool), with
 
 * a configurable worker count (``REPRO_SWEEP_WORKERS`` or the CPU count),
 * deterministic per-task seeds, so serial, parallel and sharded execution
@@ -50,16 +51,12 @@ from typing import (
 
 from repro.analytics.records import RECORDS, publish_run_records
 from repro.experiments.executors import (
-    ExecutionPlan,
-    Executor,
     ExecutorError,
     MergeExecutor,
-    ProcessPoolExecutor,
-    SerialExecutor,
     ShardedExecutor,
     SweepError,
-    default_executor,
     resolve_worker_count,
+    run_tasks,
 )
 from repro.experiments.runner import PolicyRun
 from repro.store import (
@@ -80,13 +77,9 @@ __all__ = [
     "ATTACHMENT_FLAGS",
     "CACHE_FORMAT_VERSION",
     "CACHE_KEY_VERSION",
-    "ExecutionPlan",
-    "Executor",
     "ExecutorError",
     "MergeExecutor",
-    "ProcessPoolExecutor",
     "ResultStore",
-    "SerialExecutor",
     "ShardedExecutor",
     "StoreError",
     "SweepEntry",
@@ -334,7 +327,7 @@ def task_cache_key(task: SweepTask) -> str:
 # The runner
 # --------------------------------------------------------------------- #
 class SweepRunner:
-    """Run a batch of :class:`SweepTask` points through an execution backend.
+    """Run a batch of :class:`SweepTask` points, serving hits from the cache.
 
     Parameters
     ----------
@@ -354,14 +347,11 @@ class SweepRunner:
         Optional callback ``progress(done, total, entry)`` invoked after
         every completed task (cache hits included).
     executor:
-        Execution backend override.  ``None`` picks
-        :class:`repro.experiments.executors.SerialExecutor` or
-        :class:`~repro.experiments.executors.ProcessPoolExecutor` from
-        ``max_workers``; pass a
-        :class:`~repro.experiments.executors.ShardedExecutor` to run one
-        shard of the sweep, or a
-        :class:`~repro.experiments.executors.MergeExecutor` to assemble the
-        full result from completed shard manifests.
+        ``None`` runs every cache miss.  A
+        :class:`~repro.experiments.executors.ShardedExecutor` runs only one
+        shard's slice of them; a
+        :class:`~repro.experiments.executors.MergeExecutor` runs none and
+        assembles the full result from completed shard manifests.
     store:
         Result-store backend: a :class:`repro.store.ResultStore` instance
         or a URL (``file://…``, ``memory://…``, ``s3+http(s)://…``).  An
@@ -384,7 +374,7 @@ class SweepRunner:
         max_workers: Optional[int] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         progress: Optional[Callable[[int, int, SweepEntry], None]] = None,
-        executor: Optional[Executor] = None,
+        executor: Optional[Union[ShardedExecutor, MergeExecutor]] = None,
         store: Optional[Union[str, ResultStore]] = None,
         analytics: bool = False,
         trace: bool = False,
@@ -530,9 +520,9 @@ class SweepRunner:
     def run(self, tasks: Sequence[SweepTask]) -> SweepResult:
         """Execute every task and return their results in task order.
 
-        With a partial executor (a shard), only the tasks finished so far
-        are returned and ``result.complete`` is ``False``; any other
-        executor must finish the whole plan.
+        Under a :class:`ShardedExecutor` only the tasks finished so far are
+        returned and ``result.complete`` is ``False``; a
+        :class:`MergeExecutor` raises unless the cache served every task.
         """
         tasks = list(tasks)
         flags = {flag: True for flag, _kind in ATTACHMENT_FLAGS if getattr(self, flag)}
@@ -549,7 +539,6 @@ class SweepRunner:
         entries: List[Optional[SweepEntry]] = [None] * total
         misses: List[int] = []
         corrupt_indices: List[int] = []
-        shard_corruptions: List[int] = [0]
         cache_keys = [self._cache_key(task) for task in tasks]
         digests: Dict[int, Optional[str]] = {}
 
@@ -600,37 +589,26 @@ class SweepRunner:
             if self.progress is not None:
                 self.progress(done, total, entry)
 
-        def note_corruptions(count: int) -> None:
-            shard_corruptions[0] += count
-
-        executor = self.executor or default_executor(self.max_workers, len(misses))
-        executor.execute(
-            ExecutionPlan(
-                tasks=tasks,
-                keys=keys,
-                cache_keys=cache_keys,
-                store=self.store,
-                pending=misses,
-                complete=complete,
-                max_workers=self.max_workers,
-                corrupt=corrupt_indices,
-                note_corruptions=note_corruptions,
-                digests=digests,
+        executor = self.executor
+        shard_corruptions = 0
+        if executor is None:
+            run_tasks(tasks, keys, misses, self.max_workers, complete)
+        elif isinstance(executor, MergeExecutor):
+            shard_corruptions = executor.check(
+                self.store, keys, cache_keys, misses, corrupt_indices
             )
-        )
+        else:
+            executor.run(
+                self.store, tasks, keys, cache_keys, misses,
+                len(corrupt_indices), digests, self.max_workers, complete,
+            )
 
         finished = [entry for entry in entries if entry is not None]
-        if len(finished) != total and not executor.partial:
-            unfinished = [keys[i] for i, e in enumerate(entries) if e is None]
-            raise ExecutorError(
-                f"executor {type(executor).__name__} left task(s) unfinished: "
-                f"{unfinished}"
-            )
         return SweepResult(
             entries=finished,
             total_wall_clock_seconds=time.perf_counter() - started,
             workers=workers,
             complete=len(finished) == total,
             total_tasks=total,
-            cache_corruptions=len(corrupt_indices) + shard_corruptions[0],
+            cache_corruptions=len(corrupt_indices) + shard_corruptions,
         )

@@ -220,13 +220,3 @@ class StreamingMetrics:
             energy_joules,
         )
 
-    @property
-    def buffer_bytes(self) -> int:
-        """Bytes held by the metric buffers (the streaming mode's O(n) part)."""
-        return (
-            self._response.nbytes
-            + self._wait.nbytes
-            + self._slowdown.nbytes
-            + self._bounded.nbytes
-            + self._runtime.nbytes
-        )

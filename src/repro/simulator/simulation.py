@@ -225,11 +225,6 @@ class Simulation:
         if hasattr(self.scheduler, "bind"):
             self.scheduler.bind(self)
 
-    def add_sink(self, sink: "JobSink") -> None:
-        """Register an extra completed-job sink (appended to the chain)."""
-        self._sinks.append(sink)
-        self._sink_folds = [s.fold for s in self._sinks]
-
     # ------------------------------------------------------------------ #
     # Workload loading
     # ------------------------------------------------------------------ #

@@ -215,9 +215,8 @@ class TestShardCLI:
                 "--cache-dir", str(cache), *extra]
 
     def test_shard_requires_cache_dir(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--workload", "3", "--scale", "0.01", "--shard", "1/2"])
-        assert excinfo.value.code == 2
+        assert main(["sweep", "--workload", "3", "--scale", "0.01",
+                     "--shard", "1/2"]) == 2
         assert "--cache-dir" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["0/2", "3/2", "x", "1/0"])
@@ -228,9 +227,7 @@ class TestShardCLI:
             )
 
     def test_merge_requires_cache_dir(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "merge", "--workload", "3", "--scale", "0.01"])
-        assert excinfo.value.code == 2
+        assert main(["sweep", "merge", "--workload", "3", "--scale", "0.01"]) == 2
         assert "--cache-dir" in capsys.readouterr().err
 
     def test_merge_without_manifests_is_clean_error(self, tmp_path, capsys):

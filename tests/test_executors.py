@@ -1,7 +1,7 @@
-"""Tests for the pluggable sweep execution backends.
+"""Tests for how a sweep's cache misses run.
 
-Covers the :mod:`repro.experiments.executors` subsystem: the serial /
-process-pool extraction, deterministic sharding with resumable manifests,
+Covers the :mod:`repro.experiments.executors` subsystem: serial and
+process-pool execution, deterministic sharding with resumable manifests,
 the merge step's bit-identity with a single-process run, and
 interrupt/failure cleanup (no orphaned ``*.tmp`` cache files, no leftover
 pool workers, resumed shards re-run only unfinished tasks).
@@ -25,8 +25,6 @@ from repro.experiments.executors import (
     MANIFEST_DIR_NAME,
     ExecutorError,
     MergeExecutor,
-    ProcessPoolExecutor,
-    SerialExecutor,
     ShardedExecutor,
     parse_shard,
     sweep_id,
@@ -86,10 +84,6 @@ class TestExecutorSelection:
         for key in serial.runs:
             assert serial[key].metrics.as_dict() == pooled[key].metrics.as_dict()
 
-    def test_explicit_executor_override(self, tasks):
-        result = SweepRunner(max_workers=4, executor=SerialExecutor()).run(tasks)
-        assert result.complete and len(result) == len(tasks)
-
     def test_sharding_requires_cache(self, tasks):
         runner = SweepRunner(max_workers=1, executor=ShardedExecutor(0, 2))
         with pytest.raises(ExecutorError, match="cache"):
@@ -112,12 +106,15 @@ class TestShardedExecution:
             t.resolved_key() for i, t in enumerate(tasks) if i % 2 == 0
         ]
 
-    def test_sharded_merge_is_bit_identical(self, tasks, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sharded_merge_is_bit_identical(self, tasks, tmp_path, workers):
+        """Shards whose slice runs in process or over the pool both merge
+        into the single-process result."""
         golden = SweepRunner(max_workers=1).run(tasks)
         cache = tmp_path / "cache"
         for i in range(2):
             SweepRunner(
-                max_workers=1, cache_dir=cache, executor=ShardedExecutor(i, 2)
+                max_workers=workers, cache_dir=cache, executor=ShardedExecutor(i, 2)
             ).run(tasks)
         merged = SweepRunner(
             max_workers=1, cache_dir=cache, executor=MergeExecutor()
@@ -165,28 +162,21 @@ class TestShardedExecution:
 
     def test_shard_inherits_runner_worker_budget(self, tasks, tmp_path, monkeypatch):
         """A runner configured serial must not get a forked pool behind its
-        back: ShardedExecutor without an explicit max_workers inherits the
-        runner's resolved budget."""
+        back: a shard runs its slice with the runner's resolved budget."""
         import repro.experiments.executors as executors_mod
 
         budgets = []
-        real = executors_mod.default_executor
+        real = executors_mod.run_tasks
 
-        def recording(max_workers, pending_count):
+        def recording(tasks, keys, indices, max_workers, complete):
             budgets.append(max_workers)
-            return real(max_workers, pending_count)
+            return real(tasks, keys, indices, max_workers, complete)
 
-        monkeypatch.setattr(executors_mod, "default_executor", recording)
+        monkeypatch.setattr(executors_mod, "run_tasks", recording)
         SweepRunner(
             max_workers=1, cache_dir=tmp_path / "a", executor=ShardedExecutor(0, 2)
         ).run(tasks)
         assert budgets == [1]
-        budgets.clear()
-        SweepRunner(
-            max_workers=1, cache_dir=tmp_path / "b",
-            executor=ShardedExecutor(0, 2, max_workers=2),
-        ).run(tasks)
-        assert budgets == [2]  # an explicit executor setting still wins
 
     def test_failed_task_marked_in_manifest(self, workload, tmp_path):
         cache = tmp_path / "cache"
@@ -264,6 +254,33 @@ class TestResume:
         next(cache.glob("*.pkl")).unlink()
         runner = SweepRunner(max_workers=1, cache_dir=cache, executor=MergeExecutor())
         with pytest.raises(ExecutorError, match="cache is missing"):
+            runner.run(tasks)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["shard_index", "shard_count", "tasks", "tasks-not-list",
+         "task.key", "task.status"],
+    )
+    def test_merge_rejects_malformed_manifest(self, tasks, tmp_path, damage):
+        """A manifest missing a field the merge reads is an ExecutorError
+        naming the manifest and the field, not a bare KeyError."""
+        cache = tmp_path / "cache"
+        SweepRunner(
+            max_workers=1, cache_dir=cache, executor=ShardedExecutor(0, 1)
+        ).run(tasks)
+        path = next((cache / MANIFEST_DIR_NAME).glob("*.json"))
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if damage == "tasks-not-list":
+            manifest["tasks"], field = {}, "tasks"
+        elif damage.startswith("task."):
+            field = damage[len("task."):]
+            del manifest["tasks"][0][field]
+        else:
+            field = damage
+            del manifest[field]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        runner = SweepRunner(max_workers=1, cache_dir=cache, executor=MergeExecutor())
+        with pytest.raises(ExecutorError, match=f"{path.stem}.*'{field}'"):
             runner.run(tasks)
 
     def test_sweep_id_is_order_sensitive_and_store_agnostic(self):
@@ -387,7 +404,7 @@ class TestPartialOutcomeConsumers:
 class TestPoolExecutorDirect:
     def test_pool_requires_positive_workers(self):
         with pytest.raises(ValueError):
-            ProcessPoolExecutor(0)
+            SweepRunner(max_workers=0)
 
     def test_sharded_rejects_bad_indices(self):
         with pytest.raises(ValueError):

@@ -116,11 +116,6 @@ class TestStreamingFold:
         assert acc.workload_metrics(first_submit=0.0).makespan == \
             compute_metrics(jobs, first_submit=0.0).makespan
 
-    def test_buffer_bytes_tracks_all_five_metrics(self):
-        acc = StreamingMetrics()
-        acc.fold(finished_job())
-        assert acc.buffer_bytes >= 5 * 8
-
 
 PRESET_SCALES = {1: 0.01, 2: 0.01, 3: 0.01, 4: 0.005, 5: 0.05}
 
