@@ -56,8 +56,10 @@ class CoSchedulingPolicy(Protocol):
 
     #: Human-readable policy identity (lands in traces and reports).
     name: str
-    #: Whether a scheduling pass is still useful with zero free nodes
-    #: (co-scheduling policies say yes: shrinking needs no free nodes).
+    #: False means the policy starts jobs only on free nodes, so a pass may
+    #: end once no job left in its window can get enough of them (and then
+    #: never calls :meth:`try_malleable_start`).  Co-scheduling policies set
+    #: it: shrinking mates needs no free nodes.
     schedule_when_saturated: bool
 
     def bind(self, sim: "Simulation") -> None: ...

@@ -87,7 +87,6 @@ def run_workload(
     malleable_fraction: float = 1.0,
     tasks_per_node: int = 1,
     power_model: Optional[LinearPowerModel] = Simulation._DEFAULT_POWER_MODEL,
-    use_requested_time_for_predictions: bool = True,
     contention_coefficient: Optional[float] = None,
     profiles: Optional[str] = None,
     label: Optional[str] = None,
@@ -166,7 +165,6 @@ def run_workload(
         scheduler,
         runtime_model=runtime_model,
         power_model=power_model,
-        use_requested_time_for_predictions=use_requested_time_for_predictions,
         retain_jobs=retain_jobs,
         sinks=(record_sink,) if record_sink is not None else (),
         trace=recorder,

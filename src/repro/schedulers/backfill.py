@@ -8,6 +8,13 @@ only start now if doing so does not push any of those reservations back.
 This mirrors how the SLURM backfill plug-in builds its reservation map up to
 ``bf_max_job_test`` jobs deep.
 
+The static pass does only work that can change a decision.  A static start
+needs as many free nodes as the job requests, and free nodes only fall
+during a pass, so the pass ends once they are fewer than any job left in the
+window asks for: the probes and reservations it would still make could only
+guard starts that cannot happen.  It also skips the work-ahead sum, which
+only the malleable attempt reads.
+
 The SD-Policy scheduler (:mod:`repro.core.sd_policy`) extends this class by
 adding the malleable scheduling attempt right after the static trial of each
 job fails, exactly as in Listing 1 of the paper.
@@ -15,6 +22,8 @@ job fails, exactly as in Listing 1 of the paper.
 
 from __future__ import annotations
 
+import math
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from repro.schedulers.base import Scheduler
@@ -38,11 +47,12 @@ class BackfillScheduler(Scheduler):
 
     name = "static_backfill"
 
-    #: Whether a scheduling pass is useful when the cluster has zero free
-    #: nodes.  Static backfill cannot start anything in that state, so the
-    #: pass is skipped (a large saving on saturated workloads); SD-Policy
-    #: overrides this because malleable co-scheduling works precisely when
-    #: no free nodes are left.
+    #: False means "this policy starts jobs only on free nodes": a pass
+    #: ends as soon as the free nodes are fewer than any job left in the
+    #: window asks for (and is skipped when that holds from the start), and
+    #: it neither sums the work ahead nor calls :meth:`try_malleable_start`.
+    #: SD-Policy sets it because malleable co-scheduling works precisely
+    #: when no free nodes are left.
     schedule_when_saturated = False
 
     def __init__(self, max_job_test: int = 100) -> None:
@@ -65,7 +75,8 @@ class BackfillScheduler(Scheduler):
 
         The base (static) policy never does; SD-Policy overrides this with
         the slowdown-driven malleable co-scheduling attempt.  Must return
-        True if the job was started.
+        True if the job was started.  A pass calls it only when
+        :attr:`schedule_when_saturated` is True.
 
         ``work_ahead_cpu_seconds`` is the total requested work (CPU·seconds)
         of the running jobs plus the higher-priority pending jobs — a cheap
@@ -92,44 +103,53 @@ class BackfillScheduler(Scheduler):
 
     # ------------------------------------------------------------------ #
     def schedule(self, sim: "Simulation") -> None:
-        if sim.cluster.num_free_nodes == 0 and not self.schedule_when_saturated:
-            return
+        cluster = sim.cluster
+        window = sim.pending.ordered(self.max_job_test)
+        static_only = not self.schedule_when_saturated
+        if static_only:
+            # fewest[i]: the fewest nodes any job in window[i:] asks for.  A
+            # static start needs that many free nodes, and free nodes only
+            # fall during a pass, so once they drop below it nothing left in
+            # the window can start: the pass ends there (or never begins).
+            fewest = list(accumulate(reversed([job.requested_nodes for job in window]), min))
+            fewest.reverse()
+            if not window or cluster.num_free_nodes < fewest[0]:
+                return
         self.on_pass_start(sim)
         profile = sim.availability_profile()
-        work_ahead = self.running_requested_work(sim)
+        # The work ahead only feeds the malleable attempt.
+        work_ahead = 0.0 if static_only else self.running_requested_work(sim)
         trace = sim.trace
-        examined = 0
+        now = sim.now
         blocked_ahead = 0  # higher-priority jobs that could not start this pass
-        for job in sim.pending.ordered():
-            if examined >= self.max_job_test:
+        for idx, job in enumerate(window):
+            if static_only and cluster.num_free_nodes < fewest[idx]:
                 break
-            examined += 1
             # Static trial: can the job start right now on free nodes without
             # delaying any reservation made earlier in this pass?
             est_start = profile.earliest_start(job.requested_nodes, job.requested_time)
-            if est_start <= sim.now and sim.cluster.can_allocate(job):
+            if est_start <= now and cluster.can_allocate(job):
                 sim.start_job_static(job)
-                profile.add_reservation(sim.now, job.requested_time, job.requested_nodes)
-                work_ahead += job.requested_cpus * job.requested_time
+                profile.add_reservation(now, job.requested_time, job.requested_nodes)
                 if trace is not None and blocked_ahead:
                     # Started out of priority order: the job slipped into a
                     # hole ahead of blocked higher-priority jobs — backfill.
                     trace.emit(
                         "backfill_hole",
-                        sim.now,
+                        now,
                         job=job.job_id,
                         nodes=job.requested_nodes,
                         ahead=blocked_ahead,
                         est_start=est_start,
                     )
-                continue
             # Static start not possible now: give the subclass a chance to
-            # start the job through malleability.
-            if self.try_malleable_start(sim, job, profile, est_start, work_ahead):
+            # start the job through malleability, else reserve its earliest
+            # slot so later jobs cannot delay it (conservative backfill).
+            elif static_only or not self.try_malleable_start(
+                sim, job, profile, est_start, work_ahead
+            ):
+                if est_start != math.inf:
+                    profile.add_reservation(est_start, job.requested_time, job.requested_nodes)
+                blocked_ahead += 1
+            if not static_only:
                 work_ahead += job.requested_cpus * job.requested_time
-                continue
-            # Conservative reservation so later jobs cannot delay this one.
-            if est_start != float("inf"):
-                profile.add_reservation(est_start, job.requested_time, job.requested_nodes)
-            work_ahead += job.requested_cpus * job.requested_time
-            blocked_ahead += 1

@@ -9,6 +9,7 @@ ordering and O(1) membership checks.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Iterator, List, Optional
 
 from repro.simulator.job import Job
@@ -63,19 +64,25 @@ class PendingQueue:
         """Return the pending job with the given id, or ``None``."""
         return self._jobs.get(job_id)
 
-    def ordered(self) -> List[Job]:
-        """Jobs in scheduling priority order (highest priority first)."""
+    def ordered(self, limit: Optional[int] = None) -> List[Job]:
+        """Jobs in scheduling priority order (highest priority first).
+
+        With ``limit`` only the first ``limit`` jobs of that order are
+        returned, so a backfill pass that examines a bounded window does not
+        copy the whole queue.
+        """
         if self._fifo_only:
-            return list(self._jobs.values())
-        return sorted(
+            return list(islice(self._jobs.values(), limit))
+        order = sorted(
             self._jobs.values(),
             key=lambda j: (-j.priority, j.submit_time, j.job_id),
         )
+        return order if limit is None else order[:limit]
 
     def __iter__(self) -> Iterator[Job]:
         return iter(self.ordered())
 
     def head(self) -> Optional[Job]:
         """The highest-priority pending job, or ``None`` if empty."""
-        order = self.ordered()
+        order = self.ordered(1)
         return order[0] if order else None

@@ -23,6 +23,15 @@ its delta over that index range in place, so a backfill pass that alternates
 ``earliest_start`` probes with ``add_reservation`` calls never rebuilds the
 profile.
 
+The running jobs' part of the profile is built in one pass, without a
+sort: the simulation keeps a release ledger, the running jobs' predicted
+ends in time order, and builds its base profile from it with
+:meth:`ReservationMap.from_sorted_releases` when the running set changes.
+When only time advances it trims the cached base with
+:meth:`ReservationMap.advance`.  :meth:`ReservationMap.from_running_jobs`
+rebuilds the same profile from the jobs themselves and is the reference the
+ledger is tested against.
+
 ``_free`` holds *unclipped* counts: over-reservation may drive them below 0
 and releases may push them above ``total_nodes``.  Keeping the raw sums makes
 every update a plain addition that later updates can undo exactly.  Only the
@@ -67,26 +76,23 @@ class ReservationMap:
         free_now: int,
         releases: Iterable[Tuple[float, int]] = (),
     ) -> None:
-        if free_now < 0 or free_now > total_nodes:
-            raise ValueError(f"free_now={free_now} out of range 0..{total_nodes}")
-        self.total_nodes = total_nodes
-        self.now = now
-        # Build both lists in one pass over the sorted releases; releases at
-        # the same instant collapse into one change point.
-        times: List[float] = [now]
-        free: List[int] = [free_now]
-        level = free_now
-        for time, nodes in sorted((max(t, now), n) for t, n in releases if n > 0):
-            level += nodes
-            if time == times[-1]:
-                free[-1] = level
-            else:
-                times.append(time)
-                free.append(level)
-        self._times = times
-        self._free = free
+        self._fill(total_nodes, now, free_now, sorted(releases))
 
-    # ------------------------------------------------------------------ #
+    @classmethod
+    def from_sorted_releases(
+        cls,
+        total_nodes: int,
+        now: float,
+        free_now: int,
+        releases: Iterable[Tuple[float, int]],
+    ) -> "ReservationMap":
+        """Build the profile from ``(time, nodes)`` releases already in time
+        order, without sorting them: the simulation's release ledger is kept
+        sorted as jobs start and end."""
+        profile = cls.__new__(cls)
+        profile._fill(total_nodes, now, free_now, releases)
+        return profile
+
     @classmethod
     def from_running_jobs(
         cls,
@@ -94,28 +100,51 @@ class ReservationMap:
         now: float,
         free_now: int,
         running_jobs: Iterable[Job],
-        use_requested_time: bool = True,
     ) -> "ReservationMap":
-        """Build the profile from the currently running jobs.
+        """Build the profile from scratch from the currently running jobs.
 
-        ``use_requested_time=True`` predicts each running job's end as
-        ``start + requested_time`` (what a real scheduler can know);
-        ``False`` uses the simulator's exact predicted end (oracle mode,
-        useful for experiments on prediction accuracy such as the paper's
-        Workload 2).
+        Each running job is predicted to end at ``start + requested_time``
+        (what a real scheduler can know).  The simulation serves its
+        profiles from a release ledger instead; this rebuild is the
+        reference that ledger is checked against.
         """
-        releases: List[Tuple[float, int]] = []
-        for job in running_jobs:
-            if job.state is not JobState.RUNNING or job.start_time is None:
-                continue
-            if use_requested_time:
-                end = job.start_time + job.requested_time
-            else:
-                end = job.predicted_end_time(now)
-            if not math.isfinite(end):
-                end = job.start_time + job.requested_time
-            releases.append((end, len(job.allocated_nodes)))
+        releases = [
+            (job.start_time + job.requested_time, len(job.allocated_nodes))
+            for job in running_jobs
+            if job.state is JobState.RUNNING and job.start_time is not None
+        ]
         return cls(total_nodes, now, free_now, releases)
+
+    def _fill(
+        self,
+        total_nodes: int,
+        now: float,
+        free_now: int,
+        releases: Iterable[Tuple[float, int]],
+    ) -> None:
+        """Set up the step function from time-ordered releases in one pass.
+
+        Releases at or before ``now`` clip into the first point, and
+        releases at the same instant collapse into one change point.
+        """
+        if free_now < 0 or free_now > total_nodes:
+            raise ValueError(f"free_now={free_now} out of range 0..{total_nodes}")
+        self.total_nodes = total_nodes
+        self.now = now
+        times: List[float] = [now]
+        free: List[int] = [free_now]
+        level = free_now
+        for time, nodes in releases:
+            if nodes <= 0:
+                continue
+            level += nodes
+            if time > times[-1]:
+                times.append(time)
+                free.append(level)
+            else:
+                free[-1] = level
+        self._times = times
+        self._free = free
 
     # ------------------------------------------------------------------ #
     def copy(self) -> "ReservationMap":
@@ -128,6 +157,22 @@ class ReservationMap:
         clone._times = self._times[:]
         clone._free = self._free[:]
         return clone
+
+    def advance(self, now: float) -> None:
+        """Move the start of the profile forward to ``now``, in place.
+
+        Change points at or before ``now`` fold into the first point, so the
+        result equals a fresh build at ``now`` from the same releases: the
+        simulation trims its cached base profile this way when time advances
+        but the running set has not changed.
+        """
+        if now < self.now:
+            raise ValueError(f"cannot move the profile back from {self.now} to {now}")
+        idx = bisect_right(self._times, now) - 1
+        del self._times[:idx]
+        del self._free[:idx]
+        self._times[0] = now
+        self.now = now
 
     def _split(self, time: float) -> int:
         """Index of the change point at ``time`` (``>= now``), inserting one

@@ -19,8 +19,9 @@ accounts for memory-bandwidth interference between co-scheduled jobs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.metrics.energy import LinearPowerModel
 from repro.metrics.streaming import StreamingMetrics
@@ -123,11 +124,6 @@ class Simulation:
         :class:`repro.metrics.energy.LinearPowerModel`); energy is idle
         power over the makespan plus dynamic power per assigned CPU-second.
         Pass ``None`` to disable energy accounting.
-    use_requested_time_for_predictions:
-        If True (default, like SLURM) the availability profile used for wait
-        time estimation predicts running jobs to end at
-        ``start + requested_time``; if False the simulator's exact end times
-        are used (oracle predictions).
     retain_jobs:
         If True (default) completed :class:`Job` objects are kept in
         :attr:`completed` and returned in ``result().jobs``.  If False each
@@ -162,7 +158,6 @@ class Simulation:
         scheduler,
         runtime_model=None,
         power_model=_DEFAULT_POWER_MODEL,
-        use_requested_time_for_predictions: bool = True,
         retain_jobs: bool = True,
         sinks: Iterable["JobSink"] = (),
         trace=None,
@@ -179,7 +174,6 @@ class Simulation:
         if power_model is Simulation._DEFAULT_POWER_MODEL:
             power_model = LinearPowerModel()
         self.power_model = power_model
-        self.use_requested_time_for_predictions = use_requested_time_for_predictions
         self.retain_jobs = retain_jobs
 
         self.events = EventQueue()
@@ -217,10 +211,20 @@ class Simulation:
         #: below, the mate pool of :class:`repro.core.mate_selection.MateSelector`)
         #: compare it to know when to rebuild.
         self.allocation_version: int = 0
-        # Availability-profile cache: the base profile derived from the
-        # running set is rebuilt only when the allocation version changes
-        # or time advances; schedulers receive copies.
-        self._profile_cache: Optional[Tuple[float, int, int, ReservationMap]] = None
+        # Release ledger: every running job's predicted end
+        # ``(start_time + requested_time, len(allocated_nodes))``, kept
+        # sorted, plus each job's current entry so an end can remove it.
+        # A reconfigured job is only marked: SD-Policy extends a mate's
+        # requested time after shrinking it, so its entry is re-keyed at the
+        # next profile request.
+        self._releases: List[Tuple[float, int]] = []
+        self._release_of: Dict[int, Tuple[float, int]] = {}
+        self._rekey: Set[int] = set()
+        # Base availability profile built from the ledger, valid while
+        # ``(allocation_version, free nodes)`` is unchanged; schedulers
+        # receive copies.
+        self._base_profile: Optional[ReservationMap] = None
+        self._base_key: Tuple[int, int] = (-1, -1)
 
         if hasattr(self.scheduler, "bind"):
             self.scheduler.bind(self)
@@ -304,33 +308,41 @@ class Simulation:
     # Primitives used by schedulers
     # ------------------------------------------------------------------ #
     def availability_profile(self) -> ReservationMap:
-        """Build the future free-node profile from the running jobs.
+        """The future free-node profile of the running jobs.
 
-        The profile of the running set is cached and invalidated when a job
-        starts, ends or is reconfigured (or when time advances), so the many
-        profile requests issued within one instant — one per submit hook
-        plus one per scheduling pass — rebuild it only once.  Callers always
-        receive a private copy they may add reservations to.
+        Each running job is predicted to release its nodes at
+        ``start_time + requested_time``.  The base profile is built from
+        the release ledger in one pass when a job has started, ended or
+        been reconfigured since the last request; when only time has
+        advanced, the cached base is trimmed to the new ``now`` instead.
+        Callers always receive a private copy they may add reservations to.
         """
-        cached = self._profile_cache
-        if (
-            cached is not None
-            and cached[0] == self.now
-            and cached[1] == self.cluster.num_free_nodes
-            and cached[2] == self.allocation_version
-        ):
-            return cached[3].copy()
-        base = ReservationMap.from_running_jobs(
-            total_nodes=self.cluster.num_nodes,
-            now=self.now,
-            free_now=self.cluster.num_free_nodes,
-            running_jobs=self.running.values(),
-            use_requested_time=self.use_requested_time_for_predictions,
-        )
-        self._profile_cache = (
-            self.now, self.cluster.num_free_nodes, self.allocation_version, base
-        )
+        free_now = self.cluster.num_free_nodes
+        base = self._base_profile
+        key = (self.allocation_version, free_now)
+        if base is None or self._base_key != key:
+            for job_id in self._rekey:
+                self._drop_release(job_id)
+                self._add_release(self.running[job_id])
+            self._rekey.clear()
+            base = ReservationMap.from_sorted_releases(
+                self.cluster.num_nodes, self.now, free_now, self._releases
+            )
+            self._base_profile = base
+            self._base_key = key
+        elif base.now != self.now:
+            base.advance(self.now)
         return base.copy()
+
+    def _add_release(self, job: Job) -> None:
+        entry = (job.start_time + job.requested_time, len(job.allocated_nodes))
+        self._release_of[job.job_id] = entry
+        insort(self._releases, entry)
+
+    def _drop_release(self, job_id: int) -> None:
+        # Equal entries are interchangeable, so any match may go.
+        releases = self._releases
+        del releases[bisect_left(releases, self._release_of.pop(job_id))]
 
     def _invalidate_profile(self) -> None:
         """Record an allocation change (bumps :attr:`allocation_version`)."""
@@ -348,6 +360,7 @@ class Simulation:
         speed = self.runtime_model.speed(job, cpus)
         job.reconfigure(self.now, cpus, speed)
         self.running[job.job_id] = job
+        self._add_release(job)
         self._push_end_event(job)
         if self.trace is not None:
             self.trace.emit(
@@ -387,6 +400,7 @@ class Simulation:
                 mate.mates.append(job.job_id)
             mate.was_mate = True
         self.running[job.job_id] = job
+        self._add_release(job)
         self._push_end_event(job)
         if self.trace is not None:
             self.trace.emit(
@@ -415,6 +429,7 @@ class Simulation:
         self.cluster.reconfigure_allocation(job.job_id, cpus_per_node)
         self._invalidate_profile()
         job.allocated_nodes = sorted(cpus_per_node)
+        self._rekey.add(job.job_id)
         speed = self.runtime_model.speed(job, cpus_per_node)
         job.reconfigure(self.now, cpus_per_node, speed)
         self._push_end_event(job)
@@ -469,6 +484,8 @@ class Simulation:
         self.cluster.release_job(job)
         self._invalidate_profile()
         self.running.pop(job_id, None)
+        self._rekey.discard(job_id)
+        self._drop_release(job_id)
         self._last_end = max(self._last_end, self.now)
         if self.trace is not None:
             wait = (

@@ -276,6 +276,9 @@ def test_pool_keyed_on_the_simulation_not_only_its_version():
 TRACE_DIGESTS = {
     "sd_policy": "25b9620596064fe03d1f7dcd3f14f8cb5174170e6310e03ea50f9ac703b3c7de",
     "ub_policy": "3046f8011a929970c858217a90d3944bec6cecff1eaf945a380e759cd178b02a",
+    # Recorded while the static pass still examined its whole window every
+    # time; it pins the ``backfill_hole`` events, which no golden sees.
+    "static_backfill": "3fec617226d8ad8752b465a01cc1cf2d845fc20bc35101752199bc01e0bae9e5",
 }
 
 
@@ -298,6 +301,16 @@ def test_traced_runs_are_byte_identical_to_the_pinned_digests():
         payload = run.trace.to_bytes()
         assert b'"event":"mate_candidate"' in payload
         assert hashlib.sha256(payload).hexdigest() == TRACE_DIGESTS[policy], policy
+
+
+def test_static_trace_is_byte_identical_to_the_pinned_digest():
+    run = runner.run_workload(
+        build_workload(4, scale=0.005), policy="static_backfill", malleable_fraction=1.0,
+        trace=True,
+    )
+    payload = run.trace.to_bytes()
+    assert b'"event":"backfill_hole"' in payload
+    assert hashlib.sha256(payload).hexdigest() == TRACE_DIGESTS["static_backfill"]
 
 
 def test_mates_scanned_pinned_on_the_guard_curie_input():

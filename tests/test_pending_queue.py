@@ -89,3 +89,13 @@ class TestPendingQueue:
         q.add(make_job(job_id=6, submit=6.0))  # still behind the tail: fine
         assert q._fifo_only
         assert [j.job_id for j in q.ordered()] == [1, 2, 3, 6]
+
+    def test_ordered_limit_takes_the_first_jobs_of_either_path(self):
+        q = PendingQueue()
+        for i, submit in enumerate([0.0, 10.0, 20.0], start=1):
+            q.add(make_job(job_id=i, submit=submit))
+        assert [j.job_id for j in q.ordered(2)] == [1, 2]
+        q.add(make_job(job_id=4, submit=5.0, priority=1e9))  # leaves the FIFO path
+        assert not q._fifo_only
+        assert [j.job_id for j in q.ordered(2)] == [4, 1]
+        assert [j.job_id for j in q.ordered(10)] == [4, 1, 2, 3]

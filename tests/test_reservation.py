@@ -104,21 +104,33 @@ class TestFromRunningJobs:
         )
         assert profile.earliest_start(4) == 100.0
 
-    def test_oracle_mode_uses_predicted_end(self):
-        job = self._running_job(1, start=0.0, req_time=100.0, nodes=2)
-        profile = ReservationMap.from_running_jobs(
-            total_nodes=4, now=10.0, free_now=2, running_jobs=[job],
-            use_requested_time=False,
-        )
-        # Actual runtime is 50s (half the request).
-        assert profile.earliest_start(4) == 50.0
-
     def test_pending_job_ignored(self):
         pending = make_job(job_id=3, nodes=2)
         profile = ReservationMap.from_running_jobs(
             total_nodes=4, now=0.0, free_now=4, running_jobs=[pending]
         )
         assert profile.earliest_start(4) == 0.0
+
+
+class TestSortedReleasesAndAdvance:
+    RELEASES = [(0.0, 1), (5.0, 2), (20.0, 1), (20.0, 3), (50.0, 0), (60.0, 1)]
+
+    def test_sorted_build_equals_the_sorting_constructor(self):
+        built = ReservationMap.from_sorted_releases(12, 10.0, 2, self.RELEASES)
+        reference = ReservationMap(12, 10.0, 2, list(reversed(self.RELEASES)))
+        assert built.profile() == reference.profile() == [(10.0, 5), (20.0, 9), (60.0, 10)]
+
+    @pytest.mark.parametrize("now", [10.0, 15.0, 20.0, 59.0, 60.0, 100.0])
+    def test_advance_equals_a_fresh_build(self, now):
+        profile = ReservationMap.from_sorted_releases(12, 10.0, 2, self.RELEASES)
+        profile.advance(now)
+        assert profile.now == now
+        assert profile.profile() == ReservationMap(12, now, 2, self.RELEASES).profile()
+
+    def test_advance_refuses_to_move_back(self):
+        profile = ReservationMap(4, 10.0, 2)
+        with pytest.raises(ValueError):
+            profile.advance(5.0)
 
 
 # --------------------------------------------------------------------- #

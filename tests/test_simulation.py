@@ -234,7 +234,7 @@ class TestAvailabilityProfileIsolation:
     def test_reservations_on_a_profile_leave_the_cache_untouched(self):
         sim = self._busy_sim()
         first = sim.availability_profile()
-        base = sim._profile_cache[3]
+        base = sim._base_profile
         expected = [(0.0, 1), (300.0, 3), (600.0, 4)]
         assert first.profile() == expected
         first.add_reservation(0.0, 1000.0, 1)
@@ -242,7 +242,7 @@ class TestAvailabilityProfileIsolation:
         first.add_release(50.0, 1)
         assert first.profile() != expected
         second = sim.availability_profile()
-        assert sim._profile_cache[3] is base  # served from the cache
+        assert sim._base_profile is base  # served from the cache
         assert second.profile() == expected
         assert base.profile() == expected
 
