@@ -19,9 +19,7 @@ shell (installed as ``repro-sdpolicy`` or via ``python -m repro``):
   grouped as in the paper) through its built-in scenario; figures 1-7 run
   on the workload ``--workload``/``--swf`` select;
 * ``store`` — inspect and manage result stores (``stats``, ``prune``,
-  manifest-aware ``gc``, integrity ``verify``/``repair``,
-  ``push``/``pull`` mirroring, and ``serve`` — an in-process
-  S3-compatible endpoint for tests and CI);
+  manifest-aware ``gc``, integrity ``verify``/``repair``);
 * ``query`` — aggregate persisted per-job records (``--analytics`` runs)
   across every sweep in a store, or regenerate Figures 1-3/7 and Table 1
   byte-identically from the records without re-simulating;
@@ -32,19 +30,17 @@ shell (installed as ``repro-sdpolicy`` or via ``python -m repro``):
   discipline, exception discipline; ``--list-rules`` prints the catalog).
 
 Every sweep-backed subcommand accepts ``--store URL`` selecting a result
-store backend (``file://…``, ``memory://…``, ``s3+http(s)://…``) instead
-of the local ``--cache-dir``; with neither flag set, ``REPRO_STORE_URL``
-applies.
+store backend (``file://…`` or ``memory://…``) instead of the local
+``--cache-dir``; with neither flag set, ``REPRO_STORE_URL`` applies.
 
 Example::
 
     repro-sdpolicy figure 3 --workload 3 --scale 0.05
     repro-sdpolicy compare --workload 1 --scale 0.05 --maxsd 10
     repro-sdpolicy sweep --workload 1 --scale 0.04 --workers 4 --cache-dir auto
-    repro-sdpolicy sweep --workload 1 --scale 0.04 --store s3+http://cache:9000/repro --shard 1/2
-    repro-sdpolicy sweep merge --workload 1 --scale 0.04 --store s3+http://cache:9000/repro
-    repro-sdpolicy store stats s3+http://cache:9000/repro
-    repro-sdpolicy store pull s3+http://cache:9000/repro ~/.cache/repro/sweeps
+    repro-sdpolicy sweep --workload 1 --scale 0.04 --store file:///shared/repro --shard 1/2
+    repro-sdpolicy sweep merge --workload 1 --scale 0.04 --store file:///shared/repro
+    repro-sdpolicy store stats file:///shared/repro
     repro-sdpolicy scenario examples/figure7_scenario.json --workers 2
     repro-sdpolicy scenario --list
 """
@@ -92,7 +88,6 @@ from repro.store import (
     ResultStore,
     StoreError,
     gc,
-    mirror,
     open_store,
     parse_age,
     prune,
@@ -158,9 +153,9 @@ def _add_store_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--store", type=str, default=None, metavar="URL",
-        help="result-store backend URL (file://…, memory://…, "
-             "s3+http(s)://host/prefix); REPRO_STORE_URL applies when "
-             "neither --store nor --cache-dir is given",
+        help="result-store backend URL (file://… or memory://…); "
+             "REPRO_STORE_URL applies when neither --store nor --cache-dir "
+             "is given",
     )
 
 
@@ -442,7 +437,7 @@ def _open_cli_store(url: Optional[str]):
     url = url or os.environ.get("REPRO_STORE_URL")
     if not url:
         print(
-            "error: give a store URL (file://…, memory://…, s3+http(s)://…) "
+            "error: give a store URL (file://… or memory://…) "
             "or set REPRO_STORE_URL",
             file=sys.stderr,
         )
@@ -463,20 +458,13 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
     counters = snapshot["counters"]
     print(
         f"requests:    {counters.get('requests', 0)} "
-        f"({_human_bytes(counters.get('bytes_read', 0))} read, "
-        f"{counters.get('retries', 0)} retries)"
+        f"({_human_bytes(counters.get('bytes_read', 0))} read)"
     )
     for op, timer in snapshot["timers"].items():
         print(
             f"latency:     {op} p50 {timer['p50'] * 1000:.1f}ms  "
             f"p95 {timer['p95'] * 1000:.1f}ms  p99 {timer['p99'] * 1000:.1f}ms  "
             f"max {timer['max'] * 1000:.1f}ms  (n={timer['count']})"
-        )
-    if stats.unknown_size:
-        print(
-            f"note: {stats.unknown_size} object(s) reported no size; "
-            "byte totals are a lower bound",
-            file=sys.stderr,
         )
     return 0
 
@@ -501,7 +489,6 @@ def _cmd_store_prune(args: argparse.Namespace) -> int:
             if stats.kept_referenced
             else ""
         )
-        + (f", skipped {stats.unknown_age} of unknown age" if stats.unknown_age else "")
     )
     return 0
 
@@ -521,7 +508,6 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
         f"stale temp file(s); kept {stats.kept_referenced} referenced by "
         f"{stats.manifests_walked} shard manifest(s), "
         f"{stats.kept_young} within the grace period"
-        + (f", skipped {stats.unknown_age} of unknown age" if stats.unknown_age else "")
     )
     return 0
 
@@ -568,45 +554,6 @@ def _cmd_store_repair(args: argparse.Namespace) -> int:
         f"{stats.still_corrupt} corrupt there too"
     )
     return 0 if stats.missing_in_source == 0 and stats.still_corrupt == 0 else 1
-
-
-def _cmd_store_mirror(args: argparse.Namespace) -> int:
-    source = _open_cli_store(args.source)
-    target = _open_cli_store(args.dest)
-    stats = mirror(source, target, overwrite=args.overwrite)
-    print(
-        f"{source.url} -> {target.url}: copied {stats.blobs_copied} blob(s) "
-        f"({_human_bytes(stats.blob_bytes_copied)}), skipped "
-        f"{stats.blobs_skipped} already present, "
-        f"{stats.manifests_copied} manifest(s)"
-        + (
-            f", {stats.quarantined_copied} quarantined entr"
-            f"{'y' if stats.quarantined_copied == 1 else 'ies'}"
-            if stats.quarantined_copied
-            else ""
-        )
-    )
-    return 0
-
-
-def _cmd_store_serve(args: argparse.Namespace) -> int:
-    from repro.store.fake import ObjectStoreServer
-
-    try:
-        server = ObjectStoreServer(host=args.host, port=args.port, verbose=args.verbose)
-    except OSError as exc:  # port in use, unresolvable host…
-        print(f"error: cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"serving object store on {server.store_url()} "
-        "(in-memory, unauthenticated — testing/CI only; Ctrl-C to stop)",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
-    return 0
 
 
 def _attachment_store(args: argparse.Namespace, command: str) -> Optional[ResultStore]:
@@ -806,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_store = sub.add_parser(
         "store",
         help="inspect/manage result stores (stats, prune, gc, verify, "
-             "repair, push/pull, serve)",
+             "repair)",
     )
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
 
@@ -876,34 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_st_repair.add_argument("--dry-run", action="store_true",
                              help="report what would be repaired, change nothing")
     p_st_repair.set_defaults(func=_cmd_store_repair)
-
-    p_st_push = store_sub.add_parser(
-        "push", help="mirror a local cache into a (remote) store"
-    )
-    p_st_push.add_argument("source", help="local cache dir or store URL to copy from")
-    p_st_push.add_argument("dest", help="store URL to copy into")
-    p_st_push.add_argument("--overwrite", action="store_true",
-                           help="re-copy blobs already present in the target")
-    p_st_push.set_defaults(func=_cmd_store_mirror)
-
-    p_st_pull = store_sub.add_parser(
-        "pull", help="mirror a (remote) store into a local cache"
-    )
-    p_st_pull.add_argument("source", help="store URL to copy from")
-    p_st_pull.add_argument("dest", help="local cache dir or store URL to copy into")
-    p_st_pull.add_argument("--overwrite", action="store_true",
-                           help="re-copy blobs already present in the target")
-    p_st_pull.set_defaults(func=_cmd_store_mirror)
-
-    p_st_serve = store_sub.add_parser(
-        "serve",
-        help="run the in-process S3-compatible object endpoint (testing/CI)",
-    )
-    p_st_serve.add_argument("--host", default="127.0.0.1")
-    p_st_serve.add_argument("--port", type=int, default=9317)
-    p_st_serve.add_argument("--verbose", action="store_true",
-                            help="log every request to stderr")
-    p_st_serve.set_defaults(func=_cmd_store_serve)
 
     p_trace = sub.add_parser(
         "trace",

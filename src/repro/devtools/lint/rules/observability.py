@@ -19,9 +19,8 @@ from repro.devtools.lint.rules.base import RuleVisitor
 
 #: Places where printing IS the job: the CLI drivers (``cli.py`` anywhere
 #: in the tree), report renderers under ``analysis/``, the devtools
-#: (their own small CLIs), the in-process store fake's serve banner, and
-#: tests.
-_PRINTING_LAYERS = ("cli.py", "analysis", "devtools", "tests", "fake.py")
+#: (their own small CLIs), and tests.
+_PRINTING_LAYERS = ("cli.py", "analysis", "devtools", "tests")
 
 
 class PrintVisitor(RuleVisitor):

@@ -3,7 +3,7 @@
 :mod:`repro.experiments.runner` runs one workload under one policy and
 returns the metrics; :mod:`repro.experiments.sweep` serves independent
 runs from a result cache in a pluggable :mod:`repro.store` backend (local
-directory, memory, or remote object store) and runs the misses in process
+directory or memory) and runs the misses in process
 or over a fork pool (:func:`~repro.experiments.executors.run_tasks`) — all
 of them, one shard's slice (:class:`ShardedExecutor`), or none, merging
 completed shards (:class:`MergeExecutor`);

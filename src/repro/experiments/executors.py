@@ -14,14 +14,14 @@ which misses run; this module runs them:
   result from the shared cache, bit-identical to a single-process run.
 
 Sharded execution relies on the runner's result store
-(:mod:`repro.store` — a shared directory, or a remote object endpoint) as
+(:mod:`repro.store` — a local or shared directory) as
 the transport between invocations: every completed task is published
 atomically to the store, the manifest records its key, cache key and
 status, and a resumed or merging invocation turns completed tasks into
 cache hits.  The manifest is advisory for resume (the cache probe is what
 skips finished work) and authoritative for merge (a merge refuses to run
-until all shards report ``done``).  With a remote store, shards on
-different machines need no shared filesystem at all.
+until all shards report ``done``).  Shards on different machines share
+the store through a shared filesystem.
 """
 
 from __future__ import annotations

@@ -101,6 +101,29 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
+_NULL = type(None)
+
+
+def _field(
+    data: Mapping[str, Any], name: str, kinds: Tuple[type, ...], expected: str,
+    owner: str, default: Any = None,
+) -> Any:
+    """``data[name]`` (else ``default``), or a :class:`ScenarioError` naming
+    the field when it is not of ``kinds`` (``bool`` passes only where
+    ``kinds`` names it, although it is an ``int``)."""
+    value = data.get(name, default)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise ScenarioError(f"{owner} field {name!r} must be {expected}, got {value!r}")
+    return value
+
+
+def _mapping(value: Any, what: str) -> Mapping[str, Any]:
+    """``value`` if it is a JSON object, else a :class:`ScenarioError`."""
+    if not isinstance(value, Mapping):
+        raise ScenarioError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 # --------------------------------------------------------------------- #
 # Workload references
 # --------------------------------------------------------------------- #
@@ -191,17 +214,19 @@ class WorkloadRef:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadRef":
+        data = _mapping(data, "a workload ref")
         known = {"preset", "swf", "scale", "seed", "name", "applications"}
         unknown = set(data) - known
         if unknown:
             raise ScenarioError(f"unknown workload ref fields: {sorted(unknown)}")
+        owner = "workload ref"
         return cls(
-            preset=data.get("preset"),
-            swf=data.get("swf"),
-            scale=float(data.get("scale", 1.0)),
-            seed=data.get("seed"),
-            name=data.get("name"),
-            applications=data.get("applications"),
+            preset=_field(data, "preset", (int, _NULL), "an integer", owner),
+            swf=_field(data, "swf", (str, _NULL), "a path string", owner),
+            scale=float(_field(data, "scale", (int, float), "a number", owner, 1.0)),
+            seed=_field(data, "seed", (int, _NULL), "an integer", owner),
+            name=_field(data, "name", (str, _NULL), "a string", owner),
+            applications=_field(data, "applications", (str, _NULL), "a string", owner),
         )
 
 
@@ -432,6 +457,7 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
         """Build a spec from its dict form (inverse of :meth:`to_dict`)."""
+        data = _mapping(data, "a scenario spec")
         known = {
             "name", "workload", "workloads", "policy", "grid", "base",
             "baseline", "seed", "report", "description", "analytics",
@@ -441,32 +467,53 @@ class ScenarioSpec:
             raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
         if "name" not in data:
             raise ScenarioError("scenario spec needs a 'name'")
-        refs_data = data.get("workloads")
+        owner = "scenario"
+        refs_data = _field(
+            data, "workloads", (list, _NULL), "a list of workload refs", owner
+        )
+        refs_field = "workloads"
         if refs_data is None:
+            refs_field = "workload"
             single = data.get("workload")
             refs_data = [single] if single is not None else []
-        workloads = [WorkloadRef.from_dict(ref) for ref in refs_data]
-        baseline = data.get("baseline")
+        workloads = [
+            WorkloadRef.from_dict(_mapping(ref, f"scenario field {refs_field!r} entry {i}"))
+            for i, ref in enumerate(refs_data)
+        ]
+        baseline = _field(
+            data, "baseline", (str, Mapping, _NULL), "a policy name or an object", owner
+        )
         if isinstance(baseline, str):
             baseline = {"policy": baseline, "kwargs": {}}
         elif baseline is not None:
+            kwargs = _field(
+                baseline, "kwargs", (Mapping, _NULL), "an object", "baseline"
+            )
             baseline = {
-                "policy": baseline.get("policy", "static_backfill"),
-                "kwargs": decode_value(baseline.get("kwargs") or {}),
+                "policy": _field(
+                    baseline, "policy", (str,), "a policy name", "baseline",
+                    "static_backfill",
+                ),
+                "kwargs": decode_value(dict(kwargs or {})),
             }
+        grid = _field(data, "grid", (Mapping, _NULL), "an object", owner)
+        base = _field(data, "base", (Mapping, _NULL), "an object", owner)
         return cls(
-            name=str(data["name"]),
+            name=_field(data, "name", (str,), "a string", owner),
             workloads=workloads,
-            policy=data.get("policy", "sd_policy"),
+            policy=_field(
+                data, "policy", (str, _NULL), "a policy name or null", owner,
+                "sd_policy",
+            ),
             # Values pass through verbatim; _as_grid rejects non-list values
             # (list("inf") would otherwise explode into per-character cells).
-            grid=dict(data.get("grid") or {}),
-            base=decode_value(data.get("base") or {}),
+            grid=dict(grid or {}),
+            base=decode_value(dict(base or {})),
             baseline=baseline,
-            seed=int(data.get("seed", 0)),
-            report=str(data.get("report", "table")),
-            description=str(data.get("description", "")),
-            analytics=bool(data.get("analytics", False)),
+            seed=_field(data, "seed", (int,), "an integer", owner, 0),
+            report=_field(data, "report", (str,), "a report name", owner, "table"),
+            description=_field(data, "description", (str,), "a string", owner, ""),
+            analytics=_field(data, "analytics", (bool,), "true or false", owner, False),
         )
 
     def to_json(self, indent: int = 2) -> str:

@@ -12,8 +12,8 @@ pool), with
   produce bit-identical metrics,
 * an optional result cache keyed by a content hash of the workload and the
   policy configuration, held in a pluggable :class:`repro.store.ResultStore`
-  (a local directory, an in-memory store, or a remote S3-compatible object
-  endpoint), so re-running a sweep is free on any machine sharing the store,
+  (a local directory or an in-memory store), so re-running a sweep is free
+  on any machine sharing the directory,
 * sharded execution (``executor=ShardedExecutor(i, n)``) that runs one
   deterministic slice per invocation, records a resumable manifest and is
   merged back into a full result by ``executor=MergeExecutor()``,
@@ -354,7 +354,7 @@ class SweepRunner:
         assembles the full result from completed shard manifests.
     store:
         Result-store backend: a :class:`repro.store.ResultStore` instance
-        or a URL (``file://…``, ``memory://…``, ``s3+http(s)://…``).  An
+        or a URL (``file://…`` or ``memory://…``).  An
         explicit ``store`` beats ``cache_dir``; with neither set the
         ``REPRO_STORE_URL`` environment variable applies, and with nothing
         configured caching is disabled.

@@ -2,16 +2,13 @@
 
 A :class:`ResultStore` holds the sweep cache's *blobs* (pickled runs,
 addressed by content-hash key) and *manifests* (atomic JSON shard state).
-Three backends ship:
+Two backends ship:
 
 * :class:`LocalFSStore` — a local/shared directory, byte-compatible with
   the pre-store ``<cache-dir>/*.pkl`` + ``manifests/`` layout
   (``file:///shared/cache`` or a bare path);
 * :class:`MemoryStore` — process-local, for tests and dry runs
-  (``memory://name``);
-* :class:`HTTPObjectStore` — any S3-compatible object endpoint over
-  stdlib ``urllib`` (``s3+http://host:port/prefix``,
-  ``s3+https://…``).
+  (``memory://name``).
 
 :func:`open_store` dispatches a URL to its backend; :func:`resolve_store`
 adds the ``SweepRunner`` conveniences (``cache_dir`` back-compat, the
@@ -19,8 +16,7 @@ adds the ``SweepRunner`` conveniences (``cache_dir`` back-compat, the
 adds the lifecycle layer — blob integrity envelopes, manifest-aware
 ``gc``, ``verify`` and ``repair``.  ``repro-sdpolicy store`` exposes
 :mod:`repro.store.tools` and :mod:`repro.store.lifecycle` (stats / prune /
-gc / verify / repair / push / pull) and the in-process test endpoint of
-:mod:`repro.store.fake` from the shell.
+gc / verify / repair) from the shell.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ from repro.store.base import (
     StoreError,
     StoreStats,
 )
-from repro.store.http_store import HTTPObjectStore
 from repro.store.lifecycle import (
     BlobIntegrityError,
     GCStats,
@@ -56,7 +51,7 @@ from repro.store.lifecycle import (
 )
 from repro.store.localfs import LocalFSStore, default_cache_dir
 from repro.store.memory import MemoryStore
-from repro.store.tools import MirrorStats, PruneStats, mirror, parse_age, prune
+from repro.store.tools import PruneStats, parse_age, prune
 
 __all__ = [
     "BLOB_SUFFIX",
@@ -65,11 +60,9 @@ __all__ = [
     "QUARANTINE_SUFFIX",
     "BlobIntegrityError",
     "GCStats",
-    "HTTPObjectStore",
     "LocalFSStore",
     "ManifestReferences",
     "MemoryStore",
-    "MirrorStats",
     "ObjectStat",
     "PruneStats",
     "RepairStats",
@@ -81,7 +74,6 @@ __all__ = [
     "collect_references",
     "default_cache_dir",
     "gc",
-    "mirror",
     "open_store",
     "parse_age",
     "prune",
@@ -93,11 +85,11 @@ __all__ = [
 ]
 
 #: URL schemes accepted by :func:`open_store` (a bare path is file://).
-STORE_SCHEMES = ("file://", "memory://", "s3+http://", "s3+https://")
+STORE_SCHEMES = ("file://", "memory://")
 
 
 def open_store(url: Union[str, os.PathLike]) -> ResultStore:
-    """Open a result store by URL (``file://``, ``memory://``, ``s3+http(s)://``).
+    """Open a result store by URL (``file://`` or ``memory://``).
 
     A plain path (no scheme) is a local directory, so ``--store`` accepts
     everything ``--cache-dir`` did.  ``file://auto`` and the bare string
@@ -106,8 +98,6 @@ def open_store(url: Union[str, os.PathLike]) -> ResultStore:
     text = os.fspath(url)
     if text.startswith("memory://"):
         return MemoryStore.named(text[len("memory://") :].strip("/") or "default")
-    if text.startswith(("s3+http://", "s3+https://")):
-        return HTTPObjectStore(text)
     if text.startswith("file://"):
         text = text[len("file://") :] or "/"
     elif "://" in text:

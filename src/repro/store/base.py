@@ -9,15 +9,15 @@ A result store holds two kinds of typed objects for the sweep subsystem
   by name and written atomically so a concurrent reader never observes a
   torn document.
 
-Backends implement five *object-name* primitives (``_read`` / ``_write`` /
-``_delete`` / ``_names`` / ``_stat``); the typed public API — ``get`` /
-``put`` / ``exists`` / ``list`` / ``delete`` over blob keys, quarantine
-handling, and the manifest helpers — is defined once here in terms of the
-object-name layout of the historical on-disk cache (``<key>.pkl``,
-``manifests/<name>.json``, ``<key>.pkl.corrupt``), so every backend is
-byte-compatible with every other and :class:`~repro.store.localfs
-.LocalFSStore` is byte-compatible with caches written before stores
-existed.
+Backends implement six *object-name* primitives (``_read`` / ``_write`` /
+``_delete`` / ``_names`` / ``_stat`` / ``_entries``); the typed public
+API — ``get`` / ``put`` / ``exists`` / ``list`` / ``delete`` over blob
+keys, quarantine handling, and the manifest helpers — is defined once here
+in terms of the object-name layout of the historical on-disk cache
+(``<key>.pkl``, ``manifests/<name>.json``, ``<key>.pkl.corrupt``), so
+every backend is byte-compatible with every other and
+:class:`~repro.store.localfs.LocalFSStore` is byte-compatible with caches
+written before stores existed.
 """
 
 from __future__ import annotations
@@ -50,42 +50,21 @@ class StoreError(RuntimeError):
 
 @dataclass(frozen=True)
 class ObjectStat:
-    """Metadata of one stored object.
+    """Size (bytes) and modification time (epoch seconds) of one object."""
 
-    ``size`` is ``None`` when the backend cannot report it (an HTTP
-    endpoint answering without a usable ``Content-Length``); byte
-    accounting must then report the size as unknown rather than ``0``.
-    """
-
-    size: Optional[int]
-    mtime: Optional[float] = None
+    size: int
+    mtime: float
 
 
 @dataclass(frozen=True)
 class StoreStats:
-    """Aggregate contents of a store (the ``store stats`` command).
-
-    ``unknown_size`` counts objects the backend reported no size for —
-    the byte totals exclude them, so a nonzero count flags the totals as
-    a lower bound rather than silently folding the objects in as 0 bytes.
-    """
+    """Aggregate contents of a store (the ``store stats`` command)."""
 
     blobs: int
     blob_bytes: int
     manifests: int
     manifest_bytes: int
     quarantined: int
-    unknown_size: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "blobs": self.blobs,
-            "blob_bytes": self.blob_bytes,
-            "manifests": self.manifests,
-            "manifest_bytes": self.manifest_bytes,
-            "quarantined": self.quarantined,
-            "unknown_size": self.unknown_size,
-        }
 
 
 def _check_key(key: str, what: str = "key") -> str:
@@ -97,14 +76,14 @@ def _check_key(key: str, what: str = "key") -> str:
 class ResultStore(abc.ABC):
     """Abstract result store: blobs + atomic JSON manifests over opaque keys.
 
-    Subclasses provide the five object-name primitives; everything public is
+    Subclasses provide the six object-name primitives; everything public is
     implemented here on top of them.  ``_write`` must publish atomically —
     a concurrent ``_read`` of the same name sees either the old bytes, the
     new bytes, or absence, never a torn object.
     """
 
-    #: Human-readable URL identifying this store (``file://…``,
-    #: ``memory://…``, ``s3+http://…``).
+    #: Human-readable URL identifying this store (``file://…`` or
+    #: ``memory://…``).
     url: str = ""
 
     # ------------------------------------------------------------------ #
@@ -130,16 +109,13 @@ class ResultStore(abc.ABC):
     def _stat(self, name: str) -> Optional[ObjectStat]:
         """Size/mtime of one object, or ``None`` when it does not exist."""
 
-    def _entries(self, prefix: str = "") -> List[Tuple[str, Optional[ObjectStat]]]:
+    @abc.abstractmethod
+    def _entries(self, prefix: str = "") -> List[Tuple[str, ObjectStat]]:
         """Name + stat of every object starting with ``prefix``, sorted.
 
-        The default costs one ``_stat`` per object; backends whose listing
-        already carries metadata (the S3 ``list-type=2`` document's
-        ``<Size>``/``<LastModified>``) override this so aggregate
-        operations (``stats``, ``prune``, ``gc``) take one listing
-        round-trip instead of one HEAD per object.
+        One pass over the backend, so aggregate operations (``stats``,
+        ``prune``, ``gc``) never stat objects one by one.
         """
-        return [(name, self._stat(name)) for name in self._names(prefix)]
 
     # ------------------------------------------------------------------ #
     # Blobs
@@ -173,11 +149,10 @@ class ResultStore(abc.ABC):
     def stat(self, key: str) -> Optional[ObjectStat]:
         return self._stat(self._blob_name(key))
 
-    def blob_entries(self, prefix: str = "") -> List[Tuple[str, Optional[ObjectStat]]]:
+    def blob_entries(self, prefix: str = "") -> List[Tuple[str, ObjectStat]]:
         """``(key, stat)`` of every blob starting with ``prefix``, sorted.
 
-        One listing round-trip where the backend supports it — the bulk
-        sibling of :meth:`stat` that ``prune``/``gc``/``stats`` iterate.
+        The bulk sibling of :meth:`stat` that ``prune`` iterates.
         """
         return [
             (name[: -len(BLOB_SUFFIX)], stat)
@@ -231,7 +206,7 @@ class ResultStore(abc.ABC):
         return self._read(self._blob_name(key) + QUARANTINE_SUFFIX)
 
     def put_quarantined(self, key: str, data: bytes) -> None:
-        """Publish a quarantined entry verbatim (mirroring evidence)."""
+        """Publish a quarantined entry verbatim."""
         self._write(self._blob_name(key) + QUARANTINE_SUFFIX, data)
 
     # ------------------------------------------------------------------ #
@@ -280,13 +255,11 @@ class ResultStore(abc.ABC):
     def stats(self) -> StoreStats:
         """Count blobs/manifests/quarantined entries and their sizes.
 
-        One bulk ``_entries`` pass (a single listing round-trip on
-        backends whose listing carries metadata).  A blob whose quarantine
+        One bulk ``_entries`` pass.  A blob whose quarantine
         copy also exists — an interrupted :meth:`quarantine` — is counted
         once, as quarantined, not double-counted as a live blob too.
         """
         blobs = blob_bytes = manifests = manifest_bytes = quarantined = 0
-        unknown_size = 0
         entries = self._entries()
         quarantine_names = {
             name
@@ -297,26 +270,20 @@ class ResultStore(abc.ABC):
             if name in quarantine_names:
                 quarantined += 1
                 continue
-            size = stat.size if stat is not None else None
             if name.startswith(MANIFEST_PREFIX) and name.endswith(MANIFEST_SUFFIX):
                 manifests += 1
-                manifest_bytes += size or 0
-                if size is None:
-                    unknown_size += 1
+                manifest_bytes += stat.size
             elif name.endswith(BLOB_SUFFIX) and "/" not in name:
                 if name + QUARANTINE_SUFFIX in quarantine_names:
                     continue  # half-quarantined: already counted as evidence
                 blobs += 1
-                blob_bytes += size or 0
-                if size is None:
-                    unknown_size += 1
+                blob_bytes += stat.size
         return StoreStats(
             blobs=blobs,
             blob_bytes=blob_bytes,
             manifests=manifests,
             manifest_bytes=manifest_bytes,
             quarantined=quarantined,
-            unknown_size=unknown_size,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

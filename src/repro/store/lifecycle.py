@@ -199,7 +199,6 @@ class GCStats:
     blob_bytes_freed: int = 0
     kept_referenced: int = 0
     kept_young: int = 0
-    unknown_age: int = 0
     temp_deleted: int = 0
     manifests_walked: int = 0
 
@@ -221,27 +220,22 @@ def gc(
     half-finished sharded sweep keeps every completed result until its
     manifests are deleted.  Unreferenced blobs younger than
     ``grace_seconds`` are kept (a racing sweep publishes the blob before
-    the manifest naming it), as are blobs whose age the backend cannot
-    report.  Stray ``*.tmp`` objects from crashed atomic writes are swept
-    once they are older than the grace period.  Quarantined entries are
-    corruption *evidence* and left alone (``prune`` clears them).
+    the manifest naming it).  Stray ``*.tmp`` objects from crashed atomic
+    writes are swept once they are older than the grace period.
+    Quarantined entries are corruption *evidence* and left alone
+    (``prune`` clears them).
     """
     if grace_seconds < 0:
         raise ValueError(f"grace_seconds must be >= 0, got {grace_seconds}")
     refs = collect_references(store)
     cutoff = (time.time() if now is None else now) - grace_seconds
     stats = GCStats(manifests_walked=refs.manifests)
-    # One bulk enumeration feeds both the blob and the temp-debris pass —
-    # on the HTTP backend a second full paginated listing would double the
-    # round-trips the _entries() API exists to avoid.
+    # One bulk enumeration feeds both the blob and the temp-debris pass.
     for name, stat in store._entries():
         if name.endswith(BLOB_SUFFIX) and "/" not in name:
             key = name[: -len(BLOB_SUFFIX)]
             if key in refs.live_keys:
                 stats.kept_referenced += 1
-                continue
-            if stat is None or stat.mtime is None:
-                stats.unknown_age += 1
                 continue
             if stat.mtime >= cutoff:
                 stats.kept_young += 1
@@ -249,9 +243,9 @@ def gc(
             if not dry_run:
                 store.delete(key)
             stats.blobs_deleted += 1
-            stats.blob_bytes_freed += stat.size or 0
+            stats.blob_bytes_freed += stat.size
         elif name.endswith(TMP_SUFFIX):
-            if stat is None or stat.mtime is None or stat.mtime >= cutoff:
+            if stat.mtime >= cutoff:
                 continue
             if not dry_run:
                 store._delete(name)

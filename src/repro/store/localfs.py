@@ -139,8 +139,8 @@ class LocalFSStore(ResultStore):
             raise StoreError(f"cannot stat {name!r} in {self.url}: {exc}") from exc
         return ObjectStat(size=st.st_size, mtime=st.st_mtime)
 
-    def _entries(self, prefix: str = "") -> List[Tuple[str, Optional[ObjectStat]]]:
-        entries: List[Tuple[str, Optional[ObjectStat]]] = []
+    def _entries(self, prefix: str = "") -> List[Tuple[str, ObjectStat]]:
+        entries: List[Tuple[str, ObjectStat]] = []
 
         def scan(directory: Path, name_prefix: str) -> None:
             if not directory.is_dir():
@@ -176,8 +176,8 @@ class LocalFSStore(ResultStore):
         quarantined = path.with_name(path.name + QUARANTINE_SUFFIX)
         try:
             if quarantined.exists():
-                # Evidence already captured (an interrupted quarantine, or
-                # mirrored in): just finish deleting the live blob.
+                # Evidence already captured (an interrupted quarantine):
+                # just finish deleting the live blob.
                 try:
                     path.unlink()
                 # repro: allow[exc-swallow] delete is idempotent; a

@@ -3,7 +3,7 @@
 ``memory://<name>`` URLs resolve to one shared process-wide instance per
 name, so two :class:`~repro.experiments.sweep.SweepRunner` invocations in
 the same process (a shard and a merge in one test, say) see the same
-objects — mirroring how two machines would share a remote store.  The store
+objects, as two processes would share a cache directory.  The store
 vanishes with the process and is never visible to pool *workers* (cache I/O
 happens in the parent), which is exactly what the sweep runner needs.
 """
@@ -15,8 +15,6 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.store.base import ObjectStat, ResultStore
-
-_Entry = Tuple[str, Optional[ObjectStat]]
 
 
 class MemoryStore(ResultStore):
@@ -74,7 +72,7 @@ class MemoryStore(ResultStore):
             return None
         return ObjectStat(size=len(entry[0]), mtime=entry[1])
 
-    def _entries(self, prefix: str = "") -> List[_Entry]:
+    def _entries(self, prefix: str = "") -> List[Tuple[str, ObjectStat]]:
         with self._lock:
             return [
                 (name, ObjectStat(size=len(data), mtime=mtime))

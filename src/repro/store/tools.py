@@ -1,12 +1,10 @@
-"""Store maintenance operations behind ``repro-sdpolicy store``.
+"""Age-based store maintenance behind ``repro-sdpolicy store prune``.
 
-``mirror`` copies one store into another (push/pull between a laptop cache
-and a remote object store); ``prune`` evicts blobs older than a cutoff —
-never ones a shard manifest still references (the lifecycle layer in
-:mod:`repro.store.lifecycle` adds manifest-driven ``gc``/``verify``/
-``repair`` on top).  All of it is backend-agnostic: only the
-:class:`repro.store.base.ResultStore` protocol is used, so any pairing of
-local, memory and HTTP stores works.
+``prune`` evicts blobs older than a cutoff — never ones a shard manifest
+still references (the lifecycle layer in :mod:`repro.store.lifecycle`
+adds manifest-driven ``gc``/``verify``/``repair`` on top).  Only the
+:class:`repro.store.base.ResultStore` protocol is used, so it works on
+every backend.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.store.base import ResultStore
 from repro.store.lifecycle import collect_references
@@ -40,71 +38,6 @@ def parse_age(value: str) -> float:
 
 
 @dataclass
-class MirrorStats:
-    """Outcome of one :func:`mirror` call."""
-
-    blobs_copied: int = 0
-    blobs_skipped: int = 0
-    blob_bytes_copied: int = 0
-    manifests_copied: int = 0
-    quarantined_copied: int = 0
-    quarantined_skipped: int = 0
-
-
-def mirror(
-    source: ResultStore,
-    target: ResultStore,
-    overwrite: bool = False,
-    progress: Optional[Callable[[str], None]] = None,
-) -> MirrorStats:
-    """Copy every blob, manifest and quarantined entry of ``source``.
-
-    Blobs are content-addressed (the key *is* the content hash), so an
-    existing target blob is skipped unless ``overwrite`` is set; manifests
-    are mutable shard state and always overwritten with the source copy.
-    Quarantined entries are corruption *evidence* and travel too — a
-    ``store push`` must not silently launder a corrupt cache.
-    """
-    stats = MirrorStats()
-    # One listing instead of a per-key exists() probe: a remote target
-    # would otherwise cost one HEAD round-trip per blob.
-    present = set() if overwrite else set(target.list())
-    for key in source.list():
-        if key in present:
-            stats.blobs_skipped += 1
-            continue
-        data = source.get(key)
-        if data is None:  # deleted between list and get
-            continue
-        target.put(key, data)
-        stats.blobs_copied += 1
-        stats.blob_bytes_copied += len(data)
-        if progress is not None:
-            progress(f"blob {key}")
-    quarantined_present = set() if overwrite else set(target.list_quarantined())
-    for key in source.list_quarantined():
-        if key in quarantined_present:
-            stats.quarantined_skipped += 1
-            continue
-        data = source.get_quarantined(key)
-        if data is None:
-            continue
-        target.put_quarantined(key, data)
-        stats.quarantined_copied += 1
-        if progress is not None:
-            progress(f"quarantined {key}")
-    for name in source.list_manifests():
-        payload = source.read_manifest(name)
-        if payload is None:
-            continue
-        target.write_manifest(name, payload)
-        stats.manifests_copied += 1
-        if progress is not None:
-            progress(f"manifest {name}")
-    return stats
-
-
-@dataclass
 class PruneStats:
     """Outcome of one :func:`prune` call."""
 
@@ -113,7 +46,6 @@ class PruneStats:
     quarantined_removed: int = 0
     kept: int = 0
     kept_referenced: int = 0
-    unknown_age: int = 0
 
 
 def prune(
@@ -131,9 +63,7 @@ def prune(
     :class:`~repro.store.base.StoreError` (pruning must not guess what it
     was pinning); quarantined entries — corrupt by definition, removed
     regardless of age and independent of any reference — are cleared
-    first, so that cleanup still happens.  Blobs without a modification
-    time (a backend that cannot report one) are never deleted either.
-    Manifests are left alone: they are tiny, and deleting a manifest is
+    first, so that cleanup still happens.  Manifests are left alone: they are tiny, and deleting a manifest is
     the deliberate act that releases its blobs to ``gc``.
     """
     cutoff = (time.time() if now is None else now) - older_than_seconds
@@ -147,14 +77,11 @@ def prune(
         if key in live:
             stats.kept_referenced += 1
             continue
-        if stat is None or stat.mtime is None:
-            stats.unknown_age += 1
-            continue
         if stat.mtime < cutoff:
             if not dry_run:
                 store.delete(key)
             stats.blobs_removed += 1
-            stats.blob_bytes_freed += stat.size or 0
+            stats.blob_bytes_freed += stat.size
         else:
             stats.kept += 1
     return stats

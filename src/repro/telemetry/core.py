@@ -1,10 +1,8 @@
 """Request-level instrumentation for any :class:`ResultStore` backend.
 
-:class:`InstrumentedStore` re-implements the five object-name primitives
-(plus the bulk ``_entries``) of a wrapped store as counted, timed
-delegations, so every operation of the inherited typed API is counted for
-free; on :class:`~repro.store.http_store.HTTPObjectStore` it hooks
-``on_retry`` to count transient-failure retries too.  It serves
+:class:`InstrumentedStore` re-implements the six object-name primitives
+of a wrapped store as counted, timed delegations, so every operation of
+the inherited typed API is counted for free.  It serves
 diagnostics (``store stats``, tests, benchmarks), never the sweep hot
 path.  Timers keep raw observations so :meth:`InstrumentedStore.snapshot`
 can report latency percentiles; the snapshot layout is fingerprinted into
@@ -46,16 +44,13 @@ def percentile(values: List[float], q: float) -> float:
 
 
 class InstrumentedStore(ResultStore):
-    """Counts requests, bytes, retries, and latency per store operation."""
+    """Counts requests, bytes and latency per store operation."""
 
     def __init__(self, inner: ResultStore) -> None:
         self.inner = inner
         self.url = inner.url
         self.counters: Dict[str, int] = {}
         self.timers: Dict[str, List[float]] = {}
-        # HTTPObjectStore exposes a retry hook; other backends never retry.
-        if hasattr(inner, "on_retry"):
-            inner.on_retry = self._record_retry
 
     def _count(self, name: str, delta: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + delta
@@ -68,9 +63,6 @@ class InstrumentedStore(ResultStore):
             return call(*args)
         finally:
             self.timers.setdefault(op, []).append(time.perf_counter() - started)
-
-    def _record_retry(self, method: str, url: str, attempt: int) -> None:
-        self._count("retries")
 
     # ------------------------------------------------------------------ #
     def _read(self, name: str) -> Optional[bytes]:
@@ -92,7 +84,7 @@ class InstrumentedStore(ResultStore):
     def _stat(self, name: str) -> Optional[ObjectStat]:
         return self._timed("stat", self.inner._stat, name)
 
-    def _entries(self, prefix: str = "") -> List[Tuple[str, Optional[ObjectStat]]]:
+    def _entries(self, prefix: str = "") -> List[Tuple[str, ObjectStat]]:
         return self._timed("list", self.inner._entries, prefix)
 
     # ------------------------------------------------------------------ #

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.scenario import (
     BUILTIN_SCENARIOS,
     ScenarioError,
@@ -101,6 +102,31 @@ class TestSpecRoundTrip:
             ScenarioSpec.from_dict({"name": "x", "workload": {"preset": 1}, "loops": 3})
         with pytest.raises(ScenarioError, match="unknown workload ref fields"):
             ScenarioSpec.from_dict({"name": "x", "workload": {"id": 1}})
+
+    @pytest.mark.parametrize(
+        "spec, names",
+        [
+            ({"name": "x", "workloads": [3]}, "scenario field 'workloads' entry 0"),
+            ({"name": "x", "workload": {"preset": 1}, "baseline": 5},
+             "scenario field 'baseline'"),
+            ({"name": "x", "workload": {"preset": 1, "scale": "abc"}},
+             "workload ref field 'scale'"),
+            ({"name": "x", "workload": {"preset": 1}, "seed": "s"},
+             "scenario field 'seed'"),
+            ([1, 2], "a scenario spec must be a JSON object"),
+        ],
+        ids=["ref-not-object", "baseline-int", "scale-str", "seed-str", "top-level-list"],
+    )
+    def test_malformed_spec_file_is_a_clean_error_naming_the_field(
+        self, tmp_path, capsys, spec, names
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert main(["scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario spec ")
+        assert names in err
+        assert "Traceback" not in err
 
     def test_unknown_report_rejected(self):
         with pytest.raises(ScenarioError, match="unknown report"):

@@ -2,9 +2,8 @@
 
 The heart of this module is a backend-interchangeability suite: every test
 parametrised over ``store_url`` runs identically against a local directory
-(:class:`LocalFSStore`), the in-process :class:`MemoryStore` and an
-:class:`HTTPObjectStore` talking to the in-process S3-compatible fake — the
-same sweep must yield byte-identical results through all three, including
+(:class:`LocalFSStore`) and the in-process :class:`MemoryStore` — the same
+sweep must yield byte-identical results through both, including
 shard → merge round-trips and corrupt-blob quarantine.
 """
 
@@ -15,6 +14,7 @@ import json
 import os
 import pickle
 import re
+import shutil
 import time
 
 import pytest
@@ -24,13 +24,11 @@ from repro.experiments.executors import MergeExecutor, ShardedExecutor
 from repro.experiments.sweep import SweepRunner, SweepTask, task_cache_key
 from repro.store import (
     BlobIntegrityError,
-    HTTPObjectStore,
     LocalFSStore,
     MemoryStore,
     StoreError,
     default_cache_dir,
     gc,
-    mirror,
     open_store,
     parse_age,
     prune,
@@ -40,16 +38,9 @@ from repro.store import (
     verify,
     wrap_blob,
 )
-from repro.store.fake import ObjectStoreServer
 from repro.workloads.cirne import CirneWorkloadModel
 
-BACKENDS = ("localfs", "memory", "http")
-
-
-@pytest.fixture(scope="module")
-def server():
-    with ObjectStoreServer() as srv:
-        yield srv
+BACKENDS = ("localfs", "memory")
 
 
 def _slug(text: str) -> str:
@@ -57,16 +48,14 @@ def _slug(text: str) -> str:
 
 
 @pytest.fixture(params=BACKENDS)
-def store_url(request, tmp_path, server):
+def store_url(request, tmp_path):
     """A fresh store URL per test, for every backend."""
-    slug = _slug(request.node.nodeid)
     if request.param == "localfs":
         yield f"file://{tmp_path / 'store'}"
-    elif request.param == "memory":
+    else:
+        slug = _slug(request.node.nodeid)
         yield f"memory://{slug}"
         MemoryStore.reset(slug)
-    else:
-        yield server.store_url(slug)
 
 
 @pytest.fixture(scope="module")
@@ -182,8 +171,8 @@ class TestProtocol:
         assert open_store(store_url).get("shared") == b"v"
 
     def test_stats_uses_listing_metadata_not_per_object_stats(self, store_url):
-        """``stats()`` over N objects must not fan out N ``_stat`` probes —
-        on the HTTP backend that was one HEAD round-trip per object."""
+        """``stats()`` over N objects takes one ``_entries`` pass, never N
+        ``_stat`` probes."""
         store = open_store(store_url)
         for key in ("s1", "s2", "s3"):
             store.put(key, b"12345")
@@ -354,12 +343,6 @@ class TestOpenStore:
             MemoryStore.reset("shared-test")
             MemoryStore.reset("other-test")
 
-    def test_s3_scheme(self):
-        store = open_store("s3+http://example.invalid:9000/bucket/prefix")
-        assert isinstance(store, HTTPObjectStore)
-        assert store.base == "http://example.invalid:9000"
-        assert store.prefix == "bucket/prefix/"
-
     def test_unknown_scheme_rejected(self):
         with pytest.raises(StoreError, match="unknown store scheme"):
             open_store("ftp://host/path")
@@ -414,7 +397,7 @@ class TestDefaultCacheDir:
 
 
 # --------------------------------------------------------------------- #
-# Tools: parse_age / mirror / prune
+# Tools: parse_age / prune
 # --------------------------------------------------------------------- #
 class TestTools:
     @pytest.mark.parametrize(
@@ -429,19 +412,6 @@ class TestTools:
     def test_parse_age_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_age(bad)
-
-    def test_mirror_copies_blobs_and_manifests(self, tmp_path):
-        src = LocalFSStore(tmp_path / "src")
-        dst = LocalFSStore(tmp_path / "dst")
-        src.put("a", b"1")
-        src.put("b", b"22")
-        src.write_manifest("m", {"x": 1})
-        dst.put("a", b"1")  # already present: skipped
-        stats = mirror(src, dst)
-        assert stats.blobs_copied == 1 and stats.blobs_skipped == 1
-        assert stats.manifests_copied == 1
-        assert dst.get("b") == b"22"
-        assert dst.read_manifest("m") == {"x": 1}
 
     def test_prune_respects_age_and_clears_quarantine(self, tmp_path):
         store = LocalFSStore(tmp_path)
@@ -499,22 +469,6 @@ class TestTools:
             prune(store, 0.0, now=time.time() + 10)
         assert store.list_quarantined() == []  # cleared before the abort
         assert store.exists("blob1234")  # blob pass never ran
-
-    def test_mirror_copies_quarantined_evidence(self, tmp_path):
-        """``store push`` must not launder a corrupt cache: quarantined
-        entries travel with the blobs."""
-        src = LocalFSStore(tmp_path / "src")
-        dst = LocalFSStore(tmp_path / "dst")
-        src.put("bad12345", b"the corrupt bytes")
-        src.quarantine("bad12345")
-        src.put("good1234", b"fine")
-        stats = mirror(src, dst)
-        assert stats.blobs_copied == 1
-        assert stats.quarantined_copied == 1 and stats.quarantined_skipped == 0
-        assert dst.list_quarantined() == ["bad12345"]
-        assert dst.get_quarantined("bad12345") == b"the corrupt bytes"
-        again = mirror(src, dst)
-        assert again.quarantined_copied == 0 and again.quarantined_skipped == 1
 
 
 # --------------------------------------------------------------------- #
@@ -749,7 +703,11 @@ class TestLifecycle:
         SweepRunner(max_workers=1, store=store_url).run(tasks)
         store = open_store(store_url)
         mirror_store = LocalFSStore(tmp_path / "mirror")
-        mirror(store, mirror_store)
+        if isinstance(store, LocalFSStore):
+            shutil.copytree(store.root, mirror_store.root)
+        else:  # a memory:// store has no directory to copy
+            for key in store.list():
+                mirror_store.put(key, store.get(key))
         victim = task_cache_key(tasks[0])
         good = store.get(victim)
         store.put(victim, good[:-3])  # truncate: size check fails
@@ -789,84 +747,14 @@ class TestLifecycle:
 
 
 # --------------------------------------------------------------------- #
-# HTTP specifics
-# --------------------------------------------------------------------- #
-class TestHTTPStore:
-    def test_prefixes_are_isolated(self, server):
-        a = open_store(server.store_url("iso-a"))
-        b = open_store(server.store_url("iso-b"))
-        a.put("k", b"a")
-        b.put("k", b"b")
-        assert a.get("k") == b"a"
-        assert b.get("k") == b"b"
-        assert a.list() == ["k"] and b.list() == ["k"]
-
-    def test_stat_reports_mtime(self, server):
-        store = open_store(server.store_url("stat-test"))
-        store.put("k", b"abc")
-        stat = store.stat("k")
-        assert stat.size == 3
-        assert stat.mtime is not None and abs(stat.mtime - time.time()) < 120
-
-    def test_listing_paginates_past_one_page(self):
-        """Real S3 truncates listings at 1000 keys; the client must follow
-        IsTruncated/NextContinuationToken to a complete enumeration."""
-        with ObjectStoreServer(page_size=3) as tiny_pages:
-            store = open_store(tiny_pages.store_url("paged"))
-            keys = [f"k{i:02d}" for i in range(8)]
-            for key in keys:
-                store.put(key, b"x")
-            assert store.list() == keys
-            stats = store.stats()
-            assert stats.blobs == 8
-
-    def test_missing_content_length_is_unknown_size(self, monkeypatch):
-        """A HEAD without a usable Content-Length must report the size as
-        unknown (None), not 0 — 0 corrupts prune/stats byte totals."""
-        store = HTTPObjectStore("s3+http://example.invalid/bucket")
-        for headers in (
-            {"Last-Modified": "Wed, 21 Oct 2015 07:28:00 GMT"},
-            {"Content-Length": "garbage"},
-            {"Content-Length": "-1"},
-        ):
-            monkeypatch.setattr(
-                store, "_request", lambda method, url, data=None, h=headers: (b"", h)
-            )
-            stat = store._stat("k")
-            assert stat is not None
-            assert stat.size is None, f"size not unknown for {headers}"
-
-    def test_listing_carries_size_and_mtime(self, server):
-        store = open_store(server.store_url("entries-meta"))
-        store.put("k", b"12345")
-        entries = store._entries()
-        assert len(entries) == 1
-        name, stat = entries[0]
-        assert name == "k.pkl"
-        assert stat is not None and stat.size == 5
-        assert stat.mtime is not None and abs(stat.mtime - time.time()) < 120
-
-    def test_unreachable_endpoint_is_store_error(self):
-        store = HTTPObjectStore("s3+http://127.0.0.1:1/nothing", timeout=0.2, retries=0)
-        with pytest.raises(StoreError):
-            store.get("k")
-
-    def test_bad_url_rejected(self):
-        with pytest.raises(StoreError, match="s3\\+http"):
-            HTTPObjectStore("http://host/bucket")
-        with pytest.raises(StoreError, match="no host"):
-            HTTPObjectStore("s3+http://")
-
-
-# --------------------------------------------------------------------- #
 # CLI: --store threading and the store command group
 # --------------------------------------------------------------------- #
 class TestStoreCLI:
-    def test_sweep_shard_merge_through_object_store(self, server, capsys):
-        """The acceptance path: shard 0/2 + 1/2 against the HTTP fake,
-        merged with ``sweep merge --store s3+http://…``, byte-identical to
+    def test_sweep_shard_merge_through_object_store(self, tmp_path, capsys):
+        """The acceptance path: shard 0/2 + 1/2 against a ``file://`` store
+        URL, merged with ``sweep merge --store file://…``, byte-identical to
         a single-process run, with ``store stats`` seeing the blobs."""
-        url = server.store_url("cli-acceptance")
+        url = f"file://{tmp_path / 'shared'}"
         assert main(["sweep", "--workload", "3", "--scale", "0.01",
                      "--workers", "1"]) == 0
         golden = capsys.readouterr().out
@@ -877,7 +765,7 @@ class TestStoreCLI:
         assert main(["sweep", "merge", "--workload", "3", "--scale", "0.01",
                      "--store", url]) == 0
         merged = capsys.readouterr().out
-        assert merged == golden, "merged remote-store output diverged"
+        assert merged == golden, "merged store-URL output diverged"
         assert main(["store", "stats", url]) == 0
         stats_out = capsys.readouterr().out
         assert "blobs:       6" in stats_out
@@ -896,21 +784,6 @@ class TestStoreCLI:
                      "--shard", "1/2"]) == 0
         assert "shard run finished" in capsys.readouterr().out
         assert (tmp_path / "env" / "manifests").is_dir()
-
-    def test_push_pull_round_trip(self, tmp_path, server, capsys):
-        local = tmp_path / "local"
-        url = server.store_url("pushpull")
-        store = LocalFSStore(local)
-        store.put("deadbeef", b"blob")
-        store.write_manifest("m", {"x": 1})
-        assert main(["store", "push", str(local), url]) == 0
-        assert "copied 1 blob(s)" in capsys.readouterr().out
-        pulled = tmp_path / "pulled"
-        assert main(["store", "pull", url, str(pulled)]) == 0
-        capsys.readouterr()
-        mirrored = LocalFSStore(pulled)
-        assert mirrored.get("deadbeef") == b"blob"
-        assert mirrored.read_manifest("m") == {"x": 1}
 
     def test_prune_cli(self, tmp_path, capsys):
         store = LocalFSStore(tmp_path)
@@ -987,7 +860,14 @@ class TestStoreCLI:
         assert main(["store", "stats", "gopher://x"]) == 2
         assert "unknown store scheme" in capsys.readouterr().err
 
-    def test_serve_on_busy_port_is_clean_error(self, server, capsys):
-        assert main(["store", "serve", "--host", server.host,
-                     "--port", str(server.port)]) == 2
-        assert "cannot bind" in capsys.readouterr().err
+    def test_s3_scheme_is_rejected_cleanly(self, capsys):
+        """Only local stores ship: an object-store URL is an unknown scheme,
+        from the API and from the CLI alike (exit 2, no traceback)."""
+        with pytest.raises(StoreError, match="unknown store scheme 's3\\+http'"):
+            open_store("s3+http://h/p")
+        assert main(["sweep", "--workload", "3", "--scale", "0.01",
+                     "--store", "s3+https://h/p"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown store scheme 's3+https'" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

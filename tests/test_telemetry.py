@@ -26,9 +26,8 @@ from repro.experiments.sweep import (
     SweepTask,
     task_cache_key,
 )
-from repro.store import MemoryStore, StoreError, open_store, unwrap_blob
+from repro.store import MemoryStore, open_store, unwrap_blob
 from repro.store.attachments import AttachmentError, iter_attachments
-from repro.store.http_store import HTTPObjectStore
 from repro.telemetry import (
     TRACE,
     InstrumentedStore,
@@ -302,16 +301,6 @@ class TestInstrumentedStore:
         assert stats.blobs == 1
         assert store.delete("k" * 16)
         assert store.get("k" * 16) is None
-
-    def test_observes_http_retries(self):
-        # Nothing listens on this port: every attempt fails, each retry is
-        # observed through the on_retry hook before the backoff sleep.
-        inner = HTTPObjectStore("s3+http://127.0.0.1:9/none", timeout=0.2,
-                                retries=1)
-        store = InstrumentedStore(inner)
-        with pytest.raises(StoreError):
-            store.get("k" * 16)
-        assert store.snapshot()["counters"]["retries"] == 1
 
 
 # --------------------------------------------------------------------- #
