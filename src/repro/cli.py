@@ -115,7 +115,7 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
         help="paper workload id (Table 1)",
     )
     parser.add_argument(
-        "--scale", type=float, default=0.05,
+        "--scale", type=_positive_float, default=0.05,
         help="fraction of the full workload/system size (1.0 = paper scale)",
     )
     parser.add_argument("--seed", type=int, default=None, help="workload generation seed")
@@ -135,6 +135,13 @@ def _positive_int(value: str) -> int:
     parsed = int(value)
     if parsed < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return parsed
+
+
+def _positive_float(value: str) -> float:
+    parsed = float(value)
+    if not parsed > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return parsed
 
 
@@ -727,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true", help="list the built-in scenarios and exit"
     )
     p_sc.add_argument(
-        "--scale", type=float, default=None,
+        "--scale", type=_positive_float, default=None,
         help="workload scale override for built-in scenarios (1.0 = paper scale)",
     )
     p_sc.add_argument(
@@ -739,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tab = sub.add_parser("table", help="regenerate Table 1 or Table 2")
     p_tab.add_argument("table", type=int, choices=[1, 2])
-    p_tab.add_argument("--scale", type=float, default=0.05)
+    p_tab.add_argument("--scale", type=_positive_float, default=0.05)
     _add_sweep_args(p_tab)
     p_tab.set_defaults(func=_cmd_table)
 

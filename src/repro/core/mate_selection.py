@@ -35,6 +35,19 @@ window (a mate's ``requested_time`` is extended after its reconfiguration,
 so its end is never cached), the contention pairing, the penalty against
 the cut-off and the ``mate_candidate`` trace events, emitted in pool order,
 which is ``sim.running``'s insertion order.
+
+Most selections fail on node counts alone: no mate in the time window, or
+no one or two of them holding exactly the guest's node count.  Candidates
+are a subset of the window mates and the combination search needs an exact
+sum, so :meth:`MateSelector.select` first makes one pass over the pool that
+reads only each mate's end and node count
+(:meth:`MateSelector.node_counts_can_match`), and builds no candidate when
+that pass says no combination can exist.  The pass holds for any cut-off.
+It is skipped, and every candidate built, when a contention model is set
+(its bandwidth refusals are counted from the scan), when free nodes may be
+folded in, beyond two mates, and in traced runs, whose ``mate_candidate``
+events record every penalty: traced runs do more work for the same
+decisions.
 """
 
 from __future__ import annotations
@@ -284,6 +297,42 @@ class MateSelector:
             )
         return candidates[: self.max_candidates]
 
+    def node_counts_can_match(self, sim: "Simulation", guest: Job) -> bool:
+        """Whether mates in the guest's time window can sum to its node count.
+
+        One pass over :meth:`mate_pool` with the time-window test of
+        :meth:`candidate_mates` (ends computed live: ``_apply_selection``
+        extends a mate's ``requested_time``).  True when one window mate
+        holds exactly the guest's ``requested_nodes`` (or more, with
+        ``allow_partial_mates``) or, with ``max_mates`` of two, when two
+        distinct window mates sum to it.  Candidates are a subset of the
+        window mates, so False means :meth:`select` finds nothing, whatever
+        the penalties.  Combinations of three or more mates are not checked:
+        beyond two mates this is always True.
+        """
+        if self.max_mates > 2:
+            return True
+        nodes_needed = guest.requested_nodes
+        guest_end = sim.now + self.estimated_guest_runtime(guest)
+        use_requested_time = self.use_requested_time
+        partial = self.allow_partial_mates
+        pairs = self.max_mates == 2
+        seen = set()
+        for mate in self.mate_pool(sim):
+            ref_time = mate.requested_time if use_requested_time else mate.static_runtime
+            if mate.start_time + ref_time < guest_end:
+                continue
+            weight = len(mate.allocated_nodes)
+            if (
+                weight == nodes_needed
+                or nodes_needed - weight in seen
+                or (partial and weight > nodes_needed)
+            ):
+                return True
+            if pairs:
+                seen.add(weight)
+        return False
+
     # ------------------------------------------------------------------ #
     # Combination search
     # ------------------------------------------------------------------ #
@@ -396,8 +445,22 @@ class MateSelector:
         guest: Job,
         cutoff: MaxSlowdownCutoff,
     ) -> Optional[MateSelection]:
-        """Select the best mates for a guest, or ``None`` if no set exists."""
+        """Select the best mates for a guest, or ``None`` if no set exists.
+
+        Untraced, without a contention model or free nodes, a guest whose
+        node count no one or two window mates can match is turned down by
+        :meth:`node_counts_can_match` before any penalty is computed.
+        Traced runs build every candidate, so they do more work for the
+        same decisions.
+        """
         if guest.requested_nodes <= 0:
+            return None
+        if (
+            self.contention is None
+            and sim.trace is None
+            and not self.include_free_nodes
+            and not self.node_counts_can_match(sim, guest)
+        ):
             return None
         candidates = self.candidate_mates(sim, guest, cutoff)
         if not candidates and not self.include_free_nodes:

@@ -185,6 +185,17 @@ class SDPolicyScheduler(BackfillScheduler):
         estimated_start: float,
         work_ahead_cpu_seconds: float = 0.0,
     ) -> bool:
+        """Listing 1's malleable attempt: estimate, then select mates.
+
+        The backfill pass sums ``work_ahead_cpu_seconds`` only when it first
+        calls this method, with the same float operations as an eager sum
+        at pass start.  A malleable end estimate that does not beat the
+        static one rejects the job before any mate is looked at; after
+        that, :meth:`MateSelector.select` turns down a guest whose node
+        count no one or two mates in its time window can match before it
+        computes a single penalty (untraced runs without a contention
+        model).
+        """
         if not job.malleable:
             return False
         # End-time estimates (both measured as absolute times).

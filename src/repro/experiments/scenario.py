@@ -59,6 +59,10 @@ class ScenarioError(ValueError):
     """Raised for malformed scenario specs."""
 
 
+#: Application mixes a workload ref may stamp onto its jobs.
+APPLICATION_MIXES = ("table2",)
+
+
 # --------------------------------------------------------------------- #
 # JSON-safe value encoding (inf does not exist in strict JSON)
 # --------------------------------------------------------------------- #
@@ -187,10 +191,10 @@ class WorkloadRef:
         """Assign the named application mix to every job, if one is set."""
         if not self.applications:
             return workload
-        if self.applications != "table2":
+        if self.applications not in APPLICATION_MIXES:
             raise ScenarioError(
                 f"workload ref {self.key()!r}: unknown application mix "
-                f"{self.applications!r}; available: table2"
+                f"{self.applications!r}; available: {', '.join(APPLICATION_MIXES)}"
             )
         from repro.workloads.applications import assign_applications
 
@@ -219,14 +223,31 @@ class WorkloadRef:
         unknown = set(data) - known
         if unknown:
             raise ScenarioError(f"unknown workload ref fields: {sorted(unknown)}")
+        from repro.workloads.presets import PAPER_WORKLOADS
+
         owner = "workload ref"
+        preset = _field(data, "preset", (int, _NULL), "an integer", owner)
+        if preset is not None and preset not in PAPER_WORKLOADS:
+            raise ScenarioError(
+                f"{owner} field 'preset' must be a paper workload id "
+                f"{min(PAPER_WORKLOADS)}..{max(PAPER_WORKLOADS)}, got {preset!r}"
+            )
+        scale = float(_field(data, "scale", (int, float), "a number", owner, 1.0))
+        if not scale > 0:
+            raise ScenarioError(f"{owner} field 'scale' must be positive, got {scale!r}")
+        applications = _field(data, "applications", (str, _NULL), "a string", owner)
+        if applications is not None and applications not in APPLICATION_MIXES:
+            raise ScenarioError(
+                f"{owner} field 'applications' must be one of "
+                f"{', '.join(APPLICATION_MIXES)}, got {applications!r}"
+            )
         return cls(
-            preset=_field(data, "preset", (int, _NULL), "an integer", owner),
+            preset=preset,
             swf=_field(data, "swf", (str, _NULL), "a path string", owner),
-            scale=float(_field(data, "scale", (int, float), "a number", owner, 1.0)),
+            scale=scale,
             seed=_field(data, "seed", (int, _NULL), "an integer", owner),
             name=_field(data, "name", (str, _NULL), "a string", owner),
-            applications=_field(data, "applications", (str, _NULL), "a string", owner),
+            applications=applications,
         )
 
 
@@ -525,8 +546,31 @@ class ScenarioSpec:
 
 
 def load_spec(path: Union[str, os.PathLike]) -> ScenarioSpec:
-    """Load a scenario spec from a JSON file."""
-    return ScenarioSpec.from_json(Path(path).read_text(encoding="utf-8"))
+    """Load a scenario spec from a JSON file.
+
+    Besides the field checks of :meth:`ScenarioSpec.from_dict`, every SWF
+    log the spec names must exist and every policy name must be registered,
+    so a bad reference fails here with a :class:`ScenarioError` naming the
+    field instead of part-way through the run.
+    """
+    from repro.core.policy import resolve_policy_name
+
+    spec = ScenarioSpec.from_json(Path(path).read_text(encoding="utf-8"))
+    for ref in spec.workloads:
+        if ref.swf is not None and not os.path.isfile(ref.swf):
+            raise ScenarioError(f"workload ref field 'swf': no such file {ref.swf!r}")
+    policies = [("policy", spec.policy)]
+    if spec.baseline is not None:
+        policies.append(("baseline.policy", spec.baseline["policy"]))
+    policies += [("grid.policy", point.value) for point in spec.grid.get("policy", ())]
+    for where, name in policies:
+        if name is None:
+            continue
+        try:
+            resolve_policy_name(str(name))
+        except ValueError as exc:
+            raise ScenarioError(f"scenario field {where!r}: {exc}") from None
+    return spec
 
 
 def save_spec(spec: ScenarioSpec, path: Union[str, os.PathLike]) -> None:

@@ -12,8 +12,10 @@ The static pass does only work that can change a decision.  A static start
 needs as many free nodes as the job requests, and free nodes only fall
 during a pass, so the pass ends once they are fewer than any job left in the
 window asks for: the probes and reservations it would still make could only
-guard starts that cannot happen.  It also skips the work-ahead sum, which
-only the malleable attempt reads.
+guard starts that cannot happen.  The work-ahead sum, which only the
+malleable attempt reads, is taken when a pass first calls
+:meth:`~BackfillScheduler.try_malleable_start`, so a static pass, and a
+malleable pass that starts or reserves every job before that, never pays it.
 
 The SD-Policy scheduler (:mod:`repro.core.sd_policy`) extends this class by
 adding the malleable scheduling attempt right after the static trial of each
@@ -23,8 +25,8 @@ job fails, exactly as in Listing 1 of the paper.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
-from typing import TYPE_CHECKING
+from itertools import accumulate, islice
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.schedulers.base import Scheduler
 from repro.simulator.reservation import ReservationMap
@@ -50,7 +52,8 @@ class BackfillScheduler(Scheduler):
     #: False means "this policy starts jobs only on free nodes": a pass
     #: ends as soon as the free nodes are fewer than any job left in the
     #: window asks for (and is skipped when that holds from the start), and
-    #: it neither sums the work ahead nor calls :meth:`try_malleable_start`.
+    #: it never calls :meth:`try_malleable_start`, so never sums the work
+    #: ahead.
     #: SD-Policy sets it because malleable co-scheduling works precisely
     #: when no free nodes are left.
     schedule_when_saturated = False
@@ -82,7 +85,10 @@ class BackfillScheduler(Scheduler):
         of the running jobs plus the higher-priority pending jobs — a cheap
         lower bound on how long this job must wait that stays meaningful
         even for queue positions beyond the reservation depth
-        (``max_job_test``).
+        (``max_job_test``).  A pass sums it at its first call, over the jobs
+        that were running when the pass began, then folds in the window
+        jobs ahead in window order: the same float operations, in the same
+        order, as a sum taken at the start of the pass.
         """
         return False
 
@@ -90,15 +96,23 @@ class BackfillScheduler(Scheduler):
         """Hook called at the beginning of every scheduling pass."""
 
     @staticmethod
-    def running_requested_work(sim: "Simulation") -> float:
-        """Remaining requested work (CPU·seconds) of the running jobs."""
+    def running_requested_work(
+        sim: "Simulation", jobs: Optional[Iterable["Job"]] = None
+    ) -> float:
+        """Remaining requested work (CPU·seconds) of the running jobs.
+
+        ``jobs`` defaults to ``sim.running``; a pass hands in the prefix of
+        it that was running when the pass began.  Jobs past their requested
+        end add nothing (adding ``0.0`` leaves the sum unchanged).
+        """
         now = sim.now
         total = 0.0
-        for job in sim.running.values():
+        for job in sim.running.values() if jobs is None else jobs:
             if job.start_time is None:
                 continue
-            remaining = max(0.0, job.start_time + job.requested_time - now)
-            total += remaining * job.requested_cpus
+            remaining = job.start_time + job.requested_time - now
+            if remaining > 0.0:
+                total += remaining * job.requested_cpus
         return total
 
     # ------------------------------------------------------------------ #
@@ -117,8 +131,12 @@ class BackfillScheduler(Scheduler):
                 return
         self.on_pass_start(sim)
         profile = sim.availability_profile()
-        # The work ahead only feeds the malleable attempt.
-        work_ahead = 0.0 if static_only else self.running_requested_work(sim)
+        # The work ahead only feeds the malleable attempt: it is summed at
+        # the pass's first attempt, over the jobs running at pass start.
+        # Until then nothing has reconfigured a job or extended a requested
+        # time, and starts only append to ``sim.running``.
+        num_running = len(sim.running)
+        work_ahead: Optional[float] = None
         trace = sim.trace
         now = sim.now
         blocked_ahead = 0  # higher-priority jobs that could not start this pass
@@ -145,11 +163,20 @@ class BackfillScheduler(Scheduler):
             # Static start not possible now: give the subclass a chance to
             # start the job through malleability, else reserve its earliest
             # slot so later jobs cannot delay it (conservative backfill).
-            elif static_only or not self.try_malleable_start(
-                sim, job, profile, est_start, work_ahead
-            ):
-                if est_start != math.inf:
-                    profile.add_reservation(est_start, job.requested_time, job.requested_nodes)
-                blocked_ahead += 1
-            if not static_only:
+            else:
+                if not static_only and work_ahead is None:
+                    work_ahead = self.running_requested_work(
+                        sim, islice(sim.running.values(), num_running)
+                    )
+                    for ahead in window[:idx]:
+                        work_ahead += ahead.requested_cpus * ahead.requested_time
+                if static_only or not self.try_malleable_start(
+                    sim, job, profile, est_start, work_ahead
+                ):
+                    if est_start != math.inf:
+                        profile.add_reservation(
+                            est_start, job.requested_time, job.requested_nodes
+                        )
+                    blocked_ahead += 1
+            if work_ahead is not None:
                 work_ahead += job.requested_cpus * job.requested_time

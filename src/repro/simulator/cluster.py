@@ -40,6 +40,10 @@ class Cluster:
         }
         self._free_nodes: Set[int] = set(self.nodes)
         self._used_cpus: int = 0
+        # Homogeneous and fixed, so read on every malleable attempt without
+        # walking the node table.
+        self._cpus_per_node: int = self.nodes[0].total_cpus
+        self._total_cpus: int = num_nodes * self._cpus_per_node
 
     # ------------------------------------------------------------------ #
     @property
@@ -50,12 +54,12 @@ class Cluster:
     @property
     def cpus_per_node(self) -> int:
         """CPUs per node (homogeneous cluster)."""
-        return next(iter(self.nodes.values())).total_cpus
+        return self._cpus_per_node
 
     @property
     def total_cpus(self) -> int:
         """Total CPU count of the cluster."""
-        return self.num_nodes * self.cpus_per_node
+        return self._total_cpus
 
     @property
     def free_node_ids(self) -> List[int]:

@@ -134,9 +134,13 @@ _BUILDERS: Dict[int, Callable[..., Workload]] = {
 
 
 def build_workload(workload_id: int, scale: float = 1.0, seed: Optional[int] = None) -> Workload:
-    """Build a paper workload by its Table 1 id (1–5)."""
+    """Build a paper workload by its Table 1 id (1–5) at a scale > 0."""
     if workload_id not in _BUILDERS:
         raise ValueError(f"unknown workload id {workload_id}; expected 1..5")
+    if not scale > 0:
+        # The factories clamp to minimum counts, so a bad scale would
+        # otherwise quietly build the smallest workload.
+        raise ValueError(f"workload scale must be positive, got {scale!r}")
     kwargs = {"scale": scale}
     if seed is not None:
         kwargs["seed"] = seed

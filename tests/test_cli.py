@@ -26,6 +26,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "12"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--workload", "1", "--scale", "-1"],
+            ["compare", "--scale", "0"],
+            ["table", "1", "--scale", "-0.5"],
+            ["scenario", "table2", "--scale", "0"],
+        ],
+        ids=["run", "compare", "table", "scenario"],
+    )
+    def test_non_positive_scale_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--scale: must be > 0" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_run_command(self, capsys):

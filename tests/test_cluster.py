@@ -15,6 +15,12 @@ class TestClusterBasics:
         assert small_cluster.cpus_per_node == 8
         assert small_cluster.total_cpus == 32
 
+    def test_geometry_fixed_while_allocations_change(self, small_cluster):
+        small_cluster.allocate_static(make_job(job_id=1, nodes=4))
+        assert (small_cluster.cpus_per_node, small_cluster.total_cpus) == (8, 32)
+        with pytest.raises(AttributeError):
+            small_cluster.total_cpus = 64
+
     def test_initially_all_free(self, small_cluster):
         assert small_cluster.num_free_nodes == 4
         assert small_cluster.free_node_ids == [0, 1, 2, 3]

@@ -4,8 +4,11 @@
 pool) and finds the best pair of mates by a weight lookup.  These tests hold
 both against the code they replaced: a full eligibility predicate applied to
 every running job on every scan, and an ``itertools`` enumeration of every
-combination.  Pinned trace bytes and a pinned scan counter catch changes in
-scan order and in the amount of work the index saves.
+combination.  The node-count check that turns a guest down before any
+candidate is built is held against an enumeration of the window mates'
+node counts and against the full candidate path.  Pinned trace bytes and a
+pinned scan counter catch changes in scan order and in the amount of work
+the index saves.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import itertools
 import math
 from datetime import timedelta
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -267,6 +271,185 @@ def test_pool_keyed_on_the_simulation_not_only_its_version():
 
 
 # --------------------------------------------------------------------- #
+# Node-count check
+# --------------------------------------------------------------------- #
+
+
+def oracle_counts_can_match(selector, sim, guest):
+    """Whether ≤ ``max_mates`` distinct window mates cover the guest's nodes,
+    by enumerating the node counts of every running job in the window."""
+    guest_runtime = selector.estimated_guest_runtime(guest)
+    weights = [
+        len(mate.allocated_nodes) for mate in sim.running.values()
+        if oracle_is_eligible(selector, sim, mate, guest, guest_runtime)
+    ]
+    needed = guest.requested_nodes
+    for r in range(1, selector.max_mates + 1):
+        for combo in itertools.combinations(weights, r):
+            if sum(combo) == needed:
+                return True
+            if selector.allow_partial_mates and r == 1 and combo[0] > needed:
+                return True
+    return False
+
+
+def full_path(selector, sim, guest, cutoff):
+    """``select`` without the node-count check: candidates, search, plan."""
+    candidates = selector.candidate_mates(sim, guest, cutoff)
+    combo = selector._best_combination(candidates, guest.requested_nodes)
+    if combo is None:
+        return None
+    return selector._build_plan(sim, guest, combo[0], combo[1], [])
+
+
+def check_every_select(selector):
+    """Wrap ``selector.select`` to hold the node-count check at each call.
+
+    Returns the check's answers, one per call.
+    """
+    production = selector.select
+    answers = []
+
+    def select(sim, guest, cutoff):
+        can = selector.node_counts_can_match(sim, guest)
+        if selector.max_mates <= 2:
+            assert can == oracle_counts_can_match(selector, sim, guest)
+        else:
+            assert can  # triples are left to the full path
+        if not can:
+            assert full_path(selector, sim, guest, cutoff) is None
+        got = production(sim, guest, cutoff)
+        assert can or got is None
+        answers.append(can)
+        return got
+
+    selector.select = select
+    return answers
+
+
+@st.composite
+def count_check_runs(draw):
+    num_nodes = draw(st.integers(1, 12))
+    jobs = []
+    for job_id in range(1, draw(st.integers(1, 40)) + 1):
+        req_time = draw(st.integers(1, 20)) * 100.0
+        jobs.append(make_job(
+            job_id=job_id,
+            # Coarse grids: tied submits, and mate ends that tie guest ends.
+            submit=draw(st.integers(0, 15)) * 200.0,
+            nodes=draw(st.integers(1, min(5, num_nodes))),
+            req_time=req_time,
+            runtime=req_time * draw(st.sampled_from((0.3, 0.7, 1.0))),
+            malleable=draw(st.integers(0, 3)) > 0,
+        ))
+    config = SDPolicyConfig(
+        max_slowdown=draw(st.sampled_from((10.0, math.inf, "dynamic"))),
+        max_mates=draw(st.sampled_from((1, 2, 3))),
+        allow_partial_mates=draw(st.booleans()),
+    )
+    return num_nodes, jobs, SDPolicyScheduler(config)
+
+
+@settings(
+    max_examples=250,
+    deadline=timedelta(seconds=5),
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(run=count_check_runs())
+def test_node_count_check_matches_enumeration_and_full_path(run):
+    num_nodes, jobs, scheduler = run
+    check_every_select(scheduler.selector)
+    simulate(scheduler, num_nodes, jobs)
+
+
+def test_node_count_check_decides_every_failure_on_the_guard_input():
+    scheduler = make_policy("sd_policy", max_slowdown=10.0)
+    answers = check_every_select(scheduler.selector)
+    run = runner.run_workload(
+        build_workload(4, scale=0.005), policy=scheduler, runtime_model="worst_case",
+        malleable_fraction=1.0,
+    )
+    stats = run.scheduler_stats
+    assert len(answers) == stats["rejected_no_mates"] + stats["malleable_starts"]
+    # Here node counts alone decide every failed selection.
+    assert answers.count(False) == stats["rejected_no_mates"] == 10751
+
+
+def test_window_reads_mate_ends_live_not_from_the_pool():
+    # ``_apply_selection`` extends a mate's requested time after
+    # reconfiguring it, so an end cached when the pool was built goes stale.
+    sim = Simulation(Cluster(num_nodes=2, sockets=2, cores_per_socket=4), FCFSScheduler())
+    mate = make_job(job_id=1, nodes=1, req_time=1000.0)
+    guest = make_job(job_id=2, nodes=1, req_time=600.0)  # worst-case end 1200
+    for job in (mate, guest):
+        sim.jobs[job.job_id] = job
+        sim.pending.add(job)
+    sim.start_job_static(mate)
+    selector = MateSelector()
+    admit_all = StaticMaxSlowdown(math.inf)
+    assert not selector.node_counts_can_match(sim, guest)
+    assert selector.select(sim, guest, admit_all) is None
+    version = sim.allocation_version
+    mate.requested_time += 5000.0
+    assert sim.allocation_version == version and selector.mate_pool(sim) == [mate]
+    assert selector.node_counts_can_match(sim, guest)
+    assert selector.select(sim, guest, admit_all).mates == [mate]
+
+
+def test_node_count_check_boundaries():
+    # A mate ending exactly at the guest's worst-case end is in the window;
+    # one mate is never paired with itself.
+    sim = Simulation(Cluster(num_nodes=4, sockets=2, cores_per_socket=4), FCFSScheduler())
+    mate = make_job(job_id=1, nodes=2, req_time=1200.0)
+    pair_guest = make_job(job_id=2, nodes=4, req_time=600.0)
+    exact_guest = make_job(job_id=3, nodes=2, req_time=600.0)
+    for job in (mate, pair_guest, exact_guest):
+        sim.jobs[job.job_id] = job
+        sim.pending.add(job)
+    sim.start_job_static(mate)
+    selector = MateSelector()
+    assert selector.node_counts_can_match(sim, exact_guest)
+    assert not selector.node_counts_can_match(sim, pair_guest)
+    assert MateSelector(allow_partial_mates=True).node_counts_can_match(
+        sim, make_job(job_id=4, nodes=1, req_time=600.0)
+    )
+
+
+@pytest.mark.parametrize("policy, max_slowdown", [
+    ("sd_policy", 10.0), ("sd_policy", "dynamic"), ("ub_policy", 10.0),
+])
+def test_traced_and_untraced_runs_decide_alike(policy, max_slowdown):
+    # The node-count check is off under trace, so this holds both paths
+    # against each other.
+    workload = build_workload(4, scale=0.005)
+    kwargs = {"runtime_model": "worst_case"}
+    if policy == "ub_policy":
+        workload = assign_applications(workload)
+        kwargs = {"runtime_model": "application_aware", "profiles": "table2"}
+    plain, traced = (
+        runner.run_workload(
+            workload, policy=policy, malleable_fraction=1.0, max_slowdown=max_slowdown,
+            trace=trace, **kwargs,
+        )
+        for trace in (False, True)
+    )
+    assert plain.trace is None and traced.trace is not None
+    fields = (
+        "makespan", "avg_response_time", "avg_slowdown", "avg_wait_time",
+        "energy_joules", "malleable_scheduled_jobs", "mate_jobs", "total_events",
+        "completed_jobs",
+    )
+    assert [getattr(plain.result, f) for f in fields] == [
+        getattr(traced.result, f) for f in fields
+    ]
+    assert plain.metrics == traced.metrics
+    assert plain.scheduler_stats == traced.scheduler_stats
+    assert [(j.job_id, j.start_time, j.end_time) for j in plain.jobs] == [
+        (j.job_id, j.start_time, j.end_time) for j in traced.jobs
+    ]
+
+
+# --------------------------------------------------------------------- #
 # Pinned scan order and scan work
 # --------------------------------------------------------------------- #
 
@@ -315,11 +498,13 @@ def test_static_trace_is_byte_identical_to_the_pinned_digest():
 
 def test_mates_scanned_pinned_on_the_guard_curie_input():
     # The benchmark's guard-size curie_sd input.  Scanning all of
-    # ``sim.running`` per selection examined 359,452 jobs here.
+    # ``sim.running`` per selection examined 359,452 jobs here, and the
+    # cached pool 44,739 before the node-count check skipped the scans of
+    # guests no window mates can match.
     scheduler = make_policy("sd_policy", max_slowdown=10.0)
     run = runner.run_workload(
         build_workload(4, scale=0.005), policy=scheduler, runtime_model="worst_case",
         malleable_fraction=1.0,
     )
     assert run.scheduler_stats["rejected_no_mates"] == 10751
-    assert scheduler.selector.mates_scanned == 44739
+    assert scheduler.selector.mates_scanned == 2405

@@ -114,8 +114,26 @@ class TestSpecRoundTrip:
             ({"name": "x", "workload": {"preset": 1}, "seed": "s"},
              "scenario field 'seed'"),
             ([1, 2], "a scenario spec must be a JSON object"),
+            # Well-formed, but naming things that do not exist.
+            ({"name": "x", "workload": {"preset": 9}}, "workload ref field 'preset'"),
+            ({"name": "x", "workload": {"preset": 1, "scale": -1}},
+             "workload ref field 'scale' must be positive"),
+            ({"name": "x", "workload": {"preset": 1, "scale": 0}},
+             "workload ref field 'scale' must be positive"),
+            ({"name": "x", "workload": {"preset": 1, "applications": "table3"}},
+             "workload ref field 'applications'"),
+            ({"name": "x", "workload": {"swf": "no/such/log.swf"}},
+             "workload ref field 'swf': no such file"),
+            ({"name": "x", "workload": {"preset": 1}, "policy": "nope"},
+             "scenario field 'policy': unknown policy 'nope'"),
+            ({"name": "x", "workload": {"preset": 1}, "baseline": "nope"},
+             "scenario field 'baseline.policy': unknown policy 'nope'"),
+            ({"name": "x", "workload": {"preset": 1}, "grid": {"policy": ["fcfs", "nope"]}},
+             "scenario field 'grid.policy': unknown policy 'nope'"),
         ],
-        ids=["ref-not-object", "baseline-int", "scale-str", "seed-str", "top-level-list"],
+        ids=["ref-not-object", "baseline-int", "scale-str", "seed-str", "top-level-list",
+             "unknown-preset", "negative-scale", "zero-scale", "unknown-mix", "missing-swf",
+             "unknown-policy", "unknown-baseline", "unknown-grid-policy"],
     )
     def test_malformed_spec_file_is_a_clean_error_naming_the_field(
         self, tmp_path, capsys, spec, names

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import math
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.penalties import DynamicAverageMaxSlowdown, StaticMaxSlowdown
 from repro.core.sd_policy import SDPolicyConfig, SDPolicyScheduler
+from repro.experiments import runner
 from repro.schedulers.backfill import BackfillScheduler
 from repro.simulator.cluster import Cluster
 from repro.simulator.simulation import Simulation
+from repro.workloads.presets import build_workload
 from tests.conftest import make_job
 
 
@@ -169,3 +174,93 @@ class TestSchedulerHygiene:
         scheduler = SDPolicyScheduler(SDPolicyConfig(max_slowdown="dynamic"))
         by_id, result = run_jobs(scheduler, saturating_scenario())
         assert result.num_jobs == 3
+
+
+class WorkAheadProbe(SDPolicyScheduler):
+    """SD-Policy recording, at every in-pass attempt, the work ahead it was
+    handed and the value summed eagerly from the state at pass start.
+
+    The eager sum is the running jobs' remaining requested work, then each
+    higher-priority window job's ``requested_cpus * requested_time`` in
+    window order.  A window job's term is its value at pass start unless a
+    malleable start in the pass extended its requested time first.
+    """
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.pairs = []
+        self._pass = None
+
+    def schedule(self, sim):
+        super().schedule(sim)
+        self._pass = None  # attempts from on_job_submit are not in a pass
+
+    def on_pass_start(self, sim):
+        super().on_pass_start(sim)
+        base = 0.0
+        for job in sim.running.values():
+            base += max(0.0, job.start_time + job.requested_time - sim.now) * job.requested_cpus
+        window = sim.pending.ordered(self.max_job_test)
+        terms = {job.job_id: job.requested_cpus * job.requested_time for job in window}
+        self._pass = (base, window, terms)
+
+    def try_malleable_start(self, sim, job, profile, estimated_start, work_ahead_cpu_seconds=0.0):
+        started = super().try_malleable_start(
+            sim, job, profile, estimated_start, work_ahead_cpu_seconds
+        )
+        if self._pass is not None:
+            expected, window, terms = self._pass
+            for ahead in window:
+                if ahead is job:
+                    break
+                expected += terms[ahead.job_id]
+            self.pairs.append((work_ahead_cpu_seconds.hex(), expected.hex()))
+            if started:
+                terms[job.job_id] = job.requested_cpus * job.requested_time
+        return started
+
+
+@st.composite
+def work_ahead_runs(draw):
+    num_nodes = draw(st.integers(1, 8))
+    jobs = []
+    for job_id in range(1, draw(st.integers(1, 40)) + 1):
+        req_time = draw(st.integers(1, 40)) * 100.0
+        jobs.append(make_job(
+            job_id=job_id,
+            submit=draw(st.integers(0, 15)) * 200.0,  # coarse grid: tied submits
+            nodes=draw(st.integers(1, num_nodes)),
+            req_time=req_time,
+            runtime=req_time * draw(st.sampled_from((0.3, 0.7, 1.0))),
+            malleable=draw(st.booleans()),
+        ))
+    config = SDPolicyConfig(
+        max_slowdown=draw(st.sampled_from((10.0, math.inf, "dynamic"))),
+        max_job_test=draw(st.sampled_from((2, 5, 100))),
+    )
+    return num_nodes, jobs, config
+
+
+class TestWorkAhead:
+    @settings(
+        max_examples=150,
+        deadline=timedelta(seconds=5),
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(run=work_ahead_runs())
+    def test_lazy_sum_equals_the_eager_sum_bit_for_bit(self, run):
+        num_nodes, jobs, config = run
+        scheduler = WorkAheadProbe(config)
+        run_jobs(scheduler, jobs, nodes=num_nodes)
+        for got, expected in scheduler.pairs:
+            assert got == expected
+
+    def test_lazy_sum_on_the_guard_curie_input(self):
+        scheduler = WorkAheadProbe(SDPolicyConfig(max_slowdown=10.0))
+        run = runner.run_workload(
+            build_workload(4, scale=0.005), policy=scheduler, runtime_model="worst_case",
+            malleable_fraction=1.0,
+        )
+        assert run.scheduler_stats["malleable_starts"] == 340
+        assert len(scheduler.pairs) > 10000
+        assert all(got == expected for got, expected in scheduler.pairs)

@@ -163,6 +163,13 @@ class TestPresets:
         with pytest.raises(ValueError):
             build_workload(9)
 
+    @pytest.mark.parametrize("scale", [0, 0.0, -1, -0.5, float("nan")])
+    def test_build_rejects_non_positive_scale(self, scale):
+        # The factories clamp to minimum counts: without the check a bad
+        # scale would quietly build the smallest workload.
+        with pytest.raises(ValueError, match=f"scale must be positive, got {scale!r}"):
+            build_workload(1, scale=scale)
+
     def test_workload2_has_exact_requests(self):
         wl = build_workload(2, scale=0.02)
         assert all(r.requested_time == r.run_time for r in wl.records)
