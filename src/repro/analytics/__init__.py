@@ -1,7 +1,8 @@
 """Job-level analytics: persist per-job records, query them across sweeps.
 
-``records`` defines the columnar schema, the :class:`JobRecordSink` that
-captures rows at job completion, the bit-identical
+``records`` wraps the per-job rows every simulation folds
+(:class:`repro.metrics.streaming.StreamingMetrics`) in :class:`RunRecords`
+with their run-level metadata, defines the bit-identical
 :func:`metrics_from_records` rebuild, and the :data:`RECORDS` run
 attachment through which record blobs are published to and loaded from
 any :class:`repro.store.ResultStore`; ``query`` (imported explicitly — it
@@ -13,7 +14,6 @@ from repro.analytics.records import (
     JOB_RECORD_DTYPE,
     RECORD_SCHEMA_VERSION,
     RECORDS,
-    JobRecordSink,
     RunRecords,
     load_run_records,
     metrics_from_records,
@@ -22,7 +22,6 @@ from repro.analytics.records import (
 
 __all__ = [
     "JOB_RECORD_DTYPE",
-    "JobRecordSink",
     "RECORDS",
     "RECORD_SCHEMA_VERSION",
     "RunRecords",

@@ -1,22 +1,17 @@
-"""Columnar per-job records: the sink, the schema, (de)serialization, storage.
+"""Per-job records: the persisted form of a run's fold, and their storage.
 
-The analytics layer keeps what :func:`repro.metrics.aggregates
-.compute_metrics` throws away: one fixed-width row per completed job, in
-completion order, in a NumPy structured array (~100 bytes/job).  A
-:class:`JobRecordSink` is attached to the simulation's job-completion
-dispatch (``Simulation(..., sinks=[sink])``) and folds each job exactly
-once, computing the derived metric columns (response, wait, slowdown,
-bounded slowdown, runtime, CPU-seconds) with the *same arithmetic, in the
-same order* as :class:`repro.metrics.streaming.StreamingMetrics.fold`.
+The analytics layer keeps what :class:`~repro.metrics.aggregates
+.WorkloadMetrics` throws away: one fixed-width :data:`JOB_RECORD_DTYPE` row
+per completed job, in completion order (~115 bytes/job).  Every simulation
+already builds these rows in its one per-job fold
+(:class:`repro.metrics.streaming.StreamingMetrics`); a :class:`RunRecords`
+wraps them with the run-level metadata for publication.
 
 Storing the derived ``float64`` values verbatim is what makes
-:func:`metrics_from_records` bit-identical to both ``StreamingMetrics``
-and batch ``compute_metrics``: the NumPy reductions
-(``np.mean``/``np.median``/``np.percentile``) see the same values in the
-same order, so pairwise summation reproduces exactly.  Recomputing the
-columns at query time from submit/start/end would *also* reproduce (the
-formulas are single IEEE-754 operations) but storing them keeps the query
-layer honest and cheap.
+:func:`metrics_from_records` bit-identical to the run's own metrics and to
+batch ``compute_metrics``: both reduce through
+:meth:`WorkloadMetrics.from_records`, which sees the same values in the
+same order, so NumPy's pairwise summation reproduces exactly.
 
 Serialized form (one blob per run)::
 
@@ -38,15 +33,14 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.metrics.aggregates import WorkloadMetrics
-from repro.simulator.job import Job
+from repro.metrics.streaming import JOB_RECORD_DTYPE
 from repro.store.attachments import (
     AttachmentError,
     AttachmentKind,
@@ -60,7 +54,6 @@ __all__ = [
     "JOB_RECORD_DTYPE",
     "RECORDS",
     "RECORD_SCHEMA_VERSION",
-    "JobRecordSink",
     "RunRecords",
     "load_run_records",
     "metrics_from_records",
@@ -80,128 +73,7 @@ RECORDS = AttachmentKind("analytics", "records", RECORD_SCHEMA_VERSION, "--analy
 #: fails CI.
 ANALYTICS_MANIFEST_FIELDS = RECORDS.manifest_fields("rows", "meta")
 
-#: One row per completed job.  Derived metric columns hold the exact
-#: ``float64`` values ``StreamingMetrics.fold`` computes (see module doc).
-JOB_RECORD_DTYPE = np.dtype(
-    [
-        ("job_id", np.int64),
-        ("user", np.int32),
-        ("group", np.int32),
-        ("submit", np.float64),
-        ("start", np.float64),
-        ("end", np.float64),
-        ("requested_nodes", np.int32),
-        ("requested_cpus", np.int32),
-        ("requested_time", np.float64),
-        ("static_runtime", np.float64),
-        ("response", np.float64),
-        ("wait", np.float64),
-        ("runtime", np.float64),
-        ("slowdown", np.float64),
-        ("bounded_slowdown", np.float64),
-        ("cpu_seconds", np.float64),
-        ("malleable", np.int8),
-        ("scheduled_malleable", np.int8),
-        ("was_mate", np.int8),
-    ]
-)
-
-#: Bounded-slowdown threshold, matching ``StreamingMetrics``/``compute_metrics``.
-_BOUNDED_SLOWDOWN_TAU = 10.0
-
 _HEADER_LEN = struct.Struct(">Q")
-
-
-class JobRecordSink:
-    """A job sink that buffers one structured-array row per completed job.
-
-    Rows are appended into chunks that double from ``min_chunk`` up to
-    ``max_chunk`` entries (the :class:`~repro.metrics.streaming
-    .ChunkedFloatBuffer` allocation strategy), so a 100-job smoke run costs
-    one small chunk while a million-job replay amortises allocation.
-    """
-
-    __slots__ = ("_chunks", "_current", "_fill", "_min_chunk", "_max_chunk")
-
-    def __init__(self, min_chunk: int = 1024, max_chunk: int = 65536) -> None:
-        if min_chunk <= 0 or max_chunk < min_chunk:
-            raise ValueError(f"invalid chunk sizes {min_chunk}/{max_chunk}")
-        self._chunks: List[np.ndarray] = []
-        self._current: Optional[np.ndarray] = None
-        self._fill = 0
-        self._min_chunk = min_chunk
-        self._max_chunk = max_chunk
-
-    def __len__(self) -> int:
-        return sum(len(c) for c in self._chunks) + self._fill
-
-    def fold(self, job: Job) -> None:
-        """Record one *completed* job (same contract as ``StreamingMetrics``)."""
-        if job.end_time is None or job.start_time is None:
-            raise ValueError(f"job {job.job_id} is not completed; cannot fold")
-        response = job.end_time - job.submit_time
-        wait = job.start_time - job.submit_time
-        slowdown = response / job.static_runtime
-        bounded = max(
-            1.0, response / max(job.static_runtime, _BOUNDED_SLOWDOWN_TAU)
-        )
-        cpu_seconds = 0.0
-        for slot in job.resource_history:
-            duration = slot.duration
-            if duration > 0 and math.isfinite(duration):
-                cpu_seconds += slot.total_cpus * duration
-        current = self._current
-        if current is None or self._fill == len(current):
-            if current is not None:
-                self._chunks.append(current)
-            size = (
-                self._min_chunk
-                if current is None
-                else min(self._max_chunk, 2 * len(current))
-            )
-            current = self._current = np.empty(size, dtype=JOB_RECORD_DTYPE)
-            self._fill = 0
-        current[self._fill] = (
-            job.job_id,
-            int(job.user),
-            int(job.group),
-            job.submit_time,
-            job.start_time,
-            job.end_time,
-            job.requested_nodes,
-            job.requested_cpus,
-            job.requested_time,
-            job.static_runtime,
-            response,
-            wait,
-            job.end_time - job.start_time,
-            slowdown,
-            bounded,
-            cpu_seconds,
-            1 if job.malleable else 0,
-            1 if job.scheduled_malleable else 0,
-            1 if job.was_mate else 0,
-        )
-        self._fill += 1
-
-    def to_array(self) -> np.ndarray:
-        """The recorded rows, in completion order, as one structured array."""
-        parts = list(self._chunks)
-        if self._current is not None and self._fill:
-            parts.append(self._current[: self._fill])
-        if not parts:
-            return np.empty(0, dtype=JOB_RECORD_DTYPE)
-        if len(parts) == 1:
-            return np.ascontiguousarray(parts[0])
-        return np.concatenate(parts)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes currently allocated (including unfilled chunk headroom)."""
-        total = sum(c.nbytes for c in self._chunks)
-        if self._current is not None:
-            total += self._current.nbytes
-        return total
 
 
 @dataclass
@@ -214,10 +86,6 @@ class RunRecords:
 
     def __len__(self) -> int:
         return len(self.array)
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.array.nbytes)
 
     # ------------------------------------------------------------------ #
     def to_bytes(self) -> bytes:
@@ -255,10 +123,6 @@ class RunRecords:
             )
         return cls(array=array, meta=dict(header.get("meta", {})), schema=schema)
 
-    # ------------------------------------------------------------------ #
-    def metrics(self) -> WorkloadMetrics:
-        return metrics_from_records(self)
-
 
 def publish_run_records(
     store: ResultStore,
@@ -287,32 +151,14 @@ def load_run_records(store: ResultStore, cache_key: str) -> RunRecords:
 def metrics_from_records(records: RunRecords) -> WorkloadMetrics:
     """Rebuild the run's :class:`WorkloadMetrics` from persisted records.
 
-    Bit-identical to ``StreamingMetrics.workload_metrics`` (and hence to
-    batch ``compute_metrics``) for the same run: the derived columns hold
-    the exact folded values in completion order, and
-    :meth:`WorkloadMetrics.reduce` sees them as contiguous ``float64``
-    copies.  The run-level makespan origin and energy come from
-    ``records.meta`` (``first_submit``, ``energy_joules``) because they
-    are not derivable from completed-job rows alone.
+    Bit-identical to the run's own metrics: the same rows go through the
+    same :meth:`WorkloadMetrics.from_records`.  The run-level makespan
+    origin and energy come from ``records.meta`` (``first_submit``,
+    ``energy_joules``) because completed-job rows alone do not carry them.
     """
-    arr = records.array
-    makespan = 0.0
-    if len(arr):
-        first_submit = records.meta.get("first_submit")
-        origin = float(np.min(arr["submit"])) if first_submit is None else float(first_submit)
-        makespan = max(0.0, float(np.max(arr["end"])) - origin)
-
-    def column(name: str) -> np.ndarray:
-        return np.ascontiguousarray(arr[name])
-
-    return WorkloadMetrics.reduce(
-        makespan,
-        column("response"),
-        column("wait"),
-        column("slowdown"),
-        column("bounded_slowdown"),
-        column("runtime"),
-        int(np.count_nonzero(arr["scheduled_malleable"])),
-        int(np.count_nonzero(arr["was_mate"])),
+    first_submit = records.meta.get("first_submit")
+    return WorkloadMetrics.from_records(
+        records.array,
+        None if first_submit is None else float(first_submit),
         float(records.meta.get("energy_joules", 0.0)),
     )

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.analytics.records import JobRecordSink, RunRecords
+from repro.analytics.records import RunRecords
 from repro.core.policy import make_policy, policy_accepts_profiles
 from repro.core.runtime_model import RuntimeModel
 from repro.metrics.aggregates import WorkloadMetrics
@@ -51,6 +51,60 @@ def make_scheduler(policy: Union[str, Scheduler, Callable[[], Scheduler]], **kwa
     return make_policy(policy, **kwargs)
 
 
+#: ``run_workload`` keywords that reach neither the policy nor the runtime
+#: model, so :func:`resolve_run` never sees them.
+RUNNER_ONLY_KWARGS = frozenset(
+    {"malleable_fraction", "tasks_per_node", "power_model", "label", "seed",
+     "retain_jobs", "analytics", "trace"}
+)
+
+
+def resolve_run(
+    policy: Union[str, Scheduler, Callable[[], Scheduler]],
+    runtime_model: Optional[Union[str, RuntimeModel]] = None,
+    contention_coefficient: Optional[float] = None,
+    profiles: Optional[str] = None,
+    **policy_kwargs,
+) -> Tuple[Scheduler, Optional[RuntimeModel]]:
+    """Build the scheduler and runtime model a :func:`run_workload` call uses.
+
+    Raises ``ValueError`` for an unknown policy, runtime model or policy
+    parameter value and ``TypeError`` for a parameter the policy does not
+    take, without simulating anything (scenario loading checks specs
+    with it).
+    """
+    if (
+        profiles is not None
+        and isinstance(policy, str)
+        and policy_accepts_profiles(policy)
+    ):
+        policy_kwargs.setdefault("profiles", profiles)
+    scheduler = make_scheduler(policy, **policy_kwargs)
+    if isinstance(runtime_model, str):
+        if runtime_model == "application_aware":
+            from repro.core.contention import (
+                DEFAULT_CONTENTION_COEFFICIENT,
+                ApplicationAwareRuntimeModel,
+                ContentionModel,
+            )
+
+            runtime_model = ApplicationAwareRuntimeModel(
+                contention=ContentionModel(
+                    contention_coefficient=(
+                        DEFAULT_CONTENTION_COEFFICIENT
+                        if contention_coefficient is None
+                        else contention_coefficient
+                    ),
+                    profiles=profiles if profiles is not None else "table2",
+                )
+            )
+        else:
+            from repro.core.runtime_model import get_model
+
+            runtime_model = get_model(runtime_model)
+    return scheduler, runtime_model
+
+
 @dataclass
 class PolicyRun:
     """The outcome of running one workload under one policy."""
@@ -61,9 +115,9 @@ class PolicyRun:
     metrics: WorkloadMetrics
     wall_clock_seconds: float
     scheduler_stats: Dict[str, int] = field(default_factory=dict)
-    #: Per-job records captured by the analytics sink (``analytics=True``);
-    #: stripped before the run is pickled into the result cache — the
-    #: records are published as their own blob.
+    #: The run's per-job record rows (``analytics=True``); stripped before
+    #: the run is pickled into the result cache — the records are
+    #: published as their own blob.
     records: Optional[RunRecords] = None
     #: Decision-trace recorder (``trace=True``); stripped before the run is
     #: pickled into the result cache — the trace is published as its own
@@ -109,17 +163,19 @@ def run_workload(
     the default ``None`` leaves both at their own defaults and keeps legacy
     cache keys unchanged.
 
-    With ``retain_jobs=False`` the run streams: jobs are materialised
-    lazily, folded into aggregates at completion and discarded, so memory
-    stays near-constant in the job count.  ``PolicyRun.metrics`` comes from
-    the same streaming fold either way, but ``PolicyRun.jobs`` is empty, so
-    per-job reports (heatmaps, daily series, real-run tables) need the
-    default retained mode.
+    Jobs are always submitted as a lazy stream and folded once, at
+    completion, into the simulation's aggregates and per-job record rows.
+    ``retain_jobs`` decides only what is kept: with ``retain_jobs=False``
+    each job is discarded after its fold, so memory holds one ~115-byte
+    record row per job.  ``PolicyRun.metrics`` comes from the same fold
+    either way, but ``PolicyRun.jobs`` is empty, so per-job reports
+    (heatmaps, daily series, real-run tables) need the default retained
+    mode.
 
-    With ``analytics=True`` a :class:`repro.analytics.JobRecordSink` rides
-    the completion dispatch and ``PolicyRun.records`` carries one columnar
-    row per job (~100 bytes each — compatible with streaming mode), from
-    which every aggregate is reconstructible bit-identically.
+    With ``analytics=True`` ``PolicyRun.records`` wraps those record rows
+    (one per job, in completion order) with the run's metadata, from which
+    every aggregate is reconstructible bit-identically.  The flag changes
+    only what is returned, not what is simulated or folded.
 
     With ``trace=True`` a :class:`repro.telemetry.TraceRecorder` rides the
     simulation and ``PolicyRun.trace`` carries the scheduler's decision
@@ -128,37 +184,10 @@ def run_workload(
     same spec and seed yield identical bytes regardless of sharding or
     ``retain_jobs``.
     """
-    if (
-        profiles is not None
-        and isinstance(policy, str)
-        and policy_accepts_profiles(policy)
-    ):
-        policy_kwargs.setdefault("profiles", profiles)
-    scheduler = make_scheduler(policy, **policy_kwargs)
-    if isinstance(runtime_model, str):
-        if runtime_model == "application_aware":
-            from repro.core.contention import (
-                DEFAULT_CONTENTION_COEFFICIENT,
-                ApplicationAwareRuntimeModel,
-                ContentionModel,
-            )
-
-            runtime_model = ApplicationAwareRuntimeModel(
-                contention=ContentionModel(
-                    contention_coefficient=(
-                        DEFAULT_CONTENTION_COEFFICIENT
-                        if contention_coefficient is None
-                        else contention_coefficient
-                    ),
-                    profiles=profiles if profiles is not None else "table2",
-                )
-            )
-        else:
-            from repro.core.runtime_model import get_model
-
-            runtime_model = get_model(runtime_model)
+    scheduler, runtime_model = resolve_run(
+        policy, runtime_model, contention_coefficient, profiles, **policy_kwargs
+    )
     cluster = cluster_for(workload)
-    record_sink = JobRecordSink() if analytics else None
     recorder = TraceRecorder() if trace else None
     sim = Simulation(
         cluster,
@@ -166,21 +195,18 @@ def run_workload(
         runtime_model=runtime_model,
         power_model=power_model,
         retain_jobs=retain_jobs,
-        sinks=(record_sink,) if record_sink is not None else (),
         trace=recorder,
     )
     if hasattr(runtime_model, "bind_cluster"):
         runtime_model.bind_cluster(cluster, sim.jobs)
-    job_stream = workload.iter_jobs(
-        cpus_per_node=cluster.cpus_per_node,
-        malleable_fraction=malleable_fraction,
-        tasks_per_node=tasks_per_node,
-        seed=seed,
+    sim.submit_stream(
+        workload.iter_jobs(
+            cpus_per_node=cluster.cpus_per_node,
+            malleable_fraction=malleable_fraction,
+            tasks_per_node=tasks_per_node,
+            seed=seed,
+        )
     )
-    if retain_jobs:
-        sim.submit_jobs(job_stream)
-    else:
-        sim.submit_stream(job_stream)
     started = time.perf_counter()
     result = sim.run()
     elapsed = time.perf_counter() - started
@@ -196,9 +222,9 @@ def run_workload(
     stats = scheduler.stats() if hasattr(scheduler, "stats") else {}
     run_label = label or result.scheduler_name
     records: Optional[RunRecords] = None
-    if record_sink is not None:
+    if analytics:
         records = RunRecords(
-            array=record_sink.to_array(),
+            array=sim.streaming.records(),
             meta={
                 "workload": workload.name,
                 "policy": policy if isinstance(policy, str) else result.scheduler_name,

@@ -45,7 +45,7 @@ from typing import (
 from repro.analysis.comparison import improvement_percent, normalize_to_baseline
 from repro.analysis.figures import render_bar_chart, render_heatmap, render_series
 from repro.analysis.tables import format_table, metrics_table
-from repro.experiments.runner import PolicyRun
+from repro.experiments.runner import RUNNER_ONLY_KWARGS, PolicyRun, resolve_run
 from repro.experiments.sweep import SweepResult, SweepRunner, SweepTask
 from repro.metrics.heatmap import CategoryGrid, category_heatmap, heatmap_ratio
 from repro.metrics.timeseries import daily_series_table
@@ -549,9 +549,10 @@ def load_spec(path: Union[str, os.PathLike]) -> ScenarioSpec:
     """Load a scenario spec from a JSON file.
 
     Besides the field checks of :meth:`ScenarioSpec.from_dict`, every SWF
-    log the spec names must exist and every policy name must be registered,
-    so a bad reference fails here with a :class:`ScenarioError` naming the
-    field instead of part-way through the run.
+    log the spec names must exist, every policy name must be registered and
+    every run's parameters must resolve (:func:`_check_run_params`), so a
+    bad reference or value fails here with a :class:`ScenarioError` naming
+    the field instead of part-way through the run.
     """
     from repro.core.policy import resolve_policy_name
 
@@ -570,7 +571,41 @@ def load_spec(path: Union[str, os.PathLike]) -> ScenarioSpec:
             resolve_policy_name(str(name))
         except ValueError as exc:
             raise ScenarioError(f"scenario field {where!r}: {exc}") from None
+    if spec.baseline is not None:
+        kwargs = spec.baseline["kwargs"]
+        _check_run_params(
+            spec.baseline["policy"], kwargs, {name: "baseline.kwargs" for name in kwargs}
+        )
+    for _, policy, params in spec.cells():
+        _check_run_params(
+            policy, params, {name: "grid" if name in spec.grid else "base" for name in params}
+        )
     return spec
+
+
+def _check_run_params(policy: str, params: Mapping[str, Any], sources: Mapping[str, str]) -> None:
+    """Resolve one run's scheduler and runtime model as the run will.
+
+    On failure each parameter is resolved alone to find the one at fault,
+    named as ``<source>.<name>`` (``sources`` maps a name to its spec
+    field: ``base``, ``grid`` or ``baseline.kwargs``).
+    """
+    resolvable = {k: v for k, v in params.items() if k not in RUNNER_ONLY_KWARGS}
+    try:
+        resolve_run(policy, **resolvable)
+        return
+    except (TypeError, ValueError) as exc:
+        error = exc
+    for name, value in resolvable.items():
+        try:
+            resolve_run(policy, **{name: value})
+        except (TypeError, ValueError) as exc:
+            error = exc
+            where = f"{sources[name]}.{name}"
+            break
+    else:
+        where = f"{policy} parameters {sorted(resolvable)}"
+    raise ScenarioError(f"scenario field {where!r}: {error}") from None
 
 
 def save_spec(spec: ScenarioSpec, path: Union[str, os.PathLike]) -> None:

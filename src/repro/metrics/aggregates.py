@@ -62,38 +62,40 @@ class WorkloadMetrics:
         return out
 
     @classmethod
-    def reduce(
+    def from_records(
         cls,
-        makespan: float,
-        response: np.ndarray,
-        wait: np.ndarray,
-        slowdown: np.ndarray,
-        bounded_slowdown: np.ndarray,
-        runtime: np.ndarray,
-        malleable_scheduled: int,
-        mate_jobs: int,
-        energy_joules: float,
+        records: np.ndarray,
+        first_submit: Optional[float] = None,
+        energy_joules: float = 0.0,
     ) -> "WorkloadMetrics":
-        """Reduce per-job ``float64`` series, in completion order.
+        """Reduce per-job record rows (``JOB_RECORD_DTYPE``), in completion order.
 
-        The one reduction behind the streaming fold and the persisted
-        records: the same NumPy calls over the same values in the same
-        order, so both are bit-identical to :func:`compute_metrics`.
+        The one reduction behind a simulation's fold and the persisted
+        records: each derived column is reduced as a contiguous ``float64``
+        copy with the NumPy calls :func:`compute_metrics` makes, so both are
+        bit-identical to it.  The makespan runs from ``first_submit`` (the
+        earliest folded submit when ``None``) to the last folded end.
         """
-        if not len(response):
+        if not len(records):
             return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, energy_joules)
+
+        def column(name: str) -> np.ndarray:
+            return np.ascontiguousarray(records[name])
+
+        origin = float(np.min(records["submit"])) if first_submit is None else first_submit
+        slowdown = column("slowdown")
         return cls(
-            num_jobs=len(response),
-            makespan=makespan,
-            avg_response_time=float(np.mean(response)),
-            avg_wait_time=float(np.mean(wait)),
+            num_jobs=len(records),
+            makespan=max(0.0, float(np.max(records["end"])) - origin),
+            avg_response_time=float(np.mean(column("response"))),
+            avg_wait_time=float(np.mean(column("wait"))),
             avg_slowdown=float(np.mean(slowdown)),
-            avg_bounded_slowdown=float(np.mean(bounded_slowdown)),
+            avg_bounded_slowdown=float(np.mean(column("bounded_slowdown"))),
             median_slowdown=float(np.median(slowdown)),
             p95_slowdown=float(np.percentile(slowdown, 95)),
-            avg_runtime=float(np.mean(runtime)),
-            malleable_scheduled=malleable_scheduled,
-            mate_jobs=mate_jobs,
+            avg_runtime=float(np.mean(column("runtime"))),
+            malleable_scheduled=int(np.count_nonzero(records["scheduled_malleable"])),
+            mate_jobs=int(np.count_nonzero(records["was_mate"])),
             energy_joules=energy_joules,
         )
 

@@ -1,30 +1,30 @@
-"""Streaming (online) aggregation of the paper's metrics.
+"""Streaming (online) aggregation of the paper's metrics: the one per-job fold.
 
 :class:`StreamingMetrics` folds each job *once, at completion time* into
 
-* O(1) scalar state per headline aggregate — sequential sums for the mean
-  response/wait/slowdown (exactly the summation order
-  :meth:`repro.simulator.simulation.Simulation.result` uses), first-submit /
-  last-end extrema for the makespan, malleable/mate counters, and the
-  CPU-second integral behind the energy figure — and
-* compact chunked ``float64`` buffers of the per-job metric values (8 bytes
-  per job per metric instead of a retained :class:`~repro.simulator.job.Job`
-  object), from which the :class:`~repro.metrics.aggregates.WorkloadMetrics`
-  means and the exact slowdown median/p95 are computed.
+* O(1) scalar state — sequential sums for the mean response/wait/slowdown
+  (exactly the summation order
+  :meth:`repro.simulator.simulation.Simulation.result` uses),
+  malleable/mate counters, and the CPU-second integral behind the energy
+  figure — and
+* one fixed-width :data:`JOB_RECORD_DTYPE` row per job (~115 bytes instead
+  of a retained :class:`~repro.simulator.job.Job` object with its resource
+  history and per-node CPU maps), in completion order, in a chunked
+  buffer.
 
-The buffers exist for bit-identity: :func:`repro.metrics.aggregates
-.compute_metrics` takes ``np.mean``/``np.median``/``np.percentile`` over
-per-job arrays, and NumPy's pairwise summation is *not* reproducible from a
-single running scalar sum.  Folding the same values in the same (completion)
-order into a ``float64`` buffer and reducing with the same NumPy calls is
-reproducible — ``StreamingMetrics.workload_metrics`` matches
-``compute_metrics`` bit for bit, which the property suite asserts on every
-workload preset.
+The rows hold the derived metric values (response, wait, slowdown, bounded
+slowdown, runtime, CPU-seconds) as exact ``float64`` numbers.  That is what
+makes :meth:`WorkloadMetrics.from_records
+<repro.metrics.aggregates.WorkloadMetrics.from_records>` bit-identical to
+the batch oracle :func:`repro.metrics.aggregates.compute_metrics`: NumPy's
+pairwise summation is *not* reproducible from a running scalar sum, but the
+same NumPy calls over the same values in the same order are.  The property
+suite asserts this on every workload preset.
 
-With ``Simulation(..., retain_jobs=False)`` the driver folds each job here
-and then discards it, so a million-job replay holds the metric buffers
-(~40 bytes/job) instead of the full per-job state (resource histories,
-per-node CPU maps — kilobytes per job).
+The rows are also the analytics layer's per-job records
+(:class:`repro.analytics.records.RunRecords` wraps :meth:`records`), so a
+run with and without ``--analytics`` folds identically; the flag only
+decides whether the rows are published.
 """
 
 from __future__ import annotations
@@ -37,20 +37,53 @@ import numpy as np
 from repro.metrics.aggregates import WorkloadMetrics
 from repro.simulator.job import Job
 
-__all__ = ["ChunkedFloatBuffer", "StreamingMetrics"]
+__all__ = ["JOB_RECORD_DTYPE", "ChunkedFloatBuffer", "StreamingMetrics"]
+
+#: One row per completed job.  Derived metric columns hold the exact
+#: ``float64`` values :meth:`StreamingMetrics.fold` computes.  The persisted
+#: records blob is this array verbatim (``repro.analytics.records``), so its
+#: layout is fingerprinted in ``formats.lock``: a change needs a bump of
+#: ``RECORD_SCHEMA_VERSION`` there.
+JOB_RECORD_DTYPE = np.dtype(
+    [
+        ("job_id", np.int64),
+        ("user", np.int32),
+        ("group", np.int32),
+        ("submit", np.float64),
+        ("start", np.float64),
+        ("end", np.float64),
+        ("requested_nodes", np.int32),
+        ("requested_cpus", np.int32),
+        ("requested_time", np.float64),
+        ("static_runtime", np.float64),
+        ("response", np.float64),
+        ("wait", np.float64),
+        ("runtime", np.float64),
+        ("slowdown", np.float64),
+        ("bounded_slowdown", np.float64),
+        ("cpu_seconds", np.float64),
+        ("malleable", np.int8),
+        ("scheduled_malleable", np.int8),
+        ("was_mate", np.int8),
+    ]
+)
 
 
 class ChunkedFloatBuffer:
-    """An append-only ``float64`` buffer allocated in growing chunks.
+    """An append-only NumPy buffer allocated in growing chunks.
 
     Chunks double from ``min_chunk`` up to ``max_chunk`` entries, so tiny
     runs stay tiny while million-entry runs amortise allocation; the full
-    array (for NumPy reductions) is materialised only on request.
+    array (for NumPy reductions) is materialised only on request.  Entries
+    are ``float64`` unless ``dtype`` says otherwise (a structured dtype
+    takes one tuple per entry).
     """
 
-    __slots__ = ("_chunks", "_current", "_fill", "_min_chunk", "_max_chunk")
+    __slots__ = ("_chunks", "_current", "_fill", "_min_chunk", "_max_chunk", "_dtype")
 
-    def __init__(self, min_chunk: int = 1024, max_chunk: int = 65536) -> None:
+    def __init__(
+        self, min_chunk: int = 1024, max_chunk: int = 65536, dtype=np.float64
+    ) -> None:
         if min_chunk <= 0 or max_chunk < min_chunk:
             raise ValueError(f"invalid chunk sizes {min_chunk}/{max_chunk}")
         self._chunks: List[np.ndarray] = []
@@ -58,11 +91,12 @@ class ChunkedFloatBuffer:
         self._fill = 0
         self._min_chunk = min_chunk
         self._max_chunk = max_chunk
+        self._dtype = np.dtype(dtype)
 
     def __len__(self) -> int:
         return sum(len(c) for c in self._chunks) + self._fill
 
-    def append(self, value: float) -> None:
+    def append(self, value) -> None:
         current = self._current
         if current is None or self._fill == len(current):
             if current is not None:
@@ -72,29 +106,21 @@ class ChunkedFloatBuffer:
                 if current is None
                 else min(self._max_chunk, 2 * len(current))
             )
-            current = self._current = np.empty(size, dtype=np.float64)
+            current = self._current = np.empty(size, dtype=self._dtype)
             self._fill = 0
         current[self._fill] = value
         self._fill += 1
 
     def as_array(self) -> np.ndarray:
-        """The buffered values, in append order, as one ``float64`` array."""
+        """The buffered values, in append order, as one contiguous array."""
         parts = list(self._chunks)
         if self._current is not None and self._fill:
             parts.append(self._current[: self._fill])
         if not parts:
-            return np.empty(0, dtype=np.float64)
+            return np.empty(0, dtype=self._dtype)
         if len(parts) == 1:
             return parts[0]
         return np.concatenate(parts)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes currently allocated (including unfilled chunk headroom)."""
-        total = sum(c.nbytes for c in self._chunks)
-        if self._current is not None:
-            total += self._current.nbytes
-        return total
 
 
 class StreamingMetrics:
@@ -113,16 +139,10 @@ class StreamingMetrics:
         "sum_response",
         "sum_slowdown",
         "sum_wait",
-        "min_submit",
-        "max_end",
         "malleable_scheduled",
         "mate_jobs",
         "dynamic_cpu_seconds",
-        "_response",
-        "_wait",
-        "_slowdown",
-        "_bounded",
-        "_runtime",
+        "_rows",
     )
 
     def __init__(self) -> None:
@@ -131,19 +151,11 @@ class StreamingMetrics:
         self.sum_response = 0.0
         self.sum_slowdown = 0.0
         self.sum_wait = 0.0
-        # Extrema over the *folded* jobs (the run-level first submit, which
-        # also covers jobs that never complete, is the simulation's).
-        self.min_submit = math.inf
-        self.max_end = 0.0
         self.malleable_scheduled = 0
         self.mate_jobs = 0
         # CPU-second integral of the resource histories, in (job, slot) order.
         self.dynamic_cpu_seconds = 0.0
-        self._response = ChunkedFloatBuffer()
-        self._wait = ChunkedFloatBuffer()
-        self._slowdown = ChunkedFloatBuffer()
-        self._bounded = ChunkedFloatBuffer()
-        self._runtime = ChunkedFloatBuffer()
+        self._rows = ChunkedFloatBuffer(dtype=JOB_RECORD_DTYPE)
 
     # ------------------------------------------------------------------ #
     def fold(self, job: Job) -> None:
@@ -157,33 +169,45 @@ class StreamingMetrics:
         self.sum_response += response
         self.sum_slowdown += slowdown
         self.sum_wait += wait
-        if job.submit_time < self.min_submit:
-            self.min_submit = job.submit_time
-        if job.end_time > self.max_end:
-            self.max_end = job.end_time
         if job.scheduled_malleable:
             self.malleable_scheduled += 1
         if job.was_mate:
             self.mate_jobs += 1
-        self._response.append(response)
-        self._wait.append(wait)
-        self._slowdown.append(slowdown)
-        self._bounded.append(
-            max(1.0, response / max(job.static_runtime, self.BOUNDED_SLOWDOWN_TAU))
-        )
-        self._runtime.append(job.end_time - job.start_time)
+        cpu_seconds = 0.0
         for slot in job.resource_history:
             duration = slot.duration
             if duration > 0 and math.isfinite(duration):
-                self.dynamic_cpu_seconds += slot.total_cpus * duration
+                slot_cpu_seconds = slot.total_cpus * duration
+                cpu_seconds += slot_cpu_seconds
+                self.dynamic_cpu_seconds += slot_cpu_seconds
+        self._rows.append(
+            (
+                job.job_id,
+                int(job.user),
+                int(job.group),
+                job.submit_time,
+                job.start_time,
+                job.end_time,
+                job.requested_nodes,
+                job.requested_cpus,
+                job.requested_time,
+                job.static_runtime,
+                response,
+                wait,
+                job.end_time - job.start_time,
+                slowdown,
+                max(1.0, response / max(job.static_runtime, self.BOUNDED_SLOWDOWN_TAU)),
+                cpu_seconds,
+                1 if job.malleable else 0,
+                1 if job.scheduled_malleable else 0,
+                1 if job.was_mate else 0,
+            )
+        )
 
     # ------------------------------------------------------------------ #
-    def makespan(self, first_submit: Optional[float] = None) -> float:
-        """Last end minus the run origin (the folded minimum by default)."""
-        if not self.count:
-            return 0.0
-        origin = self.min_submit if first_submit is None else first_submit
-        return max(0.0, self.max_end - origin)
+    def records(self) -> np.ndarray:
+        """One :data:`JOB_RECORD_DTYPE` row per folded job, in fold order."""
+        return self._rows.as_array()
 
     def energy_joules(
         self,
@@ -208,15 +232,4 @@ class StreamingMetrics:
         """The full :class:`WorkloadMetrics`, bit-identical to
         :func:`repro.metrics.aggregates.compute_metrics` over the same jobs
         in the same order."""
-        return WorkloadMetrics.reduce(
-            self.makespan(first_submit),
-            self._response.as_array(),
-            self._wait.as_array(),
-            self._slowdown.as_array(),
-            self._bounded.as_array(),
-            self._runtime.as_array(),
-            self.malleable_scheduled,
-            self.mate_jobs,
-            energy_joules,
-        )
-
+        return WorkloadMetrics.from_records(self.records(), first_submit, energy_joules)

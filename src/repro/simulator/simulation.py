@@ -5,7 +5,10 @@ paper: job submission and job end events drive the clock; after every batch
 of events at an instant the scheduler (the "controller") runs one scheduling
 pass over the pending queue; the scheduler starts jobs through the driver's
 allocation primitives, which also maintain each job's resource history and
-the cluster-wide energy integration.
+the cluster-wide energy integration.  Each job that ends is folded once
+into :class:`repro.metrics.streaming.StreamingMetrics` (the run's
+aggregates and its per-job record rows), then kept or dropped according
+to ``retain_jobs``.
 
 The driver is policy-agnostic.  The static backfill baseline and the
 malleable co-scheduling family (SD-Policy, UB-Policy) are plugged in
@@ -30,40 +33,6 @@ from repro.simulator.engine import EventQueue, EventType
 from repro.simulator.job import Job, JobState
 from repro.simulator.pending_queue import PendingQueue
 from repro.simulator.reservation import ReservationMap
-
-try:  # Protocol is structural-typing sugar; degrade gracefully without it.
-    from typing import Protocol
-except ImportError:  # pragma: no cover - Python < 3.8
-    Protocol = object  # type: ignore[assignment]
-
-
-class JobSink(Protocol):
-    """Consumer of completed jobs, invoked once per job at completion time.
-
-    The simulation dispatches every finished :class:`Job` — in completion
-    order, while its resource history and CPU maps are still attached — to
-    each registered sink.  Aggregation (:class:`StreamingMetrics`), job
-    retention (:class:`RetainedJobsSink`) and per-job record capture
-    (:class:`repro.analytics.JobRecordSink`) are all sinks behind this one
-    dispatch point.  A sink must not mutate the job: later sinks in the
-    chain (and the scheduler's ``on_job_end`` hook) see the same object.
-    """
-
-    def fold(self, job: Job) -> None:  # pragma: no cover - protocol stub
-        ...
-
-
-class RetainedJobsSink:
-    """The ``retain_jobs=True`` mode as a sink: keep every completed job."""
-
-    __slots__ = ("completed",)
-
-    def __init__(self, completed: List[Job]) -> None:
-        self.completed = completed
-
-    def fold(self, job: Job) -> None:
-        self.completed.append(job)
-
 
 @dataclass
 class SimulationResult:
@@ -125,18 +94,14 @@ class Simulation:
         power over the makespan plus dynamic power per assigned CPU-second.
         Pass ``None`` to disable energy accounting.
     retain_jobs:
-        If True (default) completed :class:`Job` objects are kept in
+        Every job is folded once, at completion, into :attr:`streaming`
+        (its scalar sums and one per-job record row).  If True (default)
+        the completed :class:`Job` objects are also kept in
         :attr:`completed` and returned in ``result().jobs``.  If False each
-        job is folded into :attr:`streaming` at completion and then
-        discarded, so memory stays near-constant in the job count; the
-        aggregate fields of the result are unchanged, but per-job
-        post-processing (heatmaps, daily series) is unavailable.
-    sinks:
-        Extra :class:`JobSink` consumers of completed jobs.  Every job is
-        dispatched once, at completion, to :attr:`streaming`, then (when
-        retaining) to the retention sink, then to these — so an analytics
-        sink observes exactly the jobs, in exactly the order, that the
-        metrics fold.
+        job is discarded after the fold, so memory holds one record row per
+        job instead of the full per-job state; the aggregates and records
+        are unchanged, but per-job post-processing (heatmaps, daily series)
+        is unavailable.
     trace:
         Optional :class:`repro.telemetry.TraceRecorder`.  When set, the
         driver (and the schedulers, via ``sim.trace``) emit typed decision
@@ -159,7 +124,6 @@ class Simulation:
         runtime_model=None,
         power_model=_DEFAULT_POWER_MODEL,
         retain_jobs: bool = True,
-        sinks: Iterable["JobSink"] = (),
         trace=None,
     ) -> None:
         self.cluster = cluster
@@ -181,18 +145,10 @@ class Simulation:
         self.jobs: Dict[int, Job] = {}
         self.running: Dict[int, Job] = {}
         self.completed: List[Job] = []
-        #: Online aggregates, folded per job at completion (always kept in
-        #: sync with :attr:`completed`, and the only record when
-        #: ``retain_jobs=False``).
+        #: The one per-job fold: aggregates and record rows, folded at
+        #: completion (always in sync with :attr:`completed`, and the only
+        #: record when ``retain_jobs=False``).
         self.streaming = StreamingMetrics()
-        # The job-completion dispatch chain: metrics first, retention next,
-        # extra sinks (analytics, user-supplied) last.  The bound ``fold``
-        # methods are cached so the hot loop skips attribute lookups.
-        self._sinks: List[JobSink] = [self.streaming]
-        if retain_jobs:
-            self._sinks.append(RetainedJobsSink(self.completed))
-        self._sinks.extend(sinks)
-        self._sink_folds = [sink.fold for sink in self._sinks]
 
         self.now: float = 0.0
         self._total_events: int = 0
@@ -494,13 +450,13 @@ class Simulation:
                 else None
             )
             self.trace.emit("job_end", self.now, job=job.job_id, wait=wait)
-        for fold in self._sink_folds:
-            fold(job)
+        self.streaming.fold(job)
+        if self.retain_jobs:
+            self.completed.append(job)
         if hasattr(self.scheduler, "on_job_end"):
             self.scheduler.on_job_end(self, job)
         if not self.retain_jobs:
-            # Folded into every sink; drop the per-job state (resource
-            # history, CPU maps).
+            # Folded; drop the per-job state (resource history, CPU maps).
             del self.jobs[job_id]
 
     def step(self) -> bool:

@@ -1,15 +1,16 @@
 """Tests for the job-level analytics layer.
 
-Covers the full chain: the :class:`JobRecordSink` riding the simulator's
-completion dispatch, columnar (de)serialisation, the bit-identity of
-aggregates recomputed from persisted records, cache/manifest format
-compatibility, and the cross-sweep ``query`` engine — including the
+Covers the full chain: the per-job record rows of the simulation's one
+fold (pinned byte for byte on workload 4), columnar (de)serialisation, the
+bit-identity of aggregates recomputed from persisted records,
+cache/manifest format compatibility, and the cross-sweep ``query`` engine — including the
 acceptance property that ``query --report`` regenerates Figures 1-3/7
 byte-identically from stored records alone, across a two-shard merge.
 """
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -26,7 +27,6 @@ from repro.analytics.records import (
     JOB_RECORD_DTYPE,
     RECORD_SCHEMA_VERSION,
     RECORDS,
-    JobRecordSink,
     RunRecords,
     load_run_records,
     metrics_from_records,
@@ -52,8 +52,11 @@ from repro.experiments.sweep import (
     _canonical_kwargs,
     task_cache_key,
 )
+from repro.metrics.streaming import StreamingMetrics
+from repro.simulator.simulation import Simulation
 from repro.store import MemoryStore, unwrap_blob, wrap_blob
 from repro.store.attachments import AttachmentError
+from repro.workloads.applications import assign_applications
 from repro.workloads.cirne import CirneWorkloadModel
 from repro.workloads.presets import build_workload
 
@@ -74,7 +77,7 @@ def _run_on(workload, name, runner, **overrides):
 
 
 # --------------------------------------------------------------------- #
-# Sink + serialisation
+# Records + serialisation
 # --------------------------------------------------------------------- #
 class TestRecordsRoundTrip:
     def test_sink_captures_every_completed_job(self, workload):
@@ -108,6 +111,61 @@ class TestRecordsRoundTrip:
         assert np.array_equal(kept.records.array, streamed.records.array)
 
 
+#: SHA-256 of ``RunRecords.to_bytes()`` for paper workload 4 at scale 0.005
+#: (all malleable), recorded while the records were still built by a second
+#: fold beside the metrics one.  Each digest holds for the retained and the
+#: streamed run alike.
+RECORDS_DIGESTS = {
+    "sd_maxsd10": "68dd3f238be090e3d33d43a4e189fcb4d7c2fa50ba05240eb1c0dd5d0429efe9",
+    "sd_dynavgsd": "f4623fa0d2172ad7ef0f05d09c49ee2d907d47577e13627c15154f6989751dbd",
+    "static_backfill": "c9aac1a8b533acd001413db92b2083eec06d9a63705e9148bafd0c68b646619f",
+    "ub_application_aware": "13be6c4b866d0edb528c033b2915916e426e3260231b9f8fecf06ce43e8f88cb",
+}
+
+
+def _pinned_runs():
+    workload = build_workload(4, scale=0.005)
+    return {
+        "sd_maxsd10": (workload, {"policy": "sd_policy", "max_slowdown": 10.0}),
+        "sd_dynavgsd": (workload, {"policy": "sd_policy", "max_slowdown": "dynamic"}),
+        "static_backfill": (workload, {"policy": "static_backfill"}),
+        "ub_application_aware": (
+            assign_applications(workload),
+            {"policy": "ub_policy", "max_slowdown": 10.0,
+             "runtime_model": "application_aware", "profiles": "table2"},
+        ),
+    }
+
+
+@pytest.mark.parametrize("retain_jobs", [True, False])
+def test_records_are_byte_identical_to_the_pinned_digests(retain_jobs):
+    for name, (workload, kwargs) in _pinned_runs().items():
+        run = run_workload(
+            workload, malleable_fraction=1.0, analytics=True, retain_jobs=retain_jobs,
+            **kwargs,
+        )
+        digest = hashlib.sha256(run.records.to_bytes()).hexdigest()
+        assert digest == RECORDS_DIGESTS[name], (name, retain_jobs)
+
+
+def test_analytics_flag_only_decides_what_is_returned(monkeypatch):
+    sims = []
+
+    class Recorded(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr("repro.experiments.runner.Simulation", Recorded)
+    workload, kwargs = _pinned_runs()["sd_maxsd10"]
+    plain = run_workload(workload, malleable_fraction=1.0, **kwargs)
+    analysed = run_workload(workload, malleable_fraction=1.0, analytics=True, **kwargs)
+    assert plain.records is None
+    assert plain.metrics == analysed.metrics
+    # Both runs folded the same rows; only the analytics run returns them.
+    assert np.array_equal(sims[0].streaming.records(), analysed.records.array)
+
+
 class TestAggregateBitIdentity:
     """Satellite: metrics recomputed from persisted records are bit-identical
     to both metric paths (``compute_metrics`` over retained jobs, and
@@ -123,8 +181,7 @@ class TestAggregateBitIdentity:
         assert metrics_from_records(revived).as_dict() == run.metrics.as_dict()
 
     def test_empty_records_yield_zero_metrics(self):
-        sink = JobRecordSink()
-        records = RunRecords(array=sink.to_array(), meta={"energy_joules": 0.0})
+        records = RunRecords(array=StreamingMetrics().records(), meta={"energy_joules": 0.0})
         metrics = metrics_from_records(records)
         assert metrics.num_jobs == 0
         assert metrics.makespan == 0.0

@@ -130,10 +130,22 @@ class TestSpecRoundTrip:
              "scenario field 'baseline.policy': unknown policy 'nope'"),
             ({"name": "x", "workload": {"preset": 1}, "grid": {"policy": ["fcfs", "nope"]}},
              "scenario field 'grid.policy': unknown policy 'nope'"),
+            # Registered policies, but parameter values the run cannot resolve.
+            ({"name": "x", "workload": {"preset": 1}, "base": {"runtime_model": "nope"}},
+             "scenario field 'base.runtime_model': unknown runtime model 'nope'"),
+            ({"name": "x", "workload": {"preset": 1}, "grid": {"max_slowdown": ["bogus"]}},
+             "scenario field 'grid.max_slowdown': unknown max_slowdown spec 'bogus'"),
+            ({"name": "x", "workload": {"preset": 1}, "base": {"bogus_param": 3}},
+             "scenario field 'base.bogus_param'"),
+            ({"name": "x", "workload": {"preset": 1},
+              "baseline": {"policy": "static_backfill", "kwargs": {"bogus": 1}}},
+             "scenario field 'baseline.kwargs.bogus'"),
         ],
         ids=["ref-not-object", "baseline-int", "scale-str", "seed-str", "top-level-list",
              "unknown-preset", "negative-scale", "zero-scale", "unknown-mix", "missing-swf",
-             "unknown-policy", "unknown-baseline", "unknown-grid-policy"],
+             "unknown-policy", "unknown-baseline", "unknown-grid-policy",
+             "unknown-runtime-model", "unknown-max-slowdown", "unknown-base-param",
+             "unknown-baseline-kwarg"],
     )
     def test_malformed_spec_file_is_a_clean_error_naming_the_field(
         self, tmp_path, capsys, spec, names

@@ -56,11 +56,6 @@ class TestChunkedFloatBuffer:
         assert buf._chunks[0].shape == (2,)
         assert all(c.shape == (4,) for c in buf._chunks[1:])
 
-    def test_nbytes_counts_allocation(self):
-        buf = ChunkedFloatBuffer(min_chunk=4, max_chunk=4)
-        buf.append(1.0)
-        assert buf.nbytes == 4 * 8  # headroom counts
-
     def test_rejects_bad_chunk_sizes(self):
         with pytest.raises(ValueError):
             ChunkedFloatBuffer(min_chunk=0)
