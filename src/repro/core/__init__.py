@@ -7,15 +7,15 @@ policy family:
 * the *scheduling level* (:mod:`repro.core.sd_policy`,
   :mod:`repro.core.ub_policy`, :mod:`repro.core.policy`) — the malleable
   backfill variant of Listing 1, the Uberun-style contention-aware
-  UB-Policy, and the :class:`~repro.core.policy.CoSchedulingPolicy`
-  protocol + registry that makes the family pluggable;
+  UB-Policy, and the policy registry that makes the family pluggable;
 * the *resource selection level* (:mod:`repro.core.mate_selection`,
   :mod:`repro.core.penalties`) — the slowdown-penalty-driven mate selection
   heuristic of Listing 2 and Eq. 1–4, with the static and dynamic
   ``MAX_SLOWDOWN`` cut-offs;
 * the shared *runtime models* (:mod:`repro.core.runtime_model`) — the
-  ideal (Eq. 5) and worst-case (Eq. 6) models used both for scheduling-time
-  estimation and for simulating malleable execution; the
+  ideal (Eq. 5) and worst-case (Eq. 6) models that simulate malleable
+  execution, and the closed-form worst-case estimates SD-Policy decides
+  with; the
   :mod:`repro.core.sharing` rules that decide how a node's CPUs are split
   between a shrunk mate and a co-scheduled guest (``SharingFactor``); and
   the application profiles (:mod:`repro.core.profiles`) and
@@ -38,7 +38,6 @@ from repro.core.penalties import (
     mate_penalty,
 )
 from repro.core.policy import (
-    CoSchedulingPolicy,
     available_policies,
     make_policy,
     register_policy,
@@ -67,7 +66,6 @@ __all__ = [
     "APPLICATIONS",
     "ApplicationAwareRuntimeModel",
     "ApplicationModel",
-    "CoSchedulingPolicy",
     "ContentionModel",
     "DEFAULT_APPLICATION",
     "DEFAULT_CONTENTION_COEFFICIENT",

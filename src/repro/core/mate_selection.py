@@ -10,7 +10,7 @@ heuristic:
   after the shrink (Eq. 4, :func:`repro.core.penalties.mate_penalty`);
 * candidates with ``p_i ≥ MAX_SLOWDOWN`` are filtered out (constraint 2);
 * the remaining candidates are sorted by penalty and only the first
-  ``max_candidates`` are kept;
+  :data:`MAX_CANDIDATES` (the paper's ``nm``) are kept;
 * combinations of at most ``max_mates`` mates (the paper finds no benefit
   beyond 2) whose node counts sum exactly to the guest's requested node
   count ``W`` (constraint 3) are enumerated, and the combination minimising
@@ -20,10 +20,9 @@ heuristic:
   mate never ends while still hosting the guest *according to the
   scheduler's information*.
 
-Options supported by the paper's implementation and reproduced here:
-including free nodes in the guest's allocation to reduce fragmentation, and
-allowing a single larger mate to be used partially (``allow_partial_mates``,
-off by default because it violates constraint 3's balance argument).
+This is the configuration the paper evaluates: worst-case estimates from
+requested times, a guest placed on its mates' nodes only, and every mate
+shrunk on all of its nodes.
 
 Eligibility is checked in two parts.  The *structural* part — the job is
 malleable, is not itself a guest and holds no shared node — changes only
@@ -44,10 +43,9 @@ reads only each mate's end and node count
 (:meth:`MateSelector.node_counts_can_match`), and builds no candidate when
 that pass says no combination can exist.  The pass holds for any cut-off.
 It is skipped, and every candidate built, when a contention model is set
-(its bandwidth refusals are counted from the scan), when free nodes may be
-folded in, beyond two mates, and in traced runs, whose ``mate_candidate``
-events record every penalty: traced runs do more work for the same
-decisions.
+(its bandwidth refusals are counted from the scan), beyond two mates, and
+in traced runs, whose ``mate_candidate`` events record every penalty:
+traced runs do more work for the same decisions.
 """
 
 from __future__ import annotations
@@ -56,17 +54,21 @@ import itertools
 import math
 import weakref
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.penalties import MaxSlowdownCutoff, mate_penalty
-from repro.core.runtime_model import RuntimeModel, WorstCaseRuntimeModel
+from repro.core.runtime_model import dilated_runtime, mate_increase
 from repro.core.sharing import plan_node_sharing
 from repro.simulator.job import Job, JobState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.contention import ContentionModel
     from repro.simulator.simulation import Simulation
+
+
+#: Length cap of the penalty-sorted candidate list (the paper's ``nm``).
+MAX_CANDIDATES = 50
 
 
 @dataclass(frozen=True)
@@ -85,17 +87,13 @@ class MateSelection:
     Attributes
     ----------
     mates:
-        The selected mate jobs (possibly empty if only free nodes are used).
+        The selected mate jobs.
     guest_cpus_per_node:
         Per-node CPUs the guest will receive.
     mate_new_cpus:
         For every mate, its complete new per-node CPU map after shrinking.
-    free_nodes_used:
-        Free nodes folded into the guest's allocation (fragmentation option).
     total_penalty:
         The Performance Impact ``PI = Σ p_i`` of the selection.
-    guest_fraction:
-        Fraction of the guest's requested CPUs provided by the plan.
     estimated_guest_runtime:
         Worst-case runtime estimate of the guest under the plan (seconds).
     """
@@ -103,9 +101,7 @@ class MateSelection:
     mates: List[Job]
     guest_cpus_per_node: Dict[int, int]
     mate_new_cpus: Dict[int, Dict[int, int]]
-    free_nodes_used: List[int] = field(default_factory=list)
     total_penalty: float = 0.0
-    guest_fraction: float = 1.0
     estimated_guest_runtime: float = 0.0
 
 
@@ -119,19 +115,6 @@ class MateSelector:
         (paper default 0.5 — one socket of a two-socket node).
     max_mates:
         Maximum number of mates combined for one guest (paper: 2).
-    max_candidates:
-        Length cap of the penalty-sorted candidate list (the paper's ``nm``).
-    estimation_model:
-        Runtime model used for the scheduling-time estimates; the paper uses
-        the worst-case model so completion estimates are safe.
-    include_free_nodes:
-        Allow completely free nodes to be folded into the guest allocation
-        (reduces fragmentation; off by default as in the paper's evaluation).
-    allow_partial_mates:
-        Allow a single mate larger than the guest to be shrunk on only a
-        subset of its nodes (extension; off by default).
-    use_requested_time:
-        Whether penalties use requested times (deployable) or real runtimes.
     contention:
         Optional :class:`repro.core.contention.ContentionModel`.  When set,
         candidates whose pairing with the guest would oversubscribe a node's
@@ -147,26 +130,14 @@ class MateSelector:
         self,
         sharing_factor: float = 0.5,
         max_mates: int = 2,
-        max_candidates: int = 50,
-        estimation_model: Optional[RuntimeModel] = None,
-        include_free_nodes: bool = False,
-        allow_partial_mates: bool = False,
-        use_requested_time: bool = True,
         contention: Optional["ContentionModel"] = None,
     ) -> None:
         if not 0.0 < sharing_factor < 1.0:
             raise ValueError("sharing_factor must be in (0, 1)")
         if max_mates <= 0:
             raise ValueError("max_mates must be positive")
-        if max_candidates <= 0:
-            raise ValueError("max_candidates must be positive")
         self.sharing_factor = sharing_factor
         self.max_mates = max_mates
-        self.max_candidates = max_candidates
-        self.estimation_model = estimation_model or WorstCaseRuntimeModel()
-        self.include_free_nodes = include_free_nodes
-        self.allow_partial_mates = allow_partial_mates
-        self.use_requested_time = use_requested_time
         self.contention = contention
         #: Candidates dropped by the bandwidth-capacity check during the
         #: most recent :meth:`candidate_mates` call (0 on the default path);
@@ -195,10 +166,9 @@ class MateSelector:
         """Worst-case runtime of the guest when co-scheduled under the factor.
 
         With the worst-case model any shared node limits progress, so the
-        guest's effective fraction is the SharingFactor regardless of free
-        nodes in the mix.
+        guest's effective fraction is the SharingFactor.
         """
-        return self.estimation_model.dilated_runtime(guest.requested_time, self.sharing_factor)
+        return dilated_runtime(guest.requested_time, self.sharing_factor)
 
     # ------------------------------------------------------------------ #
     # Candidate construction
@@ -241,10 +211,9 @@ class MateSelector:
     ) -> List[MateCandidate]:
         """Build, filter and sort the list of candidate mates for a guest."""
         guest_runtime = self.estimated_guest_runtime(guest)
-        increase = self.estimation_model.mate_increase(guest_runtime, 1.0 - self.sharing_factor)
+        increase = mate_increase(guest_runtime, 1.0 - self.sharing_factor)
         guest_end = sim.now + guest_runtime
         guest_id = guest.job_id
-        use_requested_time = self.use_requested_time
         contention = self.contention
         candidates: List[MateCandidate] = []
         trace = getattr(sim, "trace", None)
@@ -254,15 +223,14 @@ class MateSelector:
         for mate in pool:
             # The guest must finish (by its worst-case estimate) inside the
             # mate's remaining requested allocation.
-            ref_time = mate.requested_time if use_requested_time else mate.static_runtime
-            if mate.start_time + ref_time < guest_end or mate.job_id == guest_id:
+            if mate.start_time + mate.requested_time < guest_end or mate.job_id == guest_id:
                 continue
             if contention is not None and not contention.allows_pairing(mate, guest):
                 # Profile-driven rejection: the pair would oversubscribe the
                 # node's memory bandwidth regardless of the CPU split.
                 self.bandwidth_rejections += 1
                 continue
-            penalty = mate_penalty(mate, increase, use_requested_time)
+            penalty = mate_penalty(mate, increase)
             admitted = cutoff.admits(penalty)
             if trace is not None:
                 # Eligibility failures stay silent (noise); every slowdown
@@ -295,7 +263,7 @@ class MateSelector:
                     c.job.job_id,
                 )
             )
-        return candidates[: self.max_candidates]
+        return candidates[:MAX_CANDIDATES]
 
     def node_counts_can_match(self, sim: "Simulation", guest: Job) -> bool:
         """Whether mates in the guest's time window can sum to its node count.
@@ -303,31 +271,23 @@ class MateSelector:
         One pass over :meth:`mate_pool` with the time-window test of
         :meth:`candidate_mates` (ends computed live: ``_apply_selection``
         extends a mate's ``requested_time``).  True when one window mate
-        holds exactly the guest's ``requested_nodes`` (or more, with
-        ``allow_partial_mates``) or, with ``max_mates`` of two, when two
-        distinct window mates sum to it.  Candidates are a subset of the
-        window mates, so False means :meth:`select` finds nothing, whatever
-        the penalties.  Combinations of three or more mates are not checked:
-        beyond two mates this is always True.
+        holds exactly the guest's ``requested_nodes`` or, with ``max_mates``
+        of two, when two distinct window mates sum to it.  Candidates are a
+        subset of the window mates, so False means :meth:`select` finds
+        nothing, whatever the penalties.  Combinations of three or more
+        mates are not checked: beyond two mates this is always True.
         """
         if self.max_mates > 2:
             return True
         nodes_needed = guest.requested_nodes
         guest_end = sim.now + self.estimated_guest_runtime(guest)
-        use_requested_time = self.use_requested_time
-        partial = self.allow_partial_mates
         pairs = self.max_mates == 2
         seen = set()
         for mate in self.mate_pool(sim):
-            ref_time = mate.requested_time if use_requested_time else mate.static_runtime
-            if mate.start_time + ref_time < guest_end:
+            if mate.start_time + mate.requested_time < guest_end:
                 continue
             weight = len(mate.allocated_nodes)
-            if (
-                weight == nodes_needed
-                or nodes_needed - weight in seen
-                or (partial and weight > nodes_needed)
-            ):
+            if weight == nodes_needed or nodes_needed - weight in seen:
                 return True
             if pairs:
                 seen.add(weight)
@@ -340,26 +300,16 @@ class MateSelector:
         self,
         candidates: Sequence[MateCandidate],
         nodes_needed: int,
-    ) -> Optional[Tuple[List[MateCandidate], int]]:
-        """Minimum-PI combination of ≤ ``max_mates`` mates summing to the target.
-
-        Returns ``(combination, surplus_nodes)`` where ``surplus_nodes`` is 0
-        for exact matches and positive only when ``allow_partial_mates`` lets
-        a single larger mate cover the request with nodes to spare.
-        """
-        best: Optional[Tuple[List[MateCandidate], int]] = None
+    ) -> Optional[List[MateCandidate]]:
+        """Minimum-PI combination of ≤ ``max_mates`` mates summing to the target."""
+        best: Optional[List[MateCandidate]] = None
         best_pi = math.inf
         # Sizes are tried in increasing order and, within a size, in
         # lexicographic index order; only a strictly lower PI replaces the
-        # best so far.  r = 1 is the only size that may use a mate partially.
+        # best so far.
         for c in candidates:
-            pi = c.penalty
-            if pi >= best_pi:
-                continue
-            if c.weight == nodes_needed:
-                best, best_pi = ([c], 0), pi
-            elif self.allow_partial_mates and c.weight > nodes_needed:
-                best, best_pi = ([c], c.weight - nodes_needed), pi
+            if c.weight == nodes_needed and c.penalty < best_pi:
+                best, best_pi = [c], c.penalty
         if self.max_mates >= 2:
             # r = 2: pair each i only with the later indices j holding the
             # complementary weight, instead of enumerating every pair.
@@ -374,13 +324,13 @@ class MateSelector:
                     second = candidates[j]
                     pi = first.penalty + second.penalty
                     if pi < best_pi:
-                        best, best_pi = ([first, second], 0), pi
+                        best, best_pi = [first, second], pi
         # r >= 3 (beyond the paper's bound; ablations only): enumerate.
         for r in range(3, min(self.max_mates, len(candidates)) + 1):
             for combo in itertools.combinations(candidates, r):
                 pi = sum(c.penalty for c in combo)
                 if pi < best_pi and sum(c.weight for c in combo) == nodes_needed:
-                    best, best_pi = (list(combo), 0), pi
+                    best, best_pi = list(combo), pi
         return best
 
     def _build_plan(
@@ -388,22 +338,19 @@ class MateSelector:
         sim: "Simulation",
         guest: Job,
         picks: Sequence[MateCandidate],
-        surplus_nodes: int,
-        free_nodes: Sequence[int],
     ) -> Optional[MateSelection]:
-        """Turn a combination into a concrete per-node CPU plan."""
+        """Turn a combination into a concrete per-node CPU plan.
+
+        The picks hold disjoint node sets whose sizes sum to the guest's
+        node count, so the plan covers exactly the guest's request.
+        """
         guest_cpus: Dict[int, int] = {}
         mate_new: Dict[int, Dict[int, int]] = {}
         mates: List[Job] = []
         for candidate in picks:
             mate = candidate.job
             mate_map = dict(mate.assigned_cpus)
-            nodes = sorted(mate.allocated_nodes)
-            if surplus_nodes and candidate is picks[-1]:
-                # Partial use of a larger mate: shrink it only on the first
-                # ``weight - surplus`` of its nodes.
-                nodes = nodes[: candidate.weight - surplus_nodes]
-            for nid in nodes:
+            for nid in sorted(mate.allocated_nodes):
                 plan = plan_node_sharing(
                     sim.cluster.node(nid),
                     mate,
@@ -417,25 +364,16 @@ class MateSelector:
                 mate_map[nid] = plan.mate_cpus
             mate_new[mate.job_id] = mate_map
             mates.append(mate)
-        for nid in free_nodes:
-            guest_cpus[nid] = sim.cluster.node(nid).total_cpus
-        if len(guest_cpus) != guest.requested_nodes:
-            return None
-        total_guest_cpus = sum(guest_cpus.values())
-        fraction = min(1.0, total_guest_cpus / guest.requested_cpus)
         # The worst-case runtime of the concrete plan is governed by the
         # most-shrunk node.
         per_node_request = guest.requested_cpus / guest.requested_nodes
         worst_fraction = min(1.0, min(guest_cpus.values()) / per_node_request)
-        runtime = self.estimation_model.dilated_runtime(guest.requested_time, worst_fraction)
         return MateSelection(
             mates=mates,
             guest_cpus_per_node=guest_cpus,
             mate_new_cpus=mate_new,
-            free_nodes_used=list(free_nodes),
             total_penalty=sum(c.penalty for c in picks),
-            guest_fraction=fraction,
-            estimated_guest_runtime=runtime,
+            estimated_guest_runtime=dilated_runtime(guest.requested_time, worst_fraction),
         )
 
     # ------------------------------------------------------------------ #
@@ -447,8 +385,8 @@ class MateSelector:
     ) -> Optional[MateSelection]:
         """Select the best mates for a guest, or ``None`` if no set exists.
 
-        Untraced, without a contention model or free nodes, a guest whose
-        node count no one or two window mates can match is turned down by
+        Untraced and without a contention model, a guest whose node count
+        no one or two window mates can match is turned down by
         :meth:`node_counts_can_match` before any penalty is computed.
         Traced runs build every candidate, so they do more work for the
         same decisions.
@@ -458,25 +396,11 @@ class MateSelector:
         if (
             self.contention is None
             and sim.trace is None
-            and not self.include_free_nodes
             and not self.node_counts_can_match(sim, guest)
         ):
             return None
         candidates = self.candidate_mates(sim, guest, cutoff)
-        if not candidates and not self.include_free_nodes:
+        picks = self._best_combination(candidates, guest.requested_nodes)
+        if picks is None:
             return None
-        free_pool: List[int] = sim.cluster.free_node_ids if self.include_free_nodes else []
-        # Prefer plans using as many free nodes as possible (they add no
-        # penalty); fall back to fewer free nodes until a feasible mate
-        # combination exists for the remainder.
-        max_free = min(len(free_pool), guest.requested_nodes - 1) if free_pool else 0
-        for free_count in range(max_free, -1, -1):
-            nodes_needed = guest.requested_nodes - free_count
-            combo = self._best_combination(candidates, nodes_needed)
-            if combo is None:
-                continue
-            picks, surplus = combo
-            plan = self._build_plan(sim, guest, picks, surplus, free_pool[:free_count])
-            if plan is not None:
-                return plan
-        return None
+        return self._build_plan(sim, guest, picks)

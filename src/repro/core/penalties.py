@@ -32,29 +32,20 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simulator.simulation import Simulation
 
 
-def predicted_running_slowdown(job: Job, use_requested_time: bool = True) -> float:
-    """Predicted slowdown of a *running* job.
+def predicted_running_slowdown(job: Job) -> float:
+    """Predicted slowdown of a *running* job: ``(wait + req_time) / req_time``.
 
-    With ``use_requested_time`` (the only information a real scheduler has)
-    this is ``(wait + req_time) / req_time``; with exact runtimes (the
-    paper's Workload 2, where the requested time equals the real duration)
-    the same expression is exact.
+    Requested times are the only information a real scheduler has; with
+    exact runtimes (the paper's Workload 2, where the requested time equals
+    the real duration) the same expression is exact.
     """
     if job.start_time is None:
         raise ValueError(f"job {job.job_id} has not started")
     wait = job.start_time - job.submit_time
-    if use_requested_time:
-        runtime = job.requested_time
-    else:
-        runtime = job.static_runtime
-    return (wait + runtime) / runtime
+    return (wait + job.requested_time) / job.requested_time
 
 
-def mate_penalty(
-    mate: Job,
-    increase: float,
-    use_requested_time: bool = True,
-) -> float:
+def mate_penalty(mate: Job, increase: float) -> float:
     """Eq. 4: estimated slowdown of a mate after applying malleability.
 
     Parameters
@@ -63,16 +54,13 @@ def mate_penalty(
         The running candidate mate.
     increase:
         Estimated increase of its runtime caused by the shrink (seconds).
-    use_requested_time:
-        Whether the denominator/addend is the user-requested time (the
-        deployable estimate) or the real static runtime (oracle).
     """
     if mate.start_time is None:
         raise ValueError(f"mate {mate.job_id} has not started")
     if increase < 0:
         raise ValueError("increase must be non-negative")
     wait = mate.start_time - mate.submit_time
-    req = mate.requested_time if use_requested_time else mate.static_runtime
+    req = mate.requested_time
     return (wait + increase + req) / req
 
 
@@ -116,24 +104,14 @@ class DynamicAverageMaxSlowdown(MaxSlowdownCutoff):
 
     Jobs whose predicted slowdown already exceeds the running-set average are
     not considered for malleability, spreading the slowdown evenly across
-    running jobs (Section 3.2.2, option 2 — ``DynAVGSD``).
-
-    Parameters
-    ----------
-    use_requested_time:
-        Predict running-job slowdowns with requested times (deployable) or
-        with real runtimes (oracle; relevant for Workload 2 style studies).
-    floor:
-        Lower bound on the threshold so the policy is never completely
-        disabled when the system is empty or perfectly unloaded (a running
-        job's minimum possible slowdown is 1.0).
+    running jobs (Section 3.2.2, option 2 — ``DynAVGSD``).  The threshold
+    never falls below 1.0, a running job's minimum possible slowdown, so
+    the policy is never completely disabled.
     """
 
     label = "DynAVGSD"
 
-    def __init__(self, use_requested_time: bool = True, floor: float = 1.0) -> None:
-        self.use_requested_time = use_requested_time
-        self.floor = floor
+    def __init__(self) -> None:
         self._value = math.inf
 
     def update(self, sim: "Simulation") -> None:
@@ -143,8 +121,8 @@ class DynamicAverageMaxSlowdown(MaxSlowdownCutoff):
             return
         total = 0.0
         for job in running:
-            total += predicted_running_slowdown(job, self.use_requested_time)
-        self._value = max(self.floor, total / len(running))
+            total += predicted_running_slowdown(job)
+        self._value = max(1.0, total / len(running))
 
     def threshold(self) -> float:
         return self._value

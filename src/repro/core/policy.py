@@ -1,11 +1,4 @@
-"""The co-scheduling policy family: protocol + registry.
-
-:class:`CoSchedulingPolicy` is the protocol extracted from
-:class:`repro.core.sd_policy.SDPolicyScheduler` — the surface the simulation
-driver and the backfill framework rely on when a scheduler co-schedules
-malleable jobs.  Any scheduler implementing it (SD-Policy, UB-Policy, or an
-external extension) can be swept, traced and compared through the same
-machinery.
+"""The co-scheduling policy family: the policy registry.
 
 The registry maps policy names (and their historical aliases) to factories,
 so ``run_workload``, scenario specs and the CLI resolve ``--policy`` through
@@ -26,61 +19,7 @@ of import cycles (the scheduler classes themselves import core modules).
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Mapping,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.simulator.job import Job
-    from repro.simulator.reservation import ReservationMap
-    from repro.simulator.simulation import Simulation
-
-
-@runtime_checkable
-class CoSchedulingPolicy(Protocol):
-    """What the simulation driver expects from a co-scheduling policy.
-
-    Extracted from ``SDPolicyScheduler``: a scheduler that, on top of the
-    plain scheduling hooks (``bind``/``on_pass_start``/``on_job_submit``/
-    ``on_job_end``), can attempt to start a pending malleable job by
-    shrinking running mates, and reports its decision counters.
-    """
-
-    #: Human-readable policy identity (lands in traces and reports).
-    name: str
-    #: False means the policy starts jobs only on free nodes, so a pass may
-    #: end once no job left in its window can get enough of them (and then
-    #: never calls :meth:`try_malleable_start`).  Co-scheduling policies set
-    #: it: shrinking mates needs no free nodes.
-    schedule_when_saturated: bool
-
-    def bind(self, sim: "Simulation") -> None: ...
-
-    def on_pass_start(self, sim: "Simulation") -> None: ...
-
-    def on_job_submit(self, sim: "Simulation", job: "Job") -> None: ...
-
-    def on_job_end(self, sim: "Simulation", job: "Job") -> None: ...
-
-    def try_malleable_start(
-        self,
-        sim: "Simulation",
-        job: "Job",
-        profile: "ReservationMap",
-        estimated_start: float,
-        work_ahead_cpu_seconds: float = 0.0,
-    ) -> bool: ...
-
-    def stats(self) -> Mapping[str, int]: ...
-
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 # --------------------------------------------------------------------- #
 # Registry

@@ -12,20 +12,16 @@ running with fewer CPUs than the static request:
   progress is limited by the node on which it holds the fewest CPUs:
   the per-slot speed is ``min_n(cpus_per_node_n) / (req_cpus / req_nodes)``.
 
-Both models are exposed through a common protocol with two views:
+Both models implement ``speed(job, cpus_per_node)``: the relative
+progress rate of a configuration (1.0 = full static allocation), which the
+simulation driver integrates to execute malleable jobs.
 
-``speed(job, cpus_per_node)``
-    Relative progress rate of a configuration (1.0 = full static
-    allocation).  The simulation driver integrates this to execute
-    malleable jobs.
-
-``dilated_runtime(base, fraction)`` / ``shrink_increase(...)``
-    Closed-form estimates used by the SD-Policy scheduler at decision time
-    (Listing 1 computes ``mall_end = req_time + runtime_increase``).
-
-The paper uses the worst-case model for scheduling decisions (to guarantee
-correct completion estimates) and evaluates both models in the simulator
-(Figure 8); we follow the same convention.
+The SD-Policy scheduler estimates at decision time with two closed forms,
+:func:`dilated_runtime` and :func:`mate_increase` (Listing 1 computes
+``mall_end = req_time + runtime_increase``).  The paper takes them from the
+worst-case model (to guarantee correct completion estimates); for the
+uniform shrink SD-Policy applies the two models coincide, so the estimates
+depend on no model.  Both models are evaluated in the simulator (Figure 8).
 """
 
 from __future__ import annotations
@@ -53,38 +49,6 @@ class RuntimeModel(abc.ABC):
     @abc.abstractmethod
     def speed(self, job: Job, cpus_per_node: Mapping[int, int]) -> float:
         """Relative progress rate (1.0 = static allocation) of a configuration."""
-
-    # ------------------------------------------------------------------ #
-    # Closed-form estimation helpers used at scheduling time
-    # ------------------------------------------------------------------ #
-    def dilated_runtime(self, base_runtime: float, fraction: float) -> float:
-        """Runtime of a job that keeps ``fraction`` of its request throughout.
-
-        For a *uniform* shrink (the SD-Policy case: the same SharingFactor is
-        applied on every node) the ideal and worst-case models coincide:
-        running with fraction ``f`` of the CPUs takes ``base / f``.
-        """
-        if fraction <= 0:
-            return math.inf
-        return base_runtime / min(1.0, fraction)
-
-    def shrink_increase(self, base_runtime: float, fraction: float) -> float:
-        """Runtime *increase* of a uniform shrink (Eq. 5/6 with one slot)."""
-        return self.dilated_runtime(base_runtime, fraction) - base_runtime
-
-    def mate_increase(self, shared_duration: float, kept_fraction: float) -> float:
-        """Runtime increase of a *mate* shrunk to ``kept_fraction`` of its
-        request for ``shared_duration`` seconds and then expanded back.
-
-        While shrunk the mate progresses at ``kept_fraction``; the work it
-        falls behind by, ``shared_duration · (1 − kept_fraction)``, is then
-        recovered at full speed after the guest leaves, which is exactly the
-        increase in its completion time.
-        """
-        if shared_duration < 0:
-            raise ValueError("shared_duration must be non-negative")
-        kept = min(1.0, max(0.0, kept_fraction))
-        return shared_duration * (1.0 - kept)
 
 
 class IdealRuntimeModel(RuntimeModel):
@@ -119,6 +83,33 @@ class WorstCaseRuntimeModel(RuntimeModel):
         ideal_cap = sum(cpus_per_node.values()) / job.requested_cpus
         worst = min(cpus_per_node.values()) / per_node_request
         return min(1.0, worst, ideal_cap)
+
+
+def dilated_runtime(base_runtime: float, fraction: float) -> float:
+    """Runtime of a job that keeps ``fraction`` of its request throughout.
+
+    For a *uniform* shrink (the SD-Policy case: the same SharingFactor is
+    applied on every node) the ideal and worst-case models coincide:
+    running with fraction ``f`` of the CPUs takes ``base / f``.
+    """
+    if fraction <= 0:
+        return math.inf
+    return base_runtime / min(1.0, fraction)
+
+
+def mate_increase(shared_duration: float, kept_fraction: float) -> float:
+    """Runtime increase of a *mate* shrunk to ``kept_fraction`` of its
+    request for ``shared_duration`` seconds and then expanded back.
+
+    While shrunk the mate progresses at ``kept_fraction``; the work it
+    falls behind by, ``shared_duration · (1 − kept_fraction)``, is then
+    recovered at full speed after the guest leaves, which is exactly the
+    increase in its completion time.
+    """
+    if shared_duration < 0:
+        raise ValueError("shared_duration must be non-negative")
+    kept = min(1.0, max(0.0, kept_fraction))
+    return shared_duration * (1.0 - kept)
 
 
 def runtime_increase_from_history(

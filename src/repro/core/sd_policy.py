@@ -17,7 +17,10 @@ static trial of a pending job fails, and the job is malleable, the policy
    Listing 3's node-management behaviour).
 
 The policy supports mixed workloads: non-malleable jobs simply follow the
-static backfill path.
+static backfill path.  Its knobs are the ones the paper varies
+(:class:`SDPolicyConfig`): the SharingFactor, the mate bound, the
+MAX_SLOWDOWN cut-off and the backfill depth; both estimates are worst-case
+closed forms over requested times (:mod:`repro.core.runtime_model`).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.core.penalties import (
     MaxSlowdownCutoff,
     StaticMaxSlowdown,
 )
-from repro.core.runtime_model import RuntimeModel, WorstCaseRuntimeModel
+from repro.core.runtime_model import mate_increase
 from repro.schedulers.backfill import BackfillScheduler
 from repro.simulator.job import Job, JobState
 from repro.simulator.reservation import ReservationMap
@@ -51,33 +54,20 @@ class SDPolicyConfig:
         Fraction of a node that may be taken from a mate (paper: 0.5).
     max_mates:
         Maximum mates combined per guest (paper: 2).
-    max_candidates:
-        Cap on the penalty-sorted candidate list examined by the heuristic.
     max_slowdown:
         The MAX_SLOWDOWN cut-off: a number (static MAXSD), ``math.inf``
         (MAXSD infinite), or the string ``"dynamic"`` for DynAVGSD.
-    estimation_model:
-        Runtime model used for scheduling-time estimates (paper: worst case).
-    include_free_nodes / allow_partial_mates:
-        Optional behaviours of the selection heuristic (both off by default,
-        matching the paper's evaluation configuration).
-    use_requested_time:
-        Use user-requested times for estimates (True, deployable) or real
-        runtimes (False, oracle — the paper's Workload 2 configuration is
-        instead obtained by generating a workload whose requested times equal
-        the real durations).
     max_job_test:
         Backfill depth (inherited from the static baseline).
+
+    The selector always runs the configuration the paper evaluates:
+    worst-case estimates from requested times, exact node-count matching
+    and the ``nm`` candidate cap (:mod:`repro.core.mate_selection`).
     """
 
     sharing_factor: float = 0.5
     max_mates: int = 2
-    max_candidates: int = 50
     max_slowdown: float | str = math.inf
-    estimation_model: Optional[RuntimeModel] = None
-    include_free_nodes: bool = False
-    allow_partial_mates: bool = False
-    use_requested_time: bool = True
     max_job_test: int = 100
 
     def build_cutoff(self) -> MaxSlowdownCutoff:
@@ -85,7 +75,7 @@ class SDPolicyConfig:
         if isinstance(self.max_slowdown, str):
             key = self.max_slowdown.lower()
             if key in ("dynamic", "dynavgsd", "avg"):
-                return DynamicAverageMaxSlowdown(use_requested_time=self.use_requested_time)
+                return DynamicAverageMaxSlowdown()
             raise ValueError(f"unknown max_slowdown spec {self.max_slowdown!r}")
         return StaticMaxSlowdown(float(self.max_slowdown))
 
@@ -98,11 +88,6 @@ class SDPolicyConfig:
         return MateSelector(
             sharing_factor=self.sharing_factor,
             max_mates=self.max_mates,
-            max_candidates=self.max_candidates,
-            estimation_model=self.estimation_model or WorstCaseRuntimeModel(),
-            include_free_nodes=self.include_free_nodes,
-            allow_partial_mates=self.allow_partial_mates,
-            use_requested_time=self.use_requested_time,
             contention=self.build_contention(),
         )
 
@@ -245,7 +230,9 @@ class SDPolicyScheduler(BackfillScheduler):
                 guest=job.job_id,
                 mates=[mate.job_id for mate in selection.mates],
                 penalty=selection.total_penalty,
-                free_nodes=len(selection.free_nodes_used),
+                # Guests take no free nodes; the field stays in the
+                # event format, pinned by trace fingerprints.
+                free_nodes=0,
                 est_runtime=selection.estimated_guest_runtime,
             )
         return True
@@ -288,13 +275,12 @@ class SDPolicyScheduler(BackfillScheduler):
         runtime increase, so the scheduler's future wait-time predictions
         account for the dilation caused by the shrink.
         """
-        kept_fraction = 1.0 - self.config.sharing_factor
-        mate_increase = self.selector.estimation_model.mate_increase(
-            selection.estimated_guest_runtime, kept_fraction
+        increase = mate_increase(
+            selection.estimated_guest_runtime, 1.0 - self.config.sharing_factor
         )
         for mate in selection.mates:
             sim.reconfigure_job(mate, selection.mate_new_cpus[mate.job_id])
-            mate.requested_time += mate_increase
+            mate.requested_time += increase
         guest.requested_time = max(guest.requested_time, selection.estimated_guest_runtime)
         sim.start_job_shared(guest, selection.guest_cpus_per_node, selection.mates)
 

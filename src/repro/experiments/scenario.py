@@ -583,13 +583,43 @@ def load_spec(path: Union[str, os.PathLike]) -> ScenarioSpec:
     return spec
 
 
-def _check_run_params(policy: str, params: Mapping[str, Any], sources: Mapping[str, str]) -> None:
-    """Resolve one run's scheduler and runtime model as the run will.
+#: ``run_workload`` keywords every sweep task passes itself, with where a
+#: spec sets each instead.
+_TASK_SET_KWARGS = {
+    "seed": "the spec's top-level 'seed'",
+    "analytics": "the spec's top-level 'analytics'",
+    "trace": "the --trace flag",
+    "label": "the grid's cell labels",
+}
 
-    On failure each parameter is resolved alone to find the one at fault,
-    named as ``<source>.<name>`` (``sources`` maps a name to its spec
-    field: ``base``, ``grid`` or ``baseline.kwargs``).
+
+def _check_run_params(policy: str, params: Mapping[str, Any], sources: Mapping[str, str]) -> None:
+    """Check one run's parameters, then resolve its scheduler and runtime
+    model as the run will.
+
+    Keywords the sweep sets itself are refused, and the workload keywords
+    ``malleable_fraction`` and ``tasks_per_node`` are range-checked.  On a
+    resolution failure each parameter is resolved alone to find the one at
+    fault.  Faults are named as ``<source>.<name>`` (``sources`` maps a
+    name to its spec field: ``base``, ``grid`` or ``baseline.kwargs``).
     """
+    for name, value in params.items():
+        where = f"{sources[name]}.{name}"
+        if name in _TASK_SET_KWARGS:
+            raise ScenarioError(
+                f"scenario field {where!r}: set by the runner; use {_TASK_SET_KWARGS[name]}"
+            )
+        is_int = isinstance(value, int) and not isinstance(value, bool)
+        if name == "malleable_fraction" and not (
+            (is_int or isinstance(value, float)) and 0.0 <= value <= 1.0
+        ):
+            raise ScenarioError(
+                f"scenario field {where!r}: must be a number in [0, 1], got {value!r}"
+            )
+        if name == "tasks_per_node" and not (is_int and value > 0):
+            raise ScenarioError(
+                f"scenario field {where!r}: must be a positive integer, got {value!r}"
+            )
     resolvable = {k: v for k, v in params.items() if k not in RUNNER_ONLY_KWARGS}
     try:
         resolve_run(policy, **resolvable)

@@ -6,9 +6,9 @@ A scheduler is the simulator-side equivalent of the SLURM controller
 completions at that instant have been processed) and the two optional hooks
 on individual submit/end events.
 
-Malleable co-scheduling policies (SD-Policy, UB-Policy) additionally
-satisfy the :class:`repro.core.policy.CoSchedulingPolicy` protocol — this
-abstract base provides the simulator-facing half of that protocol, and the
+Malleable co-scheduling policies (SD-Policy, UB-Policy) extend
+:class:`repro.schedulers.backfill.BackfillScheduler`, whose
+``try_malleable_start`` and ``schedule_when_saturated`` they override; the
 registry in :mod:`repro.core.policy` resolves policy names to instances.
 """
 

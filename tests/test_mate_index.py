@@ -22,9 +22,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.mate_selection import MateCandidate, MateSelector
+from repro.core.mate_selection import MAX_CANDIDATES, MateCandidate, MateSelector
 from repro.core.penalties import StaticMaxSlowdown, mate_penalty
 from repro.core.policy import make_policy
+from repro.core.runtime_model import mate_increase
 from repro.core.sd_policy import SDPolicyConfig, SDPolicyScheduler
 from repro.core.ub_policy import UBPolicyConfig, UBPolicyScheduler
 from repro.experiments import runner
@@ -41,7 +42,7 @@ from tests.conftest import make_job
 # --------------------------------------------------------------------- #
 
 
-def oracle_best_combination(candidates, nodes_needed, max_mates, allow_partial_mates):
+def oracle_best_combination(candidates, nodes_needed, max_mates):
     """Minimum-PI combination by enumerating every combination of ≤ max_mates."""
     best = None
     best_pi = math.inf
@@ -49,14 +50,9 @@ def oracle_best_combination(candidates, nodes_needed, max_mates, allow_partial_m
     for r in range(1, min(max_mates, n) + 1):
         for combo in itertools.combinations(range(n), r):
             picks = [candidates[i] for i in combo]
-            total_nodes = sum(c.weight for c in picks)
             pi = sum(c.penalty for c in picks)
-            if pi >= best_pi:
-                continue
-            if total_nodes == nodes_needed:
-                best, best_pi = (picks, 0), pi
-            elif allow_partial_mates and r == 1 and total_nodes > nodes_needed:
-                best, best_pi = (picks, total_nodes - nodes_needed), pi
+            if pi < best_pi and sum(c.weight for c in picks) == nodes_needed:
+                best, best_pi = picks, pi
     return best
 
 
@@ -71,12 +67,11 @@ def structurally_eligible(sim, job):
     )
 
 
-def oracle_is_eligible(selector, sim, mate, guest, guest_runtime):
+def oracle_is_eligible(sim, mate, guest, guest_runtime):
     """The full eligibility predicate: structure, identity and time window."""
     if not structurally_eligible(sim, mate) or mate.job_id == guest.job_id:
         return False
-    ref_time = mate.requested_time if selector.use_requested_time else mate.static_runtime
-    return mate.start_time + ref_time >= sim.now + guest_runtime
+    return mate.start_time + mate.requested_time >= sim.now + guest_runtime
 
 
 def oracle_candidate_mates(selector, sim, guest, cutoff):
@@ -87,13 +82,12 @@ def oracle_candidate_mates(selector, sim, guest, cutoff):
     candidates = []
     rejections = 0
     for mate in sim.running.values():
-        if not oracle_is_eligible(selector, sim, mate, guest, guest_runtime):
+        if not oracle_is_eligible(sim, mate, guest, guest_runtime):
             continue
         if contention is not None and not contention.allows_pairing(mate, guest):
             rejections += 1
             continue
-        increase = selector.estimation_model.mate_increase(guest_runtime, kept_fraction)
-        penalty = mate_penalty(mate, increase, selector.use_requested_time)
+        penalty = mate_penalty(mate, mate_increase(guest_runtime, kept_fraction))
         if cutoff.admits(penalty) and mate.allocated_nodes:
             candidates.append(MateCandidate(mate, penalty, len(mate.allocated_nodes)))
     if contention is None:
@@ -106,7 +100,7 @@ def oracle_candidate_mates(selector, sim, guest, cutoff):
                 c.job.job_id,
             )
         )
-    return candidates[: selector.max_candidates], rejections
+    return candidates[:MAX_CANDIDATES], rejections
 
 
 def check_every_scan(selector):
@@ -151,14 +145,13 @@ penalties = st.one_of(
     pairs=st.lists(st.tuples(st.integers(1, 5), penalties), max_size=12),
     nodes_needed=st.integers(1, 10),
     max_mates=st.sampled_from((1, 2, 3)),
-    allow_partial_mates=st.booleans(),
 )
-def test_best_combination_matches_enumeration(pairs, nodes_needed, max_mates, allow_partial_mates):
+def test_best_combination_matches_enumeration(pairs, nodes_needed, max_mates):
     # Each candidate's job is its index, so equal results mean the same picks.
     candidates = [MateCandidate(job=i, penalty=p, weight=w) for i, (w, p) in enumerate(pairs)]
-    selector = MateSelector(max_mates=max_mates, allow_partial_mates=allow_partial_mates)
+    selector = MateSelector(max_mates=max_mates)
     assert selector._best_combination(candidates, nodes_needed) == oracle_best_combination(
-        candidates, nodes_needed, max_mates, allow_partial_mates
+        candidates, nodes_needed, max_mates
     )
 
 
@@ -169,11 +162,11 @@ def test_pair_tie_break_prefers_the_single_and_the_first_pair():
     selector = MateSelector()
     # 0.1 + 0.2 rounds above 0.3: the single mate keeps the win.
     c = candidates((2, 0.3), (1, 0.1), (1, 0.2))
-    assert selector._best_combination(c, 2) == ([c[0]], 0)
+    assert selector._best_combination(c, 2) == [c[0]]
     # 1e16 + 1.0 rounds to 1e16 + 0.0: the pairs tie and the first one wins,
     # although the second pairs the big mate with the cheaper partner.
     c = candidates((1, 1.0), (1, 0.0), (3, 1e16))
-    assert selector._best_combination(c, 4) == ([c[0], c[2]], 0)
+    assert selector._best_combination(c, 4) == [c[0], c[2]]
 
 
 # --------------------------------------------------------------------- #
@@ -281,14 +274,12 @@ def oracle_counts_can_match(selector, sim, guest):
     guest_runtime = selector.estimated_guest_runtime(guest)
     weights = [
         len(mate.allocated_nodes) for mate in sim.running.values()
-        if oracle_is_eligible(selector, sim, mate, guest, guest_runtime)
+        if oracle_is_eligible(sim, mate, guest, guest_runtime)
     ]
     needed = guest.requested_nodes
     for r in range(1, selector.max_mates + 1):
         for combo in itertools.combinations(weights, r):
             if sum(combo) == needed:
-                return True
-            if selector.allow_partial_mates and r == 1 and combo[0] > needed:
                 return True
     return False
 
@@ -296,10 +287,10 @@ def oracle_counts_can_match(selector, sim, guest):
 def full_path(selector, sim, guest, cutoff):
     """``select`` without the node-count check: candidates, search, plan."""
     candidates = selector.candidate_mates(sim, guest, cutoff)
-    combo = selector._best_combination(candidates, guest.requested_nodes)
-    if combo is None:
+    picks = selector._best_combination(candidates, guest.requested_nodes)
+    if picks is None:
         return None
-    return selector._build_plan(sim, guest, combo[0], combo[1], [])
+    return selector._build_plan(sim, guest, picks)
 
 
 def check_every_select(selector):
@@ -345,7 +336,6 @@ def count_check_runs(draw):
     config = SDPolicyConfig(
         max_slowdown=draw(st.sampled_from((10.0, math.inf, "dynamic"))),
         max_mates=draw(st.sampled_from((1, 2, 3))),
-        allow_partial_mates=draw(st.booleans()),
     )
     return num_nodes, jobs, SDPolicyScheduler(config)
 
@@ -410,9 +400,6 @@ def test_node_count_check_boundaries():
     selector = MateSelector()
     assert selector.node_counts_can_match(sim, exact_guest)
     assert not selector.node_counts_can_match(sim, pair_guest)
-    assert MateSelector(allow_partial_mates=True).node_counts_can_match(
-        sim, make_job(job_id=4, nodes=1, req_time=600.0)
-    )
 
 
 @pytest.mark.parametrize("policy, max_slowdown", [

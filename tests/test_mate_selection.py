@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.core.mate_selection import MateSelector
+from repro.core.mate_selection import MAX_CANDIDATES, MateSelector
 from repro.core.penalties import StaticMaxSlowdown
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.simulator.cluster import Cluster
@@ -107,12 +107,12 @@ class TestCandidateFiltering:
         assert [c.job.job_id for c in candidates] == [1, 2]
 
     def test_max_candidates_truncation(self):
-        sim = build_sim(num_nodes=4)
-        for i in range(1, 4):
+        sim = build_sim(num_nodes=MAX_CANDIDATES + 2)
+        for i in range(1, MAX_CANDIDATES + 3):
             add_running(sim, i, nodes=1)
         guest = pending_guest(sim)
-        selector = MateSelector(max_candidates=2)
-        assert len(selector.candidate_mates(sim, guest, ADMIT_ALL)) == 2
+        candidates = MateSelector().candidate_mates(sim, guest, ADMIT_ALL)
+        assert len(candidates) == MAX_CANDIDATES
 
 
 class TestSelection:
@@ -124,7 +124,6 @@ class TestSelection:
         assert selection is not None
         assert [m.job_id for m in selection.mates] == [1]
         assert sum(selection.guest_cpus_per_node.values()) == 4
-        assert selection.guest_fraction == pytest.approx(0.5)
         assert selection.estimated_guest_runtime == pytest.approx(guest.requested_time * 2)
 
     def test_two_mates_combined(self):
@@ -151,14 +150,6 @@ class TestSelection:
         guest = pending_guest(sim, nodes=1)
         assert MateSelector().select(sim, guest, ADMIT_ALL) is None
 
-    def test_partial_mates_option_relaxes_constraint(self):
-        sim = build_sim()
-        add_running(sim, 1, nodes=2)
-        guest = pending_guest(sim, nodes=1)
-        selection = MateSelector(allow_partial_mates=True).select(sim, guest, ADMIT_ALL)
-        assert selection is not None
-        assert len(selection.guest_cpus_per_node) == 1
-
     def test_minimum_penalty_combination_chosen(self):
         sim = build_sim(num_nodes=6)
         add_running(sim, 1, nodes=1, req_time=20000.0, submit=0.0)
@@ -172,19 +163,6 @@ class TestSelection:
         guest = pending_guest(sim, job_id=100, nodes=1)
         selection = MateSelector().select(sim, guest, ADMIT_ALL)
         assert [m.job_id for m in selection.mates] == [1]
-
-    def test_include_free_nodes_option(self):
-        sim = build_sim(num_nodes=4)
-        add_running(sim, 1, nodes=1)
-        # 3 free nodes remain; guest wants 2 nodes: 1 free + 1 mate.
-        guest = pending_guest(sim, nodes=2)
-        selection = MateSelector(include_free_nodes=True).select(sim, guest, ADMIT_ALL)
-        assert selection is not None
-        assert len(selection.free_nodes_used) == 1
-        assert len(selection.guest_cpus_per_node) == 2
-        # The free node contributes its full CPU count.
-        free_node = selection.free_nodes_used[0]
-        assert selection.guest_cpus_per_node[free_node] == 8
 
     def test_selection_respects_rank_minimums(self):
         sim = build_sim()
@@ -202,5 +180,3 @@ class TestSelection:
             MateSelector(sharing_factor=0.0)
         with pytest.raises(ValueError):
             MateSelector(max_mates=0)
-        with pytest.raises(ValueError):
-            MateSelector(max_candidates=0)

@@ -34,10 +34,6 @@ class TestPredictedRunningSlowdown:
         job = _running_job(submit=0.0, start=1000.0, req_time=1000.0)
         assert predicted_running_slowdown(job) == pytest.approx(2.0)
 
-    def test_real_runtime_variant(self):
-        job = _running_job(submit=0.0, start=500.0, req_time=1000.0, runtime=500.0)
-        assert predicted_running_slowdown(job, use_requested_time=False) == pytest.approx(2.0)
-
     def test_not_started_raises(self):
         with pytest.raises(ValueError):
             predicted_running_slowdown(make_job())
@@ -118,12 +114,6 @@ class TestDynamicCutoff:
         cutoff = DynamicAverageMaxSlowdown()
         cutoff.update(sim)
         assert math.isinf(cutoff.threshold())
-
-    def test_floor_applied(self):
-        sim = self._sim_with_running([0.0])  # average would be exactly 1.0
-        cutoff = DynamicAverageMaxSlowdown(floor=1.5)
-        cutoff.update(sim)
-        assert cutoff.threshold() == pytest.approx(1.5)
 
     def test_label(self):
         assert DynamicAverageMaxSlowdown().label == "DynAVGSD"

@@ -20,7 +20,6 @@ from repro.core.contention import (
     ContentionModel,
 )
 from repro.core.policy import (
-    CoSchedulingPolicy,
     available_policies,
     make_policy,
     policy_accepts_profiles,
@@ -123,13 +122,6 @@ class TestPolicyRegistry:
     def test_only_ub_accepts_profiles(self):
         flagged = [n for n in available_policies() if policy_accepts_profiles(n)]
         assert flagged == ["ub_policy"]
-
-    def test_malleable_policies_satisfy_protocol(self):
-        # The protocol is the *co-scheduling* surface: SD/UB implement it,
-        # while the rigid schedulers are registry members without it.
-        assert isinstance(make_policy("sd_policy"), CoSchedulingPolicy)
-        assert isinstance(make_policy("ub_policy"), CoSchedulingPolicy)
-        assert not isinstance(make_policy("fcfs"), CoSchedulingPolicy)
 
     def test_make_scheduler_delegates_to_registry(self):
         scheduler = make_scheduler("uberun", max_slowdown=10.0)

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.runtime_model import IdealRuntimeModel, WorstCaseRuntimeModel
+from repro.core.runtime_model import (
+    IdealRuntimeModel,
+    WorstCaseRuntimeModel,
+    dilated_runtime,
+    mate_increase,
+)
 from repro.core.sharing import plan_node_sharing
 from repro.metrics.heatmap import category_heatmap
 from repro.simulator.node import Node
@@ -39,16 +44,13 @@ def test_runtime_model_speed_bounds_and_ordering(cpus, nodes):
 @given(base=st.floats(1.0, 1e6), fraction=st.floats(0.01, 1.0))
 @settings(max_examples=100)
 def test_dilated_runtime_never_shorter(base, fraction):
-    model = WorstCaseRuntimeModel()
-    dilated = model.dilated_runtime(base, fraction)
-    assert dilated >= base * 0.999999
-    assert model.shrink_increase(base, fraction) >= 0.0
+    assert dilated_runtime(base, fraction) >= base * 0.999999
 
 
 @given(duration=st.floats(0.0, 1e6), kept=st.floats(0.0, 1.0))
 @settings(max_examples=100)
 def test_mate_increase_bounded_by_duration(duration, kept):
-    increase = IdealRuntimeModel().mate_increase(duration, kept)
+    increase = mate_increase(duration, kept)
     assert 0.0 <= increase <= duration + 1e-9
 
 

@@ -9,7 +9,9 @@ import pytest
 from repro.core.runtime_model import (
     IdealRuntimeModel,
     WorstCaseRuntimeModel,
+    dilated_runtime,
     get_model,
+    mate_increase,
     runtime_increase_from_history,
 )
 from repro.simulator.job import ResourceSlot
@@ -66,28 +68,24 @@ class TestWorstCaseModel:
 
 class TestEstimationHelpers:
     def test_dilated_runtime_half(self):
-        model = WorstCaseRuntimeModel()
-        assert model.dilated_runtime(100.0, 0.5) == pytest.approx(200.0)
+        assert dilated_runtime(100.0, 0.5) == pytest.approx(200.0)
 
     def test_dilated_runtime_full_fraction(self):
-        assert IdealRuntimeModel().dilated_runtime(100.0, 1.0) == pytest.approx(100.0)
+        assert dilated_runtime(100.0, 1.0) == pytest.approx(100.0)
 
     def test_dilated_runtime_zero_fraction_is_inf(self):
-        assert math.isinf(WorstCaseRuntimeModel().dilated_runtime(100.0, 0.0))
-
-    def test_shrink_increase(self):
-        assert WorstCaseRuntimeModel().shrink_increase(100.0, 0.5) == pytest.approx(100.0)
+        assert math.isinf(dilated_runtime(100.0, 0.0))
 
     def test_mate_increase_half_kept(self):
         # Shrunk to half for 200s => falls behind by 100 static-seconds.
-        assert WorstCaseRuntimeModel().mate_increase(200.0, 0.5) == pytest.approx(100.0)
+        assert mate_increase(200.0, 0.5) == pytest.approx(100.0)
 
     def test_mate_increase_full_kept_is_zero(self):
-        assert IdealRuntimeModel().mate_increase(500.0, 1.0) == 0.0
+        assert mate_increase(500.0, 1.0) == 0.0
 
     def test_mate_increase_negative_duration_rejected(self):
         with pytest.raises(ValueError):
-            IdealRuntimeModel().mate_increase(-1.0, 0.5)
+            mate_increase(-1.0, 0.5)
 
 
 class TestRuntimeIncreaseFromHistory:

@@ -140,12 +140,37 @@ class TestSpecRoundTrip:
             ({"name": "x", "workload": {"preset": 1},
               "baseline": {"policy": "static_backfill", "kwargs": {"bogus": 1}}},
              "scenario field 'baseline.kwargs.bogus'"),
+            # A selector knob SD-Policy no longer has.
+            ({"name": "x", "workload": {"preset": 1}, "base": {"include_free_nodes": True}},
+             "scenario field 'base.include_free_nodes'"),
+            # Keywords every sweep task sets itself.
+            ({"name": "x", "workload": {"preset": 1, "scale": 0.01}, "base": {"seed": 1}},
+             "scenario field 'base.seed': set by the runner; use the spec's top-level 'seed'"),
+            ({"name": "x", "workload": {"preset": 1}, "grid": {"analytics": [True]}},
+             "scenario field 'grid.analytics': set by the runner; "
+             "use the spec's top-level 'analytics'"),
+            ({"name": "x", "workload": {"preset": 1},
+              "baseline": {"policy": "static_backfill", "kwargs": {"trace": True}}},
+             "scenario field 'baseline.kwargs.trace': set by the runner"),
+            ({"name": "x", "workload": {"preset": 1}, "base": {"label": "mine"}},
+             "scenario field 'base.label': set by the runner"),
+            # Workload keywords out of range or of the wrong type.
+            ({"name": "x", "workload": {"preset": 1}, "base": {"malleable_fraction": "half"}},
+             "scenario field 'base.malleable_fraction': must be a number in [0, 1]"),
+            ({"name": "x", "workload": {"preset": 1}, "grid": {"malleable_fraction": [0.5, 1.5]}},
+             "scenario field 'grid.malleable_fraction': must be a number in [0, 1]"),
+            ({"name": "x", "workload": {"preset": 1}, "base": {"tasks_per_node": 0}},
+             "scenario field 'base.tasks_per_node': must be a positive integer"),
+            ({"name": "x", "workload": {"preset": 1}, "base": {"tasks_per_node": 2.5}},
+             "scenario field 'base.tasks_per_node': must be a positive integer"),
         ],
         ids=["ref-not-object", "baseline-int", "scale-str", "seed-str", "top-level-list",
              "unknown-preset", "negative-scale", "zero-scale", "unknown-mix", "missing-swf",
              "unknown-policy", "unknown-baseline", "unknown-grid-policy",
              "unknown-runtime-model", "unknown-max-slowdown", "unknown-base-param",
-             "unknown-baseline-kwarg"],
+             "unknown-baseline-kwarg", "removed-selector-knob", "base-seed", "grid-analytics",
+             "baseline-trace", "base-label", "fraction-str", "fraction-above-one",
+             "zero-tasks-per-node", "fractional-tasks-per-node"],
     )
     def test_malformed_spec_file_is_a_clean_error_naming_the_field(
         self, tmp_path, capsys, spec, names

@@ -105,7 +105,7 @@ class TestCache:
         def make():
             return SweepTask(
                 workload=workload, policy="sd_policy", key="a", seed=0,
-                kwargs={"max_slowdown": 10.0, "estimation_model": WorstCaseRuntimeModel()},
+                kwargs={"max_slowdown": 10.0, "runtime_model": WorstCaseRuntimeModel()},
             )
 
         assert task_cache_key(make()) == task_cache_key(make())
