@@ -41,8 +41,8 @@ def test_fig7_daily_slowdown_series(benchmark):
     # Malleability is actually exercised, day after day.
     assert sum(r["malleable_jobs"] for r in rows) > 0
     sd_run = outcome.cells[0].run
-    malleable_fraction = sd_run.metrics.malleable_scheduled / max(1, len(sd_run.jobs))
-    mate_fraction = sd_run.metrics.mate_jobs / max(1, len(sd_run.jobs))
+    malleable_fraction = sd_run.metrics.malleable_scheduled / max(1, len(sd_run.records.array))
+    mate_fraction = sd_run.metrics.mate_jobs / max(1, len(sd_run.records.array))
     assert malleable_fraction > 0.02
     # Mates are never more numerous than malleable-scheduled guests by much
     # (the paper reports 10.3% guests vs 8.6% mates).

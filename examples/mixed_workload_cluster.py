@@ -9,7 +9,9 @@ malleable environment".  This example uses the lower-level API directly
 1. builds a MareNostrum4-like cluster by hand;
 2. constructs jobs explicitly, marking only a fraction of them malleable;
 3. runs SD-Policy and shows how the gains grow with the malleable share;
-4. inspects individual malleable jobs' resource histories (shrink/expand).
+4. inspects individual malleable jobs' resource histories (shrink/expand)
+   on the ``Job`` objects it submitted (the simulation itself keeps only a
+   record row per completed job).
 
 Run with::
 
@@ -23,7 +25,6 @@ import math
 from repro.analysis.tables import format_table
 from repro.core.runtime_model import IdealRuntimeModel
 from repro.core.sd_policy import SDPolicyConfig, SDPolicyScheduler
-from repro.metrics.aggregates import compute_metrics
 from repro.simulator.cluster import Cluster
 from repro.simulator.simulation import Simulation
 from repro.workloads.cirne import CirneWorkloadModel
@@ -39,17 +40,20 @@ def run_with_malleable_fraction(fraction: float, seed: int = 123):
     cluster = Cluster(num_nodes=32, sockets=2, cores_per_socket=24, memory_gb=96.0)
     scheduler = SDPolicyScheduler(SDPolicyConfig(max_slowdown="dynamic", sharing_factor=0.5))
     sim = Simulation(cluster, scheduler, runtime_model=IdealRuntimeModel())
-    sim.submit_jobs(workload.to_jobs(cpus_per_node=48, malleable_fraction=fraction, seed=seed))
+    jobs = workload.to_jobs(cpus_per_node=48, malleable_fraction=fraction, seed=seed)
+    sim.submit_jobs(jobs)
     result = sim.run()
-    return result, compute_metrics(result.jobs, energy_joules=result.energy_joules)
+    metrics = sim.streaming.workload_metrics(
+        energy_joules=result.energy_joules, first_submit=result.first_submit
+    )
+    return jobs, metrics
 
 
 def main() -> None:
     rows = []
-    last_result = None
+    last_jobs = []
     for fraction in (0.0, 0.25, 0.5, 0.75, 1.0):
-        result, metrics = run_with_malleable_fraction(fraction)
-        last_result = result
+        last_jobs, metrics = run_with_malleable_fraction(fraction)
         rows.append([
             f"{fraction:.0%}",
             metrics.avg_slowdown,
@@ -69,7 +73,7 @@ def main() -> None:
     # Inspect a few malleable jobs' shrink/expand histories from the last run.
     print("\nResource histories of the first three co-scheduled guests:")
     shown = 0
-    for job in last_result.jobs:
+    for job in last_jobs:
         if not job.scheduled_malleable:
             continue
         segments = ", ".join(

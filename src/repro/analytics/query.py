@@ -6,14 +6,15 @@ Two modes, both reading *only* the store (no simulation):
   (``--group-by``) and aggregates (``--metrics col:agg``) the per-job rows
   of every analytics run in a store.  "p99 slowdown of malleable jobs by
   MAX_SLOWDOWN across every workload ever run" is one invocation.
-* **Reports** — :func:`render_stored_report` regenerates Figure 1-3,
-  Figure 7 and Table 1 *byte-identically* to their sweep-rendered
+* **Reports** — :func:`render_stored_report` regenerates Figures 1-3,
+  4-6, 7 and 9 and Table 1 *byte-identically* to their sweep-rendered
   versions.  The trick is shared machinery, not parallel reimplementation:
   the same built-in scenarios
   (:func:`repro.experiments.scenario.builtin_scenario`) expand to the same
   tasks, :func:`repro.experiments.sweep.task_cache_key` locates each run's
   records, :func:`repro.analytics.metrics_from_records` rebuilds the
-  aggregates bit-for-bit, and :func:`~repro.experiments.scenario.render_report`
+  aggregates bit-for-bit, the per-job reports read the same record rows a
+  live run carries, and :func:`~repro.experiments.scenario.render_report`
   produces the text.
 
 This module imports the experiments layer, so it is *not* re-exported from
@@ -53,6 +54,7 @@ from repro.store.attachments import AttachmentError, iter_attachments
 from repro.workloads.job_record import Workload
 
 __all__ = [
+    "BUILTIN_REPORTS",
     "QueryError",
     "REPORT_CHOICES",
     "list_runs",
@@ -256,48 +258,20 @@ def run_query(
 # --------------------------------------------------------------------- #
 # Figure/table regeneration from stored records
 # --------------------------------------------------------------------- #
-REPORT_CHOICES = ("fig1", "fig2", "fig3", "fig1-3", "fig7", "table1")
+REPORT_CHOICES = (
+    "fig1", "fig2", "fig3", "fig1-3", "fig7", "table1", "figure4-6", "figure9",
+)
+
+#: Reports whose spec is the built-in scenario of the same name, built from
+#: ``--scale``/``--seed`` alone as ``scenario NAME --scale S --seed N``
+#: builds it (no ``--workload``/``--swf``).
+BUILTIN_REPORTS = ("table1", "figure4-6", "figure9")
 
 
-class _RecordJob:
-    """Per-job shim over one record row for job-based report machinery.
-
-    Exposes exactly the attributes the time-series helpers read
-    (``submit_time``/``end_time``/``slowdown``/``scheduled_malleable`` …)
-    with the stored values, so per-job reports over records reproduce the
-    retained-run output bit for bit.
-    """
-
-    __slots__ = (
-        "job_id",
-        "submit_time",
-        "start_time",
-        "end_time",
-        "slowdown",
-        "malleable",
-        "scheduled_malleable",
-        "was_mate",
-    )
-
-    def __init__(self, row: np.void) -> None:
-        self.job_id = int(row["job_id"])
-        self.submit_time = float(row["submit"])
-        self.start_time = float(row["start"])
-        self.end_time = float(row["end"])
-        self.slowdown = float(row["slowdown"])
-        self.malleable = bool(row["malleable"])
-        self.scheduled_malleable = bool(row["scheduled_malleable"])
-        self.was_mate = bool(row["was_mate"])
-
-
-def _stub_run(
-    label: str, workload_name: str, records: RunRecords, with_jobs: bool
-) -> PolicyRun:
+def _stub_run(label: str, workload_name: str, records: RunRecords) -> PolicyRun:
     """A :class:`PolicyRun` reconstructed from stored records (no sim)."""
     metrics = metrics_from_records(records)
-    jobs = [_RecordJob(row) for row in records.array] if with_jobs else []
     result = SimulationResult(
-        jobs=jobs,
         makespan=metrics.makespan,
         avg_response_time=metrics.avg_response_time,
         avg_slowdown=metrics.avg_slowdown,
@@ -316,6 +290,7 @@ def _stub_run(
         result=result,
         metrics=metrics,
         wall_clock_seconds=0.0,
+        records=records,
     )
 
 
@@ -323,7 +298,6 @@ def outcome_from_records(
     spec: ScenarioSpec,
     workloads: Optional[Union[Workload, Mapping[str, Workload]]],
     store: ResultStore,
-    with_jobs: Optional[bool] = None,
 ) -> ScenarioOutcome:
     """Rebuild a scenario outcome purely from stored records.
 
@@ -333,8 +307,6 @@ def outcome_from_records(
     same bytes it would over fresh simulations.  Raises
     :class:`QueryError` naming every task whose records are missing.
     """
-    if with_jobs is None:
-        with_jobs = spec.report in ("daily", "heatmaps")
     resolved = _resolve_workloads(spec, workloads)
     task_by_key = {t.resolved_key(): t for t in spec.tasks(resolved)}
     missing: List[str] = []
@@ -346,7 +318,7 @@ def outcome_from_records(
         except AttachmentError:
             missing.append(task_key)
             return None
-        return _stub_run(label, workload_name, records, with_jobs)
+        return _stub_run(label, workload_name, records)
 
     outcome = assemble_outcome(spec, resolved, load)
     if missing:
@@ -374,10 +346,13 @@ def render_stored_report(
     ``seed`` follows the built-in rule: it seeds both the workload and the
     simulation, as ``--seed`` does on the commands that wrote the records.
     """
-    if report == "table1":
-        spec = builtin_scenario(
-            "table1", scale=scale, seed=seed, workload_ids=tuple(workload_ids)
-        )
+    if report in BUILTIN_REPORTS:
+        overrides: Dict[str, Any] = {"scale": scale}
+        if seed is not None:
+            overrides["seed"] = seed
+        if report == "table1":
+            overrides["workload_ids"] = tuple(workload_ids)
+        spec = builtin_scenario(report, **overrides)
         return render_report(outcome_from_records(spec, None, store))
     if workload is None:
         raise QueryError(f"report {report!r} needs a workload (--workload/--swf)")

@@ -21,8 +21,8 @@ shell (installed as ``repro-sdpolicy`` or via ``python -m repro``):
 * ``store`` — inspect and manage result stores (``stats``, ``prune``,
   manifest-aware ``gc``, integrity ``verify``/``repair``);
 * ``query`` — aggregate persisted per-job records (``--analytics`` runs)
-  across every sweep in a store, or regenerate Figures 1-3/7 and Table 1
-  byte-identically from the records without re-simulating;
+  across every sweep in a store, or regenerate Figures 1-3, 4-6, 7 and 9
+  and Table 1 byte-identically from the records without re-simulating;
 * ``trace`` — inspect stored scheduler decision traces recorded by
   ``--trace`` sweeps (``summary``, ``grep``, ``timeline``);
 * ``swf`` — inspect a Standard Workload Format file;
@@ -55,6 +55,7 @@ from typing import Optional, Sequence
 
 from repro.analysis.tables import metrics_table
 from repro.analytics.query import (
+    BUILTIN_REPORTS,
     REPORT_CHOICES,
     QueryError,
     list_runs,
@@ -263,7 +264,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         workload,
         args.policy,
         runtime_model=args.runtime_model,
-        retain_jobs=args.retain_jobs,
         profiles=args.profiles,
         **kwargs,
     )
@@ -276,15 +276,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.analysis.comparison import improvement_percent
 
     workload = _load_workload(args)
-    static = run_workload(
-        workload, "static_backfill", runtime_model=args.runtime_model,
-        retain_jobs=args.retain_jobs,
-    )
+    static = run_workload(workload, "static_backfill", runtime_model=args.runtime_model)
     sd = run_workload(
         workload,
         "sd_policy",
         runtime_model=args.runtime_model,
-        retain_jobs=args.retain_jobs,
         max_slowdown=_parse_maxsd(args.maxsd),
         sharing_factor=args.sharing_factor,
     )
@@ -591,7 +587,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             return 0
         if args.report:
             workload = None
-            if args.report != "table1":
+            if args.report not in BUILTIN_REPORTS:
                 workload = _load_workload(args)
             print(
                 render_stored_report(
@@ -688,11 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="application-profile set for profile-aware policies (UB-Policy) "
              "and the application-aware runtime model",
     )
-    p_run.add_argument(
-        "--retain-jobs", action=argparse.BooleanOptionalAction, default=True,
-        help="keep per-job records (default); --no-retain-jobs streams the run "
-             "in near-constant memory (aggregates only)",
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="compare SD-Policy against static backfill")
@@ -700,11 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--runtime-model", default="ideal", choices=["ideal", "worst_case"])
     p_cmp.add_argument("--maxsd", default="dynamic")
     p_cmp.add_argument("--sharing-factor", type=float, default=0.5)
-    p_cmp.add_argument(
-        "--retain-jobs", action=argparse.BooleanOptionalAction, default=True,
-        help="keep per-job records (default); --no-retain-jobs streams both "
-             "runs in near-constant memory (aggregates only)",
-    )
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_sweep = sub.add_parser(
@@ -920,7 +906,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=REPORT_CHOICES,
         help="regenerate a paper figure/table from stored records alone "
              "(no simulation); output is byte-identical to the sweep-"
-             "rendered version",
+             "rendered version; table1, figure4-6 and figure9 take the "
+             "built-in scenario at --scale/--seed",
     )
     p_query.add_argument("--maxsd", default="10",
                          help="MAX_SLOWDOWN for --report fig7")

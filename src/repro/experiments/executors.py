@@ -158,7 +158,6 @@ def _execute_task(task: "SweepTask") -> "PolicyRun":
         task.policy,
         label=task.label,
         seed=task.resolved_seed(),
-        analytics=getattr(task, "analytics", False),
         trace=getattr(task, "trace", False),
         **task.kwargs,
     )

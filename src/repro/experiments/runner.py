@@ -1,10 +1,16 @@
-"""Run one workload under one policy and collect its metrics."""
+"""Run one workload under one policy and collect its metrics.
+
+A run's per-job result is its record rows (:class:`PolicyRun.records`),
+one :data:`~repro.metrics.streaming.JOB_RECORD_DTYPE` row per completed
+job, folded by the simulation as each job ends; no ``Job`` object
+outlives the simulation.
+"""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.analytics.records import RunRecords
 from repro.core.policy import make_policy, policy_accepts_profiles
@@ -13,7 +19,6 @@ from repro.metrics.aggregates import WorkloadMetrics
 from repro.metrics.energy import LinearPowerModel
 from repro.schedulers.base import Scheduler
 from repro.simulator.cluster import Cluster
-from repro.simulator.job import Job
 from repro.simulator.simulation import Simulation, SimulationResult
 from repro.telemetry.trace import TraceRecorder
 from repro.workloads.job_record import Workload
@@ -55,7 +60,7 @@ def make_scheduler(policy: Union[str, Scheduler, Callable[[], Scheduler]], **kwa
 #: model, so :func:`resolve_run` never sees them.
 RUNNER_ONLY_KWARGS = frozenset(
     {"malleable_fraction", "tasks_per_node", "power_model", "label", "seed",
-     "retain_jobs", "analytics", "trace"}
+     "analytics", "trace"}
 )
 
 
@@ -114,11 +119,11 @@ class PolicyRun:
     result: SimulationResult
     metrics: WorkloadMetrics
     wall_clock_seconds: float
+    #: The run's per-job record rows with its metadata; pickled with the
+    #: run into the result cache (an analytics sweep also publishes them
+    #: as their own blob).
+    records: RunRecords
     scheduler_stats: Dict[str, int] = field(default_factory=dict)
-    #: The run's per-job record rows (``analytics=True``); stripped before
-    #: the run is pickled into the result cache — the records are
-    #: published as their own blob.
-    records: Optional[RunRecords] = None
     #: Decision-trace recorder (``trace=True``); stripped before the run is
     #: pickled into the result cache — the trace is published as its own
     #: blob under ``<cache_key>-trace``.
@@ -127,11 +132,6 @@ class PolicyRun:
     #: populated unconditionally so the cached payload is byte-identical
     #: with and without ``--trace``.
     phases: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def jobs(self) -> List[Job]:
-        """The completed jobs of the run."""
-        return self.result.jobs
 
 
 def run_workload(
@@ -145,8 +145,8 @@ def run_workload(
     profiles: Optional[str] = None,
     label: Optional[str] = None,
     seed: int = 0,
-    retain_jobs: bool = True,
-    analytics: bool = False,
+    retain_jobs: bool = True,  # ignored; benchmarks/simbench/harness.py still passes it
+    analytics: bool = False,  # ignored; benchmarks/simbench/harness.py still passes it
     trace: bool = False,
     **policy_kwargs,
 ) -> PolicyRun:
@@ -163,26 +163,19 @@ def run_workload(
     the default ``None`` leaves both at their own defaults and keeps legacy
     cache keys unchanged.
 
-    Jobs are always submitted as a lazy stream and folded once, at
-    completion, into the simulation's aggregates and per-job record rows.
-    ``retain_jobs`` decides only what is kept: with ``retain_jobs=False``
-    each job is discarded after its fold, so memory holds one ~115-byte
-    record row per job.  ``PolicyRun.metrics`` comes from the same fold
-    either way, but ``PolicyRun.jobs`` is empty, so per-job reports
-    (heatmaps, daily series, real-run tables) need the default retained
-    mode.
-
-    With ``analytics=True`` ``PolicyRun.records`` wraps those record rows
-    (one per job, in completion order) with the run's metadata, from which
-    every aggregate is reconstructible bit-identically.  The flag changes
-    only what is returned, not what is simulated or folded.
+    Jobs are submitted as a lazy stream, folded once at completion into
+    the simulation's aggregates and per-job record rows, and then
+    dropped, so memory holds one ~115-byte record row per completed job.
+    ``PolicyRun.records`` wraps those rows (one per job, in completion
+    order) with the run's metadata; ``PolicyRun.metrics`` and every
+    per-job report (heatmaps, daily series, real-run statistics) are
+    computed from them.
 
     With ``trace=True`` a :class:`repro.telemetry.TraceRecorder` rides the
     simulation and ``PolicyRun.trace`` carries the scheduler's decision
     events (submit/start/end, backfill holes, mate selection).  Traces are
     byte-deterministic: only simulation-time facts are recorded, so the
-    same spec and seed yield identical bytes regardless of sharding or
-    ``retain_jobs``.
+    same spec and seed yield identical bytes regardless of sharding.
     """
     scheduler, runtime_model = resolve_run(
         policy, runtime_model, contention_coefficient, profiles, **policy_kwargs
@@ -194,7 +187,6 @@ def run_workload(
         scheduler,
         runtime_model=runtime_model,
         power_model=power_model,
-        retain_jobs=retain_jobs,
         trace=recorder,
     )
     if hasattr(runtime_model, "bind_cluster"):
@@ -221,20 +213,18 @@ def run_workload(
     }
     stats = scheduler.stats() if hasattr(scheduler, "stats") else {}
     run_label = label or result.scheduler_name
-    records: Optional[RunRecords] = None
-    if analytics:
-        records = RunRecords(
-            array=sim.streaming.records(),
-            meta={
-                "workload": workload.name,
-                "policy": policy if isinstance(policy, str) else result.scheduler_name,
-                "label": run_label,
-                "seed": int(seed),
-                "first_submit": result.first_submit,
-                "energy_joules": result.energy_joules,
-                "num_jobs": result.num_jobs,
-            },
-        )
+    records = RunRecords(
+        array=sim.streaming.records(),
+        meta={
+            "workload": workload.name,
+            "policy": policy if isinstance(policy, str) else result.scheduler_name,
+            "label": run_label,
+            "seed": int(seed),
+            "first_submit": result.first_submit,
+            "energy_joules": result.energy_joules,
+            "num_jobs": result.num_jobs,
+        },
+    )
     if recorder is not None:
         # Simulation-time-determined identity only — wall-clock facts would
         # break the trace blob's byte determinism.

@@ -597,8 +597,9 @@ def _check_run_params(policy: str, params: Mapping[str, Any], sources: Mapping[s
     """Check one run's parameters, then resolve its scheduler and runtime
     model as the run will.
 
-    Keywords the sweep sets itself are refused, and the workload keywords
-    ``malleable_fraction`` and ``tasks_per_node`` are range-checked.  On a
+    Keywords the sweep sets itself are refused, the workload keywords
+    ``malleable_fraction`` and ``tasks_per_node`` are range-checked, and
+    ``power_model`` may only be ``null`` (the one value JSON can express).  On a
     resolution failure each parameter is resolved alone to find the one at
     fault.  Faults are named as ``<source>.<name>`` (``sources`` maps a
     name to its spec field: ``base``, ``grid`` or ``baseline.kwargs``).
@@ -619,6 +620,11 @@ def _check_run_params(policy: str, params: Mapping[str, Any], sources: Mapping[s
         if name == "tasks_per_node" and not (is_int and value > 0):
             raise ScenarioError(
                 f"scenario field {where!r}: must be a positive integer, got {value!r}"
+            )
+        if name == "power_model" and value is not None:
+            raise ScenarioError(
+                f"scenario field {where!r}: must be null (no energy accounting), "
+                f"got {value!r}"
             )
     resolvable = {k: v for k, v in params.items() if k not in RUNNER_ONLY_KWARGS}
     try:
@@ -957,19 +963,7 @@ def _static_sd_pair(outcome: ScenarioOutcome) -> Tuple[PolicyRun, PolicyRun]:
             f"report {outcome.spec.report!r} needs a baseline and exactly one "
             f"grid cell; got {len(outcome.cells)} cells"
         )
-    pair = (baseline, outcome.cells[0].run)
-    for run in pair:
-        if not run.jobs and run.result.num_jobs > 0:
-            raise ScenarioError(
-                f"the {outcome.spec.report!r} report of scenario "
-                f"{outcome.spec.name!r} needs per-job data, but run "
-                f"{run.label!r} was executed with retain_jobs=False and its "
-                f"{run.result.num_jobs} jobs were folded into aggregates only; "
-                "re-run with --retain-jobs (keep Job objects in memory) or "
-                "with --analytics (persist per-job records to the store and "
-                "render via 'repro-sdpolicy query --report')"
-            )
-    return pair
+    return baseline, outcome.cells[0].run
 
 
 def scenario_heatmaps(outcome: ScenarioOutcome) -> Dict[str, CategoryGrid]:
@@ -979,8 +973,8 @@ def scenario_heatmaps(outcome: ScenarioOutcome) -> Dict[str, CategoryGrid]:
         grids: Dict[str, CategoryGrid] = {}
         for metric in ("slowdown", "runtime", "wait"):
             grids[metric] = heatmap_ratio(
-                category_heatmap(static.jobs, metric=metric),
-                category_heatmap(sd.jobs, metric=metric),
+                category_heatmap(static.records.array, metric=metric),
+                category_heatmap(sd.records.array, metric=metric),
             )
         outcome._cache["heatmaps"] = grids
     return outcome._cache["heatmaps"]
@@ -1004,7 +998,9 @@ def scenario_daily_rows(outcome: ScenarioOutcome) -> List[Dict[str, float]]:
     """Figure 7 rows: per-day slowdowns and malleable counts of the pair."""
     if "daily_rows" not in outcome._cache:
         static, sd = _static_sd_pair(outcome)
-        outcome._cache["daily_rows"] = daily_series_table(static.jobs, sd.jobs)
+        outcome._cache["daily_rows"] = daily_series_table(
+            static.records.array, sd.records.array
+        )
     return outcome._cache["daily_rows"]
 
 
@@ -1059,9 +1055,7 @@ def realrun_improvements(outcome: ScenarioOutcome) -> Dict[str, Any]:
         static_metrics, sd_metrics = (
             replace(
                 run.metrics,
-                energy_joules=real_run_energy(
-                    run.jobs, workload.system_nodes, workload.cpus_per_node
-                ),
+                energy_joules=real_run_energy(run.records.array, workload),
             )
             for run in (static, sd)
         )
@@ -1069,7 +1063,7 @@ def realrun_improvements(outcome: ScenarioOutcome) -> Dict[str, Any]:
             "improvements": improvement_percent(sd_metrics, static_metrics),
             "static_metrics": static_metrics,
             "sd_metrics": sd_metrics,
-            "better_runtime_jobs": better_runtime_jobs(sd.jobs),
+            "better_runtime_jobs": better_runtime_jobs(sd.records.array),
             "malleable_scheduled": sd_metrics.malleable_scheduled,
         }
     return outcome._cache["realrun"]

@@ -101,11 +101,13 @@ __all__ = [
 #: itself is unchanged and v3 blobs stay fully readable).  v5: PolicyRun
 #: gained ``trace`` (always pickled as ``None`` — traces are published as
 #: their own blob, like records) and ``phases`` (populated whether or not
-#: tracing is on, so a cached blob is byte-identical either way).
-CACHE_FORMAT_VERSION = 5
+#: tracing is on, so a cached blob is byte-identical either way).  v6:
+#: PolicyRun is pickled with its ``records`` (the per-job rows), and
+#: SimulationResult no longer carries a list of ``Job`` objects.
+CACHE_FORMAT_VERSION = 6
 
 #: Version folded into :func:`task_cache_key`.  Kept at 3 through the
-#: v4/v5 payload bumps *on purpose*: the key encoding did not change, so
+#: v4-v6 payload bumps *on purpose*: the key encoding did not change, so
 #: sweeps keep hitting cache entries written by pre-analytics/pre-telemetry
 #: versions.  Bump only when the key inputs themselves change meaning.
 CACHE_KEY_VERSION = 3
@@ -461,19 +463,19 @@ class SweepRunner:
         """Publish one cache entry; ``(blob digest, store-phase timings)``."""
         if key is None or self.store is None:
             return None, {}
-        records = run.records
+        kwargs = _canonical_kwargs(task.kwargs)
         recorder = run.trace
-        if records is not None or recorder is not None:
-            # Records and traces are published as their own blobs (below);
-            # the run payload is pickled without them so a cached run blob
-            # stays byte-identical whether or not analytics/trace was on.
-            run = replace(run, records=None, trace=None)
+        if recorder is not None:
+            # The trace is published as its own blob (below); the run
+            # payload is pickled without it so a cached run blob stays
+            # byte-identical whether or not tracing was on.
+            run = replace(run, trace=None)
         payload = {
             "format": CACHE_FORMAT_VERSION,
             "key": task.resolved_key(),
             "policy": task.policy,
             "seed": task.resolved_seed(),
-            "kwargs": _canonical_kwargs(task.kwargs),
+            "kwargs": kwargs,
             "workload": task.workload.name,
             "run": run,
         }
@@ -495,10 +497,13 @@ class SweepRunner:
         put_started = time.perf_counter()
         self.store.put(key, enveloped)
         phases["store_put"] = time.perf_counter() - put_started
-        if records is not None:
-            records.meta.setdefault("task_key", task.resolved_key())
-            records.meta.setdefault("kwargs", _canonical_kwargs(task.kwargs))
-            publish_run_records(self.store, key, records, run_digest=digest)
+        if task.analytics:
+            records = run.records
+            # The sweep coordinates let a store-wide query filter and group.
+            meta = {"task_key": task.resolved_key(), "kwargs": kwargs, **records.meta}
+            publish_run_records(
+                self.store, key, replace(records, meta=meta), run_digest=digest
+            )
         if recorder is not None:
             publish_trace(
                 self.store,

@@ -8,12 +8,15 @@
   binning behind Figures 4–6;
 * :mod:`repro.metrics.timeseries` — per-day average slowdown and per-day
   malleable-job counts (Figure 7);
-* :mod:`repro.metrics.energy` — the linear node power model and the
-  real-run workload energy (Figure 9's energy metric).
+* :mod:`repro.metrics.energy` — the linear node power model behind the
+  energy figures.
+
+The per-job reports (heatmaps, daily series) take the
+:data:`~repro.metrics.streaming.JOB_RECORD_DTYPE` rows a run folds.
 """
 
 from repro.metrics.aggregates import WorkloadMetrics, compute_metrics
-from repro.metrics.energy import LinearPowerModel, workload_energy
+from repro.metrics.energy import LinearPowerModel
 from repro.metrics.heatmap import CategoryGrid, category_heatmap, heatmap_ratio
 from repro.metrics.streaming import ChunkedFloatBuffer, StreamingMetrics
 from repro.metrics.timeseries import daily_malleable_counts, daily_slowdown
@@ -29,5 +32,4 @@ __all__ = [
     "daily_malleable_counts",
     "daily_slowdown",
     "heatmap_ratio",
-    "workload_energy",
 ]

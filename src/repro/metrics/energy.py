@@ -12,17 +12,14 @@ default is the standard linear model
 with ``u`` the fraction of the node's CPUs doing useful work.  The
 simulator integrates it online from assigned CPUs
 (:meth:`repro.metrics.streaming.StreamingMetrics.energy_joules`);
-:func:`workload_energy` recomputes it post hoc for the real-run emulation,
-weighting ``u`` by each application's CPU utilisation
-(:mod:`repro.core.profiles`).
+:func:`repro.realrun.energy.real_run_energy` recomputes it from a run's
+record rows for the real-run emulation, weighting each job's CPU-seconds
+by its application's CPU utilisation (:mod:`repro.core.profiles`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
-
-from repro.simulator.job import Job
 
 
 @dataclass
@@ -43,40 +40,3 @@ class LinearPowerModel:
             raise ValueError("peak_watts must be >= idle_watts")
         if self.idle_watts < 0:
             raise ValueError("idle_watts must be non-negative")
-
-
-def workload_energy(
-    jobs: Iterable[Job],
-    num_nodes: int,
-    cpus_per_node: int,
-    power_model: Optional[LinearPowerModel] = None,
-    utilization_of: Optional[callable] = None,
-) -> float:
-    """Recompute a run's energy from the completed jobs' resource histories.
-
-    Used for the real-run emulation, where a job's *effective* CPU
-    utilisation depends on its application model (pass
-    ``utilization_of(job) -> float`` to scale the assigned CPUs
-    accordingly).
-
-    Energy = idle power of all nodes over the makespan + the dynamic part
-    integrated from every job's per-slot CPU assignment.
-    """
-    model = power_model or LinearPowerModel()
-    done = [j for j in jobs if j.end_time is not None and j.start_time is not None]
-    if not done:
-        return 0.0
-    first = min(j.submit_time for j in done)
-    last = max(j.end_time for j in done)
-    span = max(0.0, last - first)
-    idle_energy = num_nodes * model.idle_watts * span
-    per_cpu_dynamic = (model.peak_watts - model.idle_watts) / cpus_per_node
-    dynamic_energy = 0.0
-    for job in done:
-        factor = 1.0 if utilization_of is None else max(0.0, min(1.0, utilization_of(job)))
-        for slot in job.resource_history:
-            duration = slot.duration
-            if duration <= 0 or duration != duration or duration == float("inf"):
-                continue
-            dynamic_energy += per_cpu_dynamic * slot.total_cpus * duration * factor
-    return idle_energy + dynamic_energy

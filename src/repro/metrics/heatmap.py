@@ -6,7 +6,8 @@ per category, the *ratio* between the static backfill value and the
 SD-Policy value of a metric (slowdown, runtime, wait time) — values above
 1.0 mean SD-Policy improved the category.
 
-:func:`category_heatmap` builds the per-category averages for one run;
+:func:`category_heatmap` builds the per-category averages for one run from
+its :data:`~repro.metrics.streaming.JOB_RECORD_DTYPE` rows;
 :func:`heatmap_ratio` divides two grids cell by cell.
 """
 
@@ -14,11 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
-
-from repro.simulator.job import Job
 
 #: Default node-count bin upper edges (inclusive), paper-style powers of two.
 DEFAULT_NODE_BINS: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 1 << 20)
@@ -97,51 +96,40 @@ class CategoryGrid:
         return rows
 
 
-def _bin_index(value: float, edges: Sequence[float]) -> int:
-    for i, edge in enumerate(edges):
-        if value <= edge:
-            return i
-    return len(edges) - 1
+#: The metrics a heatmap can average; each is the record column of that name.
+METRICS = ("slowdown", "runtime", "wait", "response")
+
+
+def _bin_indices(values: np.ndarray, edges: Sequence[float]) -> np.ndarray:
+    """Index of the first edge each value is at or below (the last bin
+    takes values beyond every edge)."""
+    return np.minimum(np.searchsorted(np.asarray(edges), values), len(edges) - 1)
 
 
 def category_heatmap(
-    jobs: Iterable[Job],
+    rows: np.ndarray,
     metric: str = "slowdown",
     node_edges: Sequence[int] = DEFAULT_NODE_BINS,
     runtime_edges: Sequence[float] = DEFAULT_RUNTIME_BINS,
-    value_fn: Optional[Callable[[Job], float]] = None,
 ) -> CategoryGrid:
     """Average a per-job metric over (requested nodes × runtime) categories.
 
-    ``metric`` may be ``"slowdown"``, ``"runtime"``, ``"wait"`` or
-    ``"response"``; alternatively pass an explicit ``value_fn``.
-    Categories are defined by the job's *requested* node count and its
-    *static* runtime, so the same job lands in the same cell under every
-    policy — a prerequisite for the ratio plots.
+    ``rows`` are a run's record rows and ``metric`` is one of
+    :data:`METRICS`.  Categories are defined by the job's *requested* node
+    count and its *static* runtime, so the same job lands in the same cell
+    under every policy — a prerequisite for the ratio plots.  Each cell
+    sums its jobs in row order.
     """
-    extractors: Dict[str, Callable[[Job], float]] = {
-        "slowdown": lambda j: j.slowdown,
-        "runtime": lambda j: j.actual_runtime,
-        "wait": lambda j: j.wait_time,
-        "response": lambda j: j.response_time,
-    }
-    if value_fn is None:
-        if metric not in extractors:
-            raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(extractors)}")
-        value_fn = extractors[metric]
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(METRICS)}")
     shape = (len(node_edges), len(runtime_edges))
-    sums = np.zeros(shape)
-    counts = np.zeros(shape, dtype=int)
-    for job in jobs:
-        if job.end_time is None:
-            continue
-        i = _bin_index(job.requested_nodes, node_edges)
-        j = _bin_index(job.static_runtime, runtime_edges)
-        value = value_fn(job)
-        if value is None:
-            continue
-        sums[i, j] += value
-        counts[i, j] += 1
+    cells = (
+        _bin_indices(rows["requested_nodes"], node_edges) * shape[1]
+        + _bin_indices(rows["static_runtime"], runtime_edges)
+    )
+    size = shape[0] * shape[1]
+    counts = np.bincount(cells, minlength=size).reshape(shape)
+    sums = np.bincount(cells, weights=rows[metric], minlength=size).reshape(shape)
     values = np.full(shape, np.nan)
     mask = counts > 0
     values[mask] = sums[mask] / counts[mask]

@@ -7,10 +7,9 @@
   :meth:`repro.simulator.simulation.Simulation.result` uses),
   malleable/mate counters, and the CPU-second integral behind the energy
   figure — and
-* one fixed-width :data:`JOB_RECORD_DTYPE` row per job (~115 bytes instead
-  of a retained :class:`~repro.simulator.job.Job` object with its resource
-  history and per-node CPU maps), in completion order, in a chunked
-  buffer.
+* one fixed-width :data:`JOB_RECORD_DTYPE` row per job (~115 bytes, where
+  a :class:`~repro.simulator.job.Job` object holds its resource history and
+  per-node CPU maps), in completion order, in a chunked buffer.
 
 The rows hold the derived metric values (response, wait, slowdown, bounded
 slowdown, runtime, CPU-seconds) as exact ``float64`` numbers.  That is what
@@ -21,10 +20,10 @@ pairwise summation is *not* reproducible from a running scalar sum, but the
 same NumPy calls over the same values in the same order are.  The property
 suite asserts this on every workload preset.
 
-The rows are also the analytics layer's per-job records
-(:class:`repro.analytics.records.RunRecords` wraps :meth:`records`), so a
-run with and without ``--analytics`` folds identically; the flag only
-decides whether the rows are published.
+The rows are the only per-job result of a run: the simulation drops each
+job after its fold, :class:`repro.analytics.records.RunRecords` wraps
+:meth:`records` for the run, and the per-job reports (Figures 4-7 and 9)
+read them.
 """
 
 from __future__ import annotations
@@ -74,9 +73,9 @@ class ChunkedFloatBuffer:
 
     Chunks double from ``min_chunk`` up to ``max_chunk`` entries, so tiny
     runs stay tiny while million-entry runs amortise allocation; the full
-    array (for NumPy reductions) is materialised only on request.  Entries
-    are ``float64`` unless ``dtype`` says otherwise (a structured dtype
-    takes one tuple per entry).
+    array (for NumPy reductions) is materialised only on request, and then
+    replaces the chunks.  Entries are ``float64`` unless ``dtype`` says
+    otherwise (a structured dtype takes one tuple per entry).
     """
 
     __slots__ = ("_chunks", "_current", "_fill", "_min_chunk", "_max_chunk", "_dtype")
@@ -112,23 +111,31 @@ class ChunkedFloatBuffer:
         self._fill += 1
 
     def as_array(self) -> np.ndarray:
-        """The buffered values, in append order, as one contiguous array."""
-        parts = list(self._chunks)
+        """The buffered values, in append order, as one contiguous array.
+
+        The chunks are folded into the returned array, which becomes the
+        buffer's only chunk: later calls return the same object until the
+        next append, and the unused tail of the last chunk is freed.
+        """
+        chunks = self._chunks
         if self._current is not None and self._fill:
-            parts.append(self._current[: self._fill])
-        if not parts:
-            return np.empty(0, dtype=self._dtype)
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
+            chunks.append(self._current[: self._fill])
+        self._current = None
+        self._fill = 0
+        if len(chunks) != 1 or chunks[0].base is not None:
+            # A lone chunk that is a view of a partly filled one is copied.
+            chunks[:] = [
+                np.concatenate(chunks) if chunks else np.empty(0, dtype=self._dtype)
+            ]
+        return chunks[0]
 
 
 class StreamingMetrics:
     """Online accumulator of every aggregate the paper reports.
 
     ``fold(job)`` must be called exactly once per completed job, in
-    completion order (the order ``Simulation.completed`` would have); all
-    derived quantities are then available without the job objects.
+    completion order; all derived quantities are then available without
+    the job objects.
     """
 
     #: Bounded-slowdown threshold, matching ``compute_metrics``.

@@ -7,8 +7,8 @@ pass over the pending queue; the scheduler starts jobs through the driver's
 allocation primitives, which also maintain each job's resource history and
 the cluster-wide energy integration.  Each job that ends is folded once
 into :class:`repro.metrics.streaming.StreamingMetrics` (the run's
-aggregates and its per-job record rows), then kept or dropped according
-to ``retain_jobs``.
+aggregates and its per-job record rows) and then dropped: the record rows
+are the only per-job result of a run.
 
 The driver is policy-agnostic.  The static backfill baseline and the
 malleable co-scheduling family (SD-Policy, UB-Policy) are plugged in
@@ -40,11 +40,10 @@ class SimulationResult:
 
     The headline aggregates the paper reports (makespan, average response
     time, average slowdown, energy) come from the simulation's
-    :class:`~repro.metrics.streaming.StreamingMetrics` fold, so they are
-    the same whether or not the per-job detail in :attr:`jobs` was retained.
+    :class:`~repro.metrics.streaming.StreamingMetrics` fold; the per-job
+    detail is in that fold's record rows.
     """
 
-    jobs: List[Job]
     makespan: float
     avg_response_time: float
     avg_slowdown: float
@@ -55,21 +54,17 @@ class SimulationResult:
     scheduler_name: str
     total_events: int
     # Run-level first submission time — the makespan origin.  Downstream
-    # metrics must anchor at this value rather than re-deriving it from
-    # ``jobs`` (which drifts when the earliest-submitted job never finished).
+    # metrics must anchor at this value rather than re-deriving it from the
+    # completed jobs (which drifts when the earliest-submitted job never
+    # finished).
     first_submit: float = 0.0
-    # Completed-job count, independent of whether jobs were retained.  With
-    # ``retain_jobs=False`` the :attr:`jobs` list is empty but this still
-    # reports the true count.
-    completed_jobs: Optional[int] = None
+    completed_jobs: int = 0
     extra: dict = field(default_factory=dict)
 
     @property
     def num_jobs(self) -> int:
         """Number of completed jobs in the run."""
-        if self.completed_jobs is not None:
-            return self.completed_jobs
-        return len(self.jobs)
+        return self.completed_jobs
 
 
 class Simulation:
@@ -93,15 +88,6 @@ class Simulation:
         :class:`repro.metrics.energy.LinearPowerModel`); energy is idle
         power over the makespan plus dynamic power per assigned CPU-second.
         Pass ``None`` to disable energy accounting.
-    retain_jobs:
-        Every job is folded once, at completion, into :attr:`streaming`
-        (its scalar sums and one per-job record row).  If True (default)
-        the completed :class:`Job` objects are also kept in
-        :attr:`completed` and returned in ``result().jobs``.  If False each
-        job is discarded after the fold, so memory holds one record row per
-        job instead of the full per-job state; the aggregates and records
-        are unchanged, but per-job post-processing (heatmaps, daily series)
-        is unavailable.
     trace:
         Optional :class:`repro.telemetry.TraceRecorder`.  When set, the
         driver (and the schedulers, via ``sim.trace``) emit typed decision
@@ -123,7 +109,6 @@ class Simulation:
         scheduler,
         runtime_model=None,
         power_model=_DEFAULT_POWER_MODEL,
-        retain_jobs: bool = True,
         trace=None,
     ) -> None:
         self.cluster = cluster
@@ -138,16 +123,14 @@ class Simulation:
         if power_model is Simulation._DEFAULT_POWER_MODEL:
             power_model = LinearPowerModel()
         self.power_model = power_model
-        self.retain_jobs = retain_jobs
 
         self.events = EventQueue()
         self.pending = PendingQueue()
+        #: Submitted jobs that have not completed yet, by id.
         self.jobs: Dict[int, Job] = {}
         self.running: Dict[int, Job] = {}
-        self.completed: List[Job] = []
         #: The one per-job fold: aggregates and record rows, folded at
-        #: completion (always in sync with :attr:`completed`, and the only
-        #: record when ``retain_jobs=False``).
+        #: completion, in completion order.
         self.streaming = StreamingMetrics()
 
         self.now: float = 0.0
@@ -451,13 +434,10 @@ class Simulation:
             )
             self.trace.emit("job_end", self.now, job=job.job_id, wait=wait)
         self.streaming.fold(job)
-        if self.retain_jobs:
-            self.completed.append(job)
         if hasattr(self.scheduler, "on_job_end"):
             self.scheduler.on_job_end(self, job)
-        if not self.retain_jobs:
-            # Folded; drop the per-job state (resource history, CPU maps).
-            del self.jobs[job_id]
+        # Folded; drop the per-job state (resource history, CPU maps).
+        del self.jobs[job_id]
 
     def step(self) -> bool:
         """Process the next batch of simultaneous events; returns False when done."""
@@ -515,7 +495,7 @@ class Simulation:
         power of every assigned CPU-second, integrated by :attr:`streaming`
         from the completed jobs' resource histories.  It is therefore
         unaffected by stale end events left in the heap after
-        reconfigurations, and identical with and without ``retain_jobs``.
+        reconfigurations.
         """
         if self.power_model is None:
             return 0.0
@@ -529,12 +509,7 @@ class Simulation:
         )
 
     def result(self) -> SimulationResult:
-        """Build the :class:`SimulationResult` for the jobs completed so far.
-
-        With ``retain_jobs=False`` the aggregates come from the streaming
-        accumulator — same values, same summation order — and ``jobs`` is
-        empty (``completed_jobs`` still carries the true count).
-        """
+        """Build the :class:`SimulationResult` for the jobs completed so far."""
         first_submit = self._first_submit if self._first_submit is not None else 0.0
         scheduler_name = getattr(self.scheduler, "name", type(self.scheduler).__name__)
         s = self.streaming
@@ -547,7 +522,6 @@ class Simulation:
         else:
             avg_resp = avg_sd = avg_wait = 0.0
         return SimulationResult(
-            jobs=list(self.completed),
             makespan=makespan,
             avg_response_time=avg_resp,
             avg_slowdown=avg_sd,

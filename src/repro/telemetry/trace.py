@@ -6,7 +6,8 @@ non-finite floats mapped to the string tokens ``"inf"``/``"-inf"``/
 ``"nan"``).  Canonical encoding plus the rule that **only simulation-time
 facts go into the blob** (wall-clock phase timings live in the trace
 manifest) makes a trace byte-deterministic: the same spec and seed yield
-the identical blob from serial, sharded, and ``retain_jobs=False`` runs.
+the identical blob from serial and sharded runs, with or without
+``--analytics``.
 
 Storage is the :data:`TRACE` run attachment (:mod:`repro.store.attachments`),
 so tracing never splits or invalidates the run cache.

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from typing import Iterator, List
 
+import numpy as np
 import pytest
 
 from repro.core.sd_policy import SDPolicyConfig, SDPolicyScheduler
+from repro.metrics.streaming import StreamingMetrics
 from repro.schedulers.backfill import BackfillScheduler
 from repro.simulator.cluster import Cluster
 from repro.simulator.job import Job
@@ -93,6 +97,35 @@ def record_factory():
         )
 
     return _make
+
+
+@contextmanager
+def completed_jobs() -> Iterator[List[Job]]:
+    """Collect every job the simulations inside the block fold, in
+    completion order, by wrapping ``StreamingMetrics.fold``.
+
+    A simulation drops each job after its fold; tests that check per-job
+    state (resource histories, the ``compute_metrics`` oracle) read the
+    jobs from here.
+    """
+    jobs: List[Job] = []
+    fold = StreamingMetrics.fold
+
+    def recording_fold(self, job: Job) -> None:
+        fold(self, job)
+        jobs.append(job)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StreamingMetrics, "fold", recording_fold)
+        yield jobs
+
+
+def rows_of(jobs) -> np.ndarray:
+    """The record rows of finished jobs, folded in the given order."""
+    streaming = StreamingMetrics()
+    for job in jobs:
+        streaming.fold(job)
+    return streaming.records()
 
 
 def run_simulation(cluster: Cluster, scheduler, jobs, **kwargs):

@@ -11,6 +11,7 @@ from repro.analysis.figures import render_bar_chart, render_heatmap, render_seri
 from repro.analysis.tables import format_table, metrics_table
 from repro.metrics.aggregates import compute_metrics
 from repro.metrics.heatmap import category_heatmap
+from tests.conftest import rows_of
 from tests.test_metrics import finished_job
 
 
@@ -78,7 +79,7 @@ class TestFigures:
         assert "(no data)" in render_bar_chart({}, title="empty")
 
     def test_heatmap_render_skips_empty_rows(self):
-        grid = category_heatmap([finished_job(1, nodes=1, runtime=100.0)])
+        grid = category_heatmap(rows_of([finished_job(1, nodes=1, runtime=100.0)]))
         text = render_heatmap(grid, title="hm")
         assert "hm" in text
         assert "1 nodes" in text

@@ -81,14 +81,12 @@ def _run_on(workload, name, runner, **overrides):
 # --------------------------------------------------------------------- #
 class TestRecordsRoundTrip:
     def test_sink_captures_every_completed_job(self, workload):
-        run = run_workload(workload, "sd_policy", analytics=True,
-                           max_slowdown=10.0)
-        assert run.records is not None
+        run = run_workload(workload, "sd_policy", max_slowdown=10.0)
         assert len(run.records.array) == run.result.num_jobs
         assert run.records.array.dtype == JOB_RECORD_DTYPE
 
     def test_bytes_round_trip_is_exact(self, workload):
-        run = run_workload(workload, "static_backfill", analytics=True)
+        run = run_workload(workload, "static_backfill")
         blob = run.records.to_bytes()
         back = RunRecords.from_bytes(blob)
         assert back.schema == RECORD_SCHEMA_VERSION
@@ -96,25 +94,18 @@ class TestRecordsRoundTrip:
         assert np.array_equal(back.array, run.records.array)
 
     def test_truncated_blob_rejected(self, workload):
-        run = run_workload(workload, "static_backfill", analytics=True)
+        run = run_workload(workload, "static_backfill")
         blob = run.records.to_bytes()
         with pytest.raises(ValueError):
             RunRecords.from_bytes(blob[: len(blob) // 2])
         with pytest.raises(ValueError):
             RunRecords.from_bytes(b"\x00" * 4)
 
-    def test_streamed_and_retained_runs_record_identically(self, workload):
-        kept = run_workload(workload, "sd_policy", analytics=True,
-                            max_slowdown=10.0)
-        streamed = run_workload(workload, "sd_policy", analytics=True,
-                                retain_jobs=False, max_slowdown=10.0)
-        assert np.array_equal(kept.records.array, streamed.records.array)
-
 
 #: SHA-256 of ``RunRecords.to_bytes()`` for paper workload 4 at scale 0.005
 #: (all malleable), recorded while the records were still built by a second
-#: fold beside the metrics one.  Each digest holds for the retained and the
-#: streamed run alike.
+#: fold beside the metrics one, and while runs could still keep their
+#: ``Job`` objects (each digest held with and without them).
 RECORDS_DIGESTS = {
     "sd_maxsd10": "68dd3f238be090e3d33d43a4e189fcb4d7c2fa50ba05240eb1c0dd5d0429efe9",
     "sd_dynavgsd": "f4623fa0d2172ad7ef0f05d09c49ee2d907d47577e13627c15154f6989751dbd",
@@ -137,18 +128,14 @@ def _pinned_runs():
     }
 
 
-@pytest.mark.parametrize("retain_jobs", [True, False])
-def test_records_are_byte_identical_to_the_pinned_digests(retain_jobs):
+def test_records_are_byte_identical_to_the_pinned_digests():
     for name, (workload, kwargs) in _pinned_runs().items():
-        run = run_workload(
-            workload, malleable_fraction=1.0, analytics=True, retain_jobs=retain_jobs,
-            **kwargs,
-        )
+        run = run_workload(workload, malleable_fraction=1.0, **kwargs)
         digest = hashlib.sha256(run.records.to_bytes()).hexdigest()
-        assert digest == RECORDS_DIGESTS[name], (name, retain_jobs)
+        assert digest == RECORDS_DIGESTS[name], name
 
 
-def test_analytics_flag_only_decides_what_is_returned(monkeypatch):
+def test_records_are_the_rows_the_metrics_read(monkeypatch):
     sims = []
 
     class Recorded(Simulation):
@@ -158,25 +145,31 @@ def test_analytics_flag_only_decides_what_is_returned(monkeypatch):
 
     monkeypatch.setattr("repro.experiments.runner.Simulation", Recorded)
     workload, kwargs = _pinned_runs()["sd_maxsd10"]
-    plain = run_workload(workload, malleable_fraction=1.0, **kwargs)
-    analysed = run_workload(workload, malleable_fraction=1.0, analytics=True, **kwargs)
-    assert plain.records is None
-    assert plain.metrics == analysed.metrics
-    # Both runs folded the same rows; only the analytics run returns them.
-    assert np.array_equal(sims[0].streaming.records(), analysed.records.array)
+    run = run_workload(workload, malleable_fraction=1.0, **kwargs)
+    # One concatenation of the fold's rows serves the metrics and the records.
+    assert run.records.array is sims[0].streaming.records()
+    assert sims[0].jobs == {}  # no Job object outlives the simulation
 
 
 class TestAggregateBitIdentity:
     """Satellite: metrics recomputed from persisted records are bit-identical
-    to both metric paths (``compute_metrics`` over retained jobs, and
-    ``StreamingMetrics`` folds) for every paper preset."""
+    to the run's own metrics (the ``StreamingMetrics`` fold, itself pinned
+    to the ``compute_metrics`` oracle) for every paper preset, whether the
+    records come from a fresh run or from the run a cache hit unpickles."""
 
     @pytest.mark.parametrize("preset", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("retain_jobs", [True, False])
-    def test_presets_round_trip_bit_identical(self, preset, retain_jobs):
+    @pytest.mark.parametrize("from_cache", [True, False])
+    def test_presets_round_trip_bit_identical(self, preset, from_cache):
         wl = build_workload(preset, scale=0.02, seed=preset)
-        run = run_workload(wl, "sd_policy", analytics=True,
-                           retain_jobs=retain_jobs, max_slowdown=10.0)
+        task = SweepTask(workload=wl, policy="sd_policy", key="sd", seed=0,
+                         kwargs={"max_slowdown": 10.0})
+        store = MemoryStore()
+        run = SweepRunner(max_workers=1, store=store).run([task])["sd"]
+        if from_cache:
+            cached = SweepRunner(max_workers=1, store=store).run([task])
+            assert cached.cache_hits == 1
+            assert np.array_equal(cached["sd"].records.array, run.records.array)
+            run = cached["sd"]
         revived = RunRecords.from_bytes(run.records.to_bytes())
         assert metrics_from_records(revived).as_dict() == run.metrics.as_dict()
 
@@ -193,7 +186,7 @@ class TestAggregateBitIdentity:
 class TestAnalyticsStore:
     def test_publish_and_load(self, workload):
         store = MemoryStore()
-        run = run_workload(workload, "static_backfill", analytics=True)
+        run = run_workload(workload, "static_backfill")
         publish_run_records(store, "a" * 16, run.records)
         back = load_run_records(store, "a" * 16)
         assert np.array_equal(back.array, run.records.array)
@@ -203,23 +196,35 @@ class TestAnalyticsStore:
             load_run_records(MemoryStore(), "b" * 16)
 
     def test_sweep_publishes_records_and_run_blob_stays_plain(self, workload):
-        """The cached run payload carries no records either way: they live
-        in their own blob, so plain and analytics runners share entries."""
+        """The cached run payload is the same either way: it carries the
+        run's record rows, and an analytics runner also publishes them as
+        their own blob, so plain and analytics runners share entries."""
         task = SweepTask(workload=workload, policy="static_backfill",
                          key="plain", seed=0)
         plain_store, analytics_store = MemoryStore(), MemoryStore()
-        SweepRunner(max_workers=1, store=plain_store).run([task])
+        fresh = SweepRunner(max_workers=1, store=plain_store).run([task])["plain"]
         SweepRunner(max_workers=1, store=analytics_store, analytics=True).run([task])
         key = task_cache_key(task)
         for store in (plain_store, analytics_store):
             payload = pickle.loads(unwrap_blob(store.get(key))[0])
             assert payload["format"] == CACHE_FORMAT_VERSION
-            assert getattr(payload["run"], "records", None) is None
-        assert analytics_store.get(RECORDS.key(key)) is not None
+            assert np.array_equal(payload["run"].records.array, fresh.records.array)
+        published = load_run_records(analytics_store, key)
+        assert np.array_equal(published.array, fresh.records.array)
         assert plain_store.get(RECORDS.key(key)) is None
         # A plain runner consumes the analytics runner's entry as a hit.
         rerun = SweepRunner(max_workers=1, store=analytics_store).run([task])
         assert rerun.cache_hits == 1
+        assert np.array_equal(rerun["plain"].records.array, fresh.records.array)
+
+    def test_cached_run_blob_holds_no_job_objects(self, workload):
+        task = SweepTask(workload=workload, policy="sd_policy", key="sd", seed=0,
+                         kwargs={"max_slowdown": 10.0})
+        store = MemoryStore()
+        SweepRunner(max_workers=1, store=store).run([task])
+        payload = unwrap_blob(store.get(task_cache_key(task)))[0]
+        assert b"repro.simulator.job" not in payload
+        assert b"repro.analytics.records" in payload
 
     def test_analytics_requires_store(self):
         with pytest.raises(ValueError, match="result store"):
@@ -232,13 +237,13 @@ class TestFormatCompatibility:
     ordinary miss, re-executed and overwritten at the current format."""
 
     def test_version_constants(self):
-        assert CACHE_FORMAT_VERSION == 5
+        assert CACHE_FORMAT_VERSION == 6
         assert CACHE_KEY_VERSION == 3  # key encoding unchanged: old blobs resolve
         assert MANIFEST_FORMAT_VERSION == 5
 
     def test_pre_analytics_blob_still_hits(self, workload):
         """No longer a hit: the format-3 blob is a miss (not a corruption)
-        and is rewritten at format 5."""
+        and is rewritten at format 6."""
         task = SweepTask(workload=workload, policy="static_backfill",
                          key="legacy", seed=0)
         run = run_workload(workload, "static_backfill", seed=task.resolved_seed())
@@ -265,7 +270,7 @@ class TestFormatCompatibility:
         assert result.cache_corruptions == 0
         assert result["legacy"].metrics.as_dict() == run.metrics.as_dict()
         rewritten = pickle.loads(unwrap_blob(store.get(key))[0])
-        assert rewritten["format"] == CACHE_FORMAT_VERSION == 5
+        assert rewritten["format"] == CACHE_FORMAT_VERSION == 6
 
 
 # --------------------------------------------------------------------- #
@@ -338,6 +343,17 @@ class TestQuery:
             store, "fig7", workload=workload, max_slowdown=10.0
         )
         assert regenerated == render_report(result)
+
+    @pytest.mark.parametrize("name, scale", [("figure4-6", 0.005), ("figure9", 0.05)])
+    def test_builtin_per_job_report_is_byte_identical(self, name, scale):
+        """Figures 4-6 and 9 read per-job rows; query renders them from the
+        stored records alone, from the spec ``scenario NAME`` builds."""
+        store = MemoryStore()
+        spec = builtin_scenario(name, scale=scale, seed=3)
+        live = run_scenario(spec, runner=SweepRunner(max_workers=1, store=store,
+                                                     analytics=True))
+        regenerated = render_stored_report(store, name, scale=scale, seed=3)
+        assert regenerated == render_report(live)
 
     def test_sharded_merge_then_query_is_byte_identical(self, workload):
         """Acceptance: two analytics shards through one shared store, merged,

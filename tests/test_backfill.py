@@ -17,7 +17,7 @@ def _run(scheduler, jobs, nodes=4, cpus=8):
     sim.submit_jobs(jobs)
     result = sim.run()
     cluster.validate()
-    return {j.job_id: j for j in result.jobs}, result
+    return {j.job_id: j for j in jobs}, result
 
 
 class TestFCFS:
@@ -118,8 +118,9 @@ class TestBackfill:
     def test_all_allocations_whole_node_and_exclusive(self, tiny_workload):
         cluster = Cluster(num_nodes=16, sockets=2, cores_per_socket=4)
         sim = Simulation(cluster, BackfillScheduler())
-        sim.submit_jobs(tiny_workload.to_jobs(cpus_per_node=8))
-        result = sim.run()
-        for job in result.jobs:
+        jobs = tiny_workload.to_jobs(cpus_per_node=8)
+        sim.submit_jobs(jobs)
+        sim.run()
+        for job in jobs:
             for slot in job.resource_history:
                 assert all(cpus == 8 for cpus in slot.cpus_per_node.values())

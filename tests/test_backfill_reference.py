@@ -84,15 +84,15 @@ def counting_probes():
         ReservationMap.earliest_start = production
 
 
-def simulate(scheduler, num_nodes, jobs):
+def simulate(scheduler, num_nodes, jobs, cluster=None):
     """Decisions of one traced run, and the number of profile probes made."""
     trace = TraceRecorder()
-    sim = Simulation(Cluster(num_nodes=num_nodes, sockets=2, cores_per_socket=4), scheduler,
-                     trace=trace)
+    cluster = cluster or Cluster(num_nodes=num_nodes, sockets=2, cores_per_socket=4)
+    sim = Simulation(cluster, scheduler, trace=trace)
     sim.submit_jobs(jobs)
     with counting_probes() as probes:
-        result = sim.run()
-    starts = {job.job_id: (job.start_time, job.allocated_nodes) for job in result.jobs}
+        sim.run()
+    starts = {job.job_id: (job.start_time, job.allocated_nodes) for job in jobs}
     return starts, trace.to_bytes(), probes[0]
 
 
@@ -135,16 +135,16 @@ def test_static_pass_decides_like_the_reference(run):
     assert probes <= ref_probes
 
 
-def _workload_decisions(policy, workload):
-    with counting_probes() as probes:
-        run = runner.run_workload(workload, policy=policy, malleable_fraction=1.0, trace=True)
-    starts = {job.job_id: (job.start_time, job.allocated_nodes) for job in run.jobs}
-    return starts, run.trace.to_bytes(), probes[0]
+def _workload_decisions(scheduler, workload):
+    """``simulate`` on the cluster and jobs ``run_workload`` would build."""
+    cluster = runner.cluster_for(workload)
+    jobs = workload.to_jobs(cpus_per_node=cluster.cpus_per_node, malleable_fraction=1.0)
+    return simulate(scheduler, cluster.num_nodes, jobs, cluster=cluster)
 
 
 def test_paper_workload_decides_like_the_reference():
     workload = build_workload(4, scale=0.02)
-    starts, trace, probes = _workload_decisions("static_backfill", workload)
+    starts, trace, probes = _workload_decisions(BackfillScheduler(), workload)
     ref_starts, ref_trace, ref_probes = _workload_decisions(ReferenceBackfill(), workload)
     assert starts == ref_starts
     assert trace == ref_trace
@@ -155,7 +155,7 @@ def test_paper_workload_decides_like_the_reference():
 def test_probe_count_pinned_on_the_guard_curie_input():
     # The benchmark's guard-size curie input under static backfill.  The
     # pass that examined its whole window every time probed 20,764 times.
-    _, _, probes = _workload_decisions("static_backfill", build_workload(4, scale=0.005))
+    _, _, probes = _workload_decisions(BackfillScheduler(), build_workload(4, scale=0.005))
     assert probes == 9742
 
 

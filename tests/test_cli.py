@@ -9,6 +9,7 @@ import shlex
 import pytest
 
 from repro.cli import build_parser, main
+from repro.simulator.simulation import Simulation
 from repro.workloads.swf import write_swf
 
 
@@ -55,24 +56,30 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Improvement of SD-Policy" in out
 
-    def test_run_defaults_retain_jobs(self):
-        assert build_parser().parse_args(["run"]).retain_jobs is True
-        args = build_parser().parse_args(["run", "--no-retain-jobs"])
-        assert args.retain_jobs is False
+    def test_compare_streaming(self, capsys, monkeypatch):
+        sims = []
 
-    def test_run_streaming_matches_retained_output(self, capsys):
-        argv = ["run", "--workload", "3", "--scale", "0.01", "--maxsd", "10"]
-        assert main(argv) == 0
-        retained = capsys.readouterr().out
-        assert main(argv + ["--no-retain-jobs"]) == 0
-        streamed = capsys.readouterr().out
-        # Identical metrics table; only the wall-clock line may differ.
-        assert retained.splitlines()[:-1] == streamed.splitlines()[:-1]
+        class Recorded(Simulation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sims.append(self)
 
-    def test_compare_streaming(self, capsys):
+        monkeypatch.setattr("repro.experiments.runner.Simulation", Recorded)
         assert main(["compare", "--workload", "3", "--scale", "0.01",
-                     "--maxsd", "10", "--no-retain-jobs"]) == 0
+                     "--maxsd", "10"]) == 0
         assert "Improvement of SD-Policy" in capsys.readouterr().out
+        # Both runs dropped every job after folding it into its record row.
+        assert len(sims) == 2
+        assert all(sim.jobs == {} and sim.streaming.count > 0 for sim in sims)
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_retain_jobs_flags_are_gone(self, command, capsys):
+        # Every run keeps one record row per job; there is nothing to retain.
+        for flag in ("--retain-jobs", "--no-retain-jobs"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, flag])
+            assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_table_command(self, capsys):
         assert main(["table", "2", "--scale", "0.2"]) == 0

@@ -61,7 +61,8 @@ def tasks(workload):
 
 
 def _job_times(run):
-    return [(j.job_id, j.start_time, j.end_time) for j in run.jobs]
+    rows = run.records.array
+    return list(zip(rows["job_id"].tolist(), rows["start"].tolist(), rows["end"].tolist()))
 
 
 class TestParseShard:

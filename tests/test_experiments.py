@@ -115,7 +115,7 @@ class TestFigureExperiments:
         assert rows, "expected at least one day of data"
         assert {"day", "static_slowdown", "sd_slowdown", "malleable_jobs"} <= set(rows[0])
         sd = outcome.cells[0].run
-        assert 0.0 <= sd.metrics.malleable_scheduled / max(1, len(sd.jobs)) <= 1.0
+        assert 0.0 <= sd.metrics.malleable_scheduled / max(1, len(sd.records.array)) <= 1.0
 
     def test_runtime_model_experiment(self, workload):
         spec = builtin_scenario("figure8", max_slowdown="dynamic")

@@ -18,6 +18,7 @@ from repro.metrics.aggregates import compute_metrics
 from repro.simulator.job import JobState
 from repro.simulator.simulation import Simulation
 from repro.workloads.cirne import CirneWorkloadModel
+from tests.conftest import completed_jobs
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +31,9 @@ def workload():
 
 
 @pytest.fixture(scope="module")
-def runs(workload):
-    """Run the workload under FCFS, static backfill and SD-Policy once."""
+def runs_and_jobs(workload):
+    """Run the workload under FCFS, static backfill and SD-Policy once,
+    keeping each run's completed jobs (in completion order) beside it."""
     out = {}
     for label, policy, kwargs in (
         ("fcfs", "fcfs", {}),
@@ -39,31 +41,44 @@ def runs(workload):
         ("sd_inf", "sd_policy", {"max_slowdown": math.inf}),
         ("sd_dyn", "sd_policy", {"max_slowdown": "dynamic"}),
     ):
-        out[label] = run_workload(workload, policy, runtime_model="ideal", **kwargs)
+        with completed_jobs() as jobs:
+            run = run_workload(workload, policy, runtime_model="ideal", **kwargs)
+        out[label] = (run, jobs)
     return out
 
 
+@pytest.fixture(scope="module")
+def runs(runs_and_jobs):
+    return {label: run for label, (run, _) in runs_and_jobs.items()}
+
+
+@pytest.fixture(scope="module")
+def jobs(runs_and_jobs):
+    return {label: jobs for label, (_, jobs) in runs_and_jobs.items()}
+
+
 class TestCompleteness:
-    def test_every_policy_completes_every_job(self, workload, runs):
+    def test_every_policy_completes_every_job(self, workload, runs, jobs):
         for label, run in runs.items():
             assert run.metrics.num_jobs == len(workload), label
-            assert all(j.state is JobState.COMPLETED for j in run.jobs), label
+            assert len(jobs[label]) == len(workload), label
+            assert all(j.state is JobState.COMPLETED for j in jobs[label]), label
 
     def test_wait_times_non_negative(self, runs):
         for run in runs.values():
-            assert all(j.wait_time >= 0 for j in run.jobs)
+            assert (run.records.array["wait"] >= 0).all()
 
     def test_slowdowns_at_least_one(self, runs):
         for run in runs.values():
-            assert all(j.slowdown >= 0.999 for j in run.jobs)
+            assert (run.records.array["slowdown"] >= 0.999).all()
 
     def test_static_policies_never_dilate_runtimes(self, runs):
         for label in ("fcfs", "static"):
-            for job in runs[label].jobs:
-                assert job.actual_runtime == pytest.approx(job.static_runtime, rel=1e-9)
+            rows = runs[label].records.array
+            assert rows["runtime"] == pytest.approx(rows["static_runtime"], rel=1e-9)
 
-    def test_runtime_dilation_only_for_shared_jobs(self, runs):
-        for job in runs["sd_inf"].jobs:
+    def test_runtime_dilation_only_for_shared_jobs(self, jobs):
+        for job in jobs["sd_inf"]:
             if not job.scheduled_malleable and not job.was_mate:
                 assert job.actual_runtime == pytest.approx(job.static_runtime, rel=1e-6)
 
@@ -106,30 +121,25 @@ class TestResourceConsistency:
             if steps % 200 == 0:
                 cluster.validate()
         cluster.validate()
-        assert len(sim.completed) == len(workload)
+        assert sim.result().num_jobs == len(workload)
 
-    def test_per_slot_allocations_within_node_capacity(self, runs):
-        for run in runs.values():
-            for job in run.jobs:
+    def test_per_slot_allocations_within_node_capacity(self, jobs):
+        for run_jobs in jobs.values():
+            for job in run_jobs:
                 for slot in job.resource_history:
                     assert all(0 < c <= 8 for c in slot.cpus_per_node.values())
 
     def test_ideal_model_conserves_cpu_seconds(self, runs):
         # Under the ideal execution model, a job's consumed CPU-seconds never
         # exceed its static work (assigned CPUs it cannot use are capped).
-        for job in runs["sd_inf"].jobs:
-            consumed = sum(
-                slot.total_cpus * slot.duration
-                for slot in job.resource_history
-                if math.isfinite(slot.duration)
-            )
-            static_work = job.static_runtime * job.requested_cpus
-            assert consumed <= static_work * 1.001
+        rows = runs["sd_inf"].records.array
+        static_work = rows["static_runtime"] * rows["requested_cpus"]
+        assert (rows["cpu_seconds"] <= static_work * 1.001).all()
 
-    def test_runtime_increase_matches_history_equations(self, runs):
+    def test_runtime_increase_matches_history_equations(self, jobs):
         # Cross-check the simulator's integration against Eq. 5 applied to
         # the recorded history: actual runtime == static + increase.
-        for job in runs["sd_inf"].jobs:
+        for job in jobs["sd_inf"]:
             if not job.scheduled_malleable:
                 continue
             increase = runtime_increase_from_history(job)
@@ -137,9 +147,9 @@ class TestResourceConsistency:
                 job.static_runtime + increase, rel=1e-6, abs=1e-3
             )
 
-    def test_energy_consistent_with_metrics_module(self, runs):
+    def test_energy_consistent_with_metrics_module(self, runs, jobs):
         run = runs["static"]
-        recomputed = compute_metrics(run.jobs, energy_joules=run.result.energy_joules)
+        recomputed = compute_metrics(jobs["static"], energy_joules=run.result.energy_joules)
         assert recomputed.avg_slowdown == pytest.approx(run.metrics.avg_slowdown)
         assert recomputed.makespan == pytest.approx(run.metrics.makespan)
 
@@ -149,10 +159,8 @@ class TestMixedWorkload:
         run = run_workload(workload, "sd_policy", runtime_model="ideal",
                            malleable_fraction=0.5, max_slowdown=math.inf, seed=3)
         assert run.metrics.num_jobs == len(workload)
-        non_malleable_scheduled = [
-            j for j in run.jobs if j.scheduled_malleable and not j.malleable
-        ]
-        assert non_malleable_scheduled == []
+        rows = run.records.array
+        assert not (rows["scheduled_malleable"] & (rows["malleable"] == 0)).any()
 
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"

@@ -60,13 +60,12 @@ def _run_checked(seed: int, scheduler_factory, malleable_fraction: float = 1.0):
     workload = _random_workload(seed)
     cluster = Cluster(num_nodes=workload.system_nodes, sockets=2, cores_per_socket=4)
     sim = Simulation(cluster, scheduler_factory())
-    sim.submit_jobs(
-        workload.to_jobs(
-            cpus_per_node=cluster.cpus_per_node,
-            malleable_fraction=malleable_fraction,
-            seed=seed,
-        )
+    jobs = workload.to_jobs(
+        cpus_per_node=cluster.cpus_per_node,
+        malleable_fraction=malleable_fraction,
+        seed=seed,
     )
+    sim.submit_jobs(jobs)
     last_now = sim.now
     steps = 0
     while sim.step():
@@ -82,14 +81,14 @@ def _run_checked(seed: int, scheduler_factory, malleable_fraction: float = 1.0):
         for job in sim.running.values():
             for nid, cpus in job.assigned_cpus.items():
                 assert cluster.node(nid).cpus_of(job.job_id) == cpus
-    return sim, workload
+    return sim, jobs
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("policy", sorted(_schedulers()))
 def test_conservation_and_monotonicity(seed, policy):
-    sim, workload = _run_checked(seed, _schedulers()[policy])
-    assert len(sim.completed) == len(workload), "every job must complete"
+    sim, jobs = _run_checked(seed, _schedulers()[policy])
+    assert sim.result().num_jobs == len(jobs), "every job must complete"
     # Everything released at the end.
     assert sim.cluster.used_cpus == 0
     assert sim.cluster.num_free_nodes == sim.cluster.num_nodes
@@ -97,18 +96,18 @@ def test_conservation_and_monotonicity(seed, policy):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mixed_malleability_conserves_cpus(seed):
-    sim, workload = _run_checked(
+    sim, jobs = _run_checked(
         seed,
         _schedulers()["sd_inf"],
         malleable_fraction=0.6,
     )
-    assert len(sim.completed) == len(workload)
+    assert sim.result().num_jobs == len(jobs)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_resource_history_covers_run_without_gaps(seed):
-    sim, _ = _run_checked(seed, _schedulers()["sd_inf"])
-    for job in sim.completed:
+    _, jobs = _run_checked(seed, _schedulers()["sd_inf"])
+    for job in jobs:
         assert job.state is JobState.COMPLETED
         assert job.start_time is not None and job.end_time is not None
         assert job.submit_time <= job.start_time <= job.end_time

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.metrics.aggregates import compute_metrics
-from repro.metrics.energy import LinearPowerModel, workload_energy
+from repro.metrics.energy import LinearPowerModel
 from repro.metrics.heatmap import category_heatmap, heatmap_ratio
 from repro.metrics.timeseries import daily_malleable_counts, daily_series_table, daily_slowdown
-from tests.conftest import make_job
+from repro.realrun.energy import real_run_energy
+from repro.workloads.job_record import JobRecord, Workload
+from tests.conftest import make_job, rows_of
 
 
 def finished_job(job_id=1, submit=0.0, start=10.0, runtime=100.0, nodes=1,
@@ -23,6 +26,17 @@ def finished_job(job_id=1, submit=0.0, start=10.0, runtime=100.0, nodes=1,
     job.mark_finished(start + runtime)
     job.scheduled_malleable = malleable_scheduled
     return job
+
+
+def workload_of(jobs, num_nodes, cpus_per_node):
+    """A workload holding the given jobs, each with its application."""
+    records = [
+        JobRecord(job_id=job.job_id, submit_time=job.submit_time,
+                  run_time=job.static_runtime, requested_time=job.requested_time,
+                  requested_procs=job.requested_cpus, application=job.application)
+        for job in jobs
+    ]
+    return Workload("energy", records, num_nodes, cpus_per_node)
 
 
 class TestAggregates:
@@ -94,72 +108,67 @@ class TestAggregates:
 
 
 class TestHeatmap:
-    def _jobs(self):
-        return [
+    def _rows(self):
+        return rows_of([
             finished_job(1, nodes=1, runtime=1800.0),     # small short
             finished_job(2, nodes=1, runtime=1800.0),
             finished_job(3, nodes=8, runtime=90000.0),    # large long
-        ]
+        ])
 
     def test_cells_average_per_category(self):
-        grid = category_heatmap(self._jobs(), metric="slowdown")
+        grid = category_heatmap(self._rows(), metric="slowdown")
         rows = [r for r in grid.to_rows() if r["count"] > 0]
         assert sum(r["count"] for r in rows) == 3
         assert len(rows) == 2  # two distinct categories
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
-            category_heatmap(self._jobs(), metric="nonsense")
-
-    def test_custom_value_function(self):
-        grid = category_heatmap(self._jobs(), value_fn=lambda j: 2.0)
-        values = grid.values[np.isfinite(grid.values)]
-        assert np.allclose(values, 2.0)
+            category_heatmap(self._rows(), metric="nonsense")
 
     def test_ratio_grid(self):
-        baseline = category_heatmap(self._jobs(), metric="wait")
+        baseline = category_heatmap(self._rows(), metric="wait")
         # Same jobs -> ratio 1 everywhere a category exists.
         ratio = heatmap_ratio(baseline, baseline)
         finite = ratio.values[np.isfinite(ratio.values)]
         assert np.allclose(finite, 1.0)
 
     def test_ratio_shape_mismatch_rejected(self):
-        a = category_heatmap(self._jobs(), node_edges=(1, 2))
-        b = category_heatmap(self._jobs())
+        a = category_heatmap(self._rows(), node_edges=(1, 2))
+        b = category_heatmap(self._rows())
         with pytest.raises(ValueError):
             heatmap_ratio(a, b)
 
     def test_labels_available(self):
-        grid = category_heatmap(self._jobs())
+        grid = category_heatmap(self._rows())
         assert len(grid.node_labels) == len(grid.node_edges)
         assert len(grid.runtime_labels) == len(grid.runtime_edges)
 
 
 class TestTimeSeries:
-    def _jobs(self):
+    def _rows(self):
         day = 86400.0
-        return [
+        return rows_of([
             finished_job(1, submit=0.0, start=10.0, runtime=100.0),
             finished_job(2, submit=0.5 * day, start=0.5 * day + 50, runtime=100.0),
             finished_job(3, submit=1.2 * day, start=1.2 * day + 10, runtime=100.0,
                          malleable_scheduled=True),
-        ]
+        ])
 
     def test_daily_slowdown_grouping(self):
-        series = daily_slowdown(self._jobs())
+        series = daily_slowdown(self._rows())
         assert set(series) == {0, 1}
         assert series[0] > 1.0
 
     def test_daily_malleable_counts(self):
-        counts = daily_malleable_counts(self._jobs())
+        counts = daily_malleable_counts(self._rows())
         assert counts == {1: 1}
 
     def test_empty(self):
-        assert daily_slowdown([]) == {}
-        assert daily_malleable_counts([]) == {}
+        assert daily_slowdown(rows_of([])) == {}
+        assert daily_malleable_counts(rows_of([])) == {}
 
     def test_series_table_combines_runs(self):
-        rows = daily_series_table(self._jobs(), self._jobs())
+        rows = daily_series_table(self._rows(), self._rows())
         assert [r["day"] for r in rows] == [0, 1]
         assert rows[1]["malleable_jobs"] == 1
         assert rows[0]["static_slowdown"] == pytest.approx(rows[0]["sd_slowdown"])
@@ -168,20 +177,17 @@ class TestTimeSeries:
         """Regression: runs whose earliest *completed* job differs must not
         derive shifted per-run day axes."""
         day = 86400.0
-        # The static run never completes the day-0 job (end_time None), so
-        # its own earliest completion is on day 1 of the workload.
-        unfinished = finished_job(1, submit=0.0, start=10.0, runtime=100.0)
-        unfinished.end_time = None
-        static = [
-            unfinished,
+        # The static run never completes the day-0 job, so it has no row
+        # for it: its own earliest completion is on day 1 of the workload.
+        static = rows_of([
             finished_job(2, submit=1.0 * day, start=1.0 * day + 60, runtime=100.0),
             finished_job(3, submit=2.0 * day, start=2.0 * day + 60, runtime=100.0),
-        ]
-        sd = [
+        ])
+        sd = rows_of([
             finished_job(1, submit=0.0, start=10.0, runtime=100.0),
             finished_job(2, submit=1.0 * day, start=1.0 * day + 30, runtime=100.0),
             finished_job(3, submit=2.0 * day, start=2.0 * day + 30, runtime=100.0),
-        ]
+        ])
         rows = daily_series_table(static, sd)
         by_day = {r["day"]: r for r in rows}
         # Day 0 exists only in the SD run; the static series starts on day 1
@@ -192,24 +198,28 @@ class TestTimeSeries:
         assert math.isfinite(by_day[1]["static_slowdown"])
 
     def test_series_table_explicit_origin(self):
-        rows = daily_series_table(self._jobs(), self._jobs(), origin=-86400.0)
+        rows = daily_series_table(self._rows(), self._rows(), origin=-86400.0)
         assert [r["day"] for r in rows] == [1, 2]
 
 
 class TestEnergy:
-    def test_power_model_bounds(self):
+    def test_power_model_bounds(self, monkeypatch):
         # One job holding both nodes' CPUs for 1000 s: every node draws idle
-        # power at zero utilisation and peak power at full (clamped) load.
-        model = LinearPowerModel(idle_watts=100.0, peak_watts=300.0)
+        # power (120 W) at zero utilisation and peak power (400 W) at full
+        # (clamped) load.  Each application name here is its utilisation.
+        monkeypatch.setattr(
+            "repro.realrun.energy.get_application",
+            lambda name: SimpleNamespace(cpu_utilization=float(name)),
+        )
         job = finished_job(runtime=1000.0, start=0.0, submit=0.0, nodes=2)
 
         def energy(utilization):
-            return workload_energy([job], 2, 8, power_model=model,
-                                   utilization_of=lambda j: utilization)
+            job.application = str(utilization)
+            return real_run_energy(rows_of([job]), workload_of([job], 2, 8))
 
-        assert energy(0.0) == 2 * 100.0 * 1000.0
-        assert energy(1.0) == 2 * 300.0 * 1000.0
-        assert energy(2.0) == 2 * 300.0 * 1000.0  # clamped
+        assert energy(0.0) == 2 * 120.0 * 1000.0
+        assert energy(1.0) == 2 * 400.0 * 1000.0
+        assert energy(2.0) == 2 * 400.0 * 1000.0  # clamped
 
     def test_invalid_power_model(self):
         with pytest.raises(ValueError):
@@ -217,16 +227,16 @@ class TestEnergy:
 
     def test_energy_of_single_job(self):
         job = finished_job(runtime=1000.0, start=0.0, submit=0.0, cpus_per_node=8)
-        energy = workload_energy([job], num_nodes=2, cpus_per_node=8,
-                                 power_model=LinearPowerModel(120.0, 400.0))
+        energy = real_run_energy(rows_of([job]), workload_of([job], 2, 8))
         expected = 2 * 120.0 * 1000.0 + (400.0 - 120.0) * 1000.0
         assert energy == pytest.approx(expected)
 
     def test_utilization_factor_scales_dynamic_part(self):
         job = finished_job(runtime=1000.0, start=0.0, submit=0.0)
-        full = workload_energy([job], 2, 8)
-        half = workload_energy([job], 2, 8, utilization_of=lambda j: 0.5)
-        assert half < full
+        full = real_run_energy(rows_of([job]), workload_of([job], 2, 8))
+        job.application = "STREAM"  # 40% CPU utilisation
+        partial = real_run_energy(rows_of([job]), workload_of([job], 2, 8))
+        assert partial < full
 
     def test_empty_jobs(self):
-        assert workload_energy([], 4, 8) == 0.0
+        assert real_run_energy(rows_of([]), workload_of([], 4, 8)) == 0.0

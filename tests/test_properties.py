@@ -21,7 +21,7 @@ from repro.simulator.node import Node
 from repro.simulator.reservation import ReservationMap
 from repro.workloads.job_record import JobRecord, Workload
 from repro.workloads.swf import read_swf, write_swf
-from tests.conftest import make_job
+from tests.conftest import make_job, rows_of
 from tests.test_metrics import finished_job
 
 # --------------------------------------------------------------------- #
@@ -162,5 +162,5 @@ def test_heatmap_counts_cover_all_jobs(jobs):
     # Patch requested_nodes to the sampled value (finished_job always uses 1).
     for job, (nodes, _) in zip(finished, jobs):
         job.requested_nodes = nodes
-    grid = category_heatmap(finished, metric="slowdown")
+    grid = category_heatmap(rows_of(finished), metric="slowdown")
     assert int(grid.counts.sum()) == len(finished)

@@ -12,8 +12,8 @@ from repro.realrun.energy import real_run_energy
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.simulator.cluster import Cluster
 from repro.simulator.simulation import Simulation
-from tests.conftest import make_job
-from tests.test_metrics import finished_job
+from tests.conftest import make_job, rows_of
+from tests.test_metrics import finished_job, workload_of
 
 
 class TestApplicationModels:
@@ -93,7 +93,8 @@ class TestRealRunEnergy:
         stream_job.application = "STREAM"
         pils_job = finished_job(1, runtime=1000.0, start=0.0, submit=0.0)
         pils_job.application = "PILS"
-        assert real_run_energy([stream_job], 2, 8) < real_run_energy([pils_job], 2, 8)
+        assert real_run_energy(rows_of([stream_job]), workload_of([stream_job], 2, 8)) < \
+            real_run_energy(rows_of([pils_job]), workload_of([pils_job], 2, 8))
 
 
 class TestEmulator:
@@ -108,10 +109,10 @@ class TestEmulator:
         return realrun_improvements(outcome)
 
     def test_all_jobs_complete_in_both_runs(self, outcome):
-        static_jobs = outcome.baseline_run.jobs
-        sd_jobs = outcome.cells[0].run.jobs
-        assert len(static_jobs) == len(sd_jobs) == len(outcome.workload)
-        assert len(sd_jobs) > 0
+        static_rows = outcome.baseline_run.records.array
+        sd_rows = outcome.cells[0].run.records.array
+        assert len(static_rows) == len(sd_rows) == len(outcome.workload)
+        assert len(sd_rows) > 0
 
     def test_sd_improves_slowdown_and_response(self, stats):
         assert stats["improvements"]["avg_slowdown"] > 0

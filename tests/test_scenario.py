@@ -163,6 +163,13 @@ class TestSpecRoundTrip:
              "scenario field 'base.tasks_per_node': must be a positive integer"),
             ({"name": "x", "workload": {"preset": 1}, "base": {"tasks_per_node": 2.5}},
              "scenario field 'base.tasks_per_node': must be a positive integer"),
+            # JSON can only turn energy accounting off.
+            ({"name": "x", "workload": {"preset": 1, "scale": 0.01}, "base": {"power_model": 5}},
+             "scenario field 'base.power_model': must be null"),
+            # A keyword the runner no longer has.
+            ({"name": "x", "workload": {"preset": 1, "scale": 0.01},
+              "base": {"retain_jobs": "no"}},
+             "scenario field 'base.retain_jobs'"),
         ],
         ids=["ref-not-object", "baseline-int", "scale-str", "seed-str", "top-level-list",
              "unknown-preset", "negative-scale", "zero-scale", "unknown-mix", "missing-swf",
@@ -170,7 +177,8 @@ class TestSpecRoundTrip:
              "unknown-runtime-model", "unknown-max-slowdown", "unknown-base-param",
              "unknown-baseline-kwarg", "removed-selector-knob", "base-seed", "grid-analytics",
              "baseline-trace", "base-label", "fraction-str", "fraction-above-one",
-             "zero-tasks-per-node", "fractional-tasks-per-node"],
+             "zero-tasks-per-node", "fractional-tasks-per-node", "base-power-model",
+             "base-retain-jobs"],
     )
     def test_malformed_spec_file_is_a_clean_error_naming_the_field(
         self, tmp_path, capsys, spec, names
@@ -322,44 +330,10 @@ class TestExecution:
         assert "Normalised to static_backfill" in text
 
     def test_table_report_works_with_streamed_runs(self, workload):
-        spec = _spec(
-            base={"runtime_model": "ideal", "sharing_factor": 0.5,
-                  "retain_jobs": False},
-        )
+        spec = _spec(base={"runtime_model": "ideal", "sharing_factor": 0.5})
         outcome = run_scenario(spec, workloads=workload)
         text = render_report(outcome)
         assert "Normalised to static_backfill" in text
-
-    def test_per_job_report_rejects_streamed_runs(self, workload):
-        """Heatmaps need retained jobs; a streamed run must fail loudly
-        instead of rendering an empty figure."""
-        spec = _spec(
-            grid={"max_slowdown": [10.0]},
-            base={"runtime_model": "ideal", "sharing_factor": 0.5,
-                  "retain_jobs": False},
-            report="heatmaps",
-        )
-        outcome = run_scenario(spec, workloads=workload)
-        with pytest.raises(ScenarioError, match="retain_jobs=False"):
-            render_report(outcome)
-
-    def test_streamed_run_error_names_report_and_suggests_recovery(self, workload):
-        """The streamed-run error must say which report needs per-job data
-        and point at both escape hatches (--retain-jobs and --analytics)."""
-        spec = _spec(
-            grid={"max_slowdown": [10.0]},
-            base={"runtime_model": "ideal", "sharing_factor": 0.5,
-                  "retain_jobs": False},
-            report="daily",
-        )
-        outcome = run_scenario(spec, workloads=workload)
-        with pytest.raises(ScenarioError) as excinfo:
-            render_report(outcome)
-        message = str(excinfo.value)
-        assert "'daily'" in message
-        assert "--retain-jobs" in message
-        assert "--analytics" in message
-        assert "repro-sdpolicy query" in message
 
     def test_workload_only_scenario_runs_nothing(self):
         spec = ScenarioSpec(

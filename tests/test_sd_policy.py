@@ -25,7 +25,7 @@ def run_jobs(scheduler, jobs, nodes=2, cpus=8, **sim_kwargs):
     sim.submit_jobs(jobs)
     result = sim.run()
     cluster.validate()
-    return {j.job_id: j for j in result.jobs}, result
+    return {j.job_id: j for j in jobs}, result
 
 
 def saturating_scenario(guest_malleable=True, guest_req=1000.0, guest_runtime=800.0):

@@ -40,9 +40,9 @@ class TestSubmission:
 class TestSingleJob:
     def test_single_job_timing(self):
         sim = _sim()
-        sim.submit_jobs([make_job(job_id=1, submit=100.0, runtime=500.0, req_time=900.0)])
+        job = make_job(job_id=1, submit=100.0, runtime=500.0, req_time=900.0)
+        sim.submit_jobs([job])
         result = sim.run()
-        job = result.jobs[0]
         assert job.state is JobState.COMPLETED
         assert job.start_time == 100.0
         assert job.end_time == 600.0
@@ -51,22 +51,21 @@ class TestSingleJob:
 
     def test_job_runs_its_static_runtime_not_its_request(self):
         sim = _sim()
-        sim.submit_jobs([make_job(job_id=1, runtime=300.0, req_time=7200.0)])
-        result = sim.run()
-        assert result.jobs[0].actual_runtime == pytest.approx(300.0)
+        job = make_job(job_id=1, runtime=300.0, req_time=7200.0)
+        sim.submit_jobs([job])
+        sim.run()
+        assert job.actual_runtime == pytest.approx(300.0)
 
 
 class TestSequencing:
     def test_fcfs_queueing_when_cluster_full(self):
         sim = _sim()
-        sim.submit_jobs(
-            [
-                make_job(job_id=1, submit=0.0, nodes=4, runtime=100.0, req_time=200.0),
-                make_job(job_id=2, submit=10.0, nodes=4, runtime=50.0, req_time=100.0),
-            ]
-        )
-        result = sim.run()
-        jobs = {j.job_id: j for j in result.jobs}
+        jobs = {
+            1: make_job(job_id=1, submit=0.0, nodes=4, runtime=100.0, req_time=200.0),
+            2: make_job(job_id=2, submit=10.0, nodes=4, runtime=50.0, req_time=100.0),
+        }
+        sim.submit_jobs(jobs.values())
+        sim.run()
         assert jobs[1].start_time == 0.0
         assert jobs[2].start_time == pytest.approx(100.0)
         assert jobs[2].wait_time == pytest.approx(90.0)
@@ -74,24 +73,23 @@ class TestSequencing:
     def test_simultaneous_end_and_submit(self):
         # A job ending exactly when another is submitted frees the nodes for it.
         sim = _sim()
-        sim.submit_jobs(
-            [
-                make_job(job_id=1, submit=0.0, nodes=4, runtime=100.0, req_time=100.0),
-                make_job(job_id=2, submit=100.0, nodes=4, runtime=10.0, req_time=20.0),
-            ]
-        )
-        result = sim.run()
-        jobs = {j.job_id: j for j in result.jobs}
+        jobs = {
+            1: make_job(job_id=1, submit=0.0, nodes=4, runtime=100.0, req_time=100.0),
+            2: make_job(job_id=2, submit=100.0, nodes=4, runtime=10.0, req_time=20.0),
+        }
+        sim.submit_jobs(jobs.values())
+        sim.run()
         assert jobs[2].start_time == pytest.approx(100.0)
         assert jobs[2].wait_time == 0.0
 
     def test_all_jobs_complete(self, tiny_workload):
         cluster = Cluster(num_nodes=16, sockets=2, cores_per_socket=4)
         sim = Simulation(cluster, BackfillScheduler())
-        sim.submit_jobs(tiny_workload.to_jobs(cpus_per_node=8))
+        jobs = tiny_workload.to_jobs(cpus_per_node=8)
+        sim.submit_jobs(jobs)
         result = sim.run()
         assert result.num_jobs == len(tiny_workload)
-        assert all(j.state is JobState.COMPLETED for j in result.jobs)
+        assert all(j.state is JobState.COMPLETED for j in jobs)
         cluster.validate()
 
 
@@ -117,8 +115,8 @@ class TestAllocationPrimitives:
         assert job.state is JobState.RUNNING
         sim.reconfigure_job(job, {0: 4})  # shrink to half the node
         assert job.current_speed == pytest.approx(0.5)
-        result = sim.run()
-        assert result.jobs[0].end_time == pytest.approx(200.0)
+        sim.run()
+        assert job.end_time == pytest.approx(200.0)
 
     def test_stale_end_in_same_batch_not_counted_as_processed(self):
         """A job reconfigured by an on_job_end hook while its own end event
@@ -134,13 +132,14 @@ class TestAllocationPrimitives:
 
         cluster = Cluster(num_nodes=2, sockets=2, cores_per_socket=4)
         sim = Simulation(cluster, ReconfOnEnd())
-        sim.submit_jobs([
+        jobs = [
             make_job(job_id=1, nodes=1, runtime=100.0, req_time=200.0),
             make_job(job_id=2, nodes=1, runtime=100.0, req_time=200.0),
-        ])
+        ]
+        sim.submit_jobs(jobs)
         result = sim.run()
         assert result.num_jobs == 2
-        assert {j.end_time for j in result.jobs} == {100.0}
+        assert {j.end_time for j in jobs} == {100.0}
         # 2 submits + job 1's end + job 2's reissued end; job 2's original
         # (staled in-batch by the reconfiguration) must not be counted.
         assert result.total_events == 4
@@ -153,18 +152,20 @@ class TestAllocationPrimitives:
 
         cluster = Cluster(num_nodes=2, sockets=2, cores_per_socket=4)
         sim = Simulation(cluster, FCFSScheduler())
-        sim.submit_jobs([
+        jobs = [
             make_job(job_id=1, submit=0.0, nodes=1, runtime=10000.0, req_time=20000.0),
             make_job(job_id=2, submit=5.0, nodes=1, runtime=10.0, req_time=20.0),
-        ])
+        ]
+        sim.submit_jobs(jobs)
         result = sim.run(until=100.0)
         assert result.num_jobs == 1  # job 2 only; job 1 still running
         assert result.first_submit == 0.0
         assert result.makespan == 15.0
-        metrics = compute_metrics(result.jobs, first_submit=result.first_submit)
+        # compute_metrics skips the unfinished job 1.
+        metrics = compute_metrics(jobs, first_submit=result.first_submit)
         assert metrics.makespan == result.makespan
         # Without the run context the origin drifts to job 2's submit.
-        assert compute_metrics(result.jobs).makespan == 10.0
+        assert compute_metrics(jobs).makespan == 10.0
 
     def test_stale_end_events_are_ignored(self):
         cluster = Cluster(num_nodes=1, sockets=2, cores_per_socket=4)
@@ -176,9 +177,9 @@ class TestAllocationPrimitives:
         sim.reconfigure_job(job, {0: 8})   # back to full speed, end ~100 again
         result = sim.run()
         assert result.num_jobs == 1
-        assert result.jobs[0].end_time == pytest.approx(100.0)
-        # The completed-job list must not contain duplicates.
-        assert len({j.job_id for j in result.jobs}) == 1
+        assert job.end_time == pytest.approx(100.0)
+        # The job is folded once: one record row.
+        assert sim.streaming.records()["job_id"].tolist() == [1]
 
 
 class TestEnergyAccounting:

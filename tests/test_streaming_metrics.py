@@ -1,8 +1,9 @@
-"""Streaming metrics: bit-identity with the batch path, and retain_jobs mode."""
+"""Streaming metrics: bit-identity with the batch path, and dropped jobs."""
 
 from __future__ import annotations
 
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from repro.simulator.cluster import Cluster
 from repro.simulator.job import JobState
 from repro.simulator.simulation import Simulation
 from repro.workloads.presets import build_workload
-from tests.conftest import make_job
+from tests.conftest import completed_jobs, make_job
 from tests.test_metrics import finished_job
 
 
@@ -55,6 +56,18 @@ class TestChunkedFloatBuffer:
         # 2 + 4 + 4 + ... — no chunk beyond the cap.
         assert buf._chunks[0].shape == (2,)
         assert all(c.shape == (4,) for c in buf._chunks[1:])
+
+    def test_as_array_folds_the_chunks_into_one_array(self):
+        buf = ChunkedFloatBuffer(min_chunk=4, max_chunk=8)
+        for i in range(11):
+            buf.append(float(i))
+        first = buf.as_array()
+        assert buf.as_array() is first
+        assert buf._chunks == [first] and buf._current is None
+        # Appends after finalisation still land, after the folded values.
+        buf.append(11.0)
+        assert len(buf) == 12
+        assert buf.as_array().tolist() == [float(i) for i in range(12)]
 
     def test_rejects_bad_chunk_sizes(self):
         with pytest.raises(ValueError):
@@ -118,41 +131,39 @@ PRESET_SCALES = {1: 0.01, 2: 0.01, 3: 0.01, 4: 0.005, 5: 0.05}
 class TestStreamingSimulationParity:
     @pytest.mark.parametrize("workload_id", sorted(PRESET_SCALES))
     def test_streaming_matches_batch_on_preset(self, workload_id):
-        """The tentpole acceptance pin: both paths agree bit-for-bit on every
-        workload preset, aggregates and result fields alike."""
+        """The tentpole acceptance pin: on every workload preset the fold's
+        metrics equal the batch oracle over the same jobs in completion
+        order, bit for bit."""
         workload = build_workload(workload_id, scale=PRESET_SCALES[workload_id])
-        kwargs = dict(
-            policy="sd_policy",
-            runtime_model="ideal",
-            max_slowdown=10.0,
-            seed=workload_id,
+        with completed_jobs() as jobs:
+            run = run_workload(
+                workload,
+                policy="sd_policy",
+                runtime_model="ideal",
+                max_slowdown=10.0,
+                seed=workload_id,
+            )
+        result = run.result
+        assert result.num_jobs == len(jobs) > 0
+        assert run.records.array["job_id"].tolist() == [j.job_id for j in jobs]
+        batch = compute_metrics(
+            jobs, energy_joules=result.energy_joules, first_submit=result.first_submit
         )
-        retained = run_workload(workload, retain_jobs=True, **kwargs)
-        streamed = run_workload(workload, retain_jobs=False, **kwargs)
-        assert_metrics_identical(retained.metrics, streamed.metrics)
-        r, s = retained.result, streamed.result
-        assert r.num_jobs == s.num_jobs > 0
-        assert r.total_events == s.total_events
-        assert r.makespan == s.makespan
-        assert r.avg_response_time == s.avg_response_time
-        assert r.avg_slowdown == s.avg_slowdown
-        assert r.avg_wait_time == s.avg_wait_time
-        assert r.energy_joules == s.energy_joules
-        assert r.malleable_scheduled_jobs == s.malleable_scheduled_jobs
-        assert r.mate_jobs == s.mate_jobs
-        assert r.first_submit == s.first_submit
-        assert s.jobs == []  # nothing retained
+        assert_metrics_identical(run.metrics, batch)
+        assert result.malleable_scheduled_jobs == batch.malleable_scheduled
+        assert result.mate_jobs == batch.mate_jobs
 
     def test_retained_sim_streaming_agrees_with_batch(self, tiny_workload, sd_scheduler):
-        """Within one retained run, the online accumulator reproduces the
-        post-hoc compute_metrics over the same completed jobs."""
+        """Within one run, the online accumulator reproduces the post-hoc
+        compute_metrics over the same completed jobs."""
         cluster = Cluster(num_nodes=16, sockets=2, cores_per_socket=4)
         sim = Simulation(cluster, sd_scheduler)
         sim.submit_jobs(tiny_workload.to_jobs(cpus_per_node=8))
-        result = sim.run()
+        with completed_jobs() as jobs:
+            result = sim.run()
         assert result.num_jobs == len(tiny_workload)
         batch = compute_metrics(
-            result.jobs,
+            jobs,
             energy_joules=result.energy_joules,
             first_submit=result.first_submit,
         )
@@ -185,22 +196,21 @@ class TestStreamingSimulationParity:
         assert res_eager.avg_response_time == res_lazy.avg_response_time
         assert res_eager.avg_slowdown == res_lazy.avg_slowdown
         assert res_eager.energy_joules == res_lazy.energy_joules
-        assert [j.job_id for j in res_eager.jobs] == [j.job_id for j in res_lazy.jobs]
+        assert np.array_equal(eager.streaming.records(), lazy.streaming.records())
 
-    def test_retain_jobs_false_drops_job_state(self, tiny_workload, sd_scheduler):
+    def test_completed_jobs_are_dropped(self, tiny_workload, sd_scheduler):
         cluster = Cluster(num_nodes=16, sockets=2, cores_per_socket=4)
-        sim = Simulation(cluster, sd_scheduler, retain_jobs=False)
+        sim = Simulation(cluster, sd_scheduler)
         sim.submit_stream(tiny_workload.iter_jobs(cpus_per_node=8))
         steps = 0
         while sim.step():
             steps += 1
-            # A streamed run drops each job the moment it completes.
+            # The simulation drops each job the moment it completes.
             assert not any(job.state is JobState.COMPLETED for job in sim.jobs.values())
         assert steps > 0
         result = sim.result()
-        assert result.jobs == []
         assert result.num_jobs == len(tiny_workload)
-        assert sim.completed == []
+        assert len(sim.streaming.records()) == len(tiny_workload)
         assert sim.jobs == {}  # every job folded and discarded
 
     def test_second_stream_rejected(self, tiny_workload, backfill_scheduler):

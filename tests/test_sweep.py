@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.experiments.scenario import builtin_scenario, run_scenario
@@ -58,9 +59,7 @@ class TestSerialParallelEquivalence:
         serial = SweepRunner(max_workers=1).run(tasks)
         parallel = SweepRunner(max_workers=2).run(tasks)
         for key in serial.runs:
-            s_jobs = {j.job_id: (j.start_time, j.end_time) for j in serial[key].jobs}
-            p_jobs = {j.job_id: (j.start_time, j.end_time) for j in parallel[key].jobs}
-            assert s_jobs == p_jobs
+            assert np.array_equal(serial[key].records.array, parallel[key].records.array)
 
     def test_entries_preserve_task_order(self, tasks):
         result = SweepRunner(max_workers=2).run(tasks)
