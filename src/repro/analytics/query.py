@@ -1,24 +1,26 @@
-"""Cross-sweep queries over persisted per-job records.
+"""Cross-sweep queries over the per-job records of cached runs.
 
-Two modes, both reading *only* the store (no simulation):
+Every cached run blob pickles its whole run, per-job record rows included
+(:func:`repro.experiments.sweep.iter_cached_runs`), so every run a sweep
+stored is queryable.  Two modes, both reading *only* the store (no
+simulation, and nothing written: a corrupt blob is an error, left for
+``store verify``):
 
 * **Generic** — :func:`run_query` filters (``--where``), groups
   (``--group-by``) and aggregates (``--metrics col:agg``) the per-job rows
-  of every analytics run in a store.  "p99 slowdown of malleable jobs by
+  of every cached run in a store.  "p99 slowdown of malleable jobs by
   MAX_SLOWDOWN across every workload ever run" is one invocation.
 * **Reports** — :func:`render_stored_report` regenerates Figures 1-3,
   4-6, 7 and 9 and Table 1 *byte-identically* to their sweep-rendered
   versions.  The trick is shared machinery, not parallel reimplementation:
   the same built-in scenarios
   (:func:`repro.experiments.scenario.builtin_scenario`) expand to the same
-  tasks, :func:`repro.experiments.sweep.task_cache_key` locates each run's
-  records, :func:`repro.analytics.metrics_from_records` rebuilds the
-  aggregates bit-for-bit, the per-job reports read the same record rows a
-  live run carries, and :func:`~repro.experiments.scenario.render_report`
-  produces the text.
+  tasks, :func:`repro.experiments.sweep.task_cache_key` locates each
+  cached run, which is the run a cache hit would serve, and
+  :func:`~repro.experiments.scenario.render_report` produces the text.
 
 This module imports the experiments layer, so it is *not* re-exported from
-``repro.analytics`` (which the sweep layer imports) — import it directly.
+``repro.analytics`` (which the runner imports) — import it directly.
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.analytics.records import (
-    JOB_RECORD_DTYPE,
-    RECORDS,
-    RunRecords,
-    load_run_records,
-    metrics_from_records,
-)
+from repro.analytics.records import JOB_RECORD_DTYPE
 from repro.experiments.runner import PolicyRun
 from repro.experiments.scenario import (
     ScenarioOutcome,
@@ -47,10 +43,8 @@ from repro.experiments.scenario import (
     report_figures_1_to_3,
     _resolve_workloads,
 )
-from repro.experiments.sweep import task_cache_key
-from repro.simulator.simulation import SimulationResult
+from repro.experiments.sweep import iter_cached_runs, read_cached_run, task_cache_key
 from repro.store import ResultStore
-from repro.store.attachments import AttachmentError, iter_attachments
 from repro.workloads.job_record import Workload
 
 __all__ = [
@@ -65,10 +59,10 @@ __all__ = [
 
 
 class QueryError(RuntimeError):
-    """The query cannot be answered from the store's records."""
+    """The query cannot be answered from the store's cached runs."""
 
 
-#: Run-level fields usable in ``--where``/``--group-by`` (from run meta).
+#: Run-level fields usable in ``--where``/``--group-by``.
 _META_FIELDS = ("workload", "policy", "label", "seed", "task_key")
 
 #: Aggregations usable in ``--metrics col:agg``.
@@ -86,17 +80,16 @@ _AGGREGATIONS: Dict[str, Callable[[np.ndarray], float]] = {
 
 @dataclass
 class _RunSlice:
-    """One analytics run, with its (possibly row-filtered) record array."""
+    """One cached run, with its (possibly row-filtered) record array."""
 
     meta: Dict[str, Any]
     array: np.ndarray
-    cache_key: str = ""
 
 
 def _load_slices(
     store: ResultStore, where: Sequence[Tuple[str, str]]
 ) -> List[_RunSlice]:
-    """Every analytics run in the store, filtered by the where clauses."""
+    """Every cached run in the store, filtered by the where clauses."""
     run_filters = [(f, v) for f, v in where if f in _META_FIELDS]
     row_filters = [(f, v) for f, v in where if f not in _META_FIELDS]
     for field_name, _ in row_filters:
@@ -107,13 +100,11 @@ def _load_slices(
                 f"{', '.join(JOB_RECORD_DTYPE.names)}"
             )
     slices: List[_RunSlice] = []
-    for _name, manifest in sorted(iter_attachments(store, RECORDS)):
-        meta = dict(manifest.get("meta") or {})
+    for _key, payload in iter_cached_runs(store):
+        meta = _run_meta(payload)
         if any(str(meta.get(f)) != v for f, v in run_filters):
             continue
-        cache_key = str(manifest.get("cache_key", ""))
-        records = load_run_records(store, cache_key)
-        arr = records.array
+        arr = payload["run"].records.array
         for field_name, value in row_filters:
             try:
                 needle = float(value)
@@ -123,8 +114,19 @@ def _load_slices(
                     "numeric value"
                 ) from None
             arr = arr[arr[field_name] == needle]
-        slices.append(_RunSlice(meta=meta, array=arr, cache_key=cache_key))
+        slices.append(_RunSlice(meta=meta, array=arr))
     return slices
+
+
+def _run_meta(payload: Mapping[str, Any]) -> Dict[str, Any]:
+    """The run-level fields of one cached run payload."""
+    return {
+        "workload": payload["workload"],
+        "policy": payload["policy"],
+        "label": payload["run"].label,
+        "seed": payload["seed"],
+        "task_key": payload["key"],
+    }
 
 
 def parse_where(clauses: Sequence[str]) -> List[Tuple[str, str]]:
@@ -164,27 +166,25 @@ def parse_metrics(spec: str) -> List[Tuple[str, str]]:
 
 
 def list_runs(store: ResultStore) -> str:
-    """Table of every analytics run in the store (the ``--list`` mode)."""
-    rows: List[List[object]] = []
-    for _name, manifest in sorted(iter_attachments(store, RECORDS)):
-        meta = manifest.get("meta") or {}
-        rows.append(
-            [
-                str(meta.get("workload", "?")),
-                str(meta.get("task_key", meta.get("label", "?"))),
-                str(meta.get("policy", "?")),
-                str(meta.get("seed", "?")),
-                int(manifest.get("rows", 0)),
-                str(manifest.get("cache_key", ""))[:12],
-            ]
-        )
+    """Table of every cached run in the store (the ``--list`` mode)."""
+    rows: List[List[object]] = [
+        [
+            str(payload["workload"]),
+            str(payload["key"]),
+            str(payload["policy"]),
+            str(payload["seed"]),
+            len(payload["run"].records),
+            cache_key[:12],
+        ]
+        for cache_key, payload in iter_cached_runs(store)
+    ]
     if not rows:
-        return "no analytics runs in this store (run a sweep with --analytics)"
+        return "no stored runs in this store (run a sweep into it first)"
     rows.sort(key=lambda r: (r[0], r[1]))
     return format_table(
         ["workload", "task", "policy", "seed", "jobs", "cache key"],
         rows,
-        title=f"analytics runs ({len(rows)})",
+        title=f"stored runs ({len(rows)})",
     )
 
 
@@ -215,7 +215,7 @@ def run_query(
     slices = _load_slices(store, where)
     if not slices:
         raise QueryError(
-            "no analytics runs match (is the store populated? "
+            "no stored runs match (is the store populated? "
             "try 'query --list')"
         )
     # Group: by a run-level meta field (runs partition), a record column
@@ -256,7 +256,7 @@ def run_query(
 
 
 # --------------------------------------------------------------------- #
-# Figure/table regeneration from stored records
+# Figure/table regeneration from stored runs
 # --------------------------------------------------------------------- #
 REPORT_CHOICES = (
     "fig1", "fig2", "fig3", "fig1-3", "fig7", "table1", "figure4-6", "figure9",
@@ -268,64 +268,36 @@ REPORT_CHOICES = (
 BUILTIN_REPORTS = ("table1", "figure4-6", "figure9")
 
 
-def _stub_run(label: str, workload_name: str, records: RunRecords) -> PolicyRun:
-    """A :class:`PolicyRun` reconstructed from stored records (no sim)."""
-    metrics = metrics_from_records(records)
-    result = SimulationResult(
-        makespan=metrics.makespan,
-        avg_response_time=metrics.avg_response_time,
-        avg_slowdown=metrics.avg_slowdown,
-        avg_wait_time=metrics.avg_wait_time,
-        energy_joules=metrics.energy_joules,
-        malleable_scheduled_jobs=metrics.malleable_scheduled,
-        mate_jobs=metrics.mate_jobs,
-        scheduler_name=str(records.meta.get("policy", label)),
-        total_events=0,
-        first_submit=float(records.meta.get("first_submit", 0.0)),
-        completed_jobs=metrics.num_jobs,
-    )
-    return PolicyRun(
-        label=label,
-        workload_name=workload_name,
-        result=result,
-        metrics=metrics,
-        wall_clock_seconds=0.0,
-        records=records,
-    )
-
-
 def outcome_from_records(
     spec: ScenarioSpec,
     workloads: Optional[Union[Workload, Mapping[str, Workload]]],
     store: ResultStore,
 ) -> ScenarioOutcome:
-    """Rebuild a scenario outcome purely from stored records.
+    """Rebuild a scenario outcome purely from the store's cached runs.
 
-    Expands the spec to the same tasks the sweep path would run, resolves
-    each task's records through its cache key, and assembles stub runs with
-    bit-identical metrics — so every aggregate report renderer produces the
-    same bytes it would over fresh simulations.  Raises
-    :class:`QueryError` naming every task whose records are missing.
+    Expands the spec to the same tasks the sweep path would run and loads
+    each task's cached run through its cache key — the run a cache hit
+    would serve — so every report renderer produces the same bytes it
+    would over fresh simulations.  Raises :class:`QueryError` naming every
+    task the store lacks.
     """
     resolved = _resolve_workloads(spec, workloads)
     task_by_key = {t.resolved_key(): t for t in spec.tasks(resolved)}
     missing: List[str] = []
 
-    def load(task_key: str, workload_name: str, label: str) -> Optional[PolicyRun]:
-        task = task_by_key[task_key]
-        try:
-            records = load_run_records(store, task_cache_key(task))
-        except AttachmentError:
+    def load(task_key: str, _workload_name: str, _label: str) -> Optional[PolicyRun]:
+        payload = read_cached_run(store, task_cache_key(task_by_key[task_key]))
+        if payload is None:
             missing.append(task_key)
             return None
-        return _stub_run(label, workload_name, records)
+        return payload["run"]
 
     outcome = assemble_outcome(spec, resolved, load)
     if missing:
         raise QueryError(
-            f"no stored records for task(s) {missing} of scenario "
-            f"{spec.name!r} — run that scenario with --analytics into this "
-            "store first (query renders from records alone; it never simulates)"
+            f"no stored runs for task(s) {missing} of scenario "
+            f"{spec.name!r} — run that scenario into this store first "
+            "(query renders from stored runs alone; it never simulates)"
         )
     return outcome
 
@@ -334,20 +306,23 @@ def render_stored_report(
     store: ResultStore,
     report: str,
     workload: Optional[Workload] = None,
-    scale: float = 0.05,
+    scale: Optional[float] = None,
     seed: Optional[int] = None,
     sharing_factor: float = 0.5,
     runtime_model: str = "ideal",
     max_slowdown: float = 10.0,
     workload_ids: Sequence[int] = (1, 2, 3, 4, 5),
 ) -> str:
-    """Regenerate one paper report from stored records (no simulation).
+    """Regenerate one paper report from stored runs (no simulation).
 
-    ``seed`` follows the built-in rule: it seeds both the workload and the
-    simulation, as ``--seed`` does on the commands that wrote the records.
+    ``scale`` and ``seed`` follow the built-in rule: ``None`` keeps the
+    built-in's own value, and ``seed`` seeds both the workload and the
+    simulation, as ``--seed`` does on the commands that stored the runs.
     """
     if report in BUILTIN_REPORTS:
-        overrides: Dict[str, Any] = {"scale": scale}
+        overrides: Dict[str, Any] = {}
+        if scale is not None:
+            overrides["scale"] = scale
         if seed is not None:
             overrides["seed"] = seed
         if report == "table1":

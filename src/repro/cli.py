@@ -20,9 +20,9 @@ shell (installed as ``repro-sdpolicy`` or via ``python -m repro``):
   on the workload ``--workload``/``--swf`` select;
 * ``store`` — inspect and manage result stores (``stats``, ``prune``,
   manifest-aware ``gc``, integrity ``verify``/``repair``);
-* ``query`` — aggregate persisted per-job records (``--analytics`` runs)
-  across every sweep in a store, or regenerate Figures 1-3, 4-6, 7 and 9
-  and Table 1 byte-identically from the records without re-simulating;
+* ``query`` — aggregate the per-job records of every run cached in a
+  store, or regenerate Figures 1-3, 4-6, 7 and 9 and Table 1
+  byte-identically from the cached runs without re-simulating;
 * ``trace`` — inspect stored scheduler decision traces recorded by
   ``--trace`` sweeps (``summary``, ``grep``, ``timeline``);
 * ``swf`` — inspect a Standard Workload Format file;
@@ -79,7 +79,6 @@ from repro.experiments.scenario import (
     run_scenario,
 )
 from repro.experiments.sweep import (
-    ATTACHMENT_FLAGS,
     ExecutorError,
     MergeExecutor,
     ShardedExecutor,
@@ -96,8 +95,8 @@ from repro.store import (
     resolve_store,
     verify,
 )
-from repro.store.attachments import AttachmentError
 from repro.telemetry import LOG_LEVELS, setup_logging
+from repro.telemetry.trace import AttachmentError
 from repro.workloads.presets import build_workload
 from repro.workloads.swf import read_swf, summarize_swf
 
@@ -110,13 +109,18 @@ def _parse_maxsd(value: str):
     return float(value)
 
 
+#: Workload scale when ``--scale`` is not given (``query`` leaves it
+#: ``None`` so that its built-in reports keep their scenario's own scale).
+_DEFAULT_SCALE = 0.05
+
+
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workload", type=int, default=1, choices=[1, 2, 3, 4, 5],
         help="paper workload id (Table 1)",
     )
     parser.add_argument(
-        "--scale", type=_positive_float, default=0.05,
+        "--scale", type=_positive_float, default=_DEFAULT_SCALE,
         help="fraction of the full workload/system size (1.0 = paper scale)",
     )
     parser.add_argument("--seed", type=int, default=None, help="workload generation seed")
@@ -129,7 +133,8 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
 def _load_workload(args: argparse.Namespace):
     if getattr(args, "swf", None):
         return read_swf(args.swf)
-    return build_workload(args.workload, scale=args.scale, seed=args.seed)
+    scale = _DEFAULT_SCALE if args.scale is None else args.scale
+    return build_workload(args.workload, scale=scale, seed=args.seed)
 
 
 def _positive_int(value: str) -> int:
@@ -197,12 +202,6 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
              "(default: the manifests/ namespace of the store)",
     )
     parser.add_argument(
-        "--analytics", action="store_true",
-        help="persist per-job records to the store alongside each run's "
-             "aggregates, for 'repro-sdpolicy query'; requires --cache-dir "
-             "or --store",
-    )
-    parser.add_argument(
         "--trace", action="store_true",
         help="record scheduler decision traces and publish them to the "
              "store under <cache_key>-trace, for 'repro-sdpolicy trace'; "
@@ -227,15 +226,14 @@ def _make_runner(
     store = _cli_store(args)
     shard = getattr(args, "shard", None)
     manifest = getattr(args, "manifest", None)
-    flags = {flag: bool(getattr(args, flag, False)) for flag, _kind in ATTACHMENT_FLAGS}
-    for flag, kind in ATTACHMENT_FLAGS:
-        if flags[flag] and store is None:
-            print(
-                f"error: {kind.flag} needs a result store to publish "
-                f"{kind.noun} (--cache-dir or --store)",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
+    trace = bool(getattr(args, "trace", False))
+    if trace and store is None:
+        print(
+            "error: --trace needs a result store to publish trace "
+            "(--cache-dir or --store)",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
     executor = None
     if merge:
         if shard is not None:
@@ -249,7 +247,7 @@ def _make_runner(
         store=store,
         progress=callback,
         executor=executor,
-        **flags,
+        trace=trace,
     )
 
 
@@ -559,9 +557,9 @@ def _cmd_store_repair(args: argparse.Namespace) -> int:
     return 0 if stats.missing_in_source == 0 and stats.still_corrupt == 0 else 1
 
 
-def _attachment_store(args: argparse.Namespace, command: str) -> Optional[ResultStore]:
-    """The store ``query``/``trace`` read run attachments from; ``None``
-    after printing why there is none."""
+def _read_store(args: argparse.Namespace, command: str) -> Optional[ResultStore]:
+    """The store ``query``/``trace`` read; ``None`` after printing why
+    there is none."""
     store = _cli_store(args)
     if store is None:
         print(
@@ -573,7 +571,7 @@ def _attachment_store(args: argparse.Namespace, command: str) -> Optional[Result
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    store = _attachment_store(args, "query")
+    store = _read_store(args, "query")
     if store is None:
         return 2
     try:
@@ -619,7 +617,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.telemetry.report import trace_grep, trace_summary, trace_timeline
 
-    store = _attachment_store(args, "trace")
+    store = _read_store(args, "trace")
     if store is None:
         return 2
     if args.trace_command == "summary":
@@ -871,14 +869,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_query = sub.add_parser(
         "query",
-        help="filter/group/aggregate persisted per-job records across every "
-             "sweep in a store, or regenerate figures/tables from them",
+        help="filter/group/aggregate the per-job records of every run cached "
+             "in a store, or regenerate figures/tables from the cached runs",
     )
     _add_workload_args(p_query)
     _add_store_args(p_query)
     p_query.add_argument(
         "--list", action="store_true",
-        help="list every analytics run in the store and exit",
+        help="list every run cached in the store and exit",
     )
     p_query.add_argument(
         "--phases", action="store_true",
@@ -904,17 +902,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument(
         "--report", type=str, default=None,
         choices=REPORT_CHOICES,
-        help="regenerate a paper figure/table from stored records alone "
+        help="regenerate a paper figure/table from stored runs alone "
              "(no simulation); output is byte-identical to the sweep-"
              "rendered version; table1, figure4-6 and figure9 take the "
-             "built-in scenario at --scale/--seed",
+             "built-in scenario, at --scale/--seed when given",
     )
     p_query.add_argument("--maxsd", default="10",
                          help="MAX_SLOWDOWN for --report fig7")
     p_query.add_argument("--sharing-factor", type=float, default=0.5)
     p_query.add_argument("--runtime-model", default="ideal",
                          choices=["ideal", "worst_case"])
-    p_query.set_defaults(func=_cmd_query)
+    # Without --scale a built-in report keeps its scenario's own scale, as
+    # `scenario NAME` does; the other reports build the default workload.
+    p_query.set_defaults(func=_cmd_query, scale=None)
 
     p_lint = sub.add_parser(
         "lint",
@@ -946,10 +946,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (ExecutorError, StoreError, AttachmentError) as exc:
-        # Sharded-execution / result-store / run-attachment problems (missing
-        # cache dir, bad store URL, unreachable endpoint, incomplete shard
-        # manifests, no records or traces recorded) are user-fixable: no
-        # traceback.
+        # Sharded-execution / result-store / trace problems (missing cache
+        # dir, bad store URL, corrupt run blob, incomplete shard manifests,
+        # no traces recorded) are user-fixable: no traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

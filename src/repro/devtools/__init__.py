@@ -7,7 +7,7 @@ developer, locally) runs over the *source tree*:
   repository's determinism, store-discipline and exception-discipline
   invariants (``repro-sdpolicy lint`` / ``python -m repro.devtools.lint``);
 * :mod:`repro.devtools.formats` — fingerprints every persisted schema
-  (cache payloads, shard manifests, the analytics record dtype) into a
+  (cache payloads, shard manifests, the per-job record dtype) into a
   committed ``formats.lock`` and fails when a schema changes without the
   matching format-version bump (``python -m repro.devtools.formats``).
 """

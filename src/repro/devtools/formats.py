@@ -1,9 +1,10 @@
 """Format-discipline checker: schema fingerprints vs. ``formats.lock``.
 
-Every byte this repository persists — pickled cache payloads, shard
-manifests, analytics record arrays — has a declared schema and a paired
-format-version constant (``CACHE_FORMAT_VERSION``,
-``MANIFEST_FORMAT_VERSION``, ``RECORD_SCHEMA_VERSION``).  The version gate
+Every byte this repository persists — pickled cache payloads (per-job
+record arrays included), shard manifests, decision traces — has a
+declared schema and a paired format-version constant
+(``CACHE_FORMAT_VERSION``, ``MANIFEST_FORMAT_VERSION``,
+``RECORD_SCHEMA_VERSION``, ``TRACE_FORMAT_VERSION``).  The version gate
 is what lets a reader reject bytes it cannot decode; an un-bumped version
 next to a changed schema silently poisons every shared cache.
 
@@ -118,18 +119,12 @@ SCHEMAS: Tuple[SchemaSpec, ...] = (
         target="repro.experiments.executors:MANIFEST_TASK_FIELDS",
         version="repro.experiments.executors:MANIFEST_FORMAT_VERSION",
     ),
-    # The analytics records blob and its discovery manifest
+    # The per-job record rows pickled inside every cached run
     # (repro/analytics/records.py).
     SchemaSpec(
         name="records/JOB_RECORD_DTYPE",
         kind="dtype",
         target="repro.analytics.records:JOB_RECORD_DTYPE",
-        version="repro.analytics.records:RECORD_SCHEMA_VERSION",
-    ),
-    SchemaSpec(
-        name="records/analytics-manifest-fields",
-        kind="fields",
-        target="repro.analytics.records:ANALYTICS_MANIFEST_FIELDS",
         version="repro.analytics.records:RECORD_SCHEMA_VERSION",
     ),
     # Decision-trace JSONL events and their discovery manifest

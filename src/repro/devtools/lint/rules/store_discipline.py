@@ -1,11 +1,11 @@
 """Store-discipline rules.
 
-Every persisted artifact — cache blobs, shard manifests, analytics
-records — goes through :class:`repro.store.ResultStore` and the atomic
-write/integrity-envelope helpers.  Direct ``open()``/``pickle`` I/O on
-cache or manifest paths bypasses atomic publication, integrity envelopes,
-quarantine and gc reference tracking, so it is confined to ``store/`` and
-``analytics/`` (the codec layers) and flagged everywhere else.
+Every persisted artifact — cache blobs (per-job records included), shard
+manifests, decision traces — goes through :class:`repro.store.ResultStore`
+and the atomic write/integrity-envelope helpers.  Direct
+``open()``/``pickle`` I/O on cache or manifest paths bypasses atomic
+publication, integrity envelopes, quarantine and gc reference tracking, so
+it is confined to ``store/`` (the codec layer) and flagged everywhere else.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from repro.devtools.lint.registry import Rule, register
 from repro.devtools.lint.rules.base import RuleVisitor
 
 #: Packages allowed to touch serialized bytes directly: the store backends
-#: and the analytics codec own the formats; tests craft corrupt/legacy
-#: blobs on purpose; devtools reads source trees, not caches.
-_CODEC_LAYERS = ("store", "analytics", "tests", "devtools")
+#: own the formats; tests craft corrupt/legacy blobs on purpose; devtools
+#: reads source trees, not caches.
+_CODEC_LAYERS = ("store", "tests", "devtools")
 
 #: Identifier/string fragments that mark an expression as touching cache or
 #: manifest state.  Deliberately broad — a false positive is one suppression
@@ -40,7 +40,7 @@ class PickleVisitor(RuleVisitor):
     severity = SEVERITY_ERROR
 
     _MESSAGE = (
-        "pickle outside store/ and analytics/ bypasses the integrity envelope "
+        "pickle outside store/ bypasses the integrity envelope "
         "and atomic publication; persist through ResultStore "
         "(repro.store.wrap_blob + store.put)"
     )

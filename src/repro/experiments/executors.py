@@ -62,15 +62,14 @@ _log = logging.getLogger(__name__)
 #: (``cache_path`` only for local-FS stores) and the shard reports its
 #: quarantined-corruption count.  v3: done records also carry ``digest``,
 #: the SHA-256 content digest of the published cache blob (what ``store
-#: verify`` cross-checks and ``store repair`` validates against).  v4: the
-#: manifest records whether the shard ran with analytics enabled
-#: (top-level ``analytics`` flag; executed tasks then have per-run records
-#: published under ``analytics-*`` manifests) — merging a mix of
-#: analytics-aware and older shards would silently drop records, so the
-#: version gate forces a consistent fleet.  v5: same again for decision
-#: traces — a top-level ``trace`` flag (executed tasks then have traces
-#: published under ``trace-*`` manifests next to the cache).
-MANIFEST_FORMAT_VERSION = 5
+#: verify`` cross-checks and ``store repair`` validates against).  v4: a
+#: top-level ``analytics`` flag recorded whether executed tasks published
+#: a second copy of their per-job records.  v5: a top-level ``trace`` flag
+#: records whether the shard records decision traces (executed tasks then
+#: have traces published under ``trace-*`` manifests next to the cache).
+#: v6: the ``analytics`` flag is gone — the run blob is the only stored
+#: copy of a run's records, so every shard stores them.
+MANIFEST_FORMAT_VERSION = 6
 
 #: Declared field layout of a shard manifest and of each of its ``tasks``
 #: records.  ``repro.devtools.formats`` fingerprints these into
@@ -86,7 +85,6 @@ MANIFEST_FIELDS = (
     "total_tasks",
     "store",
     "cache_corruptions",
-    "analytics",
     "trace",
     "tasks",
 )
@@ -409,9 +407,6 @@ class ShardedExecutor:
                     "total_tasks": len(tasks),
                     "store": store.url,
                     "cache_corruptions": corruptions,
-                    # v4: whether this shard captures per-job records
-                    # (published as analytics-* manifests next to the cache).
-                    "analytics": any(getattr(t, "analytics", False) for t in tasks),
                     # v5: whether this shard records decision traces
                     # (published as trace-* manifests next to the cache).
                     "trace": any(getattr(t, "trace", False) for t in tasks),

@@ -59,8 +59,7 @@ def make_scheduler(policy: Union[str, Scheduler, Callable[[], Scheduler]], **kwa
 #: ``run_workload`` keywords that reach neither the policy nor the runtime
 #: model, so :func:`resolve_run` never sees them.
 RUNNER_ONLY_KWARGS = frozenset(
-    {"malleable_fraction", "tasks_per_node", "power_model", "label", "seed",
-     "analytics", "trace"}
+    {"malleable_fraction", "tasks_per_node", "power_model", "label", "seed", "trace"}
 )
 
 
@@ -120,8 +119,7 @@ class PolicyRun:
     metrics: WorkloadMetrics
     wall_clock_seconds: float
     #: The run's per-job record rows with its metadata; pickled with the
-    #: run into the result cache (an analytics sweep also publishes them
-    #: as their own blob).
+    #: run into the result cache, their only stored copy.
     records: RunRecords
     scheduler_stats: Dict[str, int] = field(default_factory=dict)
     #: Decision-trace recorder (``trace=True``); stripped before the run is

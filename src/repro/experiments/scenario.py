@@ -337,10 +337,6 @@ class ScenarioSpec:
         Name of the report renderer used by :func:`render_report` — one of
         ``table``, ``workloads``, ``figures1-3``, ``heatmaps``, ``daily``,
         ``runtime_models``, ``realrun``, ``mix``, ``faceoff``.
-    analytics:
-        If true, every executed task publishes per-job records to the
-        result store (requires one), queryable later with
-        ``repro-sdpolicy query``.
     """
 
     name: str
@@ -352,10 +348,6 @@ class ScenarioSpec:
     seed: int = 0
     report: str = "table"
     description: str = ""
-    #: Capture per-job records for every executed task (see
-    #: :mod:`repro.analytics`).  Off the cache key: an analytics scenario
-    #: reuses plain cached runs and vice versa.
-    analytics: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(self.workloads, WorkloadRef):
@@ -471,8 +463,6 @@ class ScenarioSpec:
             }
         if self.description:
             out["description"] = self.description
-        if self.analytics:
-            out["analytics"] = True
         return out
 
     @classmethod
@@ -481,7 +471,7 @@ class ScenarioSpec:
         data = _mapping(data, "a scenario spec")
         known = {
             "name", "workload", "workloads", "policy", "grid", "base",
-            "baseline", "seed", "report", "description", "analytics",
+            "baseline", "seed", "report", "description",
         }
         unknown = set(data) - known
         if unknown:
@@ -534,7 +524,6 @@ class ScenarioSpec:
             seed=_field(data, "seed", (int,), "an integer", owner, 0),
             report=_field(data, "report", (str,), "a report name", owner, "table"),
             description=_field(data, "description", (str,), "a string", owner, ""),
-            analytics=_field(data, "analytics", (bool,), "true or false", owner, False),
         )
 
     def to_json(self, indent: int = 2) -> str:
@@ -587,7 +576,6 @@ def load_spec(path: Union[str, os.PathLike]) -> ScenarioSpec:
 #: spec sets each instead.
 _TASK_SET_KWARGS = {
     "seed": "the spec's top-level 'seed'",
-    "analytics": "the spec's top-level 'analytics'",
     "trace": "the --trace flag",
     "label": "the grid's cell labels",
 }
@@ -770,7 +758,7 @@ def assemble_outcome(
     task (``<workload key>::<cell label>``, ``::baseline`` for the
     baseline) or ``None`` when it has none; a missing run is left out and
     a missing baseline leaves its workload's cells unnormalised.  Live
-    sweeps (:func:`run_scenario`) and stored records
+    sweeps (:func:`run_scenario`) and stored runs
     (:func:`repro.analytics.query.outcome_from_records`) both assemble
     their outcomes here.
     """
@@ -830,14 +818,6 @@ def run_scenario(
     sweep = None
     if tasks:
         runner = runner or SweepRunner(store=store)
-        if spec.analytics and not runner.analytics:
-            if runner.store is None:
-                raise ScenarioError(
-                    f"scenario {spec.name!r} sets analytics=true, which needs "
-                    "a result store to publish records (pass --store or "
-                    "--cache-dir)"
-                )
-            runner.analytics = True
         sweep = runner.run(tasks)
     # A sharded invocation ran only its slice, so it assembles no cells or
     # baselines; callers check ``.complete`` before reading them.

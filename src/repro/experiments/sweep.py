@@ -20,6 +20,11 @@ pool), with
 * progress callbacks, and
 * worker failures that surface the *original* traceback in the parent.
 
+A cached run blob is the one stored form of a run: it pickles the whole
+:class:`~repro.experiments.runner.PolicyRun`, per-job record rows
+included, so :func:`iter_cached_runs` serves every cached run to the
+read-only ``query`` engine (:mod:`repro.analytics.query`).
+
 The scenario layer (:mod:`repro.experiments.scenario`) expands declarative
 specs into task lists for this runner; every paper table and figure, and
 every sweep-backed CLI subcommand, runs through it.
@@ -49,7 +54,6 @@ from typing import (
     Union,
 )
 
-from repro.analytics.records import RECORDS, publish_run_records
 from repro.experiments.executors import (
     ExecutorError,
     MergeExecutor,
@@ -68,13 +72,12 @@ from repro.store import (
     unwrap_blob,
     wrap_blob,
 )
-from repro.telemetry.trace import TRACE, publish_trace
+from repro.telemetry.trace import publish_trace, trace_key
 from repro.workloads.job_record import Workload
 
 _log = logging.getLogger(__name__)
 
 __all__ = [
-    "ATTACHMENT_FLAGS",
     "CACHE_FORMAT_VERSION",
     "CACHE_KEY_VERSION",
     "ExecutorError",
@@ -89,6 +92,8 @@ __all__ = [
     "SweepTask",
     "default_cache_dir",
     "fingerprint_workload",
+    "iter_cached_runs",
+    "read_cached_run",
     "task_cache_key",
 ]
 
@@ -96,14 +101,15 @@ __all__ = [
 #: changes.  v2: non-finite kwarg floats canonicalised.  v3:
 #: SimulationResult gained first_submit/completed_jobs fields and
 #: compute_metrics is anchored at the run-level first submit.  v4:
-#: PolicyRun gained a ``records`` field (always pickled as ``None`` — the
-#: analytics records are published as their own blob, so the run payload
-#: itself is unchanged and v3 blobs stay fully readable).  v5: PolicyRun
+#: PolicyRun gained a ``records`` field (always pickled as ``None``; the
+#: records were then published as their own blob, so the run payload
+#: itself was unchanged and v3 blobs stayed readable).  v5: PolicyRun
 #: gained ``trace`` (always pickled as ``None`` — traces are published as
-#: their own blob, like records) and ``phases`` (populated whether or not
+#: their own blob) and ``phases`` (populated whether or not
 #: tracing is on, so a cached blob is byte-identical either way).  v6:
-#: PolicyRun is pickled with its ``records`` (the per-job rows), and
-#: SimulationResult no longer carries a list of ``Job`` objects.
+#: PolicyRun is pickled with its ``records`` (the per-job rows, the only
+#: stored copy), and SimulationResult no longer carries a list of ``Job``
+#: objects.
 CACHE_FORMAT_VERSION = 6
 
 #: Version folded into :func:`task_cache_key`.  Kept at 3 through the
@@ -126,11 +132,8 @@ CACHE_PAYLOAD_FIELDS = (
     "run",
 )
 
-
-#: The run attachments a sweep can publish, keyed by the flag that turns
-#: each on: the ``SweepTask`` field, the ``SweepRunner`` parameter and the
-#: CLI option share the name.
-ATTACHMENT_FLAGS = (("analytics", RECORDS), ("trace", TRACE))
+#: A run blob's store key: a bare SHA-256 hex digest (:func:`task_cache_key`).
+_CACHE_KEY_RE = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass
@@ -150,13 +153,10 @@ class SweepTask:
     label: Optional[str] = None
     seed: Optional[int] = None
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: Publish this task's per-job records as a run attachment (set by the
-    #: runner's ``analytics`` flag).  Deliberately *not* part of the cache
-    #: key: the simulated run is identical either way, and a cached run
-    #: whose store lacks the records is re-executed to publish them.
-    analytics: bool = False
-    #: Publish this task's scheduler decision trace as a run attachment
-    #: (set by the runner's ``trace`` flag); otherwise as ``analytics``.
+    #: Publish this task's scheduler decision trace next to its run blob
+    #: (set by the runner's ``trace`` flag).  Deliberately *not* part of the
+    #: cache key: the simulated run is identical either way, and a cached
+    #: run whose store lacks the trace is re-executed to publish it.
     trace: bool = False
 
     def resolved_key(self) -> str:
@@ -326,6 +326,60 @@ def task_cache_key(task: SweepTask) -> str:
 
 
 # --------------------------------------------------------------------- #
+# Cached runs
+# --------------------------------------------------------------------- #
+def _decode_run_blob(data: bytes) -> Tuple[Optional[Dict[str, Any]], str]:
+    """Unwrap, unpickle and format-check one run blob: ``(payload, digest)``.
+
+    ``payload`` is ``None`` for a well-formed payload of another format
+    version.  Any other decode failure (torn write, digest mismatch, no
+    envelope, unpicklable garbage) raises.
+    """
+    payload_bytes, digest = unwrap_blob(data)
+    # repro: allow[store-pickle] the cache codec itself — the bytes
+    # only ever travel inside ResultStore integrity envelopes
+    payload = pickle.loads(payload_bytes)
+    if not isinstance(payload, dict):
+        raise TypeError(f"cache payload is {type(payload).__name__}, not dict")
+    if payload.get("format") != CACHE_FORMAT_VERSION:
+        return None, digest
+    return payload, digest
+
+
+def read_cached_run(store: ResultStore, key: str) -> Optional[Dict[str, Any]]:
+    """The payload of one run blob (``payload["run"]`` is the
+    :class:`PolicyRun`), or ``None`` if the store lacks it or holds it at
+    another format version.
+
+    Read-only: a corrupt blob raises :class:`repro.store.StoreError`
+    naming the key, and is left in place for ``store verify``.
+    """
+    data = store.get(key)
+    if data is None:
+        return None
+    try:
+        return _decode_run_blob(data)[0]
+    except Exception as exc:  # any decode failure means a corrupt blob
+        raise StoreError(
+            f"cache blob {key} in {store.url} is corrupt ({exc}); run "
+            "'store verify' to quarantine it"
+        ) from exc
+
+
+def iter_cached_runs(store: ResultStore) -> Iterator[Tuple[str, Dict[str, Any]]]:
+    """Yield ``(cache_key, payload)`` for every current-format run blob.
+
+    Blobs whose key is not a bare cache key (``<key>-trace``) are skipped,
+    and so are payloads of another format, which a sweep re-executes.
+    """
+    for key in store.list():
+        if _CACHE_KEY_RE.fullmatch(key):
+            payload = read_cached_run(store, key)
+            if payload is not None:
+                yield key, payload
+
+
+# --------------------------------------------------------------------- #
 # The runner
 # --------------------------------------------------------------------- #
 class SweepRunner:
@@ -360,15 +414,12 @@ class SweepRunner:
         explicit ``store`` beats ``cache_dir``; with neither set the
         ``REPRO_STORE_URL`` environment variable applies, and with nothing
         configured caching is disabled.
-    analytics:
-        Publish every task's per-job records as a run attachment (see
-        :mod:`repro.analytics`).  Requires a store.  A cached run whose
-        records are missing (never published, or quarantined since) is a
-        miss and re-executes, except under a ``MergeExecutor``, which
-        executes nothing.
     trace:
-        Publish every task's decision trace as a run attachment (see
-        :mod:`repro.telemetry.trace`); otherwise as ``analytics``.
+        Publish every task's decision trace next to its run blob (see
+        :mod:`repro.telemetry.trace`).  Requires a store.  A cached run
+        whose trace is missing (never published, or quarantined since) is
+        a miss and re-executes, except under a ``MergeExecutor``, which
+        executes nothing.
     """
 
     def __init__(
@@ -378,21 +429,18 @@ class SweepRunner:
         progress: Optional[Callable[[int, int, SweepEntry], None]] = None,
         executor: Optional[Union[ShardedExecutor, MergeExecutor]] = None,
         store: Optional[Union[str, ResultStore]] = None,
-        analytics: bool = False,
         trace: bool = False,
     ) -> None:
         self.max_workers = resolve_worker_count(max_workers)
         self.store = resolve_store(store, cache_dir)
         self.progress = progress
         self.executor = executor
-        self.analytics = analytics
         self.trace = trace
-        for flag, kind in ATTACHMENT_FLAGS:
-            if getattr(self, flag) and self.store is None:
-                raise ValueError(
-                    f"{flag}=True needs a result store to publish {kind.noun} "
-                    "(pass store=… or cache_dir=…)"
-                )
+        if trace and self.store is None:
+            raise ValueError(
+                "trace=True needs a result store to publish trace "
+                "(pass store=… or cache_dir=…)"
+            )
 
     @property
     def cache_dir(self) -> Optional[Path]:
@@ -429,17 +477,10 @@ class SweepRunner:
         if data is None:
             return None, False, None
         try:
-            payload_bytes, digest = unwrap_blob(data)
-            # repro: allow[store-pickle] the cache codec itself — the bytes
-            # only ever travel inside ResultStore integrity envelopes
-            payload = pickle.loads(payload_bytes)
-            if not isinstance(payload, dict):
-                raise TypeError(f"cache payload is {type(payload).__name__}, not dict")
-            if payload.get("format") != CACHE_FORMAT_VERSION:
+            payload, digest = _decode_run_blob(data)
+            if payload is None:
                 return None, False, None  # stale but well-formed: an ordinary miss
             return payload["run"], False, digest
-        except StoreError:
-            raise
         # repro: allow[exc-broad] any decode failure here means a corrupt
         # blob (torn write, bit rot, unpicklable garbage) — quarantined
         # below and reported distinctly as a corruption, never re-raised
@@ -463,7 +504,6 @@ class SweepRunner:
         """Publish one cache entry; ``(blob digest, store-phase timings)``."""
         if key is None or self.store is None:
             return None, {}
-        kwargs = _canonical_kwargs(task.kwargs)
         recorder = run.trace
         if recorder is not None:
             # The trace is published as its own blob (below); the run
@@ -475,7 +515,7 @@ class SweepRunner:
             "key": task.resolved_key(),
             "policy": task.policy,
             "seed": task.resolved_seed(),
-            "kwargs": kwargs,
+            "kwargs": _canonical_kwargs(task.kwargs),
             "workload": task.workload.name,
             "run": run,
         }
@@ -497,13 +537,6 @@ class SweepRunner:
         put_started = time.perf_counter()
         self.store.put(key, enveloped)
         phases["store_put"] = time.perf_counter() - put_started
-        if task.analytics:
-            records = run.records
-            # The sweep coordinates let a store-wide query filter and group.
-            meta = {"task_key": task.resolved_key(), "kwargs": kwargs, **records.meta}
-            publish_run_records(
-                self.store, key, replace(records, meta=meta), run_digest=digest
-            )
         if recorder is not None:
             publish_trace(
                 self.store,
@@ -514,12 +547,9 @@ class SweepRunner:
             )
         return digest, phases
 
-    def _lacks_attachment(self, task: SweepTask, key: str) -> bool:
-        """Whether the store lacks an attachment ``task`` asks for."""
-        return any(
-            getattr(task, flag) and not self.store.exists(kind.key(key))
-            for flag, kind in ATTACHMENT_FLAGS
-        )
+    def _lacks_trace(self, task: SweepTask, key: str) -> bool:
+        """Whether ``task`` asks for a trace the store lacks."""
+        return task.trace and not self.store.exists(trace_key(key))
 
     # ------------------------------------------------------------------ #
     def run(self, tasks: Sequence[SweepTask]) -> SweepResult:
@@ -530,9 +560,8 @@ class SweepRunner:
         :class:`MergeExecutor` raises unless the cache served every task.
         """
         tasks = list(tasks)
-        flags = {flag: True for flag, _kind in ATTACHMENT_FLAGS if getattr(self, flag)}
-        if flags:
-            tasks = [replace(task, **flags) for task in tasks]
+        if self.trace:
+            tasks = [replace(task, trace=True) for task in tasks]
         keys = [task.resolved_key() for task in tasks]
         if len(set(keys)) != len(keys):
             dupes = sorted({k for k in keys if keys.count(k) > 1})
@@ -547,18 +576,18 @@ class SweepRunner:
         cache_keys = [self._cache_key(task) for task in tasks]
         digests: Dict[int, Optional[str]] = {}
 
-        # A merge executes nothing, so a run lacking an attachment stays a hit.
-        probe_attachments = not isinstance(self.executor, MergeExecutor)
+        # A merge executes nothing, so a run lacking its trace stays a hit.
+        probe_traces = not isinstance(self.executor, MergeExecutor)
         for index, task in enumerate(tasks):
             cached, was_corrupt, digest = self._cache_load(cache_keys[index])
             if was_corrupt:
                 corrupt_indices.append(index)
             if (
                 cached is not None
-                and probe_attachments
-                and self._lacks_attachment(task, cache_keys[index])
+                and probe_traces
+                and self._lacks_trace(task, cache_keys[index])
             ):
-                _log.debug("task %s lacks a requested attachment; re-running", keys[index])
+                _log.debug("task %s lacks its requested trace; re-running", keys[index])
                 cached = None
             if cached is not None:
                 _log.debug("cache hit for task %s", keys[index])

@@ -39,9 +39,9 @@ from repro.simulator.job import Job
 __all__ = ["JOB_RECORD_DTYPE", "ChunkedFloatBuffer", "StreamingMetrics"]
 
 #: One row per completed job.  Derived metric columns hold the exact
-#: ``float64`` values :meth:`StreamingMetrics.fold` computes.  The persisted
-#: records blob is this array verbatim (``repro.analytics.records``), so its
-#: layout is fingerprinted in ``formats.lock``: a change needs a bump of
+#: ``float64`` values :meth:`StreamingMetrics.fold` computes.  Every cached
+#: run blob pickles this array verbatim (``repro.analytics.records``), so
+#: its layout is fingerprinted in ``formats.lock``: a change needs a bump of
 #: ``RECORD_SCHEMA_VERSION`` there.
 JOB_RECORD_DTYPE = np.dtype(
     [

@@ -6,8 +6,7 @@ Three pieces, one import surface:
   per-request counting/timing wrapper over any
   :class:`~repro.store.ResultStore`, and its snapshot layout.
 * :mod:`repro.telemetry.trace` — byte-deterministic scheduler decision
-  traces, stored as the :data:`TRACE` run attachment
-  (:mod:`repro.store.attachments`).
+  traces, stored next to each cached run under ``<cache_key>-trace``.
 * :mod:`repro.telemetry.logs` — stdlib-``logging`` wiring for the CLI
   (``--log-level`` / ``REPRO_LOG_LEVEL``).
 
@@ -20,21 +19,23 @@ from repro.telemetry.core import InstrumentedStore
 from repro.telemetry.logs import LOG_LEVELS, setup_logging
 from repro.telemetry.trace import (
     PHASE_FIELDS,
-    TRACE,
     TRACE_FORMAT_VERSION,
     TraceRecorder,
     load_trace,
     publish_trace,
+    trace_key,
+    trace_manifest_name,
 )
 
 __all__ = [
     "LOG_LEVELS",
     "PHASE_FIELDS",
-    "TRACE",
     "TRACE_FORMAT_VERSION",
     "InstrumentedStore",
     "TraceRecorder",
     "load_trace",
     "publish_trace",
     "setup_logging",
+    "trace_key",
+    "trace_manifest_name",
 ]

@@ -21,8 +21,12 @@ import re
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.store import ResultStore
-from repro.store.attachments import AttachmentError, iter_attachments
-from repro.telemetry.trace import PHASE_FIELDS, TRACE, load_trace
+from repro.telemetry.trace import (
+    PHASE_FIELDS,
+    AttachmentError,
+    iter_trace_manifests,
+    load_trace,
+)
 
 __all__ = ["phase_report", "trace_grep", "trace_summary", "trace_timeline"]
 
@@ -32,7 +36,7 @@ def _select_manifests(
 ) -> List[Tuple[str, Dict[str, Any]]]:
     selected = [
         (name, manifest)
-        for name, manifest in iter_attachments(store, TRACE)
+        for name, manifest in iter_trace_manifests(store)
         if not key_prefix or str(manifest.get("cache_key", "")).startswith(key_prefix)
     ]
     if not selected:

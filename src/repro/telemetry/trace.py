@@ -6,46 +6,45 @@ non-finite floats mapped to the string tokens ``"inf"``/``"-inf"``/
 ``"nan"``).  Canonical encoding plus the rule that **only simulation-time
 facts go into the blob** (wall-clock phase timings live in the trace
 manifest) makes a trace byte-deterministic: the same spec and seed yield
-the identical blob from serial and sharded runs, with or without
-``--analytics``.
+the identical blob from serial and sharded runs.
 
-Storage is the :data:`TRACE` run attachment (:mod:`repro.store.attachments`),
-so tracing never splits or invalidates the run cache.
+Storage sits next to the cached run, so tracing never splits or
+invalidates the run cache.  The blob lives under ``<cache_key>-trace`` in
+the integrity envelope, so ``store verify``/``repair`` cover it.  A
+``trace-<cache_key[:24]>`` manifest holds the run's metadata for
+discovery, and its ``"tasks"`` list names the run blob and the trace blob
+so :func:`~repro.store.lifecycle.collect_references` keeps both through
+``store gc``.  The pointer lives only in the manifest: the cached run blob
+is byte-identical with or without a trace.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.store.attachments import (
-    AttachmentError,
-    AttachmentKind,
-    load_attachment,
-    publish_attachment,
-)
 from repro.store.base import ResultStore
+from repro.store.lifecycle import BlobIntegrityError, unwrap_blob, wrap_blob
 
 __all__ = [
+    "AttachmentError",
     "MATE_REJECTED_REASONS",
     "PHASE_FIELDS",
-    "TRACE",
     "TRACE_EVENT_FIELDS",
     "TRACE_FORMAT_VERSION",
     "TRACE_MANIFEST_FIELDS",
     "TraceRecorder",
+    "iter_trace_manifests",
     "load_trace",
     "parse_trace",
     "publish_trace",
+    "trace_key",
+    "trace_manifest_name",
 ]
 
 #: Version of the trace blob + manifest layout (bump on shape changes).
 TRACE_FORMAT_VERSION = 1
-
-#: Decision traces are a run attachment: ``<cache_key>-trace`` blobs
-#: discovered through ``trace-*`` manifests.
-TRACE = AttachmentKind("trace", "trace", TRACE_FORMAT_VERSION, "--trace")
 
 #: Declared event vocabulary, ``"<event>:<field,field,…>"`` per entry.
 #: ``repro.devtools.formats`` fingerprints this into ``formats.lock``:
@@ -72,11 +71,36 @@ TRACE_EVENT_FIELDS = (
 MATE_REJECTED_REASONS = ("estimate", "no_mates", "bandwidth")
 
 #: Declared key layout of a trace manifest (:func:`publish_trace`).
-TRACE_MANIFEST_FIELDS = TRACE.manifest_fields("events", "counts", "meta", "phases")
+TRACE_MANIFEST_FIELDS = (
+    "kind",
+    "schema",
+    "cache_key",
+    "trace_key",
+    "trace_digest",
+    "events",
+    "counts",
+    "meta",
+    "phases",
+    "tasks",
+)
 
 #: Phase-timer names surfaced in ``SweepEntry.phases`` / trace manifests,
 #: in pipeline order: simulate → metrics fold → cache serialize → store put.
 PHASE_FIELDS = ("simulate", "metrics", "serialize", "store_put")
+
+
+class AttachmentError(RuntimeError):
+    """A stored decision trace is missing, quarantined or unreadable."""
+
+
+def trace_key(cache_key: str) -> str:
+    """Store key of the trace blob of a cached run."""
+    return f"{cache_key}-trace"
+
+
+def trace_manifest_name(cache_key: str) -> str:
+    """Deterministic name of the trace manifest of a cached run."""
+    return f"trace-{cache_key[:24]}"
 
 
 def _json_safe(value: Any) -> Any:
@@ -165,15 +189,30 @@ def publish_trace(
     phases: Optional[Dict[str, float]] = None,
 ) -> str:
     """Publish one run's trace blob + trace manifest; returns the digest."""
-    # Wall-clock phase timings stay out of the blob so the blob is
-    # byte-deterministic; the manifest is the nondeterministic side.
-    return publish_attachment(
-        store, TRACE, cache_key, recorder.to_bytes(), run_digest,
-        events=len(recorder),
-        counts=dict(sorted(recorder.counts.items())),
-        meta=dict(recorder.meta),
-        phases=dict(phases or {}),
-    )
+    key = trace_key(cache_key)
+    enveloped, digest = wrap_blob(recorder.to_bytes())
+    store.put(key, enveloped)
+    run_ref: Dict[str, Any] = {"cache_key": cache_key}
+    if run_digest:
+        run_ref["digest"] = run_digest
+    manifest = {
+        "kind": "trace",
+        "schema": TRACE_FORMAT_VERSION,
+        "cache_key": cache_key,
+        "trace_key": key,
+        "trace_digest": digest,
+        "events": len(recorder),
+        "counts": dict(sorted(recorder.counts.items())),
+        "meta": dict(recorder.meta),
+        # Wall-clock phase timings stay out of the blob so the blob is
+        # byte-deterministic; the manifest is the nondeterministic side.
+        "phases": dict(phases or {}),
+        # gc pinning: collect_references keeps every "cache_key" listed
+        # under "tasks", covering both the run blob and the trace blob.
+        "tasks": [run_ref, {"cache_key": key, "digest": digest}],
+    }
+    store.write_manifest(trace_manifest_name(cache_key), manifest)
+    return digest
 
 
 def load_trace(
@@ -181,7 +220,42 @@ def load_trace(
 ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     """Load + verify one run's trace; ``(meta, events)``.
 
-    :class:`~repro.store.attachments.AttachmentError` if absent,
-    quarantined, unreadable, or failing its integrity envelope.
+    :class:`AttachmentError` if it was never published, was quarantined or
+    deleted, or is unreadable or fails its integrity envelope.
     """
-    return parse_trace(load_attachment(store, TRACE, cache_key))
+    data = store.get(trace_key(cache_key))
+    short = cache_key[:24]
+    if data is None:
+        if store.read_manifest(trace_manifest_name(cache_key)) is not None:
+            raise AttachmentError(
+                f"the trace blob of cache key {short}… was quarantined "
+                "or deleted (its trace manifest remains); restore it "
+                "with 'store repair --from MIRROR', or re-run the sweep with "
+                "--trace to regenerate it"
+            )
+        raise AttachmentError(
+            f"no trace for cache key {short}… — the run was executed "
+            "without --trace; re-run the sweep with --trace to "
+            "publish the trace"
+        )
+    try:
+        payload, _digest = unwrap_blob(data)
+    except BlobIntegrityError as exc:
+        raise AttachmentError(
+            f"the trace blob of cache key {short}… fails its integrity "
+            f"envelope ({exc}); run 'store verify' to quarantine it, then "
+            "'store repair --from MIRROR' or re-run the sweep with --trace"
+        ) from exc
+    return parse_trace(payload)
+
+
+def iter_trace_manifests(store: ResultStore) -> Iterator[Tuple[str, Dict[str, Any]]]:
+    """Yield ``(manifest_name, manifest)`` for every trace manifest."""
+    for name in store.list_manifests("trace-"):
+        manifest = store.read_manifest(name)
+        if (
+            manifest
+            and manifest.get("kind") == "trace"
+            and manifest.get("schema") == TRACE_FORMAT_VERSION
+        ):
+            yield name, manifest

@@ -1,17 +1,21 @@
 """Tests for the job-level analytics layer.
 
 Covers the full chain: the per-job record rows of the simulation's one
-fold (pinned byte for byte on workload 4), columnar (de)serialisation, the
-bit-identity of aggregates recomputed from persisted records,
-cache/manifest format compatibility, and the cross-sweep ``query`` engine — including the
-acceptance property that ``query --report`` regenerates Figures 1-3/7
-byte-identically from stored records alone, across a two-shard merge.
+fold (pinned byte for byte on workload 4), the cached run blob as their
+one stored form, the bit-identity of aggregates recomputed from stored
+records, cache/manifest format compatibility, and the cross-sweep
+``query`` engine — including the acceptance property that ``query
+--report`` regenerates Figures 1-3/7 byte-identically from stored runs
+alone, across a two-shard merge.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import json
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -23,15 +27,8 @@ from repro.analytics.query import (
     render_stored_report,
     run_query,
 )
-from repro.analytics.records import (
-    JOB_RECORD_DTYPE,
-    RECORD_SCHEMA_VERSION,
-    RECORDS,
-    RunRecords,
-    load_run_records,
-    metrics_from_records,
-    publish_run_records,
-)
+from repro.analytics.records import JOB_RECORD_DTYPE, RECORD_SCHEMA_VERSION
+from repro.cli import main
 from repro.experiments.executors import (
     MANIFEST_FORMAT_VERSION,
     MergeExecutor,
@@ -50,12 +47,13 @@ from repro.experiments.sweep import (
     SweepRunner,
     SweepTask,
     _canonical_kwargs,
+    iter_cached_runs,
     task_cache_key,
 )
+from repro.metrics.aggregates import WorkloadMetrics
 from repro.metrics.streaming import StreamingMetrics
 from repro.simulator.simulation import Simulation
-from repro.store import MemoryStore, unwrap_blob, wrap_blob
-from repro.store.attachments import AttachmentError
+from repro.store import MemoryStore, StoreError, unwrap_blob, wrap_blob
 from repro.workloads.applications import assign_applications
 from repro.workloads.cirne import CirneWorkloadModel
 from repro.workloads.presets import build_workload
@@ -76,8 +74,12 @@ def _run_on(workload, name, runner, **overrides):
     return run_scenario(spec, runner=runner, workloads=workload)
 
 
+def _static_task(workload, key="plain"):
+    return SweepTask(workload=workload, policy="static_backfill", key=key, seed=0)
+
+
 # --------------------------------------------------------------------- #
-# Records + serialisation
+# Records and the run blob that stores them
 # --------------------------------------------------------------------- #
 class TestRecordsRoundTrip:
     def test_sink_captures_every_completed_job(self, workload):
@@ -86,23 +88,46 @@ class TestRecordsRoundTrip:
         assert run.records.array.dtype == JOB_RECORD_DTYPE
 
     def test_bytes_round_trip_is_exact(self, workload):
-        run = run_workload(workload, "static_backfill")
-        blob = run.records.to_bytes()
-        back = RunRecords.from_bytes(blob)
+        """The records come back from the cached run blob's bytes exactly."""
+        store = MemoryStore()
+        run = SweepRunner(max_workers=1, store=store).run([_static_task(workload)])["plain"]
+        [(_key, payload)] = iter_cached_runs(store)
+        back = payload["run"].records
         assert back.schema == RECORD_SCHEMA_VERSION
         assert back.meta == run.records.meta
         assert np.array_equal(back.array, run.records.array)
 
     def test_truncated_blob_rejected(self, workload):
-        run = run_workload(workload, "static_backfill")
-        blob = run.records.to_bytes()
-        with pytest.raises(ValueError):
-            RunRecords.from_bytes(blob[: len(blob) // 2])
-        with pytest.raises(ValueError):
-            RunRecords.from_bytes(b"\x00" * 4)
+        """``query`` is read-only: a corrupt run blob is an error naming its
+        key, and nothing is quarantined or rewritten."""
+        store = MemoryStore()
+        task = _static_task(workload)
+        SweepRunner(max_workers=1, store=store).run([task])
+        key = task_cache_key(task)
+        truncated = store.get(key)[:-100]
+        store.put(key, truncated)
+        blobs = store.list()
+        with pytest.raises(StoreError, match=f"cache blob {key} .*'store verify'"):
+            run_query(store)
+        assert store.list() == blobs
+        assert store.list_quarantined() == []
+        assert store.get(key) == truncated
 
 
-#: SHA-256 of ``RunRecords.to_bytes()`` for paper workload 4 at scale 0.005
+def _pinned_layout(records) -> bytes:
+    """The byte layout the digests below were recorded over: an 8-byte
+    big-endian header length, the sorted JSON header, then the array in
+    ``np.save`` format."""
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(records.array), allow_pickle=False)
+    header = json.dumps(
+        {"schema": records.schema, "rows": len(records.array), "meta": records.meta},
+        sort_keys=True,
+    ).encode("utf-8")
+    return struct.pack(">Q", len(header)) + header + buf.getvalue()
+
+
+#: SHA-256 of :func:`_pinned_layout` for paper workload 4 at scale 0.005
 #: (all malleable), recorded while the records were still built by a second
 #: fold beside the metrics one, and while runs could still keep their
 #: ``Job`` objects (each digest held with and without them).
@@ -131,7 +156,7 @@ def _pinned_runs():
 def test_records_are_byte_identical_to_the_pinned_digests():
     for name, (workload, kwargs) in _pinned_runs().items():
         run = run_workload(workload, malleable_fraction=1.0, **kwargs)
-        digest = hashlib.sha256(run.records.to_bytes()).hexdigest()
+        digest = hashlib.sha256(_pinned_layout(run.records)).hexdigest()
         assert digest == RECORDS_DIGESTS[name], name
 
 
@@ -152,7 +177,7 @@ def test_records_are_the_rows_the_metrics_read(monkeypatch):
 
 
 class TestAggregateBitIdentity:
-    """Satellite: metrics recomputed from persisted records are bit-identical
+    """Metrics recomputed from stored records are bit-identical
     to the run's own metrics (the ``StreamingMetrics`` fold, itself pinned
     to the ``compute_metrics`` oracle) for every paper preset, whether the
     records come from a fresh run or from the run a cache hit unpickles."""
@@ -170,12 +195,14 @@ class TestAggregateBitIdentity:
             assert cached.cache_hits == 1
             assert np.array_equal(cached["sd"].records.array, run.records.array)
             run = cached["sd"]
-        revived = RunRecords.from_bytes(run.records.to_bytes())
-        assert metrics_from_records(revived).as_dict() == run.metrics.as_dict()
+        meta = run.records.meta
+        rebuilt = WorkloadMetrics.from_records(
+            run.records.array, meta["first_submit"], meta["energy_joules"]
+        )
+        assert rebuilt.as_dict() == run.metrics.as_dict()
 
     def test_empty_records_yield_zero_metrics(self):
-        records = RunRecords(array=StreamingMetrics().records(), meta={"energy_joules": 0.0})
-        metrics = metrics_from_records(records)
+        metrics = WorkloadMetrics.from_records(StreamingMetrics().records(), None, 0.0)
         assert metrics.num_jobs == 0
         assert metrics.makespan == 0.0
 
@@ -185,37 +212,54 @@ class TestAggregateBitIdentity:
 # --------------------------------------------------------------------- #
 class TestAnalyticsStore:
     def test_publish_and_load(self, workload):
+        """A sweep publishes each run once, and ``iter_cached_runs`` loads
+        it with the coordinates a query filters and groups by."""
         store = MemoryStore()
-        run = run_workload(workload, "static_backfill")
-        publish_run_records(store, "a" * 16, run.records)
-        back = load_run_records(store, "a" * 16)
-        assert np.array_equal(back.array, run.records.array)
-
-    def test_missing_records_error_suggests_analytics(self):
-        with pytest.raises(AttachmentError, match="--analytics"):
-            load_run_records(MemoryStore(), "b" * 16)
+        task = SweepTask(workload=workload, policy="sd_policy", key="sd", seed=4,
+                         kwargs={"max_slowdown": 10.0})
+        run = SweepRunner(max_workers=1, store=store).run([task])["sd"]
+        [(key, payload)] = iter_cached_runs(store)
+        assert key == task_cache_key(task)
+        assert (payload["key"], payload["policy"], payload["seed"], payload["workload"]) == (
+            "sd", "sd_policy", 4, workload.name
+        )
+        assert payload["run"].label == run.label
+        assert np.array_equal(payload["run"].records.array, run.records.array)
 
     def test_sweep_publishes_records_and_run_blob_stays_plain(self, workload):
-        """The cached run payload is the same either way: it carries the
-        run's record rows, and an analytics runner also publishes them as
-        their own blob, so plain and analytics runners share entries."""
-        task = SweepTask(workload=workload, policy="static_backfill",
-                         key="plain", seed=0)
-        plain_store, analytics_store = MemoryStore(), MemoryStore()
-        fresh = SweepRunner(max_workers=1, store=plain_store).run([task])["plain"]
-        SweepRunner(max_workers=1, store=analytics_store, analytics=True).run([task])
-        key = task_cache_key(task)
-        for store in (plain_store, analytics_store):
-            payload = pickle.loads(unwrap_blob(store.get(key))[0])
+        """A plain sweep stores the records inside the run blob and nowhere
+        else, and every task it ran is queryable."""
+        tasks = [_static_task(workload, "static"),
+                 SweepTask(workload=workload, policy="sd_policy", key="sd", seed=0,
+                           kwargs={"max_slowdown": 10.0})]
+        store = MemoryStore()
+        fresh = SweepRunner(max_workers=1, store=store).run(tasks)
+        assert store.list() == sorted(task_cache_key(task) for task in tasks)
+        assert not [key for key in store.list() if key.endswith("-records")]
+        assert store.list_manifests("analytics-") == []
+        for task in tasks:
+            payload = pickle.loads(unwrap_blob(store.get(task_cache_key(task)))[0])
             assert payload["format"] == CACHE_FORMAT_VERSION
-            assert np.array_equal(payload["run"].records.array, fresh.records.array)
-        published = load_run_records(analytics_store, key)
-        assert np.array_equal(published.array, fresh.records.array)
-        assert plain_store.get(RECORDS.key(key)) is None
-        # A plain runner consumes the analytics runner's entry as a hit.
-        rerun = SweepRunner(max_workers=1, store=analytics_store).run([task])
-        assert rerun.cache_hits == 1
-        assert np.array_equal(rerun["plain"].records.array, fresh.records.array)
+            assert np.array_equal(
+                payload["run"].records.array, fresh[task.key].records.array
+            )
+        listing = list_runs(store)
+        assert listing.startswith(f"stored runs ({len(tasks)})")
+        for task in tasks:
+            assert task.key in listing
+
+    def test_rerun_is_all_cache_hits_and_stays_queryable(self, tmp_path, capsys):
+        """Regression: a second run of the same sweep re-simulates nothing."""
+        argv = ["sweep", "--workload", "1", "--scale", "0.02",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert main(argv) == 0
+        second = capsys.readouterr()
+        assert "cache hits: 6" in second.err
+        assert second.out == first.out
+        assert main(["query", "--cache-dir", str(tmp_path), "--list"]) == 0
+        assert "stored runs (6)" in capsys.readouterr().out
 
     def test_cached_run_blob_holds_no_job_objects(self, workload):
         task = SweepTask(workload=workload, policy="sd_policy", key="sd", seed=0,
@@ -226,10 +270,6 @@ class TestAnalyticsStore:
         assert b"repro.simulator.job" not in payload
         assert b"repro.analytics.records" in payload
 
-    def test_analytics_requires_store(self):
-        with pytest.raises(ValueError, match="result store"):
-            SweepRunner(max_workers=1, analytics=True)
-
 
 class TestFormatCompatibility:
     """Only the current payload format is read: a v3 blob written before
@@ -239,16 +279,14 @@ class TestFormatCompatibility:
     def test_version_constants(self):
         assert CACHE_FORMAT_VERSION == 6
         assert CACHE_KEY_VERSION == 3  # key encoding unchanged: old blobs resolve
-        assert MANIFEST_FORMAT_VERSION == 5
+        assert MANIFEST_FORMAT_VERSION == 6
 
-    def test_pre_analytics_blob_still_hits(self, workload):
-        """No longer a hit: the format-3 blob is a miss (not a corruption)
-        and is rewritten at format 6."""
-        task = SweepTask(workload=workload, policy="static_backfill",
-                         key="legacy", seed=0)
+    @staticmethod
+    def _format3_store(workload):
+        """A store holding one pre-analytics blob: format 3, and no
+        ``records`` attribute at all in the PolicyRun state."""
+        task = _static_task(workload, "legacy")
         run = run_workload(workload, "static_backfill", seed=task.resolved_seed())
-        # Emulate a pre-analytics pickle: format 3, and no `records`
-        # attribute at all in the PolicyRun state.
         run.__dict__.pop("records", None)
         payload = {
             "format": 3,
@@ -263,14 +301,29 @@ class TestFormatCompatibility:
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         )
         store = MemoryStore()
+        store.put(task_cache_key(task), enveloped)
+        return store, task, run
+
+    def test_pre_analytics_blob_still_hits(self, workload):
+        """No longer a hit: the format-3 blob is a miss (not a corruption)
+        and is rewritten at format 6."""
+        store, task, run = self._format3_store(workload)
         key = task_cache_key(task)
-        store.put(key, enveloped)
         result = SweepRunner(max_workers=1, store=store).run([task])
         assert result.cache_hits == 0
         assert result.cache_corruptions == 0
         assert result["legacy"].metrics.as_dict() == run.metrics.as_dict()
         rewritten = pickle.loads(unwrap_blob(store.get(key))[0])
         assert rewritten["format"] == CACHE_FORMAT_VERSION == 6
+
+    def test_iter_cached_runs_skips_other_formats_and_traces(self, workload):
+        store, legacy, _run = self._format3_store(workload)
+        traced = SweepTask(workload=workload, policy="sd_policy", key="sd", seed=0,
+                           kwargs={"max_slowdown": 10.0})
+        SweepRunner(max_workers=1, store=store, trace=True).run([traced])
+        assert store.exists(task_cache_key(legacy))
+        assert store.exists(f"{task_cache_key(traced)}-trace")
+        assert [key for key, _payload in iter_cached_runs(store)] == [task_cache_key(traced)]
 
 
 # --------------------------------------------------------------------- #
@@ -280,8 +333,7 @@ class TestQuery:
     @pytest.fixture(scope="class")
     def populated(self, workload):
         store = MemoryStore()
-        runner = SweepRunner(max_workers=1, store=store, analytics=True)
-        result = _run_on(workload, "figure1-3", runner)
+        result = _run_on(workload, "figure1-3", SweepRunner(max_workers=1, store=store))
         return store, result
 
     def test_list_runs(self, populated):
@@ -306,7 +358,7 @@ class TestQuery:
             run_query(store, metrics=[("not_a_column", "mean")])
         with pytest.raises(QueryError, match="unknown aggregation"):
             run_query(store, metrics=[("slowdown", "sum")])
-        with pytest.raises(QueryError, match="no analytics runs"):
+        with pytest.raises(QueryError, match="no stored runs"):
             run_query(MemoryStore())
 
     def test_fig1_to_3_report_is_byte_identical(self, populated, workload):
@@ -332,12 +384,13 @@ class TestQuery:
             assert vals["makespan"] > 0
 
     def test_report_without_records_raises(self, workload):
-        with pytest.raises(QueryError, match="--analytics"):
+        with pytest.raises(QueryError, match="run that scenario into this store") as excinfo:
             render_stored_report(MemoryStore(), "fig1-3", workload=workload)
+        assert "--analytics" not in str(excinfo.value)
 
     def test_fig7_report_is_byte_identical(self, workload):
         store = MemoryStore()
-        runner = SweepRunner(max_workers=1, store=store, analytics=True)
+        runner = SweepRunner(max_workers=1, store=store)
         result = _run_on(workload, "figure7", runner, max_slowdown=10.0)
         regenerated = render_stored_report(
             store, "fig7", workload=workload, max_slowdown=10.0
@@ -347,25 +400,23 @@ class TestQuery:
     @pytest.mark.parametrize("name, scale", [("figure4-6", 0.005), ("figure9", 0.05)])
     def test_builtin_per_job_report_is_byte_identical(self, name, scale):
         """Figures 4-6 and 9 read per-job rows; query renders them from the
-        stored records alone, from the spec ``scenario NAME`` builds."""
+        stored runs alone, from the spec ``scenario NAME`` builds."""
         store = MemoryStore()
         spec = builtin_scenario(name, scale=scale, seed=3)
-        live = run_scenario(spec, runner=SweepRunner(max_workers=1, store=store,
-                                                     analytics=True))
+        live = run_scenario(spec, runner=SweepRunner(max_workers=1, store=store))
         regenerated = render_stored_report(store, name, scale=scale, seed=3)
         assert regenerated == render_report(live)
 
     def test_sharded_merge_then_query_is_byte_identical(self, workload):
-        """Acceptance: two analytics shards through one shared store, merged,
-        then regenerated from records alone — same bytes."""
+        """Acceptance: two shards through one shared store, merged, then
+        regenerated from the stored runs alone — same bytes."""
         store = MemoryStore()
         for index in range(2):
             _run_on(
                 workload,
                 "figure1-3",
                 SweepRunner(
-                    max_workers=1, store=store, analytics=True,
-                    executor=ShardedExecutor(index, 2),
+                    max_workers=1, store=store, executor=ShardedExecutor(index, 2)
                 ),
             )
         merged = _run_on(

@@ -81,6 +81,15 @@ class TestCommands:
             assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["sweep"], ["table", "1"], ["scenario", "table1"]],
+                             ids=lambda argv: argv[0])
+    def test_analytics_flag_is_gone(self, argv, capsys):
+        # Every cached run's records are queryable; there is nothing to turn on.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "--analytics"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --analytics" in capsys.readouterr().err
+
     def test_table_command(self, capsys):
         assert main(["table", "2", "--scale", "0.2"]) == 0
         assert "Table 2" in capsys.readouterr().out
@@ -137,12 +146,11 @@ class TestCommands:
 
 class TestPaperArtifactCommands:
     """``table``/``figure``/``sweep`` run the built-in scenarios, and
-    ``query --report`` rebuilds the same outcome from stored records."""
+    ``query --report`` rebuilds the same outcome from the stored runs."""
 
     def test_table1_query_is_byte_identical(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
-        assert main(["table", "1", "--scale", "0.01", "--analytics",
-                     "--cache-dir", cache]) == 0
+        assert main(["table", "1", "--scale", "0.01", "--cache-dir", cache]) == 0
         table = capsys.readouterr().out
         assert table.startswith("Table 1 (scale=0.01)")
         assert main(["query", "--report", "table1", "--scale", "0.01",
@@ -153,10 +161,20 @@ class TestPaperArtifactCommands:
         assert main(["query", "--report", "table1", "--scale", "0.01",
                      "--cache-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "--analytics" in err
+        assert "run that scenario into this store" in err
+        assert "--analytics" not in err
         # Every command the message suggests must parse.
         for command in re.findall(r"repro-sdpolicy ([^'\"`]+)", err):
             build_parser().parse_args(shlex.split(command))
+
+    def test_builtin_query_defaults_to_the_scenario_scale(self, tmp_path, capsys):
+        """Without --scale, ``query --report figure4-6`` looks for the runs
+        ``scenario figure4-6`` stored at the built-in's own scale."""
+        cache = str(tmp_path / "cache")
+        assert main(["scenario", "figure4-6", "--cache-dir", cache]) == 0
+        live = capsys.readouterr().out
+        assert main(["query", "--report", "figure4-6", "--cache-dir", cache]) == 0
+        assert capsys.readouterr().out == live
 
     def test_table_command_matches_builtin_scenario(self, capsys):
         assert main(["table", "1", "--scale", "0.01", "--workers", "1"]) == 0

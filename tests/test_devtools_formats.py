@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analytics.records import ANALYTICS_MANIFEST_FIELDS
 from repro.devtools import formats
 from repro.experiments.executors import (
     MANIFEST_DIR_NAME,
@@ -169,12 +168,3 @@ class TestDeclaredFieldsMatchReality:
         payload_bytes, _ = unwrap_blob(blobs[0].read_bytes())
         payload = pickle.loads(payload_bytes)
         assert tuple(payload) == CACHE_PAYLOAD_FIELDS
-
-    def test_analytics_manifest_fields_are_registered(self):
-        spec = {s.name: s for s in formats.SCHEMAS}[
-            "records/analytics-manifest-fields"
-        ]
-        assert spec.kind == "fields"
-        assert formats.fingerprint_schema(
-            "fields", ANALYTICS_MANIFEST_FIELDS
-        ) == formats.snapshot()[spec.name]["fingerprint"]

@@ -146,9 +146,6 @@ class TestSpecRoundTrip:
             # Keywords every sweep task sets itself.
             ({"name": "x", "workload": {"preset": 1, "scale": 0.01}, "base": {"seed": 1}},
              "scenario field 'base.seed': set by the runner; use the spec's top-level 'seed'"),
-            ({"name": "x", "workload": {"preset": 1}, "grid": {"analytics": [True]}},
-             "scenario field 'grid.analytics': set by the runner; "
-             "use the spec's top-level 'analytics'"),
             ({"name": "x", "workload": {"preset": 1},
               "baseline": {"policy": "static_backfill", "kwargs": {"trace": True}}},
              "scenario field 'baseline.kwargs.trace': set by the runner"),
@@ -170,15 +167,22 @@ class TestSpecRoundTrip:
             ({"name": "x", "workload": {"preset": 1, "scale": 0.01},
               "base": {"retain_jobs": "no"}},
              "scenario field 'base.retain_jobs'"),
+            # Every cached run is queryable: no spec field or keyword asks for it.
+            ({"name": "x", "workload": {"preset": 1}, "grid": {"analytics": [True]}},
+             "scenario field 'grid.analytics'"),
+            ({"name": "x", "workload": {"preset": 1}, "analytics": True},
+             "unknown scenario fields: ['analytics']"),
+            ({"name": "x", "workload": {"preset": 1}, "base": {"analytics": True}},
+             "scenario field 'base.analytics'"),
         ],
         ids=["ref-not-object", "baseline-int", "scale-str", "seed-str", "top-level-list",
              "unknown-preset", "negative-scale", "zero-scale", "unknown-mix", "missing-swf",
              "unknown-policy", "unknown-baseline", "unknown-grid-policy",
              "unknown-runtime-model", "unknown-max-slowdown", "unknown-base-param",
-             "unknown-baseline-kwarg", "removed-selector-knob", "base-seed", "grid-analytics",
+             "unknown-baseline-kwarg", "removed-selector-knob", "base-seed",
              "baseline-trace", "base-label", "fraction-str", "fraction-above-one",
              "zero-tasks-per-node", "fractional-tasks-per-node", "base-power-model",
-             "base-retain-jobs"],
+             "base-retain-jobs", "grid-analytics", "top-level-analytics", "base-analytics"],
     )
     def test_malformed_spec_file_is_a_clean_error_naming_the_field(
         self, tmp_path, capsys, spec, names
@@ -383,7 +387,7 @@ class TestBuiltinSeedConsistency:
 class TestBuiltinCacheKeys:
     """The Table 1 and Figures 1-3 built-ins expand to the exact cache keys
     the tasks had before they became built-ins (workload 3 at scale 0.01,
-    default seed), so existing stores and ``--analytics`` records stay
+    default seed), so existing stores and the runs cached in them stay
     reachable.  A release that bumps ``repro.__version__`` or
     ``CACHE_KEY_VERSION`` changes every key on purpose: re-pin then."""
 

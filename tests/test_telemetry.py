@@ -6,8 +6,8 @@ byte-deterministic across serial, sharded, and streaming executions,
 trace publication/loading through the integrity envelope, the
 instrumented store wrapper (request counts, byte totals, latency
 percentiles, snapshot layout, retry observation), the ``--log-level``
-logging wiring, and the ``repro-sdpolicy trace`` CLI surface.  The
-storage mechanism shared with analytics records is covered in
+logging wiring, and the ``repro-sdpolicy trace`` CLI surface.  Trace
+storage recovery (quarantine, gc pinning, republishing) is covered in
 ``tests/test_attachments.py``.
 """
 
@@ -27,18 +27,18 @@ from repro.experiments.sweep import (
     task_cache_key,
 )
 from repro.store import MemoryStore, open_store, unwrap_blob
-from repro.store.attachments import AttachmentError
 from repro.telemetry import (
-    TRACE,
     InstrumentedStore,
     TraceRecorder,
     load_trace,
     publish_trace,
     setup_logging,
+    trace_key,
+    trace_manifest_name,
 )
 from repro.telemetry.core import TELEMETRY_SNAPSHOT_FIELDS, TIMER_STAT_FIELDS, percentile
 from repro.telemetry.logs import ENV_LOG_LEVEL
-from repro.telemetry.trace import PHASE_FIELDS, parse_trace
+from repro.telemetry.trace import PHASE_FIELDS, AttachmentError, parse_trace
 from repro.workloads.cirne import CirneWorkloadModel
 
 
@@ -178,8 +178,8 @@ class TestTraceDeterminism:
             ).run(tasks)
         for task in tasks:
             key = task_cache_key(task)
-            serial = unwrap_blob(serial_store.get(TRACE.key(key)))[0]
-            sharded = unwrap_blob(sharded_store.get(TRACE.key(key)))[0]
+            serial = unwrap_blob(serial_store.get(trace_key(key)))[0]
+            sharded = unwrap_blob(sharded_store.get(trace_key(key)))[0]
             assert serial == sharded
 
     def test_run_blob_is_byte_identical_with_and_without_trace(self, workload):
@@ -214,7 +214,7 @@ class TestTraceStorage:
         meta, events = load_trace(store, "k" * 16)
         assert meta == {"label": "x"}
         assert len(events) == 1
-        manifest = store.read_manifest(TRACE.manifest_name("k" * 16))
+        manifest = store.read_manifest(trace_manifest_name("k" * 16))
         assert manifest["kind"] == "trace"
         assert manifest["events"] == 1
         assert manifest["trace_digest"] == digest
@@ -229,9 +229,9 @@ class TestTraceStorage:
         recorder = TraceRecorder()
         recorder.emit("job_end", 1.0, job=1, wait=0.0)
         publish_trace(store, "c" * 16, recorder)
-        blob = bytearray(store.get(TRACE.key("c" * 16)))
+        blob = bytearray(store.get(trace_key("c" * 16)))
         blob[-1] ^= 0xFF
-        store.put(TRACE.key("c" * 16), bytes(blob))
+        store.put(trace_key("c" * 16), bytes(blob))
         with pytest.raises(AttachmentError, match="integrity envelope"):
             load_trace(store, "c" * 16)
 
