@@ -420,6 +420,31 @@ class TestBuiltinCacheKeys:
         keys = {k.split("::", 1)[1]: v for k, v in self._keys(spec).items()}
         assert keys == self.FIGURE1_3
 
+    #: SHA-256 over the sorted cache keys of every task of every built-in
+    #: (default overrides) and every ``examples/*.json`` spec.
+    ALL_SPECS = "19abb249e6541ece3807fec2089b9b851635d171caa5e84710cec03a05db8eb9"
+
+    def test_every_builtin_and_example_spec_key_is_pinned(self, workload, monkeypatch):
+        """Spec loading validates run parameters but never rewrites them
+        into ``SweepTask.kwargs``, so every key stays byte-identical.  Each
+        ref runs on the same small workload: this pins the run-parameter
+        part of the keys without building paper-scale workloads."""
+        import hashlib
+        from pathlib import Path
+
+        repo = Path(__file__).resolve().parent.parent
+        monkeypatch.chdir(repo)  # specs name examples/sample.swf relative to the repo
+        specs = [builtin_scenario(name) for name in sorted(BUILTIN_SCENARIOS)]
+        specs += [load_spec(path) for path in sorted(repo.glob("examples/*.json"))]
+        keys = sorted(
+            task_cache_key(task)
+            for spec in specs
+            for task in spec.tasks({ref.key(): workload for ref in spec.workloads})
+        )
+        assert len(keys) > 50
+        digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+        assert digest == self.ALL_SPECS
+
 
 class TestShardedScenario:
     def test_partial_outcome_has_no_cells(self, workload, tmp_path):
