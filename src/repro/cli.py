@@ -48,10 +48,9 @@ Example::
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.analysis.tables import metrics_table
 from repro.analytics.query import (
@@ -68,7 +67,7 @@ from repro.core.policy import available_policies
 from repro.core.profiles import PROFILE_SET_NAMES
 from repro.devtools.lint import cli as lint_cli
 from repro.experiments.executors import parse_shard
-from repro.experiments.runner import run_workload
+from repro.experiments.runner import POLICY, RUN_PARAMS, resolve_run, run_workload
 from repro.experiments.scenario import (
     BUILTIN_SCENARIOS,
     ScenarioError,
@@ -101,12 +100,24 @@ from repro.workloads.presets import build_workload
 from repro.workloads.swf import read_swf, summarize_swf
 
 
-def _parse_maxsd(value: str):
-    if value.lower() in ("dynamic", "dynavgsd", "dyn"):
-        return "dynamic"
-    if value.lower() in ("inf", "infinite", "infinity"):
-        return math.inf
-    return float(value)
+def _run_param_flag(name: str) -> Dict[str, Any]:
+    """``type=`` and ``help=`` of the flag that sets run parameter ``name``:
+    its :data:`RUN_PARAMS` kind parses and checks the text and SD-Policy's
+    constructors range-check a policy value, so a bad value is an argparse
+    error naming the flag."""
+    row = RUN_PARAMS[name]
+
+    def parse(text: str) -> Any:
+        try:
+            value = row.kind.parse(text)
+            row.kind.check(value)
+            if row.layer == POLICY:
+                resolve_run("sd_policy", **{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return {"type": parse, "help": f"{row.kind.expected}, for the {row.layer} ({name})"}
 
 
 #: Workload scale when ``--scale`` is not given (``query`` leaves it
@@ -256,7 +267,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.policy in ("sd_policy", "ub_policy"):
         # Only the malleable policies take the SD-Policy family knobs.
-        kwargs["max_slowdown"] = _parse_maxsd(args.maxsd)
+        kwargs["max_slowdown"] = args.maxsd
         kwargs["sharing_factor"] = args.sharing_factor
     run = run_workload(
         workload,
@@ -279,7 +290,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         workload,
         "sd_policy",
         runtime_model=args.runtime_model,
-        max_slowdown=_parse_maxsd(args.maxsd),
+        max_slowdown=args.maxsd,
         sharing_factor=args.sharing_factor,
     )
     print(metrics_table({"static_backfill": static.metrics, sd.label: sd.metrics},
@@ -370,7 +381,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         if args.figure <= 3:
             spec = builtin_scenario(name, workload_id=args.workload, seed=args.seed)
         else:
-            spec = builtin_scenario(name, seed=args.seed, max_slowdown=_parse_maxsd(args.maxsd))
+            spec = builtin_scenario(name, seed=args.seed, max_slowdown=args.maxsd)
         return _run_and_print(args, spec, workloads=_on_cli_workload(spec, args))
     if args.figure == 9 and (args.swf or args.workload != 1):
         print(
@@ -596,7 +607,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                     seed=args.seed,
                     sharing_factor=args.sharing_factor,
                     runtime_model=args.runtime_model,
-                    max_slowdown=_parse_maxsd(args.maxsd),
+                    max_slowdown=args.maxsd,
                 )
             )
             return 0
@@ -674,21 +685,20 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=list(available_policies()),
                        help="co-scheduling policy (the registered policy family)")
     p_run.add_argument("--runtime-model", default="ideal",
-                       choices=["ideal", "worst_case", "application_aware"])
-    p_run.add_argument("--maxsd", default="dynamic", help="MAX_SLOWDOWN: number, 'inf' or 'dynamic'")
-    p_run.add_argument("--sharing-factor", type=float, default=0.5)
-    p_run.add_argument(
-        "--profiles", default=None, choices=list(PROFILE_SET_NAMES),
-        help="application-profile set for profile-aware policies (UB-Policy) "
-             "and the application-aware runtime model",
-    )
+                       choices=["ideal", "worst_case", "application_aware"],
+                       **_run_param_flag("runtime_model"))
+    p_run.add_argument("--maxsd", default="dynamic", **_run_param_flag("max_slowdown"))
+    p_run.add_argument("--sharing-factor", default=0.5, **_run_param_flag("sharing_factor"))
+    p_run.add_argument("--profiles", default=None, choices=list(PROFILE_SET_NAMES),
+                       **_run_param_flag("profiles"))
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="compare SD-Policy against static backfill")
     _add_workload_args(p_cmp)
-    p_cmp.add_argument("--runtime-model", default="ideal", choices=["ideal", "worst_case"])
-    p_cmp.add_argument("--maxsd", default="dynamic")
-    p_cmp.add_argument("--sharing-factor", type=float, default=0.5)
+    p_cmp.add_argument("--runtime-model", default="ideal", choices=["ideal", "worst_case"],
+                       **_run_param_flag("runtime_model"))
+    p_cmp.add_argument("--maxsd", default="dynamic", **_run_param_flag("max_slowdown"))
+    p_cmp.add_argument("--sharing-factor", default=0.5, **_run_param_flag("sharing_factor"))
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_sweep = sub.add_parser(
@@ -702,8 +712,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_args(p_sweep)
     _add_sweep_args(p_sweep)
-    p_sweep.add_argument("--runtime-model", default="ideal", choices=["ideal", "worst_case"])
-    p_sweep.add_argument("--sharing-factor", type=float, default=0.5)
+    p_sweep.add_argument("--runtime-model", default="ideal", choices=["ideal", "worst_case"],
+                         **_run_param_flag("runtime_model"))
+    p_sweep.add_argument("--sharing-factor", default=0.5, **_run_param_flag("sharing_factor"))
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_sc = sub.add_parser(
@@ -737,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure", help="regenerate a figure (1-9)")
     p_fig.add_argument("figure", type=int, choices=range(1, 10))
     _add_workload_args(p_fig)
-    p_fig.add_argument("--maxsd", default="10")
+    p_fig.add_argument("--maxsd", default="10", **_run_param_flag("max_slowdown"))
     _add_sweep_args(p_fig)
     p_fig.set_defaults(func=_cmd_figure)
 
@@ -907,11 +918,10 @@ def build_parser() -> argparse.ArgumentParser:
              "rendered version; table1, figure4-6 and figure9 take the "
              "built-in scenario, at --scale/--seed when given",
     )
-    p_query.add_argument("--maxsd", default="10",
-                         help="MAX_SLOWDOWN for --report fig7")
-    p_query.add_argument("--sharing-factor", type=float, default=0.5)
-    p_query.add_argument("--runtime-model", default="ideal",
-                         choices=["ideal", "worst_case"])
+    p_query.add_argument("--maxsd", default="10", **_run_param_flag("max_slowdown"))
+    p_query.add_argument("--sharing-factor", default=0.5, **_run_param_flag("sharing_factor"))
+    p_query.add_argument("--runtime-model", default="ideal", choices=["ideal", "worst_case"],
+                         **_run_param_flag("runtime_model"))
     # Without --scale a built-in report keeps its scenario's own scale, as
     # `scenario NAME` does; the other reports build the default workload.
     p_query.set_defaults(func=_cmd_query, scale=None)

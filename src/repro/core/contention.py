@@ -132,21 +132,12 @@ class ApplicationAwareRuntimeModel(RuntimeModel):
     def __init__(
         self,
         cluster: Optional[Cluster] = None,
-        contention_coefficient: float = DEFAULT_CONTENTION_COEFFICIENT,
         job_lookup: Optional[Mapping[int, Job]] = None,
         contention: Optional[ContentionModel] = None,
     ) -> None:
-        self.contention = (
-            contention
-            if contention is not None
-            else ContentionModel(contention_coefficient=contention_coefficient)
-        )
+        self.contention = contention if contention is not None else ContentionModel()
         self.cluster = cluster
         self._job_lookup = job_lookup or {}
-
-    @property
-    def contention_coefficient(self) -> float:
-        return self.contention.contention_coefficient
 
     def bind_cluster(self, cluster: Cluster, job_lookup: Mapping[int, Job]) -> None:
         """Attach the cluster and the job table used to resolve co-runners."""

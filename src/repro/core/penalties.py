@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Union
 
 from repro.simulator.job import Job, JobState
 
@@ -82,6 +82,24 @@ class MaxSlowdownCutoff(abc.ABC):
         return penalty < self.threshold()
 
 
+def parse_max_slowdown(value: Union[float, str]) -> Union[float, str]:
+    """The MAX_SLOWDOWN a number, its text or a spelling below names:
+    ``"dynamic"`` (DynAVGSD) or a float (``math.inf`` for MAXSD infinite).
+    Raises ``ValueError`` for anything else, ``bool`` included; positivity
+    is :class:`StaticMaxSlowdown`'s check."""
+    key = value.lower() if isinstance(value, str) else value
+    if key in ("dynamic", "dynavgsd", "dyn", "avg"):
+        return "dynamic"
+    if key in ("inf", "+inf", "infinite", "infinity"):
+        return math.inf
+    if isinstance(key, (int, float, str)) and not isinstance(key, bool):
+        try:
+            return float(key)
+        except ValueError:
+            pass
+    raise ValueError(f"unknown max_slowdown spec {value!r}")
+
+
 class StaticMaxSlowdown(MaxSlowdownCutoff):
     """Administrator-chosen static cut-off (``MAXSD <value>``).
 
@@ -90,7 +108,7 @@ class StaticMaxSlowdown(MaxSlowdownCutoff):
     """
 
     def __init__(self, value: float) -> None:
-        if value <= 0:
+        if not value > 0:  # also refuses NaN
             raise ValueError("MAX_SLOWDOWN must be positive")
         self.value = float(value)
         self.label = "MAXSD inf" if math.isinf(self.value) else f"MAXSD {value:g}"

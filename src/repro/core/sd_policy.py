@@ -34,6 +34,7 @@ from repro.core.penalties import (
     DynamicAverageMaxSlowdown,
     MaxSlowdownCutoff,
     StaticMaxSlowdown,
+    parse_max_slowdown,
 )
 from repro.core.runtime_model import mate_increase
 from repro.schedulers.backfill import BackfillScheduler
@@ -56,7 +57,7 @@ class SDPolicyConfig:
         Maximum mates combined per guest (paper: 2).
     max_slowdown:
         The MAX_SLOWDOWN cut-off: a number (static MAXSD), ``math.inf``
-        (MAXSD infinite), or the string ``"dynamic"`` for DynAVGSD.
+        (MAXSD infinite), or ``"dynamic"`` for DynAVGSD (see ``parse_max_slowdown``).
     max_job_test:
         Backfill depth (inherited from the static baseline).
 
@@ -72,12 +73,10 @@ class SDPolicyConfig:
 
     def build_cutoff(self) -> MaxSlowdownCutoff:
         """Instantiate the MAX_SLOWDOWN cut-off described by this config."""
-        if isinstance(self.max_slowdown, str):
-            key = self.max_slowdown.lower()
-            if key in ("dynamic", "dynavgsd", "avg"):
-                return DynamicAverageMaxSlowdown()
-            raise ValueError(f"unknown max_slowdown spec {self.max_slowdown!r}")
-        return StaticMaxSlowdown(float(self.max_slowdown))
+        value = parse_max_slowdown(self.max_slowdown)
+        if value == "dynamic":
+            return DynamicAverageMaxSlowdown()
+        return StaticMaxSlowdown(value)
 
     def build_contention(self):
         """Contention model consulted by the selector (base policy: none)."""

@@ -26,11 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.core.contention import (
-    DEFAULT_CONTENTION_COEFFICIENT,
-    DEFAULT_NODE_BANDWIDTH_CAPACITY,
-    ContentionModel,
-)
+from repro.core.contention import DEFAULT_NODE_BANDWIDTH_CAPACITY, ContentionModel
 from repro.core.sd_policy import SDPolicyConfig, SDPolicyScheduler
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,8 +39,6 @@ class UBPolicyConfig(SDPolicyConfig):
 
     Attributes
     ----------
-    contention_coefficient:
-        Strength of the memory-bandwidth interference term.
     node_bandwidth_capacity:
         Per-node bandwidth budget the admission check enforces (in units of
         one fully memory-bound application's demand).
@@ -54,16 +48,13 @@ class UBPolicyConfig(SDPolicyConfig):
         profile-driven behaviour and reduces UB-Policy to SD-Policy.
     """
 
-    contention_coefficient: float = DEFAULT_CONTENTION_COEFFICIENT
     node_bandwidth_capacity: float = DEFAULT_NODE_BANDWIDTH_CAPACITY
     profiles: str = "table2"
 
     def build_contention(self) -> ContentionModel:
         """Contention model the selector and sharing planner consult."""
         return ContentionModel(
-            contention_coefficient=self.contention_coefficient,
-            node_bandwidth_capacity=self.node_bandwidth_capacity,
-            profiles=self.profiles,
+            node_bandwidth_capacity=self.node_bandwidth_capacity, profiles=self.profiles
         )
 
 

@@ -8,13 +8,16 @@ outlives the simulation.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.analytics.records import RunRecords
+from repro.core.penalties import parse_max_slowdown
 from repro.core.policy import make_policy, policy_accepts_profiles
-from repro.core.runtime_model import RuntimeModel
+from repro.core.profiles import get_profile_set
+from repro.core.runtime_model import RuntimeModel, get_model
 from repro.metrics.aggregates import WorkloadMetrics
 from repro.metrics.energy import LinearPowerModel
 from repro.schedulers.base import Scheduler
@@ -41,13 +44,9 @@ def cluster_for(workload: Workload, sockets: int = 2) -> Cluster:
 def make_scheduler(policy: Union[str, Scheduler, Callable[[], Scheduler]], **kwargs) -> Scheduler:
     """Build a scheduler from a name, an instance, or a zero-arg factory.
 
-    Names resolve through the co-scheduling policy registry
-    (:mod:`repro.core.policy`): ``"fcfs"``, ``"static_backfill"``
-    (``"backfill"``), ``"sd_policy"`` and ``"ub_policy"`` by default, plus
-    anything registered via :func:`repro.core.policy.register_policy`;
-    keyword arguments are forwarded to the policy's config (e.g.
-    :class:`repro.core.sd_policy.SDPolicyConfig`).  An unknown name raises
-    a ``ValueError`` listing the available policies.
+    Names resolve through the policy registry (:mod:`repro.core.policy`),
+    which forwards the keywords to the policy's config and raises a
+    ``ValueError`` listing the policies for an unknown name.
     """
     if isinstance(policy, Scheduler):
         return policy
@@ -56,56 +55,112 @@ def make_scheduler(policy: Union[str, Scheduler, Callable[[], Scheduler]], **kwa
     return make_policy(policy, **kwargs)
 
 
-#: ``run_workload`` keywords that reach neither the policy nor the runtime
-#: model, so :func:`resolve_run` never sees them.
-RUNNER_ONLY_KWARGS = frozenset(
-    {"malleable_fraction", "tasks_per_node", "power_model", "label", "seed", "trace"}
-)
+class Kind(NamedTuple):
+    """The JSON values a run parameter accepts.  ``accepts`` may raise a
+    ``ValueError`` itself (a lookup naming its choices); ``parse`` reads
+    command-line text."""
+
+    expected: str
+    accepts: Callable[[Any], Any]
+    parse: Callable[[str], Any] = str
+    nullable: bool = False
+
+    def check(self, value: Any) -> None:
+        """Raise a ``ValueError`` unless ``value`` is of this kind."""
+        if not ((value is None and self.nullable) or self.accepts(value)):
+            null = " or null" if self.nullable else ""
+            raise ValueError(f"must be {self.expected}{null}, got {value!r}")
+
+
+def _number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _named(lookup: Callable[[str], Any]) -> Callable[[Any], bool]:
+    """A string with choices; ``lookup`` names them on a miss."""
+    return lambda value: isinstance(value, str) and lookup(value) is not None
+
+
+INTEGER = Kind("an integer", lambda v: _number(v) and isinstance(v, int), int)
+NUMBER = Kind("a number", _number, float)
+
+
+class RunParam(NamedTuple):
+    """A ``run_workload`` keyword (its default stays in the signature that
+    consumes it); ``runner_sets`` names where a spec sets a keyword the
+    runner passes itself."""
+
+    kind: Optional[Kind]
+    layer: str
+    runner_sets: Optional[str] = None
+
+
+#: The layers a run parameter reaches.
+STREAM, MODEL, POLICY, SIMULATION = "workload stream", "runtime model", "policy", "simulation"
+
+#: Every keyword a scenario spec may hand ``run_workload``, plus the ones
+#: the runner sets itself.  Ranges are checked by the constructors that
+#: consume a value; a kind carries one only where no constructor runs
+#: before the simulation does.
+RUN_PARAMS: Dict[str, RunParam] = {
+    "runtime_model": RunParam(
+        Kind("a runtime model name", _named(get_model), nullable=True), MODEL
+    ),
+    "contention_coefficient": RunParam(
+        Kind("a non-negative finite number", lambda v: _number(v) and 0 <= v < math.inf,
+             float, nullable=True),
+        MODEL,
+    ),
+    # Also handed to profile-aware policies (resolve_run).
+    "profiles": RunParam(
+        Kind("a profile set name", _named(get_profile_set), nullable=True), MODEL
+    ),
+    "sharing_factor": RunParam(NUMBER, POLICY),
+    "max_mates": RunParam(INTEGER, POLICY),
+    "max_slowdown": RunParam(
+        Kind("a number, 'inf' or 'dynamic'", lambda v: parse_max_slowdown(v) is not None,
+             parse_max_slowdown),
+        POLICY,
+    ),
+    "max_job_test": RunParam(INTEGER, POLICY),
+    "node_bandwidth_capacity": RunParam(NUMBER, POLICY),
+    "malleable_fraction": RunParam(
+        Kind("a number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1, float), STREAM
+    ),
+    "tasks_per_node": RunParam(
+        Kind("a positive integer", lambda v: INTEGER.accepts(v) and v > 0, int), STREAM
+    ),
+    "power_model": RunParam(Kind("null (no energy accounting)", lambda v: v is None), SIMULATION),
+    "seed": RunParam(None, STREAM, "the spec's top-level 'seed'"),
+    "trace": RunParam(None, SIMULATION, "the --trace flag"),
+    "label": RunParam(None, SIMULATION, "the grid's cell labels"),
+}
 
 
 def resolve_run(
-    policy: Union[str, Scheduler, Callable[[], Scheduler]],
-    runtime_model: Optional[Union[str, RuntimeModel]] = None,
-    contention_coefficient: Optional[float] = None,
-    profiles: Optional[str] = None,
-    **policy_kwargs,
+    policy: Union[str, Scheduler, Callable[[], Scheduler]], **params: Any
 ) -> Tuple[Scheduler, Optional[RuntimeModel]]:
     """Build the scheduler and runtime model a :func:`run_workload` call uses.
 
-    Raises ``ValueError`` for an unknown policy, runtime model or policy
-    parameter value and ``TypeError`` for a parameter the policy does not
-    take, without simulating anything (scenario loading checks specs
-    with it).
+    Keywords split by their :data:`RUN_PARAMS` layer: the runtime model
+    takes its own (``None`` keeps the constructor default; ``profiles``
+    also reaches profile-aware policies), the policy takes its own and any
+    the table lacks.  Raises the constructors' ``ValueError``/``TypeError``
+    without simulating anything.
     """
-    if (
-        profiles is not None
-        and isinstance(policy, str)
-        and policy_accepts_profiles(policy)
-    ):
-        policy_kwargs.setdefault("profiles", profiles)
+    layer = {name: RUN_PARAMS[name].layer if name in RUN_PARAMS else POLICY for name in params}
+    model = {name: v for name, v in params.items() if layer[name] == MODEL and v is not None}
+    policy_kwargs = {name: v for name, v in params.items() if layer[name] == POLICY}
+    runtime_model = model.pop("runtime_model", None)
+    if "profiles" in model and isinstance(policy, str) and policy_accepts_profiles(policy):
+        policy_kwargs["profiles"] = model["profiles"]
     scheduler = make_scheduler(policy, **policy_kwargs)
-    if isinstance(runtime_model, str):
-        if runtime_model == "application_aware":
-            from repro.core.contention import (
-                DEFAULT_CONTENTION_COEFFICIENT,
-                ApplicationAwareRuntimeModel,
-                ContentionModel,
-            )
+    if runtime_model == "application_aware":
+        from repro.core.contention import ApplicationAwareRuntimeModel, ContentionModel
 
-            runtime_model = ApplicationAwareRuntimeModel(
-                contention=ContentionModel(
-                    contention_coefficient=(
-                        DEFAULT_CONTENTION_COEFFICIENT
-                        if contention_coefficient is None
-                        else contention_coefficient
-                    ),
-                    profiles=profiles if profiles is not None else "table2",
-                )
-            )
-        else:
-            from repro.core.runtime_model import get_model
-
-            runtime_model = get_model(runtime_model)
+        runtime_model = ApplicationAwareRuntimeModel(contention=ContentionModel(**model))
+    elif isinstance(runtime_model, str):
+        runtime_model = get_model(runtime_model)
     return scheduler, runtime_model
 
 
@@ -150,16 +205,10 @@ def run_workload(
 ) -> PolicyRun:
     """Simulate a workload under a policy and return metrics.
 
-    Parameters mirror the knobs the paper varies: the policy (static
-    backfill vs SD-Policy with a MAX_SLOWDOWN setting), the runtime model
-    (ideal vs worst case, Figure 8; ``"application_aware"`` selects the
-    contention-aware interference model, with an optional
-    ``contention_coefficient``), and the malleable fraction of the workload
-    (all-malleable in the paper's simulations).  ``profiles`` selects a
-    named application-profile set (:data:`repro.core.profiles.PROFILE_SETS`)
-    for profile-aware policies (UB-Policy) and the application-aware model;
-    the default ``None`` leaves both at their own defaults and keeps legacy
-    cache keys unchanged.
+    The keywords are the :data:`RUN_PARAMS`, the knobs the paper varies
+    among them: the policy's ``max_slowdown``, the ``runtime_model``
+    (Figure 8) and the ``malleable_fraction``.  A ``None`` leaves the
+    consuming constructor's default.
 
     Jobs are submitted as a lazy stream, folded once at completion into
     the simulation's aggregates and per-job record rows, and then
@@ -176,7 +225,11 @@ def run_workload(
     same spec and seed yield identical bytes regardless of sharding.
     """
     scheduler, runtime_model = resolve_run(
-        policy, runtime_model, contention_coefficient, profiles, **policy_kwargs
+        policy,
+        runtime_model=runtime_model,
+        contention_coefficient=contention_coefficient,
+        profiles=profiles,
+        **policy_kwargs,
     )
     cluster = cluster_for(workload)
     recorder = TraceRecorder() if trace else None

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import (
     Any,
@@ -45,7 +45,7 @@ from typing import (
 from repro.analysis.comparison import improvement_percent, normalize_to_baseline
 from repro.analysis.figures import render_bar_chart, render_heatmap, render_series
 from repro.analysis.tables import format_table, metrics_table
-from repro.experiments.runner import RUNNER_ONLY_KWARGS, PolicyRun, resolve_run
+from repro.experiments.runner import RUN_PARAMS, PolicyRun, resolve_run
 from repro.experiments.sweep import SweepResult, SweepRunner, SweepTask
 from repro.metrics.heatmap import CategoryGrid, category_heatmap, heatmap_ratio
 from repro.metrics.timeseries import daily_series_table
@@ -98,11 +98,7 @@ def decode_value(value: Any) -> Any:
 
 def _format_value(value: Any) -> str:
     """Compact display form of a grid value for auto-generated labels."""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return f"{value:g}"
-    return str(value)
+    return f"{value:g}" if isinstance(value, float) else str(value)
 
 
 _NULL = type(None)
@@ -201,26 +197,17 @@ class WorkloadRef:
         return assign_applications(workload)
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
-        if self.preset is not None:
-            out["preset"] = self.preset
-        if self.swf is not None:
-            out["swf"] = self.swf
-        if self.scale != 1.0:
-            out["scale"] = self.scale
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.name is not None:
-            out["name"] = self.name
-        if self.applications is not None:
-            out["applications"] = self.applications
-        return out
+        """The fields that differ from their defaults, in declaration order."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if getattr(self, f.name) != f.default
+        }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadRef":
         data = _mapping(data, "a workload ref")
-        known = {"preset", "swf", "scale", "seed", "name", "applications"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ScenarioError(f"unknown workload ref fields: {sorted(unknown)}")
         from repro.workloads.presets import PAPER_WORKLOADS
@@ -469,11 +456,7 @@ class ScenarioSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
         """Build a spec from its dict form (inverse of :meth:`to_dict`)."""
         data = _mapping(data, "a scenario spec")
-        known = {
-            "name", "workload", "workloads", "policy", "grid", "base",
-            "baseline", "seed", "report", "description",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)} - {"workload"}
         if unknown:
             raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
         if "name" not in data:
@@ -495,18 +478,10 @@ class ScenarioSpec:
             data, "baseline", (str, Mapping, _NULL), "a policy name or an object", owner
         )
         if isinstance(baseline, str):
-            baseline = {"policy": baseline, "kwargs": {}}
-        elif baseline is not None:
-            kwargs = _field(
-                baseline, "kwargs", (Mapping, _NULL), "an object", "baseline"
-            )
-            baseline = {
-                "policy": _field(
-                    baseline, "policy", (str,), "a policy name", "baseline",
-                    "static_backfill",
-                ),
-                "kwargs": decode_value(dict(kwargs or {})),
-            }
+            baseline = {"policy": baseline}
+        elif baseline is not None:  # __post_init__ fills the defaults in
+            _field(baseline, "kwargs", (Mapping, _NULL), "an object", "baseline")
+            _field(baseline, "policy", (str,), "a policy name", "baseline", "static_backfill")
         grid = _field(data, "grid", (Mapping, _NULL), "an object", owner)
         base = _field(data, "base", (Mapping, _NULL), "an object", owner)
         return cls(
@@ -519,7 +494,7 @@ class ScenarioSpec:
             # Values pass through verbatim; _as_grid rejects non-list values
             # (list("inf") would otherwise explode into per-character cells).
             grid=dict(grid or {}),
-            base=decode_value(dict(base or {})),
+            base=dict(base or {}),
             baseline=baseline,
             seed=_field(data, "seed", (int,), "an integer", owner, 0),
             report=_field(data, "report", (str,), "a report name", owner, "table"),
@@ -535,101 +510,61 @@ class ScenarioSpec:
 
 
 def load_spec(path: Union[str, os.PathLike]) -> ScenarioSpec:
-    """Load a scenario spec from a JSON file.
-
-    Besides the field checks of :meth:`ScenarioSpec.from_dict`, every SWF
-    log the spec names must exist, every policy name must be registered and
-    every run's parameters must resolve (:func:`_check_run_params`), so a
-    bad reference or value fails here with a :class:`ScenarioError` naming
-    the field instead of part-way through the run.
-    """
+    """Load a scenario spec from a JSON file, checked as far as it can be
+    without running: besides :meth:`ScenarioSpec.from_dict`'s field checks,
+    every SWF log must exist, every policy be registered and every run pass
+    :func:`_check_run`, so a bad value fails here with a
+    :class:`ScenarioError` naming its field, not part-way through the run."""
     from repro.core.policy import resolve_policy_name
 
     spec = ScenarioSpec.from_json(Path(path).read_text(encoding="utf-8"))
     for ref in spec.workloads:
         if ref.swf is not None and not os.path.isfile(ref.swf):
             raise ScenarioError(f"workload ref field 'swf': no such file {ref.swf!r}")
-    policies = [("policy", spec.policy)]
-    if spec.baseline is not None:
-        policies.append(("baseline.policy", spec.baseline["policy"]))
+    baseline = spec.baseline or {}
+    policies = [("policy", spec.policy), ("base.policy", spec.base.get("policy")),
+                ("baseline.policy", baseline.get("policy"))]
     policies += [("grid.policy", point.value) for point in spec.grid.get("policy", ())]
     for where, name in policies:
-        if name is None:
-            continue
         try:
-            resolve_policy_name(str(name))
+            if name is not None:
+                resolve_policy_name(str(name))
         except ValueError as exc:
             raise ScenarioError(f"scenario field {where!r}: {exc}") from None
-    if spec.baseline is not None:
-        kwargs = spec.baseline["kwargs"]
-        _check_run_params(
-            spec.baseline["policy"], kwargs, {name: "baseline.kwargs" for name in kwargs}
-        )
+    if baseline:
+        _check_run("baseline.policy", baseline["policy"], baseline["kwargs"],
+                   lambda _: "baseline.kwargs")
     for _, policy, params in spec.cells():
-        _check_run_params(
-            policy, params, {name: "grid" if name in spec.grid else "base" for name in params}
-        )
+        _check_run("policy", policy, params, lambda name: "grid" if name in spec.grid else "base")
     return spec
 
 
-#: ``run_workload`` keywords every sweep task passes itself, with where a
-#: spec sets each instead.
-_TASK_SET_KWARGS = {
-    "seed": "the spec's top-level 'seed'",
-    "trace": "the --trace flag",
-    "label": "the grid's cell labels",
-}
-
-
-def _check_run_params(policy: str, params: Mapping[str, Any], sources: Mapping[str, str]) -> None:
-    """Check one run's parameters, then resolve its scheduler and runtime
-    model as the run will.
-
-    Keywords the sweep sets itself are refused, the workload keywords
-    ``malleable_fraction`` and ``tasks_per_node`` are range-checked, and
-    ``power_model`` may only be ``null`` (the one value JSON can express).  On a
-    resolution failure each parameter is resolved alone to find the one at
-    fault.  Faults are named as ``<source>.<name>`` (``sources`` maps a
-    name to its spec field: ``base``, ``grid`` or ``baseline.kwargs``).
-    """
+def _check_run(
+    policy_field: str, policy: str, params: Mapping[str, Any], source: Callable[[str], str]
+) -> None:
+    """Check one run's parameters against :data:`RUN_PARAMS` (a row a spec
+    may set, a value of its kind), then resolve the run as it will be, so
+    the consuming constructors check the ranges.  A fault is named as
+    ``<source(name)>.<name>``; a constructor's error names its parameter
+    (else the run's ``policy_field`` is named)."""
     for name, value in params.items():
-        where = f"{sources[name]}.{name}"
-        if name in _TASK_SET_KWARGS:
-            raise ScenarioError(
-                f"scenario field {where!r}: set by the runner; use {_TASK_SET_KWARGS[name]}"
-            )
-        is_int = isinstance(value, int) and not isinstance(value, bool)
-        if name == "malleable_fraction" and not (
-            (is_int or isinstance(value, float)) and 0.0 <= value <= 1.0
-        ):
-            raise ScenarioError(
-                f"scenario field {where!r}: must be a number in [0, 1], got {value!r}"
-            )
-        if name == "tasks_per_node" and not (is_int and value > 0):
-            raise ScenarioError(
-                f"scenario field {where!r}: must be a positive integer, got {value!r}"
-            )
-        if name == "power_model" and value is not None:
-            raise ScenarioError(
-                f"scenario field {where!r}: must be null (no energy accounting), "
-                f"got {value!r}"
-            )
-    resolvable = {k: v for k, v in params.items() if k not in RUNNER_ONLY_KWARGS}
-    try:
-        resolve_run(policy, **resolvable)
-        return
-    except (TypeError, ValueError) as exc:
-        error = exc
-    for name, value in resolvable.items():
+        row = RUN_PARAMS.get(name)
         try:
-            resolve_run(policy, **{name: value})
-        except (TypeError, ValueError) as exc:
-            error = exc
-            where = f"{sources[name]}.{name}"
-            break
-    else:
-        where = f"{policy} parameters {sorted(resolvable)}"
-    raise ScenarioError(f"scenario field {where!r}: {error}") from None
+            if row is None:
+                known = [n for n, r in RUN_PARAMS.items() if r.kind is not None]
+                raise ValueError(f"not a run parameter; known: {', '.join(known)}")
+            if row.kind is None:
+                raise ValueError(f"set by the runner; use {row.runner_sets}")
+            row.kind.check(value)
+        except ValueError as exc:
+            raise ScenarioError(f"scenario field {source(name) + '.' + name!r}: {exc}") from None
+    try:
+        resolve_run(policy, **params)
+    except (TypeError, ValueError) as exc:
+        message = str(exc)
+        named = [name for name in params if name in message.lower()]
+        where = f"{source(named[0])}.{named[0]}" if named else policy_field
+        raise ScenarioError(f"scenario field {where!r}: {message}") from None
 
 
 def save_spec(spec: ScenarioSpec, path: Union[str, os.PathLike]) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import shlex
 
@@ -44,6 +45,42 @@ class TestParser:
         assert "--scale: must be > 0" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--sharing-factor", "5"], "--sharing-factor: sharing_factor must be in (0, 1)"),
+            (["run", "--sharing-factor", "x"], "--sharing-factor: could not convert"),
+            (["run", "--maxsd", "-3"], "--maxsd: MAX_SLOWDOWN must be positive"),
+            (["compare", "--maxsd", "bogus"], "--maxsd: unknown max_slowdown spec 'bogus'"),
+            (["query", "--maxsd", "0"], "--maxsd: MAX_SLOWDOWN must be positive"),
+            (["sweep", "--sharing-factor", "1"], "--sharing-factor: sharing_factor must be in"),
+            (["run", "--runtime-model", "nope"], "--runtime-model: unknown runtime model 'nope'"),
+        ],
+        ids=["sf-range", "sf-text", "maxsd-negative", "maxsd-bogus", "query-maxsd-zero",
+             "sweep-sf-one", "runtime-model"],
+    )
+    def test_bad_run_parameter_flag_exits_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("avg", "dynamic"), ("DynAVGSD", "dynamic"), ("dyn", "dynamic"), ("+inf", math.inf),
+         ("infinity", math.inf), ("10", 10.0)],
+    )
+    def test_maxsd_spellings_parse_to_the_canonical_value(self, text, value):
+        assert build_parser().parse_args(["compare", "--maxsd", text]).maxsd == value
+
+    def test_maxsd_defaults_are_canonical(self):
+        parser = build_parser()
+        assert parser.parse_args(["run"]).maxsd == "dynamic"
+        assert parser.parse_args(["figure", "7"]).maxsd == 10.0
+
+
 class TestCommands:
     def test_run_command(self, capsys):
         assert main(["run", "--workload", "3", "--scale", "0.01",
@@ -55,6 +92,12 @@ class TestCommands:
         assert main(["compare", "--workload", "3", "--scale", "0.01", "--maxsd", "10"]) == 0
         out = capsys.readouterr().out
         assert "Improvement of SD-Policy" in out
+
+    def test_compare_accepts_the_avg_spelling(self, capsys):
+        assert main(["compare", "--workload", "3", "--scale", "0.01", "--maxsd", "avg"]) == 0
+        captured = capsys.readouterr()
+        assert "DynAVGSD" in captured.out
+        assert "Traceback" not in captured.err
 
     def test_compare_streaming(self, capsys, monkeypatch):
         sims = []

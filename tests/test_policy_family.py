@@ -62,7 +62,7 @@ class TestRealrunParity:
         # ContentionModel class the schedulers do, with the same defaults.
         model = ApplicationAwareRuntimeModel()
         assert isinstance(model.contention, ContentionModel)
-        assert model.contention_coefficient == DEFAULT_CONTENTION_COEFFICIENT
+        assert model.contention.contention_coefficient == DEFAULT_CONTENTION_COEFFICIENT
         assert (
             model.contention.node_bandwidth_capacity
             == DEFAULT_NODE_BANDWIDTH_CAPACITY

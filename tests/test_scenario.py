@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.experiments.runner import RUN_PARAMS
 from repro.experiments.scenario import (
     BUILTIN_SCENARIOS,
     ScenarioError,
@@ -174,6 +178,30 @@ class TestSpecRoundTrip:
              "unknown scenario fields: ['analytics']"),
             ({"name": "x", "workload": {"preset": 1}, "base": {"analytics": True}},
              "scenario field 'base.analytics'"),
+            # Values of the wrong kind, refused before anything runs.
+            ({"name": "x", "workload": {"preset": 1}, "base": {"runtime_model": 3}},
+             "scenario field 'base.runtime_model'"),
+            ({"name": "x", "workload": {"preset": 1}, "base": {"max_job_test": 1.5}},
+             "scenario field 'base.max_job_test': must be an integer"),
+            ({"name": "x", "workload": {"preset": 1}, "base": {"max_mates": 1.5}},
+             "scenario field 'base.max_mates': must be an integer"),
+            ({"name": "x", "workload": {"preset": 1}, "base": {"max_slowdown": True}},
+             "scenario field 'base.max_slowdown'"),
+            ({"name": "x", "workload": {"preset": 1}, "policy": "sd_policy",
+              "base": {"profiles": "nope"}},
+             "scenario field 'base.profiles': unknown profile set 'nope'"),
+            ({"name": "x", "workload": {"preset": 1}, "policy": "fcfs", "base": {"bogus": 1}},
+             "scenario field 'base.bogus'"),
+            ({"name": "x", "workload": {"preset": 1},
+              "base": {"runtime_model": "application_aware", "contention_coefficient": "x"}},
+             "scenario field 'base.contention_coefficient'"),
+            # Of the right kind, but out of the consuming constructor's range
+            # or not a knob of the policy.
+            ({"name": "x", "workload": {"preset": 1}, "grid": {"sharing_factor": [0.5, 5]}},
+             "scenario field 'grid.sharing_factor': sharing_factor must be in (0, 1)"),
+            ({"name": "x", "workload": {"preset": 1}, "policy": "static_backfill",
+              "base": {"max_mates": 2}},
+             "scenario field 'base.max_mates'"),
         ],
         ids=["ref-not-object", "baseline-int", "scale-str", "seed-str", "top-level-list",
              "unknown-preset", "negative-scale", "zero-scale", "unknown-mix", "missing-swf",
@@ -182,7 +210,10 @@ class TestSpecRoundTrip:
              "unknown-baseline-kwarg", "removed-selector-knob", "base-seed",
              "baseline-trace", "base-label", "fraction-str", "fraction-above-one",
              "zero-tasks-per-node", "fractional-tasks-per-node", "base-power-model",
-             "base-retain-jobs", "grid-analytics", "top-level-analytics", "base-analytics"],
+             "base-retain-jobs", "grid-analytics", "top-level-analytics", "base-analytics",
+             "runtime-model-int", "fractional-max-job-test", "fractional-max-mates",
+             "max-slowdown-bool", "unknown-profiles-sd", "fcfs-bogus",
+             "contention-coefficient-str", "sharing-factor-range", "knob-backfill-lacks"],
     )
     def test_malformed_spec_file_is_a_clean_error_naming_the_field(
         self, tmp_path, capsys, spec, names
@@ -211,6 +242,87 @@ class TestSpecRoundTrip:
     def test_unknown_builtin_rejected(self):
         with pytest.raises(ScenarioError, match="unknown built-in"):
             builtin_scenario("figure99")
+
+
+class TestRunParams:
+    """Any spec either loads and runs, or is refused naming a field."""
+
+    KEYS = st.one_of(
+        st.sampled_from(sorted(RUN_PARAMS)),
+        st.sampled_from(["policy", "bogus", "retain_jobs", "workload"]),
+        st.text(min_size=1, max_size=6),
+    )
+    VALUES = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 3),
+        st.floats(-2, 2, allow_nan=False),
+        st.text(max_size=4),
+        st.sampled_from(["inf", "-inf", "avg", "dyn", "ideal", "application_aware", "table2"]),
+        st.sampled_from([0.5, 1, 2, 10]),
+        st.lists(st.integers(), max_size=2),
+        st.dictionaries(st.sampled_from(["label", "value", "x"]), st.integers(0, 3), max_size=2),
+    )
+    SPECS = st.fixed_dictionaries(
+        {
+            "name": st.just("fuzz"),
+            "workload": st.just({"preset": 1, "scale": 0.005}),
+            "policy": st.sampled_from(["sd_policy", "ub_policy", "static_backfill", "fcfs"]),
+            "base": st.dictionaries(KEYS, VALUES, max_size=3),
+            "grid": st.dictionaries(
+                KEYS, st.one_of(VALUES, st.lists(VALUES, min_size=1, max_size=2)), max_size=2
+            ),
+            "baseline": st.fixed_dictionaries(
+                {"policy": st.just("static_backfill"),
+                 "kwargs": st.dictionaries(KEYS, VALUES, max_size=2)}
+            ),
+        }
+    )
+
+    @pytest.fixture(scope="class")
+    def workload50(self):
+        from repro.workloads.presets import build_workload
+
+        return build_workload(1, scale=0.005)
+
+    @pytest.fixture(scope="class")
+    def spec_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "spec.json"
+
+    @settings(
+        max_examples=300, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(data=SPECS)
+    def test_spec_loads_and_runs_or_names_a_field(self, workload50, spec_path, data):
+        spec_path.write_text(json.dumps(data))
+        try:
+            spec = load_spec(spec_path)
+        except ScenarioError as exc:
+            assert re.search(r"(scenario field|grid parameter) ['\"]", str(exc)), exc
+            return
+        event("loaded")
+        outcome = run_scenario(spec, runner=SweepRunner(max_workers=1), workloads=workload50)
+        assert outcome.complete and len(outcome.cells) == len(spec.cells())
+
+    def test_readme_lists_every_run_parameter(self):
+        from pathlib import Path
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Declarative scenarios", 1)[1].split("\n## ", 1)[0]
+        assert [name for name in RUN_PARAMS if f"`{name}`" not in section] == []
+
+    def test_values_load_as_written(self, tmp_path):
+        """A spelling a run parameter accepts is checked, never rewritten,
+        so its cache key stays the one it always had."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "name": "x", "workload": {"preset": 1},
+            "grid": {"max_slowdown": ["avg", "dyn", 10]},
+        }))
+        assert [point.value for point in load_spec(path).grid["max_slowdown"]] == [
+            "avg", "dyn", 10
+        ]
 
 
 class TestExpansion:
