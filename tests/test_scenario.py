@@ -291,7 +291,7 @@ class TestRunParams:
 
     @settings(
         max_examples=300, deadline=None, derandomize=True,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+        suppress_health_check=[HealthCheck.too_slow],
     )
     @given(data=SPECS)
     def test_spec_loads_and_runs_or_names_a_field(self, workload50, spec_path, data):
