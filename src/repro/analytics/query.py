@@ -15,7 +15,7 @@ simulation, and nothing written: a corrupt blob is an error, left for
   versions.  The trick is shared machinery, not parallel reimplementation:
   the same built-in scenarios
   (:func:`repro.experiments.scenario.builtin_scenario`) expand to the same
-  tasks, :func:`repro.experiments.sweep.task_cache_key` locates each
+  tasks, :func:`repro.experiments.sweep.task_cache_keys` locates each
   cached run, which is the run a cache hit would serve, and
   :func:`~repro.experiments.scenario.render_report` produces the text.
 
@@ -43,7 +43,7 @@ from repro.experiments.scenario import (
     report_figures_1_to_3,
     _resolve_workloads,
 )
-from repro.experiments.sweep import iter_cached_runs, read_cached_run, task_cache_key
+from repro.experiments.sweep import iter_cached_runs, read_cached_run, task_cache_keys
 from repro.store import ResultStore
 from repro.workloads.job_record import Workload
 
@@ -282,11 +282,12 @@ def outcome_from_records(
     task the store lacks.
     """
     resolved = _resolve_workloads(spec, workloads)
-    task_by_key = {t.resolved_key(): t for t in spec.tasks(resolved)}
+    tasks = spec.tasks(resolved)
+    cache_keys = dict(zip((t.resolved_key() for t in tasks), task_cache_keys(tasks)))
     missing: List[str] = []
 
     def load(task_key: str, _workload_name: str, _label: str) -> Optional[PolicyRun]:
-        payload = read_cached_run(store, task_cache_key(task_by_key[task_key]))
+        payload = read_cached_run(store, cache_keys[task_key])
         if payload is None:
             missing.append(task_key)
             return None

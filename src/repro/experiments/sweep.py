@@ -95,6 +95,7 @@ __all__ = [
     "iter_cached_runs",
     "read_cached_run",
     "task_cache_key",
+    "task_cache_keys",
 ]
 
 #: Version written into new cache payloads.  Bump when the payload layout
@@ -234,7 +235,13 @@ class SweepResult:
 # Cache keys
 # --------------------------------------------------------------------- #
 def fingerprint_workload(workload: Workload) -> str:
-    """Content hash of a workload: system geometry plus every job record."""
+    """Content hash of a workload: system geometry plus every job record.
+
+    It walks every record, so :func:`task_cache_keys` hashes each workload
+    object once per batch of keys.  That memo is keyed by object identity
+    for the one call and never attached to the mutable :class:`Workload`:
+    a record edited between two batches changes the next batch's keys.
+    """
     h = hashlib.sha256()
     h.update(
         f"{workload.name}|{workload.system_nodes}|{workload.cpus_per_node}|".encode()
@@ -302,8 +309,16 @@ def _canonical_kwargs(kwargs: Mapping[str, Any]) -> str:
     )
 
 
-def task_cache_key(task: SweepTask) -> str:
+def task_cache_key(
+    task: SweepTask, workload_digests: Optional[Dict[int, str]] = None
+) -> str:
     """Cache key of a task: workload content + full run configuration.
+
+    ``workload_digests`` is a batch's memo of :func:`fingerprint_workload`
+    digests keyed by ``id(workload)``: a batch (:func:`task_cache_keys`)
+    passes one dict to every call, so each workload object is hashed once
+    however many tasks share it.  Without it the workload is hashed here.
+    The key bytes are the same either way.
 
     The package version is part of the key so a released behaviour change
     invalidates old entries; local (unreleased) simulator edits are *not*
@@ -311,11 +326,15 @@ def task_cache_key(task: SweepTask) -> str:
     """
     import repro
 
+    memo = {} if workload_digests is None else workload_digests
+    digest = memo.get(id(task.workload))
+    if digest is None:
+        digest = memo[id(task.workload)] = fingerprint_workload(task.workload)
     h = hashlib.sha256()
     h.update(
         f"v{CACHE_KEY_VERSION}|repro{getattr(repro, '__version__', '0')}|".encode()
     )
-    h.update(fingerprint_workload(task.workload).encode())
+    h.update(digest.encode())
     h.update(
         (
             f"|{task.policy}|{task.label}|{task.resolved_seed()}|"
@@ -323,6 +342,19 @@ def task_cache_key(task: SweepTask) -> str:
         ).encode()
     )
     return h.hexdigest()
+
+
+def task_cache_keys(tasks: Sequence[SweepTask]) -> List[str]:
+    """:func:`task_cache_key` of every task, hashing each workload once.
+
+    Sweep tasks share their workload objects (a grid runs many
+    configurations over each), so the workload digests are memoised by
+    object identity for this one call; the tasks keep every workload alive
+    meanwhile, so no id is reused.  Nothing is stored on the mutable
+    :class:`Workload`.
+    """
+    digests: Dict[int, str] = {}
+    return [task_cache_key(task, digests) for task in tasks]
 
 
 # --------------------------------------------------------------------- #
@@ -450,11 +482,6 @@ class SweepRunner:
     # ------------------------------------------------------------------ #
     # Cache plumbing (all blob/manifest I/O goes through ``self.store``)
     # ------------------------------------------------------------------ #
-    def _cache_key(self, task: SweepTask) -> Optional[str]:
-        if self.store is None:
-            return None
-        return task_cache_key(task)
-
     def _cache_load(
         self, key: Optional[str]
     ) -> Tuple[Optional[PolicyRun], bool, Optional[str]]:
@@ -573,7 +600,9 @@ class SweepRunner:
         entries: List[Optional[SweepEntry]] = [None] * total
         misses: List[int] = []
         corrupt_indices: List[int] = []
-        cache_keys = [self._cache_key(task) for task in tasks]
+        cache_keys: List[Optional[str]] = (
+            [None] * total if self.store is None else task_cache_keys(tasks)
+        )
         digests: Dict[int, Optional[str]] = {}
 
         # A merge executes nothing, so a run lacking its trace stays a hit.

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.analytics.query import outcome_from_records
+from repro.experiments import sweep
 from repro.experiments.scenario import builtin_scenario, run_scenario
 from repro.experiments.sweep import (
     SweepError,
@@ -16,7 +19,9 @@ from repro.experiments.sweep import (
     _canonical_kwargs,
     fingerprint_workload,
     task_cache_key,
+    task_cache_keys,
 )
+from repro.store import MemoryStore
 from repro.workloads.cirne import CirneWorkloadModel
 
 
@@ -164,6 +169,68 @@ class TestCache:
         assert [e[0] for e in events] == list(range(1, len(tasks) + 1))
         assert all(total == len(tasks) for _, total, _, _ in events)
         assert all(hit for _, _, _, hit in events)
+
+
+class TestWorkloadDigestMemo:
+    """A batch of keys hashes each workload object once, for that call only."""
+
+    @staticmethod
+    def _count_fingerprints(monkeypatch):
+        hashed = []
+
+        def counting(workload):
+            hashed.append(id(workload))
+            return fingerprint_workload(workload)
+
+        monkeypatch.setattr(sweep, "fingerprint_workload", counting)
+        return hashed
+
+    def test_faceoff_hashes_each_workload_once(self, monkeypatch):
+        spec = builtin_scenario("policy_faceoff", scale=0.005, workload_ids=(1, 2, 3))
+        workloads = {ref.key(): ref.build() for ref in spec.workloads}
+        tasks = spec.tasks(workloads)
+        distinct = sorted({id(task.workload) for task in tasks})
+        assert (len(tasks), len(distinct)) == (15, 3)
+        store = MemoryStore()
+
+        hashed = self._count_fingerprints(monkeypatch)
+        SweepRunner(max_workers=1, store=store).run(tasks)
+        assert sorted(hashed) == distinct
+
+        hashed.clear()
+        outcome = outcome_from_records(spec, workloads, store)
+        assert len(outcome.cells) == 12
+        assert sorted(hashed) == distinct
+
+    def test_batch_keys_equal_single_keys(self, tasks):
+        assert task_cache_keys(tasks) == [task_cache_key(task) for task in tasks]
+
+    def test_equal_content_workloads_get_equal_keys(self, workload):
+        twin = copy.deepcopy(workload)
+        tasks = [
+            SweepTask(workload=w, policy="fcfs", key=key, label="same", seed=0)
+            for key, w in (("a", workload), ("b", twin))
+        ]
+        first, second = task_cache_keys(tasks)
+        assert first == second == task_cache_key(tasks[0])
+
+    def test_record_edited_between_runs_is_a_miss(self, workload):
+        edited = copy.deepcopy(workload)
+        tasks = [
+            SweepTask(workload=edited, policy=policy, key=policy, seed=0)
+            for policy in ("fcfs", "static_backfill")
+        ]
+        store = MemoryStore()
+        runner = SweepRunner(max_workers=1, store=store)
+        before = task_cache_keys(tasks)
+        assert runner.run(tasks).cache_hits == 0
+        assert runner.run(tasks).cache_hits == 2
+
+        edited.records[0].run_time += 60.0
+        after = task_cache_keys(tasks)
+        assert set(after).isdisjoint(before)
+        assert runner.run(tasks).cache_hits == 0
+        assert sorted(store.list()) == sorted(before + after)
 
 
 class TestCanonicalKwargs:
