@@ -208,11 +208,6 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
              "record a resumable manifest; requires --cache-dir or --store",
     )
     parser.add_argument(
-        "--manifest", type=str, default=None, metavar="DIR",
-        help="local shard manifest directory override "
-             "(default: the manifests/ namespace of the store)",
-    )
-    parser.add_argument(
         "--trace", action="store_true",
         help="record scheduler decision traces and publish them to the "
              "store under <cache_key>-trace, for 'repro-sdpolicy trace'; "
@@ -236,7 +231,6 @@ def _make_runner(
             print(f"  [{done}/{total}] {entry.key} ({origin}){detail}", file=sys.stderr)
     store = _cli_store(args)
     shard = getattr(args, "shard", None)
-    manifest = getattr(args, "manifest", None)
     trace = bool(getattr(args, "trace", False))
     if trace and store is None:
         print(
@@ -250,9 +244,9 @@ def _make_runner(
         if shard is not None:
             print("error: --shard cannot be combined with merge", file=sys.stderr)
             raise SystemExit(2)
-        executor = MergeExecutor(manifest_dir=manifest)
+        executor = MergeExecutor()
     elif shard is not None:
-        executor = ShardedExecutor(shard[0], shard[1], manifest_dir=manifest)
+        executor = ShardedExecutor(shard[0], shard[1])
     return SweepRunner(
         max_workers=getattr(args, "workers", None),
         store=store,
@@ -458,26 +452,12 @@ def _open_cli_store(url: Optional[str]):
 
 
 def _cmd_store_stats(args: argparse.Namespace) -> int:
-    from repro.telemetry import InstrumentedStore
-
-    store = InstrumentedStore(_open_cli_store(args.url))
+    store = _open_cli_store(args.url)
     stats = store.stats()
     print(f"store:       {store.url}")
     print(f"blobs:       {stats.blobs} ({_human_bytes(stats.blob_bytes)})")
     print(f"manifests:   {stats.manifests} ({_human_bytes(stats.manifest_bytes)})")
     print(f"quarantined: {stats.quarantined}")
-    snapshot = store.snapshot()
-    counters = snapshot["counters"]
-    print(
-        f"requests:    {counters.get('requests', 0)} "
-        f"({_human_bytes(counters.get('bytes_read', 0))} read)"
-    )
-    for op, timer in snapshot["timers"].items():
-        print(
-            f"latency:     {op} p50 {timer['p50'] * 1000:.1f}ms  "
-            f"p95 {timer['p95'] * 1000:.1f}ms  p99 {timer['p99'] * 1000:.1f}ms  "
-            f"max {timer['max'] * 1000:.1f}ms  (n={timer['count']})"
-        )
     return 0
 
 

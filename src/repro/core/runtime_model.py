@@ -156,6 +156,18 @@ MODEL_ALIASES = {
 }
 
 
+def canonical_model_name(name: str) -> str:
+    """The canonical name behind a runtime-model name or alias, in any case.
+
+    An unknown name comes back unchanged, for :func:`get_model` to reject.
+    """
+    key = name.lower()
+    for canonical, aliases in MODEL_ALIASES.items():
+        if key in aliases:
+            return canonical
+    return name
+
+
 def get_model(name: str) -> RuntimeModel:
     """Look up a runtime model by canonical name or alias.
 
@@ -163,12 +175,12 @@ def get_model(name: str) -> RuntimeModel:
     catches it) that names every available model, so a typo in a spec or on
     the CLI points straight at the valid choices.
     """
-    key = name.lower()
-    if key in MODEL_ALIASES["ideal"]:
+    canonical = canonical_model_name(name)
+    if canonical == "ideal":
         return IdealRuntimeModel()
-    if key in MODEL_ALIASES["worst_case"]:
+    if canonical == "worst_case":
         return WorstCaseRuntimeModel()
-    if key in MODEL_ALIASES["application_aware"]:
+    if canonical == "application_aware":
         # Local import: the contention module itself imports this one.
         from repro.core.contention import ApplicationAwareRuntimeModel
 

@@ -161,19 +161,12 @@ SCHEMAS: Tuple[SchemaSpec, ...] = (
         target="repro.core.profiles:PROFILE_SET_NAMES",
         version="repro.core.profiles:PROFILE_SCHEMA_VERSION",
     ),
-    # Phase-timer keys and the telemetry snapshot layout
-    # (repro/telemetry/trace.py, repro/telemetry/core.py).
+    # Phase-timer keys stored on every run (repro/telemetry/trace.py).
     SchemaSpec(
         name="telemetry/phase-fields",
         kind="fields",
         target="repro.telemetry.trace:PHASE_FIELDS",
         version="repro.telemetry.trace:TRACE_FORMAT_VERSION",
-    ),
-    SchemaSpec(
-        name="telemetry/snapshot-fields",
-        kind="fields",
-        target="repro.telemetry.core:TELEMETRY_SNAPSHOT_FIELDS",
-        version="repro.telemetry.core:TELEMETRY_FORMAT_VERSION",
     ),
 )
 

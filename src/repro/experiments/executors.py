@@ -36,7 +36,6 @@ import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures import ProcessPoolExecutor as _FuturesProcessPool
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -46,10 +45,9 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
-from repro.store import LocalFSStore, ResultStore, StoreError
+from repro.store import ResultStore, StoreError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from repro.experiments.runner import PolicyRun
@@ -99,7 +97,7 @@ MANIFEST_TASK_FIELDS = (
     "cache_path",
 )
 
-#: Subdirectory of the cache directory holding shard manifests by default.
+#: Subdirectory of the cache directory holding shard manifests.
 MANIFEST_DIR_NAME = "manifests"
 
 
@@ -290,20 +288,6 @@ def _require_store(store: Optional[ResultStore], what: str) -> ResultStore:
     return store
 
 
-def _manifest_store(
-    store: ResultStore, manifest_dir: Optional[Path]
-) -> ResultStore:
-    """The store shard manifests go through.
-
-    ``manifest_dir`` (the CLI's ``--manifest DIR``) redirects manifests to
-    an explicit local directory — the blobs stay wherever ``store`` puts
-    them.
-    """
-    if manifest_dir is None:
-        return store
-    return LocalFSStore(manifest_dir, manifest_dir=manifest_dir)
-
-
 class ShardedExecutor:
     """Execute one deterministic ``1/N`` slice of a sweep, resumably.
 
@@ -316,12 +300,7 @@ class ShardedExecutor:
     finished tasks come back as cache hits and only unfinished ones re-run.
     """
 
-    def __init__(
-        self,
-        shard_index: int,
-        shard_count: int,
-        manifest_dir: Optional[Union[str, Path]] = None,
-    ) -> None:
+    def __init__(self, shard_index: int, shard_count: int) -> None:
         if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
         if not 0 <= shard_index < shard_count:
@@ -330,7 +309,6 @@ class ShardedExecutor:
             )
         self.shard_index = shard_index
         self.shard_count = shard_count
-        self.manifest_dir = Path(manifest_dir) if manifest_dir is not None else None
 
     def owns(self, index: int) -> bool:
         return index % self.shard_count == self.shard_index
@@ -359,7 +337,6 @@ class ShardedExecutor:
         if not tasks:
             return
         store = _require_store(store, "sharded execution")
-        manifest_store = _manifest_store(store, self.manifest_dir)
         sweep = sweep_id(cache_keys)
         name = manifest_name(sweep, self.shard_index, self.shard_count)
 
@@ -390,14 +367,14 @@ class ShardedExecutor:
         # is best-effort under concurrency — two shards probing the same
         # corrupt blob in the same instant may both record it.
         try:
-            prior = manifest_store.read_manifest(name)
+            prior = store.read_manifest(name)
         except StoreError:
             prior = None
         if prior is not None and prior.get("sweep_id") == sweep:
             corruptions += int(prior.get("cache_corruptions", 0))
 
         def write_manifest() -> None:
-            manifest_store.write_manifest(
+            store.write_manifest(
                 name,
                 {
                     "format": MANIFEST_FORMAT_VERSION,
@@ -413,7 +390,7 @@ class ShardedExecutor:
                     "tasks": [records[i] for i in owned],
                 },
             )
-            _log.debug("wrote shard manifest %s to %s", name, manifest_store.url)
+            _log.debug("wrote shard manifest %s to %s", name, store.url)
 
         write_manifest()
 
@@ -439,7 +416,7 @@ class ShardedExecutor:
 class MergeExecutor:
     """Assemble a sharded sweep: validate every shard manifest, run nothing.
 
-    A merge succeeds only when (a) the manifest directory holds one manifest
+    A merge succeeds only when (a) the store's manifests hold one manifest
     per shard of this sweep, (b) every manifest reports every owned task
     ``done``, and (c) the cache already served every task (the runner found
     no misses).  The runner then returns the full :class:`SweepResult`
@@ -447,24 +424,18 @@ class MergeExecutor:
     single-process run, so the merged result is bit-identical to it.
     """
 
-    def __init__(self, manifest_dir: Optional[Union[str, Path]] = None) -> None:
-        self.manifest_dir = Path(manifest_dir) if manifest_dir is not None else None
-
-    # ------------------------------------------------------------------ #
-    def _load_manifests(
-        self, manifest_store: ResultStore, sweep: str
-    ) -> List[Dict[str, Any]]:
-        names = manifest_store.list_manifests(prefix=f"{sweep}.shard-")
+    def _load_manifests(self, store: ResultStore, sweep: str) -> List[Dict[str, Any]]:
+        names = store.list_manifests(prefix=f"{sweep}.shard-")
         if not names:
             raise ExecutorError(
-                f"no shard manifests for sweep {sweep} in {manifest_store.url}; "
+                f"no shard manifests for sweep {sweep} in {store.url}; "
                 "run the shards first (--shard I/N with the same task list "
                 "and result store)"
             )
         manifests = []
         for name in names:
             try:
-                manifest = manifest_store.read_manifest(name)
+                manifest = store.read_manifest(name)
             except StoreError as exc:
                 raise ExecutorError(f"unreadable shard manifest {name}: {exc}") from exc
             if manifest is None:  # deleted between list and read
@@ -482,7 +453,7 @@ class MergeExecutor:
             manifests.append(manifest)
         if not manifests:
             raise ExecutorError(
-                f"no shard manifests for sweep {sweep} in {manifest_store.url}"
+                f"no shard manifests for sweep {sweep} in {store.url}"
             )
         return manifests
 
@@ -505,9 +476,8 @@ class MergeExecutor:
         if not keys:
             return 0
         store = _require_store(store, "merging a sharded sweep")
-        manifest_store = _manifest_store(store, self.manifest_dir)
         sweep = sweep_id(cache_keys)
-        manifests = self._load_manifests(manifest_store, sweep)
+        manifests = self._load_manifests(store, sweep)
 
         counts = {m["shard_count"] for m in manifests}
         if len(counts) != 1:

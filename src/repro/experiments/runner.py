@@ -17,7 +17,7 @@ from repro.analytics.records import RunRecords
 from repro.core.penalties import parse_max_slowdown
 from repro.core.policy import make_policy, policy_accepts_profiles
 from repro.core.profiles import get_profile_set
-from repro.core.runtime_model import RuntimeModel, get_model
+from repro.core.runtime_model import RuntimeModel, canonical_model_name, get_model
 from repro.metrics.aggregates import WorkloadMetrics
 from repro.metrics.energy import LinearPowerModel
 from repro.schedulers.base import Scheduler
@@ -155,6 +155,8 @@ def resolve_run(
     if "profiles" in model and isinstance(policy, str) and policy_accepts_profiles(policy):
         policy_kwargs["profiles"] = model["profiles"]
     scheduler = make_scheduler(policy, **policy_kwargs)
+    if isinstance(runtime_model, str):
+        runtime_model = canonical_model_name(runtime_model)
     if runtime_model == "application_aware":
         from repro.core.contention import ApplicationAwareRuntimeModel, ContentionModel
 

@@ -54,6 +54,7 @@ from typing import (
     Union,
 )
 
+from repro.core.runtime_model import canonical_model_name
 from repro.experiments.executors import (
     ExecutorError,
     MergeExecutor,
@@ -242,18 +243,13 @@ def fingerprint_workload(workload: Workload) -> str:
     for the one call and never attached to the mutable :class:`Workload`:
     a record edited between two batches changes the next batch's keys.
     """
-    h = hashlib.sha256()
-    h.update(
-        f"{workload.name}|{workload.system_nodes}|{workload.cpus_per_node}|".encode()
+    rows = "".join(
+        f"{r.job_id},{r.submit_time!r},{r.run_time!r},{r.requested_time!r},"
+        f"{r.requested_procs},{r.user_id},{r.group_id},{r.application}\n"
+        for r in workload.records
     )
-    for r in workload.records:
-        h.update(
-            (
-                f"{r.job_id},{r.submit_time!r},{r.run_time!r},{r.requested_time!r},"
-                f"{r.requested_procs},{r.user_id},{r.group_id},{r.application}\n"
-            ).encode()
-        )
-    return h.hexdigest()
+    header = f"{workload.name}|{workload.system_nodes}|{workload.cpus_per_node}|"
+    return hashlib.sha256((header + rows).encode()).hexdigest()
 
 
 _ADDRESS_RE = re.compile(r" at 0x[0-9a-fA-F]+")
@@ -300,9 +296,16 @@ def _canonical_nonfinite(value: Any) -> Any:
 
 
 def _canonical_kwargs(kwargs: Mapping[str, Any]) -> str:
-    """Stable text form of the run kwargs (handles inf/NaN, model objects…)."""
+    """Stable text form of the run kwargs (handles inf/NaN, model objects…).
+
+    A runtime-model alias is written as its canonical name, so an alias
+    task shares the canonical task's cache key.
+    """
+    kwargs = dict(kwargs)
+    if isinstance(kwargs.get("runtime_model"), str):
+        kwargs["runtime_model"] = canonical_model_name(kwargs["runtime_model"])
     return json.dumps(
-        _canonical_nonfinite(dict(kwargs)),
+        _canonical_nonfinite(kwargs),
         sort_keys=True,
         default=_canonical_value,
         allow_nan=False,

@@ -1,8 +1,9 @@
 """Pluggable result stores for the sweep subsystem.
 
 A :class:`ResultStore` holds the sweep cache's *blobs* (pickled runs,
-addressed by content-hash key) and *manifests* (atomic JSON shard state).
-Two backends ship:
+addressed by content-hash key) and *manifests* (atomic JSON shard state,
+always in the store's own ``manifests/`` namespace), and lists both
+through one primitive, ``_entries``.  Two backends ship:
 
 * :class:`LocalFSStore` — a local/shared directory, byte-compatible with
   the pre-store ``<cache-dir>/*.pkl`` + ``manifests/`` layout
@@ -14,9 +15,10 @@ Two backends ship:
 adds the ``SweepRunner`` conveniences (``cache_dir`` back-compat, the
 ``REPRO_STORE_URL`` environment default).  :mod:`repro.store.lifecycle`
 adds the lifecycle layer — blob integrity envelopes, manifest-aware
-``gc``, ``verify`` and ``repair``.  ``repro-sdpolicy store`` exposes
-:mod:`repro.store.tools` and :mod:`repro.store.lifecycle` (stats / prune /
-gc / verify / repair) from the shell.
+``gc`` (the one eviction pass), ``verify`` and ``repair``; ``prune``
+(:mod:`repro.store.tools`) clears the quarantine and then runs ``gc``
+with its age cutoff.  ``repro-sdpolicy store`` exposes them (stats /
+prune / gc / verify / repair) from the shell.
 """
 
 from __future__ import annotations

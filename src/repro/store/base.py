@@ -9,8 +9,8 @@ A result store holds two kinds of typed objects for the sweep subsystem
   by name and written atomically so a concurrent reader never observes a
   torn document.
 
-Backends implement six *object-name* primitives (``_read`` / ``_write`` /
-``_delete`` / ``_names`` / ``_stat`` / ``_entries``); the typed public
+Backends implement five *object-name* primitives (``_read`` / ``_write`` /
+``_delete`` / ``_stat`` / ``_entries``); the typed public
 API — ``get`` / ``put`` / ``exists`` / ``list`` / ``delete`` over blob
 keys, quarantine handling, and the manifest helpers — is defined once here
 in terms of the object-name layout of the historical on-disk cache
@@ -76,7 +76,7 @@ def _check_key(key: str, what: str = "key") -> str:
 class ResultStore(abc.ABC):
     """Abstract result store: blobs + atomic JSON manifests over opaque keys.
 
-    Subclasses provide the six object-name primitives; everything public is
+    Subclasses provide the five object-name primitives; everything public is
     implemented here on top of them.  ``_write`` must publish atomically —
     a concurrent ``_read`` of the same name sees either the old bytes, the
     new bytes, or absence, never a torn object.
@@ -102,10 +102,6 @@ class ResultStore(abc.ABC):
         """Delete one object; ``False`` when it did not exist."""
 
     @abc.abstractmethod
-    def _names(self, prefix: str = "") -> List[str]:
-        """All object names starting with ``prefix``, sorted."""
-
-    @abc.abstractmethod
     def _stat(self, name: str) -> Optional[ObjectStat]:
         """Size/mtime of one object, or ``None`` when it does not exist."""
 
@@ -113,8 +109,9 @@ class ResultStore(abc.ABC):
     def _entries(self, prefix: str = "") -> List[Tuple[str, ObjectStat]]:
         """Name + stat of every object starting with ``prefix``, sorted.
 
-        One pass over the backend, so aggregate operations (``stats``,
-        ``prune``, ``gc``) never stat objects one by one.
+        The one listing primitive: every ``list*`` call and every
+        aggregate (``stats``, ``gc``) is one pass over it, so nothing
+        stats objects one by one.
         """
 
     # ------------------------------------------------------------------ #
@@ -142,23 +139,12 @@ class ResultStore(abc.ABC):
         """All blob keys starting with ``prefix``, sorted."""
         return [
             name[: -len(BLOB_SUFFIX)]
-            for name in self._names(prefix)
+            for name, _ in self._entries(prefix)
             if name.endswith(BLOB_SUFFIX) and "/" not in name
         ]
 
     def stat(self, key: str) -> Optional[ObjectStat]:
         return self._stat(self._blob_name(key))
-
-    def blob_entries(self, prefix: str = "") -> List[Tuple[str, ObjectStat]]:
-        """``(key, stat)`` of every blob starting with ``prefix``, sorted.
-
-        The bulk sibling of :meth:`stat` that ``prune`` iterates.
-        """
-        return [
-            (name[: -len(BLOB_SUFFIX)], stat)
-            for name, stat in self._entries(prefix)
-            if name.endswith(BLOB_SUFFIX) and "/" not in name
-        ]
 
     # ------------------------------------------------------------------ #
     # Quarantine (corrupt blobs are moved aside, never retried)
@@ -194,7 +180,7 @@ class ResultStore(abc.ABC):
         suffix = BLOB_SUFFIX + QUARANTINE_SUFFIX
         return [
             name[: -len(suffix)]
-            for name in self._names(prefix)
+            for name, _ in self._entries(prefix)
             if name.endswith(suffix) and "/" not in name
         ]
 
@@ -244,7 +230,7 @@ class ResultStore(abc.ABC):
         start = MANIFEST_PREFIX + prefix
         return [
             name[len(MANIFEST_PREFIX) : -len(MANIFEST_SUFFIX)]
-            for name in self._names(start)
+            for name, _ in self._entries(start)
             if name.endswith(MANIFEST_SUFFIX)
             and "/" not in name[len(MANIFEST_PREFIX) :]
         ]

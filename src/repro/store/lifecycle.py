@@ -16,10 +16,9 @@ depends on.  This module is the lifecycle layer on top of the
   blob ``digest``) and returns the *live* blob set.
 * **gc** — :func:`gc` deletes only blobs no manifest references, with a
   ``grace`` age floor protecting in-flight writes, and sweeps ``*.tmp``
-  debris a crashed atomic write left behind.  Unlike ``prune`` it trusts
-  manifests, not age: blobs of purely unsharded sweeps (which write no
-  manifest) count as unreferenced, so use ``prune`` for age-based
-  retention of those.
+  debris a crashed atomic write left behind.  It is the one eviction
+  pass: ``prune`` (:mod:`repro.store.tools`) clears the quarantine and
+  then runs it with its ``--older-than`` cutoff as the grace period.
 * **verify** — :func:`verify` re-hashes every blob, quarantines envelope
   mismatches, and reports drift between stored blobs and the digests shard
   manifests recorded (informational: a legitimately recomputed blob may
@@ -27,9 +26,9 @@ depends on.  This module is the lifecycle layer on top of the
 * **repair** — :func:`repair` re-fetches quarantined blobs from a mirror
   store, verifies their integrity, and republishes them.
 
-Everything here is backend-agnostic; like :mod:`repro.store.tools` this is
-a friend module of :mod:`repro.store.base` and may use the object-name
-primitives directly (the temp-debris sweep has no blob-level spelling).
+Everything here is backend-agnostic; this is a friend module of
+:mod:`repro.store.base` and may use the object-name primitives directly
+(the temp-debris sweep has no blob-level spelling).
 """
 
 from __future__ import annotations

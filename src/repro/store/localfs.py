@@ -11,6 +11,7 @@ torn entry, and quarantine is a single rename.
 from __future__ import annotations
 
 import os
+import stat
 import tempfile
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
@@ -44,34 +45,16 @@ def default_cache_dir() -> Path:
 class LocalFSStore(ResultStore):
     """Result store over a local directory (or any mounted shared FS).
 
-    Parameters
-    ----------
-    root:
-        The cache directory; created lazily on first write.
-    manifest_dir:
-        Optional override for the manifest directory (the CLI's
-        ``--manifest DIR``); defaults to ``<root>/manifests``.
+    ``root`` is the cache directory, created lazily on first write; shard
+    manifests live in its ``manifests/`` subdirectory (``manifest_dir``).
     """
 
-    def __init__(
-        self,
-        root: Union[str, os.PathLike],
-        manifest_dir: Optional[Union[str, os.PathLike]] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, os.PathLike]) -> None:
         self.root = Path(root).expanduser()
-        self.manifest_dir = (
-            Path(manifest_dir).expanduser()
-            if manifest_dir is not None
-            else self.root / MANIFEST_PREFIX.rstrip("/")
-        )
+        self.manifest_dir = self.root / MANIFEST_PREFIX.rstrip("/")
         self.url = f"file://{self.root}"
 
     # ------------------------------------------------------------------ #
-    def _path(self, name: str) -> Path:
-        if name.startswith(MANIFEST_PREFIX):
-            return self.manifest_dir / name[len(MANIFEST_PREFIX) :]
-        return self.root / name
-
     def blob_path(self, key: str) -> Path:
         """Local path of one blob (introspection/tests; LocalFS only)."""
         return self.root / (key + BLOB_SUFFIX)
@@ -79,14 +62,14 @@ class LocalFSStore(ResultStore):
     # ------------------------------------------------------------------ #
     def _read(self, name: str) -> Optional[bytes]:
         try:
-            return self._path(name).read_bytes()
+            return (self.root / name).read_bytes()
         except FileNotFoundError:
             return None
         except OSError as exc:
             raise StoreError(f"cannot read {name!r} from {self.url}: {exc}") from exc
 
     def _write(self, name: str, data: bytes) -> None:
-        path = self._path(name)
+        path = self.root / name
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
@@ -111,28 +94,16 @@ class LocalFSStore(ResultStore):
 
     def _delete(self, name: str) -> bool:
         try:
-            self._path(name).unlink()
+            (self.root / name).unlink()
             return True
         except FileNotFoundError:
             return False
         except OSError as exc:
             raise StoreError(f"cannot delete {name!r} from {self.url}: {exc}") from exc
 
-    def _names(self, prefix: str = "") -> List[str]:
-        names: List[str] = []
-        if self.root.is_dir():
-            names.extend(p.name for p in self.root.iterdir() if p.is_file())
-        if self.manifest_dir.is_dir():
-            names.extend(
-                MANIFEST_PREFIX + p.name
-                for p in self.manifest_dir.iterdir()
-                if p.is_file()
-            )
-        return sorted(name for name in names if name.startswith(prefix))
-
     def _stat(self, name: str) -> Optional[ObjectStat]:
         try:
-            st = self._path(name).stat()
+            st = (self.root / name).stat()
         except FileNotFoundError:
             return None
         except OSError as exc:
@@ -155,7 +126,7 @@ class LocalFSStore(ResultStore):
                 # and stat (concurrent prune/gc); skipping it is correct
                 except OSError:
                     continue
-                if not path.is_file():
+                if not stat.S_ISREG(st.st_mode):
                     continue
                 entries.append((name, ObjectStat(size=st.st_size, mtime=st.st_mtime)))
 

@@ -61,10 +61,6 @@ class MemoryStore(ResultStore):
         with self._lock:
             return self._objects.pop(name, None) is not None
 
-    def _names(self, prefix: str = "") -> List[str]:
-        with self._lock:
-            return sorted(n for n in self._objects if n.startswith(prefix))
-
     def _stat(self, name: str) -> Optional[ObjectStat]:
         with self._lock:
             entry = self._objects.get(name)

@@ -1,21 +1,20 @@
 """Age-based store maintenance behind ``repro-sdpolicy store prune``.
 
-``prune`` evicts blobs older than a cutoff — never ones a shard manifest
-still references (the lifecycle layer in :mod:`repro.store.lifecycle`
-adds manifest-driven ``gc``/``verify``/``repair`` on top).  Only the
-:class:`repro.store.base.ResultStore` protocol is used, so it works on
-every backend.
+``prune`` clears quarantined entries, then runs :func:`repro.store.lifecycle.gc`
+with the age cutoff as its grace period: blobs older than the cutoff go,
+never ones a shard manifest still references, and so does stale ``*.tmp``
+debris.  Only the :class:`repro.store.base.ResultStore` protocol is used,
+so it works on every backend.
 """
 
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.store.base import ResultStore
-from repro.store.lifecycle import collect_references
+from repro.store.lifecycle import gc
 
 _AGE_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*([smhdw]?)\s*$", re.IGNORECASE)
 
@@ -54,34 +53,30 @@ def prune(
     now: Optional[float] = None,
     dry_run: bool = False,
 ) -> PruneStats:
-    """Delete *unreferenced* blobs older than the cutoff.
+    """Clear quarantined entries, then delete *unreferenced* blobs older
+    than the cutoff.
 
-    Blobs a shard manifest still references are never evicted, whatever
-    their age — deleting one would break the sweep's ``merge``/resume
-    (the manifests report every task done but the cache cannot serve it).
-    An *unreadable* manifest therefore aborts the blob pass with
-    :class:`~repro.store.base.StoreError` (pruning must not guess what it
-    was pinning); quarantined entries — corrupt by definition, removed
-    regardless of age and independent of any reference — are cleared
-    first, so that cleanup still happens.  Manifests are left alone: they are tiny, and deleting a manifest is
-    the deliberate act that releases its blobs to ``gc``.
+    The blob pass is :func:`~repro.store.lifecycle.gc` with
+    ``grace_seconds=older_than_seconds``, so blobs a shard manifest still
+    references are never evicted, whatever their age — deleting one would
+    break the sweep's ``merge``/resume — and stale ``*.tmp`` debris is
+    swept too.  An *unreadable* manifest therefore aborts the blob pass
+    with :class:`~repro.store.base.StoreError` (pruning must not guess
+    what it was pinning); quarantined entries — corrupt by definition,
+    removed regardless of age and independent of any reference — are
+    cleared first, so that cleanup still happens.  Manifests are left
+    alone: they are tiny, and deleting a manifest is the deliberate act
+    that releases its blobs.
     """
-    cutoff = (time.time() if now is None else now) - older_than_seconds
-    stats = PruneStats()
-    for key in store.list_quarantined():
-        if not dry_run:
+    quarantined = store.list_quarantined()
+    if not dry_run:
+        for key in quarantined:
             store.delete_quarantined(key)
-        stats.quarantined_removed += 1
-    live = collect_references(store).live_keys
-    for key, stat in store.blob_entries():
-        if key in live:
-            stats.kept_referenced += 1
-            continue
-        if stat.mtime < cutoff:
-            if not dry_run:
-                store.delete(key)
-            stats.blobs_removed += 1
-            stats.blob_bytes_freed += stat.size
-        else:
-            stats.kept += 1
-    return stats
+    swept = gc(store, grace_seconds=older_than_seconds, now=now, dry_run=dry_run)
+    return PruneStats(
+        blobs_removed=swept.blobs_deleted,
+        blob_bytes_freed=swept.blob_bytes_freed,
+        quarantined_removed=len(quarantined),
+        kept=swept.kept_young,
+        kept_referenced=swept.kept_referenced,
+    )

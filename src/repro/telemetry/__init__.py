@@ -1,10 +1,7 @@
-"""Telemetry: decision traces, instrumented stores, and logging.
+"""Telemetry: decision traces and logging.
 
-Three pieces, one import surface:
+Two pieces, one import surface:
 
-* :mod:`repro.telemetry.core` — :class:`InstrumentedStore`, the
-  per-request counting/timing wrapper over any
-  :class:`~repro.store.ResultStore`, and its snapshot layout.
 * :mod:`repro.telemetry.trace` — byte-deterministic scheduler decision
   traces, stored next to each cached run under ``<cache_key>-trace``.
 * :mod:`repro.telemetry.logs` — stdlib-``logging`` wiring for the CLI
@@ -15,7 +12,6 @@ is deliberately *not* re-exported here (it imports the store layer's
 public API and is a CLI concern).
 """
 
-from repro.telemetry.core import InstrumentedStore
 from repro.telemetry.logs import LOG_LEVELS, setup_logging
 from repro.telemetry.trace import (
     PHASE_FIELDS,
@@ -31,7 +27,6 @@ __all__ = [
     "LOG_LEVELS",
     "PHASE_FIELDS",
     "TRACE_FORMAT_VERSION",
-    "InstrumentedStore",
     "TraceRecorder",
     "load_trace",
     "publish_trace",

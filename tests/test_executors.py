@@ -148,19 +148,6 @@ class TestShardedExecution:
             for r in manifest["tasks"]
         )
 
-    def test_custom_manifest_dir(self, tasks, tmp_path):
-        cache, manifests = tmp_path / "cache", tmp_path / "m"
-        SweepRunner(
-            max_workers=1, cache_dir=cache,
-            executor=ShardedExecutor(0, 1, manifest_dir=manifests),
-        ).run(tasks)
-        assert list(manifests.glob("*.json"))
-        merged = SweepRunner(
-            max_workers=1, cache_dir=cache,
-            executor=MergeExecutor(manifest_dir=manifests),
-        ).run(tasks)
-        assert merged.complete
-
     def test_shard_inherits_runner_worker_budget(self, tasks, tmp_path, monkeypatch):
         """A runner configured serial must not get a forked pool behind its
         back: a shard runs its slice with the runner's resolved budget."""

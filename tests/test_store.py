@@ -221,6 +221,26 @@ class TestProtocol:
         store.quarantine("never-existed")
         assert store.list_quarantined() == []
 
+    def test_listings_skip_other_namespaces(self, store_url):
+        """``list``/``list_quarantined``/``list_manifests`` each see only
+        their own namespace: a half-quarantined blob is listed both live
+        and quarantined, and stray ``*.tmp`` debris is never listed."""
+        store = open_store(store_url)
+        for key in ("aa1", "bb2", "gone", "half"):
+            store.put(key, b"x")
+        store.quarantine("gone")
+        store.put_quarantined("half", b"evidence")
+        store.write_manifest("m1", {"tasks": []})
+        store.write_manifest("trace-x", {"a": 1})
+        store._write("stray.tmp", b"crashed write")
+        store._write("manifests/stray.tmp", b"crashed write")
+        assert store.list() == ["aa1", "bb2", "half"]
+        assert store.list("a") == ["aa1"]
+        assert store.list_quarantined() == ["gone", "half"]
+        assert store.list_quarantined("h") == ["half"]
+        assert store.list_manifests() == ["m1", "trace-x"]
+        assert store.list_manifests("trace-") == ["trace-x"]
+
     def test_quarantine_never_rewrites_existing_evidence(self, store_url):
         """Contract shared by every backend (LocalFS renames, the default
         copies): the first evidence capture wins across re-quarantines."""
@@ -434,6 +454,20 @@ class TestTools:
         stats = prune(store, 0.0, now=time.time() + 10, dry_run=True)
         assert stats.blobs_removed == 1
         assert store.exists("k")
+
+    def test_prune_sweeps_stale_tmp_files(self, tmp_path):
+        """prune's blob pass is gc's, so crashed-write ``*.tmp`` debris
+        older than the cutoff goes too; an in-flight one stays."""
+        store = LocalFSStore(tmp_path)
+        stale_tmp = tmp_path / "tmpleak.tmp"
+        stale_tmp.write_bytes(b"crashed write")
+        stale = time.time() - 10 * 86400
+        os.utime(stale_tmp, (stale, stale))
+        young_tmp = tmp_path / "tmpfresh.tmp"
+        young_tmp.write_bytes(b"in flight")
+        prune(store, parse_age("7d"))
+        assert not stale_tmp.exists()
+        assert young_tmp.exists()
 
     def test_prune_never_evicts_manifest_referenced_blobs(self, store_url, tasks):
         """Age-only eviction must not break a live sharded sweep: blobs a
@@ -770,6 +804,7 @@ class TestStoreCLI:
         stats_out = capsys.readouterr().out
         assert "blobs:       6" in stats_out
         assert "manifests:   2" in stats_out
+        assert stats_out.splitlines()[-1] == "quarantined: 0"
 
     def test_store_and_cache_dir_are_mutually_exclusive(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.analytics.query import outcome_from_records
 from repro.experiments import sweep
+from repro.experiments.runner import run_workload
 from repro.experiments.scenario import builtin_scenario, run_scenario
 from repro.experiments.sweep import (
     SweepError,
@@ -22,7 +23,9 @@ from repro.experiments.sweep import (
     task_cache_keys,
 )
 from repro.store import MemoryStore
+from repro.workloads.applications import assign_applications
 from repro.workloads.cirne import CirneWorkloadModel
+from repro.workloads.presets import build_workload
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +234,41 @@ class TestWorkloadDigestMemo:
         assert set(after).isdisjoint(before)
         assert runner.run(tasks).cache_hits == 0
         assert sorted(store.list()) == sorted(before + after)
+
+
+class TestRuntimeModelAliases:
+    """A runtime-model alias, in any case, is the canonical model: it takes
+    the spec's contention coefficient and shares the canonical cache key."""
+
+    ALIASES = ("contention", "app_aware", "Application_Aware")
+
+    @pytest.fixture(scope="class")
+    def app_workload(self):
+        return assign_applications(build_workload(3, scale=0.01))
+
+    @staticmethod
+    def _metrics(workload, model, coefficient):
+        return run_workload(
+            workload, "sd_policy", runtime_model=model,
+            contention_coefficient=coefficient, max_slowdown=10,
+        ).metrics.as_dict()
+
+    def test_alias_runs_the_configured_contention_model(self, app_workload):
+        canonical = self._metrics(app_workload, "application_aware", 3.0)
+        assert canonical != self._metrics(app_workload, "application_aware", 0.15)
+        for alias in self.ALIASES:
+            assert self._metrics(app_workload, alias, 3.0) == canonical, alias
+
+    def test_alias_shares_the_canonical_cache_key(self, workload):
+        def key(model):
+            return task_cache_key(SweepTask(
+                workload=workload, policy="sd_policy", key="k", label="aware", seed=0,
+                kwargs={"runtime_model": model, "contention_coefficient": 3.0},
+            ))
+
+        canonical = key("application_aware")
+        assert [key(alias) for alias in self.ALIASES] == [canonical] * len(self.ALIASES)
+        assert key("EQ5") == key("ideal") != canonical
 
 
 class TestCanonicalKwargs:

@@ -1,12 +1,10 @@
 """Tests for the telemetry subsystem.
 
-Covers the nearest-rank percentile, the decision trace recorder and its
-canonical JSONL encoding, the acceptance property that traces are
-byte-deterministic across serial, sharded, and streaming executions,
-trace publication/loading through the integrity envelope, the
-instrumented store wrapper (request counts, byte totals, latency
-percentiles, snapshot layout, retry observation), the ``--log-level``
-logging wiring, and the ``repro-sdpolicy trace`` CLI surface.  Trace
+Covers the decision trace recorder and its canonical JSONL encoding, the
+acceptance property that traces are byte-deterministic across serial,
+sharded, and streaming executions, trace publication/loading through the
+integrity envelope, the ``--log-level`` logging wiring, and the
+``repro-sdpolicy trace`` CLI surface.  Trace
 storage recovery (quarantine, gc pinning, republishing) is covered in
 ``tests/test_attachments.py``.
 """
@@ -28,7 +26,6 @@ from repro.experiments.sweep import (
 )
 from repro.store import MemoryStore, open_store, unwrap_blob
 from repro.telemetry import (
-    InstrumentedStore,
     TraceRecorder,
     load_trace,
     publish_trace,
@@ -36,7 +33,6 @@ from repro.telemetry import (
     trace_key,
     trace_manifest_name,
 )
-from repro.telemetry.core import TELEMETRY_SNAPSHOT_FIELDS, TIMER_STAT_FIELDS, percentile
 from repro.telemetry.logs import ENV_LOG_LEVEL
 from repro.telemetry.trace import PHASE_FIELDS, AttachmentError, parse_trace
 from repro.workloads.cirne import CirneWorkloadModel
@@ -48,20 +44,6 @@ def workload():
         num_jobs=60, system_nodes=16, cpus_per_node=8, max_job_nodes=8,
         target_load=1.0, median_runtime_s=1800.0, seed=7, name="telemetry_test",
     ).generate()
-
-
-# --------------------------------------------------------------------- #
-# Snapshot percentiles
-# --------------------------------------------------------------------- #
-class TestTelemetryRegistry:
-    def test_percentile_nearest_rank(self):
-        values = sorted(float(v) for v in range(1, 101))
-        assert percentile(values, 50) == 50.0
-        assert percentile(values, 95) == 95.0
-        assert percentile(values, 99) == 99.0
-        assert percentile([1.0], 99) == 1.0
-        with pytest.raises(ValueError):
-            percentile([], 50)
 
 
 # --------------------------------------------------------------------- #
@@ -252,41 +234,6 @@ class TestTraceStorage:
 
 
 # --------------------------------------------------------------------- #
-# Instrumented store wrapper
-# --------------------------------------------------------------------- #
-class TestInstrumentedStore:
-    def test_counts_requests_bytes_and_latency(self):
-        store = InstrumentedStore(MemoryStore())
-        store.put("k" * 16, b"payload")
-        store.get("k" * 16)
-        store.get("k" * 16)
-        store.list()
-        snap = store.snapshot()
-        assert tuple(snap) == TELEMETRY_SNAPSHOT_FIELDS
-        assert snap["counters"]["requests"] == 4
-        assert snap["counters"]["bytes_written"] == len(b"payload")
-        assert snap["counters"]["bytes_read"] == 2 * len(b"payload")
-        assert snap["gauges"] == {}
-        assert {"read", "write", "list"} <= set(snap["timers"])
-        for stats in snap["timers"].values():
-            assert tuple(stats) == TIMER_STAT_FIELDS
-        assert snap["timers"]["read"]["count"] == 2
-        assert snap["timers"]["read"]["max"] >= snap["timers"]["read"]["p50"]
-
-    def test_wrapper_preserves_store_semantics(self):
-        inner = MemoryStore()
-        store = InstrumentedStore(inner)
-        assert store.url == inner.url
-        store.put("k" * 16, b"x")
-        assert store.exists("k" * 16)
-        assert store.list() == ["k" * 16]
-        stats = store.stats()
-        assert stats.blobs == 1
-        assert store.delete("k" * 16)
-        assert store.get("k" * 16) is None
-
-
-# --------------------------------------------------------------------- #
 # Logging wiring
 # --------------------------------------------------------------------- #
 class TestLogging:
@@ -373,9 +320,3 @@ class TestTraceCLI:
         assert code == 2
         assert "no decision traces" in captured.err
         MemoryStore.reset("tracecli-empty")
-
-    def test_store_stats_reports_requests(self, traced_store, capsys):
-        assert cli_main(["store", "stats", traced_store.url]) == 0
-        out = capsys.readouterr().out
-        assert "requests:    1" in out
-        assert "latency:     list" in out
