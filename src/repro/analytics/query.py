@@ -10,14 +10,14 @@ simulation, and nothing written: a corrupt blob is an error, left for
   (``--group-by``) and aggregates (``--metrics col:agg``) the per-job rows
   of every cached run in a store.  "p99 slowdown of malleable jobs by
   MAX_SLOWDOWN across every workload ever run" is one invocation.
-* **Reports** — :func:`render_stored_report` regenerates Figures 1-3,
-  4-6, 7 and 9 and Table 1 *byte-identically* to their sweep-rendered
-  versions.  The trick is shared machinery, not parallel reimplementation:
-  the same built-in scenarios
-  (:func:`repro.experiments.scenario.builtin_scenario`) expand to the same
-  tasks, :func:`repro.experiments.sweep.task_cache_keys` locates each
-  cached run, which is the run a cache hit would serve, and
-  :func:`~repro.experiments.scenario.render_report` produces the text.
+* **Reports** — ``query --report NAME`` renders a scenario's report
+  *byte-identically* to ``scenario NAME`` from stored runs alone.  The
+  trick is shared machinery, not parallel reimplementation: the CLI builds
+  the same spec, :func:`outcome_from_records` expands it to the same tasks
+  and locates each cached run through
+  :func:`repro.experiments.sweep.task_cache_keys` (the run a cache hit
+  would serve), and :func:`~repro.experiments.scenario.render_report`
+  produces the text.
 
 This module imports the experiments layer, so it is *not* re-exported from
 ``repro.analytics`` (which the runner imports) — import it directly.
@@ -36,11 +36,7 @@ from repro.experiments.runner import PolicyRun
 from repro.experiments.scenario import (
     ScenarioOutcome,
     ScenarioSpec,
-    WorkloadRef,
     assemble_outcome,
-    builtin_scenario,
-    render_report,
-    report_figures_1_to_3,
     _resolve_workloads,
 )
 from repro.experiments.sweep import iter_cached_runs, read_cached_run, task_cache_keys
@@ -48,12 +44,9 @@ from repro.store import ResultStore
 from repro.workloads.job_record import Workload
 
 __all__ = [
-    "BUILTIN_REPORTS",
     "QueryError",
-    "REPORT_CHOICES",
     "list_runs",
     "outcome_from_records",
-    "render_stored_report",
     "run_query",
 ]
 
@@ -256,18 +249,8 @@ def run_query(
 
 
 # --------------------------------------------------------------------- #
-# Figure/table regeneration from stored runs
+# Scenario reports from stored runs
 # --------------------------------------------------------------------- #
-REPORT_CHOICES = (
-    "fig1", "fig2", "fig3", "fig1-3", "fig7", "table1", "figure4-6", "figure9",
-)
-
-#: Reports whose spec is the built-in scenario of the same name, built from
-#: ``--scale``/``--seed`` alone as ``scenario NAME --scale S --seed N``
-#: builds it (no ``--workload``/``--swf``).
-BUILTIN_REPORTS = ("table1", "figure4-6", "figure9")
-
-
 def outcome_from_records(
     spec: ScenarioSpec,
     workloads: Optional[Union[Workload, Mapping[str, Workload]]],
@@ -301,54 +284,3 @@ def outcome_from_records(
             "(query renders from stored runs alone; it never simulates)"
         )
     return outcome
-
-
-def render_stored_report(
-    store: ResultStore,
-    report: str,
-    workload: Optional[Workload] = None,
-    scale: Optional[float] = None,
-    seed: Optional[int] = None,
-    sharing_factor: float = 0.5,
-    runtime_model: str = "ideal",
-    max_slowdown: float = 10.0,
-    workload_ids: Sequence[int] = (1, 2, 3, 4, 5),
-) -> str:
-    """Regenerate one paper report from stored runs (no simulation).
-
-    ``scale`` and ``seed`` follow the built-in rule: ``None`` keeps the
-    built-in's own value, and ``seed`` seeds both the workload and the
-    simulation, as ``--seed`` does on the commands that stored the runs.
-    """
-    if report in BUILTIN_REPORTS:
-        overrides: Dict[str, Any] = {}
-        if scale is not None:
-            overrides["scale"] = scale
-        if seed is not None:
-            overrides["seed"] = seed
-        if report == "table1":
-            overrides["workload_ids"] = tuple(workload_ids)
-        spec = builtin_scenario(report, **overrides)
-        return render_report(outcome_from_records(spec, None, store))
-    if workload is None:
-        raise QueryError(f"report {report!r} needs a workload (--workload/--swf)")
-    if report in ("fig1", "fig2", "fig3", "fig1-3"):
-        spec = builtin_scenario(
-            "figure1-3",
-            seed=seed,
-            sharing_factor=sharing_factor,
-            runtime_model=runtime_model,
-        )
-    elif report == "fig7":
-        spec = builtin_scenario(
-            "figure7", seed=seed, max_slowdown=max_slowdown, runtime_model=runtime_model
-        )
-    else:
-        raise QueryError(
-            f"unknown report {report!r}; choices: {', '.join(REPORT_CHOICES)}"
-        )
-    spec.workloads = [WorkloadRef(name=workload.name)]
-    outcome = outcome_from_records(spec, workload, store)
-    if report in ("fig1", "fig2", "fig3"):
-        return report_figures_1_to_3(outcome, figures=(int(report[-1]),))
-    return render_report(outcome)

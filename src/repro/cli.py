@@ -6,40 +6,40 @@ shell (installed as ``repro-sdpolicy`` or via ``python -m repro``):
 * ``run`` — simulate one workload under one policy and print the metrics;
 * ``compare`` — run static backfill and SD-Policy on a workload and print
   the normalised comparison;
-* ``sweep`` — run the MAX_SLOWDOWN sweep (Figures 1-3) through the parallel
-  sweep runner, with ``--workers`` and an optional on-disk result cache;
-  ``--shard I/N`` executes one deterministic slice (resumable via a shard
-  manifest next to the cache) and ``sweep merge`` assembles the full,
-  bit-identical result once every shard has run;
 * ``scenario`` — run a declarative scenario spec (a JSON file, or a named
-  built-in such as ``figure4-6``) through the sweep runner;
-* ``table 1|2`` — regenerate a paper table (the ``table1``/``table2``
-  built-in scenarios);
-* ``figure`` — regenerate a figure by number (1–9; 1/2/3 and 4/5/6 are
-  grouped as in the paper) through its built-in scenario; figures 1-7 run
-  on the workload ``--workload``/``--swf`` select;
+  built-in: every paper table and figure is one, ``table1`` … ``figure9``)
+  through the parallel sweep runner, with ``--workers`` and an optional
+  result store; ``--shard I/N`` executes one deterministic slice
+  (resumable via a shard manifest in the store) and ``--merge`` assembles
+  the full, bit-identical result once every shard has run;
 * ``store`` — inspect and manage result stores (``stats``, ``prune``,
   manifest-aware ``gc``, integrity ``verify``/``repair``);
 * ``query`` — aggregate the per-job records of every run cached in a
-  store, or regenerate Figures 1-3, 4-6, 7 and 9 and Table 1
+  store, or (``--report NAME``) render what ``scenario NAME`` prints
   byte-identically from the cached runs without re-simulating;
 * ``trace`` — inspect stored scheduler decision traces recorded by
-  ``--trace`` sweeps (``summary``, ``grep``, ``timeline``);
+  ``--trace`` runs (``summary``, ``grep``, ``timeline``);
 * ``swf`` — inspect a Standard Workload Format file;
 * ``lint`` — the repro-lint static-analysis pass (determinism, store
   discipline, exception discipline; ``--list-rules`` prints the catalog).
 
-Every sweep-backed subcommand accepts ``--store URL`` selecting a result
+``scenario`` and ``query --report`` resolve NAME the same way: a built-in
+keeps its own scale and seed unless ``--scale``/``--seed`` is given, and
+``--workload``/``--swf`` point the single-workload built-ins
+``figure1-3``, ``figure4-6`` and ``figure7`` at another workload.
+
+Every store-backed subcommand accepts ``--store URL`` selecting a result
 store backend (``file://…`` or ``memory://…``) instead of the local
 ``--cache-dir``; with neither flag set, ``REPRO_STORE_URL`` applies.
 
 Example::
 
-    repro-sdpolicy figure 3 --workload 3 --scale 0.05
+    repro-sdpolicy scenario figure1-3 --workload 3 --scale 0.05
     repro-sdpolicy compare --workload 1 --scale 0.05 --maxsd 10
-    repro-sdpolicy sweep --workload 1 --scale 0.04 --workers 4 --cache-dir auto
-    repro-sdpolicy sweep --workload 1 --scale 0.04 --store file:///shared/repro --shard 1/2
-    repro-sdpolicy sweep merge --workload 1 --scale 0.04 --store file:///shared/repro
+    repro-sdpolicy scenario figure1-3 --scale 0.04 --workers 4 --cache-dir auto
+    repro-sdpolicy scenario figure1-3 --scale 0.04 --store file:///shared/repro --shard 1/2
+    repro-sdpolicy scenario figure1-3 --scale 0.04 --store file:///shared/repro --merge
+    repro-sdpolicy query --report figure1-3 --scale 0.04 --store file:///shared/repro
     repro-sdpolicy store stats file:///shared/repro
     repro-sdpolicy scenario examples/figure7_scenario.json --workers 2
     repro-sdpolicy scenario --list
@@ -50,27 +50,25 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.tables import metrics_table
 from repro.analytics.query import (
-    BUILTIN_REPORTS,
-    REPORT_CHOICES,
     QueryError,
     list_runs,
+    outcome_from_records,
     parse_metrics,
     parse_where,
-    render_stored_report,
     run_query,
 )
 from repro.core.policy import available_policies
-from repro.core.profiles import PROFILE_SET_NAMES
 from repro.devtools.lint import cli as lint_cli
 from repro.experiments.executors import parse_shard
 from repro.experiments.runner import POLICY, RUN_PARAMS, resolve_run, run_workload
 from repro.experiments.scenario import (
     BUILTIN_SCENARIOS,
     ScenarioError,
+    ScenarioSpec,
     WorkloadRef,
     builtin_scenario,
     load_spec,
@@ -96,6 +94,7 @@ from repro.store import (
 )
 from repro.telemetry import LOG_LEVELS, setup_logging
 from repro.telemetry.trace import AttachmentError
+from repro.workloads.job_record import Workload
 from repro.workloads.presets import build_workload
 from repro.workloads.swf import read_swf, summarize_swf
 
@@ -120,31 +119,38 @@ def _run_param_flag(name: str) -> Dict[str, Any]:
     return {"type": parse, "help": f"{row.kind.expected}, for the {row.layer} ({name})"}
 
 
-#: Workload scale when ``--scale`` is not given (``query`` leaves it
-#: ``None`` so that its built-in reports keep their scenario's own scale).
+#: Workload scale of ``run``/``compare`` when ``--scale`` is not given.
 _DEFAULT_SCALE = 0.05
 
+#: The single-workload built-ins ``--workload``/``--swf`` may point at
+#: another workload.
+_RETARGETABLE = ("figure1-3", "figure4-6", "figure7")
 
-def _add_workload_args(parser: argparse.ArgumentParser) -> None:
+
+def _add_workload_args(parser: argparse.ArgumentParser, builtin: bool = False) -> None:
+    """``--workload``/``--scale``/``--seed``/``--swf``; with ``builtin`` they
+    override a scenario NAME, and each one not given keeps its own value."""
+    only = f"; only for {', '.join(_RETARGETABLE)}" if builtin else ""
+    scale_default = "the built-in's own" if builtin else _DEFAULT_SCALE
     parser.add_argument(
-        "--workload", type=int, default=1, choices=[1, 2, 3, 4, 5],
-        help="paper workload id (Table 1)",
+        "--workload", type=int, default=None if builtin else 1, choices=[1, 2, 3, 4, 5],
+        help=f"paper workload id (Table 1){only}",
     )
     parser.add_argument(
-        "--scale", type=_positive_float, default=_DEFAULT_SCALE,
-        help="fraction of the full workload/system size (1.0 = paper scale)",
+        "--scale", type=_positive_float, default=None if builtin else _DEFAULT_SCALE,
+        help="fraction of the full workload/system size (1.0 = paper scale); "
+             f"default: {scale_default}",
     )
     parser.add_argument("--seed", type=int, default=None, help="workload generation seed")
     parser.add_argument(
         "--swf", type=str, default=None,
-        help="path to a real SWF log to use instead of the synthetic workload",
+        help=f"path to a real SWF log to use instead of the synthetic workload{only}",
     )
 
 
-def _load_workload(args: argparse.Namespace):
-    if getattr(args, "swf", None):
+def _load_workload(args: argparse.Namespace, scale: float) -> Workload:
+    if args.swf:
         return read_swf(args.swf)
-    scale = _DEFAULT_SCALE if args.scale is None else args.scale
     return build_workload(args.workload, scale=scale, seed=args.seed)
 
 
@@ -195,31 +201,59 @@ def _cli_store(args: argparse.Namespace) -> Optional[ResultStore]:
     return resolve_store(args.store, args.cache_dir)
 
 
-def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="sweep worker processes; an explicit value always beats "
-             "REPRO_SWEEP_WORKERS (default: the env var or the CPU count)",
-    )
-    _add_store_args(parser)
-    parser.add_argument(
-        "--shard", type=_parse_shard_arg, default=None, metavar="I/N",
-        help="run only shard I of N (1-based) of the expanded sweep tasks and "
-             "record a resumable manifest; requires --cache-dir or --store",
-    )
-    parser.add_argument(
-        "--trace", action="store_true",
-        help="record scheduler decision traces and publish them to the "
-             "store under <cache_key>-trace, for 'repro-sdpolicy trace'; "
-             "requires --cache-dir or --store",
-    )
+def _cli_scenario(
+    args: argparse.Namespace, name: str
+) -> Tuple[ScenarioSpec, Optional[Workload]]:
+    """The scenario ``scenario NAME`` runs and ``query --report NAME``
+    renders, with the prebuilt workload to run it on (else ``None``).
+
+    NAME is a spec file or a built-in.  A built-in keeps its own scale and
+    seed unless ``--scale``/``--seed`` is given, and ``--workload``/``--swf``
+    point one of :data:`_RETARGETABLE` at another workload.  A bad NAME or
+    flag raises :class:`ScenarioError`.
+    """
+    is_file = os.path.exists(name)
+    if not is_file and name not in BUILTIN_SCENARIOS:
+        raise ScenarioError(
+            f"{name!r} is neither a spec file nor a built-in scenario "
+            f"(available: {', '.join(sorted(BUILTIN_SCENARIOS))})"
+        )
+    retarget = args.workload is not None or args.swf is not None
+    if retarget and (is_file or name not in _RETARGETABLE):
+        flag = "--swf" if args.swf is not None else "--workload"
+        raise ScenarioError(
+            f"{flag} applies only to the single-workload built-ins "
+            f"{', '.join(_RETARGETABLE)}, not {name!r}"
+        )
+    overrides = {
+        key: getattr(args, key) for key in ("scale", "seed") if getattr(args, key) is not None
+    }
+    if name == "figure1-3" and args.workload is not None:
+        overrides["workload_id"] = args.workload
+    try:
+        spec = load_spec(name) if is_file else builtin_scenario(name, **overrides)
+    except (ScenarioError, ValueError, OSError) as exc:
+        # ValueError covers malformed JSON / wrong-typed scalar fields.
+        raise ScenarioError(f"invalid scenario spec {name!r}: {exc}") from None
+    if is_file and overrides:
+        print(
+            "note: --scale/--seed only apply to built-in scenarios; "
+            "spec files define their own workload refs",
+            file=sys.stderr,
+        )
+    if not retarget:
+        return spec, None
+    try:
+        workload = _load_workload(args, spec.workloads[0].scale)
+    except (ValueError, OSError) as exc:
+        raise ScenarioError(f"cannot load the workload: {exc}") from None
+    spec.workloads = [WorkloadRef(name=workload.name)]
+    return spec, workload
 
 
-def _make_runner(
-    args: argparse.Namespace, progress: bool = False, merge: bool = False
-) -> SweepRunner:
+def _make_runner(args: argparse.Namespace) -> SweepRunner:
     callback = None
-    if progress:
+    if not args.merge:
         def callback(done, total, entry):  # noqa: ANN001 - argparse-local helper
             origin = "cache" if entry.from_cache else f"{entry.wall_clock_seconds:.1f}s"
             phases = getattr(entry, "phases", None)
@@ -230,9 +264,7 @@ def _make_runner(
                 ) + "]"
             print(f"  [{done}/{total}] {entry.key} ({origin}){detail}", file=sys.stderr)
     store = _cli_store(args)
-    shard = getattr(args, "shard", None)
-    trace = bool(getattr(args, "trace", False))
-    if trace and store is None:
+    if args.trace and store is None:
         print(
             "error: --trace needs a result store to publish trace "
             "(--cache-dir or --store)",
@@ -240,24 +272,24 @@ def _make_runner(
         )
         raise SystemExit(2)
     executor = None
-    if merge:
-        if shard is not None:
-            print("error: --shard cannot be combined with merge", file=sys.stderr)
+    if args.merge:
+        if args.shard is not None:
+            print("error: --shard cannot be combined with --merge", file=sys.stderr)
             raise SystemExit(2)
         executor = MergeExecutor()
-    elif shard is not None:
-        executor = ShardedExecutor(shard[0], shard[1])
+    elif args.shard is not None:
+        executor = ShardedExecutor(args.shard[0], args.shard[1])
     return SweepRunner(
-        max_workers=getattr(args, "workers", None),
+        max_workers=args.workers,
         store=store,
         progress=callback,
         executor=executor,
-        trace=trace,
+        trace=args.trace,
     )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    workload = _load_workload(args)
+    workload = _load_workload(args, args.scale)
     kwargs = {}
     if args.policy in ("sd_policy", "ub_policy"):
         # Only the malleable policies take the SD-Policy family knobs.
@@ -278,7 +310,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.analysis.comparison import improvement_percent
 
-    workload = _load_workload(args)
+    workload = _load_workload(args, args.scale)
     static = run_workload(workload, "static_backfill", runtime_model=args.runtime_model)
     sd = run_workload(
         workload,
@@ -296,26 +328,24 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _on_cli_workload(spec, args: argparse.Namespace):
-    """Point a single-workload built-in at the workload ``--workload``/``--swf``
-    select; returns that workload, the prebuilt override to run it on."""
-    workload = _load_workload(args)
-    spec.workloads = [WorkloadRef(name=workload.name)]
-    return workload
-
-
-def _run_and_print(args: argparse.Namespace, spec, workloads=None, merge: bool = False) -> int:
+def _cmd_scenario(args: argparse.Namespace) -> int:
     """Run a scenario through the sweep runner and print its report.
 
     A shard run that leaves tasks unfinished prints its progress instead;
     the run summary goes to stderr.
     """
+    if args.list or not args.spec:
+        print("built-in scenarios:")
+        for name in sorted(BUILTIN_SCENARIOS):
+            print(f"  {name:12s} {builtin_scenario(name).description}")
+        if not args.spec and not args.list:
+            print("\nusage: repro-sdpolicy scenario <spec.json | builtin name>",
+                  file=sys.stderr)
+            return 2
+        return 0
     try:
-        outcome = run_scenario(
-            spec,
-            runner=_make_runner(args, progress=not merge, merge=merge),
-            workloads=workloads,
-        )
+        spec, workload = _cli_scenario(args, args.spec)
+        outcome = run_scenario(spec, runner=_make_runner(args), workloads=workload)
         report = render_report(outcome) if outcome.complete else None
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -342,91 +372,6 @@ def _run_and_print(args: argparse.Namespace, spec, workloads=None, merge: bool =
             file=sys.stderr,
         )
     return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = builtin_scenario(
-        "figure1-3",
-        workload_id=args.workload,
-        seed=args.seed,
-        sharing_factor=args.sharing_factor,
-        runtime_model=args.runtime_model,
-    )
-    workload = _on_cli_workload(spec, args)
-    return _run_and_print(args, spec, workloads=workload, merge=args.mode == "merge")
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    return _run_and_print(args, builtin_scenario(f"table{args.table}", scale=args.scale))
-
-
-#: The built-in scenario behind each figure number.
-_FIGURE_SCENARIOS = {
-    1: "figure1-3", 2: "figure1-3", 3: "figure1-3",
-    4: "figure4-6", 5: "figure4-6", 6: "figure4-6",
-    7: "figure7", 8: "figure8", 9: "figure9",
-}
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
-    name = _FIGURE_SCENARIOS[args.figure]
-    if args.figure <= 7:
-        # Figures 1-7 run on the workload --workload/--swf select.
-        if args.figure <= 3:
-            spec = builtin_scenario(name, workload_id=args.workload, seed=args.seed)
-        else:
-            spec = builtin_scenario(name, seed=args.seed, max_slowdown=args.maxsd)
-        return _run_and_print(args, spec, workloads=_on_cli_workload(spec, args))
-    if args.figure == 9 and (args.swf or args.workload != 1):
-        print(
-            "warning: figure 9 always replays the real-run workload 5; "
-            "--workload/--swf are ignored (use --scale/--seed to vary it)",
-            file=sys.stderr,
-        )
-    overrides = {"scale": args.scale}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return _run_and_print(args, builtin_scenario(name, **overrides))
-
-
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    if args.list or not args.spec:
-        print("built-in scenarios:")
-        for name in sorted(BUILTIN_SCENARIOS):
-            print(f"  {name:12s} {builtin_scenario(name).description}")
-        if not args.spec and not args.list:
-            print("\nusage: repro-sdpolicy scenario <spec.json | builtin name>",
-                  file=sys.stderr)
-            return 2
-        return 0
-    overrides = {}
-    if args.scale is not None:
-        overrides["scale"] = args.scale
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    try:
-        if os.path.exists(args.spec):
-            spec = load_spec(args.spec)
-            if overrides:
-                print(
-                    "note: --scale/--seed only apply to built-in scenarios; "
-                    "spec files define their own workload refs",
-                    file=sys.stderr,
-                )
-        elif args.spec in BUILTIN_SCENARIOS:
-            spec = builtin_scenario(args.spec, **overrides)
-        else:
-            print(
-                f"error: {args.spec!r} is neither a spec file nor a built-in "
-                f"scenario (available: {', '.join(sorted(BUILTIN_SCENARIOS))})",
-                file=sys.stderr,
-            )
-            return 2
-    except (ScenarioError, ValueError, OSError) as exc:
-        # ValueError covers malformed JSON / wrong-typed scalar fields.
-        print(f"error: invalid scenario spec {args.spec!r}: {exc}", file=sys.stderr)
-        return 2
-    return _run_and_print(args, spec)
 
 
 def _human_bytes(count: int) -> str:
@@ -575,21 +520,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print(list_runs(store))
             return 0
         if args.report:
-            workload = None
-            if args.report not in BUILTIN_REPORTS:
-                workload = _load_workload(args)
-            print(
-                render_stored_report(
-                    store,
-                    args.report,
-                    workload=workload,
-                    scale=args.scale,
-                    seed=args.seed,
-                    sharing_factor=args.sharing_factor,
-                    runtime_model=args.runtime_model,
-                    max_slowdown=args.maxsd,
-                )
-            )
+            spec, workload = _cli_scenario(args, args.report)
+            print(render_report(outcome_from_records(spec, workload, store)))
             return 0
         print(
             run_query(
@@ -600,7 +532,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    except QueryError as exc:
+    except (QueryError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -664,42 +596,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--policy", default="sd_policy",
                        choices=list(available_policies()),
                        help="co-scheduling policy (the registered policy family)")
-    p_run.add_argument("--runtime-model", default="ideal",
-                       choices=["ideal", "worst_case", "application_aware"],
-                       **_run_param_flag("runtime_model"))
+    p_run.add_argument("--runtime-model", default="ideal", **_run_param_flag("runtime_model"))
     p_run.add_argument("--maxsd", default="dynamic", **_run_param_flag("max_slowdown"))
     p_run.add_argument("--sharing-factor", default=0.5, **_run_param_flag("sharing_factor"))
-    p_run.add_argument("--profiles", default=None, choices=list(PROFILE_SET_NAMES),
-                       **_run_param_flag("profiles"))
+    p_run.add_argument("--profiles", default=None, **_run_param_flag("profiles"))
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="compare SD-Policy against static backfill")
     _add_workload_args(p_cmp)
-    p_cmp.add_argument("--runtime-model", default="ideal", choices=["ideal", "worst_case"],
-                       **_run_param_flag("runtime_model"))
+    p_cmp.add_argument("--runtime-model", default="ideal", **_run_param_flag("runtime_model"))
     p_cmp.add_argument("--maxsd", default="dynamic", **_run_param_flag("max_slowdown"))
     p_cmp.add_argument("--sharing-factor", default=0.5, **_run_param_flag("sharing_factor"))
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_sweep = sub.add_parser(
-        "sweep", help="run the MAX_SLOWDOWN sweep (figures 1-3) in parallel"
-    )
-    p_sweep.add_argument(
-        "mode", nargs="?", choices=["run", "merge"], default="run",
-        help="'run' executes the sweep (optionally one --shard of it); "
-             "'merge' validates the shard manifests and renders the full "
-             "result from the cache",
-    )
-    _add_workload_args(p_sweep)
-    _add_sweep_args(p_sweep)
-    p_sweep.add_argument("--runtime-model", default="ideal", choices=["ideal", "worst_case"],
-                         **_run_param_flag("runtime_model"))
-    p_sweep.add_argument("--sharing-factor", default=0.5, **_run_param_flag("sharing_factor"))
-    p_sweep.set_defaults(func=_cmd_sweep)
-
     p_sc = sub.add_parser(
         "scenario",
-        help="run a declarative scenario spec (JSON file or built-in name)",
+        help="run a declarative scenario spec (JSON file or built-in name, "
+             "one per paper table/figure)",
     )
     p_sc.add_argument(
         "spec", nargs="?", default=None,
@@ -708,29 +621,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument(
         "--list", action="store_true", help="list the built-in scenarios and exit"
     )
+    _add_workload_args(p_sc, builtin=True)
     p_sc.add_argument(
-        "--scale", type=_positive_float, default=None,
-        help="workload scale override for built-in scenarios (1.0 = paper scale)",
+        "--workers", type=_positive_int, default=None,
+        help="sweep worker processes; an explicit value always beats "
+             "REPRO_SWEEP_WORKERS (default: the env var or the CPU count)",
+    )
+    _add_store_args(p_sc)
+    p_sc.add_argument(
+        "--shard", type=_parse_shard_arg, default=None, metavar="I/N",
+        help="run only shard I of N (1-based) of the expanded sweep tasks and "
+             "record a resumable manifest; requires --cache-dir or --store",
     )
     p_sc.add_argument(
-        "--seed", type=int, default=None,
-        help="workload seed override for built-in scenarios",
+        "--merge", action="store_true",
+        help="validate the shard manifests and render the full result from "
+             "the store, simulating nothing",
     )
-    _add_sweep_args(p_sc)
+    p_sc.add_argument(
+        "--trace", action="store_true",
+        help="record scheduler decision traces and publish them to the "
+             "store under <cache_key>-trace, for 'repro-sdpolicy trace'; "
+             "requires --cache-dir or --store",
+    )
     p_sc.set_defaults(func=_cmd_scenario)
-
-    p_tab = sub.add_parser("table", help="regenerate Table 1 or Table 2")
-    p_tab.add_argument("table", type=int, choices=[1, 2])
-    p_tab.add_argument("--scale", type=_positive_float, default=0.05)
-    _add_sweep_args(p_tab)
-    p_tab.set_defaults(func=_cmd_table)
-
-    p_fig = sub.add_parser("figure", help="regenerate a figure (1-9)")
-    p_fig.add_argument("figure", type=int, choices=range(1, 10))
-    _add_workload_args(p_fig)
-    p_fig.add_argument("--maxsd", default="10", **_run_param_flag("max_slowdown"))
-    _add_sweep_args(p_fig)
-    p_fig.set_defaults(func=_cmd_figure)
 
     p_store = sub.add_parser(
         "store",
@@ -861,9 +775,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser(
         "query",
         help="filter/group/aggregate the per-job records of every run cached "
-             "in a store, or regenerate figures/tables from the cached runs",
+             "in a store, or render a scenario's report from the cached runs",
     )
-    _add_workload_args(p_query)
+    _add_workload_args(p_query, builtin=True)
     _add_store_args(p_query)
     p_query.add_argument(
         "--list", action="store_true",
@@ -891,20 +805,12 @@ def build_parser() -> argparse.ArgumentParser:
              "min, max, count); default: slowdown:mean,slowdown:p95",
     )
     p_query.add_argument(
-        "--report", type=str, default=None,
-        choices=REPORT_CHOICES,
-        help="regenerate a paper figure/table from stored runs alone "
-             "(no simulation); output is byte-identical to the sweep-"
-             "rendered version; table1, figure4-6 and figure9 take the "
-             "built-in scenario, at --scale/--seed when given",
+        "--report", type=str, default=None, metavar="NAME",
+        help="print what 'scenario NAME' prints (a built-in or a spec file, "
+             "with the same --workload/--swf/--scale/--seed) from the stored "
+             "runs alone, simulating nothing",
     )
-    p_query.add_argument("--maxsd", default="10", **_run_param_flag("max_slowdown"))
-    p_query.add_argument("--sharing-factor", default=0.5, **_run_param_flag("sharing_factor"))
-    p_query.add_argument("--runtime-model", default="ideal", choices=["ideal", "worst_case"],
-                         **_run_param_flag("runtime_model"))
-    # Without --scale a built-in report keeps its scenario's own scale, as
-    # `scenario NAME` does; the other reports build the default workload.
-    p_query.set_defaults(func=_cmd_query, scale=None)
+    p_query.set_defaults(func=_cmd_query)
 
     p_lint = sub.add_parser(
         "lint",

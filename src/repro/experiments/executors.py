@@ -97,8 +97,6 @@ MANIFEST_TASK_FIELDS = (
     "cache_path",
 )
 
-#: Subdirectory of the cache directory holding shard manifests.
-MANIFEST_DIR_NAME = "manifests"
 
 
 class SweepError(RuntimeError):

@@ -17,9 +17,9 @@ or a real SWF log), *which policy*, and *which parameter grid*
 
 Every paper table and figure is a built-in scenario
 (:data:`BUILTIN_SCENARIOS`) rendered by one of the report renderers below;
-the CLI's ``table``/``figure``/``sweep``/``scenario`` commands, the
-benchmarks and the ablations all go through :func:`run_scenario`, and
-``repro-sdpolicy scenario`` also runs a user-written JSON spec.  Writing a
+the CLI's ``scenario`` command, the benchmarks and the ablations all go
+through :func:`run_scenario`, and ``repro-sdpolicy scenario`` also runs a
+user-written JSON spec.  Writing a
 new experiment means writing a spec, not a loop.
 """
 
@@ -840,21 +840,17 @@ _FIGURES_1_TO_3 = (
 )
 
 
-def report_figures_1_to_3(outcome: ScenarioOutcome, figures: Sequence[int] = (1, 2, 3)) -> str:
-    """The Figures 1-3 bar charts (normalised makespan/response/slowdown);
-    ``figures`` selects which of the three to draw."""
+def report_figures_1_to_3(outcome: ScenarioOutcome) -> str:
+    """The Figures 1-3 bar charts (normalised makespan/response/slowdown)."""
     workload = outcome.workload
     normalized = outcome.normalized()
-    charts = []
-    for number in figures:
-        metric, figure_name = _FIGURES_1_TO_3[number - 1]
-        charts.append(
-            render_bar_chart(
-                {label: vals[metric] for label, vals in normalized.items()},
-                title=f"{figure_name} ({workload.name}, normalised to static backfill)",
-            )
+    return "\n\n".join(
+        render_bar_chart(
+            {label: vals[metric] for label, vals in normalized.items()},
+            title=f"{figure_name} ({workload.name}, normalised to static backfill)",
         )
-    return "\n\n".join(charts)
+        for metric, figure_name in _FIGURES_1_TO_3
+    )
 
 
 def _require_complete(outcome: ScenarioOutcome) -> None:

@@ -27,7 +27,7 @@ read-only ``query`` engine (:mod:`repro.analytics.query`).
 
 The scenario layer (:mod:`repro.experiments.scenario`) expands declarative
 specs into task lists for this runner; every paper table and figure, and
-every sweep-backed CLI subcommand, runs through it.
+the CLI's ``scenario`` command, runs through it.
 """
 
 from __future__ import annotations

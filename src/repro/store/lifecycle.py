@@ -2,7 +2,7 @@
 
 The sweep cache has no intrinsic notion of "still needed": blobs are
 content-addressed and shard manifests (:mod:`repro.experiments.executors`)
-are the only record of which blobs a resumable ``sweep merge`` still
+are the only record of which blobs a resumable ``scenario --merge`` still
 depends on.  This module is the lifecycle layer on top of the
 :class:`~repro.store.base.ResultStore` protocol:
 

@@ -24,7 +24,6 @@ from repro.analytics.query import (
     QueryError,
     list_runs,
     outcome_from_records,
-    render_stored_report,
     run_query,
 )
 from repro.analytics.records import JOB_RECORD_DTYPE, RECORD_SCHEMA_VERSION
@@ -36,6 +35,7 @@ from repro.experiments.executors import (
 )
 from repro.experiments.runner import run_workload
 from repro.experiments.scenario import (
+    BUILTIN_SCENARIOS,
     WorkloadRef,
     builtin_scenario,
     render_report,
@@ -67,11 +67,21 @@ def workload():
     ).generate()
 
 
-def _run_on(workload, name, runner, **overrides):
-    """Run built-in ``name`` on a prebuilt workload, as the CLI does."""
+def _spec_on(workload, name, **overrides):
+    """Built-in ``name`` pointed at a prebuilt workload, as ``--swf`` does."""
     spec = builtin_scenario(name, **overrides)
     spec.workloads = [WorkloadRef(name=workload.name)]
-    return run_scenario(spec, runner=runner, workloads=workload)
+    return spec
+
+
+def _run_on(workload, name, runner, **overrides):
+    return run_scenario(_spec_on(workload, name, **overrides), runner=runner, workloads=workload)
+
+
+def _stored_report(store, workload, name, **overrides):
+    """What ``query --report NAME`` prints for a prebuilt workload."""
+    spec = _spec_on(workload, name, **overrides)
+    return render_report(outcome_from_records(spec, workload, store))
 
 
 def _static_task(workload, key="plain"):
@@ -250,7 +260,7 @@ class TestAnalyticsStore:
 
     def test_rerun_is_all_cache_hits_and_stays_queryable(self, tmp_path, capsys):
         """Regression: a second run of the same sweep re-simulates nothing."""
-        argv = ["sweep", "--workload", "1", "--scale", "0.02",
+        argv = ["scenario", "figure1-3", "--workload", "1", "--scale", "0.02",
                 "--cache-dir", str(tmp_path)]
         assert main(argv) == 0
         first = capsys.readouterr()
@@ -363,19 +373,11 @@ class TestQuery:
 
     def test_fig1_to_3_report_is_byte_identical(self, populated, workload):
         store, result = populated
-        assert render_stored_report(store, "fig1-3", workload=workload) == render_report(result)
-
-    def test_single_figure_is_a_chart_of_the_full_report(self, populated, workload):
-        store, result = populated
-        fig2 = render_stored_report(store, "fig2", workload=workload)
-        assert fig2 in render_report(result)
-        assert fig2.startswith("Figure 2")
+        assert _stored_report(store, workload, "figure1-3") == render_report(result)
 
     def test_outcome_from_records_normalises_like_the_sweep(self, populated, workload):
         store, _ = populated
-        spec = builtin_scenario("figure1-3")
-        spec.workloads = [WorkloadRef(name=workload.name)]
-        outcome = outcome_from_records(spec, workload, store)
+        outcome = outcome_from_records(_spec_on(workload, "figure1-3"), workload, store)
         normalized = outcome.normalized()
         assert set(normalized) == {
             "MAXSD 5", "MAXSD 10", "MAXSD 50", "MAXSD inf", "DynAVGSD"
@@ -385,27 +387,40 @@ class TestQuery:
 
     def test_report_without_records_raises(self, workload):
         with pytest.raises(QueryError, match="run that scenario into this store") as excinfo:
-            render_stored_report(MemoryStore(), "fig1-3", workload=workload)
+            _stored_report(MemoryStore(), workload, "figure1-3")
         assert "--analytics" not in str(excinfo.value)
 
     def test_fig7_report_is_byte_identical(self, workload):
         store = MemoryStore()
         runner = SweepRunner(max_workers=1, store=store)
         result = _run_on(workload, "figure7", runner, max_slowdown=10.0)
-        regenerated = render_stored_report(
-            store, "fig7", workload=workload, max_slowdown=10.0
-        )
+        regenerated = _stored_report(store, workload, "figure7", max_slowdown=10.0)
         assert regenerated == render_report(result)
 
-    @pytest.mark.parametrize("name, scale", [("figure4-6", 0.005), ("figure9", 0.05)])
-    def test_builtin_per_job_report_is_byte_identical(self, name, scale):
-        """Figures 4-6 and 9 read per-job rows; query renders them from the
-        stored runs alone, from the spec ``scenario NAME`` builds."""
-        store = MemoryStore()
-        spec = builtin_scenario(name, scale=scale, seed=3)
-        live = run_scenario(spec, runner=SweepRunner(max_workers=1, store=store))
-        regenerated = render_stored_report(store, name, scale=scale, seed=3)
-        assert regenerated == render_report(live)
+    @pytest.mark.parametrize(
+        "argv",
+        [pytest.param([name, "--scale", "0.005"], id=name) for name in sorted(BUILTIN_SCENARIOS)]
+        + [pytest.param(["figure1-3", "--workload", "3", "--scale", "0.005", "--seed", "3"],
+                        id="figure1-3-workload3")],
+    )
+    def test_builtin_report_is_byte_identical(self, tmp_path, capsys, argv):
+        """``query --report NAME`` builds the spec ``scenario NAME`` builds
+        and renders its report from the stored runs alone."""
+        cache = ["--workers", "1", "--cache-dir", str(tmp_path)]
+        assert main(["scenario", *argv, *cache]) == 0
+        live = capsys.readouterr().out
+        assert live
+        assert main(["query", "--report", *argv, *cache[2:]]) == 0
+        assert capsys.readouterr().out == live
+
+    def test_cli_workload_hits_the_runs_of_the_builtin(self, tmp_path, capsys):
+        """``--workload N`` builds the runs ``builtin_scenario(...,
+        workload_id=N)`` builds: every one is a cache hit."""
+        spec = builtin_scenario("figure1-3", workload_id=3, scale=0.01)
+        run_scenario(spec, runner=SweepRunner(max_workers=1, cache_dir=tmp_path))
+        assert main(["scenario", "figure1-3", "--workload", "3", "--scale", "0.01",
+                     "--workers", "1", "--cache-dir", str(tmp_path)]) == 0
+        assert "cache hits: 6" in capsys.readouterr().err
 
     def test_sharded_merge_then_query_is_byte_identical(self, workload):
         """Acceptance: two shards through one shared store, merged, then
@@ -425,5 +440,4 @@ class TestQuery:
             SweepRunner(max_workers=1, store=store, executor=MergeExecutor()),
         )
         assert merged.complete
-        assert (render_stored_report(store, "fig1-3", workload=workload)
-                == render_report(merged))
+        assert _stored_report(store, workload, "figure1-3") == render_report(merged)

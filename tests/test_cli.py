@@ -10,6 +10,7 @@ import shlex
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.scenario import builtin_scenario
 from repro.simulator.simulation import Simulation
 from repro.workloads.swf import write_swf
 
@@ -24,19 +25,23 @@ class TestParser:
         assert args.workload == 1
         assert args.policy == "sd_policy"
 
-    def test_figure_argument_validation(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure", "12"])
+    @pytest.mark.parametrize("command", ["table", "figure", "sweep"])
+    def test_per_artifact_commands_are_gone(self, command, capsys):
+        # Every paper artifact is one built-in: `scenario NAME`.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["run", "--workload", "1", "--scale", "-1"],
             ["compare", "--scale", "0"],
-            ["table", "1", "--scale", "-0.5"],
+            ["query", "--report", "table1", "--scale", "-0.5"],
             ["scenario", "table2", "--scale", "0"],
         ],
-        ids=["run", "compare", "table", "scenario"],
+        ids=["run", "compare", "query", "scenario"],
     )
     def test_non_positive_scale_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -52,12 +57,12 @@ class TestParser:
             (["run", "--sharing-factor", "x"], "--sharing-factor: could not convert"),
             (["run", "--maxsd", "-3"], "--maxsd: MAX_SLOWDOWN must be positive"),
             (["compare", "--maxsd", "bogus"], "--maxsd: unknown max_slowdown spec 'bogus'"),
-            (["query", "--maxsd", "0"], "--maxsd: MAX_SLOWDOWN must be positive"),
-            (["sweep", "--sharing-factor", "1"], "--sharing-factor: sharing_factor must be in"),
+            (["compare", "--sharing-factor", "1"], "--sharing-factor: sharing_factor must be in"),
             (["run", "--runtime-model", "nope"], "--runtime-model: unknown runtime model 'nope'"),
+            (["run", "--profiles", "nope"], "--profiles: unknown profile set 'nope'"),
         ],
-        ids=["sf-range", "sf-text", "maxsd-negative", "maxsd-bogus", "query-maxsd-zero",
-             "sweep-sf-one", "runtime-model"],
+        ids=["sf-range", "sf-text", "maxsd-negative", "maxsd-bogus", "compare-sf-one",
+             "runtime-model", "profiles"],
     )
     def test_bad_run_parameter_flag_exits_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -68,17 +73,22 @@ class TestParser:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "text, value",
-        [("avg", "dynamic"), ("DynAVGSD", "dynamic"), ("dyn", "dynamic"), ("+inf", math.inf),
-         ("infinity", math.inf), ("10", 10.0)],
+        "flag, text, value",
+        [("--maxsd", "avg", "dynamic"), ("--maxsd", "DynAVGSD", "dynamic"),
+         ("--maxsd", "dyn", "dynamic"), ("--maxsd", "+inf", math.inf),
+         ("--maxsd", "infinity", math.inf), ("--maxsd", "10", 10.0),
+         ("--runtime-model", "contention", "contention")],
     )
-    def test_maxsd_spellings_parse_to_the_canonical_value(self, text, value):
-        assert build_parser().parse_args(["compare", "--maxsd", text]).maxsd == value
+    def test_run_parameter_spellings_parse_to_the_canonical_value(self, flag, text, value):
+        # RUN_PARAMS is the one check: a spelling specs accept, flags accept.
+        for command in ("run", "compare"):
+            args = build_parser().parse_args([command, flag, text])
+            assert getattr(args, flag[2:].replace("-", "_")) == value
 
     def test_maxsd_defaults_are_canonical(self):
         parser = build_parser()
         assert parser.parse_args(["run"]).maxsd == "dynamic"
-        assert parser.parse_args(["figure", "7"]).maxsd == 10.0
+        assert parser.parse_args(["compare"]).maxsd == "dynamic"
 
 
 class TestCommands:
@@ -124,22 +134,17 @@ class TestCommands:
             assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["sweep"], ["table", "1"], ["scenario", "table1"]],
-                             ids=lambda argv: argv[0])
-    def test_analytics_flag_is_gone(self, argv, capsys):
+    def test_analytics_flag_is_gone(self, capsys):
         # Every cached run's records are queryable; there is nothing to turn on.
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([*argv, "--analytics"])
+            build_parser().parse_args(["scenario", "table1", "--analytics"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --analytics" in capsys.readouterr().err
 
-    def test_table_command(self, capsys):
-        assert main(["table", "2", "--scale", "0.2"]) == 0
-        assert "Table 2" in capsys.readouterr().out
-
-    def test_figure_command(self, capsys):
-        assert main(["figure", "3", "--workload", "3", "--scale", "0.01"]) == 0
-        assert "Figure 3" in capsys.readouterr().out
+    def test_figure_1_to_3_on_a_cli_workload(self, capsys):
+        assert main(["scenario", "figure1-3", "--workload", "3", "--scale", "0.01"]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 3" in out and "workload3_ricc_like" in out
 
     def test_swf_command(self, tmp_path, tiny_workload, capsys):
         path = tmp_path / "log.swf"
@@ -154,46 +159,50 @@ class TestCommands:
         assert "makespan" in capsys.readouterr().out
 
     def test_figure_4_honours_workers_and_cache(self, tmp_path, capsys):
-        """Figures 4-6 are sweep-backed now: no 'not sweep-backed' note, and
-        a rerun with the same cache directory is served from it."""
+        """A rerun with the same cache directory is served from it."""
         cache = tmp_path / "cache"
-        argv = ["figure", "4", "--workload", "3", "--scale", "0.01",
+        argv = ["scenario", "figure4-6", "--workload", "3", "--scale", "0.01",
                 "--workers", "2", "--cache-dir", str(cache)]
         assert main(argv) == 0
-        first = capsys.readouterr()
-        assert "Figure 4" in first.out
-        assert "not sweep-backed" not in first.err
+        assert "Figure 4" in capsys.readouterr().out
         assert any(cache.glob("*.pkl")), "cache directory was not populated"
         assert main(argv) == 0
-        assert "Figure 4" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "Figure 4" in captured.out
+        assert "cache hits: 2" in captured.err
 
     def test_figure_7_honours_workers(self, tmp_path, capsys):
-        assert main(["figure", "7", "--workload", "3", "--scale", "0.01",
+        assert main(["scenario", "figure7", "--workload", "3", "--scale", "0.01",
                      "--workers", "2", "--cache-dir", str(tmp_path / "c")]) == 0
         captured = capsys.readouterr()
         assert "Figure 7" in captured.out
-        assert "not sweep-backed" not in captured.err
+        assert "workers: 2" in captured.err
 
-    def test_figure_9_warns_on_ignored_workload_args(self, tmp_path, capsys):
-        assert main(["figure", "9", "--workload", "3", "--scale", "0.02",
-                     "--cache-dir", str(tmp_path / "c")]) == 0
-        captured = capsys.readouterr()
-        assert "Figure 9" in captured.out
-        assert "--workload/--swf are ignored" in captured.err
+    @pytest.mark.parametrize("argv, flag", [
+        (["scenario", "figure9", "--workload", "3"], "--workload"),
+        (["scenario", "table1", "--swf", "log.swf"], "--swf"),
+        (["query", "--report", "figure8", "--workload", "2"], "--workload"),
+    ], ids=["figure9", "table1", "query-figure8"])
+    def test_workload_flags_only_retarget_single_workload_builtins(
+        self, tmp_path, argv, flag, capsys
+    ):
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} applies only to" in err
+        assert "Traceback" not in err
 
-    def test_figure_9_no_warning_by_default(self, capsys):
-        assert main(["figure", "9", "--scale", "0.02"]) == 0
-        captured = capsys.readouterr()
-        assert "ignored" not in captured.err
+    def test_figure_9_runs_on_its_own_workload(self, capsys):
+        assert main(["scenario", "figure9", "--scale", "0.02"]) == 0
+        assert "Figure 9" in capsys.readouterr().out
 
 
 class TestPaperArtifactCommands:
-    """``table``/``figure``/``sweep`` run the built-in scenarios, and
-    ``query --report`` rebuilds the same outcome from the stored runs."""
+    """``scenario NAME`` runs a built-in, and ``query --report NAME``
+    rebuilds the same outcome from the stored runs."""
 
     def test_table1_query_is_byte_identical(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
-        assert main(["table", "1", "--scale", "0.01", "--cache-dir", cache]) == 0
+        assert main(["scenario", "table1", "--scale", "0.01", "--cache-dir", cache]) == 0
         table = capsys.readouterr().out
         assert table.startswith("Table 1 (scale=0.01)")
         assert main(["query", "--report", "table1", "--scale", "0.01",
@@ -219,17 +228,20 @@ class TestPaperArtifactCommands:
         assert main(["query", "--report", "figure4-6", "--cache-dir", cache]) == 0
         assert capsys.readouterr().out == live
 
-    def test_table_command_matches_builtin_scenario(self, capsys):
-        assert main(["table", "1", "--scale", "0.01", "--workers", "1"]) == 0
-        table = capsys.readouterr().out
-        assert main(["scenario", "table1", "--scale", "0.01", "--workers", "1"]) == 0
-        assert capsys.readouterr().out == table
+    def test_spec_file_query_is_byte_identical(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(builtin_scenario("figure7", scale=0.005).to_json(), encoding="utf-8")
+        cache = str(tmp_path / "cache")
+        assert main(["scenario", str(spec), "--cache-dir", cache]) == 0
+        live = capsys.readouterr().out
+        assert main(["query", "--report", str(spec), "--cache-dir", cache]) == 0
+        assert capsys.readouterr().out == live
 
     @pytest.mark.parametrize("argv", [
-        ["sweep", "--workload", "3", "--scale", "0.01", "--seed", "7"],
-        ["figure", "3", "--workload", "3", "--scale", "0.01", "--seed", "7"],
-        ["figure", "7", "--workload", "3", "--scale", "0.01", "--seed", "7"],
-    ], ids=lambda argv: "-".join(argv[:2]))
+        ["scenario", "figure1-3", "--workload", "3", "--scale", "0.01", "--seed", "7"],
+        ["scenario", "figure7", "--workload", "3", "--scale", "0.01", "--seed", "7"],
+        ["scenario", "figure7", "--scale", "0.005", "--seed", "7"],
+    ], ids=["figure1-3-workload", "figure7-workload", "figure7"])
     def test_explicit_seed_reaches_the_simulation(self, monkeypatch, capsys, argv):
         import repro.cli as cli_mod
 
@@ -253,17 +265,17 @@ class TestWorkersPrecedence:
 
     def test_explicit_workers_beats_env_on_sweep(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "1")
-        assert main(["sweep", "--workload", "3", "--scale", "0.01",
+        assert main(["scenario", "figure1-3", "--workload", "3", "--scale", "0.01",
                      "--workers", "2"]) == 0
         assert "workers: 2" in capsys.readouterr().err
 
     def test_env_applies_without_flag(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
-        assert main(["sweep", "--workload", "3", "--scale", "0.01"]) == 0
+        assert main(["scenario", "figure1-3", "--workload", "3", "--scale", "0.01"]) == 0
         assert "workers: 3" in capsys.readouterr().err
 
-    def test_all_subcommands_forward_explicit_workers(self, monkeypatch, capsys):
-        """Every sweep-backed subcommand constructs its runner with the
+    def test_all_scenarios_forward_explicit_workers(self, monkeypatch, capsys):
+        """Every way of running a scenario constructs its runner with the
         explicit flag value — never ``None`` (which would let the env var
         win on that path)."""
         import repro.cli as cli_mod
@@ -279,12 +291,9 @@ class TestWorkersPrecedence:
         monkeypatch.setattr(cli_mod, "SweepRunner", RecordingRunner)
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "7")
         for argv in (
-            ["sweep", "--workload", "3", "--scale", "0.01", "--workers", "2"],
+            ["scenario", "figure1-3", "--workload", "3", "--scale", "0.01", "--workers", "2"],
             ["scenario", "table2", "--scale", "0.2", "--workers", "2"],
-            ["table", "1", "--scale", "0.01", "--workers", "2"],
-            ["table", "2", "--scale", "0.2", "--workers", "2"],
-            ["figure", "3", "--workload", "3", "--scale", "0.01",
-             "--workers", "2"],
+            ["scenario", "table1", "--scale", "0.01", "--workers", "2"],
         ):
             assert main(argv) == 0, argv
             capsys.readouterr()
@@ -294,34 +303,38 @@ class TestWorkersPrecedence:
 
 
 class TestShardCLI:
+    FIGURE_1_TO_3 = ["scenario", "figure1-3", "--workload", "3", "--scale", "0.01"]
+
     def _sweep_argv(self, cache, extra=()):
-        return ["sweep", "--workload", "3", "--scale", "0.01",
-                "--cache-dir", str(cache), *extra]
+        return [*self.FIGURE_1_TO_3, "--cache-dir", str(cache), *extra]
 
     def test_shard_requires_cache_dir(self, capsys):
-        assert main(["sweep", "--workload", "3", "--scale", "0.01",
-                     "--shard", "1/2"]) == 2
+        assert main([*self.FIGURE_1_TO_3, "--shard", "1/2"]) == 2
         assert "--cache-dir" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["0/2", "3/2", "x", "1/0"])
     def test_shard_argument_validation(self, bad):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["sweep", "--cache-dir", "c", "--shard", bad]
+                ["scenario", "figure1-3", "--cache-dir", "c", "--shard", bad]
             )
 
     def test_merge_requires_cache_dir(self, capsys):
-        assert main(["sweep", "merge", "--workload", "3", "--scale", "0.01"]) == 2
+        assert main([*self.FIGURE_1_TO_3, "--merge"]) == 2
         assert "--cache-dir" in capsys.readouterr().err
 
+    def test_merge_refuses_a_shard(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self._sweep_argv(tmp_path, ["--merge", "--shard", "1/2"]))
+        assert exc.value.code == 2
+        assert "--shard cannot be combined with --merge" in capsys.readouterr().err
+
     def test_merge_without_manifests_is_clean_error(self, tmp_path, capsys):
-        assert main(["sweep", "merge", "--workload", "3", "--scale", "0.01",
-                     "--cache-dir", str(tmp_path)]) == 2
+        assert main(self._sweep_argv(tmp_path, ["--merge"])) == 2
         assert "no shard manifests" in capsys.readouterr().err
 
     def test_shard_then_merge_matches_single_process(self, tmp_path, capsys):
-        assert main(["sweep", "--workload", "3", "--scale", "0.01",
-                     "--workers", "1"]) == 0
+        assert main([*self.FIGURE_1_TO_3, "--workers", "1"]) == 0
         golden = capsys.readouterr().out
 
         cache = tmp_path / "cache"
@@ -330,8 +343,7 @@ class TestShardCLI:
         assert "shard run finished" in first
         assert main(self._sweep_argv(cache, ["--shard", "2/2"])) == 0
         capsys.readouterr()
-        assert main(["sweep", "merge", "--workload", "3", "--scale", "0.01",
-                     "--cache-dir", str(cache)]) == 0
+        assert main(self._sweep_argv(cache, ["--merge"])) == 0
         merged = capsys.readouterr().out
         assert merged == golden, "merged output diverged from single-process run"
 
@@ -339,8 +351,7 @@ class TestShardCLI:
         cache = tmp_path / "cache"
         assert main(self._sweep_argv(cache, ["--shard", "1/2"])) == 0
         capsys.readouterr()
-        assert main(["sweep", "merge", "--workload", "3", "--scale", "0.01",
-                     "--cache-dir", str(cache)]) == 2
+        assert main(self._sweep_argv(cache, ["--merge"])) == 2
         assert "2/2" in capsys.readouterr().err
 
     def test_scenario_shard_prints_progress_not_report(self, tmp_path, capsys):
@@ -414,6 +425,11 @@ class TestScenarioCommand:
     def test_builtin_accepts_scale_override(self, capsys):
         assert main(["scenario", "table2", "--scale", "0.1"]) == 0
         assert "Table 2 (scale=0.1)" in capsys.readouterr().out
+
+    def test_spec_file_refuses_workload_flag(self, tmp_path, tiny_workload, capsys):
+        path = self._spec_path(tmp_path, tiny_workload)
+        assert main(["scenario", str(path), "--workload", "2"]) == 2
+        assert "error: --workload applies only to" in capsys.readouterr().err
 
     def test_spec_file_notes_ignored_scale(self, tmp_path, tiny_workload, capsys):
         path = self._spec_path(tmp_path, tiny_workload)

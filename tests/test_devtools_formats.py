@@ -20,13 +20,12 @@ import pytest
 
 from repro.devtools import formats
 from repro.experiments.executors import (
-    MANIFEST_DIR_NAME,
     MANIFEST_FIELDS,
     MANIFEST_TASK_FIELDS,
     ShardedExecutor,
 )
 from repro.experiments.sweep import CACHE_PAYLOAD_FIELDS, SweepRunner, SweepTask
-from repro.store import unwrap_blob
+from repro.store import LocalFSStore, unwrap_blob
 from repro.workloads.cirne import CirneWorkloadModel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -152,7 +151,7 @@ def sharded_sweep(tmp_path_factory):
 class TestDeclaredFieldsMatchReality:
     def test_manifest_fields_match_real_manifest(self, sharded_sweep):
         manifest_files = sorted(
-            (sharded_sweep / MANIFEST_DIR_NAME).glob("*.json")
+            LocalFSStore(sharded_sweep).manifest_dir.glob("*.json")
         )
         assert manifest_files
         manifest = json.loads(manifest_files[0].read_text(encoding="utf-8"))

@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.executors import (
-    MANIFEST_DIR_NAME,
     ExecutorError,
     MergeExecutor,
     ShardedExecutor,
@@ -30,6 +29,7 @@ from repro.experiments.executors import (
     sweep_id,
 )
 from repro.experiments.sweep import SweepError, SweepRunner, SweepTask, task_cache_key
+from repro.store import LocalFSStore
 from repro.workloads.cirne import CirneWorkloadModel
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -131,7 +131,7 @@ class TestShardedExecution:
         SweepRunner(
             max_workers=1, cache_dir=cache, executor=ShardedExecutor(0, 2)
         ).run(tasks)
-        manifest_dir = cache / MANIFEST_DIR_NAME
+        manifest_dir = LocalFSStore(cache).manifest_dir
         files = sorted(manifest_dir.glob("*.json"))
         assert len(files) == 1
         manifest = json.loads(files[0].read_text(encoding="utf-8"))
@@ -175,7 +175,7 @@ class TestShardedExecution:
         with pytest.raises(SweepError):
             runner.run(bad)
         manifest = json.loads(
-            next((cache / MANIFEST_DIR_NAME).glob("*.json")).read_text(encoding="utf-8")
+            next(LocalFSStore(cache).manifest_dir.glob("*.json")).read_text(encoding="utf-8")
         )
         assert manifest["tasks"][0]["status"] == "failed"
 
@@ -256,7 +256,7 @@ class TestResume:
         SweepRunner(
             max_workers=1, cache_dir=cache, executor=ShardedExecutor(0, 1)
         ).run(tasks)
-        path = next((cache / MANIFEST_DIR_NAME).glob("*.json"))
+        path = next(LocalFSStore(cache).manifest_dir.glob("*.json"))
         manifest = json.loads(path.read_text(encoding="utf-8"))
         if damage == "tasks-not-list":
             manifest["tasks"], field = {}, "tasks"

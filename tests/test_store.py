@@ -786,18 +786,18 @@ class TestLifecycle:
 class TestStoreCLI:
     def test_sweep_shard_merge_through_object_store(self, tmp_path, capsys):
         """The acceptance path: shard 0/2 + 1/2 against a ``file://`` store
-        URL, merged with ``sweep merge --store file://…``, byte-identical to
+        URL, merged with ``scenario figure1-3 --merge --store file://…``, byte-identical to
         a single-process run, with ``store stats`` seeing the blobs."""
         url = f"file://{tmp_path / 'shared'}"
-        assert main(["sweep", "--workload", "3", "--scale", "0.01",
+        assert main(["scenario", "figure1-3", "--workload", "3", "--scale", "0.01",
                      "--workers", "1"]) == 0
         golden = capsys.readouterr().out
         for shard in ("1/2", "2/2"):
-            assert main(["sweep", "--workload", "3", "--scale", "0.01",
+            assert main(["scenario", "figure1-3", "--workload", "3", "--scale", "0.01",
                          "--store", url, "--shard", shard]) == 0
             capsys.readouterr()
-        assert main(["sweep", "merge", "--workload", "3", "--scale", "0.01",
-                     "--store", url]) == 0
+        assert main(["scenario", "figure1-3", "--workload", "3", "--scale", "0.01",
+                     "--store", url, "--merge"]) == 0
         merged = capsys.readouterr().out
         assert merged == golden, "merged store-URL output diverged"
         assert main(["store", "stats", url]) == 0
@@ -808,14 +808,14 @@ class TestStoreCLI:
 
     def test_store_and_cache_dir_are_mutually_exclusive(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--workload", "3", "--scale", "0.01",
+            main(["scenario", "figure1-3", "--workload", "3", "--scale", "0.01",
                   "--store", "memory://x", "--cache-dir", str(tmp_path)])
         assert excinfo.value.code == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
     def test_shard_accepts_store_env(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("REPRO_STORE_URL", f"file://{tmp_path / 'env'}")
-        assert main(["sweep", "--workload", "3", "--scale", "0.01",
+        assert main(["scenario", "figure1-3", "--workload", "3", "--scale", "0.01",
                      "--shard", "1/2"]) == 0
         assert "shard run finished" in capsys.readouterr().out
         assert (tmp_path / "env" / "manifests").is_dir()
@@ -900,7 +900,7 @@ class TestStoreCLI:
         from the API and from the CLI alike (exit 2, no traceback)."""
         with pytest.raises(StoreError, match="unknown store scheme 's3\\+http'"):
             open_store("s3+http://h/p")
-        assert main(["sweep", "--workload", "3", "--scale", "0.01",
+        assert main(["scenario", "figure1-3", "--workload", "3", "--scale", "0.01",
                      "--store", "s3+https://h/p"]) == 2
         captured = capsys.readouterr()
         assert "unknown store scheme 's3+https'" in captured.err
