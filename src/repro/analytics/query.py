@@ -1,8 +1,8 @@
 """Cross-sweep queries over the per-job records of cached runs.
 
-Every cached run blob pickles its whole run, per-job record rows included
-(:func:`repro.experiments.sweep.iter_cached_runs`), so every run a sweep
-stored is queryable.  Two modes, both reading *only* the store (no
+Every cached run blob holds its run's header facts and per-job record
+rows (:func:`repro.experiments.sweep.iter_cached_runs`), so every run a
+sweep stored is queryable.  Two modes, both reading *only* the store (no
 simulation, and nothing written: a corrupt blob is an error, left for
 ``store verify``):
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.tables import metrics_table
@@ -149,9 +150,15 @@ def _add_workload_args(parser: argparse.ArgumentParser, builtin: bool = False) -
 
 
 def _load_workload(args: argparse.Namespace, scale: float) -> Workload:
-    if args.swf:
-        return read_swf(args.swf)
-    return build_workload(args.workload, scale=scale, seed=args.seed)
+    """The workload ``--swf`` or ``--workload`` names; a load error is
+    printed and exits 2."""
+    try:
+        if args.swf:
+            return read_swf(args.swf)
+        return build_workload(args.workload, scale=scale, seed=args.seed)
+    except (ValueError, OSError) as exc:
+        print(f"error: cannot load the workload: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _positive_int(value: str) -> int:
@@ -198,7 +205,7 @@ def _cli_store(args: argparse.Namespace) -> Optional[ResultStore]:
             file=sys.stderr,
         )
         raise SystemExit(2)
-    return resolve_store(args.store, args.cache_dir)
+    return resolve_store(args.store or args.cache_dir)
 
 
 def _cli_scenario(
@@ -210,7 +217,8 @@ def _cli_scenario(
     NAME is a spec file or a built-in.  A built-in keeps its own scale and
     seed unless ``--scale``/``--seed`` is given, and ``--workload``/``--swf``
     point one of :data:`_RETARGETABLE` at another workload.  A bad NAME or
-    flag raises :class:`ScenarioError`.
+    flag raises :class:`ScenarioError`; a workload that does not load
+    exits 2 (:func:`_load_workload`).
     """
     is_file = os.path.exists(name)
     if not is_file and name not in BUILTIN_SCENARIOS:
@@ -243,10 +251,7 @@ def _cli_scenario(
         )
     if not retarget:
         return spec, None
-    try:
-        workload = _load_workload(args, spec.workloads[0].scale)
-    except (ValueError, OSError) as exc:
-        raise ScenarioError(f"cannot load the workload: {exc}") from None
+    workload = _load_workload(args, spec.workloads[0].scale)
     spec.workloads = [WorkloadRef(name=workload.name)]
     return spec, workload
 
@@ -255,14 +260,10 @@ def _make_runner(args: argparse.Namespace) -> SweepRunner:
     callback = None
     if not args.merge:
         def callback(done, total, entry):  # noqa: ANN001 - argparse-local helper
-            origin = "cache" if entry.from_cache else f"{entry.wall_clock_seconds:.1f}s"
-            phases = getattr(entry, "phases", None)
-            detail = ""
-            if phases:
-                detail = " [" + " ".join(
-                    f"{name} {seconds:.2f}s" for name, seconds in phases.items()
-                ) + "]"
-            print(f"  [{done}/{total}] {entry.key} ({origin}){detail}", file=sys.stderr)
+            origin = "cache" if entry.from_cache else " ".join(
+                f"{name} {seconds:.2f}s" for name, seconds in entry.phases.items()
+            )
+            print(f"  [{done}/{total}] {entry.key} ({origin})", file=sys.stderr)
     store = _cli_store(args)
     if args.trace and store is None:
         print(
@@ -295,6 +296,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # Only the malleable policies take the SD-Policy family knobs.
         kwargs["max_slowdown"] = args.maxsd
         kwargs["sharing_factor"] = args.sharing_factor
+    started = time.perf_counter()
     run = run_workload(
         workload,
         args.policy,
@@ -302,8 +304,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         profiles=args.profiles,
         **kwargs,
     )
+    elapsed = time.perf_counter() - started
     print(metrics_table({run.label: run.metrics}, title=f"{workload.name} ({len(workload)} jobs)"))
-    print(f"wall-clock: {run.wall_clock_seconds:.1f}s  scheduler stats: {run.scheduler_stats}")
+    print(f"wall-clock: {elapsed:.1f}s  scheduler stats: {run.scheduler_stats}")
     return 0
 
 
@@ -468,7 +471,7 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
             print(
                 f"warning: {entry['key']} verifies but differs from the digest "
                 f"its shard manifest recorded (manifest {entry['manifest'][:12]}…, "
-                f"blob {entry['blob'][:12]}…) — recomputed, or replaced?",
+                f"blob {entry['blob'][:12]}…) — replaced since, by another version?",
                 file=sys.stderr,
             )
         for key in report.missing_referenced:
@@ -507,6 +510,11 @@ def _read_store(args: argparse.Namespace, command: str) -> Optional[ResultStore]
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    if not args.report:
+        for flag in ("workload", "swf", "scale", "seed"):
+            if getattr(args, flag) is not None:
+                print(f"error: --{flag} applies only to query --report NAME", file=sys.stderr)
+                return 2
     store = _read_store(args, "query")
     if store is None:
         return 2

@@ -1,10 +1,10 @@
 """Format-discipline checker: schema fingerprints vs. ``formats.lock``.
 
-Every byte this repository persists — pickled cache payloads (per-job
-record arrays included), shard manifests, decision traces — has a
+Every byte this repository persists — run-blob headers and their per-job
+record rows, shard manifests, decision traces — has a
 declared schema and a paired format-version constant
 (``CACHE_FORMAT_VERSION``, ``MANIFEST_FORMAT_VERSION``,
-``RECORD_SCHEMA_VERSION``, ``TRACE_FORMAT_VERSION``).  The version gate
+``TRACE_FORMAT_VERSION``, ``PROFILE_SCHEMA_VERSION``).  The version gate
 is what lets a reader reject bytes it cannot decode; an un-bumped version
 next to a changed schema silently poisons every shared cache.
 
@@ -79,19 +79,13 @@ class SchemaSpec:
 #: Every persisted schema of the repository.  Adding a format?  Register
 #: it here and commit the refreshed lock.
 SCHEMAS: Tuple[SchemaSpec, ...] = (
-    # The pickled sweep-cache payload: its key layout plus every dataclass
-    # reachable from the pickled PolicyRun.  All are guarded by
-    # CACHE_FORMAT_VERSION (repro/experiments/sweep.py).
+    # The run-blob header: its field layout plus the two dataclasses it
+    # stores field by field.  All are guarded by CACHE_FORMAT_VERSION
+    # (repro/experiments/sweep.py).
     SchemaSpec(
         name="cache/payload-fields",
         kind="fields",
         target="repro.experiments.sweep:CACHE_PAYLOAD_FIELDS",
-        version="repro.experiments.sweep:CACHE_FORMAT_VERSION",
-    ),
-    SchemaSpec(
-        name="cache/PolicyRun",
-        kind="dataclass",
-        target="repro.experiments.runner:PolicyRun",
         version="repro.experiments.sweep:CACHE_FORMAT_VERSION",
     ),
     SchemaSpec(
@@ -119,13 +113,13 @@ SCHEMAS: Tuple[SchemaSpec, ...] = (
         target="repro.experiments.executors:MANIFEST_TASK_FIELDS",
         version="repro.experiments.executors:MANIFEST_FORMAT_VERSION",
     ),
-    # The per-job record rows pickled inside every cached run
-    # (repro/analytics/records.py).
+    # The per-job record rows stored raw after every run-blob header
+    # (repro/analytics/records.py), so part of the cache format.
     SchemaSpec(
         name="records/JOB_RECORD_DTYPE",
         kind="dtype",
         target="repro.analytics.records:JOB_RECORD_DTYPE",
-        version="repro.analytics.records:RECORD_SCHEMA_VERSION",
+        version="repro.experiments.sweep:CACHE_FORMAT_VERSION",
     ),
     # Decision-trace JSONL events and their discovery manifest
     # (repro/telemetry/trace.py).
@@ -161,7 +155,7 @@ SCHEMAS: Tuple[SchemaSpec, ...] = (
         target="repro.core.profiles:PROFILE_SET_NAMES",
         version="repro.core.profiles:PROFILE_SCHEMA_VERSION",
     ),
-    # Phase-timer keys stored on every run (repro/telemetry/trace.py).
+    # Phase-timer keys stored in every trace manifest (repro/telemetry/trace.py).
     SchemaSpec(
         name="telemetry/phase-fields",
         kind="fields",

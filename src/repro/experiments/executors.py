@@ -279,9 +279,8 @@ def manifest_name(sweep: str, shard_index: int, shard_count: int) -> str:
 def _require_store(store: Optional[ResultStore], what: str) -> ResultStore:
     if store is None:
         raise ExecutorError(
-            f"{what} requires a result store (pass cache_dir/--cache-dir or a "
-            "store/--store URL): the store is the transport between shard "
-            "invocations"
+            f"{what} requires a result store (pass store=, --cache-dir or "
+            "--store): the store is the transport between shard invocations"
         )
     return store
 

@@ -9,7 +9,6 @@ outlives the simulation.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
@@ -174,19 +173,14 @@ class PolicyRun:
     workload_name: str
     result: SimulationResult
     metrics: WorkloadMetrics
-    wall_clock_seconds: float
-    #: The run's per-job record rows with its metadata; pickled with the
-    #: run into the result cache, their only stored copy.
+    #: The run's per-job record rows; the run blob stores their raw bytes,
+    #: their only stored copy.
     records: RunRecords
     scheduler_stats: Dict[str, int] = field(default_factory=dict)
-    #: Decision-trace recorder (``trace=True``); stripped before the run is
-    #: pickled into the result cache — the trace is published as its own
-    #: blob under ``<cache_key>-trace``.
+    #: Decision-trace recorder (``trace=True``); never part of the run
+    #: blob — the trace is published as its own blob under
+    #: ``<cache_key>-trace``.
     trace: Optional[TraceRecorder] = None
-    #: Wall-clock phase timers of the run (``"simulate"``, ``"metrics"``),
-    #: populated unconditionally so the cached payload is byte-identical
-    #: with and without ``--trace``.
-    phases: Dict[str, float] = field(default_factory=dict)
 
 
 def run_workload(
@@ -216,7 +210,7 @@ def run_workload(
     the simulation's aggregates and per-job record rows, and then
     dropped, so memory holds one ~115-byte record row per completed job.
     ``PolicyRun.records`` wraps those rows (one per job, in completion
-    order) with the run's metadata; ``PolicyRun.metrics`` and every
+    order); ``PolicyRun.metrics`` and every
     per-job report (heatmaps, daily series, real-run statistics) are
     computed from them.
 
@@ -252,32 +246,13 @@ def run_workload(
             seed=seed,
         )
     )
-    started = time.perf_counter()
     result = sim.run()
-    elapsed = time.perf_counter() - started
-    metrics_started = time.perf_counter()
     metrics = sim.streaming.workload_metrics(
         energy_joules=result.energy_joules,
         first_submit=result.first_submit,
     )
-    phases = {
-        "simulate": elapsed,
-        "metrics": time.perf_counter() - metrics_started,
-    }
     stats = scheduler.stats() if hasattr(scheduler, "stats") else {}
     run_label = label or result.scheduler_name
-    records = RunRecords(
-        array=sim.streaming.records(),
-        meta={
-            "workload": workload.name,
-            "policy": policy if isinstance(policy, str) else result.scheduler_name,
-            "label": run_label,
-            "seed": int(seed),
-            "first_submit": result.first_submit,
-            "energy_joules": result.energy_joules,
-            "num_jobs": result.num_jobs,
-        },
-    )
     if recorder is not None:
         # Simulation-time-determined identity only — wall-clock facts would
         # break the trace blob's byte determinism.
@@ -296,9 +271,7 @@ def run_workload(
         workload_name=workload.name,
         result=result,
         metrics=metrics,
-        wall_clock_seconds=elapsed,
         scheduler_stats=stats,
-        records=records,
+        records=RunRecords(sim.streaming.records()),
         trace=recorder,
-        phases=phases,
     )

@@ -20,10 +20,15 @@ pool), with
 * progress callbacks, and
 * worker failures that surface the *original* traceback in the parent.
 
-A cached run blob is the one stored form of a run: it pickles the whole
-:class:`~repro.experiments.runner.PolicyRun`, per-job record rows
-included, so :func:`iter_cached_runs` serves every cached run to the
-read-only ``query`` engine (:mod:`repro.analytics.query`).
+A cached run blob is the one stored form of a run: one canonical JSON
+header line (the task's identity, the run's label, scheduler stats,
+:class:`~repro.simulator.simulation.SimulationResult` and
+:class:`~repro.metrics.aggregates.WorkloadMetrics`, and the row count),
+then the raw :data:`~repro.metrics.streaming.JOB_RECORD_DTYPE` bytes of
+the per-job record rows.  It holds no wall-clock timing, so the same task
+stores the same bytes whether it ran serially, in a pool, in a shard or
+again.  :func:`iter_cached_runs` serves every cached run to the read-only
+``query`` engine (:mod:`repro.analytics.query`).
 
 The scenario layer (:mod:`repro.experiments.scenario`) expands declarative
 specs into task lists for this runner; every paper table and figure, and
@@ -36,11 +41,10 @@ import hashlib
 import json
 import logging
 import math
-import pickle
+import os
 import re
 import time
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -54,6 +58,9 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
+from repro.analytics.records import RunRecords
 from repro.core.runtime_model import canonical_model_name
 from repro.experiments.executors import (
     ExecutorError,
@@ -64,8 +71,10 @@ from repro.experiments.executors import (
     run_tasks,
 )
 from repro.experiments.runner import PolicyRun
+from repro.metrics.aggregates import WorkloadMetrics
+from repro.metrics.streaming import JOB_RECORD_DTYPE
+from repro.simulator.simulation import SimulationResult
 from repro.store import (
-    LocalFSStore,
     ResultStore,
     StoreError,
     default_cache_dir,
@@ -111,8 +120,10 @@ __all__ = [
 #: tracing is on, so a cached blob is byte-identical either way).  v6:
 #: PolicyRun is pickled with its ``records`` (the per-job rows, the only
 #: stored copy), and SimulationResult no longer carries a list of ``Job``
-#: objects.
-CACHE_FORMAT_VERSION = 6
+#: objects.  v7: the payload is a canonical JSON header line plus the raw
+#: record rows (no pickle, no wall-clock fields), so a task's blob is
+#: byte-identical however and whenever it ran.
+CACHE_FORMAT_VERSION = 7
 
 #: Version folded into :func:`task_cache_key`.  Kept at 3 through the
 #: v4-v6 payload bumps *on purpose*: the key encoding did not change, so
@@ -120,19 +131,27 @@ CACHE_FORMAT_VERSION = 6
 #: versions.  Bump only when the key inputs themselves change meaning.
 CACHE_KEY_VERSION = 3
 
-#: Declared key layout of the pickled cache payload ``_cache_store``
-#: publishes.  ``repro.devtools.formats`` fingerprints this into
-#: ``formats.lock``: changing the payload shape without bumping
-#: ``CACHE_FORMAT_VERSION`` fails CI.
-CACHE_PAYLOAD_FIELDS = (
-    "format",
-    "key",
-    "policy",
-    "seed",
-    "kwargs",
-    "workload",
-    "run",
-)
+#: The JSON type of each field of a run blob's header, in declared order.
+#: ``result`` and ``metrics`` hold every field of their dataclass, and
+#: ``rows`` counts the record rows after the header.
+_HEADER_TYPES = {
+    "format": int,
+    "key": str,
+    "policy": str,
+    "seed": int,
+    "kwargs": str,
+    "workload": str,
+    "label": str,
+    "scheduler_stats": dict,
+    "result": dict,
+    "metrics": dict,
+    "rows": int,
+}
+
+#: Declared layout of the run-blob header.  ``repro.devtools.formats``
+#: fingerprints this into ``formats.lock``: changing the header without
+#: bumping ``CACHE_FORMAT_VERSION`` fails CI.
+CACHE_PAYLOAD_FIELDS = tuple(_HEADER_TYPES)
 
 #: A run blob's store key: a bare SHA-256 hex digest (:func:`task_cache_key`).
 _CACHE_KEY_RE = re.compile(r"[0-9a-f]{64}")
@@ -178,11 +197,9 @@ class SweepEntry:
     key: str
     run: PolicyRun
     from_cache: bool
-    wall_clock_seconds: float
-    #: Phase-timer breakdown of the work this invocation actually did for
-    #: the task (``simulate`` / ``metrics`` / ``serialize`` / ``store_put``
-    #: seconds).  Empty for cache hits — no work was performed here; the
-    #: executing run's own timings stay available as ``run.phases``.
+    #: Wall-clock seconds of the work this invocation did for the task
+    #: (``simulate`` / ``serialize`` / ``store_put``, the last two only
+    #: with a store).  Empty for cache hits: no work was done here.
     phases: Dict[str, float] = field(default_factory=dict)
 
 
@@ -363,22 +380,75 @@ def task_cache_keys(tasks: Sequence[SweepTask]) -> List[str]:
 # --------------------------------------------------------------------- #
 # Cached runs
 # --------------------------------------------------------------------- #
-def _decode_run_blob(data: bytes) -> Tuple[Optional[Dict[str, Any]], str]:
-    """Unwrap, unpickle and format-check one run blob: ``(payload, digest)``.
+def encode_run(task: SweepTask, run: PolicyRun) -> bytes:
+    """The payload of ``task``'s run blob: a canonical JSON header (sorted
+    keys, compact separators, then a newline) and the raw record rows."""
+    rows = run.records.array
+    header = {
+        "format": CACHE_FORMAT_VERSION,
+        "key": task.resolved_key(),
+        "policy": task.policy,
+        "seed": task.resolved_seed(),
+        "kwargs": _canonical_kwargs(task.kwargs),
+        "workload": task.workload.name,
+        "label": run.label,
+        "scheduler_stats": run.scheduler_stats,
+        "result": asdict(run.result),
+        "metrics": asdict(run.metrics),
+        "rows": len(rows),
+    }
+    text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return text.encode() + b"\n" + rows.tobytes()
 
-    ``payload`` is ``None`` for a well-formed payload of another format
-    version.  Any other decode failure (torn write, digest mismatch, no
-    envelope, unpicklable garbage) raises.
+
+def _header_dataclass(header: Dict[str, Any], name: str, cls: type) -> Any:
+    try:
+        return cls(**header[name])
+    except TypeError as exc:
+        raise ValueError(f"header field {name!r} is not a {cls.__name__} ({exc})") from None
+
+
+def _decode_run_blob(data: bytes) -> Tuple[Optional[Dict[str, Any]], str]:
+    """Unwrap and decode one run blob: ``(payload, digest)``.
+
+    ``payload`` is the header with ``"run"``, the rebuilt
+    :class:`PolicyRun` whose record rows are a read-only view of the blob.
+    It is ``None`` for a payload of another format: a header with another
+    ``format``, or a payload that is no JSON header at all (every pickled
+    payload before v7, never unpickled).  A header that does not decode
+    raises a ``ValueError`` naming the field.
     """
-    payload_bytes, digest = unwrap_blob(data)
-    # repro: allow[store-pickle] the cache codec itself — the bytes
-    # only ever travel inside ResultStore integrity envelopes
-    payload = pickle.loads(payload_bytes)
-    if not isinstance(payload, dict):
-        raise TypeError(f"cache payload is {type(payload).__name__}, not dict")
-    if payload.get("format") != CACHE_FORMAT_VERSION:
+    payload, digest = unwrap_blob(data)
+    if not payload.startswith(b"{"):
         return None, digest
-    return payload, digest
+    end = payload.find(b"\n")
+    if end < 0:
+        raise ValueError("header has no closing newline")
+    try:
+        header = json.loads(payload[:end])
+    except ValueError as exc:
+        raise ValueError(f"header is not one JSON object line ({exc})") from None
+    if header.get("format") != CACHE_FORMAT_VERSION:
+        return None, digest
+    for name, kind in _HEADER_TYPES.items():
+        value = header.get(name)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"header field {name!r} is {value!r}, not {kind.__name__}")
+    rows = header["rows"]
+    size = len(payload) - end - 1
+    if rows < 0 or size != rows * JOB_RECORD_DTYPE.itemsize:
+        raise ValueError(f"header field 'rows' is {rows}, but {size} row bytes follow")
+    header["run"] = PolicyRun(
+        label=header["label"],
+        workload_name=header["workload"],
+        result=_header_dataclass(header, "result", SimulationResult),
+        metrics=_header_dataclass(header, "metrics", WorkloadMetrics),
+        records=RunRecords(
+            np.frombuffer(payload, JOB_RECORD_DTYPE, count=rows, offset=end + 1)
+        ),
+        scheduler_stats=header["scheduler_stats"],
+    )
+    return header, digest
 
 
 def read_cached_run(store: ResultStore, key: str) -> Optional[Dict[str, Any]]:
@@ -394,7 +464,7 @@ def read_cached_run(store: ResultStore, key: str) -> Optional[Dict[str, Any]]:
         return None
     try:
         return _decode_run_blob(data)[0]
-    except Exception as exc:  # any decode failure means a corrupt blob
+    except ValueError as exc:  # the envelope or the header does not decode
         raise StoreError(
             f"cache blob {key} in {store.url} is corrupt ({exc}); run "
             "'store verify' to quarantine it"
@@ -430,10 +500,6 @@ class SweepRunner:
         call would re-import unguarded caller scripts — opt in explicitly
         there.  ``1`` runs everything in-process (no pool).  An explicit
         value always beats the environment variable.
-    cache_dir:
-        Back-compat spelling for a local-directory result store.  ``None``
-        disables caching; the string ``"auto"`` selects
-        :func:`repro.store.default_cache_dir`.
     progress:
         Optional callback ``progress(done, total, entry)`` invoked after
         every completed task (cache hits included).
@@ -444,11 +510,11 @@ class SweepRunner:
         :class:`~repro.experiments.executors.MergeExecutor` runs none and
         assembles the full result from completed shard manifests.
     store:
-        Result-store backend: a :class:`repro.store.ResultStore` instance
-        or a URL (``file://…`` or ``memory://…``).  An
-        explicit ``store`` beats ``cache_dir``; with neither set the
-        ``REPRO_STORE_URL`` environment variable applies, and with nothing
-        configured caching is disabled.
+        Result-store backend: a :class:`repro.store.ResultStore` instance,
+        a URL (``file://…`` or ``memory://…``) or a directory path
+        (``"auto"`` selects :func:`repro.store.default_cache_dir`).  Unset,
+        the ``REPRO_STORE_URL`` environment variable applies, and with
+        nothing configured caching is disabled.
     trace:
         Publish every task's decision trace next to its run blob (see
         :mod:`repro.telemetry.trace`).  Requires a store.  A cached run
@@ -460,27 +526,21 @@ class SweepRunner:
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        cache_dir: Optional[Union[str, Path]] = None,
         progress: Optional[Callable[[int, int, SweepEntry], None]] = None,
         executor: Optional[Union[ShardedExecutor, MergeExecutor]] = None,
-        store: Optional[Union[str, ResultStore]] = None,
+        store: Optional[Union[str, os.PathLike, ResultStore]] = None,
         trace: bool = False,
     ) -> None:
         self.max_workers = resolve_worker_count(max_workers)
-        self.store = resolve_store(store, cache_dir)
+        self.store = resolve_store(store)
         self.progress = progress
         self.executor = executor
         self.trace = trace
         if trace and self.store is None:
             raise ValueError(
                 "trace=True needs a result store to publish trace "
-                "(pass store=… or cache_dir=…)"
+                "(pass store=…)"
             )
-
-    @property
-    def cache_dir(self) -> Optional[Path]:
-        """Root directory of a local-FS store (``None`` for other backends)."""
-        return self.store.root if isinstance(self.store, LocalFSStore) else None
 
     # ------------------------------------------------------------------ #
     # Cache plumbing (all blob/manifest I/O goes through ``self.store``)
@@ -494,8 +554,8 @@ class SweepRunner:
         (:func:`repro.store.wrap_blob`) whose SHA-256 content digest is
         verified here on every read.  A payload of another format version
         is an ordinary miss: it is re-executed and overwritten.  A corrupt
-        blob (torn write, truncation, digest mismatch, no envelope,
-        unpicklable garbage) is quarantined in the store so it is never
+        blob (torn write, truncation, digest mismatch, no envelope, a
+        header that does not decode) is quarantined in the store so it is never
         retried — one bad entry must not poison every subsequent (sharded)
         run — and reported distinctly from an ordinary miss.  Transport failures
         (:class:`repro.store.StoreError`) propagate: an unreachable store
@@ -511,10 +571,7 @@ class SweepRunner:
             if payload is None:
                 return None, False, None  # stale but well-formed: an ordinary miss
             return payload["run"], False, digest
-        # repro: allow[exc-broad] any decode failure here means a corrupt
-        # blob (torn write, bit rot, unpicklable garbage) — quarantined
-        # below and reported distinctly as a corruption, never re-raised
-        except Exception:
+        except ValueError:  # quarantined and counted as a corruption below
             _log.warning(
                 "corrupt cache blob %s… in %s; quarantining and re-running",
                 key[:24],
@@ -529,53 +586,25 @@ class SweepRunner:
             return None, True, None
 
     def _cache_store(
-        self, key: Optional[str], task: SweepTask, run: PolicyRun
-    ) -> Tuple[Optional[str], Dict[str, float]]:
-        """Publish one cache entry; ``(blob digest, store-phase timings)``."""
+        self, key: Optional[str], task: SweepTask, run: PolicyRun, phases: Dict[str, float]
+    ) -> Optional[str]:
+        """Publish one cache entry and return its blob digest; the encode
+        and put times are added to ``phases``."""
         if key is None or self.store is None:
-            return None, {}
-        recorder = run.trace
-        if recorder is not None:
-            # The trace is published as its own blob (below); the run
-            # payload is pickled without it so a cached run blob stays
-            # byte-identical whether or not tracing was on.
-            run = replace(run, trace=None)
-        payload = {
-            "format": CACHE_FORMAT_VERSION,
-            "key": task.resolved_key(),
-            "policy": task.policy,
-            "seed": task.resolved_seed(),
-            "kwargs": _canonical_kwargs(task.kwargs),
-            "workload": task.workload.name,
-            "run": run,
-        }
-        phases: Dict[str, float] = {}
-        # The envelope records a SHA-256 over the pickled payload, so a
-        # truncated or bit-rotted blob is detected on read (`store verify`
-        # re-checks at rest); stores publish atomically, so concurrent
-        # sweeps sharing one backend never observe a torn entry.  Readers
-        # predating the envelope quarantine enveloped blobs as corrupt —
-        # clients sharing a store must run the same version (the shard
-        # manifest format bump enforces this for sharded fan-outs).
+            return None
+        # The envelope records a SHA-256 over the payload, so a truncated
+        # or bit-rotted blob is detected on read (`store verify` re-checks
+        # at rest); stores publish atomically, so concurrent sweeps sharing
+        # one backend never observe a torn entry.
         serialize_started = time.perf_counter()
-        enveloped, digest = wrap_blob(
-            # repro: allow[store-pickle] the cache codec itself — wrapped in
-            # the integrity envelope and published through ResultStore
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        )
+        enveloped, digest = wrap_blob(encode_run(task, run))
         phases["serialize"] = time.perf_counter() - serialize_started
         put_started = time.perf_counter()
         self.store.put(key, enveloped)
         phases["store_put"] = time.perf_counter() - put_started
-        if recorder is not None:
-            publish_trace(
-                self.store,
-                key,
-                recorder,
-                run_digest=digest,
-                phases={**run.phases, **phases},
-            )
-        return digest, phases
+        if run.trace is not None:
+            publish_trace(self.store, key, run.trace, run_digest=digest, phases=phases)
+        return digest
 
     def _lacks_trace(self, task: SweepTask, key: str) -> bool:
         """Whether ``task`` asks for a trace the store lacks."""
@@ -624,9 +653,7 @@ class SweepRunner:
             if cached is not None:
                 _log.debug("cache hit for task %s", keys[index])
                 digests[index] = digest
-                entries[index] = SweepEntry(
-                    key=keys[index], run=cached, from_cache=True, wall_clock_seconds=0.0
-                )
+                entries[index] = SweepEntry(key=keys[index], run=cached, from_cache=True)
                 done += 1
                 if self.progress is not None:
                     self.progress(done, total, entries[index])
@@ -637,19 +664,9 @@ class SweepRunner:
 
         def complete(index: int, run: PolicyRun, elapsed: float) -> None:
             nonlocal done
-            digest, store_phases = self._cache_store(
-                cache_keys[index], tasks[index], run
-            )
-            digests[index] = digest
-            phases = dict(run.phases)
-            phases.update(store_phases)
-            entry = SweepEntry(
-                key=keys[index],
-                run=run,
-                from_cache=False,
-                wall_clock_seconds=elapsed,
-                phases=phases,
-            )
+            phases = {"simulate": elapsed}
+            digests[index] = self._cache_store(cache_keys[index], tasks[index], run, phases)
+            entry = SweepEntry(key=keys[index], run=run, from_cache=False, phases=phases)
             entries[index] = entry
             done += 1
             if self.progress is not None:

@@ -22,8 +22,8 @@ suite asserts this on every workload preset.
 
 The rows are the only per-job result of a run: the simulation drops each
 job after its fold, :class:`repro.analytics.records.RunRecords` wraps
-:meth:`records` for the run, and the per-job reports (Figures 4-7 and 9)
-read them.
+:meth:`records` for the run, the run blob stores their raw bytes, and the
+per-job reports (Figures 4-7 and 9) read them.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ __all__ = ["JOB_RECORD_DTYPE", "ChunkedFloatBuffer", "StreamingMetrics"]
 
 #: One row per completed job.  Derived metric columns hold the exact
 #: ``float64`` values :meth:`StreamingMetrics.fold` computes.  Every cached
-#: run blob pickles this array verbatim (``repro.analytics.records``), so
-#: its layout is fingerprinted in ``formats.lock``: a change needs a bump of
-#: ``RECORD_SCHEMA_VERSION`` there.
+#: run blob stores these rows' raw bytes after its JSON header
+#: (``repro.experiments.sweep``), so the layout is fingerprinted in
+#: ``formats.lock``: a change needs a bump of ``CACHE_FORMAT_VERSION``.
 JOB_RECORD_DTYPE = np.dtype(
     [
         ("job_id", np.int64),

@@ -4,15 +4,13 @@ The engine is intentionally tiny — a binary heap keyed by ``(time, priority,
 serial)`` — because the complexity of the reproduction lives in the
 schedulers, not in the event plumbing.  Events are never removed from the
 heap; instead, components that reschedule work (e.g. a job whose end time
-moved because it was shrunk) bump a *serial* number on the job and stale
-events are discarded when popped.
-
-The queue additionally deduplicates superseded ``JOB_END`` events itself: it
-remembers the newest validity token pushed per payload, so stale end events
-are dropped at the heap boundary instead of surfacing into the simulation's
-per-instant batches.  On malleable-heavy runs every reconfiguration leaves
-one stale end event behind, so this keeps batch collection and sorting
-proportional to the *live* event count.
+moved because it was shrunk) bump a *serial* number on the job, and the
+simulation's one stale-end rule
+(:meth:`repro.simulator.simulation.Simulation.is_stale_end`) recognises an
+end event whose token no longer matches.  The queue drops such events when
+they reach the front of the heap, so they never surface in or define a
+per-instant batch; the simulation re-checks each event as it processes the
+batch, since a job can be reconfigured earlier in the same instant.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional
 
 
 class EventType(enum.IntEnum):
@@ -60,55 +58,27 @@ class Event:
 class EventQueue:
     """A time-ordered queue of :class:`Event` objects.
 
-    ``JOB_END`` events are deduplicated by validity token: pushing an end
-    event for a payload supersedes any previously pushed end event of that
-    payload with a lower token, and superseded events are silently dropped
-    when they reach the top of the heap.  ``len()`` and truthiness reflect
-    only the live (non-superseded) events.
+    ``is_stale`` names superseded events: one at the front of the heap is
+    dropped instead of being peeked or popped.  ``len()`` and truthiness
+    count every event still in the heap, stale ones included.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, is_stale: Optional[Callable[[Event], bool]] = None) -> None:
         self._heap: List[Event] = []
         self._counter = itertools.count()
-        # payload -> newest validity token pushed for that payload's end.
-        self._end_tokens: Dict[Any, int] = {}
-        # (payload, token) -> number of such JOB_END events currently in the
-        # heap.  Needed so that superseding an end event that was already
-        # popped (e.g. reconfigured while its old event sits in the current
-        # batch) does not count phantom stale events.
-        self._end_counts: Dict[Tuple[Any, int], int] = {}
-        # Number of superseded JOB_END events still sitting in the heap.
-        self._stale = 0
-
-    def __len__(self) -> int:
-        return max(0, len(self._heap) - self._stale)
-
-    def __bool__(self) -> bool:
-        return len(self._heap) > self._stale
-
-    def _is_stale(self, event: Event) -> bool:
-        return (
-            event.event_type is EventType.JOB_END
-            and self._end_tokens.get(event.payload, event.validity_token)
-            != event.validity_token
-        )
-
-    def _forget(self, event: Event) -> None:
-        """Bookkeeping for a JOB_END event leaving the heap."""
-        if event.event_type is not EventType.JOB_END:
-            return
-        key = (event.payload, event.validity_token)
-        remaining = self._end_counts.get(key, 0) - 1
-        if remaining > 0:
-            self._end_counts[key] = remaining
-        else:
-            self._end_counts.pop(key, None)
+        self._is_stale = is_stale
 
     def _discard_stale(self) -> None:
-        heap = self._heap
-        while heap and self._is_stale(heap[0]):
-            self._forget(heapq.heappop(heap))
-            self._stale = max(0, self._stale - 1)
+        heap, is_stale = self._heap, self._is_stale
+        if is_stale is not None:
+            while heap and is_stale(heap[0]):
+                heapq.heappop(heap)
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
 
     def push(
         self,
@@ -128,29 +98,13 @@ class EventQueue:
             payload=payload,
             validity_token=validity_token,
         )
-        if event_type is EventType.JOB_END:
-            prev = self._end_tokens.get(payload)
-            if prev is None:
-                self._end_tokens[payload] = validity_token
-            elif validity_token > prev:
-                # Events carrying the previous token that are *still in the
-                # heap* become stale (ones already popped contribute zero).
-                self._end_tokens[payload] = validity_token
-                self._stale += self._end_counts.get((payload, prev), 0)
-            elif validity_token < prev:
-                # Pushed already-superseded: stale from birth.
-                self._stale += 1
-            key = (payload, validity_token)
-            self._end_counts[key] = self._end_counts.get(key, 0) + 1
         heapq.heappush(self._heap, event)
         return event
 
     def pop(self) -> Event:
         """Remove and return the earliest live event."""
         self._discard_stale()
-        event = heapq.heappop(self._heap)
-        self._forget(event)
-        return event
+        return heapq.heappop(self._heap)
 
     def pop_batch(self) -> List[Event]:
         """Pop every live event sharing the earliest timestamp, in order.
@@ -167,9 +121,7 @@ class EventQueue:
         first_time = heap[0].time
         batch: List[Event] = []
         while heap and heap[0].time == first_time:
-            event = heapq.heappop(heap)
-            self._forget(event)
-            batch.append(event)
+            batch.append(heapq.heappop(heap))
             self._discard_stale()
         return batch
 
@@ -180,5 +132,5 @@ class EventQueue:
 
     def drain(self) -> Iterator[Event]:
         """Pop every remaining live event in order (used by tests)."""
-        while self:
+        while self.peek() is not None:
             yield self.pop()

@@ -29,7 +29,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from repro.metrics.energy import LinearPowerModel
 from repro.metrics.streaming import StreamingMetrics
 from repro.simulator.cluster import Cluster
-from repro.simulator.engine import EventQueue, EventType
+from repro.simulator.engine import Event, EventQueue, EventType
 from repro.simulator.job import Job, JobState
 from repro.simulator.pending_queue import PendingQueue
 from repro.simulator.reservation import ReservationMap
@@ -124,7 +124,7 @@ class Simulation:
             power_model = LinearPowerModel()
         self.power_model = power_model
 
-        self.events = EventQueue()
+        self.events = EventQueue(is_stale=self.is_stale_end)
         self.pending = PendingQueue()
         #: Submitted jobs that have not completed yet, by id.
         self.jobs: Dict[int, Job] = {}
@@ -439,6 +439,18 @@ class Simulation:
         # Folded; drop the per-job state (resource history, CPU maps).
         del self.jobs[job_id]
 
+    def is_stale_end(self, event: Event) -> bool:
+        """Whether ``event`` ends a job that has ended already or was
+        reconfigured after the event was pushed: the one stale-end rule."""
+        if event.event_type is not EventType.JOB_END:
+            return False
+        job = self.jobs.get(event.payload)
+        return (
+            job is None
+            or job.state is not JobState.RUNNING
+            or event.validity_token != job.end_event_serial
+        )
+
     def step(self) -> bool:
         """Process the next batch of simultaneous events; returns False when done."""
         self._advance_submissions()
@@ -451,14 +463,9 @@ class Simulation:
         need_schedule = False
         for event in batch:
             if event.event_type is EventType.JOB_END:
-                job = self.jobs.get(event.payload)
-                if (
-                    job is None
-                    or job.state is not JobState.RUNNING
-                    or event.validity_token != job.end_event_serial
-                ):
-                    # Stale end event (job reconfigured earlier in this very
-                    # batch) — skipped, and *not* counted as processed.
+                if self.is_stale_end(event):
+                    # The job was reconfigured earlier in this very batch:
+                    # skipped, and *not* counted as processed.
                     continue
                 self._total_events += 1
                 self._handle_end(event.payload)

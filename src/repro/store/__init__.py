@@ -1,7 +1,8 @@
 """Pluggable result stores for the sweep subsystem.
 
-A :class:`ResultStore` holds the sweep cache's *blobs* (pickled runs,
-addressed by content-hash key) and *manifests* (atomic JSON shard state,
+A :class:`ResultStore` holds the sweep cache's *blobs* (run blobs — a
+JSON header plus raw record rows — and decision traces, addressed by
+content-hash key) and *manifests* (atomic JSON shard state,
 always in the store's own ``manifests/`` namespace), and lists both
 through one primitive, ``_entries``.  Two backends ship:
 
@@ -11,9 +12,9 @@ through one primitive, ``_entries``.  Two backends ship:
 * :class:`MemoryStore` — process-local, for tests and dry runs
   (``memory://name``).
 
-:func:`open_store` dispatches a URL to its backend; :func:`resolve_store`
-adds the ``SweepRunner`` conveniences (``cache_dir`` back-compat, the
-``REPRO_STORE_URL`` environment default).  :mod:`repro.store.lifecycle`
+:func:`open_store` dispatches a URL or a directory path to its backend;
+:func:`resolve_store` adds the ``SweepRunner`` default, the
+``REPRO_STORE_URL`` environment variable.  :mod:`repro.store.lifecycle`
 adds the lifecycle layer — blob integrity envelopes, manifest-aware
 ``gc`` (the one eviction pass), ``verify`` and ``repair``; ``prune``
 (:mod:`repro.store.tools`) clears the quarantine and then runs ``gc``
@@ -115,23 +116,17 @@ def open_store(url: Union[str, os.PathLike]) -> ResultStore:
 
 def resolve_store(
     store: Optional[Union[str, os.PathLike, ResultStore]] = None,
-    cache_dir: Optional[Union[str, os.PathLike]] = None,
 ) -> Optional[ResultStore]:
-    """Resolve ``SweepRunner``'s store/cache-dir configuration to a backend.
+    """Resolve ``SweepRunner``'s ``store`` to a backend.
 
-    Precedence: an explicit ``store`` (instance or URL) wins; then the
-    back-compat ``cache_dir`` (a directory path, or ``"auto"``); then the
-    ``REPRO_STORE_URL`` environment variable.  All unset means caching is
-    disabled (``None``), exactly as before stores existed.
+    An explicit ``store`` (instance, URL or directory path) wins; unset,
+    the ``REPRO_STORE_URL`` environment variable applies.  Both unset means
+    caching is disabled (``None``).
     """
+    if isinstance(store, ResultStore):
+        return store
     if store is not None:
-        if isinstance(store, ResultStore):
-            return store
         return open_store(store)
-    if cache_dir is not None:
-        if cache_dir == "auto":
-            return LocalFSStore(default_cache_dir())
-        return LocalFSStore(Path(cache_dir))
     env = os.environ.get("REPRO_STORE_URL")
     if env:
         return open_store(env)

@@ -3,8 +3,9 @@
 A result store holds two kinds of typed objects for the sweep subsystem
 (:mod:`repro.experiments.sweep` / :mod:`repro.experiments.executors`):
 
-* **blobs** — pickled :class:`~repro.experiments.runner.PolicyRun` cache
-  entries, addressed by their opaque content-hash key (the task cache key);
+* **blobs** — opaque bytes addressed by a content-hash key: run blobs
+  (a :class:`~repro.experiments.runner.PolicyRun` as a JSON header plus
+  raw record rows, under the task cache key) and decision traces;
 * **manifests** — small JSON documents (shard progress manifests), addressed
   by name and written atomically so a concurrent reader never observes a
   torn document.

@@ -21,8 +21,8 @@ depends on.  This module is the lifecycle layer on top of the
   then runs it with its ``--older-than`` cutoff as the grace period.
 * **verify** — :func:`verify` re-hashes every blob, quarantines envelope
   mismatches, and reports drift between stored blobs and the digests shard
-  manifests recorded (informational: a legitimately recomputed blob may
-  differ byte-wise through nondeterministic timing fields).
+  manifests recorded (informational: a recomputed run stores the same
+  bytes, so drift means the blob was replaced, say by another version).
 * **repair** — :func:`repair` re-fetches quarantined blobs from a mirror
   store, verifies their integrity, and republishes them.
 
@@ -40,8 +40,9 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.store.base import BLOB_SUFFIX, TMP_SUFFIX, ResultStore
 
-#: Leading bytes of an enveloped blob.  Pickles start with ``\x80``, so a
-#: bare payload can never be mistaken for an envelope.
+#: Leading bytes of an enveloped blob.  A run payload starts with ``{``
+#: and a trace with its JSON header line, so a bare payload can never be
+#: mistaken for an envelope.
 ENVELOPE_MAGIC = b"repro-blob/"
 
 #: Bump when the envelope *header* layout changes.  The header is
@@ -262,9 +263,10 @@ class VerifyReport:
     ``corrupt`` entries failed their own envelope check and were
     quarantined (unless ``dry_run``); ``drift`` entries verify against
     their envelope but differ from the digest a shard manifest recorded
-    (informational — a re-computed blob legitimately differs through its
-    embedded timing field); ``missing_referenced`` are manifest-pinned
-    keys with no blob behind them (a pruned or foreign store).
+    (informational — a recomputed run stores the same bytes, so the blob
+    was replaced, say by another package version); ``missing_referenced``
+    are manifest-pinned keys with no blob behind them (a pruned or foreign
+    store).
     """
 
     store: str
@@ -300,9 +302,9 @@ def verify(store: ResultStore, dry_run: bool = False) -> VerifyReport:
     size; failures (an envelope-less blob among them) are quarantined
     (kept live under ``dry_run``) and listed in the report.  Digests
     recorded by v3 shard manifests are cross-checked where available —
-    mismatches are reported as ``drift``, never quarantined, because a
-    legitimately re-computed blob differs byte-wise from what the manifest
-    saw.
+    mismatches are reported as ``drift``, never quarantined, because the
+    replacing blob is itself intact (another package version may have
+    written it).
     """
     refs = collect_references(store)
     report = VerifyReport(store=store.url)

@@ -44,7 +44,8 @@ __all__ = [
 ]
 
 #: Version of the trace blob + manifest layout (bump on shape changes).
-TRACE_FORMAT_VERSION = 1
+#: v2: the manifest's phase timers lost ``metrics`` (see PHASE_FIELDS).
+TRACE_FORMAT_VERSION = 2
 
 #: Declared event vocabulary, ``"<event>:<field,field,…>"`` per entry.
 #: ``repro.devtools.formats`` fingerprints this into ``formats.lock``:
@@ -85,8 +86,9 @@ TRACE_MANIFEST_FIELDS = (
 )
 
 #: Phase-timer names surfaced in ``SweepEntry.phases`` / trace manifests,
-#: in pipeline order: simulate → metrics fold → cache serialize → store put.
-PHASE_FIELDS = ("simulate", "metrics", "serialize", "store_put")
+#: in pipeline order: simulate (the whole task) → encode the run blob →
+#: store put.
+PHASE_FIELDS = ("simulate", "serialize", "store_put")
 
 
 class AttachmentError(RuntimeError):

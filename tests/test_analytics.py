@@ -26,7 +26,7 @@ from repro.analytics.query import (
     outcome_from_records,
     run_query,
 )
-from repro.analytics.records import JOB_RECORD_DTYPE, RECORD_SCHEMA_VERSION
+from repro.analytics.records import JOB_RECORD_DTYPE
 from repro.cli import main
 from repro.experiments.executors import (
     MANIFEST_FORMAT_VERSION,
@@ -44,10 +44,12 @@ from repro.experiments.scenario import (
 from repro.experiments.sweep import (
     CACHE_FORMAT_VERSION,
     CACHE_KEY_VERSION,
+    CACHE_PAYLOAD_FIELDS,
     SweepRunner,
     SweepTask,
     _canonical_kwargs,
     iter_cached_runs,
+    read_cached_run,
     task_cache_key,
 )
 from repro.metrics.aggregates import WorkloadMetrics
@@ -98,14 +100,18 @@ class TestRecordsRoundTrip:
         assert run.records.array.dtype == JOB_RECORD_DTYPE
 
     def test_bytes_round_trip_is_exact(self, workload):
-        """The records come back from the cached run blob's bytes exactly."""
+        """The records come back from the cached run blob's bytes exactly,
+        as a read-only view, next to the stored (not recomputed) metrics."""
         store = MemoryStore()
         run = SweepRunner(max_workers=1, store=store).run([_static_task(workload)])["plain"]
         [(_key, payload)] = iter_cached_runs(store)
-        back = payload["run"].records
-        assert back.schema == RECORD_SCHEMA_VERSION
-        assert back.meta == run.records.meta
-        assert np.array_equal(back.array, run.records.array)
+        back = payload["run"]
+        assert np.array_equal(back.records.array, run.records.array)
+        assert back.records.array.dtype == JOB_RECORD_DTYPE
+        assert not back.records.array.flags.writeable
+        assert back.result == run.result
+        assert back.metrics == run.metrics
+        assert back.scheduler_stats == run.scheduler_stats
 
     def test_truncated_blob_rejected(self, workload):
         """``query`` is read-only: a corrupt run blob is an error naming its
@@ -124,14 +130,24 @@ class TestRecordsRoundTrip:
         assert store.get(key) == truncated
 
 
-def _pinned_layout(records) -> bytes:
+def _pinned_layout(run, policy) -> bytes:
     """The byte layout the digests below were recorded over: an 8-byte
-    big-endian header length, the sorted JSON header, then the array in
-    ``np.save`` format."""
+    big-endian header length, the sorted JSON header (the record schema,
+    the row count and the run's metadata), then the array in ``np.save``
+    format."""
     buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(records.array), allow_pickle=False)
+    np.save(buf, np.ascontiguousarray(run.records.array), allow_pickle=False)
+    meta = {
+        "workload": run.workload_name,
+        "policy": policy,
+        "label": run.label,
+        "seed": 0,
+        "first_submit": run.result.first_submit,
+        "energy_joules": run.result.energy_joules,
+        "num_jobs": run.result.num_jobs,
+    }
     header = json.dumps(
-        {"schema": records.schema, "rows": len(records.array), "meta": records.meta},
+        {"schema": 1, "rows": len(run.records), "meta": meta},
         sort_keys=True,
     ).encode("utf-8")
     return struct.pack(">Q", len(header)) + header + buf.getvalue()
@@ -166,7 +182,7 @@ def _pinned_runs():
 def test_records_are_byte_identical_to_the_pinned_digests():
     for name, (workload, kwargs) in _pinned_runs().items():
         run = run_workload(workload, malleable_fraction=1.0, **kwargs)
-        digest = hashlib.sha256(_pinned_layout(run.records)).hexdigest()
+        digest = hashlib.sha256(_pinned_layout(run, kwargs["policy"])).hexdigest()
         assert digest == RECORDS_DIGESTS[name], name
 
 
@@ -190,7 +206,7 @@ class TestAggregateBitIdentity:
     """Metrics recomputed from stored records are bit-identical
     to the run's own metrics (the ``StreamingMetrics`` fold, itself pinned
     to the ``compute_metrics`` oracle) for every paper preset, whether the
-    records come from a fresh run or from the run a cache hit unpickles."""
+    records come from a fresh run or from the run a cache hit decodes."""
 
     @pytest.mark.parametrize("preset", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("from_cache", [True, False])
@@ -205,9 +221,8 @@ class TestAggregateBitIdentity:
             assert cached.cache_hits == 1
             assert np.array_equal(cached["sd"].records.array, run.records.array)
             run = cached["sd"]
-        meta = run.records.meta
         rebuilt = WorkloadMetrics.from_records(
-            run.records.array, meta["first_submit"], meta["energy_joules"]
+            run.records.array, run.result.first_submit, run.result.energy_joules
         )
         assert rebuilt.as_dict() == run.metrics.as_dict()
 
@@ -248,7 +263,7 @@ class TestAnalyticsStore:
         assert not [key for key in store.list() if key.endswith("-records")]
         assert store.list_manifests("analytics-") == []
         for task in tasks:
-            payload = pickle.loads(unwrap_blob(store.get(task_cache_key(task)))[0])
+            payload = read_cached_run(store, task_cache_key(task))
             assert payload["format"] == CACHE_FORMAT_VERSION
             assert np.array_equal(
                 payload["run"].records.array, fresh[task.key].records.array
@@ -272,34 +287,39 @@ class TestAnalyticsStore:
         assert "stored runs (6)" in capsys.readouterr().out
 
     def test_cached_run_blob_holds_no_job_objects(self, workload):
+        """The payload is one canonical JSON header line, then the raw
+        record rows and nothing else."""
         task = SweepTask(workload=workload, policy="sd_policy", key="sd", seed=0,
                          kwargs={"max_slowdown": 10.0})
         store = MemoryStore()
-        SweepRunner(max_workers=1, store=store).run([task])
+        run = SweepRunner(max_workers=1, store=store).run([task])["sd"]
         payload = unwrap_blob(store.get(task_cache_key(task)))[0]
-        assert b"repro.simulator.job" not in payload
-        assert b"repro.analytics.records" in payload
+        line, rows = payload.split(b"\n", 1)
+        header = json.loads(line)
+        assert sorted(header) == sorted(CACHE_PAYLOAD_FIELDS)
+        assert line == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        assert header["rows"] == run.result.num_jobs
+        assert rows == run.records.array.tobytes()
 
 
 class TestFormatCompatibility:
-    """Only the current payload format is read: a v3 blob written before
-    the analytics layer resolves under the same cache key but is an
-    ordinary miss, re-executed and overwritten at the current format."""
+    """Only the current payload format is read: a pickled v6 blob resolves
+    under the same cache key but is an ordinary miss, never unpickled,
+    re-executed and overwritten at the current format."""
 
     def test_version_constants(self):
-        assert CACHE_FORMAT_VERSION == 6
+        assert CACHE_FORMAT_VERSION == 7
         assert CACHE_KEY_VERSION == 3  # key encoding unchanged: old blobs resolve
         assert MANIFEST_FORMAT_VERSION == 6
 
     @staticmethod
-    def _format3_store(workload):
-        """A store holding one pre-analytics blob: format 3, and no
-        ``records`` attribute at all in the PolicyRun state."""
+    def _format6_store(workload):
+        """A store holding one digest-valid blob of the last pickled
+        format, v6."""
         task = _static_task(workload, "legacy")
         run = run_workload(workload, "static_backfill", seed=task.resolved_seed())
-        run.__dict__.pop("records", None)
         payload = {
-            "format": 3,
+            "format": 6,
             "key": task.resolved_key(),
             "policy": task.policy,
             "seed": task.resolved_seed(),
@@ -314,20 +334,51 @@ class TestFormatCompatibility:
         store.put(task_cache_key(task), enveloped)
         return store, task, run
 
-    def test_pre_analytics_blob_still_hits(self, workload):
-        """No longer a hit: the format-3 blob is a miss (not a corruption)
-        and is rewritten at format 6."""
-        store, task, run = self._format3_store(workload)
+    def test_pickled_blob_is_an_ordinary_miss(self, workload, monkeypatch):
+        """The v6 blob is a miss (not a corruption), is never unpickled and
+        is rewritten at the current format."""
+        store, task, run = self._format6_store(workload)
         key = task_cache_key(task)
+        assert read_cached_run(store, key) is None
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a cached payload was unpickled")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        monkeypatch.setattr(pickle, "load", refuse)
         result = SweepRunner(max_workers=1, store=store).run([task])
         assert result.cache_hits == 0
         assert result.cache_corruptions == 0
+        assert store.list_quarantined() == []
         assert result["legacy"].metrics.as_dict() == run.metrics.as_dict()
-        rewritten = pickle.loads(unwrap_blob(store.get(key))[0])
-        assert rewritten["format"] == CACHE_FORMAT_VERSION == 6
+        assert read_cached_run(store, key)["format"] == CACHE_FORMAT_VERSION == 7
+
+    def test_edited_or_truncated_header_names_the_key_and_the_field(self, workload):
+        """A digest-valid payload whose header was edited or cut short is a
+        corrupt blob: ``query`` raises naming the cache key and the header
+        field, and a sweep quarantines and recomputes it."""
+        store = MemoryStore()
+        task = _static_task(workload)
+        SweepRunner(max_workers=1, store=store).run([task])
+        key = task_cache_key(task)
+        line, rows = unwrap_blob(store.get(key))[0].split(b"\n", 1)
+        header = json.loads(line)
+        edited = dict(header, rows=header["rows"] + 1)
+        cut = {name: header[name] for name in CACHE_PAYLOAD_FIELDS[:6]}
+        for bad, field in ((edited, "rows"), (cut, "label")):
+            text = json.dumps(bad, sort_keys=True, separators=(",", ":")).encode()
+            store.put(key, wrap_blob(text + b"\n" + rows)[0])
+            with pytest.raises(StoreError, match=f"cache blob {key} .*header field '{field}'"):
+                read_cached_run(store, key)
+        store.put(key, wrap_blob(line[:40])[0])
+        with pytest.raises(StoreError, match=f"cache blob {key} .*header"):
+            read_cached_run(store, key)
+        result = SweepRunner(max_workers=1, store=store).run([task])
+        assert (result.cache_hits, result.cache_corruptions) == (0, 1)
+        assert store.list_quarantined() == [key]
 
     def test_iter_cached_runs_skips_other_formats_and_traces(self, workload):
-        store, legacy, _run = self._format3_store(workload)
+        store, legacy, _run = self._format6_store(workload)
         traced = SweepTask(workload=workload, policy="sd_policy", key="sd", seed=0,
                            kwargs={"max_slowdown": 10.0})
         SweepRunner(max_workers=1, store=store, trace=True).run([traced])
@@ -417,7 +468,7 @@ class TestQuery:
         """``--workload N`` builds the runs ``builtin_scenario(...,
         workload_id=N)`` builds: every one is a cache hit."""
         spec = builtin_scenario("figure1-3", workload_id=3, scale=0.01)
-        run_scenario(spec, runner=SweepRunner(max_workers=1, cache_dir=tmp_path))
+        run_scenario(spec, runner=SweepRunner(max_workers=1, store=tmp_path))
         assert main(["scenario", "figure1-3", "--workload", "3", "--scale", "0.01",
                      "--workers", "1", "--cache-dir", str(tmp_path)]) == 0
         assert "cache hits: 6" in capsys.readouterr().err

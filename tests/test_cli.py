@@ -191,6 +191,26 @@ class TestCommands:
         assert f"error: {flag} applies only to" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        ["run"], ["compare"], ["scenario", "figure1-3"],
+    ], ids=["run", "compare", "scenario"])
+    def test_missing_swf_file_exits_2_without_traceback(self, tmp_path, command, capsys):
+        missing = tmp_path / "missing.swf"
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--swf", str(missing)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: cannot load the workload: " in err and str(missing) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--workload", "2"], ["--swf", "log.swf"], ["--scale", "0.5"], ["--seed", "3"],
+    ], ids=["workload", "swf", "scale", "seed"])
+    def test_query_without_report_refuses_workload_flags(self, tmp_path, flags, capsys):
+        assert main(["query", "--cache-dir", str(tmp_path), "--list"] + flags) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flags[0]} applies only to query --report NAME" in err
+
     def test_figure_9_runs_on_its_own_workload(self, capsys):
         assert main(["scenario", "figure9", "--scale", "0.02"]) == 0
         assert "Figure 9" in capsys.readouterr().out

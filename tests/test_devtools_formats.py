@@ -13,7 +13,6 @@ away from reality.
 import copy
 import dataclasses
 import json
-import pickle
 from pathlib import Path
 
 import pytest
@@ -57,7 +56,7 @@ class TestCheckSemantics:
     def test_layout_change_without_bump_fails(self):
         locked = formats.load_lock(LOCK_PATH)
         current = copy.deepcopy(formats.snapshot())
-        current["cache/PolicyRun"]["fingerprint"] = "sha256:deadbeefdeadbeef"
+        current["cache/SimulationResult"]["fingerprint"] = "sha256:deadbeefdeadbeef"
         problems = formats.check_lock(locked, current)
         assert [p["kind"] for p in problems] == ["changed-no-bump"]
         assert "bump the version constant" in problems[0]["message"]
@@ -65,7 +64,7 @@ class TestCheckSemantics:
     def test_layout_change_with_bump_is_stale_lock(self):
         locked = formats.load_lock(LOCK_PATH)
         current = copy.deepcopy(formats.snapshot())
-        entry = current["cache/PolicyRun"]
+        entry = current["cache/SimulationResult"]
         entry["fingerprint"] = "sha256:deadbeefdeadbeef"
         entry["version"] = entry["version"] + 1
         problems = formats.check_lock(locked, current)
@@ -75,9 +74,9 @@ class TestCheckSemantics:
     def test_registry_lock_disagreement(self):
         locked = formats.load_lock(LOCK_PATH)
         current = copy.deepcopy(formats.snapshot())
-        current["records/brand-new"] = dict(current["cache/PolicyRun"])
+        current["records/brand-new"] = dict(current["cache/SimulationResult"])
         extra = copy.deepcopy(locked)
-        extra["records/retired"] = dict(locked["cache/PolicyRun"])
+        extra["records/retired"] = dict(locked["cache/SimulationResult"])
         kinds = {p["kind"] for p in formats.check_lock(extra, current)}
         assert kinds == {"new-schema", "removed-schema"}
 
@@ -142,7 +141,7 @@ def sharded_sweep(tmp_path_factory):
                                   "sharing_factor": 0.5}),
     ]
     runner = SweepRunner(
-        max_workers=1, cache_dir=cache, executor=ShardedExecutor(0, 1)
+        max_workers=1, store=cache, executor=ShardedExecutor(0, 1)
     )
     runner.run(tasks)
     return cache
@@ -165,5 +164,5 @@ class TestDeclaredFieldsMatchReality:
         blobs = sorted(sharded_sweep.glob("*.pkl"))
         assert blobs
         payload_bytes, _ = unwrap_blob(blobs[0].read_bytes())
-        payload = pickle.loads(payload_bytes)
-        assert tuple(payload) == CACHE_PAYLOAD_FIELDS
+        header = json.loads(payload_bytes.split(b"\n", 1)[0])
+        assert set(header) == set(CACHE_PAYLOAD_FIELDS)

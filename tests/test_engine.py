@@ -69,46 +69,6 @@ class TestEventQueue:
         assert event.validity_token == 7
 
 
-class TestEndEventDedup:
-    def test_superseded_end_is_dropped(self):
-        q = EventQueue()
-        q.push(10.0, EventType.JOB_END, payload=1, validity_token=0)
-        q.push(20.0, EventType.JOB_END, payload=1, validity_token=1)
-        assert len(q) == 1
-        event = q.pop()
-        assert event.time == 20.0 and event.validity_token == 1
-        assert not q
-
-    def test_supersede_after_pop_does_not_overcount(self):
-        """Superseding an end event already popped into a batch must not make
-        the queue report empty while live events remain (regression)."""
-        q = EventQueue()
-        q.push(5.0, EventType.JOB_END, payload=1, validity_token=0)
-        q.push(5.0, EventType.JOB_END, payload=2, validity_token=0)
-        assert {q.pop().payload, q.pop().payload} == {1, 2}  # batch of two
-        # Job 2 is reconfigured while its old event sits in the batch.
-        q.push(7.0, EventType.JOB_END, payload=2, validity_token=1)
-        assert q  # the new event is live
-        assert len(q) == 1
-        assert q.pop().time == 7.0
-        assert not q
-
-    def test_stale_from_birth_is_dropped(self):
-        q = EventQueue()
-        q.push(9.0, EventType.JOB_END, payload=1, validity_token=3)
-        q.push(4.0, EventType.JOB_END, payload=1, validity_token=1)
-        assert len(q) == 1
-        assert q.pop().validity_token == 3
-        assert not q
-
-    def test_distinct_payloads_do_not_interfere(self):
-        q = EventQueue()
-        q.push(1.0, EventType.JOB_END, payload=1, validity_token=0)
-        q.push(2.0, EventType.JOB_END, payload=2, validity_token=5)
-        assert len(q) == 2
-        assert [e.payload for e in q.drain()] == [1, 2]
-
-
 class TestPopBatch:
     def test_empty_queue_returns_empty_batch(self):
         assert EventQueue().pop_batch() == []
@@ -133,28 +93,20 @@ class TestPopBatch:
         keys = [(e.time, e.type_priority, e.serial) for e in batch]
         assert keys == sorted(keys)
 
-    def test_superseded_end_excluded_from_batch(self):
-        q = EventQueue()
-        q.push(3.0, EventType.JOB_END, payload=1, validity_token=0)
+    def test_stale_events_never_surface_or_define_the_instant(self):
+        q = EventQueue(is_stale=lambda event: event.payload == "old")
+        q.push(1.0, EventType.JOB_END, payload="old")
         q.push(3.0, EventType.JOB_SUBMIT, payload="s")
-        q.push(3.0, EventType.JOB_END, payload=1, validity_token=1)  # supersedes
-        batch = q.pop_batch()
-        assert [(e.payload, getattr(e, "validity_token", None)) for e in batch] == [
-            (1, 1),
-            ("s", 0),
-        ]
+        q.push(3.0, EventType.JOB_END, payload="old")
+        q.push(9.0, EventType.JOB_END, payload="new")
+        assert q.peek().time == 3.0
+        assert [e.payload for e in q.pop_batch()] == ["s"]
+        assert [e.payload for e in q.drain()] == ["new"]
         assert not q
-
-    def test_stale_front_does_not_define_batch_time(self):
-        q = EventQueue()
-        q.push(1.0, EventType.JOB_END, payload=1, validity_token=0)
-        q.push(9.0, EventType.JOB_END, payload=1, validity_token=2)  # stale at 1.0
-        batch = q.pop_batch()
-        assert [e.time for e in batch] == [9.0]
 
 
 # ---------------------------------------------------------------------- #
-# Property tests: stale accounting under reconfiguration storms
+# Property tests: order under reconfiguration storms
 # ---------------------------------------------------------------------- #
 _ops = st.lists(
     st.tuples(
@@ -167,45 +119,14 @@ _ops = st.lists(
 )
 
 
-def _heap_end_counts(q: EventQueue) -> dict:
-    counts: dict = {}
-    for event in q._heap:
-        if event.event_type is EventType.JOB_END:
-            key = (event.payload, event.validity_token)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-class TestStaleAccountingProperties:
-    @given(ops=_ops)
-    @settings(max_examples=120, suppress_health_check=[HealthCheck.filter_too_much])
-    def test_supersede_storms_never_desync_accounting(self, ops):
-        """Arbitrary supersede/re-push/pop interleavings keep ``len`` equal to
-        the live event count, ``_stale`` non-negative and exact, and
-        ``_end_counts`` in sync with the heap contents."""
-        q = EventQueue()
-        for op, payload, token, time in ops:
-            if op == "end":
-                q.push(time, EventType.JOB_END, payload=payload, validity_token=token)
-            elif op == "submit":
-                q.push(time, EventType.JOB_SUBMIT, payload=payload)
-            elif q:
-                q.pop()
-            live = sum(1 for e in q._heap if not q._is_stale(e))
-            assert len(q) == live
-            assert q._stale == len(q._heap) - live
-            assert q._stale >= 0
-            assert _heap_end_counts(q) == q._end_counts
-
+class TestQueueOrderProperties:
     @given(ops=_ops)
     @settings(max_examples=120, suppress_health_check=[HealthCheck.filter_too_much])
     def test_drain_yields_strictly_increasing_keys(self, ops):
         q = EventQueue()
-        newest: dict = {}
         for op, payload, token, time in ops:
             if op == "end":
                 q.push(time, EventType.JOB_END, payload=payload, validity_token=token)
-                newest[payload] = max(newest.get(payload, token), token)
             elif op == "submit":
                 q.push(time, EventType.JOB_SUBMIT, payload=payload)
             elif q:
@@ -215,10 +136,6 @@ class TestStaleAccountingProperties:
         assert keys == sorted(keys)
         for a, b in zip(keys, keys[1:]):
             assert a < b  # serial is unique, so strictly increasing
-        # Only live (newest-token) end events surface.
-        for event in drained:
-            if event.event_type is EventType.JOB_END:
-                assert event.validity_token == newest[event.payload]
         assert not q and len(q) == 0
 
     @given(

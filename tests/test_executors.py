@@ -99,7 +99,7 @@ class TestShardedExecution:
     def test_shard_runs_only_its_slice(self, tasks, tmp_path):
         cache = tmp_path / "cache"
         part = SweepRunner(
-            max_workers=1, cache_dir=cache, executor=ShardedExecutor(0, 2)
+            max_workers=1, store=cache, executor=ShardedExecutor(0, 2)
         ).run(tasks)
         assert not part.complete
         assert part.total_tasks == len(tasks)
@@ -115,10 +115,10 @@ class TestShardedExecution:
         cache = tmp_path / "cache"
         for i in range(2):
             SweepRunner(
-                max_workers=workers, cache_dir=cache, executor=ShardedExecutor(i, 2)
+                max_workers=workers, store=cache, executor=ShardedExecutor(i, 2)
             ).run(tasks)
         merged = SweepRunner(
-            max_workers=1, cache_dir=cache, executor=MergeExecutor()
+            max_workers=1, store=cache, executor=MergeExecutor()
         ).run(tasks)
         assert merged.complete
         assert [e.key for e in merged.entries] == [t.resolved_key() for t in tasks]
@@ -129,7 +129,7 @@ class TestShardedExecution:
     def test_manifest_layout(self, tasks, tmp_path):
         cache = tmp_path / "cache"
         SweepRunner(
-            max_workers=1, cache_dir=cache, executor=ShardedExecutor(0, 2)
+            max_workers=1, store=cache, executor=ShardedExecutor(0, 2)
         ).run(tasks)
         manifest_dir = LocalFSStore(cache).manifest_dir
         files = sorted(manifest_dir.glob("*.json"))
@@ -162,7 +162,7 @@ class TestShardedExecution:
 
         monkeypatch.setattr(executors_mod, "run_tasks", recording)
         SweepRunner(
-            max_workers=1, cache_dir=tmp_path / "a", executor=ShardedExecutor(0, 2)
+            max_workers=1, store=tmp_path / "a", executor=ShardedExecutor(0, 2)
         ).run(tasks)
         assert budgets == [1]
 
@@ -170,7 +170,7 @@ class TestShardedExecution:
         cache = tmp_path / "cache"
         bad = [SweepTask(workload=workload, policy="no_such_policy", key="bad")]
         runner = SweepRunner(
-            max_workers=1, cache_dir=cache, executor=ShardedExecutor(0, 1)
+            max_workers=1, store=cache, executor=ShardedExecutor(0, 1)
         )
         with pytest.raises(SweepError):
             runner.run(bad)
@@ -187,7 +187,7 @@ class TestResume:
         def run_shard():
             events = []
             SweepRunner(
-                max_workers=1, cache_dir=cache, executor=ShardedExecutor(0, 2),
+                max_workers=1, store=cache, executor=ShardedExecutor(0, 2),
                 progress=lambda done, total, e: events.append(e),
             ).run(tasks)
             return events
@@ -197,7 +197,7 @@ class TestResume:
         owned_keys = [e.key for e in first]
         # Simulate a kill that lost one task's result but kept the others.
         lost = owned_keys[1]
-        runner = SweepRunner(max_workers=1, cache_dir=cache)
+        runner = SweepRunner(max_workers=1, store=cache)
         lost_index = [t.resolved_key() for t in tasks].index(lost)
         runner.store.blob_path(task_cache_key(tasks[lost_index])).unlink()
 
@@ -211,15 +211,15 @@ class TestResume:
     def test_merge_refuses_missing_shard(self, tasks, tmp_path):
         cache = tmp_path / "cache"
         SweepRunner(
-            max_workers=1, cache_dir=cache, executor=ShardedExecutor(0, 2)
+            max_workers=1, store=cache, executor=ShardedExecutor(0, 2)
         ).run(tasks)
-        runner = SweepRunner(max_workers=1, cache_dir=cache, executor=MergeExecutor())
+        runner = SweepRunner(max_workers=1, store=cache, executor=MergeExecutor())
         with pytest.raises(ExecutorError, match="2/2"):
             runner.run(tasks)
 
     def test_merge_refuses_without_manifests(self, tasks, tmp_path):
         runner = SweepRunner(
-            max_workers=1, cache_dir=tmp_path / "cache", executor=MergeExecutor()
+            max_workers=1, store=tmp_path / "cache", executor=MergeExecutor()
         )
         with pytest.raises(ExecutorError, match="no shard manifests"):
             runner.run(tasks)
@@ -227,20 +227,20 @@ class TestResume:
     def test_merge_distinguishes_corrupt_from_pruned_cache(self, tasks, tmp_path):
         cache = tmp_path / "cache"
         SweepRunner(
-            max_workers=1, cache_dir=cache, executor=ShardedExecutor(0, 1)
+            max_workers=1, store=cache, executor=ShardedExecutor(0, 1)
         ).run(tasks)
         next(cache.glob("*.pkl")).write_bytes(b"torn write")
-        runner = SweepRunner(max_workers=1, cache_dir=cache, executor=MergeExecutor())
+        runner = SweepRunner(max_workers=1, store=cache, executor=MergeExecutor())
         with pytest.raises(ExecutorError, match="quarantined"):
             runner.run(tasks)
 
     def test_merge_detects_pruned_cache(self, tasks, tmp_path):
         cache = tmp_path / "cache"
         SweepRunner(
-            max_workers=1, cache_dir=cache, executor=ShardedExecutor(0, 1)
+            max_workers=1, store=cache, executor=ShardedExecutor(0, 1)
         ).run(tasks)
         next(cache.glob("*.pkl")).unlink()
-        runner = SweepRunner(max_workers=1, cache_dir=cache, executor=MergeExecutor())
+        runner = SweepRunner(max_workers=1, store=cache, executor=MergeExecutor())
         with pytest.raises(ExecutorError, match="cache is missing"):
             runner.run(tasks)
 
@@ -254,7 +254,7 @@ class TestResume:
         naming the manifest and the field, not a bare KeyError."""
         cache = tmp_path / "cache"
         SweepRunner(
-            max_workers=1, cache_dir=cache, executor=ShardedExecutor(0, 1)
+            max_workers=1, store=cache, executor=ShardedExecutor(0, 1)
         ).run(tasks)
         path = next(LocalFSStore(cache).manifest_dir.glob("*.json"))
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -267,7 +267,7 @@ class TestResume:
             field = damage
             del manifest[field]
         path.write_text(json.dumps(manifest), encoding="utf-8")
-        runner = SweepRunner(max_workers=1, cache_dir=cache, executor=MergeExecutor())
+        runner = SweepRunner(max_workers=1, store=cache, executor=MergeExecutor())
         with pytest.raises(ExecutorError, match=f"{path.stem}.*'{field}'"):
             runner.run(tasks)
 
@@ -286,7 +286,7 @@ class TestInterruptAndFailureCleanup:
             SweepTask(workload=workload, policy="no_such_policy", key="bad"),
             SweepTask(workload=workload, policy="fcfs", key="ok2"),
         ]
-        runner = SweepRunner(max_workers=2, cache_dir=tmp_path)
+        runner = SweepRunner(max_workers=2, store=tmp_path)
         with pytest.raises(SweepError):
             runner.run(tasks)
         assert not list(tmp_path.glob("*.tmp")), "orphaned temp cache files"
@@ -314,7 +314,7 @@ class TestInterruptAndFailureCleanup:
                                   "max_slowdown": 5.0 + i})
                 for i in range(12)
             ]
-            SweepRunner(max_workers=2, cache_dir=%r).run(tasks)
+            SweepRunner(max_workers=2, store=%r).run(tasks)
             """
             % str(cache)
         )
@@ -356,7 +356,7 @@ class TestInterruptAndFailureCleanup:
         # Completed tasks are cache hits on resume; the pickles are intact.
         pickles = list(cache.glob("*.pkl"))
         assert pickles
-        probe = SweepRunner(max_workers=1, cache_dir=cache)
+        probe = SweepRunner(max_workers=1, store=cache)
         for path in pickles:
             run, corrupt, digest = probe._cache_load(path.stem)
             assert run is not None and not corrupt, f"torn cache entry {path.name}"
@@ -377,7 +377,7 @@ class TestPartialOutcomeConsumers:
         )
 
         runner = SweepRunner(
-            max_workers=1, cache_dir=tmp_path, executor=ShardedExecutor(0, 2)
+            max_workers=1, store=tmp_path, executor=ShardedExecutor(0, 2)
         )
         outcome = run_scenario(
             builtin_scenario("figure9", scale=0.05, seed=77), runner=runner

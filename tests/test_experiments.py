@@ -64,7 +64,6 @@ class TestRunner:
         run = run_workload(workload, "static_backfill")
         assert run.metrics.num_jobs == len(workload)
         assert run.metrics.makespan > 0
-        assert run.wall_clock_seconds >= 0
         assert run.workload_name == workload.name
 
     def test_run_workload_sd_policy_stats(self, workload):

@@ -441,12 +441,14 @@ def test_traced_and_untraced_runs_decide_alike(policy, max_slowdown):
 #: SHA-256 of the decision traces of paper workload 4 at scale 0.005 (all
 #: malleable, MAXSD 10), recorded before the mate pool existed.  They pin
 #: the order of ``mate_candidate`` events, which no aggregate golden sees.
+#: Re-taken at trace format 2, whose header line differs from format 1's
+#: in the version number alone; every event line is byte-identical.
 TRACE_DIGESTS = {
-    "sd_policy": "25b9620596064fe03d1f7dcd3f14f8cb5174170e6310e03ea50f9ac703b3c7de",
-    "ub_policy": "3046f8011a929970c858217a90d3944bec6cecff1eaf945a380e759cd178b02a",
+    "sd_policy": "fde7a3c75e092fbc4720c7b97bef7876eeef63a482d89cfcf1b66641da7cd878",
+    "ub_policy": "e43ea95feaeb011da71442e5a566333ccee5978ab4e0b3b1965d732fe97b7257",
     # Recorded while the static pass still examined its whole window every
     # time; it pins the ``backfill_hole`` events, which no golden sees.
-    "static_backfill": "3fec617226d8ad8752b465a01cc1cf2d845fc20bc35101752199bc01e0bae9e5",
+    "static_backfill": "136a76914f7d5a797e63bfa972d20dbe4957e704a9ced415ecd3b37865ca339d",
 }
 
 

@@ -13,6 +13,7 @@ Tolerances only absorb the artifacts' print rounding (1 decimal in Table 1,
 
 from __future__ import annotations
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -25,7 +26,8 @@ from repro.experiments.scenario import (
     render_report,
     run_scenario,
 )
-from repro.experiments.sweep import SweepRunner
+from repro.experiments.sweep import SweepRunner, read_cached_run
+from repro.store import MemoryStore
 
 OUTPUT_DIR = Path(__file__).parent.parent / "benchmarks" / "output"
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
@@ -168,7 +170,7 @@ class TestScenarioGolden:
     @pytest.fixture(scope="class")
     def outcomes(self, tmp_path_factory):
         cache = tmp_path_factory.mktemp("scenario_golden_cache")
-        runner = SweepRunner(max_workers=2, cache_dir=cache)
+        runner = SweepRunner(max_workers=2, store=cache)
         fig46 = run_scenario(load_spec(EXAMPLES_DIR / "figure4-6_scenario.json"),
                              runner=runner)
         fig7 = run_scenario(load_spec(EXAMPLES_DIR / "figure7_scenario.json"),
@@ -186,3 +188,29 @@ class TestScenarioGolden:
     def test_fig7_fully_served_from_fig46_cache(self, outcomes):
         assert outcomes[0].sweep_cache_hits == 0
         assert outcomes[1].sweep_cache_hits == 2
+
+
+class TestRunBlobGolden:
+    """The stored form of a run is pinned byte for byte: a change to the
+    run-blob codec, or to any fact it stores, moves these digests."""
+
+    #: SHA-256 of each figure1-3 run blob at scale 0.02 (envelope included,
+    #: as ``sha256sum`` sees the stored file), by task key.
+    BLOB_DIGESTS = {
+        "workload1::DynAVGSD": "a8666bee7c049bd39490d311d3e9d3ff167d916f85553e0f361b1c7f8cf81d35",
+        "workload1::MAXSD 10": "467b2b8351c13045ab3bc398592f59079e3381413e980e115312099155f86f3a",
+        "workload1::MAXSD 5": "780fbf2fe50210001bbb693b9df6d0af873e4c778558e1834b159a5b96722876",
+        "workload1::MAXSD 50": "07837ceb61461a1bee808b05586decb34436909d681d0a23b1830724d4b4348b",
+        "workload1::MAXSD inf": "6bf2a390e1873097a1c218e65e02167971c74ee96dbf9d287941740491eb7b49",
+        "workload1::baseline": "c0dcb5e8b2af5a959b98a1d80c43b5e106207de90dfa089e35bc68f6d83bf107",
+    }
+
+    def test_figure_1_to_3_blobs_match_the_pinned_digests(self):
+        store = MemoryStore()
+        spec = builtin_scenario("figure1-3", scale=0.02)
+        run_scenario(spec, runner=SweepRunner(max_workers=1, store=store))
+        digests = {
+            read_cached_run(store, key)["key"]: hashlib.sha256(store.get(key)).hexdigest()
+            for key in store.list()
+        }
+        assert digests == self.BLOB_DIGESTS

@@ -394,7 +394,7 @@ class TestExecution:
             assert cell.normalized["avg_slowdown"] == pytest.approx(expected)
 
     def test_runner_cache_is_hit_on_rerun(self, workload, tmp_path):
-        runner = SweepRunner(max_workers=1, cache_dir=tmp_path)
+        runner = SweepRunner(max_workers=1, store=tmp_path)
         first = run_scenario(_spec(), runner=runner, workloads=workload)
         assert first.sweep_cache_hits == 0
         second = run_scenario(_spec(), runner=runner, workloads=workload)
@@ -563,7 +563,7 @@ class TestShardedScenario:
         from repro.experiments.sweep import ShardedExecutor
 
         runner = SweepRunner(
-            max_workers=1, cache_dir=tmp_path / "c", executor=ShardedExecutor(0, 2)
+            max_workers=1, store=tmp_path / "c", executor=ShardedExecutor(0, 2)
         )
         outcome = run_scenario(_spec(), runner=runner, workloads=workload)
         assert not outcome.complete

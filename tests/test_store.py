@@ -21,7 +21,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.executors import MergeExecutor, ShardedExecutor
-from repro.experiments.sweep import SweepRunner, SweepTask, task_cache_key
+from repro.experiments.sweep import SweepRunner, SweepTask, encode_run, task_cache_key
 from repro.store import (
     BlobIntegrityError,
     LocalFSStore,
@@ -89,16 +89,21 @@ def golden(tasks):
     return SweepRunner(max_workers=1).run(tasks)
 
 
-def _run_bytes(result):
-    """Canonical pickle bytes per run, with the legitimately
-    non-deterministic fields (the run's own wall-clock timings) zeroed."""
-    out = {}
-    for entry in result.entries:
-        clone = pickle.loads(pickle.dumps(entry.run))
-        clone.wall_clock_seconds = 0.0
-        clone.phases = {}
-        out[entry.key] = pickle.dumps(clone)
-    return out
+@pytest.fixture(scope="module")
+def golden_blobs(tasks, golden):
+    """The run blob every execution path must store for each task."""
+    return {key: wrap_blob(payload)[0] for key, payload in _run_bytes(golden, tasks).items()}
+
+
+def _run_bytes(result, tasks):
+    """Each entry's run blob payload, as the sweep stores it."""
+    by_key = {task.resolved_key(): task for task in tasks}
+    return {entry.key: encode_run(by_key[entry.key], entry.run) for entry in result.entries}
+
+
+def _stored_blobs(store, tasks):
+    """The stored bytes of each task's run blob."""
+    return {task.resolved_key(): store.get(task_cache_key(task)) for task in tasks}
 
 
 # --------------------------------------------------------------------- #
@@ -257,14 +262,47 @@ class TestProtocol:
 # --------------------------------------------------------------------- #
 class TestSweepInterchangeability:
     def test_sweep_is_byte_identical_through_every_backend(
-        self, store_url, tasks, golden
+        self, store_url, tasks, golden, golden_blobs
     ):
         first = SweepRunner(max_workers=1, store=store_url).run(tasks)
         assert first.cache_hits == 0
+        assert _stored_blobs(open_store(store_url), tasks) == golden_blobs
         second = SweepRunner(max_workers=1, store=store_url).run(tasks)
         assert second.cache_hits == len(tasks)
-        assert _run_bytes(first) == _run_bytes(golden)
-        assert _run_bytes(second) == _run_bytes(golden)
+        assert _run_bytes(first, tasks) == _run_bytes(golden, tasks)
+        # A cache hit decodes to a run that encodes back to the stored bytes.
+        assert _run_bytes(second, tasks) == _run_bytes(golden, tasks)
+
+    def test_every_execution_path_stores_the_same_blob_sha256(
+        self, tmp_path, tasks, golden_blobs
+    ):
+        """Two fresh runs, one and two workers, a serial run and a 2-shard
+        run plus merge, and a fresh run and a re-run all store blobs with
+        the same SHA-256: a blob holds no timing and no pickle memo."""
+
+        def digests(store):
+            return {
+                key: hashlib.sha256(blob).hexdigest()
+                for key, blob in _stored_blobs(store, tasks).items()
+            }
+
+        serial, again, rerun = MemoryStore(), MemoryStore(), MemoryStore()
+        for store in (serial, again, rerun):
+            SweepRunner(max_workers=1, store=store).run(tasks)
+        pooled = LocalFSStore(tmp_path / "pooled")
+        SweepRunner(max_workers=2, store=pooled).run(tasks)
+        sharded = LocalFSStore(tmp_path / "sharded")
+        for i in range(2):
+            SweepRunner(max_workers=1, store=sharded, executor=ShardedExecutor(i, 2)).run(tasks)
+        assert SweepRunner(max_workers=1, store=sharded, executor=MergeExecutor()).run(
+            tasks
+        ).complete
+        # A traced sweep re-executes every cached run that lacks its trace
+        # and overwrites its blob.
+        assert SweepRunner(max_workers=1, store=rerun, trace=True).run(tasks).cache_hits == 0
+        expected = {key: hashlib.sha256(blob).hexdigest() for key, blob in golden_blobs.items()}
+        for store in (serial, again, pooled, sharded, rerun):
+            assert digests(store) == expected, store.url
 
     def test_shard_merge_round_trip_is_byte_identical(
         self, store_url, tasks, golden
@@ -279,7 +317,7 @@ class TestSweepInterchangeability:
         ).run(tasks)
         assert merged.complete
         assert [e.key for e in merged.entries] == [t.resolved_key() for t in tasks]
-        assert _run_bytes(merged) == _run_bytes(golden)
+        assert _run_bytes(merged, tasks) == _run_bytes(golden, tasks)
         store = open_store(store_url)
         assert len(store.list()) == len(tasks)
         assert len(store.list_manifests()) == 2
@@ -295,7 +333,7 @@ class TestSweepInterchangeability:
         assert result.cache_hits == len(tasks) - 1
         assert result.cache_corruptions == 1
         assert store.list_quarantined() == [victim]
-        assert _run_bytes(result) == _run_bytes(golden)
+        assert _run_bytes(result, tasks) == _run_bytes(golden, tasks)
         # The rewrite healed the entry: no corruption on the next pass.
         third = SweepRunner(max_workers=1, store=store_url).run(tasks)
         assert third.cache_hits == len(tasks)
@@ -377,8 +415,8 @@ class TestOpenStore:
         try:
             explicit = resolve_store(store="memory://precedence")
             assert isinstance(explicit, MemoryStore)
-            via_cache_dir = resolve_store(cache_dir=tmp_path / "dir")
-            assert via_cache_dir.root == tmp_path / "dir"
+            via_path = resolve_store(store=tmp_path / "dir")
+            assert via_path.root == tmp_path / "dir"
             via_env = resolve_store()
             assert via_env.root == tmp_path / "env"
             monkeypatch.delenv("REPRO_STORE_URL")
@@ -390,7 +428,7 @@ class TestOpenStore:
         monkeypatch.setenv("REPRO_STORE_URL", f"file://{tmp_path / 'envcache'}")
         runner = SweepRunner(max_workers=1)
         assert isinstance(runner.store, LocalFSStore)
-        assert runner.cache_dir == tmp_path / "envcache"
+        assert runner.store.root == tmp_path / "envcache"
 
     def test_store_instance_passes_through(self, tmp_path):
         store = LocalFSStore(tmp_path)
@@ -580,7 +618,7 @@ class TestLifecycle:
             max_workers=1, store=store_url, executor=MergeExecutor()
         ).run(tasks)
         assert merged.complete
-        assert _run_bytes(merged) == _run_bytes(golden)
+        assert _run_bytes(merged, tasks) == _run_bytes(golden, tasks)
 
     def test_gc_dry_run_mutates_nothing(self, store_url, tasks):
         SweepRunner(
@@ -666,8 +704,8 @@ class TestLifecycle:
         assert store.get(victim) == tampered
 
     def test_cache_load_verifies_digest_on_read(self, store_url, tasks, golden):
-        """A forged digest is caught by the read path even when the pickled
-        payload itself still loads — the sweep recomputes the task."""
+        """A forged digest is caught by the read path even when the
+        payload itself still decodes — the sweep recomputes the task."""
         SweepRunner(max_workers=1, store=store_url).run(tasks)
         store = open_store(store_url)
         victim = task_cache_key(tasks[2])
@@ -681,7 +719,7 @@ class TestLifecycle:
         assert result.cache_hits == len(tasks) - 1
         assert result.cache_corruptions == 1
         assert store.list_quarantined() == [victim]
-        assert _run_bytes(result) == _run_bytes(golden)
+        assert _run_bytes(result, tasks) == _run_bytes(golden, tasks)
 
     def test_pre_envelope_blobs_still_load(self, store_url, tasks, golden):
         """Blobs written before the envelope existed no longer load: verify
@@ -700,7 +738,7 @@ class TestLifecycle:
         result = SweepRunner(max_workers=1, store=store_url).run(tasks)
         assert result.cache_hits == 0
         assert result.cache_corruptions == len(tasks)
-        assert _run_bytes(result) == _run_bytes(golden)
+        assert _run_bytes(result, tasks) == _run_bytes(golden, tasks)
         assert verify(store).clean
 
     def test_verify_reports_drift_against_manifest_digest(self, tmp_path):

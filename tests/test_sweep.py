@@ -76,9 +76,9 @@ class TestSerialParallelEquivalence:
 
 class TestCache:
     def test_cache_hit_skips_resimulation(self, tasks, tmp_path):
-        first = SweepRunner(max_workers=1, cache_dir=tmp_path).run(tasks)
+        first = SweepRunner(max_workers=1, store=tmp_path).run(tasks)
         assert first.cache_hits == 0
-        second = SweepRunner(max_workers=1, cache_dir=tmp_path).run(tasks)
+        second = SweepRunner(max_workers=1, store=tmp_path).run(tasks)
         assert second.cache_hits == len(tasks)
         assert all(e.from_cache for e in second.entries)
         for key in first.runs:
@@ -118,53 +118,51 @@ class TestCache:
         assert task_cache_key(make()) == task_cache_key(make())
 
     def test_corrupt_cache_entry_is_a_miss(self, tasks, tmp_path):
-        runner = SweepRunner(max_workers=1, cache_dir=tmp_path)
+        runner = SweepRunner(max_workers=1, store=tmp_path)
         runner.run(tasks)
         for path in tmp_path.glob("*.pkl"):
             path.write_bytes(b"not a pickle")
-        result = SweepRunner(max_workers=1, cache_dir=tmp_path).run(tasks)
+        result = SweepRunner(max_workers=1, store=tmp_path).run(tasks)
         assert result.cache_hits == 0
 
     def test_corrupt_cache_entry_is_quarantined_and_counted(self, tasks, tmp_path):
         """A torn pickle is moved aside (never retried) and counted
         distinctly from an ordinary miss, so one bad write cannot poison
         every subsequent (sharded) run."""
-        SweepRunner(max_workers=1, cache_dir=tmp_path).run(tasks)
+        SweepRunner(max_workers=1, store=tmp_path).run(tasks)
         for path in tmp_path.glob("*.pkl"):
             path.write_bytes(b"\x80\x04 torn write")
-        second = SweepRunner(max_workers=1, cache_dir=tmp_path).run(tasks)
+        second = SweepRunner(max_workers=1, store=tmp_path).run(tasks)
         assert second.cache_hits == 0
         assert second.cache_corruptions == len(tasks)
         quarantined = list(tmp_path.glob("*.pkl.corrupt"))
         assert len(quarantined) == len(tasks)
         # The rerun rewrote good entries: the third run is all hits, no
         # corruption is re-reported, and the quarantine files are inert.
-        third = SweepRunner(max_workers=1, cache_dir=tmp_path).run(tasks)
+        third = SweepRunner(max_workers=1, store=tmp_path).run(tasks)
         assert third.cache_hits == len(tasks)
         assert third.cache_corruptions == 0
 
     def test_stale_format_is_miss_not_corruption(self, tasks, tmp_path):
-        import pickle as _pickle
-
         from repro.store import unwrap_blob, wrap_blob
 
-        runner = SweepRunner(max_workers=1, cache_dir=tmp_path)
+        runner = SweepRunner(max_workers=1, store=tmp_path)
         runner.run(tasks)
         for path in tmp_path.glob("*.pkl"):
-            payload = _pickle.loads(unwrap_blob(path.read_bytes())[0])
-            payload["format"] = -1
-            path.write_bytes(wrap_blob(_pickle.dumps(payload))[0])
-        result = SweepRunner(max_workers=1, cache_dir=tmp_path).run(tasks)
+            payload = unwrap_blob(path.read_bytes())[0]
+            assert payload.startswith(b'{"format":7,')
+            path.write_bytes(wrap_blob(b'{"format":-1,' + payload[len(b'{"format":7,'):])[0])
+        result = SweepRunner(max_workers=1, store=tmp_path).run(tasks)
         assert result.cache_hits == 0
         assert result.cache_corruptions == 0
         assert not list(tmp_path.glob("*.pkl.corrupt"))
 
     def test_progress_callback_reports_cache_hits(self, tasks, tmp_path):
-        SweepRunner(max_workers=1, cache_dir=tmp_path).run(tasks)
+        SweepRunner(max_workers=1, store=tmp_path).run(tasks)
         events = []
         SweepRunner(
             max_workers=1,
-            cache_dir=tmp_path,
+            store=tmp_path,
             progress=lambda done, total, entry: events.append(
                 (done, total, entry.key, entry.from_cache)
             ),
@@ -377,7 +375,7 @@ class TestTaskDefaults:
 
 class TestPaperIntegration:
     def test_figure_1_to_3_accepts_runner(self, workload, tmp_path):
-        runner = SweepRunner(max_workers=2, cache_dir=tmp_path)
+        runner = SweepRunner(max_workers=2, store=tmp_path)
         spec = builtin_scenario("figure1-3")
         spec.grid = {"max_slowdown": [
             p for p in spec.grid["max_slowdown"] if p.label == "MAXSD 10"
@@ -389,7 +387,7 @@ class TestPaperIntegration:
         assert first.normalized() == second.normalized()
 
     def test_table_1_accepts_runner(self, tmp_path):
-        runner = SweepRunner(max_workers=2, cache_dir=tmp_path)
+        runner = SweepRunner(max_workers=2, store=tmp_path)
         spec = builtin_scenario("table1", scale=0.01, workload_ids=(3,))
         result = run_scenario(spec, runner=runner)
         assert "workload3" in result.baselines
