@@ -260,10 +260,23 @@ class SDPolicyScheduler(BackfillScheduler):
         self.cutoff.update(sim)
         profile = sim.availability_profile()
         est_start = profile.earliest_start(job.requested_nodes, job.requested_time)
-        work_ahead = self.running_requested_work(sim)
-        for other in sim.pending.ordered():
-            if other.job_id != job.job_id:
-                work_ahead += other.requested_cpus * other.requested_time
+        mall_end = sim.now + self.selector.estimated_guest_runtime(job)
+        if (
+            sim.trace is None
+            and math.isfinite(est_start)
+            and est_start + job.requested_time > mall_end
+        ):
+            # The static estimate is the larger of the profile's start and
+            # the work-ahead bound, so the profile alone already sends the
+            # job on to mate selection: the sum could not change a decision.
+            # A traced run still takes it, since ``mate_rejected`` records
+            # the static end.
+            work_ahead = 0.0
+        else:
+            work_ahead = self.running_requested_work(sim)
+            for other in sim.pending.ordered():
+                if other.job_id != job.job_id:
+                    work_ahead += other.requested_cpus * other.requested_time
         self.try_malleable_start(sim, job, profile, est_start, work_ahead)
 
     def _apply_selection(self, sim: "Simulation", guest: Job, selection: MateSelection) -> None:

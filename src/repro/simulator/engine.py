@@ -1,8 +1,9 @@
 """Discrete-event engine: event types, the event and the event queue.
 
-The engine is intentionally tiny — a binary heap keyed by ``(time, priority,
-serial)`` — because the complexity of the reproduction lives in the
-schedulers, not in the event plumbing.  Events are never removed from the
+The engine is intentionally tiny — a binary heap of ``(time, priority,
+serial, event)`` tuples, which compare in C and never reach the event since
+the serial is unique — because the complexity of the reproduction lives in
+the schedulers, not in the event plumbing.  Events are never removed from the
 heap; instead, components that reschedule work (e.g. a job whose end time
 moved because it was shrunk) bump a *serial* number on the job, and the
 simulation's one stale-end rule
@@ -18,8 +19,8 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 
 class EventType(enum.IntEnum):
@@ -36,23 +37,23 @@ class EventType(enum.IntEnum):
     SCHEDULE = 2
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Event:
     """A single simulation event.
 
-    Events order by ``(time, type priority, serial)``; the payload is not
-    part of the ordering.
+    The queue orders events by ``(time, type priority, serial)``; the
+    payload is not part of the ordering.
     """
 
     time: float
     type_priority: int
     serial: int
-    event_type: EventType = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    event_type: EventType
+    payload: Any = None
     # For JOB_END events: the job's ``end_event_serial`` at scheduling time.
     # A mismatch at pop time means the job was reconfigured and this event is
     # stale.
-    validity_token: int = field(compare=False, default=0)
+    validity_token: int = 0
 
 
 class EventQueue:
@@ -64,14 +65,14 @@ class EventQueue:
     """
 
     def __init__(self, is_stale: Optional[Callable[[Event], bool]] = None) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._is_stale = is_stale
 
     def _discard_stale(self) -> None:
         heap, is_stale = self._heap, self._is_stale
         if is_stale is not None:
-            while heap and is_stale(heap[0]):
+            while heap and is_stale(heap[0][3]):
                 heapq.heappop(heap)
 
     def __len__(self) -> int:
@@ -90,45 +91,43 @@ class EventQueue:
         """Add an event; returns the created :class:`Event`."""
         if time != time or time < 0:  # NaN or negative
             raise ValueError(f"invalid event time {time!r}")
-        event = Event(
-            time=time,
-            type_priority=int(event_type),
-            serial=next(self._counter),
-            event_type=event_type,
-            payload=payload,
-            validity_token=validity_token,
-        )
-        heapq.heappush(self._heap, event)
+        priority = int(event_type)
+        serial = next(self._counter)
+        event = Event(time, priority, serial, event_type, payload, validity_token)
+        heapq.heappush(self._heap, (time, priority, serial, event))
         return event
 
     def pop(self) -> Event:
         """Remove and return the earliest live event."""
         self._discard_stale()
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[3]
 
-    def pop_batch(self) -> List[Event]:
+    def pop_batch(self, until: Optional[float] = None) -> List[Event]:
         """Pop every live event sharing the earliest timestamp, in order.
 
         The heap already yields ``(time, type priority, serial)`` order, so
         the returned batch needs no re-sort: within one instant, ends come
         first, then submits, then schedule markers, FIFO within each kind.
-        Returns an empty list when no live events remain.
+        Returns an empty list when no live events remain, or when the
+        earliest lies after ``until``.
         """
         self._discard_stale()
         heap = self._heap
         if not heap:
             return []
-        first_time = heap[0].time
+        first_time = heap[0][0]
+        if until is not None and first_time > until:
+            return []
         batch: List[Event] = []
-        while heap and heap[0].time == first_time:
-            batch.append(heapq.heappop(heap))
+        while heap and heap[0][0] == first_time:
+            batch.append(heapq.heappop(heap)[3])
             self._discard_stale()
         return batch
 
     def peek(self) -> Optional[Event]:
         """Return the earliest live event without removing it (or ``None``)."""
         self._discard_stale()
-        return self._heap[0] if self._heap else None
+        return self._heap[0][3] if self._heap else None
 
     def drain(self) -> Iterator[Event]:
         """Pop every remaining live event in order (used by tests)."""

@@ -32,9 +32,25 @@ When only time advances it trims the cached base with
 rebuilds the same profile from the jobs themselves and is the reference the
 ledger is tested against.
 
+A backfill pass reserves right where its probe landed: a successful
+:meth:`ReservationMap.earliest_start` remembers the index of the start it
+found, always an existing change point, and of the first point at or after
+the slot's end, and an :meth:`ReservationMap.add_reservation` of that same
+slot, with no update in between, splits and subtracts at those indices
+without bisecting for either point again.
+
+A pass may also carry its final profile over to the next pass of the same
+run (see :meth:`repro.schedulers.backfill.BackfillScheduler.schedule`).
+When the running set has not changed, :meth:`ReservationMap.advance`
+moves that profile to the new ``now``, which equals a fresh build plus the
+same reservations; and since an earliest start always falls on a change
+point, a reservation found before still lands where a probe would find it
+now, as long as it starts after the new ``now``.
+
 ``_free`` holds *unclipped* counts: over-reservation may drive them below 0
 and releases may push them above ``total_nodes``.  Keeping the raw sums makes
-every update a plain addition that later updates can undo exactly.  Only the
+every update a plain addition that later updates can undo exactly:
+:meth:`ReservationMap.remove_reservation` gives a reservation back.  Only the
 readers that report a count (:meth:`free_nodes_at`, :meth:`profile`) clip it
 to ``[0, total_nodes]``.  :meth:`earliest_start` compares the raw counts,
 which gives the same answer: it only compares against a ``nodes_needed`` in
@@ -67,7 +83,7 @@ class ReservationMap:
         expected to become free (a running job's predicted end).
     """
 
-    __slots__ = ("total_nodes", "now", "_times", "_free")
+    __slots__ = ("total_nodes", "now", "_times", "_free", "_landing")
 
     def __init__(
         self,
@@ -145,6 +161,7 @@ class ReservationMap:
                 free[-1] = level
         self._times = times
         self._free = free
+        self._landing: Optional[Tuple[int, int, float]] = None
 
     # ------------------------------------------------------------------ #
     def copy(self) -> "ReservationMap":
@@ -156,6 +173,7 @@ class ReservationMap:
         clone.now = self.now
         clone._times = self._times[:]
         clone._free = self._free[:]
+        clone._landing = None
         return clone
 
     def advance(self, now: float) -> None:
@@ -173,6 +191,7 @@ class ReservationMap:
         del self._free[:idx]
         self._times[0] = now
         self.now = now
+        self._landing = None
 
     def _split(self, time: float) -> int:
         """Index of the change point at ``time`` (``>= now``), inserting one
@@ -188,6 +207,7 @@ class ReservationMap:
         """Record that ``nodes`` nodes become free at ``time``."""
         if nodes <= 0:
             return
+        self._landing = None
         free = self._free
         idx = self._split(max(time, self.now))
         free[idx:] = [f + nodes for f in free[idx:]]
@@ -198,17 +218,41 @@ class ReservationMap:
         Used during a backfill pass to account for jobs the current pass has
         already decided to start (or reserved a future slot for), so later
         candidates in the same pass see a consistent picture.  A non-finite
-        ``duration`` reserves the nodes for good.
+        ``duration`` reserves the nodes for good.  The slot the last
+        :meth:`earliest_start` found is placed at the indices that probe
+        already holds.
         """
-        if nodes <= 0:
-            return
+        if nodes > 0:
+            self._shift(start, duration, -nodes)
+
+    def remove_reservation(self, start: float, duration: float, nodes: int) -> None:
+        """Give back a reservation made with the same arguments.
+
+        The counts are plain sums, so the free-node counts return exactly to
+        what they were before :meth:`add_reservation`; only the change
+        points it split stay, carrying equal counts.
+        """
+        if nodes > 0:
+            self._shift(start, duration, nodes)
+
+    def _shift(self, start: float, duration: float, delta: int) -> None:
+        """Add ``delta`` to the free count over ``[start, start+duration)``."""
         if duration < 0:
             raise ValueError(f"negative reservation duration {duration}")
         free = self._free
         start = max(start, self.now)
-        lo = self._split(start)
-        hi = self._split(start + duration) if math.isfinite(duration) else len(free)
-        free[lo:hi] = [f - nodes for f in free[lo:hi]]
+        landing, self._landing = self._landing, None
+        if landing is not None and landing[2] == duration and self._times[landing[0]] == start:
+            lo, hi = landing[0], landing[1]
+            times = self._times
+            end = start + duration
+            if hi == len(times) or times[hi] != end:
+                times.insert(hi, end)
+                free.insert(hi, free[hi - 1])
+        else:
+            lo = self._split(start)
+            hi = self._split(start + duration) if math.isfinite(duration) else len(free)
+        free[lo:hi] = [f + delta for f in free[lo:hi]]
 
     # ------------------------------------------------------------------ #
     def _clip(self, free: int) -> int:
@@ -235,6 +279,10 @@ class ReservationMap:
         temporarily take nodes away).  Returns ``math.inf`` when the request
         can never be satisfied (more nodes than the cluster has, or the
         profile never frees enough).
+
+        A start found for a finite ``duration`` is remembered, with the
+        first change point at or after its end, for a following
+        :meth:`add_reservation` of that slot.
         """
         if nodes_needed > self.total_nodes:
             return math.inf
@@ -259,6 +307,8 @@ class ReservationMap:
                     break
                 probe += 1
             else:
+                # ``probe`` is the first point at or after a nonempty slot's end.
+                self._landing = (idx, probe if end > times[idx] else idx, duration)
                 return float(times[idx])
             # Every start up to the violation also fails; jump past it.
             idx = probe + 1

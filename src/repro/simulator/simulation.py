@@ -164,6 +164,10 @@ class Simulation:
         # receive copies.
         self._base_profile: Optional[ReservationMap] = None
         self._base_key: Tuple[int, int] = (-1, -1)
+        #: What the scheduler's last backfill pass left for the next one
+        #: (:class:`repro.schedulers.backfill.PassCarry`): kept here so it
+        #: lives exactly as long as the run.
+        self.pass_carry = None
 
         if hasattr(self.scheduler, "bind"):
             self.scheduler.bind(self)
@@ -255,6 +259,14 @@ class Simulation:
         been reconfigured since the last request; when only time has
         advanced, the cached base is trimmed to the new ``now`` instead.
         Callers always receive a private copy they may add reservations to.
+
+        A backfill pass asks for it only at the first job the cluster
+        refuses: until then its profile never decreases, so
+        ``cluster.can_allocate`` alone decides a start.  When the pass
+        before it left a reusable profile in :attr:`pass_carry` (same
+        :attr:`allocation_version`, no malleable start, its reserved jobs a
+        prefix of the window, each reserved start after ``now``), the pass
+        advances that one instead and asks for none.
         """
         free_now = self.cluster.num_free_nodes
         base = self._base_profile
@@ -451,12 +463,13 @@ class Simulation:
             or event.validity_token != job.end_event_serial
         )
 
-    def step(self) -> bool:
-        """Process the next batch of simultaneous events; returns False when done."""
+    def step(self, until: Optional[float] = None) -> bool:
+        """Process the next batch of simultaneous events; returns False when
+        none is left (at or before ``until``, when given)."""
         self._advance_submissions()
         # The heap yields (time, type priority, serial) order, so the batch
         # arrives already sorted: ends, then submits, then schedule markers.
-        batch = self.events.pop_batch()
+        batch = self.events.pop_batch(until)
         if not batch:
             return False
         self.now = batch[0].time
@@ -483,14 +496,8 @@ class Simulation:
 
     def run(self, until: Optional[float] = None) -> SimulationResult:
         """Run the simulation to completion (or until ``until``)."""
-        while True:
-            self._advance_submissions()
-            nxt = self.events.peek()
-            if nxt is None:
-                break
-            if until is not None and nxt.time > until:
-                break
-            self.step()
+        while self.step(until):
+            pass
         return self.result()
 
     # ------------------------------------------------------------------ #

@@ -104,6 +104,13 @@ class TestPopBatch:
         assert [e.payload for e in q.drain()] == ["new"]
         assert not q
 
+    def test_batch_after_until_stays_queued(self):
+        q = EventQueue(is_stale=lambda event: event.payload == "old")
+        q.push(1.0, EventType.JOB_END, payload="old")  # stale: does not define the instant
+        q.push(5.0, EventType.JOB_SUBMIT, payload="s")
+        assert q.pop_batch(until=3.0) == []
+        assert [e.payload for e in q.pop_batch(until=5.0)] == ["s"]
+
 
 # ---------------------------------------------------------------------- #
 # Property tests: order under reconfiguration storms

@@ -45,6 +45,27 @@ class TestBasics:
 
 
 class TestReservations:
+    def test_reservation_lands_where_the_probe_found_it(self, monkeypatch):
+        profile = ReservationMap(
+            total_nodes=6, now=0.0, free_now=1, releases=[(10.0, 2), (20.0, 3)]
+        )
+        fresh = profile.copy()
+        splits = []
+        split = ReservationMap._split
+        monkeypatch.setattr(
+            ReservationMap, "_split", lambda self, time: splits.append(time) or split(self, time)
+        )
+        start = profile.earliest_start(3, 15.0)
+        assert start == 10.0
+        profile.add_reservation(start, 15.0, 3)
+        assert splits == []  # neither the start nor the end bisected again
+        fresh.add_reservation(10.0, 15.0, 3)
+        assert profile.profile() == fresh.profile() == [
+            (0.0, 1), (10.0, 0), (20.0, 3), (25.0, 6)
+        ]
+        profile.remove_reservation(10.0, 15.0, 3)
+        assert profile.profile() == [(0.0, 1), (10.0, 3), (20.0, 6), (25.0, 6)]
+
     def test_reservation_blocks_interval(self):
         profile = ReservationMap(total_nodes=10, now=0.0, free_now=10)
         profile.add_reservation(start=100.0, duration=50.0, nodes=8)
@@ -167,6 +188,14 @@ class NaiveProfile:
         if math.isfinite(duration):
             self.events.append((start + duration, nodes))
 
+    def remove_reservation(self, start, duration, nodes):
+        if nodes <= 0:
+            return
+        start = max(start, self.now)
+        self.events.append((start, nodes))
+        if math.isfinite(duration):
+            self.events.append((start + duration, -nodes))
+
     def points(self):
         return sorted({self.now} | {time for time, _ in self.events})
 
@@ -209,10 +238,15 @@ DURATIONS = st.sampled_from([0.0, 2.5, 5.0, 10.0, 17.5, 20.0, math.inf])
 # cluster size (releases); non-positive counts must be no-ops.
 NODES = st.integers(-1, 2 * TOTAL)
 TARGET = st.integers(0, 7)
+# "probe" only looks; "place" reserves where its probe landed, as a
+# backfill pass does; "unreserve" gives a slot back.
 OPERATIONS = st.lists(
     st.one_of(
         st.tuples(st.just("release"), TARGET, INSTANTS, NODES),
         st.tuples(st.just("reserve"), TARGET, INSTANTS, DURATIONS, NODES),
+        st.tuples(st.just("unreserve"), TARGET, INSTANTS, DURATIONS, NODES),
+        st.tuples(st.just("probe"), TARGET, NODES, DURATIONS),
+        st.tuples(st.just("place"), TARGET, NODES, DURATIONS),
         st.tuples(st.just("copy"), TARGET),
     ),
     max_size=14,
@@ -230,9 +264,19 @@ def test_profile_matches_naive_reference(free_now, operations):
         elif kind == "release":
             fast.add_release(*args)
             slow.add_release(*args)
-        else:
+        elif kind == "reserve":
             fast.add_reservation(*args)
             slow.add_reservation(*args)
+        elif kind == "unreserve":
+            fast.remove_reservation(*args)
+            slow.remove_reservation(*args)
+        else:
+            nodes, duration = args
+            start = fast.earliest_start(nodes, duration)
+            assert start == slow.earliest_start(nodes, duration)
+            if kind == "place" and math.isfinite(start):
+                fast.add_reservation(start, duration, nodes)
+                slow.add_reservation(start, duration, nodes)
     for fast, slow in pairs:
         assert fast.profile() == slow.profile()
         probes = [NOW - 1.0] + [t for t, _ in slow.profile()] + [17.0, 100.0]
