@@ -36,8 +36,8 @@ def run_with_malleable_fraction(fraction: float, seed: int = 123):
         num_jobs=300, system_nodes=32, cpus_per_node=48, max_job_nodes=8,
         target_load=1.1, seed=7, name="mixed",
     ).generate()
-    # MareNostrum4-like nodes: 2 sockets x 24 cores, 96 GB.
-    cluster = Cluster(num_nodes=32, sockets=2, cores_per_socket=24, memory_gb=96.0)
+    # MareNostrum4-like nodes: 2 sockets x 24 cores.
+    cluster = Cluster(num_nodes=32, sockets=2, cores_per_socket=24)
     scheduler = SDPolicyScheduler(SDPolicyConfig(max_slowdown="dynamic", sharing_factor=0.5))
     sim = Simulation(cluster, scheduler, runtime_model=IdealRuntimeModel())
     jobs = workload.to_jobs(cpus_per_node=48, malleable_fraction=fraction, seed=seed)

@@ -24,7 +24,7 @@ setup(
     description="Reproduction of SD-Policy, slowdown-driven scheduling of malleable jobs",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    python_requires=">=3.8",
+    python_requires=">=3.10",
     install_requires=["numpy"],
     entry_points={"console_scripts": ["repro-sdpolicy = repro.cli:main"]},
 )

@@ -145,11 +145,11 @@ class ApplicationAwareRuntimeModel(RuntimeModel):
         self._job_lookup = job_lookup
 
     # ------------------------------------------------------------------ #
-    def _co_runner_intensities(self, job: Job, node_ids: Iterable[int]) -> list:
+    def _co_runner_intensities(self, job: Job, nodes: Iterable[int]) -> list:
         intensities = []
         if self.cluster is None:
             return intensities
-        for nid in node_ids:
+        for nid in nodes:
             node = self.cluster.node(nid)
             for other_id in node.jobs:
                 if other_id == job.job_id:

@@ -2,10 +2,15 @@
 
 A :class:`Job` carries both the *static* description of a job (what the user
 submitted: node count, requested wall-clock time, malleability flag) and the
-*dynamic* execution state maintained by the simulator (allocated nodes, the
-per-interval resource history used by the runtime models of Section 3.4 of
-the paper, progress accounting, and the timing fields from which slowdown and
-response time are derived).
+*dynamic* execution state maintained by the simulator (the per-interval
+resource history used by the runtime models of Section 3.4 of the paper,
+progress accounting, and the timing fields from which slowdown and response
+time are derived).
+
+A configuration is stored once, in the open (last, unended) slot of the
+resource history: :attr:`Job.assigned_cpus` and :attr:`Job.current_speed`
+read it, and :meth:`Job.reconfigure` is the only writer of both the slot
+and :attr:`Job.allocated_nodes`, the sorted ids of the nodes it names.
 
 Progress accounting
 -------------------
@@ -98,7 +103,7 @@ class Job:
         Number of MPI ranks per node; a malleable job can never shrink below
         one CPU per rank (Section 3.3 of the paper).
     user / group / application:
-        Optional metadata carried through from workload logs.
+        Optional fields carried through from workload logs.
     """
 
     __slots__ = (
@@ -117,9 +122,7 @@ class Job:
         "start_time",
         "end_time",
         "allocated_nodes",
-        "assigned_cpus",
         "work_remaining",
-        "current_speed",
         "last_progress_update",
         "resource_history",
         "guest_of",
@@ -127,8 +130,6 @@ class Job:
         "scheduled_malleable",
         "was_mate",
         "end_event_serial",
-        "priority",
-        "metadata",
     )
 
     def __init__(
@@ -144,8 +145,6 @@ class Job:
         user: int = 0,
         group: int = 0,
         application: Optional[str] = None,
-        priority: Optional[float] = None,
-        metadata: Optional[dict] = None,
     ) -> None:
         if requested_nodes <= 0:
             raise ValueError(f"job {job_id}: requested_nodes must be > 0")
@@ -169,19 +168,16 @@ class Job:
         self.user = user
         self.group = group
         self.application = application
-        self.priority = priority if priority is not None else -submit_time
-        self.metadata = metadata or {}
 
         # Dynamic state.
         self.state = JobState.PENDING
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
+        # Ids of the nodes of the latest configuration (kept after the job
+        # ends, so the cluster can release them).
         self.allocated_nodes: List[int] = []
-        # node_id -> cpus currently assigned on that node.
-        self.assigned_cpus: Dict[int, int] = {}
         # Remaining work in "static seconds".
         self.work_remaining: float = float(static_runtime)
-        self.current_speed: float = 0.0
         self.last_progress_update: float = float(submit_time)
         self.resource_history: List[ResourceSlot] = []
         # Malleable bookkeeping: if this job was started as a guest on shrunk
@@ -264,6 +260,35 @@ class Job:
         return max(1.0, resp / max(self.static_runtime, tau))
 
     # ------------------------------------------------------------------ #
+    # The current configuration: views of the open resource slot
+    # ------------------------------------------------------------------ #
+    def _open_slot(self) -> Optional[ResourceSlot]:
+        history = self.resource_history
+        if history and math.isinf(history[-1].end):
+            return history[-1]
+        return None
+
+    @property
+    def assigned_cpus(self) -> Dict[int, int]:
+        """``node_id -> CPUs`` of the current configuration (empty when the
+        job holds none).  Read it only: :meth:`reconfigure` replaces it."""
+        slot = self._open_slot()
+        return slot.cpus_per_node if slot is not None else {}
+
+    @property
+    def current_speed(self) -> float:
+        """Progress rate of the current configuration (0.0 when none)."""
+        slot = self._open_slot()
+        return slot.speed if slot is not None else 0.0
+
+    def _close_open_slot(self, now: float) -> None:
+        slot = self._open_slot()
+        if slot is not None:
+            self.resource_history[-1] = ResourceSlot(
+                start=slot.start, end=now, cpus_per_node=slot.cpus_per_node, speed=slot.speed
+            )
+
+    # ------------------------------------------------------------------ #
     # Progress accounting
     # ------------------------------------------------------------------ #
     def advance_progress(self, now: float) -> None:
@@ -295,19 +320,13 @@ class Job:
         if speed < 0:
             raise ValueError(f"job {self.job_id}: negative speed {speed}")
         self.advance_progress(now)
-        if self.resource_history and math.isinf(self.resource_history[-1].end):
-            last = self.resource_history[-1]
-            self.resource_history[-1] = ResourceSlot(
-                start=last.start,
-                end=now,
-                cpus_per_node=last.cpus_per_node,
-                speed=last.speed,
-            )
+        self._close_open_slot(now)
         self.resource_history.append(
-            ResourceSlot(start=now, end=math.inf, cpus_per_node=dict(cpus_per_node), speed=speed)
+            ResourceSlot(
+                start=now, end=math.inf, cpus_per_node=dict(cpus_per_node), speed=float(speed)
+            )
         )
-        self.assigned_cpus = dict(cpus_per_node)
-        self.current_speed = float(speed)
+        self.allocated_nodes = sorted(cpus_per_node)
         self.end_event_serial += 1
 
     def predicted_end_time(self, now: Optional[float] = None) -> float:
@@ -318,29 +337,28 @@ class Job:
         """
         if self.state is not JobState.RUNNING:
             return math.inf
+        speed = self.current_speed
         ref = self.last_progress_update if now is None else now
         if now is not None and now > self.last_progress_update:
-            remaining = max(
-                0.0, self.work_remaining - (now - self.last_progress_update) * self.current_speed
-            )
+            remaining = max(0.0, self.work_remaining - (now - self.last_progress_update) * speed)
         else:
             remaining = self.work_remaining
         if remaining <= 0:
             return ref
-        if self.current_speed <= 0:
+        if speed <= 0:
             return math.inf
-        return ref + remaining / self.current_speed
+        return ref + remaining / speed
 
     # ------------------------------------------------------------------ #
     # Lifecycle helpers used by the simulation driver
     # ------------------------------------------------------------------ #
-    def mark_started(self, now: float, nodes: List[int]) -> None:
-        """Transition PENDING -> RUNNING on the given nodes."""
+    def mark_started(self, now: float) -> None:
+        """Transition PENDING -> RUNNING; :meth:`reconfigure` then sets the
+        first configuration."""
         if self.state is not JobState.PENDING:
             raise RuntimeError(f"job {self.job_id}: cannot start from state {self.state}")
         self.state = JobState.RUNNING
         self.start_time = now
-        self.allocated_nodes = list(nodes)
         self.last_progress_update = now
 
     def mark_finished(self, now: float) -> None:
@@ -350,14 +368,7 @@ class Job:
         self.advance_progress(now)
         self.state = JobState.COMPLETED
         self.end_time = now
-        if self.resource_history and math.isinf(self.resource_history[-1].end):
-            last = self.resource_history[-1]
-            self.resource_history[-1] = ResourceSlot(
-                start=last.start,
-                end=now,
-                cpus_per_node=last.cpus_per_node,
-                speed=last.speed,
-            )
+        self._close_open_slot(now)
 
     # ------------------------------------------------------------------ #
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -3,17 +3,17 @@
 A :class:`Node` mirrors a MareNostrum4-style node: two (configurable)
 sockets, a fixed number of cores per socket, and a set of per-job CPU
 allocations.  In the *static* scheduling baseline a node is either free or
-exclusively owned by a single job.  Under SD-Policy a node may be *shared*
-between an owner (the original, shrunk "mate" job) and one or more guest
-jobs; the node tracks how many CPUs each job currently holds.
+held whole by a single job.  Under SD-Policy a node may be *shared* between
+a shrunk "mate" job and a guest; the node tracks how many CPUs each job
+currently holds.
 
-The scheduler-level node model tracks CPU counts and ownership only, not
-which exact core indices belong to which job.
+The node table is the cluster-side record of every allocation: it tracks
+CPU counts per job only, not which exact core indices belong to which job.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class NodeAllocationError(RuntimeError):
@@ -31,31 +31,18 @@ class Node:
         Number of CPU sockets (MareNostrum4 nodes have 2).
     cores_per_socket:
         Cores per socket (MareNostrum4: 24, for 48 cores per node).
-    memory_gb:
-        Main memory, used by the energy/interference models of the real-run
-        emulation; not consulted by the scheduler itself.
     """
 
-    __slots__ = ("node_id", "sockets", "cores_per_socket", "memory_gb", "allocations", "owner")
+    __slots__ = ("node_id", "sockets", "cores_per_socket", "allocations")
 
-    def __init__(
-        self,
-        node_id: int,
-        sockets: int = 2,
-        cores_per_socket: int = 24,
-        memory_gb: float = 96.0,
-    ) -> None:
+    def __init__(self, node_id: int, sockets: int = 2, cores_per_socket: int = 24) -> None:
         if sockets <= 0 or cores_per_socket <= 0:
             raise ValueError("sockets and cores_per_socket must be positive")
         self.node_id = node_id
         self.sockets = sockets
         self.cores_per_socket = cores_per_socket
-        self.memory_gb = memory_gb
         # job_id -> number of CPUs held on this node.
         self.allocations: Dict[int, int] = {}
-        # The job that "owns" the node (holds the static allocation); guests
-        # borrow CPUs from the owner.  ``None`` when the node is free.
-        self.owner: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -88,18 +75,9 @@ class Node:
         """Ids of the jobs currently holding CPUs on this node."""
         return list(self.allocations)
 
-    @property
-    def utilization(self) -> float:
-        """Fraction of the node's CPUs currently assigned (0.0–1.0)."""
-        return self.used_cpus / self.total_cpus
-
     # ------------------------------------------------------------------ #
-    def allocate(self, job_id: int, cpus: int, owner: bool = True) -> None:
-        """Assign ``cpus`` CPUs of this node to ``job_id``.
-
-        ``owner=True`` marks the job as the node owner (static allocation);
-        guests co-scheduled by SD-Policy pass ``owner=False``.
-        """
+    def allocate(self, job_id: int, cpus: int) -> None:
+        """Assign ``cpus`` CPUs of this node to ``job_id``."""
         if cpus <= 0:
             raise NodeAllocationError(f"node {self.node_id}: cannot allocate {cpus} cpus")
         if job_id in self.allocations:
@@ -112,12 +90,6 @@ class Node:
                 f"{self.free_cpus} free"
             )
         self.allocations[job_id] = cpus
-        if owner:
-            if self.owner is not None:
-                raise NodeAllocationError(
-                    f"node {self.node_id}: already owned by job {self.owner}"
-                )
-            self.owner = job_id
 
     def resize(self, job_id: int, cpus: int) -> None:
         """Change the CPU count held by ``job_id`` (shrink or expand)."""
@@ -141,10 +113,7 @@ class Node:
             raise NodeAllocationError(
                 f"node {self.node_id}: job {job_id} has no allocation to release"
             )
-        cpus = self.allocations.pop(job_id)
-        if self.owner == job_id:
-            self.owner = None
-        return cpus
+        return self.allocations.pop(job_id)
 
     def cpus_of(self, job_id: int) -> int:
         """CPUs currently held by ``job_id`` (0 if none)."""

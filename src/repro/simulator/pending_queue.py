@@ -3,8 +3,8 @@
 SLURM keeps submitted-but-not-started jobs in a priority queue; the paper's
 workloads use FIFO priority (priority = submission order) with backfill
 allowed to start lower-priority jobs out of order when they do not delay the
-highest-priority waiting job.  This module provides that queue with stable
-ordering and O(1) membership checks.
+highest-priority waiting job.  This module provides that queue: FIFO by
+submit time, then job id, with O(1) membership checks.
 """
 
 from __future__ import annotations
@@ -16,21 +16,16 @@ from repro.simulator.job import Job
 
 
 class PendingQueue:
-    """Priority-ordered collection of pending jobs.
-
-    Jobs are ordered by ``(-priority, submit_time, job_id)``.  With the
-    default priority (negative submit time) this is plain FIFO order.
-    """
+    """FIFO-ordered collection of pending jobs: by ``(submit_time, job_id)``."""
 
     def __init__(self) -> None:
         self._jobs: Dict[int, Job] = {}
-        # Fast path: with default (FIFO) priorities and time-ordered
-        # insertion, the dict's insertion order already is the scheduling
-        # order, so ``ordered()`` can skip the sort.  The flag is cleared
-        # the moment the invariant stops holding: a job with a custom
-        # priority, or an insertion behind the current tail (e.g. a
-        # ``remove()`` + re-``add()`` of an earlier-submitted job, which
-        # appends it at the end of the dict and out of FIFO order).
+        # Fast path: with time-ordered insertion, the dict's insertion order
+        # already is the scheduling order, so ``ordered()`` can skip the
+        # sort.  The flag is cleared the moment the invariant stops holding:
+        # an insertion behind the current tail (a tied submit time arriving
+        # in falling id order, or a ``remove()`` + re-``add()`` of an
+        # earlier-submitted job, which appends it at the end of the dict).
         self._fifo_only = True
 
     def __len__(self) -> int:
@@ -46,9 +41,7 @@ class PendingQueue:
         """Insert a job; re-inserting the same job id is an error."""
         if job.job_id in self._jobs:
             raise ValueError(f"job {job.job_id} already pending")
-        if job.priority != -job.submit_time:
-            self._fifo_only = False
-        elif self._fifo_only and self._jobs:
+        if self._fifo_only and self._jobs:
             # Appending behind a later-submitted tail breaks "insertion
             # order == FIFO order"; fall back to sorting from here on.
             tail = self._jobs[next(reversed(self._jobs))]
@@ -73,10 +66,7 @@ class PendingQueue:
         """
         if self._fifo_only:
             return list(islice(self._jobs.values(), limit))
-        order = sorted(
-            self._jobs.values(),
-            key=lambda j: (-j.priority, j.submit_time, j.job_id),
-        )
+        order = sorted(self._jobs.values(), key=lambda j: (j.submit_time, j.job_id))
         return order if limit is None else order[:limit]
 
     def __iter__(self) -> Iterator[Job]:

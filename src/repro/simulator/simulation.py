@@ -4,8 +4,8 @@ The driver mirrors the structure of the BSC SLURM simulator used by the
 paper: job submission and job end events drive the clock; after every batch
 of events at an instant the scheduler (the "controller") runs one scheduling
 pass over the pending queue; the scheduler starts jobs through the driver's
-allocation primitives, which also maintain each job's resource history and
-the cluster-wide energy integration.  Each job that ends is folded once
+allocation primitives, which update the cluster's node table and each job's
+resource history together.  Each job that ends is folded once
 into :class:`repro.metrics.streaming.StreamingMetrics` (the run's
 aggregates and its per-job record rows) and then dropped: the record rows
 are the only per-job result of a run.
@@ -233,19 +233,23 @@ class Simulation:
 
         Keeps the invariant that when a batch at time *t* is popped, all
         submissions with ``submit_time <= t`` are already in the heap —
-        exactly the state eager submission would be in.
+        exactly the state eager submission would be in.  The heap is peeked
+        once: a registered job is due, so its submit event becomes the
+        front.
         """
         if self._submit_source is None and self._next_stream_job is None:
             return
+        front = self.events.peek()
+        front_time = math.inf if front is None else front.time
         while True:
             job = self._pull_stream_job()
             if job is None:
                 return
-            front = self.events.peek()
-            if front is not None and front.time < job.submit_time:
+            if front_time < job.submit_time:
                 self._next_stream_job = job  # not due yet; keep as lookahead
                 return
             self._register_job(job)
+            front_time = job.submit_time
 
     # ------------------------------------------------------------------ #
     # Primitives used by schedulers
@@ -299,30 +303,9 @@ class Simulation:
         """Record an allocation change (bumps :attr:`allocation_version`)."""
         self.allocation_version += 1
 
-    def start_job_static(self, job: Job, node_ids: Optional[Sequence[int]] = None) -> List[int]:
-        """Start a job on an exclusive whole-node allocation."""
-        if job.job_id not in self.pending:
-            raise RuntimeError(f"job {job.job_id} is not pending")
-        nodes = self.cluster.allocate_static(job, node_ids)
-        self._invalidate_profile()
-        self.pending.remove(job.job_id)
-        job.mark_started(self.now, nodes)
-        cpus = {nid: self.cluster.node(nid).total_cpus for nid in nodes}
-        speed = self.runtime_model.speed(job, cpus)
-        job.reconfigure(self.now, cpus, speed)
-        self.running[job.job_id] = job
-        self._add_release(job)
-        self._push_end_event(job)
-        if self.trace is not None:
-            self.trace.emit(
-                "job_start",
-                self.now,
-                job=job.job_id,
-                kind="static",
-                nodes=len(nodes),
-                mates=[],
-            )
-        return nodes
+    def start_job_static(self, job: Job) -> List[int]:
+        """Start a job on an exclusive allocation of the lowest-id free nodes."""
+        return self._start(job, None, ())
 
     def start_job_shared(
         self,
@@ -336,20 +319,32 @@ class Simulation:
         responsible for shrinking the mate jobs first (see
         :meth:`reconfigure_job`).
         """
+        return self._start(job, cpus_per_node, mates)
+
+    def _start(
+        self, job: Job, cpus_per_node: Optional[Dict[int, int]], mates: Sequence[Job]
+    ) -> List[int]:
+        """Start a pending job: on whole free nodes when ``cpus_per_node``
+        is ``None``, else as a guest of ``mates`` on the given CPUs."""
         if job.job_id not in self.pending:
             raise RuntimeError(f"job {job.job_id} is not pending")
-        nodes = self.cluster.allocate_shared(job, cpus_per_node)
+        shared = cpus_per_node is not None
+        if shared:
+            nodes = self.cluster.allocate_shared(job, cpus_per_node)
+        else:
+            nodes = self.cluster.allocate_static(job)
+            cpus_per_node = dict.fromkeys(nodes, self.cluster.cpus_per_node)
         self._invalidate_profile()
         self.pending.remove(job.job_id)
-        job.mark_started(self.now, nodes)
-        speed = self.runtime_model.speed(job, cpus_per_node)
-        job.reconfigure(self.now, cpus_per_node, speed)
-        job.scheduled_malleable = True
-        job.guest_of = [m.job_id for m in mates]
-        for mate in mates:
-            if job.job_id not in mate.mates:
-                mate.mates.append(job.job_id)
-            mate.was_mate = True
+        job.mark_started(self.now)
+        job.reconfigure(self.now, cpus_per_node, self.runtime_model.speed(job, cpus_per_node))
+        if shared:
+            job.scheduled_malleable = True
+            job.guest_of = [m.job_id for m in mates]
+            for mate in mates:
+                if job.job_id not in mate.mates:
+                    mate.mates.append(job.job_id)
+                mate.was_mate = True
         self.running[job.job_id] = job
         self._add_release(job)
         self._push_end_event(job)
@@ -358,7 +353,7 @@ class Simulation:
                 "job_start",
                 self.now,
                 job=job.job_id,
-                kind="shared",
+                kind="shared" if shared else "static",
                 nodes=len(nodes),
                 mates=[m.job_id for m in mates],
             )
@@ -377,9 +372,8 @@ class Simulation:
             raise ValueError(f"job {job.job_id}: cannot reconfigure to an empty allocation")
         trace = self.trace
         cpus_before = sum(job.assigned_cpus.values()) if trace is not None else 0
-        self.cluster.reconfigure_allocation(job.job_id, cpus_per_node)
+        self.cluster.reconfigure_allocation(job, cpus_per_node)
         self._invalidate_profile()
-        job.allocated_nodes = sorted(cpus_per_node)
         self._rekey.add(job.job_id)
         speed = self.runtime_model.speed(job, cpus_per_node)
         job.reconfigure(self.now, cpus_per_node, speed)

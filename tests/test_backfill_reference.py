@@ -151,7 +151,6 @@ def simulate(scheduler, num_nodes, jobs, cluster=None, traced=True):
 def static_runs(draw):
     """Job specs, not jobs: each of the two runs needs its own ``Job`` objects."""
     num_nodes = draw(st.integers(1, 16))
-    custom_priority = draw(st.booleans())  # off the FIFO fast path of ``ordered``
     specs = []
     for job_id in range(1, draw(st.integers(1, 50)) + 1):
         req_time = draw(st.integers(1, 40)) * 100.0
@@ -162,8 +161,11 @@ def static_runs(draw):
             req_time=req_time,
             runtime=req_time * draw(st.sampled_from((0.3, 0.7, 1.0, 1.6))),
             malleable=draw(st.booleans()),
-            priority=draw(st.integers(0, 3)) if custom_priority else None,
         ))
+    if draw(st.booleans()):
+        # Tied submits arriving in shuffled id order: off the FIFO fast
+        # path of ``PendingQueue.ordered``.
+        specs = draw(st.permutations(specs))
     return num_nodes, specs, draw(st.sampled_from((1, 2, 5, 100)))
 
 
@@ -203,7 +205,7 @@ def _run(num_nodes, rows, depth):
             job_id, (job_id, 0.0, 1, 100.0, 30.0, False)
         )
         specs.append(dict(job_id=job_id, submit=submit, nodes=nodes, req_time=req_time,
-                          runtime=runtime, malleable=malleable, priority=None))
+                          runtime=runtime, malleable=malleable))
     return num_nodes, specs, depth
 
 

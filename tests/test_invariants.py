@@ -4,10 +4,14 @@ These lock down the simulator's conservation laws so hot-path refactors
 (availability-profile caching, event deduplication, ``__slots__``) cannot
 silently corrupt scheduling state:
 
-* **CPU conservation** — the cluster-wide used-CPU counter matches the
-  per-node truth at every event boundary, never exceeds the total, and no
-  node is ever oversubscribed, including after arbitrary shrink/expand
-  sequences driven by SD-Policy mate selection.
+* **CPU conservation** — the CPUs held in the node table never exceed the
+  total, no node is ever oversubscribed and the free-node set matches the
+  table, including after arbitrary shrink/expand sequences driven by
+  SD-Policy mate selection.
+* **One allocation record** — at every event boundary the node table and
+  the running jobs agree both ways: the nodes holding a job, with their CPU
+  counts, are exactly ``job.assigned_cpus``, and ``job.allocated_nodes`` is
+  ``sorted(job.assigned_cpus)``.
 * **Event-time monotonicity** — simulation time never goes backwards.
 * **Resource-history coverage** — every completed job's history tiles
   ``[start_time, end_time]`` exactly, with no gaps or overlaps.
@@ -55,6 +59,25 @@ def _schedulers():
     }
 
 
+def _used_cpus(cluster: Cluster) -> int:
+    return sum(node.used_cpus for node in cluster.nodes.values())
+
+
+def _check_allocations(cluster: Cluster, running) -> None:
+    """CPU conservation from the node table, and the table equal to the
+    running jobs' own maps in both directions."""
+    cluster.validate()
+    assert 0 <= _used_cpus(cluster) <= cluster.total_cpus
+    held = {}
+    for nid, node in cluster.nodes.items():
+        for job_id, cpus in node.allocations.items():
+            held.setdefault(job_id, {})[nid] = cpus
+    assert set(held) == set(running)
+    for job in running.values():
+        assert held[job.job_id] == job.assigned_cpus
+        assert job.allocated_nodes == sorted(job.assigned_cpus)
+
+
 def _run_checked(seed: int, scheduler_factory, malleable_fraction: float = 1.0):
     """Run a workload stepwise, asserting the invariants at every event batch."""
     workload = _random_workload(seed)
@@ -73,14 +96,7 @@ def _run_checked(seed: int, scheduler_factory, malleable_fraction: float = 1.0):
         # Event-time monotonicity.
         assert sim.now >= last_now, f"time went backwards at step {steps}"
         last_now = sim.now
-        # CPU conservation: counters consistent, totals respected, no node
-        # oversubscribed (validate() checks all three from the ground truth).
-        cluster.validate()
-        assert 0 <= cluster.used_cpus <= cluster.total_cpus
-        # Running jobs hold exactly the CPUs the cluster thinks they hold.
-        for job in sim.running.values():
-            for nid, cpus in job.assigned_cpus.items():
-                assert cluster.node(nid).cpus_of(job.job_id) == cpus
+        _check_allocations(cluster, sim.running)
     return sim, jobs
 
 
@@ -90,7 +106,7 @@ def test_conservation_and_monotonicity(seed, policy):
     sim, jobs = _run_checked(seed, _schedulers()[policy])
     assert sim.result().num_jobs == len(jobs), "every job must complete"
     # Everything released at the end.
-    assert sim.cluster.used_cpus == 0
+    assert _used_cpus(sim.cluster) == 0
     assert sim.cluster.num_free_nodes == sim.cluster.num_nodes
 
 
@@ -133,6 +149,7 @@ def test_cluster_random_shrink_expand_never_oversubscribes():
     width = cluster.cpus_per_node
     next_id = 1
     running = {}  # job_id -> Job
+    speed = 1.0  # the fuzz checks allocations, not progress
 
     def new_job(nodes: int) -> Job:
         nonlocal next_id
@@ -153,7 +170,8 @@ def test_cluster_random_shrink_expand_never_oversubscribes():
             if action == "start" and cluster.num_free_nodes:
                 job = new_job(rng.randint(1, cluster.num_free_nodes))
                 nodes = cluster.allocate_static(job)
-                job.assigned_cpus = {nid: width for nid in nodes}
+                job.mark_started(0.0)
+                job.reconfigure(0.0, {nid: width for nid in nodes}, speed)
                 running[job.job_id] = job
             elif action in ("shrink", "expand") and running:
                 job = running[rng.choice(sorted(running))]
@@ -163,17 +181,16 @@ def test_cluster_random_shrink_expand_never_oversubscribes():
                     new_map[nid] = rng.randint(1, max(1, new_map[nid]))
                 else:
                     new_map[nid] = new_map[nid] + cluster.node(nid).free_cpus
-                cluster.reconfigure_allocation(job.job_id, new_map)
-                job.assigned_cpus = new_map
+                cluster.reconfigure_allocation(job, new_map)
+                job.reconfigure(0.0, new_map, speed)
             elif action == "release" and running:
                 job = running.pop(rng.choice(sorted(running)))
                 cluster.release_job(job)
         except NodeAllocationError:
             pass  # an infeasible random op is fine; state must stay consistent
-        cluster.validate()
-        assert 0 <= cluster.used_cpus <= cluster.total_cpus
+        _check_allocations(cluster, running)
 
     for job in running.values():
         cluster.release_job(job)
-    cluster.validate()
-    assert cluster.used_cpus == 0
+    _check_allocations(cluster, {})
+    assert cluster.num_free_nodes == cluster.num_nodes

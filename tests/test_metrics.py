@@ -21,7 +21,7 @@ def finished_job(job_id=1, submit=0.0, start=10.0, runtime=100.0, nodes=1,
                  cpus_per_node=8, malleable_scheduled=False):
     job = make_job(job_id=job_id, submit=submit, nodes=nodes, runtime=runtime,
                    req_time=runtime * 2, cpus_per_node=cpus_per_node)
-    job.mark_started(start, list(range(nodes)))
+    job.mark_started(start)
     job.reconfigure(start, {n: cpus_per_node for n in range(nodes)}, speed=1.0)
     job.mark_finished(start + runtime)
     job.scheduled_malleable = malleable_scheduled

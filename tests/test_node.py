@@ -20,7 +20,6 @@ class TestNodeBasics:
         assert node.is_free
         assert node.free_cpus == 8
         assert node.used_cpus == 0
-        assert node.utilization == 0.0
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
@@ -28,37 +27,30 @@ class TestNodeBasics:
 
 
 class TestAllocate:
-    def test_allocate_marks_owner(self, node):
-        node.allocate(1, 8, owner=True)
-        assert node.owner == 1
+    def test_allocate_holds_cpus(self, node):
+        node.allocate(1, 8)
         assert node.used_cpus == 8
         assert not node.is_free
 
-    def test_allocate_guest_keeps_owner(self, node):
-        node.allocate(1, 4, owner=True)
-        node.allocate(2, 4, owner=False)
-        assert node.owner == 1
+    def test_second_job_shares_the_node(self, node):
+        node.allocate(1, 4)
+        node.allocate(2, 4)
         assert node.is_shared
         assert sorted(node.jobs) == [1, 2]
 
     def test_over_allocation_rejected(self, node):
         node.allocate(1, 6)
         with pytest.raises(NodeAllocationError):
-            node.allocate(2, 4, owner=False)
+            node.allocate(2, 4)
 
     def test_double_allocation_same_job_rejected(self, node):
         node.allocate(1, 4)
         with pytest.raises(NodeAllocationError):
-            node.allocate(1, 2, owner=False)
+            node.allocate(1, 2)
 
     def test_zero_cpus_rejected(self, node):
         with pytest.raises(NodeAllocationError):
             node.allocate(1, 0)
-
-    def test_two_owners_rejected(self, node):
-        node.allocate(1, 4, owner=True)
-        with pytest.raises(NodeAllocationError):
-            node.allocate(2, 4, owner=True)
 
 
 class TestResize:
@@ -75,7 +67,7 @@ class TestResize:
 
     def test_expand_beyond_capacity_rejected(self, node):
         node.allocate(1, 4)
-        node.allocate(2, 2, owner=False)
+        node.allocate(2, 2)
         with pytest.raises(NodeAllocationError):
             node.resize(1, 7)
 
@@ -94,13 +86,12 @@ class TestRelease:
         node.allocate(1, 6)
         assert node.release(1) == 6
         assert node.is_free
-        assert node.owner is None
 
-    def test_release_guest_keeps_owner(self, node):
-        node.allocate(1, 4, owner=True)
-        node.allocate(2, 4, owner=False)
+    def test_release_guest_keeps_mate(self, node):
+        node.allocate(1, 4)
+        node.allocate(2, 4)
         node.release(2)
-        assert node.owner == 1
+        assert node.jobs == [1]
         assert node.cpus_of(1) == 4
 
     def test_release_unknown_job_rejected(self, node):

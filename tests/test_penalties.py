@@ -20,7 +20,7 @@ from tests.conftest import make_job
 
 def _running_job(job_id=1, submit=0.0, start=100.0, req_time=1000.0, runtime=500.0):
     job = make_job(job_id=job_id, submit=submit, req_time=req_time, runtime=runtime)
-    job.mark_started(start, [0])
+    job.mark_started(start)
     job.reconfigure(start, {0: 8}, speed=1.0)
     return job
 

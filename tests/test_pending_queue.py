@@ -40,12 +40,6 @@ class TestPendingQueue:
         assert [j.job_id for j in q.ordered()] == [1, 2, 3]
         assert q.head().job_id == 1
 
-    def test_custom_priority_overrides_fifo(self):
-        q = PendingQueue()
-        q.add(make_job(job_id=1, submit=0.0))
-        q.add(make_job(job_id=2, submit=10.0, priority=1e9))
-        assert [j.job_id for j in q.ordered()] == [2, 1]
-
     def test_iteration_follows_order(self):
         q = PendingQueue()
         q.add(make_job(job_id=3, submit=5.0))
@@ -95,7 +89,7 @@ class TestPendingQueue:
         for i, submit in enumerate([0.0, 10.0, 20.0], start=1):
             q.add(make_job(job_id=i, submit=submit))
         assert [j.job_id for j in q.ordered(2)] == [1, 2]
-        q.add(make_job(job_id=4, submit=5.0, priority=1e9))  # leaves the FIFO path
+        q.add(make_job(job_id=4, submit=5.0))  # behind the tail: leaves the FIFO path
         assert not q._fifo_only
-        assert [j.job_id for j in q.ordered(2)] == [4, 1]
-        assert [j.job_id for j in q.ordered(10)] == [4, 1, 2, 3]
+        assert [j.job_id for j in q.ordered(2)] == [1, 4]
+        assert [j.job_id for j in q.ordered(10)] == [1, 4, 2, 3]

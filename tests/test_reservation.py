@@ -114,7 +114,7 @@ class TestFromRunningJobs:
     def _running_job(self, job_id, start, req_time, nodes):
         job = make_job(job_id=job_id, submit=0.0, nodes=nodes, req_time=req_time,
                        runtime=req_time / 2)
-        job.mark_started(start, list(range(nodes)))
+        job.mark_started(start)
         job.reconfigure(start, {n: 8 for n in range(nodes)}, speed=1.0)
         return job
 

@@ -226,3 +226,22 @@ class TestStreamingSimulationParity:
         jobs = [make_job(job_id=1, submit=100.0), make_job(job_id=2, submit=50.0)]
         with pytest.raises(ValueError, match="not sorted"):
             sim.submit_stream(iter(jobs))
+
+    @pytest.mark.parametrize(
+        "policy, kwargs, checks",
+        [("static_backfill", {}, 13732), ("sd_policy", {"max_slowdown": 10.0}, 15009)],
+    )
+    def test_stale_checks_pinned_on_workload_4(self, monkeypatch, policy, kwargs, checks):
+        # Streamed submissions peek the heap once per batch, not once per
+        # job pulled: one stale check fewer per job than the 15,716
+        # (static) and 16,993 (SD MAXSD 10) of a peek per job.
+        production = Simulation.is_stale_end
+        calls = [0]
+
+        def counted(self, event):
+            calls[0] += 1
+            return production(self, event)
+
+        monkeypatch.setattr(Simulation, "is_stale_end", counted)
+        run_workload(build_workload(4, scale=0.01), policy=policy, **kwargs)
+        assert calls[0] == checks
