@@ -25,23 +25,29 @@ requested times, a guest placed on its mates' nodes only, and every mate
 shrunk on all of its nodes.
 
 Eligibility is checked in two parts.  The *structural* part — the job is
-malleable, is not itself a guest and holds no shared node — changes only
-when a job starts, ends or is reconfigured, so the selector caches the
-running jobs that pass it (:meth:`MateSelector.mate_pool`) and rebuilds the
-list only when :attr:`Simulation.allocation_version` moves.  Everything
-that depends on the guest or on the clock runs on every scan: the time
-window (a mate's ``requested_time`` is extended after its reconfiguration,
-so its end is never cached), the contention pairing, the penalty against
-the cut-off and the ``mate_candidate`` trace events, emitted in pool order,
+malleable, is not itself a guest and hosts no guest — changes only when a
+job starts, ends or is reconfigured, so the selector caches the running
+jobs that pass it (:meth:`MateSelector.mate_pool`) and rebuilds the list
+only when :attr:`Simulation.allocation_version` moves.  A rebuild reads the
+jobs' guest links, not their nodes: a malleable job that is no guest holds
+a shared node exactly when it hosts one.  A mate's predicted end
+``start_time + requested_time`` is fixed within one version too
+(:meth:`Simulation.reconfigure_job` sets an extended requested time before
+the version moves), so the same pass keeps the two latest ends of each node
+count.  Everything that depends on the guest or on the clock runs on every
+scan: the time window, the contention pairing, the penalty against the
+cut-off and the ``mate_candidate`` trace events, emitted in pool order,
 which is ``sim.running``'s insertion order.
 
 Most selections fail on node counts alone: no mate in the time window, or
 no one or two of them holding exactly the guest's node count.  Candidates
 are a subset of the window mates and the combination search needs an exact
-sum, so :meth:`MateSelector.select` first makes one pass over the pool that
-reads only each mate's end and node count
-(:meth:`MateSelector.node_counts_can_match`), and builds no candidate when
-that pass says no combination can exist.  The pass holds for any cut-off.
+sum, so :meth:`MateSelector.select` first asks
+:meth:`MateSelector.node_counts_can_match`, and builds no candidate when it
+says no combination can exist.  That check is one lookup: per node count
+``n`` and version, the latest end that one mate of ``n`` nodes, or two
+distinct mates whose node counts sum to ``n``, both reach; the guest fits
+when its worst-case end is no later.  The check holds for any cut-off.
 It is skipped, and every candidate built, when a contention model is set
 (its bandwidth refusals are counted from the scan), beyond two mates, and
 in traced runs, whose ``mate_candidate`` events record every penalty:
@@ -55,12 +61,12 @@ import math
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.penalties import MaxSlowdownCutoff, mate_penalty
 from repro.core.runtime_model import dilated_runtime, mate_increase
 from repro.core.sharing import plan_node_sharing
-from repro.simulator.job import Job, JobState
+from repro.simulator.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.contention import ContentionModel
@@ -146,11 +152,20 @@ class MateSelector:
         self.reset()
 
     def reset(self) -> None:
-        """Forget the cached mate pool and zero the work counter (new run)."""
+        """Forget the cached mate pool and zero the work counters (new run)."""
         #: Pool jobs examined by :meth:`candidate_mates`, summed over the run
         #: (a deterministic work counter).
         self.mates_scanned = 0
+        #: Mate-pool rebuilds over the run: at most one per allocation
+        #: version (a deterministic work counter).
+        self.pool_builds = 0
         self._pool: List[Job] = []
+        # Per node count in the pool, its two latest predicted ends (the
+        # second -inf for a single mate); and, filled per node count on
+        # demand, the latest end one or two mates covering it reach.  Both
+        # live exactly as long as the pool.
+        self._top_ends: Dict[int, Tuple[float, float]] = {}
+        self._reach: Dict[int, float] = {}
         # The simulation the pool was built from, compared by identity.  Held
         # weakly: a strong reference would close the cycle simulation ->
         # scheduler -> selector -> simulation and keep every finished run
@@ -177,30 +192,32 @@ class MateSelector:
         """Running jobs structurally able to host a guest, in ``sim.running`` order.
 
         A job qualifies when it is malleable, was not itself co-scheduled as
-        a guest and holds no node shared with another job (one guest per
-        node set).  None of that changes between allocation changes, so the
-        list is rebuilt only when the simulation or its allocation version
-        differs from the last call.
+        a guest and hosts no guest, so it holds no node shared with another
+        job (one guest per node set).  None of that, nor any running job's
+        predicted end, changes between allocation changes, so the list and
+        the latest ends per node count are rebuilt only when the simulation
+        or its allocation version differs from the last call.
         """
         version = sim.allocation_version
         if self._pool_version == version and self._pool_sim() is sim:
             return self._pool
-        nodes = sim.cluster.nodes
         pool: List[Job] = []
+        top_ends: Dict[int, Tuple[float, float]] = {}
+        no_end = (-math.inf, -math.inf)
         for job in sim.running.values():
-            if (
-                not job.malleable
-                or job.guest_of
-                or job.state is not JobState.RUNNING
-                or job.start_time is None
-            ):
+            if not job.malleable or job.guest_of or job.mates:
                 continue
-            for nid in job.allocated_nodes:
-                if nodes[nid].is_shared:
-                    break
-            else:
-                pool.append(job)
+            pool.append(job)
+            end = job.start_time + job.requested_time
+            weight = len(job.allocated_nodes)
+            first, second = top_ends.get(weight, no_end)
+            if end > first:
+                top_ends[weight] = (end, first)
+            elif end > second:
+                top_ends[weight] = (first, end)
         self._pool, self._pool_sim, self._pool_version = pool, weakref.ref(sim), version
+        self._top_ends, self._reach = top_ends, {}
+        self.pool_builds += 1
         return pool
 
     def candidate_mates(
@@ -265,33 +282,50 @@ class MateSelector:
             )
         return candidates[:MAX_CANDIDATES]
 
-    def node_counts_can_match(self, sim: "Simulation", guest: Job) -> bool:
+    def node_counts_can_match(
+        self, sim: "Simulation", guest: Job, guest_runtime: Optional[float] = None
+    ) -> bool:
         """Whether mates in the guest's time window can sum to its node count.
 
-        One pass over :meth:`mate_pool` with the time-window test of
-        :meth:`candidate_mates` (ends computed live: ``_apply_selection``
-        extends a mate's ``requested_time``).  True when one window mate
-        holds exactly the guest's ``requested_nodes`` or, with ``max_mates``
-        of two, when two distinct window mates sum to it.  Candidates are a
-        subset of the window mates, so False means :meth:`select` finds
-        nothing, whatever the penalties.  Combinations of three or more
-        mates are not checked: beyond two mates this is always True.
+        True when one window mate holds exactly the guest's
+        ``requested_nodes`` or, with ``max_mates`` of two, when two distinct
+        window mates sum to it; a mate is in the window when its predicted
+        end is no earlier than the guest's worst-case end, the test of
+        :meth:`candidate_mates`.  Candidates are a subset of the window
+        mates, so False means :meth:`select` finds nothing, whatever the
+        penalties.  Combinations of three or more mates are not checked:
+        beyond two mates this is always True.
+
+        The answer is one comparison against :meth:`_reach_of`, kept per
+        node count for the pool's allocation version.  ``guest_runtime``,
+        when given, is :meth:`estimated_guest_runtime` of the guest, already
+        computed by the caller.
         """
         if self.max_mates > 2:
             return True
+        self.mate_pool(sim)
         nodes_needed = guest.requested_nodes
-        guest_end = sim.now + self.estimated_guest_runtime(guest)
-        pairs = self.max_mates == 2
-        seen = set()
-        for mate in self.mate_pool(sim):
-            if mate.start_time + mate.requested_time < guest_end:
-                continue
-            weight = len(mate.allocated_nodes)
-            if weight == nodes_needed or nodes_needed - weight in seen:
-                return True
-            if pairs:
-                seen.add(weight)
-        return False
+        reach = self._reach.get(nodes_needed)
+        if reach is None:
+            reach = self._reach[nodes_needed] = self._reach_of(nodes_needed)
+        if guest_runtime is None:
+            guest_runtime = self.estimated_guest_runtime(guest)
+        return sim.now + guest_runtime <= reach
+
+    def _reach_of(self, nodes_needed: int) -> float:
+        """The latest guest end that ≤ ``max_mates`` (one or two) distinct
+        pool mates holding ``nodes_needed`` nodes together all cover
+        (``-inf`` when no such mates exist)."""
+        top_ends = self._top_ends
+        reach = top_ends.get(nodes_needed, (-math.inf,))[0]
+        if self.max_mates == 2:
+            for weight, (first, second) in top_ends.items():
+                other = nodes_needed - weight
+                if other == weight:
+                    reach = max(reach, second)
+                elif other in top_ends:
+                    reach = max(reach, min(first, top_ends[other][0]))
+        return reach
 
     # ------------------------------------------------------------------ #
     # Combination search
@@ -382,6 +416,7 @@ class MateSelector:
         sim: "Simulation",
         guest: Job,
         cutoff: MaxSlowdownCutoff,
+        guest_runtime: Optional[float] = None,
     ) -> Optional[MateSelection]:
         """Select the best mates for a guest, or ``None`` if no set exists.
 
@@ -389,14 +424,14 @@ class MateSelector:
         no one or two window mates can match is turned down by
         :meth:`node_counts_can_match` before any penalty is computed.
         Traced runs build every candidate, so they do more work for the
-        same decisions.
+        same decisions.  ``guest_runtime`` is passed on to that check.
         """
         if guest.requested_nodes <= 0:
             return None
         if (
             self.contention is None
             and sim.trace is None
-            and not self.node_counts_can_match(sim, guest)
+            and not self.node_counts_can_match(sim, guest, guest_runtime)
         ):
             return None
         candidates = self.candidate_mates(sim, guest, cutoff)

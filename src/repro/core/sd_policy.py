@@ -137,30 +137,6 @@ class SDPolicyScheduler(BackfillScheduler):
     # ------------------------------------------------------------------ #
     # Listing 1: the malleable scheduling attempt
     # ------------------------------------------------------------------ #
-    def _estimate_static_start(
-        self,
-        sim: "Simulation",
-        job: Job,
-        profile_estimate: float,
-        work_ahead_cpu_seconds: float,
-    ) -> float:
-        """Estimated static start time of a job (absolute simulation time).
-
-        Combines the reservation-map estimate (exact for the jobs within the
-        backfill depth) with an aggregate work-ahead bound, which keeps the
-        estimate meaningful for jobs far beyond the reservation depth —
-        the paper's implementation builds the full reservation map; the
-        aggregate bound is the scalable stand-in.
-        """
-        total_cpus = sim.cluster.total_cpus
-        work_bound = sim.now
-        if total_cpus > 0:
-            work_bound = sim.now + work_ahead_cpu_seconds / total_cpus
-        candidates = [work_bound]
-        if math.isfinite(profile_estimate):
-            candidates.append(profile_estimate)
-        return max(candidates)
-
     def try_malleable_start(
         self,
         sim: "Simulation",
@@ -179,30 +155,38 @@ class SDPolicyScheduler(BackfillScheduler):
         count no one or two mates in its time window can match before it
         computes a single penalty (untraced runs without a contention
         model).
+
+        The static start is the later of the reservation-map estimate
+        (exact for the jobs within the backfill depth) and an aggregate
+        work-ahead bound, which keeps it meaningful for jobs far beyond
+        the reservation depth: the paper's implementation builds the full
+        reservation map, and the bound is the scalable stand-in.
         """
         if not job.malleable:
             return False
         # End-time estimates (both measured as absolute times).
-        static_start = self._estimate_static_start(
-            sim, job, estimated_start, work_ahead_cpu_seconds
-        )
+        now = sim.now
+        total_cpus = sim.cluster.total_cpus
+        static_start = now + work_ahead_cpu_seconds / total_cpus if total_cpus > 0 else now
+        if math.isfinite(estimated_start):
+            static_start = max(static_start, estimated_start)
         static_end = static_start + job.requested_time
         mall_runtime = self.selector.estimated_guest_runtime(job)
-        mall_end = sim.now + mall_runtime
+        mall_end = now + mall_runtime
         trace = sim.trace
         if static_end <= mall_end:
             self.rejected_by_estimate += 1
             if trace is not None:
                 trace.emit(
                     "mate_rejected",
-                    sim.now,
+                    now,
                     guest=job.job_id,
                     reason="estimate",
                     static_end=static_end,
                     mall_end=mall_end,
                 )
             return False
-        selection = self.selector.select(sim, job, self.cutoff)
+        selection = self.selector.select(sim, job, self.cutoff, mall_runtime)
         if selection is None:
             # The reason is resolved unconditionally so subclass counters
             # (e.g. UB-Policy's bandwidth refusals) are trace-independent:
@@ -213,7 +197,7 @@ class SDPolicyScheduler(BackfillScheduler):
             if trace is not None:
                 trace.emit(
                     "mate_rejected",
-                    sim.now,
+                    now,
                     guest=job.job_id,
                     reason=reason,
                     static_end=static_end,
@@ -225,7 +209,7 @@ class SDPolicyScheduler(BackfillScheduler):
         if trace is not None:
             trace.emit(
                 "mate_selected",
-                sim.now,
+                now,
                 guest=job.job_id,
                 mates=[mate.job_id for mate in selection.mates],
                 penalty=selection.total_penalty,
@@ -291,8 +275,11 @@ class SDPolicyScheduler(BackfillScheduler):
             selection.estimated_guest_runtime, 1.0 - self.config.sharing_factor
         )
         for mate in selection.mates:
-            sim.reconfigure_job(mate, selection.mate_new_cpus[mate.job_id])
-            mate.requested_time += increase
+            sim.reconfigure_job(
+                mate,
+                selection.mate_new_cpus[mate.job_id],
+                requested_time=mate.requested_time + increase,
+            )
         guest.requested_time = max(guest.requested_time, selection.estimated_guest_runtime)
         sim.start_job_shared(guest, selection.guest_cpus_per_node, selection.mates)
 

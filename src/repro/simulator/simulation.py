@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.metrics.energy import LinearPowerModel
 from repro.metrics.streaming import StreamingMetrics
@@ -145,20 +145,21 @@ class Simulation:
         self._last_stream_submit: float = -math.inf
 
         #: Bumped on every job start, end and reconfiguration: the running
-        #: set, node sharing and guest links change only with it.  Caches
-        #: derived from the allocation state (the availability profile
-        #: below, the mate pool of :class:`repro.core.mate_selection.MateSelector`)
-        #: compare it to know when to rebuild.
+        #: set, node sharing, guest links and running jobs' predicted ends
+        #: change only with it.  Caches derived from the allocation state
+        #: (the availability profile below, the mate pool and its ends of
+        #: :class:`repro.core.mate_selection.MateSelector`) compare it to
+        #: know when to rebuild.
         self.allocation_version: int = 0
         # Release ledger: every running job's predicted end
         # ``(start_time + requested_time, len(allocated_nodes))``, kept
         # sorted, plus each job's current entry so an end can remove it.
-        # A reconfigured job is only marked: SD-Policy extends a mate's
-        # requested time after shrinking it, so its entry is re-keyed at the
-        # next profile request.
+        # Both terms change only with a start or a reconfiguration (which
+        # sets any new requested time itself), so an entry is re-keyed at
+        # once and a running job's predicted end is fixed within one
+        # allocation version.
         self._releases: List[Tuple[float, int]] = []
         self._release_of: Dict[int, Tuple[float, int]] = {}
-        self._rekey: Set[int] = set()
         # Base availability profile built from the ledger, valid while
         # ``(allocation_version, free nodes)`` is unchanged; schedulers
         # receive copies.
@@ -276,10 +277,6 @@ class Simulation:
         base = self._base_profile
         key = (self.allocation_version, free_now)
         if base is None or self._base_key != key:
-            for job_id in self._rekey:
-                self._drop_release(job_id)
-                self._add_release(self.running[job_id])
-            self._rekey.clear()
             base = ReservationMap.from_sorted_releases(
                 self.cluster.num_nodes, self.now, free_now, self._releases
             )
@@ -359,12 +356,21 @@ class Simulation:
             )
         return nodes
 
-    def reconfigure_job(self, job: Job, cpus_per_node: Dict[int, int]) -> None:
+    def reconfigure_job(
+        self,
+        job: Job,
+        cpus_per_node: Dict[int, int],
+        requested_time: Optional[float] = None,
+    ) -> None:
         """Shrink or expand a running job to a new per-node CPU map.
 
         The map is the *complete* new allocation of the job: nodes missing
         from the map are released, nodes present are resized (or newly
-        acquired if the CPUs are free).
+        acquired if the CPUs are free).  A ``requested_time`` replaces the
+        job's wall limit (SD-Policy extends a shrunk mate's) before
+        :attr:`allocation_version` moves, and the job's release-ledger entry
+        is re-keyed at once: a running job's predicted end
+        ``start_time + requested_time`` changes only with the version.
         """
         if job.state is not JobState.RUNNING:
             raise RuntimeError(f"job {job.job_id} is not running")
@@ -373,10 +379,13 @@ class Simulation:
         trace = self.trace
         cpus_before = sum(job.assigned_cpus.values()) if trace is not None else 0
         self.cluster.reconfigure_allocation(job, cpus_per_node)
+        if requested_time is not None:
+            job.requested_time = requested_time
         self._invalidate_profile()
-        self._rekey.add(job.job_id)
         speed = self.runtime_model.speed(job, cpus_per_node)
         job.reconfigure(self.now, cpus_per_node, speed)
+        self._drop_release(job.job_id)
+        self._add_release(job)
         self._push_end_event(job)
         if trace is not None:
             cpus_after = sum(cpus_per_node.values())
@@ -429,7 +438,6 @@ class Simulation:
         self.cluster.release_job(job)
         self._invalidate_profile()
         self.running.pop(job_id, None)
-        self._rekey.discard(job_id)
         self._drop_release(job_id)
         self._last_end = max(self._last_end, self.now)
         if self.trace is not None:

@@ -12,6 +12,13 @@ silently corrupt scheduling state:
   the running jobs agree both ways: the nodes holding a job, with their CPU
   counts, are exactly ``job.assigned_cpus``, and ``job.allocated_nodes`` is
   ``sorted(job.assigned_cpus)``.
+* **One release ledger** — at every event boundary the simulation's sorted
+  ledger of predicted ends equals the releases
+  ``ReservationMap.from_running_jobs`` derives from the running jobs, so no
+  entry waits to be re-keyed.
+* **Sharing follows the links** — a running malleable job that is no guest
+  holds a shared node exactly when it hosts a guest (``job.mates``), the
+  fact the mate pool reads instead of the nodes.
 * **Event-time monotonicity** — simulation time never goes backwards.
 * **Resource-history coverage** — every completed job's history tiles
   ``[start_time, end_time]`` exactly, with no gaps or overlaps.
@@ -78,6 +85,25 @@ def _check_allocations(cluster: Cluster, running) -> None:
         assert job.allocated_nodes == sorted(job.assigned_cpus)
 
 
+def _check_release_ledger(sim: Simulation) -> None:
+    """The ledger is exactly the sorted ``(start + requested_time, nodes)``
+    releases of the running jobs, the pairs ``from_running_jobs`` builds."""
+    expected = {
+        job.job_id: (job.start_time + job.requested_time, len(job.allocated_nodes))
+        for job in sim.running.values()
+    }
+    assert sim._release_of == expected
+    assert sim._releases == sorted(expected.values())
+
+
+def _check_sharing_follows_links(sim: Simulation) -> None:
+    nodes = sim.cluster.nodes
+    for job in sim.running.values():
+        if job.malleable and not job.guest_of:
+            shared = any(nodes[nid].is_shared for nid in job.allocated_nodes)
+            assert shared == bool(job.mates), f"job {job.job_id}: shared={shared}"
+
+
 def _run_checked(seed: int, scheduler_factory, malleable_fraction: float = 1.0):
     """Run a workload stepwise, asserting the invariants at every event batch."""
     workload = _random_workload(seed)
@@ -97,6 +123,8 @@ def _run_checked(seed: int, scheduler_factory, malleable_fraction: float = 1.0):
         assert sim.now >= last_now, f"time went backwards at step {steps}"
         last_now = sim.now
         _check_allocations(cluster, sim.running)
+        _check_release_ledger(sim)
+        _check_sharing_follows_links(sim)
     return sim, jobs
 
 

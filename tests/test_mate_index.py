@@ -301,7 +301,8 @@ def check_every_select(selector):
     production = selector.select
     answers = []
 
-    def select(sim, guest, cutoff):
+    def select(sim, guest, cutoff, guest_runtime=None):
+        assert guest_runtime in (None, selector.estimated_guest_runtime(guest))
         can = selector.node_counts_can_match(sim, guest)
         if selector.max_mates <= 2:
             assert can == oracle_counts_can_match(selector, sim, guest)
@@ -309,7 +310,7 @@ def check_every_select(selector):
             assert can  # triples are left to the full path
         if not can:
             assert full_path(selector, sim, guest, cutoff) is None
-        got = production(sim, guest, cutoff)
+        got = production(sim, guest, cutoff, guest_runtime)
         assert can or got is None
         answers.append(can)
         return got
@@ -352,8 +353,14 @@ def test_node_count_check_matches_enumeration_and_full_path(run):
     simulate(scheduler, num_nodes, jobs)
 
 
-def test_node_count_check_decides_every_failure_on_the_guard_input():
-    scheduler = make_policy("sd_policy", max_slowdown=10.0)
+@pytest.mark.parametrize("max_slowdown, no_mates, decided, pool_builds", [
+    # Under MAXSD 10 node counts alone decide every failed selection; under
+    # DynAVGSD the cut-off turns the rest down.
+    (10.0, 10751, 10751, 943),
+    ("dynamic", 16762, 10647, 1022),
+])
+def test_node_count_check_on_the_guard_input(max_slowdown, no_mates, decided, pool_builds):
+    scheduler = make_policy("sd_policy", max_slowdown=max_slowdown)
     answers = check_every_select(scheduler.selector)
     run = runner.run_workload(
         build_workload(4, scale=0.005), policy=scheduler, runtime_model="worst_case",
@@ -361,13 +368,15 @@ def test_node_count_check_decides_every_failure_on_the_guard_input():
     )
     stats = run.scheduler_stats
     assert len(answers) == stats["rejected_no_mates"] + stats["malleable_starts"]
-    # Here node counts alone decide every failed selection.
-    assert answers.count(False) == stats["rejected_no_mates"] == 10751
+    assert stats["rejected_no_mates"] == no_mates
+    assert answers.count(False) == decided
+    # The oracle's extra scans reuse the pool: at most one build per version.
+    assert scheduler.selector.pool_builds == pool_builds
 
 
-def test_window_reads_mate_ends_live_not_from_the_pool():
-    # ``_apply_selection`` extends a mate's requested time after
-    # reconfiguring it, so an end cached when the pool was built goes stale.
+def test_extending_a_mate_moves_the_version_and_rekeys_its_release():
+    # ``reconfigure_job`` sets the extended requested time before the
+    # version moves, so the ends the pool keeps per version never go stale.
     sim = Simulation(Cluster(num_nodes=2, sockets=2, cores_per_socket=4), FCFSScheduler())
     mate = make_job(job_id=1, nodes=1, req_time=1000.0)
     guest = make_job(job_id=2, nodes=1, req_time=600.0)  # worst-case end 1200
@@ -380,8 +389,9 @@ def test_window_reads_mate_ends_live_not_from_the_pool():
     assert not selector.node_counts_can_match(sim, guest)
     assert selector.select(sim, guest, admit_all) is None
     version = sim.allocation_version
-    mate.requested_time += 5000.0
-    assert sim.allocation_version == version and selector.mate_pool(sim) == [mate]
+    sim.reconfigure_job(mate, dict(mate.assigned_cpus), requested_time=6000.0)
+    assert sim.allocation_version > version
+    assert sim._releases == [(6000.0, 1)] and sim._release_of == {1: (6000.0, 1)}
     assert selector.node_counts_can_match(sim, guest)
     assert selector.select(sim, guest, admit_all).mates == [mate]
 
@@ -495,3 +505,7 @@ def test_mates_scanned_pinned_on_the_guard_curie_input():
     )
     assert run.scheduler_stats["rejected_no_mates"] == 10751
     assert scheduler.selector.mates_scanned == 2405
+    # One pool, with its ends per node count, per allocation version that
+    # a selection asked about; a rebuild per call would make one per
+    # selection at least (11,091).
+    assert scheduler.selector.pool_builds == 943
