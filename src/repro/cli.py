@@ -12,8 +12,9 @@ shell (installed as ``repro-sdpolicy`` or via ``python -m repro``):
   result store; ``--shard I/N`` executes one deterministic slice
   (resumable via a shard manifest in the store) and ``--merge`` assembles
   the full, bit-identical result once every shard has run;
-* ``store`` — inspect and manage result stores (``stats``, ``prune``,
-  manifest-aware ``gc``, integrity ``verify``/``repair``);
+* ``store`` — inspect and manage result stores (``stats``, manifest-aware
+  ``gc``, integrity ``verify``); the store is a memo, so a blob that fails
+  its envelope is a miss the next run overwrites;
 * ``query`` — aggregate the per-job records of every run cached in a
   store, or (``--report NAME``) render what ``scenario NAME`` prints
   byte-identically from the cached runs without re-simulating;
@@ -88,8 +89,6 @@ from repro.store import (
     gc,
     open_store,
     parse_age,
-    prune,
-    repair,
     resolve_store,
     verify,
 )
@@ -405,31 +404,6 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
     print(f"store:       {store.url}")
     print(f"blobs:       {stats.blobs} ({_human_bytes(stats.blob_bytes)})")
     print(f"manifests:   {stats.manifests} ({_human_bytes(stats.manifest_bytes)})")
-    print(f"quarantined: {stats.quarantined}")
-    return 0
-
-
-def _cmd_store_prune(args: argparse.Namespace) -> int:
-    try:
-        age = parse_age(args.older_than)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    store = _open_cli_store(args.url)
-    stats = prune(store, age, dry_run=args.dry_run)
-    verb = "would remove" if args.dry_run else "removed"
-    print(
-        f"{store.url}: {verb} {stats.blobs_removed} blob(s) "
-        f"({_human_bytes(stats.blob_bytes_freed)}) and "
-        f"{stats.quarantined_removed} quarantined entr"
-        f"{'y' if stats.quarantined_removed == 1 else 'ies'}; "
-        f"kept {stats.kept}"
-        + (
-            f", kept {stats.kept_referenced} manifest-referenced"
-            if stats.kept_referenced
-            else ""
-        )
-    )
     return 0
 
 
@@ -456,7 +430,7 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
     import json as _json
 
     store = _open_cli_store(args.url)
-    report = verify(store, dry_run=args.dry_run)
+    report = verify(store, delete=args.delete)
     if args.json:
         print(_json.dumps(report.as_dict(), indent=2, sort_keys=True))
     else:
@@ -465,7 +439,7 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
         print(f"ok:       {report.ok}")
         print(f"corrupt:  {len(report.corrupt)}")
         for entry in report.corrupt:
-            action = "would quarantine" if args.dry_run else "quarantined"
+            action = "deleted" if args.delete else "corrupt"
             print(f"  {action} {entry['key']}: {entry['error']}")
         for entry in report.drift:
             print(
@@ -477,23 +451,10 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
         for key in report.missing_referenced:
             print(
                 f"warning: manifest-referenced blob {key} is missing "
-                "(pruned store, or wrong URL?)",
+                "(collected by gc, or wrong URL?)",
                 file=sys.stderr,
             )
     return 0 if report.clean else 1
-
-
-def _cmd_store_repair(args: argparse.Namespace) -> int:
-    store = _open_cli_store(args.url)
-    source = open_store(args.source)
-    stats = repair(store, source, dry_run=args.dry_run)
-    verb = "would repair" if args.dry_run else "repaired"
-    print(
-        f"{store.url}: {verb} {stats.repaired} quarantined blob(s) from "
-        f"{source.url}; {stats.missing_in_source} missing in the mirror, "
-        f"{stats.still_corrupt} corrupt there too"
-    )
-    return 0 if stats.missing_in_source == 0 and stats.still_corrupt == 0 else 1
 
 
 def _read_store(args: argparse.Namespace, command: str) -> Optional[ResultStore]:
@@ -656,8 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_store = sub.add_parser(
         "store",
-        help="inspect/manage result stores (stats, prune, gc, verify, "
-             "repair)",
+        help="inspect/manage result stores (stats, gc, verify)",
     )
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
 
@@ -669,20 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="store URL (default: REPRO_STORE_URL)",
     )
     p_st_stats.set_defaults(func=_cmd_store_stats)
-
-    p_st_prune = store_sub.add_parser(
-        "prune",
-        help="delete blobs older than a cutoff (quarantined entries always go)",
-    )
-    p_st_prune.add_argument("url", nargs="?", default=None,
-                            help="store URL (default: REPRO_STORE_URL)")
-    p_st_prune.add_argument(
-        "--older-than", required=True, metavar="AGE",
-        help="age cutoff: 90s, 45m, 12h, 30d, 2w (a bare number means days)",
-    )
-    p_st_prune.add_argument("--dry-run", action="store_true",
-                            help="report what would be removed, delete nothing")
-    p_st_prune.set_defaults(func=_cmd_store_prune)
 
     p_st_gc = store_sub.add_parser(
         "gc",
@@ -702,31 +648,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_st_verify = store_sub.add_parser(
         "verify",
-        help="re-hash every blob against its integrity envelope, "
-             "quarantining mismatches (exit 1 when any are found)",
+        help="re-hash every blob against its integrity envelope and report "
+             "mismatches, changing nothing (exit 1 when any are found)",
     )
     p_st_verify.add_argument("url", nargs="?", default=None,
                              help="store URL (default: REPRO_STORE_URL)")
     p_st_verify.add_argument("--json", action="store_true",
                              help="emit the machine-readable report as JSON")
-    p_st_verify.add_argument("--dry-run", action="store_true",
-                             help="report mismatches without quarantining them")
+    p_st_verify.add_argument("--delete", action="store_true",
+                             help="delete the mismatching blobs (a sweep would "
+                                  "read them as misses and overwrite them anyway)")
     p_st_verify.set_defaults(func=_cmd_store_verify)
-
-    p_st_repair = store_sub.add_parser(
-        "repair",
-        help="re-fetch quarantined blobs from a mirror store and republish "
-             "the ones that verify",
-    )
-    p_st_repair.add_argument("url", nargs="?", default=None,
-                             help="store URL to repair (default: REPRO_STORE_URL)")
-    p_st_repair.add_argument(
-        "--from", dest="source", required=True, metavar="URL",
-        help="mirror store to re-fetch good copies from",
-    )
-    p_st_repair.add_argument("--dry-run", action="store_true",
-                             help="report what would be repaired, change nothing")
-    p_st_repair.set_defaults(func=_cmd_store_repair)
 
     p_trace = sub.add_parser(
         "trace",

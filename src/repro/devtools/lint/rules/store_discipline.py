@@ -4,7 +4,7 @@ Every persisted artifact — cache blobs (per-job records included), shard
 manifests, decision traces — goes through :class:`repro.store.ResultStore`
 and the atomic write/integrity-envelope helpers.  Direct
 ``open()``/``pickle`` I/O on cache or manifest paths bypasses atomic
-publication, integrity envelopes, quarantine and gc reference tracking, so
+publication, integrity envelopes and gc reference tracking, so
 it is confined to ``store/`` (the codec layer) and flagged everywhere else.
 """
 
@@ -25,7 +25,7 @@ _CODEC_LAYERS = ("store", "tests", "devtools")
 #: Identifier/string fragments that mark an expression as touching cache or
 #: manifest state.  Deliberately broad — a false positive is one suppression
 #: with a justification; a false negative is a torn cache nobody notices.
-_CACHE_TOKEN = re.compile(r"cache|manifest|blob|shard|quarantin|\.pkl", re.IGNORECASE)
+_CACHE_TOKEN = re.compile(r"cache|manifest|blob|shard|\.pkl", re.IGNORECASE)
 
 _PICKLE_FUNCTIONS = frozenset({"load", "loads", "dump", "dumps", "Pickler", "Unpickler"})
 _DIRECT_IO_ATTRS = frozenset(
@@ -92,7 +92,7 @@ register(
         scopes=None,
         exempt=_CODEC_LAYERS,
         rationale="pickled payloads written outside the store layer skip "
-                  "versioning, envelopes and quarantine",
+                  "versioning and envelopes",
         visitor=PickleVisitor,
     )
 )

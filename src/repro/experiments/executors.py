@@ -57,17 +57,19 @@ _log = logging.getLogger(__name__)
 
 #: Bump when the shard manifest layout changes; old manifests are rejected.
 #: v2: manifests live in the result store, records carry ``cache_key``
-#: (``cache_path`` only for local-FS stores) and the shard reports its
-#: quarantined-corruption count.  v3: done records also carry ``digest``,
+#: (``cache_path`` only for local-FS stores) and the shard reports how many
+#: corrupt entries it evicted.  v3: done records also carry ``digest``,
 #: the SHA-256 content digest of the published cache blob (what ``store
-#: verify`` cross-checks and ``store repair`` validates against).  v4: a
+#: verify`` cross-checks).  v4: a
 #: top-level ``analytics`` flag recorded whether executed tasks published
 #: a second copy of their per-job records.  v5: a top-level ``trace`` flag
 #: records whether the shard records decision traces (executed tasks then
 #: have traces published under ``trace-*`` manifests next to the cache).
 #: v6: the ``analytics`` flag is gone — the run blob is the only stored
-#: copy of a run's records, so every shard stores them.
-MANIFEST_FORMAT_VERSION = 6
+#: copy of a run's records, so every shard stores them.  v7: the corrupt
+#: entry count is gone — an unreadable blob is an ordinary miss that the
+#: rerun overwrites, so there is nothing to count.
+MANIFEST_FORMAT_VERSION = 7
 
 #: Declared field layout of a shard manifest and of each of its ``tasks``
 #: records.  ``repro.devtools.formats`` fingerprints these into
@@ -82,7 +84,6 @@ MANIFEST_FIELDS = (
     "shard_count",
     "total_tasks",
     "store",
-    "cache_corruptions",
     "trace",
     "tasks",
 )
@@ -318,7 +319,6 @@ class ShardedExecutor:
         keys: Sequence[str],
         cache_keys: Sequence[Optional[str]],
         misses: Sequence[int],
-        corruptions: int,
         digests: Dict[int, Optional[str]],
         max_workers: int,
         complete: Callable[[int, "PolicyRun", float], None],
@@ -326,8 +326,7 @@ class ShardedExecutor:
         """Run the owned ``misses`` through :func:`run_tasks`.
 
         ``tasks``/``keys``/``cache_keys`` cover the whole sweep in task
-        order; ``corruptions`` counts the entries this invocation's cache
-        probe quarantined.  ``digests`` is the runner's live map of task
+        order.  ``digests`` is the runner's live map of task
         index to cache-blob digest — filled for cache hits up front and by
         ``complete`` for every finished task — recorded in the manifest.
         """
@@ -357,19 +356,6 @@ class ShardedExecutor:
             if blob_path is not None:  # local-FS convenience for humans
                 records[i]["cache_path"] = str(blob_path(cache_keys[i]))
 
-        # Corruptions quarantined by earlier invocations of this shard
-        # survive manifest rewrites, so a merge reports everything any
-        # shard ever evicted, not just the final probes.  The eviction
-        # removes the blob, so later probes don't re-observe it; the count
-        # is best-effort under concurrency — two shards probing the same
-        # corrupt blob in the same instant may both record it.
-        try:
-            prior = store.read_manifest(name)
-        except StoreError:
-            prior = None
-        if prior is not None and prior.get("sweep_id") == sweep:
-            corruptions += int(prior.get("cache_corruptions", 0))
-
         def write_manifest() -> None:
             store.write_manifest(
                 name,
@@ -380,7 +366,6 @@ class ShardedExecutor:
                     "shard_count": self.shard_count,
                     "total_tasks": len(tasks),
                     "store": store.url,
-                    "cache_corruptions": corruptions,
                     # v5: whether this shard records decision traces
                     # (published as trace-* manifests next to the cache).
                     "trace": any(getattr(t, "trace", False) for t in tasks),
@@ -416,9 +401,10 @@ class MergeExecutor:
     A merge succeeds only when (a) the store's manifests hold one manifest
     per shard of this sweep, (b) every manifest reports every owned task
     ``done``, and (c) the cache already served every task (the runner found
-    no misses).  The runner then returns the full :class:`SweepResult`
-    straight from the cache — through the exact same assembly code as a
-    single-process run, so the merged result is bit-identical to it.
+    no misses, absent or unreadable).  The runner then returns the full
+    :class:`SweepResult` straight from the cache — through the exact same
+    assembly code as a single-process run, so the merged result is
+    bit-identical to it.
     """
 
     def _load_manifests(self, store: ResultStore, sweep: str) -> List[Dict[str, Any]]:
@@ -460,18 +446,15 @@ class MergeExecutor:
         keys: Sequence[str],
         cache_keys: Sequence[Optional[str]],
         misses: Sequence[int],
-        corrupt: Sequence[int],
-    ) -> int:
+    ) -> None:
         """Validate the shard manifests against the runner's cache probe.
 
-        ``misses`` are the task indices the cache did not serve and
-        ``corrupt`` those whose entry was quarantined as unreadable.
-        Returns the corruption count the shards reported, so the merged
-        result's ``cache_corruptions`` covers the whole fan-out, not just
-        this process's (clean) probe.
+        ``misses`` are the task indices the cache did not serve, whether
+        the blob is absent or unreadable; each is named with the shard
+        that owns it, whose rerun recomputes it.
         """
         if not keys:
-            return 0
+            return
         store = _require_store(store, "merging a sharded sweep")
         sweep = sweep_id(cache_keys)
         manifests = self._load_manifests(store, sweep)
@@ -508,21 +491,17 @@ class MergeExecutor:
                 f"shard manifests do not cover task(s) {uncovered}; were the "
                 "shards run with a different task list?"
             )
-        if corrupt:
-            quarantined = [keys[i] for i in corrupt]
-            raise ExecutorError(
-                f"{len(corrupt)} cache entr"
-                f"{'y was' if len(corrupt) == 1 else 'ies were'} corrupt and "
-                f"quarantined (*.pkl.corrupt): {quarantined}; re-run the "
-                "owning shard(s) to regenerate them, then merge again"
-            )
         if misses:
-            missing = [keys[i] for i in misses]
+            owners = [
+                f"{keys[i]} (cache key {cache_keys[i]}): re-run shard "
+                f"{i % count + 1}/{count}"
+                for i in misses
+            ]
             raise ExecutorError(
-                f"manifests report every shard done but the cache is missing "
-                f"{missing}; was the store pruned or changed?"
+                "cannot merge: manifests report every shard done but the store "
+                "holds no readable blob for " + "; ".join(owners)
+                + "; then merge again"
             )
-        return sum(int(m.get("cache_corruptions", 0)) for m in manifests)
 
 
 def _check_manifest_fields(name: str, manifest: Dict[str, Any]) -> None:

@@ -75,6 +75,7 @@ from repro.metrics.aggregates import WorkloadMetrics
 from repro.metrics.streaming import JOB_RECORD_DTYPE
 from repro.simulator.simulation import SimulationResult
 from repro.store import (
+    BlobIntegrityError,
     ResultStore,
     StoreError,
     default_cache_dir,
@@ -218,9 +219,6 @@ class SweepResult:
     workers: int
     complete: bool = True
     total_tasks: Optional[int] = None
-    #: Corrupt cache entries evicted (quarantined) — this invocation's cache
-    #: probe plus, for a merge, the counts every shard manifest reported.
-    cache_corruptions: int = 0
 
     def __post_init__(self) -> None:
         if self.total_tasks is None:
@@ -457,7 +455,7 @@ def read_cached_run(store: ResultStore, key: str) -> Optional[Dict[str, Any]]:
     another format version.
 
     Read-only: a corrupt blob raises :class:`repro.store.StoreError`
-    naming the key, and is left in place for ``store verify``.
+    naming the key, and is left in place for the sweep that reruns it.
     """
     data = store.get(key)
     if data is None:
@@ -466,8 +464,8 @@ def read_cached_run(store: ResultStore, key: str) -> Optional[Dict[str, Any]]:
         return _decode_run_blob(data)[0]
     except ValueError as exc:  # the envelope or the header does not decode
         raise StoreError(
-            f"cache blob {key} in {store.url} is corrupt ({exc}); run "
-            "'store verify' to quarantine it"
+            f"cache blob {key} in {store.url} is corrupt ({exc}); re-run the "
+            "sweep to overwrite it, or drop it with 'store verify --delete'"
         ) from exc
 
 
@@ -518,9 +516,9 @@ class SweepRunner:
     trace:
         Publish every task's decision trace next to its run blob (see
         :mod:`repro.telemetry.trace`).  Requires a store.  A cached run
-        whose trace is missing (never published, or quarantined since) is
-        a miss and re-executes, except under a ``MergeExecutor``, which
-        executes nothing.
+        whose trace is missing or fails its envelope is a miss and
+        re-executes, except under a ``MergeExecutor``, which executes
+        nothing.
     """
 
     def __init__(
@@ -545,45 +543,33 @@ class SweepRunner:
     # ------------------------------------------------------------------ #
     # Cache plumbing (all blob/manifest I/O goes through ``self.store``)
     # ------------------------------------------------------------------ #
-    def _cache_load(
-        self, key: Optional[str]
-    ) -> Tuple[Optional[PolicyRun], bool, Optional[str]]:
-        """Load one cache entry; returns ``(run, was_corrupt, digest)``.
+    def _cache_load(self, key: Optional[str]) -> Tuple[Optional[PolicyRun], Optional[str]]:
+        """Load one cache entry; returns ``(run, digest)``, ``(None, None)``
+        on a miss.
 
         Blobs written by this runner carry an integrity envelope
         (:func:`repro.store.wrap_blob`) whose SHA-256 content digest is
-        verified here on every read.  A payload of another format version
-        is an ordinary miss: it is re-executed and overwritten.  A corrupt
-        blob (torn write, truncation, digest mismatch, no envelope, a
-        header that does not decode) is quarantined in the store so it is never
-        retried — one bad entry must not poison every subsequent (sharded)
-        run — and reported distinctly from an ordinary miss.  Transport failures
-        (:class:`repro.store.StoreError`) propagate: an unreachable store
-        is not a cache miss.
+        verified here on every read.  A blob that cannot be served is a
+        miss: one of another format version silently, and a corrupt one
+        (torn write, truncation, digest mismatch, no envelope, a header
+        that does not decode) with a warning naming the key.  The rerun's
+        ``put`` overwrites it atomically with the bytes a clean run stores.
+        Transport failures (:class:`repro.store.StoreError`) propagate: an
+        unreachable store is not a cache miss.
         """
         if key is None or self.store is None:
-            return None, False, None
+            return None, None
         data = self.store.get(key)
         if data is None:
-            return None, False, None
+            return None, None
         try:
             payload, digest = _decode_run_blob(data)
-            if payload is None:
-                return None, False, None  # stale but well-formed: an ordinary miss
-            return payload["run"], False, digest
-        except ValueError:  # quarantined and counted as a corruption below
-            _log.warning(
-                "corrupt cache blob %s… in %s; quarantining and re-running",
-                key[:24],
-                self.store.url,
-            )
-            try:
-                self.store.quarantine(key)
-            # repro: allow[exc-swallow] quarantine is best-effort — the
-            # corruption is already counted and this load stays a miss
-            except StoreError:
-                pass
-            return None, True, None
+        except ValueError as exc:
+            self._warn_unreadable("cache", key, exc)
+            return None, None
+        if payload is None:  # another format version: an ordinary miss
+            return None, None
+        return payload["run"], digest
 
     def _cache_store(
         self, key: Optional[str], task: SweepTask, run: PolicyRun, phases: Dict[str, float]
@@ -607,8 +593,25 @@ class SweepRunner:
         return digest
 
     def _lacks_trace(self, task: SweepTask, key: str) -> bool:
-        """Whether ``task`` asks for a trace the store lacks."""
-        return task.trace and not self.store.exists(trace_key(key))
+        """Whether ``task`` asks for a trace the store cannot serve: absent,
+        or failing its envelope (warned like a corrupt run blob)."""
+        if not task.trace:
+            return False
+        data = self.store.get(trace_key(key))
+        if data is None:
+            return True
+        try:
+            unwrap_blob(data)
+        except BlobIntegrityError as exc:
+            self._warn_unreadable("trace", trace_key(key), exc)
+            return True
+        return False
+
+    def _warn_unreadable(self, kind: str, key: str, exc: Exception) -> None:
+        _log.warning(
+            "unreadable %s blob %s in %s (%s); a miss, the rerun overwrites it",
+            kind, key, self.store.url, exc,
+        )
 
     # ------------------------------------------------------------------ #
     def run(self, tasks: Sequence[SweepTask]) -> SweepResult:
@@ -631,7 +634,6 @@ class SweepRunner:
         done = 0
         entries: List[Optional[SweepEntry]] = [None] * total
         misses: List[int] = []
-        corrupt_indices: List[int] = []
         cache_keys: List[Optional[str]] = (
             [None] * total if self.store is None else task_cache_keys(tasks)
         )
@@ -640,9 +642,7 @@ class SweepRunner:
         # A merge executes nothing, so a run lacking its trace stays a hit.
         probe_traces = not isinstance(self.executor, MergeExecutor)
         for index, task in enumerate(tasks):
-            cached, was_corrupt, digest = self._cache_load(cache_keys[index])
-            if was_corrupt:
-                corrupt_indices.append(index)
+            cached, digest = self._cache_load(cache_keys[index])
             if (
                 cached is not None
                 and probe_traces
@@ -673,17 +673,14 @@ class SweepRunner:
                 self.progress(done, total, entry)
 
         executor = self.executor
-        shard_corruptions = 0
         if executor is None:
             run_tasks(tasks, keys, misses, self.max_workers, complete)
         elif isinstance(executor, MergeExecutor):
-            shard_corruptions = executor.check(
-                self.store, keys, cache_keys, misses, corrupt_indices
-            )
+            executor.check(self.store, keys, cache_keys, misses)
         else:
             executor.run(
                 self.store, tasks, keys, cache_keys, misses,
-                len(corrupt_indices), digests, self.max_workers, complete,
+                digests, self.max_workers, complete,
             )
 
         finished = [entry for entry in entries if entry is not None]
@@ -693,5 +690,4 @@ class SweepRunner:
             workers=workers,
             complete=len(finished) == total,
             total_tasks=total,
-            cache_corruptions=len(corrupt_indices) + shard_corruptions,
         )

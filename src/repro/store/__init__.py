@@ -16,10 +16,10 @@ through one primitive, ``_entries``.  Two backends ship:
 :func:`resolve_store` adds the ``SweepRunner`` default, the
 ``REPRO_STORE_URL`` environment variable.  :mod:`repro.store.lifecycle`
 adds the lifecycle layer — blob integrity envelopes, manifest-aware
-``gc`` (the one eviction pass), ``verify`` and ``repair``; ``prune``
-(:mod:`repro.store.tools`) clears the quarantine and then runs ``gc``
-with its age cutoff.  ``repro-sdpolicy store`` exposes them (stats /
-prune / gc / verify / repair) from the shell.
+``gc`` (the one eviction pass) and a read-only ``verify``.  The store is a
+memo: a blob that fails its envelope is a miss, and the rerun overwrites
+it with the same bytes a clean run stores.  ``repro-sdpolicy store``
+exposes stats / gc / verify from the shell.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.store.base import (
     MANIFEST_PREFIX,
     MANIFEST_SUFFIX,
     ObjectStat,
-    QUARANTINE_SUFFIX,
     ResultStore,
     StoreError,
     StoreStats,
@@ -42,33 +41,28 @@ from repro.store.lifecycle import (
     BlobIntegrityError,
     GCStats,
     ManifestReferences,
-    RepairStats,
     VerifyReport,
     blob_digest,
     collect_references,
     gc,
-    repair,
+    parse_age,
     unwrap_blob,
     verify,
     wrap_blob,
 )
 from repro.store.localfs import LocalFSStore, default_cache_dir
 from repro.store.memory import MemoryStore
-from repro.store.tools import PruneStats, parse_age, prune
 
 __all__ = [
     "BLOB_SUFFIX",
     "MANIFEST_PREFIX",
     "MANIFEST_SUFFIX",
-    "QUARANTINE_SUFFIX",
     "BlobIntegrityError",
     "GCStats",
     "LocalFSStore",
     "ManifestReferences",
     "MemoryStore",
     "ObjectStat",
-    "PruneStats",
-    "RepairStats",
     "ResultStore",
     "StoreError",
     "StoreStats",
@@ -79,8 +73,6 @@ __all__ = [
     "gc",
     "open_store",
     "parse_age",
-    "prune",
-    "repair",
     "resolve_store",
     "unwrap_blob",
     "verify",

@@ -13,12 +13,15 @@ A result store holds two kinds of typed objects for the sweep subsystem
 Backends implement five *object-name* primitives (``_read`` / ``_write`` /
 ``_delete`` / ``_stat`` / ``_entries``); the typed public
 API — ``get`` / ``put`` / ``exists`` / ``list`` / ``delete`` over blob
-keys, quarantine handling, and the manifest helpers — is defined once here
-in terms of the object-name layout of the historical on-disk cache
-(``<key>.pkl``, ``manifests/<name>.json``, ``<key>.pkl.corrupt``), so
-every backend is byte-compatible with every other and
-:class:`~repro.store.localfs.LocalFSStore` is byte-compatible with caches
-written before stores existed.
+keys and the manifest helpers — is defined once here in terms of the
+object-name layout of the historical on-disk cache (``<key>.pkl``,
+``manifests/<name>.json``), so every backend is byte-compatible with every
+other and :class:`~repro.store.localfs.LocalFSStore` is byte-compatible
+with caches written before stores existed.
+
+The store is a memo: a blob that cannot be served is a miss, and the
+rerun's ``put`` overwrites it.  There is no second namespace for bad
+blobs.
 """
 
 from __future__ import annotations
@@ -36,9 +39,6 @@ MANIFEST_PREFIX = "manifests/"
 
 #: Object-name suffix of a manifest document.
 MANIFEST_SUFFIX = ".json"
-
-#: Suffix appended to a blob's object name when it is quarantined.
-QUARANTINE_SUFFIX = ".corrupt"
 
 #: Suffix of stray temporary objects left behind by a crashed atomic write
 #: (``LocalFSStore._write``'s mkstemp files); ``store gc`` sweeps them.
@@ -65,7 +65,6 @@ class StoreStats:
     blob_bytes: int
     manifests: int
     manifest_bytes: int
-    quarantined: int
 
 
 def _check_key(key: str, what: str = "key") -> str:
@@ -148,55 +147,6 @@ class ResultStore(abc.ABC):
         return self._stat(self._blob_name(key))
 
     # ------------------------------------------------------------------ #
-    # Quarantine (corrupt blobs are moved aside, never retried)
-    # ------------------------------------------------------------------ #
-    def quarantine(self, key: str) -> None:
-        """Move a corrupt blob out of the blob namespace, idempotently.
-
-        The default implementation copies the bytes to the quarantine name
-        and deletes the original; backends with a cheaper atomic rename
-        override this.  Copy-then-delete is not atomic, so a crash (or a
-        failed delete) can leave both the live blob and its quarantine
-        copy behind; re-quarantining finishes the job — an existing
-        quarantine copy is never rewritten (the first capture is the
-        evidence) and only the delete is retried.  A failed delete raises
-        :class:`StoreError` so callers know the corrupt blob is still
-        visible to readers.  Quarantining an already-missing blob is a
-        no-op.
-        """
-        name = self._blob_name(key)
-        data = self._read(name)
-        if data is not None and self._stat(name + QUARANTINE_SUFFIX) is None:
-            self._write(name + QUARANTINE_SUFFIX, data)
-        try:
-            self._delete(name)
-        except StoreError as exc:
-            raise StoreError(
-                f"quarantined blob {key!r} in {self.url} but could not delete "
-                f"the original, which stays visible to readers: {exc}"
-            ) from exc
-
-    def list_quarantined(self, prefix: str = "") -> List[str]:
-        """Blob keys with a quarantined entry, sorted."""
-        suffix = BLOB_SUFFIX + QUARANTINE_SUFFIX
-        return [
-            name[: -len(suffix)]
-            for name, _ in self._entries(prefix)
-            if name.endswith(suffix) and "/" not in name
-        ]
-
-    def delete_quarantined(self, key: str) -> bool:
-        return self._delete(self._blob_name(key) + QUARANTINE_SUFFIX)
-
-    def get_quarantined(self, key: str) -> Optional[bytes]:
-        """Bytes of a quarantined blob (corruption evidence), or ``None``."""
-        return self._read(self._blob_name(key) + QUARANTINE_SUFFIX)
-
-    def put_quarantined(self, key: str, data: bytes) -> None:
-        """Publish a quarantined entry verbatim."""
-        self._write(self._blob_name(key) + QUARANTINE_SUFFIX, data)
-
-    # ------------------------------------------------------------------ #
     # Manifests (atomic JSON documents)
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -240,29 +190,13 @@ class ResultStore(abc.ABC):
     # Aggregates
     # ------------------------------------------------------------------ #
     def stats(self) -> StoreStats:
-        """Count blobs/manifests/quarantined entries and their sizes.
-
-        One bulk ``_entries`` pass.  A blob whose quarantine
-        copy also exists — an interrupted :meth:`quarantine` — is counted
-        once, as quarantined, not double-counted as a live blob too.
-        """
-        blobs = blob_bytes = manifests = manifest_bytes = quarantined = 0
-        entries = self._entries()
-        quarantine_names = {
-            name
-            for name, _ in entries
-            if name.endswith(BLOB_SUFFIX + QUARANTINE_SUFFIX)
-        }
-        for name, stat in entries:
-            if name in quarantine_names:
-                quarantined += 1
-                continue
+        """Count blobs and manifests and their sizes, in one ``_entries`` pass."""
+        blobs = blob_bytes = manifests = manifest_bytes = 0
+        for name, stat in self._entries():
             if name.startswith(MANIFEST_PREFIX) and name.endswith(MANIFEST_SUFFIX):
                 manifests += 1
                 manifest_bytes += stat.size
             elif name.endswith(BLOB_SUFFIX) and "/" not in name:
-                if name + QUARANTINE_SUFFIX in quarantine_names:
-                    continue  # half-quarantined: already counted as evidence
                 blobs += 1
                 blob_bytes += stat.size
         return StoreStats(
@@ -270,7 +204,6 @@ class ResultStore(abc.ABC):
             blob_bytes=blob_bytes,
             manifests=manifests,
             manifest_bytes=manifest_bytes,
-            quarantined=quarantined,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

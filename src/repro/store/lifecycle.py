@@ -1,4 +1,4 @@
-"""Store lifecycle: blob integrity envelopes, manifest-aware gc, verify, repair.
+"""Store lifecycle: blob integrity envelopes, manifest-aware gc, verify.
 
 The sweep cache has no intrinsic notion of "still needed": blobs are
 content-addressed and shard manifests (:mod:`repro.experiments.executors`)
@@ -9,22 +9,21 @@ depends on.  This module is the lifecycle layer on top of the
 * **Envelopes** — :func:`wrap_blob`/:func:`unwrap_blob` frame a cache
   payload with a versioned header carrying a SHA-256 content digest, so a
   truncated or bit-rotted blob is detected on every read instead of
-  silently skewing a reproduced figure.  A blob without the envelope is
-  corrupt: reads quarantine and recompute it, and verify reports it.
+  silently skewing a reproduced figure.  A blob that fails the check (one
+  without the envelope among them) is a cache miss: the rerun writes the
+  same bytes a clean run would, over it.
 * **References** — :func:`collect_references` walks every shard manifest
   in a store (format v2 records already carry ``cache_key``; v3 adds the
   blob ``digest``) and returns the *live* blob set.
 * **gc** — :func:`gc` deletes only blobs no manifest references, with a
   ``grace`` age floor protecting in-flight writes, and sweeps ``*.tmp``
-  debris a crashed atomic write left behind.  It is the one eviction
-  pass: ``prune`` (:mod:`repro.store.tools`) clears the quarantine and
-  then runs it with its ``--older-than`` cutoff as the grace period.
-* **verify** — :func:`verify` re-hashes every blob, quarantines envelope
-  mismatches, and reports drift between stored blobs and the digests shard
-  manifests recorded (informational: a recomputed run stores the same
-  bytes, so drift means the blob was replaced, say by another version).
-* **repair** — :func:`repair` re-fetches quarantined blobs from a mirror
-  store, verifies their integrity, and republishes them.
+  debris a crashed atomic write left behind.  It is the one eviction pass;
+  :func:`parse_age` reads its ``--grace`` age.
+* **verify** — :func:`verify` re-hashes every blob and reports envelope
+  mismatches, deleting them only when asked, and reports drift between
+  stored blobs and the digests shard manifests recorded (informational: a
+  recomputed run stores the same bytes, so drift means the blob was
+  replaced, say by another version).
 
 Everything here is backend-agnostic; this is a friend module of
 :mod:`repro.store.base` and may use the object-name primitives directly
@@ -34,6 +33,7 @@ Everything here is backend-agnostic; this is a friend module of
 from __future__ import annotations
 
 import hashlib
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -56,8 +56,8 @@ class BlobIntegrityError(ValueError):
 
     Deliberately *not* a :class:`~repro.store.base.StoreError`: transport
     failures must propagate out of cache probes, while integrity failures
-    mean the bytes arrived fine but are wrong — the caller quarantines
-    them like any other corrupt entry.
+    mean the bytes arrived fine but are wrong — a cache probe counts them
+    as a miss, and the rerun overwrites the blob.
     """
 
 
@@ -207,6 +207,25 @@ class GCStats:
 #: published a blob but has not yet (re)written its manifest.
 DEFAULT_GRACE_SECONDS = 3600.0
 
+_AGE_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*([smhdw]?)\s*$", re.IGNORECASE)
+
+_AGE_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
+
+
+def parse_age(value: str) -> float:
+    """Parse a human age (``90s``, ``45m``, ``12h``, ``30d``, ``2w``) to seconds.
+
+    A bare number means days — ``--grace 30`` is thirty days, the natural
+    unit for cache retention.
+    """
+    match = _AGE_RE.match(str(value))
+    if not match:
+        raise ValueError(
+            f"invalid age {value!r}: expected <number>[s|m|h|d|w], e.g. 30d"
+        )
+    number, unit = match.groups()
+    return float(number) * _AGE_UNITS[unit.lower() or "d"]
+
 
 def gc(
     store: ResultStore,
@@ -222,8 +241,8 @@ def gc(
     ``grace_seconds`` are kept (a racing sweep publishes the blob before
     the manifest naming it).  Stray ``*.tmp`` objects from crashed atomic
     writes are swept once they are older than the grace period.
-    Quarantined entries are corruption *evidence* and left alone
-    (``prune`` clears them).
+    Manifests are left alone: they are tiny, and deleting a manifest is
+    the deliberate act that releases its blobs.
     """
     if grace_seconds < 0:
         raise ValueError(f"grace_seconds must be >= 0, got {grace_seconds}")
@@ -260,20 +279,19 @@ def gc(
 class VerifyReport:
     """Outcome of one :func:`verify` pass (machine-readable via ``as_dict``).
 
-    ``corrupt`` entries failed their own envelope check and were
-    quarantined (unless ``dry_run``); ``drift`` entries verify against
-    their envelope but differ from the digest a shard manifest recorded
-    (informational — a recomputed run stores the same bytes, so the blob
-    was replaced, say by another package version); ``missing_referenced``
-    are manifest-pinned keys with no blob behind them (a pruned or foreign
-    store).
+    ``corrupt`` entries failed their own envelope check (and are gone
+    after ``verify(store, delete=True)``); ``drift``
+    entries verify against their envelope but differ from the digest a
+    shard manifest recorded (informational — a recomputed run stores the
+    same bytes, so the blob was replaced, say by another package version);
+    ``missing_referenced`` are manifest-pinned keys with no blob behind
+    them (a collected or foreign store).
     """
 
     store: str
     checked: int = 0
     ok: int = 0
     corrupt: List[Dict[str, str]] = field(default_factory=list)
-    quarantined: List[str] = field(default_factory=list)
     drift: List[Dict[str, str]] = field(default_factory=list)
     missing_referenced: List[str] = field(default_factory=list)
 
@@ -288,23 +306,23 @@ class VerifyReport:
             "checked": self.checked,
             "ok": self.ok,
             "corrupt": self.corrupt,
-            "quarantined": self.quarantined,
             "drift": self.drift,
             "missing_referenced": self.missing_referenced,
             "clean": self.clean,
         }
 
 
-def verify(store: ResultStore, dry_run: bool = False) -> VerifyReport:
-    """Re-hash every blob of ``store``; quarantine integrity failures.
+def verify(store: ResultStore, delete: bool = False) -> VerifyReport:
+    """Re-hash every blob of ``store`` and report integrity failures.
 
     Every blob is checked against its envelope's recorded SHA-256 and
-    size; failures (an envelope-less blob among them) are quarantined
-    (kept live under ``dry_run``) and listed in the report.  Digests
-    recorded by v3 shard manifests are cross-checked where available —
-    mismatches are reported as ``drift``, never quarantined, because the
-    replacing blob is itself intact (another package version may have
-    written it).
+    size; failures (an envelope-less blob among them) are listed in the
+    report.  The pass is read-only unless ``delete`` is set, which removes
+    each failing blob; leaving it is just as safe, since a sweep reads a
+    bad blob as a miss and overwrites it.  Digests recorded by v3 shard
+    manifests are cross-checked where available — mismatches are
+    reported as ``drift``, never deleted, because the replacing blob is
+    itself intact (another package version may have written it).
     """
     refs = collect_references(store)
     report = VerifyReport(store=store.url)
@@ -319,9 +337,8 @@ def verify(store: ResultStore, dry_run: bool = False) -> VerifyReport:
             _, digest = unwrap_blob(data)
         except BlobIntegrityError as exc:
             report.corrupt.append({"key": key, "error": str(exc)})
-            if not dry_run:
-                store.quarantine(key)
-                report.quarantined.append(key)
+            if delete:
+                store.delete(key)
             continue
         report.ok += 1
         recorded = refs.digests.get(key)
@@ -331,47 +348,3 @@ def verify(store: ResultStore, dry_run: bool = False) -> VerifyReport:
             )
     report.missing_referenced = sorted(refs.live_keys - seen)
     return report
-
-
-# --------------------------------------------------------------------- #
-# repair
-# --------------------------------------------------------------------- #
-@dataclass
-class RepairStats:
-    """Outcome of one :func:`repair` call."""
-
-    repaired: int = 0
-    missing_in_source: int = 0
-    still_corrupt: int = 0
-    repaired_keys: List[str] = field(default_factory=list)
-
-
-def repair(
-    store: ResultStore,
-    source: ResultStore,
-    dry_run: bool = False,
-) -> RepairStats:
-    """Re-fetch every quarantined blob of ``store`` from a mirror.
-
-    For each quarantined key, the mirror's copy is fetched, its envelope
-    verified, republished under the live key, and the quarantined entry
-    dropped.  Keys the mirror lacks, or whose mirror
-    copy fails its own integrity check, are left quarantined.
-    """
-    stats = RepairStats()
-    for key in store.list_quarantined():
-        data = source.get(key)
-        if data is None:
-            stats.missing_in_source += 1
-            continue
-        try:
-            unwrap_blob(data)
-        except BlobIntegrityError:
-            stats.still_corrupt += 1
-            continue
-        if not dry_run:
-            store.put(key, data)
-            store.delete_quarantined(key)
-        stats.repaired += 1
-        stats.repaired_keys.append(key)
-    return stats

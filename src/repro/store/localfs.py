@@ -1,11 +1,12 @@
 """Local-filesystem result store: the historical ``<cache-dir>`` layout.
 
 ``LocalFSStore(root)`` is byte-compatible with caches written before the
-store subsystem existed: blobs live as ``<root>/<key>.pkl``, shard manifests
-as ``<root>/manifests/<name>.json`` and quarantined blobs as
-``<root>/<key>.pkl.corrupt``.  Writes publish atomically (``mkstemp`` +
-``os.replace``), so concurrent sweeps sharing one directory never observe a
-torn entry, and quarantine is a single rename.
+store subsystem existed: blobs live as ``<root>/<key>.pkl`` and shard
+manifests as ``<root>/manifests/<name>.json``.  Writes publish atomically
+(``mkstemp`` + ``os.replace``), so concurrent sweeps sharing one directory
+never observe a torn entry, and a rerun overwrites an unreadable blob in
+one rename.  ``*.pkl.corrupt`` files that older versions moved bad blobs
+to are inert: nothing lists or reads them, and they can be deleted by hand.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.store.base import (
     BLOB_SUFFIX,
     MANIFEST_PREFIX,
     ObjectStat,
-    QUARANTINE_SUFFIX,
     ResultStore,
     StoreError,
 )
@@ -123,7 +123,7 @@ class LocalFSStore(ResultStore):
                 try:
                     st = path.stat()
                 # repro: allow[exc-swallow] entry vanished between iterdir
-                # and stat (concurrent prune/gc); skipping it is correct
+                # and stat (concurrent gc); skipping it is correct
                 except OSError:
                     continue
                 if not stat.S_ISREG(st.st_mode):
@@ -133,36 +133,3 @@ class LocalFSStore(ResultStore):
         scan(self.root, "")
         scan(self.manifest_dir, MANIFEST_PREFIX)
         return sorted(entries, key=lambda entry: entry[0])
-
-    # ------------------------------------------------------------------ #
-    def quarantine(self, key: str) -> None:
-        """Rename the blob aside atomically (single ``os.replace``).
-
-        Honours the base-class contract: existing quarantine evidence is
-        never rewritten (the first capture wins), and a failure that
-        leaves the corrupt blob visible to readers raises
-        :class:`StoreError` instead of passing silently.
-        """
-        path = self.blob_path(key)
-        quarantined = path.with_name(path.name + QUARANTINE_SUFFIX)
-        try:
-            if quarantined.exists():
-                # Evidence already captured (an interrupted quarantine):
-                # just finish deleting the live blob.
-                try:
-                    path.unlink()
-                # repro: allow[exc-swallow] delete is idempotent; a
-                # concurrently-removed blob is success, not an error
-                except FileNotFoundError:
-                    pass
-                return
-            os.replace(path, quarantined)
-        # repro: allow[exc-swallow] the blob is already gone — there is
-        # nothing left to quarantine and no evidence to capture
-        except FileNotFoundError:
-            pass
-        except OSError as exc:
-            raise StoreError(
-                f"cannot quarantine blob {key!r} in {self.url}; the corrupt "
-                f"blob stays visible to readers: {exc}"
-            ) from exc

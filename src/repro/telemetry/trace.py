@@ -10,7 +10,7 @@ the identical blob from serial and sharded runs.
 
 Storage sits next to the cached run, so tracing never splits or
 invalidates the run cache.  The blob lives under ``<cache_key>-trace`` in
-the integrity envelope, so ``store verify``/``repair`` cover it.  A
+the integrity envelope, so ``store verify`` covers it.  A
 ``trace-<cache_key[:24]>`` manifest holds the run's metadata for
 discovery, and its ``"tasks"`` list names the run blob and the trace blob
 so :func:`~repro.store.lifecycle.collect_references` keeps both through
@@ -92,7 +92,7 @@ PHASE_FIELDS = ("simulate", "serialize", "store_put")
 
 
 class AttachmentError(RuntimeError):
-    """A stored decision trace is missing, quarantined or unreadable."""
+    """A stored decision trace is missing or unreadable."""
 
 
 def trace_key(cache_key: str) -> str:
@@ -222,31 +222,30 @@ def load_trace(
 ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     """Load + verify one run's trace; ``(meta, events)``.
 
-    :class:`AttachmentError` if it was never published, was quarantined or
-    deleted, or is unreadable or fails its integrity envelope.
+    :class:`AttachmentError` if it was never published, was deleted, or
+    fails its integrity envelope.  Each error names the rerun that
+    publishes the trace again.
     """
     data = store.get(trace_key(cache_key))
     short = cache_key[:24]
+    rerun = "re-run the sweep with --trace to "
     if data is None:
         if store.read_manifest(trace_manifest_name(cache_key)) is not None:
             raise AttachmentError(
-                f"the trace blob of cache key {short}… was quarantined "
-                "or deleted (its trace manifest remains); restore it "
-                "with 'store repair --from MIRROR', or re-run the sweep with "
-                "--trace to regenerate it"
+                f"the trace blob of cache key {short}… was deleted (its trace "
+                f"manifest remains); {rerun}regenerate it"
             )
         raise AttachmentError(
             f"no trace for cache key {short}… — the run was executed "
-            "without --trace; re-run the sweep with --trace to "
-            "publish the trace"
+            f"without --trace; {rerun}publish the trace"
         )
     try:
         payload, _digest = unwrap_blob(data)
     except BlobIntegrityError as exc:
         raise AttachmentError(
             f"the trace blob of cache key {short}… fails its integrity "
-            f"envelope ({exc}); run 'store verify' to quarantine it, then "
-            "'store repair --from MIRROR' or re-run the sweep with --trace"
+            f"envelope ({exc}); {rerun}overwrite it, or drop it with "
+            "'store verify --delete'"
         ) from exc
     return parse_trace(payload)
 

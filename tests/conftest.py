@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 from contextlib import contextmanager
 from typing import Iterator, List
@@ -17,6 +18,20 @@ from repro.simulator.job import Job
 from repro.simulator.simulation import Simulation
 from repro.workloads.cirne import CirneWorkloadModel
 from repro.workloads.job_record import JobRecord, Workload
+
+
+@pytest.fixture(autouse=True)
+def _reset_repro_logging():
+    """Undo ``setup_logging`` after each test.  A CLI test leaves a handler
+    on the ``repro`` logger that writes to its own captured stderr, with
+    propagation off, so later warnings would reach neither caplog nor an
+    open stream."""
+    yield
+    root = logging.getLogger("repro")
+    for handler in list(root.handlers):
+        root.removeHandler(handler)
+    root.setLevel(logging.NOTSET)
+    root.propagate = True
 
 
 @pytest.fixture

@@ -115,7 +115,7 @@ class TestRecordsRoundTrip:
 
     def test_truncated_blob_rejected(self, workload):
         """``query`` is read-only: a corrupt run blob is an error naming its
-        key, and nothing is quarantined or rewritten."""
+        key and the commands that fix it, and nothing is rewritten."""
         store = MemoryStore()
         task = _static_task(workload)
         SweepRunner(max_workers=1, store=store).run([task])
@@ -123,10 +123,10 @@ class TestRecordsRoundTrip:
         truncated = store.get(key)[:-100]
         store.put(key, truncated)
         blobs = store.list()
-        with pytest.raises(StoreError, match=f"cache blob {key} .*'store verify'"):
+        with pytest.raises(StoreError, match=f"cache blob {key} .*re-run the sweep"
+                                             ".*'store verify --delete'"):
             run_query(store)
         assert store.list() == blobs
-        assert store.list_quarantined() == []
         assert store.get(key) == truncated
 
 
@@ -310,7 +310,7 @@ class TestFormatCompatibility:
     def test_version_constants(self):
         assert CACHE_FORMAT_VERSION == 7
         assert CACHE_KEY_VERSION == 3  # key encoding unchanged: old blobs resolve
-        assert MANIFEST_FORMAT_VERSION == 6
+        assert MANIFEST_FORMAT_VERSION == 7
 
     @staticmethod
     def _format6_store(workload):
@@ -334,9 +334,9 @@ class TestFormatCompatibility:
         store.put(task_cache_key(task), enveloped)
         return store, task, run
 
-    def test_pickled_blob_is_an_ordinary_miss(self, workload, monkeypatch):
-        """The v6 blob is a miss (not a corruption), is never unpickled and
-        is rewritten at the current format."""
+    def test_pickled_blob_is_an_ordinary_miss(self, workload, monkeypatch, caplog):
+        """The v6 blob is a miss (not a corruption: no warning), is never
+        unpickled and is rewritten at the current format."""
         store, task, run = self._format6_store(workload)
         key = task_cache_key(task)
         assert read_cached_run(store, key) is None
@@ -346,17 +346,17 @@ class TestFormatCompatibility:
 
         monkeypatch.setattr(pickle, "loads", refuse)
         monkeypatch.setattr(pickle, "load", refuse)
-        result = SweepRunner(max_workers=1, store=store).run([task])
+        with caplog.at_level("WARNING", logger="repro.experiments.sweep"):
+            result = SweepRunner(max_workers=1, store=store).run([task])
         assert result.cache_hits == 0
-        assert result.cache_corruptions == 0
-        assert store.list_quarantined() == []
+        assert not caplog.records
         assert result["legacy"].metrics.as_dict() == run.metrics.as_dict()
         assert read_cached_run(store, key)["format"] == CACHE_FORMAT_VERSION == 7
 
     def test_edited_or_truncated_header_names_the_key_and_the_field(self, workload):
         """A digest-valid payload whose header was edited or cut short is a
         corrupt blob: ``query`` raises naming the cache key and the header
-        field, and a sweep quarantines and recomputes it."""
+        field, and a sweep reads it as a miss and overwrites it."""
         store = MemoryStore()
         task = _static_task(workload)
         SweepRunner(max_workers=1, store=store).run([task])
@@ -374,8 +374,8 @@ class TestFormatCompatibility:
         with pytest.raises(StoreError, match=f"cache blob {key} .*header"):
             read_cached_run(store, key)
         result = SweepRunner(max_workers=1, store=store).run([task])
-        assert (result.cache_hits, result.cache_corruptions) == (0, 1)
-        assert store.list_quarantined() == [key]
+        assert result.cache_hits == 0
+        assert read_cached_run(store, key)["format"] == CACHE_FORMAT_VERSION
 
     def test_iter_cached_runs_skips_other_formats_and_traces(self, workload):
         store, legacy, _run = self._format6_store(workload)

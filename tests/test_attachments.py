@@ -4,7 +4,7 @@ The trace is the one side artifact a sweep publishes beside its run blob
 (``--trace``): stored, found, loaded and gc-pinned by
 ``repro.telemetry.trace``.  The sweep-level tests cover the recovery
 contract: a cached run whose store lacks its requested trace (never
-published, or quarantined since) is re-executed to publish it — except
+published, or unreadable since) is re-executed to publish it — except
 by a merge, which executes nothing.
 """
 
@@ -105,15 +105,21 @@ class TestAttachmentStorage:
         with pytest.raises(AttachmentError, match="integrity envelope"):
             load_trace(store, CACHE_KEY)
 
-    def test_quarantined_blob_points_to_repair(self, kind):
+    def test_corrupt_blob_error_names_the_rerun(self, kind):
         store = MemoryStore()
         publish_trace(store, CACHE_KEY, _recorder())
         _flip_last_byte(store, trace_key(CACHE_KEY))
-        assert verify(store).quarantined == [trace_key(CACHE_KEY)]
-        with pytest.raises(AttachmentError) as excinfo:
-            load_trace(store, CACHE_KEY)
-        assert "store repair" in str(excinfo.value)
-        assert "executed without" not in str(excinfo.value)
+        before = store._entries()
+        assert [entry["key"] for entry in verify(store).corrupt] == [trace_key(CACHE_KEY)]
+        assert store._entries() == before  # verify is read-only
+        for deleted in (False, True):
+            if deleted:
+                verify(store, delete=True)
+                assert store.get(trace_key(CACHE_KEY)) is None
+            with pytest.raises(AttachmentError) as excinfo:
+                load_trace(store, CACHE_KEY)
+            assert "re-run the sweep with --trace" in str(excinfo.value)
+            assert "executed without" not in str(excinfo.value)
 
     def test_gc_keeps_run_and_attachment_blobs(self, kind, attached_sweep):
         store, key = attached_sweep
@@ -141,15 +147,71 @@ class TestSweepRepublishes:
         assert flagged.run(tasks).cache_hits == len(tasks)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_quarantined_attachment_is_republished(self, workload, kind):
+    def test_corrupt_attachment_is_republished(self, workload, kind):
         store, tasks = MemoryStore(), _tasks(workload)
         runner = SweepRunner(max_workers=1, store=store, trace=True)
         runner.run(tasks)
         key = task_cache_key(tasks[0])
+        clean = store.get(trace_key(key))
         _flip_last_byte(store, trace_key(key))
-        verify(store)
         assert runner.run(tasks).cache_hits == len(tasks) - 1
+        assert store.get(trace_key(key)) == clean
         assert load_trace(store, key)
+
+    def test_corrupt_attachment_warns_naming_its_key(self, workload, caplog):
+        store, tasks = MemoryStore(), _tasks(workload)
+        runner = SweepRunner(max_workers=1, store=store, trace=True)
+        runner.run(tasks)
+        victim = trace_key(task_cache_key(tasks[1]))
+        _flip_last_byte(store, victim)
+        with caplog.at_level("WARNING", logger="repro.experiments.sweep"):
+            runner.run(tasks)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1
+        assert f"unreadable trace blob {victim} in {store.url}" in messages[0]
+
+    def test_untraced_sweep_never_reads_trace_blobs(self, workload, caplog):
+        """Only a traced probe unwraps the trace blob: an untraced sweep
+        over a store with a corrupt trace is all hits, reads no trace and
+        leaves the bad blob for a traced rerun to overwrite."""
+        store, tasks = MemoryStore(), _tasks(workload)
+        SweepRunner(max_workers=1, store=store, trace=True).run(tasks)
+        victim = trace_key(task_cache_key(tasks[0]))
+        _flip_last_byte(store, victim)
+        torn = store.get(victim)
+        reads = []
+        real_get = store.get
+
+        def recording_get(key):
+            reads.append(key)
+            return real_get(key)
+
+        store.get = recording_get
+        with caplog.at_level("WARNING", logger="repro.experiments.sweep"):
+            plain = SweepRunner(max_workers=1, store=store).run(tasks)
+        assert plain.cache_hits == len(tasks)
+        assert sorted(reads) == sorted(task_cache_key(task) for task in tasks)
+        assert not caplog.records
+        assert real_get(victim) == torn
+
+    def test_merge_leaves_a_corrupt_attachment_alone(self, workload):
+        """A merge executes nothing, so a corrupt trace is not healed there:
+        the runs are served, the bad blob stays, and loading it names the
+        rerun that fixes it."""
+        store, tasks = MemoryStore(), _tasks(workload)
+        SweepRunner(
+            max_workers=1, store=store, trace=True, executor=ShardedExecutor(0, 1)
+        ).run(tasks)
+        key = task_cache_key(tasks[0])
+        _flip_last_byte(store, trace_key(key))
+        torn = store.get(trace_key(key))
+        merged = SweepRunner(
+            max_workers=1, store=store, trace=True, executor=MergeExecutor(),
+        ).run(tasks)
+        assert merged.complete and merged.cache_hits == len(tasks)
+        assert store.get(trace_key(key)) == torn
+        with pytest.raises(AttachmentError, match="re-run the sweep with --trace"):
+            load_trace(store, key)
 
     def test_merge_serves_runs_lacking_attachments(self, workload):
         store, tasks = MemoryStore(), _tasks(workload)

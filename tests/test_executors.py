@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.executors import (
+    MANIFEST_FORMAT_VERSION,
     ExecutorError,
     MergeExecutor,
     ShardedExecutor,
@@ -29,7 +30,7 @@ from repro.experiments.executors import (
     sweep_id,
 )
 from repro.experiments.sweep import SweepError, SweepRunner, SweepTask, task_cache_key
-from repro.store import LocalFSStore
+from repro.store import LocalFSStore, wrap_blob
 from repro.workloads.cirne import CirneWorkloadModel
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -224,25 +225,50 @@ class TestResume:
         with pytest.raises(ExecutorError, match="no shard manifests"):
             runner.run(tasks)
 
-    def test_merge_distinguishes_corrupt_from_pruned_cache(self, tasks, tmp_path):
+    @pytest.mark.parametrize("damage", ["corrupt", "deleted", "header"])
+    def test_merge_names_the_key_and_owning_shard_of_a_miss(self, tasks, tmp_path, damage):
+        """A merge executes nothing: a corrupt blob, an absent one and one
+        whose header does not decode are each a miss, named with its cache
+        key and the shard to re-run."""
         cache = tmp_path / "cache"
-        SweepRunner(
-            max_workers=1, store=cache, executor=ShardedExecutor(0, 1)
-        ).run(tasks)
-        next(cache.glob("*.pkl")).write_bytes(b"torn write")
+        for i in range(2):
+            SweepRunner(
+                max_workers=1, store=cache, executor=ShardedExecutor(i, 2)
+            ).run(tasks)
+        victim = task_cache_key(tasks[1])  # owned by shard 2/2
+        path = cache / f"{victim}.pkl"
+        if damage == "corrupt":
+            path.write_bytes(b"torn write")
+        elif damage == "header":
+            path.write_bytes(wrap_blob(b'{"format":7,"rows":"many"}\n')[0])
+        else:
+            path.unlink()
         runner = SweepRunner(max_workers=1, store=cache, executor=MergeExecutor())
-        with pytest.raises(ExecutorError, match="quarantined"):
+        with pytest.raises(ExecutorError) as excinfo:
             runner.run(tasks)
+        message = str(excinfo.value)
+        assert f"{tasks[1].resolved_key()} (cache key {victim}): re-run shard 2/2" in message
+        assert message.count("re-run shard") == 1
 
-    def test_merge_detects_pruned_cache(self, tasks, tmp_path):
+    def test_merge_refuses_a_manifest_of_the_previous_format(self, tasks, tmp_path):
+        """A v6 manifest (it still counted quarantined blobs) is refused by
+        name; re-running the shard rewrites it at the current format, its
+        completed tasks come back as cache hits, and the merge succeeds."""
         cache = tmp_path / "cache"
-        SweepRunner(
-            max_workers=1, store=cache, executor=ShardedExecutor(0, 1)
-        ).run(tasks)
-        next(cache.glob("*.pkl")).unlink()
-        runner = SweepRunner(max_workers=1, store=cache, executor=MergeExecutor())
-        with pytest.raises(ExecutorError, match="cache is missing"):
-            runner.run(tasks)
+        shard = SweepRunner(max_workers=1, store=cache, executor=ShardedExecutor(0, 1))
+        shard.run(tasks)
+        path = next(LocalFSStore(cache).manifest_dir.glob("*.json"))
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        assert manifest["format"] == MANIFEST_FORMAT_VERSION == 7
+        assert "cache_corruptions" not in manifest
+        manifest.update(format=6, cache_corruptions=0)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        merge = SweepRunner(max_workers=1, store=cache, executor=MergeExecutor())
+        with pytest.raises(ExecutorError, match=f"{path.stem} has format 6; expected 7"):
+            merge.run(tasks)
+        assert shard.run(tasks).cache_hits == len(tasks)
+        assert json.loads(path.read_text(encoding="utf-8"))["format"] == 7
+        assert merge.run(tasks).complete
 
     @pytest.mark.parametrize(
         "damage",
@@ -358,8 +384,8 @@ class TestInterruptAndFailureCleanup:
         assert pickles
         probe = SweepRunner(max_workers=1, store=cache)
         for path in pickles:
-            run, corrupt, digest = probe._cache_load(path.stem)
-            assert run is not None and not corrupt, f"torn cache entry {path.name}"
+            run, digest = probe._cache_load(path.stem)
+            assert run is not None, f"torn cache entry {path.name}"
             assert digest, f"cache entry {path.name} has no content digest"
 
 

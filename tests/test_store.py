@@ -4,23 +4,23 @@ The heart of this module is a backend-interchangeability suite: every test
 parametrised over ``store_url`` runs identically against a local directory
 (:class:`LocalFSStore`) and the in-process :class:`MemoryStore` — the same
 sweep must yield byte-identical results through both, including
-shard → merge round-trips and corrupt-blob quarantine.
+shard → merge round-trips and the rerun that overwrites a corrupt blob.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import pickle
 import re
-import shutil
 import time
 
 import pytest
 
 from repro.cli import main
-from repro.experiments.executors import MergeExecutor, ShardedExecutor
+from repro.experiments.executors import ExecutorError, MergeExecutor, ShardedExecutor
 from repro.experiments.sweep import SweepRunner, SweepTask, encode_run, task_cache_key
 from repro.store import (
     BlobIntegrityError,
@@ -31,13 +31,12 @@ from repro.store import (
     gc,
     open_store,
     parse_age,
-    prune,
-    repair,
     resolve_store,
     unwrap_blob,
     verify,
     wrap_blob,
 )
+from repro.telemetry.trace import trace_key
 from repro.workloads.cirne import CirneWorkloadModel
 
 BACKENDS = ("localfs", "memory")
@@ -149,16 +148,6 @@ class TestProtocol:
         assert store.list() == ["blob"]
         assert store.list_manifests() == ["doc"]
 
-    def test_quarantine_moves_blob_aside(self, store_url):
-        store = open_store(store_url)
-        store.put("bad", b"garbage")
-        store.quarantine("bad")
-        assert store.get("bad") is None
-        assert store.list() == []
-        assert store.list_quarantined() == ["bad"]
-        assert store.delete_quarantined("bad") is True
-        assert store.list_quarantined() == []
-
     def test_stat_and_stats(self, store_url):
         store = open_store(store_url)
         store.put("k", b"12345")
@@ -169,7 +158,6 @@ class TestProtocol:
         stats = store.stats()
         assert stats.blobs == 1 and stats.blob_bytes == 5
         assert stats.manifests == 1 and stats.manifest_bytes > 0
-        assert stats.quarantined == 0
 
     def test_same_url_sees_same_objects(self, store_url):
         open_store(store_url).put("shared", b"v")
@@ -191,70 +179,51 @@ class TestProtocol:
         assert stats.blobs == 3 and stats.blob_bytes == 15
         assert stats.manifests == 1
 
-    def test_interrupted_quarantine_is_idempotent(self):
-        """A failed delete must not double-count the blob or lose the first
-        evidence capture; re-quarantining finishes the job."""
-
-        class FlakyDeleteStore(MemoryStore):
-            fail_deletes = False
-
-            def _delete(self, name):
-                if self.fail_deletes:
-                    raise StoreError(f"cannot delete {name!r}: injected")
-                return super()._delete(name)
-
-        store = FlakyDeleteStore("flaky-quarantine")
-        store.put("bad", b"original evidence")
-        store.fail_deletes = True
-        with pytest.raises(StoreError, match="stays visible to readers"):
-            store.quarantine("bad")
-        # Half-quarantined: evidence captured, original still live…
-        assert store.get("bad") == b"original evidence"
-        assert store.list_quarantined() == ["bad"]
-        # …but stats counts it once, as quarantined, not as a live blob too.
-        stats = store.stats()
-        assert stats.quarantined == 1 and stats.blobs == 0
-        # A retry completes the move without rewriting the first capture.
-        store.fail_deletes = False
-        store.put("bad", b"rewritten by a racing reader")
-        store.quarantine("bad")
-        assert store.get("bad") is None
-        assert store.get_quarantined("bad") == b"original evidence"
-
-    def test_quarantine_of_missing_blob_is_noop(self, store_url):
-        store = open_store(store_url)
-        store.quarantine("never-existed")
-        assert store.list_quarantined() == []
-
     def test_listings_skip_other_namespaces(self, store_url):
-        """``list``/``list_quarantined``/``list_manifests`` each see only
-        their own namespace: a half-quarantined blob is listed both live
-        and quarantined, and stray ``*.tmp`` debris is never listed."""
+        """``list``/``list_manifests`` each see only their own namespace:
+        stray ``*.tmp`` debris and the ``*.pkl.corrupt`` files older
+        versions moved bad blobs to are never listed or counted."""
         store = open_store(store_url)
-        for key in ("aa1", "bb2", "gone", "half"):
+        for key in ("aa1", "bb2"):
             store.put(key, b"x")
-        store.quarantine("gone")
-        store.put_quarantined("half", b"evidence")
+        store._write("gone.pkl.corrupt", b"left by an older version")
         store.write_manifest("m1", {"tasks": []})
         store.write_manifest("trace-x", {"a": 1})
         store._write("stray.tmp", b"crashed write")
         store._write("manifests/stray.tmp", b"crashed write")
-        assert store.list() == ["aa1", "bb2", "half"]
+        assert store.list() == ["aa1", "bb2"]
         assert store.list("a") == ["aa1"]
-        assert store.list_quarantined() == ["gone", "half"]
-        assert store.list_quarantined("h") == ["half"]
+        assert store.stats().blobs == 2
         assert store.list_manifests() == ["m1", "trace-x"]
         assert store.list_manifests("trace-") == ["trace-x"]
 
-    def test_quarantine_never_rewrites_existing_evidence(self, store_url):
-        """Contract shared by every backend (LocalFS renames, the default
-        copies): the first evidence capture wins across re-quarantines."""
+    def test_put_overwrites_in_place(self, store_url):
+        """A rerun's ``put`` replaces a bad blob whole, under its key: one
+        object holding the new bytes, and no temp debris beside it."""
         store = open_store(store_url)
-        store.put_quarantined("bad", b"first capture")
-        store.put("bad", b"later corruption")
-        store.quarantine("bad")
-        assert store.get("bad") is None
-        assert store.get_quarantined("bad") == b"first capture"
+        store.put("k", b"torn")
+        store.put("k", b"recomputed")
+        assert store.get("k") == b"recomputed"
+        assert [name for name, _ in store._entries()] == ["k.pkl"]
+        stats = store.stats()
+        assert stats.blobs == 1 and stats.blob_bytes == len(b"recomputed")
+
+    def test_failed_overwrite_keeps_the_old_blob(self, tmp_path, monkeypatch):
+        """An overwrite that fails before its rename (a full disk) raises a
+        StoreError and leaves the old blob whole, with no temp debris: a
+        reader sees the old bytes or the new, never a torn mix."""
+        store = LocalFSStore(tmp_path)
+        store.put("k", b"old bytes")
+
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(StoreError, match="cannot write 'k.pkl'"):
+            store.put("k", b"new bytes")
+        monkeypatch.undo()
+        assert store.get("k") == b"old bytes"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["k.pkl"]
 
 
 # --------------------------------------------------------------------- #
@@ -274,11 +243,13 @@ class TestSweepInterchangeability:
         assert _run_bytes(second, tasks) == _run_bytes(golden, tasks)
 
     def test_every_execution_path_stores_the_same_blob_sha256(
-        self, tmp_path, tasks, golden_blobs
+        self, tmp_path, tasks, golden_blobs, caplog
     ):
         """Two fresh runs, one and two workers, a serial run and a 2-shard
         run plus merge, and a fresh run and a re-run all store blobs with
-        the same SHA-256: a blob holds no timing and no pickle memo."""
+        the same SHA-256: a blob holds no timing and no pickle memo.  So a
+        flipped byte is a miss on every path, and the rerun stores the
+        same SHA-256 again; a flipped trace blob likewise, under a trace."""
 
         def digests(store):
             return {
@@ -286,23 +257,60 @@ class TestSweepInterchangeability:
                 for key, blob in _stored_blobs(store, tasks).items()
             }
 
+        def flip(store, key):
+            data = store.get(key)
+            store.put(key, data[:-1] + bytes([data[-1] ^ 0xFF]))
+
+        def shard_then_merge(store):
+            shards = [
+                SweepRunner(max_workers=1, store=store, executor=ShardedExecutor(i, 2)).run(tasks)
+                for i in range(2)
+            ]
+            assert SweepRunner(max_workers=1, store=store, executor=MergeExecutor()).run(
+                tasks
+            ).complete
+            return shards
+
         serial, again, rerun = MemoryStore(), MemoryStore(), MemoryStore()
-        for store in (serial, again, rerun):
-            SweepRunner(max_workers=1, store=store).run(tasks)
         pooled = LocalFSStore(tmp_path / "pooled")
-        SweepRunner(max_workers=2, store=pooled).run(tasks)
         sharded = LocalFSStore(tmp_path / "sharded")
-        for i in range(2):
-            SweepRunner(max_workers=1, store=sharded, executor=ShardedExecutor(i, 2)).run(tasks)
-        assert SweepRunner(max_workers=1, store=sharded, executor=MergeExecutor()).run(
-            tasks
-        ).complete
-        # A traced sweep re-executes every cached run that lacks its trace
-        # and overwrites its blob.
-        assert SweepRunner(max_workers=1, store=rerun, trace=True).run(tasks).cache_hits == 0
+        paths = [
+            (serial, lambda: [SweepRunner(max_workers=1, store=serial).run(tasks)]),
+            (again, lambda: [SweepRunner(max_workers=1, store=again).run(tasks)]),
+            (pooled, lambda: [SweepRunner(max_workers=2, store=pooled).run(tasks)]),
+            (sharded, lambda: shard_then_merge(sharded)),
+            # A traced sweep re-executes every cached run that lacks its
+            # trace and overwrites its blob.
+            (rerun, lambda: [SweepRunner(max_workers=1, store=rerun, trace=True).run(tasks)]),
+        ]
+        SweepRunner(max_workers=1, store=rerun).run(tasks)
+        for _store, path in paths:
+            path()
         expected = {key: hashlib.sha256(blob).hexdigest() for key, blob in golden_blobs.items()}
-        for store in (serial, again, pooled, sharded, rerun):
+        for store, _path in paths:
             assert digests(store) == expected, store.url
+
+        victims = [task_cache_key(task) for task in tasks[:2]]  # one per shard
+        for store, path in paths:
+            for key in victims:
+                flip(store, key)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="repro.experiments.sweep"):
+                results = path()
+            executed = sum(not e.from_cache for result in results for e in result.entries)
+            assert executed == len(victims), store.url
+            assert digests(store) == expected, store.url
+            warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+            assert all(any(key in line for line in warned) for key in victims), warned
+
+        traced = trace_key(task_cache_key(tasks[2]))
+        trace_sha256 = hashlib.sha256(rerun.get(traced)).hexdigest()
+        flip(rerun, traced)
+        assert SweepRunner(max_workers=1, store=rerun, trace=True).run(tasks).cache_hits == (
+            len(tasks) - 1
+        )
+        assert hashlib.sha256(rerun.get(traced)).hexdigest() == trace_sha256
+        assert digests(rerun) == expected
 
     def test_shard_merge_round_trip_is_byte_identical(
         self, store_url, tasks, golden
@@ -322,8 +330,8 @@ class TestSweepInterchangeability:
         assert len(store.list()) == len(tasks)
         assert len(store.list_manifests()) == 2
 
-    def test_corrupt_blob_is_quarantined_and_recomputed(
-        self, store_url, tasks, golden
+    def test_corrupt_blob_is_a_miss_the_rerun_overwrites(
+        self, store_url, tasks, golden, golden_blobs
     ):
         SweepRunner(max_workers=1, store=store_url).run(tasks)
         store = open_store(store_url)
@@ -331,37 +339,83 @@ class TestSweepInterchangeability:
         store.put(victim, b"\x80\x04 torn write")
         result = SweepRunner(max_workers=1, store=store_url).run(tasks)
         assert result.cache_hits == len(tasks) - 1
-        assert result.cache_corruptions == 1
-        assert store.list_quarantined() == [victim]
+        assert store.get(victim) == golden_blobs[tasks[0].resolved_key()]
         assert _run_bytes(result, tasks) == _run_bytes(golden, tasks)
-        # The rewrite healed the entry: no corruption on the next pass.
+        # The rewrite healed the entry: the next pass is all hits.
         third = SweepRunner(max_workers=1, store=store_url).run(tasks)
         assert third.cache_hits == len(tasks)
-        assert third.cache_corruptions == 0
 
-    def test_merge_reports_corruptions_quarantined_by_shards(
-        self, store_url, tasks
+    def test_undecodable_header_is_a_miss_the_rerun_overwrites(
+        self, store_url, tasks, golden, golden_blobs, caplog
     ):
-        """A merged result's ``cache_corruptions`` covers what *any* shard
-        evicted, not just the merging process's own (clean) probe."""
+        """A blob whose envelope verifies but whose header does not decode
+        (a row count that disagrees with the row bytes) is a miss like a
+        failed digest: warned by its key, then overwritten by the rerun."""
+        SweepRunner(max_workers=1, store=store_url).run(tasks)
+        store = open_store(store_url)
+        victim = task_cache_key(tasks[1])
+        payload, _ = unwrap_blob(store.get(victim))
+        end = payload.index(b"\n")
+        header = json.loads(payload[:end])
+        header["rows"] += 1
+        store.put(victim, wrap_blob(json.dumps(header).encode() + payload[end:])[0])
+        with caplog.at_level(logging.WARNING, logger="repro.experiments.sweep"):
+            result = SweepRunner(max_workers=1, store=store_url).run(tasks)
+        assert result.cache_hits == len(tasks) - 1
+        warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warned) == 1 and victim in warned[0] and "'rows'" in warned[0]
+        assert store.get(victim) == golden_blobs[tasks[1].resolved_key()]
+        assert _run_bytes(result, tasks) == _run_bytes(golden, tasks)
+
+    def test_rerun_of_the_owning_shard_heals_a_corrupt_blob(
+        self, store_url, tasks, golden
+    ):
+        """A merge over a corrupt blob names the shard that owns it; that
+        shard's rerun overwrites the blob and the merge then succeeds."""
         for i in range(2):
             SweepRunner(
                 max_workers=1, store=store_url, executor=ShardedExecutor(i, 2)
             ).run(tasks)
         store = open_store(store_url)
-        victim = task_cache_key(tasks[0])  # owned by shard 0
-        store.put(victim, b"not a pickle")
-        # Shard 0 reruns: quarantines the torn entry, recomputes the task
-        # and records the eviction in its manifest.
+        victim = task_cache_key(tasks[0])  # owned by shard 1/2
+        store.put(victim, b"not a run blob")
+        merge = SweepRunner(max_workers=1, store=store_url, executor=MergeExecutor())
+        with pytest.raises(ExecutorError, match=f"cache key {victim}\\): re-run shard 1/2"):
+            merge.run(tasks)
         rerun = SweepRunner(
             max_workers=1, store=store_url, executor=ShardedExecutor(0, 2)
         ).run(tasks)
-        assert rerun.cache_corruptions == 1
-        merged = SweepRunner(
-            max_workers=1, store=store_url, executor=MergeExecutor()
-        ).run(tasks)
+        assert [e.key for e in rerun.entries if not e.from_cache] == [tasks[0].resolved_key()]
+        merged = merge.run(tasks)
         assert merged.complete
-        assert merged.cache_corruptions == 1
+        assert _run_bytes(merged, tasks) == _run_bytes(golden, tasks)
+
+    def test_other_shards_leave_a_corrupt_blob_to_its_owner(
+        self, store_url, tasks, golden_blobs, caplog
+    ):
+        """Every shard probes the whole sweep but executes only its own
+        tasks: a shard that does not own a corrupt blob warns and leaves
+        it, and only the owner's rerun overwrites it."""
+        for i in range(2):
+            SweepRunner(
+                max_workers=1, store=store_url, executor=ShardedExecutor(i, 2)
+            ).run(tasks)
+        store = open_store(store_url)
+        victim = task_cache_key(tasks[1])  # owned by shard 2/2
+        torn = store.get(victim)[:-1]
+        store.put(victim, torn)
+        with caplog.at_level(logging.WARNING, logger="repro.experiments.sweep"):
+            other = SweepRunner(
+                max_workers=1, store=store_url, executor=ShardedExecutor(0, 2)
+            ).run(tasks)
+        assert all(e.from_cache for e in other.entries)
+        assert any(victim in r.getMessage() for r in caplog.records)
+        assert store.get(victim) == torn
+        owner = SweepRunner(
+            max_workers=1, store=store_url, executor=ShardedExecutor(1, 2)
+        ).run(tasks)
+        assert [e.key for e in owner.entries if not e.from_cache] == [tasks[1].resolved_key()]
+        assert store.get(victim) == golden_blobs[tasks[1].resolved_key()]
 
     def test_resume_after_lost_blob_reruns_only_that_task(self, store_url, tasks):
         runner = SweepRunner(
@@ -455,9 +509,9 @@ class TestDefaultCacheDir:
 
 
 # --------------------------------------------------------------------- #
-# Tools: parse_age / prune
+# Ages: the gc grace period
 # --------------------------------------------------------------------- #
-class TestTools:
+class TestParseAge:
     @pytest.mark.parametrize(
         "text,seconds",
         [("90s", 90.0), ("45m", 2700.0), ("12h", 43200.0), ("30d", 2592000.0),
@@ -471,77 +525,6 @@ class TestTools:
         with pytest.raises(ValueError):
             parse_age(bad)
 
-    def test_prune_respects_age_and_clears_quarantine(self, tmp_path):
-        store = LocalFSStore(tmp_path)
-        store.put("old", b"x")
-        store.put("new", b"y")
-        old_path = store.blob_path("old")
-        stale = time.time() - 10 * 86400
-        os.utime(old_path, (stale, stale))
-        store.put("corrupt", b"z")
-        store.quarantine("corrupt")
-        stats = prune(store, parse_age("7d"))
-        assert stats.blobs_removed == 1 and stats.kept == 1
-        assert stats.quarantined_removed == 1
-        assert store.list() == ["new"]
-        assert store.list_quarantined() == []
-
-    def test_prune_dry_run_deletes_nothing(self, tmp_path):
-        store = LocalFSStore(tmp_path)
-        store.put("k", b"x")
-        stats = prune(store, 0.0, now=time.time() + 10, dry_run=True)
-        assert stats.blobs_removed == 1
-        assert store.exists("k")
-
-    def test_prune_sweeps_stale_tmp_files(self, tmp_path):
-        """prune's blob pass is gc's, so crashed-write ``*.tmp`` debris
-        older than the cutoff goes too; an in-flight one stays."""
-        store = LocalFSStore(tmp_path)
-        stale_tmp = tmp_path / "tmpleak.tmp"
-        stale_tmp.write_bytes(b"crashed write")
-        stale = time.time() - 10 * 86400
-        os.utime(stale_tmp, (stale, stale))
-        young_tmp = tmp_path / "tmpfresh.tmp"
-        young_tmp.write_bytes(b"in flight")
-        prune(store, parse_age("7d"))
-        assert not stale_tmp.exists()
-        assert young_tmp.exists()
-
-    def test_prune_never_evicts_manifest_referenced_blobs(self, store_url, tasks):
-        """Age-only eviction must not break a live sharded sweep: blobs a
-        shard manifest references survive any --older-than cutoff."""
-        SweepRunner(
-            max_workers=1, store=store_url, executor=ShardedExecutor(0, 2)
-        ).run(tasks)
-        store = open_store(store_url)
-        store.put("orphan", b"unreferenced")
-        referenced = sorted(
-            task_cache_key(t) for i, t in enumerate(tasks) if i % 2 == 0
-        )
-        stats = prune(store, parse_age("7d"), now=time.time() + 30 * 86400)
-        assert stats.blobs_removed == 1  # the orphan only
-        assert stats.kept_referenced == len(referenced)
-        assert store.list() == referenced
-        merged = SweepRunner(
-            max_workers=1, store=store_url, executor=ShardedExecutor(1, 2)
-        ).run(tasks)
-        assert len(merged) == len(tasks)
-
-    def test_prune_clears_quarantine_even_with_unreadable_manifest(self, tmp_path):
-        """An unreadable manifest aborts the blob pass (pruning must not
-        guess what it pinned) but quarantine cleanup is independent of
-        references and happens first."""
-        store = LocalFSStore(tmp_path)
-        store.put("blob1234", b"x")
-        store.put("bad12345", b"corrupt")
-        store.quarantine("bad12345")
-        store.manifest_dir.mkdir(parents=True, exist_ok=True)
-        (store.manifest_dir / "torn.json").write_bytes(b"{not json")
-        with pytest.raises(StoreError, match="unreadable manifest"):
-            prune(store, 0.0, now=time.time() + 10)
-        assert store.list_quarantined() == []  # cleared before the abort
-        assert store.exists("blob1234")  # blob pass never ran
-
 
 # --------------------------------------------------------------------- #
 # Blob integrity envelopes
@@ -553,7 +536,7 @@ class TestEnvelope:
         assert payload == b"payload"
         assert got == digest == hashlib.sha256(b"payload").hexdigest()
 
-    def test_legacy_blob_passes_through(self):
+    def test_legacy_blob_is_rejected(self):
         """A blob without the envelope (the layout before envelopes) no
         longer passes through: it fails, naming the missing envelope."""
         raw = pickle.dumps({"format": 2})
@@ -590,7 +573,7 @@ class TestEnvelope:
 
 
 # --------------------------------------------------------------------- #
-# Lifecycle: gc / verify / repair, across every backend
+# Lifecycle: gc / verify, across every backend
 # --------------------------------------------------------------------- #
 class TestLifecycle:
     def test_gc_never_deletes_manifest_referenced_blobs(
@@ -640,12 +623,41 @@ class TestLifecycle:
         assert stats.blobs_deleted == 1
         assert store.list() == []
 
-    def test_gc_leaves_quarantined_evidence_alone(self, store_url):
+    def test_gc_grace_is_an_age_cutoff(self, tmp_path):
+        """In one pass, unreferenced blobs older than the grace period go
+        and younger ones stay (a file store, where an age can be set)."""
+        store = LocalFSStore(tmp_path)
+        store.put("young", b"just written")
+        store.put("old", b"x")
+        stale = time.time() - 10 * 86400
+        os.utime(store.blob_path("old"), (stale, stale))
+        stats = gc(store, grace_seconds=parse_age("7d"))
+        assert (stats.blobs_deleted, stats.kept_young) == (1, 1)
+        assert store.list() == ["young"]
+
+    def test_gc_leaves_files_of_older_versions_alone(self, store_url):
+        """``*.pkl.corrupt`` files older versions moved bad blobs to are
+        inert: gc does not touch them, and they can be deleted by hand."""
         store = open_store(store_url)
-        store.put("bad", b"evidence")
-        store.quarantine("bad")
+        store._write("bad.pkl.corrupt", b"left by an older version")
         gc(store, grace_seconds=0.0, now=time.time() + 86400)
-        assert store.list_quarantined() == ["bad"]
+        assert store._read("bad.pkl.corrupt") == b"left by an older version"
+
+    def test_gc_treats_a_corrupt_blob_like_any_other(self, store_url, tasks):
+        """gc neither hunts nor spares bad blobs: a corrupt blob a manifest
+        references is kept for its shard's rerun to overwrite, and an
+        unreferenced corrupt one goes like any unreferenced blob."""
+        SweepRunner(
+            max_workers=1, store=store_url, executor=ShardedExecutor(0, 2)
+        ).run(tasks)
+        store = open_store(store_url)
+        referenced = task_cache_key(tasks[0])
+        store.put(referenced, store.get(referenced)[:-1])
+        store.put("orphan12", b"unreferenced and no envelope")
+        stats = gc(store, grace_seconds=0.0, now=time.time() + 86400)
+        assert stats.blobs_deleted == 1 and not store.exists("orphan12")
+        assert store.exists(referenced)
+        assert [entry["key"] for entry in verify(store).corrupt] == [referenced]
 
     def test_gc_sweeps_stale_tmp_files(self, tmp_path):
         """Crashed ``_write``s leak ``*.tmp`` files forever; gc reaps the
@@ -676,32 +688,50 @@ class TestLifecycle:
         assert store.exists("blob")
 
     # ------------------------------------------------------------------ #
-    def test_verify_quarantines_flipped_byte_blob(self, store_url, tasks):
+    def test_verify_reports_flipped_byte_blob_and_changes_nothing(self, store_url, tasks):
         SweepRunner(max_workers=1, store=store_url).run(tasks)
         store = open_store(store_url)
         victim = task_cache_key(tasks[0])
         data = store.get(victim)
         store.put(victim, data[:-1] + bytes([data[-1] ^ 0xFF]))
+        before = store._entries()
         report = verify(store)
         assert not report.clean
         assert [entry["key"] for entry in report.corrupt] == [victim]
-        assert report.quarantined == [victim]
         assert report.ok == len(tasks) - 1
+        assert store._entries() == before
+        assert store.get(victim) == data[:-1] + bytes([data[-1] ^ 0xFF])
+        deleting = verify(store, delete=True)
+        assert [entry["key"] for entry in deleting.corrupt] == [victim]
         assert store.get(victim) is None
-        assert store.list_quarantined() == [victim]
         again = verify(store)
         assert again.clean and again.checked == len(tasks) - 1
 
-    def test_verify_dry_run_reports_without_quarantining(self, store_url, tasks):
-        SweepRunner(max_workers=1, store=store_url).run(tasks)
+    def test_verify_delete_removes_only_bad_blobs(self, store_url, tasks, golden_blobs):
+        """``verify(delete=True)`` removes each blob failing its envelope and
+        nothing else, manifests included; the next sweep reruns exactly
+        those tasks and stores their clean bytes again."""
+        for i in range(2):
+            SweepRunner(
+                max_workers=1, store=store_url, executor=ShardedExecutor(i, 2)
+            ).run(tasks)
         store = open_store(store_url)
-        victim = task_cache_key(tasks[1])
-        tampered = store.get(victim)[:-1]
-        store.put(victim, tampered)
-        report = verify(store, dry_run=True)
-        assert [entry["key"] for entry in report.corrupt] == [victim]
-        assert report.quarantined == []
-        assert store.get(victim) == tampered
+        truncated, bare = task_cache_key(tasks[1]), task_cache_key(tasks[2])
+        store.put(truncated, store.get(truncated)[:-3])
+        store.put(bare, unwrap_blob(store.get(bare))[0])  # no envelope
+        manifests = {name: store.read_manifest(name) for name in store.list_manifests()}
+        report = verify(store, delete=True)
+        assert sorted(entry["key"] for entry in report.corrupt) == sorted([truncated, bare])
+        assert report.ok == len(tasks) - 2
+        assert store.get(truncated) is None and store.get(bare) is None
+        assert {name: store.read_manifest(name) for name in store.list_manifests()} == manifests
+        assert verify(store).missing_referenced == sorted([truncated, bare])
+        rerun = SweepRunner(max_workers=1, store=store_url).run(tasks)
+        assert sorted(e.key for e in rerun.entries if not e.from_cache) == sorted(
+            task.resolved_key() for task in tasks[1:3]
+        )
+        assert _stored_blobs(store, tasks) == golden_blobs
+        assert verify(store).clean
 
     def test_cache_load_verifies_digest_on_read(self, store_url, tasks, golden):
         """A forged digest is caught by the read path even when the
@@ -717,27 +747,25 @@ class TestLifecycle:
         store.put(victim, forged)
         result = SweepRunner(max_workers=1, store=store_url).run(tasks)
         assert result.cache_hits == len(tasks) - 1
-        assert result.cache_corruptions == 1
-        assert store.list_quarantined() == [victim]
+        assert unwrap_blob(store.get(victim))[0] == payload
         assert _run_bytes(result, tasks) == _run_bytes(golden, tasks)
 
-    def test_pre_envelope_blobs_still_load(self, store_url, tasks, golden):
+    def test_pre_envelope_blobs_are_misses(self, store_url, tasks, golden):
         """Blobs written before the envelope existed no longer load: verify
-        reports them as corrupt, and a sweep quarantines and recomputes
-        every one, byte-identical to the uncached golden run."""
+        reports them as corrupt, and a sweep reads every one as a miss and
+        recomputes it, byte-identical to the uncached golden run."""
         SweepRunner(max_workers=1, store=store_url).run(tasks)
         store = open_store(store_url)
         keys = sorted(store.list())
         for key in keys:
             payload, _ = unwrap_blob(store.get(key))
             store.put(key, payload)  # the pre-envelope on-disk layout
-        report = verify(store, dry_run=True)
+        report = verify(store)
         assert not report.clean and report.ok == 0
         assert sorted(entry["key"] for entry in report.corrupt) == keys
         assert all("integrity envelope" in entry["error"] for entry in report.corrupt)
         result = SweepRunner(max_workers=1, store=store_url).run(tasks)
         assert result.cache_hits == 0
-        assert result.cache_corruptions == len(tasks)
         assert _run_bytes(result, tasks) == _run_bytes(golden, tasks)
         assert verify(store).clean
 
@@ -753,7 +781,7 @@ class TestLifecycle:
         replacement, other_digest = wrap_blob(b"recomputed payload")
         store.put(key, replacement)
         report = verify(store)
-        assert report.clean  # drift is informational, never quarantined
+        assert report.clean  # drift is informational, never deleted
         assert report.drift == [
             {"key": key, "manifest": digest, "blob": other_digest}
         ]
@@ -767,55 +795,6 @@ class TestLifecycle:
         )
         report = verify(store)
         assert report.missing_referenced == ["gone" * 2]
-
-    # ------------------------------------------------------------------ #
-    def test_repair_refetches_quarantined_blobs_from_mirror(
-        self, store_url, tasks, tmp_path
-    ):
-        SweepRunner(max_workers=1, store=store_url).run(tasks)
-        store = open_store(store_url)
-        mirror_store = LocalFSStore(tmp_path / "mirror")
-        if isinstance(store, LocalFSStore):
-            shutil.copytree(store.root, mirror_store.root)
-        else:  # a memory:// store has no directory to copy
-            for key in store.list():
-                mirror_store.put(key, store.get(key))
-        victim = task_cache_key(tasks[0])
-        good = store.get(victim)
-        store.put(victim, good[:-3])  # truncate: size check fails
-        assert verify(store).quarantined == [victim]
-        stats = repair(store, mirror_store)
-        assert stats.repaired == 1 and stats.repaired_keys == [victim]
-        assert stats.missing_in_source == 0 and stats.still_corrupt == 0
-        assert store.get(victim) == good
-        assert store.list_quarantined() == []
-        rerun = SweepRunner(max_workers=1, store=store_url).run(tasks)
-        assert rerun.cache_hits == len(tasks)
-
-    def test_repair_leaves_unfixable_keys_quarantined(self, tmp_path):
-        store = LocalFSStore(tmp_path / "store")
-        source = LocalFSStore(tmp_path / "mirror")
-        for key, mirrored in (("missing1", None), ("badcopy1", b"x")):
-            store.put(key, b"corrupt")
-            store.quarantine(key)
-            if mirrored is not None:
-                source.put(key, wrap_blob(mirrored)[0][:-1])  # corrupt there too
-        stats = repair(store, source)
-        assert stats.repaired == 0
-        assert stats.missing_in_source == 1 and stats.still_corrupt == 1
-        assert store.list_quarantined() == ["badcopy1", "missing1"]
-
-    def test_repair_dry_run_changes_nothing(self, tmp_path):
-        store = LocalFSStore(tmp_path / "store")
-        source = LocalFSStore(tmp_path / "mirror")
-        blob, _ = wrap_blob(b"payload")
-        source.put("fixme12", blob)
-        store.put("fixme12", blob[:-1])
-        store.quarantine("fixme12")
-        stats = repair(store, source, dry_run=True)
-        assert stats.repaired == 1
-        assert store.get("fixme12") is None
-        assert store.list_quarantined() == ["fixme12"]
 
 
 # --------------------------------------------------------------------- #
@@ -842,7 +821,6 @@ class TestStoreCLI:
         stats_out = capsys.readouterr().out
         assert "blobs:       6" in stats_out
         assert "manifests:   2" in stats_out
-        assert stats_out.splitlines()[-1] == "quarantined: 0"
 
     def test_store_and_cache_dir_are_mutually_exclusive(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -858,24 +836,13 @@ class TestStoreCLI:
         assert "shard run finished" in capsys.readouterr().out
         assert (tmp_path / "env" / "manifests").is_dir()
 
-    def test_prune_cli(self, tmp_path, capsys):
-        store = LocalFSStore(tmp_path)
-        store.put("k", b"x")
-        assert main(["store", "prune", str(tmp_path), "--older-than", "30d"]) == 0
-        assert "removed 0 blob(s)" in capsys.readouterr().out
-        assert main(["store", "prune", str(tmp_path), "--older-than", "0s"]) == 0
-        capsys.readouterr()
-        assert store.list() == []
-
-    def test_bad_age_is_clean_error(self, tmp_path, capsys):
-        assert main(["store", "prune", str(tmp_path), "--older-than", "soon"]) == 2
-        assert "invalid age" in capsys.readouterr().err
-
     def test_gc_cli_dry_run_then_delete(self, tmp_path, capsys):
         store = LocalFSStore(tmp_path)
         store.put("orphan99", b"xx")
         stale = time.time() - 7200
         os.utime(store.blob_path("orphan99"), (stale, stale))
+        assert main(["store", "gc", str(tmp_path), "--grace", "30d"]) == 0
+        assert "deleted 0 unreferenced blob(s)" in capsys.readouterr().out
         assert main(["store", "gc", str(tmp_path), "--dry-run"]) == 0
         assert "would delete 1 unreferenced blob(s)" in capsys.readouterr().out
         assert store.exists("orphan99")
@@ -887,40 +854,99 @@ class TestStoreCLI:
         assert main(["store", "gc", str(tmp_path), "--grace", "soon"]) == 2
         assert "invalid age" in capsys.readouterr().err
 
-    def test_verify_cli_json_exit_code_and_quarantine(self, tmp_path, capsys):
+    def test_verify_cli_json_exit_code_and_delete(self, tmp_path, capsys):
         store = LocalFSStore(tmp_path)
         good, _ = wrap_blob(b"payload")
         store.put("goodblob", good)
         store.put("badblob1", good[:-1])  # truncated
+        before = store._entries()
         assert main(["store", "verify", str(tmp_path), "--json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["clean"] is False
         assert [entry["key"] for entry in report["corrupt"]] == ["badblob1"]
         assert report["ok"] == 1
-        assert store.list_quarantined() == ["badblob1"]
-        store.delete_quarantined("badblob1")
+        assert store._entries() == before  # verify alone changes nothing
+        assert main(["store", "verify", str(tmp_path), "--delete"]) == 1
+        assert "deleted badblob1" in capsys.readouterr().out
+        assert store.list() == ["goodblob"]
         assert main(["store", "verify", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "corrupt:  0" in out and "ok:       1" in out
 
-    def test_repair_cli_round_trip(self, tmp_path, capsys):
-        store = LocalFSStore(tmp_path / "store")
-        source = LocalFSStore(tmp_path / "mirror")
-        blob, _ = wrap_blob(b"payload")
-        source.put("fixme123", blob)
-        store.put("fixme123", blob[:-1])
-        store.quarantine("fixme123")
-        assert main(["store", "repair", str(tmp_path / "store"),
-                     "--from", str(tmp_path / "mirror")]) == 0
-        assert "repaired 1 quarantined blob(s)" in capsys.readouterr().out
-        assert store.get("fixme123") == blob
-        assert store.list_quarantined() == []
-        # A mirror that cannot supply the key leaves it quarantined, exit 1.
-        store.put("lost1234", b"corrupt")
-        store.quarantine("lost1234")
-        assert main(["store", "repair", str(tmp_path / "store"),
-                     "--from", str(tmp_path / "mirror")]) == 1
-        assert "1 missing in the mirror" in capsys.readouterr().out
+    def test_verify_cli_changes_no_byte_of_the_store(self, tmp_path, capsys, tasks):
+        """Plain ``store verify`` is read-only: over a sharded store with a
+        flipped byte it exits 1 naming the key, and every file, manifests
+        included, keeps its bytes and its mtime."""
+        SweepRunner(max_workers=1, store=tmp_path, executor=ShardedExecutor(0, 1)).run(tasks)
+        store = LocalFSStore(tmp_path)
+        victim = task_cache_key(tasks[0])
+        data = store.get(victim)
+        store.put(victim, data[:-1] + bytes([data[-1] ^ 0xFF]))
+
+        def snapshot():
+            return {
+                str(path.relative_to(tmp_path)): (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in tmp_path.rglob("*")
+                if path.is_file()
+            }
+
+        before = snapshot()
+        assert main(["store", "verify", str(tmp_path)]) == 1
+        assert f"  corrupt {victim}: " in capsys.readouterr().out
+        assert snapshot() == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["repair", "--from", "mirror"], ["prune", "--older-than", "0s"],
+         ["verify", "--dry-run"]],
+        ids=["repair", "prune", "verify-dry-run"],
+    )
+    def test_removed_store_commands_are_usage_errors(self, tmp_path, capsys, argv):
+        """``store repair`` and ``store prune`` are gone (a rerun heals a bad
+        blob, and gc is the one eviction pass), and verify's ``--dry-run``
+        became ``--delete``: each is a usage error that changes nothing."""
+        store = LocalFSStore(tmp_path)
+        store.put("k", b"x")
+        before = store._entries()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["store", argv[0], str(tmp_path), *argv[1:]])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
+        assert store._entries() == before
+
+    def test_merge_cli_over_a_corrupt_blob_names_the_key_and_shard(self, tmp_path, capsys):
+        """``--merge`` executes nothing: over a flipped blob it exits 2
+        naming the key and the shard that owns it, and changes no file.
+        Re-running that shard heals the blob and the merge then matches a
+        single-process run."""
+        args = ["scenario", "figure1-3", "--workload", "3", "--scale", "0.01"]
+        assert main(args + ["--workers", "1"]) == 0
+        golden = capsys.readouterr().out
+        root = tmp_path / "shared"
+        args += ["--store", f"file://{root}"]
+        for shard in ("1/2", "2/2"):
+            assert main(args + ["--shard", shard]) == 0
+        capsys.readouterr()
+        store = LocalFSStore(root)
+        victim = store.list()[0]
+        clean = store.get(victim)
+        store.put(victim, clean[:-1] + bytes([clean[-1] ^ 0xFF]))
+        owner = next(
+            manifest["shard_index"] + 1
+            for manifest in map(store.read_manifest, store.list_manifests())
+            if any(record.get("cache_key") == victim for record in manifest["tasks"])
+        )
+        before = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+        assert main(args + ["--merge"]) == 2
+        err = capsys.readouterr().err
+        assert f"(cache key {victim}): re-run shard {owner}/2" in err
+        assert {path: path.read_bytes() for path in root.rglob("*") if path.is_file()} == before
+        assert main(args + ["--shard", f"{owner}/2"]) == 0
+        capsys.readouterr()
+        assert store.get(victim) == clean
+        assert main(args + ["--merge"]) == 0
+        assert capsys.readouterr().out == golden
 
     def test_missing_url_is_clean_error(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_STORE_URL", raising=False)

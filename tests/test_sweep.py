@@ -125,25 +125,51 @@ class TestCache:
         result = SweepRunner(max_workers=1, store=tmp_path).run(tasks)
         assert result.cache_hits == 0
 
-    def test_corrupt_cache_entry_is_quarantined_and_counted(self, tasks, tmp_path):
-        """A torn pickle is moved aside (never retried) and counted
-        distinctly from an ordinary miss, so one bad write cannot poison
-        every subsequent (sharded) run."""
+    def test_corrupt_cache_entry_is_overwritten_by_the_rerun(self, tasks, tmp_path):
+        """A torn blob is an ordinary miss: the rerun overwrites it with the
+        bytes it held before, in place, and leaves nothing aside."""
         SweepRunner(max_workers=1, store=tmp_path).run(tasks)
+        clean = {path.name: path.read_bytes() for path in tmp_path.glob("*.pkl")}
         for path in tmp_path.glob("*.pkl"):
             path.write_bytes(b"\x80\x04 torn write")
         second = SweepRunner(max_workers=1, store=tmp_path).run(tasks)
         assert second.cache_hits == 0
-        assert second.cache_corruptions == len(tasks)
-        quarantined = list(tmp_path.glob("*.pkl.corrupt"))
-        assert len(quarantined) == len(tasks)
-        # The rerun rewrote good entries: the third run is all hits, no
-        # corruption is re-reported, and the quarantine files are inert.
+        assert {path.name: path.read_bytes() for path in tmp_path.glob("*.pkl")} == clean
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(clean)
         third = SweepRunner(max_workers=1, store=tmp_path).run(tasks)
         assert third.cache_hits == len(tasks)
-        assert third.cache_corruptions == 0
 
-    def test_stale_format_is_miss_not_corruption(self, tasks, tmp_path):
+    @pytest.mark.parametrize("damage", ["flipped", "truncated", "unenveloped"])
+    def test_unreadable_blob_warns_naming_the_key(self, tasks, tmp_path, caplog, damage):
+        """Each blob that fails its envelope logs one WARNING naming its key
+        and the store, and is a miss; once rewritten it is silent again."""
+        from repro.store import LocalFSStore, unwrap_blob
+
+        SweepRunner(max_workers=1, store=tmp_path).run(tasks)
+        store = LocalFSStore(tmp_path)
+        victim = task_cache_key(tasks[0])
+        data = store.get(victim)
+        if damage == "flipped":
+            data = data[:-1] + bytes([data[-1] ^ 0xFF])
+        elif damage == "truncated":
+            data = data[:-1]
+        else:
+            data = unwrap_blob(data)[0]
+        store.put(victim, data)
+        with caplog.at_level("WARNING", logger="repro.experiments.sweep"):
+            result = SweepRunner(max_workers=1, store=tmp_path).run(tasks)
+        assert result.cache_hits == len(tasks) - 1
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1
+        assert f"unreadable cache blob {victim} in {store.url}" in messages[0]
+        assert "the rerun overwrites it" in messages[0]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="repro.experiments.sweep"):
+            again = SweepRunner(max_workers=1, store=tmp_path).run(tasks)
+        assert again.cache_hits == len(tasks)
+        assert not caplog.records
+
+    def test_stale_format_is_miss_not_corruption(self, tasks, tmp_path, caplog):
         from repro.store import unwrap_blob, wrap_blob
 
         runner = SweepRunner(max_workers=1, store=tmp_path)
@@ -152,10 +178,10 @@ class TestCache:
             payload = unwrap_blob(path.read_bytes())[0]
             assert payload.startswith(b'{"format":7,')
             path.write_bytes(wrap_blob(b'{"format":-1,' + payload[len(b'{"format":7,'):])[0])
-        result = SweepRunner(max_workers=1, store=tmp_path).run(tasks)
+        with caplog.at_level("WARNING", logger="repro.experiments.sweep"):
+            result = SweepRunner(max_workers=1, store=tmp_path).run(tasks)
         assert result.cache_hits == 0
-        assert result.cache_corruptions == 0
-        assert not list(tmp_path.glob("*.pkl.corrupt"))
+        assert not caplog.records  # a stale format is no corruption
 
     def test_progress_callback_reports_cache_hits(self, tasks, tmp_path):
         SweepRunner(max_workers=1, store=tmp_path).run(tasks)

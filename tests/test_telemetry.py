@@ -5,7 +5,7 @@ acceptance property that traces are byte-deterministic across serial,
 sharded, and streaming executions, trace publication/loading through the
 integrity envelope, the ``--log-level`` logging wiring, and the
 ``repro-sdpolicy trace`` CLI surface.  Trace
-storage recovery (quarantine, gc pinning, republishing) is covered in
+storage recovery (gc pinning, republishing) is covered in
 ``tests/test_attachments.py``.
 """
 
