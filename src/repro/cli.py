@@ -49,6 +49,7 @@ Example::
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 import time
@@ -769,9 +770,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point for the ``repro-sdpolicy`` console script."""
+    """Entry point for the ``repro-sdpolicy`` console script.
+
+    The ``repro`` logger is configured for the call and restored when it
+    returns, so an in-process caller keeps its own logging.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    logger = logging.getLogger("repro")
+    saved = logger.handlers[:], logger.level, logger.propagate
     setup_logging(args.log_level)
     try:
         return args.func(args)
@@ -787,6 +794,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # no traces recorded) are user-fixable: no traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.handlers[:], level, logger.propagate = saved
+        logger.setLevel(level)  # which also drops the loggers' level caches
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -35,9 +35,8 @@ a shared node exactly when it hosts one.  A mate's predicted end
 (:meth:`Simulation.reconfigure_job` sets an extended requested time before
 the version moves), so the same pass keeps the two latest ends of each node
 count.  Everything that depends on the guest or on the clock runs on every
-scan: the time window, the contention pairing, the penalty against the
-cut-off and the ``mate_candidate`` trace events, emitted in pool order,
-which is ``sim.running``'s insertion order.
+scan: the time window, the contention pairing and the penalty against the
+cut-off.
 
 Most selections fail on node counts alone: no mate in the time window, or
 no one or two of them holding exactly the guest's node count.  Candidates
@@ -49,9 +48,9 @@ says no combination can exist.  That check is one lookup: per node count
 distinct mates whose node counts sum to ``n``, both reach; the guest fits
 when its worst-case end is no later.  The check holds for any cut-off.
 It is skipped, and every candidate built, when a contention model is set
-(its bandwidth refusals are counted from the scan), beyond two mates, and
-in traced runs, whose ``mate_candidate`` events record every penalty:
-traced runs do more work for the same decisions.
+(its bandwidth refusals are counted from the scan) and beyond two mates.
+A traced run takes the same path: the trace records the outcome of each
+search (``mate_selected`` or ``mate_rejected``), not its candidates.
 """
 
 from __future__ import annotations
@@ -233,7 +232,6 @@ class MateSelector:
         guest_id = guest.job_id
         contention = self.contention
         candidates: List[MateCandidate] = []
-        trace = getattr(sim, "trace", None)
         self.bandwidth_rejections = 0
         pool = self.mate_pool(sim)
         self.mates_scanned += len(pool)
@@ -248,19 +246,7 @@ class MateSelector:
                 self.bandwidth_rejections += 1
                 continue
             penalty = mate_penalty(mate, increase)
-            admitted = cutoff.admits(penalty)
-            if trace is not None:
-                # Eligibility failures stay silent (noise); every slowdown
-                # estimate actually weighed against the cut-off is recorded.
-                trace.emit(
-                    "mate_candidate",
-                    sim.now,
-                    guest=guest.job_id,
-                    mate=mate.job_id,
-                    penalty=penalty,
-                    admitted=admitted,
-                )
-            if not admitted:
+            if not cutoff.admits(penalty):
                 continue
             weight = len(mate.allocated_nodes)
             if weight <= 0:
@@ -420,18 +406,15 @@ class MateSelector:
     ) -> Optional[MateSelection]:
         """Select the best mates for a guest, or ``None`` if no set exists.
 
-        Untraced and without a contention model, a guest whose node count
-        no one or two window mates can match is turned down by
-        :meth:`node_counts_can_match` before any penalty is computed.
-        Traced runs build every candidate, so they do more work for the
-        same decisions.  ``guest_runtime`` is passed on to that check.
+        Without a contention model, a guest whose node count no one or two
+        window mates can match is turned down by
+        :meth:`node_counts_can_match` before any penalty is computed, traced
+        or not.  ``guest_runtime`` is passed on to that check.
         """
         if guest.requested_nodes <= 0:
             return None
-        if (
-            self.contention is None
-            and sim.trace is None
-            and not self.node_counts_can_match(sim, guest, guest_runtime)
+        if self.contention is None and not self.node_counts_can_match(
+            sim, guest, guest_runtime
         ):
             return None
         candidates = self.candidate_mates(sim, guest, cutoff)

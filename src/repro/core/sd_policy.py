@@ -153,8 +153,7 @@ class SDPolicyScheduler(BackfillScheduler):
         static one rejects the job before any mate is looked at; after
         that, :meth:`MateSelector.select` turns down a guest whose node
         count no one or two mates in its time window can match before it
-        computes a single penalty (untraced runs without a contention
-        model).
+        computes a single penalty (without a contention model).
 
         The static start is the later of the reservation-map estimate
         (exact for the jobs within the backfill depth) and an aggregate
@@ -234,7 +233,8 @@ class SDPolicyScheduler(BackfillScheduler):
         consume free nodes and therefore cannot delay the queued jobs, is
         attempted immediately so that short jobs arriving into a congested
         system can be placed on shrunk mates without waiting to come within
-        the backfill depth.
+        the backfill depth.  The work ahead is the whole queue's: every
+        other pending job plus the running jobs' remaining requested work.
         """
         if not job.malleable:
             return
@@ -244,23 +244,10 @@ class SDPolicyScheduler(BackfillScheduler):
         self.cutoff.update(sim)
         profile = sim.availability_profile()
         est_start = profile.earliest_start(job.requested_nodes, job.requested_time)
-        mall_end = sim.now + self.selector.estimated_guest_runtime(job)
-        if (
-            sim.trace is None
-            and math.isfinite(est_start)
-            and est_start + job.requested_time > mall_end
-        ):
-            # The static estimate is the larger of the profile's start and
-            # the work-ahead bound, so the profile alone already sends the
-            # job on to mate selection: the sum could not change a decision.
-            # A traced run still takes it, since ``mate_rejected`` records
-            # the static end.
-            work_ahead = 0.0
-        else:
-            work_ahead = self.running_requested_work(sim)
-            for other in sim.pending.ordered():
-                if other.job_id != job.job_id:
-                    work_ahead += other.requested_cpus * other.requested_time
+        work_ahead = self.running_requested_work(sim)
+        for other in sim.pending.ordered():
+            if other.job_id != job.job_id:
+                work_ahead += other.requested_cpus * other.requested_time
         self.try_malleable_start(sim, job, profile, est_start, work_ahead)
 
     def _apply_selection(self, sim: "Simulation", guest: Job, selection: MateSelection) -> None:

@@ -83,7 +83,13 @@ from repro.store import (
     unwrap_blob,
     wrap_blob,
 )
-from repro.telemetry.trace import publish_trace, trace_key
+from repro.telemetry.trace import (
+    TRACE_FORMAT_VERSION,
+    AttachmentError,
+    publish_trace,
+    trace_header,
+    trace_key,
+)
 from repro.workloads.job_record import Workload
 
 _log = logging.getLogger(__name__)
@@ -516,8 +522,8 @@ class SweepRunner:
     trace:
         Publish every task's decision trace next to its run blob (see
         :mod:`repro.telemetry.trace`).  Requires a store.  A cached run
-        whose trace is missing or fails its envelope is a miss and
-        re-executes, except under a ``MergeExecutor``, which executes
+        whose trace is missing, of another trace format or unreadable is a
+        miss and re-executes, except under a ``MergeExecutor``, which executes
         nothing.
     """
 
@@ -594,18 +600,19 @@ class SweepRunner:
 
     def _lacks_trace(self, task: SweepTask, key: str) -> bool:
         """Whether ``task`` asks for a trace the store cannot serve: absent,
-        or failing its envelope (warned like a corrupt run blob)."""
+        of another trace format, or failing its envelope or header (warned
+        like a corrupt run blob)."""
         if not task.trace:
             return False
         data = self.store.get(trace_key(key))
         if data is None:
             return True
         try:
-            unwrap_blob(data)
-        except BlobIntegrityError as exc:
+            found = trace_header(unwrap_blob(data)[0]).get("format")
+        except (BlobIntegrityError, AttachmentError) as exc:
             self._warn_unreadable("trace", trace_key(key), exc)
             return True
-        return False
+        return found != TRACE_FORMAT_VERSION
 
     def _warn_unreadable(self, kind: str, key: str, exc: Exception) -> None:
         _log.warning(

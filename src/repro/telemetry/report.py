@@ -106,11 +106,9 @@ def trace_summary(store: ResultStore, key_prefix: Optional[str] = None) -> str:
         lines.append(f"  events:    {sum(counts.values())} ({ordered})")
         pairs = counts.get("mate_selected", 0)
         rejections = counts.get("mate_rejected", 0)
-        candidates = counts.get("mate_candidate", 0)
-        if pairs or rejections or candidates:
+        if pairs or rejections:
             lines.append(
-                f"  decisions: {pairs} malleable pairings, "
-                f"{rejections} rejections, {candidates} candidates considered"
+                f"  decisions: {pairs} malleable pairings, {rejections} rejections"
             )
         reasons = bucket["reasons"]
         if reasons:
@@ -124,7 +122,7 @@ def trace_summary(store: ResultStore, key_prefix: Optional[str] = None) -> str:
 
 
 def _mentions_job(record: Dict[str, Any], job_id: int) -> bool:
-    for field in ("job", "guest", "mate"):
+    for field in ("job", "guest"):
         if record.get(field) == job_id:
             return True
     mates = record.get("mates")
@@ -178,12 +176,6 @@ def _describe(record: Dict[str, Any]) -> str:
             f"backfill  job {record.get('job')} takes a hole on "
             f"{record.get('nodes')} node(s) ahead of {record.get('ahead')} "
             f"reserved job(s), est_start {record.get('est_start')}"
-        )
-    if event == "mate_candidate":
-        verdict = "admitted" if record.get("admitted") else "over cutoff"
-        return (
-            f"candidate guest {record.get('guest')} vs mate {record.get('mate')}: "
-            f"penalty {record.get('penalty')} ({verdict})"
         )
     if event == "mate_rejected":
         return (

@@ -39,13 +39,16 @@ __all__ = [
     "load_trace",
     "parse_trace",
     "publish_trace",
+    "trace_header",
     "trace_key",
     "trace_manifest_name",
 ]
 
 #: Version of the trace blob + manifest layout (bump on shape changes).
 #: v2: the manifest's phase timers lost ``metrics`` (see PHASE_FIELDS).
-TRACE_FORMAT_VERSION = 2
+#: v3: no ``mate_candidate`` events (a mate search is traced by its
+#: outcome alone) and no ``counts`` in the manifest.
+TRACE_FORMAT_VERSION = 3
 
 #: Declared event vocabulary, ``"<event>:<field,field,…>"`` per entry.
 #: ``repro.devtools.formats`` fingerprints this into ``formats.lock``:
@@ -56,7 +59,6 @@ TRACE_EVENT_FIELDS = (
     "job_start:job,kind,nodes,mates",
     "job_end:job,wait",
     "backfill_hole:job,nodes,ahead,est_start",
-    "mate_candidate:guest,mate,penalty,admitted",
     "mate_rejected:guest,reason,static_end,mall_end",
     "mate_selected:guest,mates,penalty,free_nodes,est_runtime",
     "reconfigure:job,direction,cpus_before,cpus_after",
@@ -79,7 +81,6 @@ TRACE_MANIFEST_FIELDS = (
     "trace_key",
     "trace_digest",
     "events",
-    "counts",
     "meta",
     "phases",
     "tasks",
@@ -138,7 +139,6 @@ class TraceRecorder:
 
     def __init__(self) -> None:
         self.lines: List[str] = []
-        self.counts: Dict[str, int] = {}
         #: Run identity (workload/policy/label/seed) stamped by the runner;
         #: simulation-time determined, so it is safe inside the blob header.
         self.meta: Dict[str, Any] = {}
@@ -150,7 +150,6 @@ class TraceRecorder:
         record: Dict[str, Any] = {"event": event, "t": t}
         record.update(fields)
         self.lines.append(_canonical_line(record))
-        self.counts[event] = self.counts.get(event, 0) + 1
 
     def to_bytes(self) -> bytes:
         header = _canonical_line(
@@ -163,23 +162,37 @@ class TraceRecorder:
         return "\n".join([header] + self.lines).encode("utf-8") + b"\n"
 
 
-def parse_trace(payload: bytes) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Split a trace blob into its header meta and decoded event records."""
-    lines = payload.decode("utf-8").splitlines()
-    if not lines:
-        raise AttachmentError("trace blob is empty")
+def _decode_line(line: bytes) -> Any:
     try:
-        header = json.loads(lines[0])
-        events = [json.loads(line) for line in lines[1:] if line]
-    except json.JSONDecodeError as exc:
+        return json.loads(line)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise AttachmentError(f"trace blob is not valid JSONL: {exc}") from exc
-    if header.get("event") != "trace_header":
+
+
+def trace_header(payload: bytes) -> Dict[str, Any]:
+    """The decoded header line of a trace blob, read from its first line
+    alone; :class:`AttachmentError` when the blob does not start with one."""
+    if not payload:
+        raise AttachmentError("trace blob is empty")
+    header = _decode_line(payload.split(b"\n", 1)[0])
+    if not isinstance(header, dict) or header.get("event") != "trace_header":
         raise AttachmentError("trace blob does not start with a trace_header line")
+    return header
+
+
+def parse_trace(payload: bytes) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+    """Split a trace blob into its header meta and decoded event records.
+
+    A blob of another format is an :class:`AttachmentError` that names the
+    rerun which replaces it.
+    """
+    header = trace_header(payload)
     if header.get("format") != TRACE_FORMAT_VERSION:
         raise AttachmentError(
-            f"trace format {header.get('format')!r} is not supported "
-            f"(expected {TRACE_FORMAT_VERSION})"
+            f"trace format {header.get('format')!r} is not supported (expected "
+            f"{TRACE_FORMAT_VERSION}); re-run the sweep with --trace to record it again"
         )
+    events = [_decode_line(line) for line in payload.split(b"\n")[1:] if line]
     return header.get("meta") or {}, events
 
 
@@ -204,7 +217,6 @@ def publish_trace(
         "trace_key": key,
         "trace_digest": digest,
         "events": len(recorder),
-        "counts": dict(sorted(recorder.counts.items())),
         "meta": dict(recorder.meta),
         # Wall-clock phase timings stay out of the blob so the blob is
         # byte-deterministic; the manifest is the nondeterministic side.

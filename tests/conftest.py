@@ -22,10 +22,11 @@ from repro.workloads.job_record import JobRecord, Workload
 
 @pytest.fixture(autouse=True)
 def _reset_repro_logging():
-    """Undo ``setup_logging`` after each test.  A CLI test leaves a handler
-    on the ``repro`` logger that writes to its own captured stderr, with
-    propagation off, so later warnings would reach neither caplog nor an
-    open stream."""
+    """Undo ``setup_logging`` after each test that calls it directly.  It
+    leaves a handler on the ``repro`` logger that writes to that test's
+    captured stderr, with propagation off, so later warnings would reach
+    neither caplog nor an open stream.  ``cli.main`` restores the logger
+    itself when it returns."""
     yield
     root = logging.getLogger("repro")
     for handler in list(root.handlers):

@@ -4,17 +4,20 @@ The trace is the one side artifact a sweep publishes beside its run blob
 (``--trace``): stored, found, loaded and gc-pinned by
 ``repro.telemetry.trace``.  The sweep-level tests cover the recovery
 contract: a cached run whose store lacks its requested trace (never
-published, or unreadable since) is re-executed to publish it — except
-by a merge, which executes nothing.
+published, of another trace format, or unreadable since) is re-executed
+to publish it — except by a merge, which executes nothing.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.cli import main as cli_main
 from repro.experiments.executors import MergeExecutor, ShardedExecutor
 from repro.experiments.sweep import SweepRunner, SweepTask, task_cache_key
-from repro.store import MemoryStore, gc, verify
+from repro.store import MemoryStore, gc, unwrap_blob, verify, wrap_blob
 from repro.telemetry.trace import (
     TRACE_FORMAT_VERSION,
     TRACE_MANIFEST_FIELDS,
@@ -69,6 +72,21 @@ def _flip_last_byte(store, key):
     blob = bytearray(store.get(key))
     blob[-1] ^= 0xFF
     store.put(key, bytes(blob))
+
+
+def _store_as_previous_format(store, key, manifest=True):
+    """Rewrite a published trace (and, with ``manifest``, its manifest) as
+    the previous trace format's code stored it: another header version."""
+    payload, _digest = unwrap_blob(store.get(trace_key(key)))
+    header, events = payload.split(b"\n", 1)
+    header = json.loads(header)
+    header["format"] = TRACE_FORMAT_VERSION - 1
+    store.put(trace_key(key), wrap_blob(json.dumps(header).encode() + b"\n" + events)[0])
+    if manifest:
+        name = trace_manifest_name(key)
+        stale = store.read_manifest(name)
+        stale["schema"] = TRACE_FORMAT_VERSION - 1
+        store.write_manifest(name, stale)
 
 
 # --------------------------------------------------------------------- #
@@ -157,6 +175,44 @@ class TestSweepRepublishes:
         assert runner.run(tasks).cache_hits == len(tasks) - 1
         assert store.get(trace_key(key)) == clean
         assert load_trace(store, key)
+
+    def test_trace_of_another_format_is_republished(
+        self, workload, tmp_path, caplog, capsys
+    ):
+        """A trace stored by another format's code is a silent miss: the
+        traced rerun re-executes the run and overwrites it, and ``trace
+        summary``, which finds no current trace before, reads it after."""
+        tasks = _tasks(workload)
+        runner = SweepRunner(max_workers=1, store=str(tmp_path), trace=True)
+        store = runner.store
+        runner.run(tasks)
+        key = task_cache_key(tasks[1])
+        clean = store.get(trace_key(key))
+        _store_as_previous_format(store, key)
+        with pytest.raises(AttachmentError, match="re-run the sweep with --trace"):
+            load_trace(store, key)
+        summary = ["trace", "summary", "--cache-dir", str(tmp_path)]
+        assert cli_main(summary) == 0
+        assert "decision traces (1 runs" in capsys.readouterr().out
+        with caplog.at_level("WARNING", logger="repro.experiments.sweep"):
+            assert runner.run(tasks).cache_hits == len(tasks) - 1
+        assert not caplog.records
+        assert store.get(trace_key(key)) == clean
+        assert cli_main(summary) == 0
+        assert "decision traces (2 runs" in capsys.readouterr().out
+
+    def test_trace_summary_names_the_rerun_for_another_format(
+        self, workload, tmp_path, capsys
+    ):
+        tasks = _tasks(workload)
+        runner = SweepRunner(max_workers=1, store=str(tmp_path), trace=True)
+        runner.run(tasks)
+        _store_as_previous_format(runner.store, task_cache_key(tasks[0]), manifest=False)
+        summary = ["trace", "summary", "--cache-dir", str(tmp_path)]
+        assert cli_main(summary) == 2
+        assert "re-run the sweep with --trace" in capsys.readouterr().err
+        assert runner.run(tasks).cache_hits == len(tasks) - 1
+        assert cli_main(summary) == 0
 
     def test_corrupt_attachment_warns_naming_its_key(self, workload, caplog):
         store, tasks = MemoryStore(), _tasks(workload)

@@ -73,8 +73,9 @@ class ReferenceBackfill(BackfillScheduler):
 
 
 class ReferenceSD(ReferenceBackfill, SDPolicyScheduler):
-    """SD-Policy on the reference pass, with the submit-time work ahead
-    always summed."""
+    """SD-Policy on the reference pass.  Its submit-time attempt, which
+    always sums the work ahead, is spelled out here so that the reference
+    does not lean on the production hook."""
 
     def on_job_submit(self, sim, job):
         if not job.malleable or sim.cluster.can_allocate(job):

@@ -416,21 +416,24 @@ def test_node_count_check_boundaries():
     ("sd_policy", 10.0), ("sd_policy", "dynamic"), ("ub_policy", 10.0),
 ])
 def test_traced_and_untraced_runs_decide_alike(policy, max_slowdown):
-    # The node-count check is off under trace, so this holds both paths
-    # against each other.
+    # A trace only records: the traced run takes the untraced run's path,
+    # down to the mates it scans and the pools it builds.
     workload = build_workload(4, scale=0.005)
     kwargs = {"runtime_model": "worst_case"}
     if policy == "ub_policy":
         workload = assign_applications(workload)
         kwargs = {"runtime_model": "application_aware", "profiles": "table2"}
+    schedulers = [make_policy(policy, max_slowdown=max_slowdown) for _ in range(2)]
     plain, traced = (
         runner.run_workload(
-            workload, policy=policy, malleable_fraction=1.0, max_slowdown=max_slowdown,
-            trace=trace, **kwargs,
+            workload, policy=scheduler, malleable_fraction=1.0, trace=trace, **kwargs,
         )
-        for trace in (False, True)
+        for scheduler, trace in zip(schedulers, (False, True))
     )
     assert plain.trace is None and traced.trace is not None
+    plain_selector, traced_selector = (scheduler.selector for scheduler in schedulers)
+    assert plain_selector.mates_scanned == traced_selector.mates_scanned > 0
+    assert plain_selector.pool_builds == traced_selector.pool_builds > 0
     fields = (
         "makespan", "avg_response_time", "avg_slowdown", "avg_wait_time",
         "energy_joules", "malleable_scheduled_jobs", "mate_jobs", "total_events",
@@ -449,16 +452,17 @@ def test_traced_and_untraced_runs_decide_alike(policy, max_slowdown):
 # --------------------------------------------------------------------- #
 
 #: SHA-256 of the decision traces of paper workload 4 at scale 0.005 (all
-#: malleable, MAXSD 10), recorded before the mate pool existed.  They pin
-#: the order of ``mate_candidate`` events, which no aggregate golden sees.
-#: Re-taken at trace format 2, whose header line differs from format 1's
-#: in the version number alone; every event line is byte-identical.
+#: malleable, MAXSD 10).  They pin every rejection and pairing in order,
+#: which no aggregate golden sees.  Re-taken at trace format 3: each
+#: format-3 trace equals its format-2 one, first recorded before the mate
+#: pool existed, with the version in its header changed and its
+#: ``mate_candidate`` lines dropped.
 TRACE_DIGESTS = {
-    "sd_policy": "fde7a3c75e092fbc4720c7b97bef7876eeef63a482d89cfcf1b66641da7cd878",
-    "ub_policy": "e43ea95feaeb011da71442e5a566333ccee5978ab4e0b3b1965d732fe97b7257",
-    # Recorded while the static pass still examined its whole window every
-    # time; it pins the ``backfill_hole`` events, which no golden sees.
-    "static_backfill": "136a76914f7d5a797e63bfa972d20dbe4957e704a9ced415ecd3b37865ca339d",
+    "sd_policy": "42fa5c25ff950e5e692afe933d1e0ccc66b69dfc840190e6734b6489d3309429",
+    "ub_policy": "c5b0f80e845147c42e354324e86e11bd16dd8ca4fe6f1d88f75aa896d9f83ff3",
+    # First recorded while the static pass still examined its whole window
+    # every time; it pins the ``backfill_hole`` events, which no golden sees.
+    "static_backfill": "1b9f6eff66ebb930efe87aaf7b0375de083d69d7aa8816d6df540b12e63714b1",
 }
 
 
@@ -479,7 +483,7 @@ def test_traced_runs_are_byte_identical_to_the_pinned_digests():
             **kwargs,
         )
         payload = run.trace.to_bytes()
-        assert b'"event":"mate_candidate"' in payload
+        assert b'"event":"mate_selected"' in payload
         assert hashlib.sha256(payload).hexdigest() == TRACE_DIGESTS[policy], policy
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -34,7 +35,12 @@ from repro.telemetry import (
     trace_manifest_name,
 )
 from repro.telemetry.logs import ENV_LOG_LEVEL
-from repro.telemetry.trace import PHASE_FIELDS, AttachmentError, parse_trace
+from repro.telemetry.trace import (
+    PHASE_FIELDS,
+    TRACE_FORMAT_VERSION,
+    AttachmentError,
+    parse_trace,
+)
 from repro.workloads.cirne import CirneWorkloadModel
 
 
@@ -50,12 +56,11 @@ def workload():
 # Recorder + canonical encoding
 # --------------------------------------------------------------------- #
 class TestTraceRecorder:
-    def test_canonical_lines_and_counts(self):
+    def test_canonical_lines(self):
         recorder = TraceRecorder()
         recorder.emit("job_submit", 1.5, job=3, nodes=2, cpus=16, malleable=True)
         recorder.emit("job_end", 9.0, job=3, wait=0.0)
         assert len(recorder) == 2
-        assert recorder.counts == {"job_submit": 1, "job_end": 1}
         # sorted keys, no whitespace
         assert recorder.lines[0] == (
             '{"cpus":16,"event":"job_submit","job":3,'
@@ -85,8 +90,12 @@ class TestTraceRecorder:
             parse_trace(b"")
         with pytest.raises(AttachmentError, match="trace_header"):
             parse_trace(b'{"event":"job_end"}\n')
-        with pytest.raises(AttachmentError, match="not supported"):
+        with pytest.raises(AttachmentError, match="not supported.*re-run the sweep with --trace"):
             parse_trace(b'{"event":"trace_header","format":99}\n')
+        with pytest.raises(AttachmentError, match="JSONL"):
+            parse_trace(
+                b'{"event":"trace_header","format":%d}\nnot json\n' % TRACE_FORMAT_VERSION
+            )
         with pytest.raises(AttachmentError, match="JSONL"):
             parse_trace(b"not json\n")
 
@@ -100,10 +109,15 @@ class TestTraceRecorder:
 # --------------------------------------------------------------------- #
 # Emission sites
 # --------------------------------------------------------------------- #
+def event_counts(recorder):
+    """Events per type in a recorded trace, counted from its parsed bytes."""
+    return Counter(event["event"] for event in parse_trace(recorder.to_bytes())[1])
+
+
 class TestTraceEmission:
     def test_lifecycle_events_cover_every_job(self, workload):
         run = run_workload(workload, "static_backfill", trace=True)
-        counts = run.trace.counts
+        counts = event_counts(run.trace)
         jobs = run.result.num_jobs
         assert counts["job_submit"] == jobs
         assert counts["job_start"] == jobs
@@ -111,13 +125,14 @@ class TestTraceEmission:
 
     def test_sd_policy_emits_mate_decisions(self, workload):
         run = run_workload(workload, "sd_policy", trace=True, max_slowdown=10.0)
-        counts = run.trace.counts
+        counts = event_counts(run.trace)
         stats = run.scheduler_stats
-        assert counts.get("mate_selected", 0) == stats["malleable_starts"]
-        assert counts.get("mate_rejected", 0) == (
+        assert counts["mate_selected"] == stats["malleable_starts"] > 0
+        assert counts["mate_rejected"] == (
             stats["rejected_by_estimate"] + stats["rejected_no_mates"]
-        )
-        assert counts.get("mate_candidate", 0) > 0
+        ) > 0
+        # A mate search is traced by its outcome, not by its candidates.
+        assert "mate_candidate" not in counts
         # shared starts name their mates
         shared = [
             event for event in parse_trace(run.trace.to_bytes())[1]
@@ -167,7 +182,7 @@ class TestTraceDeterminism:
         SweepRunner(max_workers=1, store=traced_store, trace=True).run([task])
         key = task_cache_key(task)
         assert plain_store.get(key) == traced_store.get(key)
-        assert b"mate_candidate" not in traced_store.get(key)  # the trace is its own blob
+        assert b"mate_selected" not in traced_store.get(key)  # the trace is its own blob
         # a plain runner consumes the traced runner's entry as a hit
         rerun = SweepRunner(max_workers=1, store=traced_store).run([task])
         assert rerun.cache_hits == 1
@@ -248,6 +263,17 @@ class TestLogging:
         root = logging.getLogger("repro")
         assert len(root.handlers) == 1
         assert not root.propagate
+
+    def test_cli_main_restores_the_repro_logger(self, tmp_path, caplog):
+        # main() configures its own stderr handler; once it returns, library
+        # warnings reach the caller's handlers (here caplog's) again.
+        root = logging.getLogger("repro")
+        before = root.handlers[:], root.level, root.propagate
+        assert cli_main(["store", "stats", str(tmp_path)]) == 0
+        assert (root.handlers, root.level, root.propagate) == before
+        with caplog.at_level(logging.WARNING):
+            logging.getLogger("repro.experiments.sweep").warning("after main")
+        assert "after main" in caplog.text
 
     def test_cache_hit_logged_at_debug(self, workload, capsys):
         store = MemoryStore()
